@@ -52,9 +52,8 @@ func (st *execState) issue(class OpClass, buf mpi.LocalBuf, disp int, rtype mpi.
 // first, then local views (staged gets copy their data back under a
 // self-lock).
 func (st *execState) finish() error {
-	sp := st.r.W.Mpi.M.Space(st.r.Rank())
 	for _, t := range st.temps {
-		if err := sp.Free(t.VA); err != nil {
+		if err := st.r.freeTemp(t); err != nil {
 			return err
 		}
 	}
@@ -76,9 +75,8 @@ func (st *execState) abort() {
 		_ = st.e.end()
 		st.e = nil
 	}
-	sp := st.r.W.Mpi.M.Space(st.r.Rank())
 	for _, t := range st.temps {
-		_ = sp.Free(t.VA)
+		_ = st.r.freeTemp(t)
 	}
 	st.temps = nil
 	for i := range st.views {
@@ -201,7 +199,7 @@ func (r *Runtime) execNodeEpoch(p *plan) error {
 			return err
 		}
 		buf = mpi.LocalBuf{Region: tmp, Off: 0, Type: t}
-		defer func() { _ = r.W.Mpi.M.Space(r.Rank()).Free(tmp.VA) }()
+		defer func() { _ = r.freeTemp(tmp) }()
 	}
 	win, gt, disp := p.dec.Node.Win, p.dec.Node.Rank, p.dec.Node.Disp
 	if err := win.Lock(mpi.LockExclusive, gt); err != nil {
@@ -384,9 +382,8 @@ func (h *nbHandle) Test() bool {
 func (h *nbHandle) settle() {
 	h.done = true
 	h.r.obs().Add(h.r.Rank(), obs.CNbDone, int64(len(h.reqs)))
-	sp := h.r.W.Mpi.M.Space(h.r.Rank())
 	for _, t := range h.temps {
-		if err := sp.Free(t.VA); err != nil {
+		if err := h.r.freeTemp(t); err != nil {
 			panic(fmt.Sprintf("armcimpi: nonblocking cleanup failed: %v", err))
 		}
 	}

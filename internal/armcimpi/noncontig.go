@@ -153,8 +153,9 @@ func subarrayFor(stride, count []int) (sizes, subsizes, starts []int, ok bool) {
 	return s.SrcSubarray()
 }
 
-// prescale produces a dense buffer holding scale*src for an arbitrary
-// origin datatype.
+// prescale produces a dense temporary holding scale*src for an
+// arbitrary origin datatype. Its backing is a pooled payload buffer,
+// handed back by freeTemp.
 func (r *Runtime) prescale(v *localView, baseVA int64, t mpi.Datatype, scale float64) (*fabric.Region, error) {
 	n := t.Size()
 	out := r.R.AllocMem(n)
@@ -162,18 +163,25 @@ func (r *Runtime) prescale(v *localView, baseVA int64, t mpi.Datatype, scale flo
 	m.CopyLocal(r.R.P, n)
 	m.Compute(r.R.P, float64(n/8))
 	src := v.reg.Bytes(v.reg.VA+(baseVA-v.base), t.Span())
-	// Pack through the flatten cache, scaling the decoded copy in place
-	// before re-encoding into the dense output.
+	out.Data = m.GetBuf(n) // every byte is written below
+	// Pack through the flatten cache, scaling in the same pass.
 	pos := 0
 	for _, s := range mpi.Flatten(t).Segs {
-		vals := mpi.BytesToF64s(src[s.Off : s.Off+s.N])
-		for i, x := range vals {
-			vals[i] = x * scale
-		}
-		copy(out.Backing()[pos:pos+s.N], mpi.F64sToBytes(vals))
+		mpi.ScaleBytesF64(out.Data[pos:pos+s.N], src[s.Off:s.Off+s.N], scale)
 		pos += s.N
 	}
 	return out, nil
+}
+
+// freeTemp releases a prescale temporary: its backing goes back to the
+// payload pool (the accumulate that read it snapshotted it at issue)
+// and is detached, so a stale region reference cannot alias a recycled
+// buffer; then the region is freed.
+func (r *Runtime) freeTemp(t *fabric.Region) error {
+	m := r.W.Mpi.M
+	m.PutBuf(t.Data)
+	t.Data = nil
+	return m.Space(r.Rank()).Free(t.VA)
 }
 
 // PutV performs a generalized I/O vector put to proc.

@@ -29,8 +29,22 @@ import (
 // issues nops blocking contiguous puts of the given size to rank 1,
 // returning the issuing body's host duration.
 func WallclockContigIssue(plat *platform.Platform, nops, bytes int) (time.Duration, error) {
-	return issueJob(plat, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
+	return issueJob(plat, harness.ImplARMCIMPI, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
 		return rt.Put(local, addrs[1], bytes)
+	}, bytes)
+}
+
+// WallclockContigPayload is the data-path row: rank 0 issues nops
+// contiguous operations of the given size to rank 1 under impl, each
+// fenced to remote completion so exactly one payload is in flight and
+// the loop measures the steady state — snapshot, transfer events,
+// apply — rather than the pipeline's depth. Host bytes per second
+// through the payload path is bytes*nops over the returned duration.
+func WallclockContigPayload(plat *platform.Platform, impl harness.Impl, op ContigOp, nops, bytes int) (time.Duration, error) {
+	return issueJob(plat, impl, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
+		err := doContig(rt, op, local, addrs[1], bytes)
+		rt.Fence(1)
+		return err
 	}, bytes)
 }
 
@@ -38,7 +52,7 @@ func WallclockContigIssue(plat *platform.Platform, nops, bytes int) (time.Durati
 // segBytes each (2-D descriptor, contiguous locally, strided remotely).
 func WallclockStridedIssue(plat *platform.Platform, nops, nsegs, segBytes int) (time.Duration, error) {
 	span := 2 * nsegs * segBytes
-	return issueJob(plat, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
+	return issueJob(plat, harness.ImplARMCIMPI, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
 		s := &armci.Strided{
 			Src:       local,
 			Dst:       addrs[1],
@@ -54,7 +68,7 @@ func WallclockStridedIssue(plat *platform.Platform, nops, nsegs, segBytes int) (
 // segments of segBytes each.
 func WallclockIOVIssue(plat *platform.Platform, nops, nsegs, segBytes int) (time.Duration, error) {
 	span := 2 * nsegs * segBytes
-	return issueJob(plat, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
+	return issueJob(plat, harness.ImplARMCIMPI, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
 		g := armci.GIOV{Bytes: segBytes}
 		for i := 0; i < nsegs; i++ {
 			g.Src = append(g.Src, armci.Addr{Rank: local.Rank, VA: local.VA + int64(i*segBytes)})
@@ -68,11 +82,11 @@ func WallclockIOVIssue(plat *platform.Platform, nops, nsegs, segBytes int) (time
 // and a local buffer, have rank 0 issue op nops times (timing only the
 // issue loop), then free collectively. The shm fast path is disabled
 // so the full RMA epoch path — the expensive one — is what is measured.
-func issueJob(plat *platform.Platform, nops int, op func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error, span int) (time.Duration, error) {
+func issueJob(plat *platform.Platform, impl harness.Impl, nops int, op func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error, span int) (time.Duration, error) {
 	var dur time.Duration
 	opt := armcimpi.DefaultOptions()
 	opt.NoShm = true
-	_, err := harness.Run(plat, 2, harness.ImplARMCIMPI, opt, func(rt armci.Runtime) {
+	_, err := harness.Run(plat, 2, impl, opt, func(rt armci.Runtime) {
 		addrs, err := rt.Malloc(span)
 		if err != nil {
 			panic(err)

@@ -3,7 +3,6 @@ package dataserver
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/armci"
@@ -24,9 +23,6 @@ func (r *Runtime) profBegin(op profile.Op) func() {
 	pr.Begin(rank, op)
 	return func() { pr.End(rank) }
 }
-
-func f64bits(f float64) uint64     { return math.Float64bits(f) }
-func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Malloc collectively allocates globally accessible memory (world).
 func (r *Runtime) Malloc(bytes int) ([]armci.Addr, error) { return r.mallocOn(nil, bytes) }
@@ -176,7 +172,7 @@ func (r *Runtime) LocalBytes(addr armci.Addr, n int) ([]byte, error) {
 }
 
 // contigSegs builds the single-segment list for a contiguous transfer.
-func (r *Runtime) contigSegs(src, dst armci.Addr, n int) ([]seg, error) {
+func (r *Runtime) contigSegs(src, dst armci.Addr, n int) ([]armci.Seg, error) {
 	sreg, err := r.region(src, n)
 	if err != nil {
 		return nil, err
@@ -185,7 +181,7 @@ func (r *Runtime) contigSegs(src, dst armci.Addr, n int) ([]seg, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []seg{{srcVA: src.VA, dstVA: dst.VA, sreg: sreg, dreg: dreg, n: n}}, nil
+	return []armci.Seg{{SrcVA: src.VA, DstVA: dst.VA, Sreg: sreg, Dreg: dreg, N: n}}, nil
 }
 
 // Put copies n bytes from the local src to the global dst.
@@ -237,7 +233,7 @@ func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int)
 }
 
 // resolveStrided expands a strided descriptor into segments.
-func (r *Runtime) resolveStrided(s *armci.Strided) ([]seg, error) {
+func (r *Runtime) resolveStrided(s *armci.Strided) ([]armci.Seg, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -249,11 +245,11 @@ func (r *Runtime) resolveStrided(s *armci.Strided) ([]seg, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs := make([]seg, 0, s.Segments())
+	segs := make([]armci.Seg, 0, s.Segments())
 	s.Iterate(func(so, do int) {
-		segs = append(segs, seg{
-			srcVA: s.Src.VA + int64(so), dstVA: s.Dst.VA + int64(do),
-			sreg: sreg, dreg: dreg, n: s.SegBytes(),
+		segs = append(segs, armci.Seg{
+			SrcVA: s.Src.VA + int64(so), DstVA: s.Dst.VA + int64(do),
+			Sreg: sreg, Dreg: dreg, N: s.SegBytes(),
 		})
 	})
 	return segs, nil
@@ -301,11 +297,11 @@ func (r *Runtime) AccS(op armci.AccOp, scale float64, s *armci.Strided) error {
 }
 
 // resolveIOV expands IOV descriptors into segments.
-func (r *Runtime) resolveIOV(iov []armci.GIOV, proc int, remoteIsSrc bool) ([]seg, error) {
+func (r *Runtime) resolveIOV(iov []armci.GIOV, proc int, remoteIsSrc bool) ([]armci.Seg, error) {
 	if err := armci.ValidateIOV(iov, proc, remoteIsSrc); err != nil {
 		return nil, err
 	}
-	var segs []seg
+	var segs []armci.Seg
 	for gi := range iov {
 		g := &iov[gi]
 		for i := range g.Src {
@@ -317,8 +313,8 @@ func (r *Runtime) resolveIOV(iov []armci.GIOV, proc int, remoteIsSrc bool) ([]se
 			if err != nil {
 				return nil, err
 			}
-			segs = append(segs, seg{srcVA: g.Src[i].VA, dstVA: g.Dst[i].VA,
-				sreg: sreg, dreg: dreg, n: g.Bytes})
+			segs = append(segs, armci.Seg{SrcVA: g.Src[i].VA, DstVA: g.Dst[i].VA,
+				Sreg: sreg, Dreg: dreg, N: g.Bytes})
 		}
 	}
 	return segs, nil

@@ -24,7 +24,6 @@
 package dataserver
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/armci"
@@ -164,28 +163,20 @@ func (r *Runtime) noteRemote(target int, at sim.Time) {
 	}
 }
 
-// seg is one contiguous piece of a transfer.
-type seg struct {
-	srcVA, dstVA int64
-	sreg, dreg   *fabric.Region
-	n            int
-}
-
 // putSegs ships segments to the target's data server: one two-sided
 // exchange carrying the whole payload, then the server copies each
 // segment into place (server-side staging copy).
-func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64) error {
+func (r *Runtime) putSegs(segs []armci.Seg, target int, accumulate bool, scale float64) error {
 	if len(segs) == 0 {
 		return nil
 	}
 	r.opCost()
 	m := r.w.M
 	total := 0
-	data := make([][]byte, len(segs))
-	for i, sg := range segs {
-		total += sg.n
-		data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
+	for _, sg := range segs {
+		total += sg.N
 	}
+	slab := armci.Gather(m, segs, total, scale)
 	node := m.NodeOf(target)
 	me := r.Rank()
 	pr := r.w.Obs.Prof()
@@ -198,9 +189,7 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 			pr.Send(me, target, profile.MsgPut, profile.RouteShm, total)
 			pr.Recv(me, target, profile.MsgPut, profile.RouteShm, total)
 		}
-		for i, sg := range segs {
-			copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[i])
-		}
+		armci.Scatter(m, segs, slab, false)
 		r.noteRemote(target, r.p.Now())
 		return nil
 	}
@@ -236,31 +225,18 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 		o.SpanLane(obs.LaneServer(node), "ds", name, start, done,
 			obs.A("origin", r.Rank()), obs.A("bytes", total))
 	}
-	segsCopy := segs
 	m.Eng.At(done, func() {
 		if pr != nil {
 			pr.Recv(me, target, class, profile.RouteDS, total)
 		}
-		for i, sg := range segsCopy {
-			dst := sg.dreg.Bytes(sg.dstVA, sg.n)
-			if accumulate {
-				cur := decodeF64(dst)
-				inc := decodeF64(data[i])
-				for k := range cur {
-					cur[k] += scale * inc[k]
-				}
-				encodeF64(dst, cur)
-			} else {
-				copy(dst, data[i])
-			}
-		}
+		armci.Scatter(m, segs, slab, accumulate)
 	})
 	r.noteRemote(target, done)
 	return nil
 }
 
 // getSegs requests segments from the target's data server.
-func (r *Runtime) getSegs(segs []seg, target int) error {
+func (r *Runtime) getSegs(segs []armci.Seg, target int) error {
 	if len(segs) == 0 {
 		return nil
 	}
@@ -268,7 +244,7 @@ func (r *Runtime) getSegs(segs []seg, target int) error {
 	m := r.w.M
 	total := 0
 	for _, sg := range segs {
-		total += sg.n
+		total += sg.N
 	}
 	pr := r.w.Obs.Prof()
 	if m.SameNode(r.Rank(), target) {
@@ -280,7 +256,7 @@ func (r *Runtime) getSegs(segs []seg, target int) error {
 			pr.Recv(target, r.Rank(), profile.MsgGet, profile.RouteShm, total)
 		}
 		for _, sg := range segs {
-			copy(sg.dreg.Bytes(sg.dstVA, sg.n), sg.sreg.Bytes(sg.srcVA, sg.n))
+			copy(sg.Dreg.Bytes(sg.DstVA, sg.N), sg.Sreg.Bytes(sg.SrcVA, sg.N))
 		}
 		return nil
 	}
@@ -305,12 +281,8 @@ func (r *Runtime) getSegs(segs []seg, target int) error {
 	p := r.p
 	eng := m.Eng
 	me := r.Rank()
-	segsCopy := segs
 	eng.At(served, func() {
-		data := make([][]byte, len(segsCopy))
-		for i, sg := range segsCopy {
-			data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
-		}
+		slab := armci.Gather(m, segs, total, 1)
 		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: r.rate()})
 		if pr != nil {
 			base, xs, xa := m.LastXfer()
@@ -322,9 +294,7 @@ func (r *Runtime) getSegs(segs []seg, target int) error {
 			if pr != nil {
 				pr.Recv(target, me, profile.MsgGet, profile.RouteDS, total)
 			}
-			for i, sg := range segsCopy {
-				copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[i])
-			}
+			armci.Scatter(m, segs, slab, false)
 			done = true
 			eng.Unpark(p)
 		})
@@ -340,18 +310,4 @@ func (r *Runtime) accRate() float64 {
 		return r.w.Tun.AccumRate
 	}
 	return r.w.M.Par.AccumRate
-}
-
-func decodeF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = f64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func encodeF64(b []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], f64bits(v))
-	}
 }

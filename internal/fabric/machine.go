@@ -91,6 +91,7 @@ type Machine struct {
 	nics   []nic
 	boxes  []*mailbox
 	spaces []*AddrSpace
+	bufs   bufPool // payload free list (bufs.go)
 
 	// Counters, exposed for tests and benchmarks.
 	MsgsSent    int64

@@ -64,7 +64,9 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 // bcastI64 broadcasts int64s from root.
 func (c *Comm) bcastI64(root int, vals []int64) []int64 {
 	out := c.Bcast(root, i64sToBytes(vals))
-	return bytesToI64s(out)
+	vals = bytesToI64s(out)
+	c.r.W.M.PutBuf(out)
+	return vals
 }
 
 // BcastI64 broadcasts a vector of int64 from root.
@@ -72,7 +74,10 @@ func (c *Comm) BcastI64(root int, vals []int64) []int64 { return c.bcastI64(root
 
 // BcastF64 broadcasts a vector of float64 from root.
 func (c *Comm) BcastF64(root int, vals []float64) []float64 {
-	return bytesToF64s(c.Bcast(root, f64sToBytes(vals)))
+	out := c.Bcast(root, f64sToBytes(vals))
+	vals = bytesToF64s(out)
+	c.r.W.M.PutBuf(out)
+	return vals
 }
 
 // Allgather concatenates every rank's equal-sized contribution in rank
@@ -81,7 +86,7 @@ func (c *Comm) Allgather(mine []byte) [][]byte {
 	c.collSeq++
 	n := c.Size()
 	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), mine...)
+	out[c.rank] = c.snapshot(mine)
 	if n == 1 {
 		return out
 	}
@@ -104,6 +109,7 @@ func (c *Comm) allgatherI64(mine []int64) []int64 {
 	var out []int64
 	for _, p := range parts {
 		out = append(out, bytesToI64s(p)...)
+		c.r.W.M.PutBuf(p)
 	}
 	return out
 }
@@ -151,6 +157,7 @@ func (c *Comm) AllreduceF64(op Op, vals []float64) []float64 {
 	} else if c.rank < rem {
 		data, _ := c.Recv(c.rank+pow2, tagR)
 		reduceF64(op, acc, bytesToF64s(data))
+		c.r.W.M.PutBuf(data)
 	}
 	if c.rank < pow2 {
 		for k, round := 1, 0; k < pow2; k, round = k*2, round+1 {
@@ -158,6 +165,7 @@ func (c *Comm) AllreduceF64(op Op, vals []float64) []float64 {
 			tag := c.collTag(round)
 			data, _ := c.Sendrecv(peer, tag, f64sToBytes(acc), peer, tag)
 			reduceF64(op, acc, bytesToF64s(data))
+			c.r.W.M.PutBuf(data)
 		}
 	}
 	// Send results back to the remainder ranks.
@@ -167,6 +175,7 @@ func (c *Comm) AllreduceF64(op Op, vals []float64) []float64 {
 	} else if c.rank >= pow2 {
 		data, _ := c.Recv(c.rank-pow2, tagB)
 		acc = bytesToF64s(data)
+		c.r.W.M.PutBuf(data)
 	}
 	return acc
 }
@@ -190,6 +199,7 @@ func (c *Comm) AllreduceI64(op Op, vals []int64) []int64 {
 	} else if c.rank < rem {
 		data, _ := c.Recv(c.rank+pow2, tagR)
 		reduceI64(op, acc, bytesToI64s(data))
+		c.r.W.M.PutBuf(data)
 	}
 	if c.rank < pow2 {
 		for k, round := 1, 0; k < pow2; k, round = k*2, round+1 {
@@ -197,6 +207,7 @@ func (c *Comm) AllreduceI64(op Op, vals []int64) []int64 {
 			tag := c.collTag(round)
 			data, _ := c.Sendrecv(peer, tag, i64sToBytes(acc), peer, tag)
 			reduceI64(op, acc, bytesToI64s(data))
+			c.r.W.M.PutBuf(data)
 		}
 	}
 	tagB := c.collTag(255)
@@ -205,6 +216,7 @@ func (c *Comm) AllreduceI64(op Op, vals []int64) []int64 {
 	} else if c.rank >= pow2 {
 		data, _ := c.Recv(c.rank-pow2, tagB)
 		acc = bytesToI64s(data)
+		c.r.W.M.PutBuf(data)
 	}
 	return acc
 }
@@ -230,6 +242,7 @@ func (c *Comm) ReduceF64(root int, op Op, vals []float64) []float64 {
 		if peer < n {
 			data, _ := c.Recv((peer+root)%n, tag)
 			reduceF64(op, acc, bytesToF64s(data))
+			c.r.W.M.PutBuf(data)
 		}
 	}
 	return acc

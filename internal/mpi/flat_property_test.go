@@ -155,7 +155,8 @@ func TestPackUnpackMatchesFlat(t *testing.T) {
 			want = append(want, src[off:off+n]...)
 		})
 
-		got := Pack(dt, src)
+		got := make([]byte, dt.Size())
+		PackInto(got, dt, src)
 		if len(got) != dt.Size() {
 			t.Fatalf("%v: packed %d bytes, want %d", dt, len(got), dt.Size())
 		}

@@ -71,7 +71,7 @@ func (c *Comm) Send(to, tag int, data []byte) {
 }
 
 func (c *Comm) sendEager(to, tag int, data []byte) {
-	body := append([]byte(nil), data...)
+	body := c.snapshot(data)
 	msg := &fabric.Msg{
 		From:    c.r.ID(),
 		Kind:    kindP2P,
@@ -91,7 +91,7 @@ func (c *Comm) sendRendezvous(to, tag int, data []byte) *rvState {
 	m := w.M
 	me := c.r.ID()
 	dest := c.group[to]
-	body := append([]byte(nil), data...)
+	body := c.snapshot(data)
 	w.rvSeq++
 	rvID := w.rvSeq
 	st := &rvState{}
@@ -121,6 +121,15 @@ func (c *Comm) sendRendezvous(to, tag int, data []byte) *rvState {
 		}
 	})
 	return st
+}
+
+// snapshot copies a send buffer into a pooled message body. The body
+// belongs to whoever receives it: the typed collectives hand it back
+// once decoded, a raw Recv passes it to the caller for good.
+func (c *Comm) snapshot(data []byte) []byte {
+	body := c.r.W.M.GetBuf(len(data))
+	copy(body, data)
+	return body
 }
 
 // match builds a predicate for (cid, src, tag) with wildcard support;

@@ -3,16 +3,9 @@ package mpi
 // Dense pack/unpack kernels shared by the RMA layer (rma.go, rma3.go),
 // the armcimpi staging paths, and the wall-clock benchmark suite. All
 // host-side data movement for derived datatypes funnels through these
-// three functions, so the flatten cache (flat.go) accelerates every
-// user at once.
-
-// Pack gathers the datatype's bytes out of src (a slice covering the
-// type's span) into a freshly allocated dense buffer of t.Size() bytes.
-func Pack(t Datatype, src []byte) []byte {
-	out := make([]byte, t.Size())
-	PackInto(out, t, src)
-	return out
-}
+// two functions, so the flatten cache (flat.go) accelerates every
+// user at once. Neither allocates: the dense side is the caller's
+// (pooled) buffer.
 
 // PackInto gathers the datatype's bytes out of src into the dense
 // buffer dst, which must hold at least t.Size() bytes. It returns the

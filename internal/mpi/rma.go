@@ -671,41 +671,33 @@ func (w *Win) opPrologue(buf LocalBuf, target, tdisp int, ttype Datatype, kind o
 	return ep, nil
 }
 
-// pack serializes the origin datatype's bytes into a dense buffer,
-// charging copy time for noncontiguous layouts.
+// pack snapshots the origin datatype's bytes into a dense pooled buffer
+// (released by whoever applies it), charging copy time for
+// noncontiguous layouts.
 func (w *Win) pack(buf LocalBuf) []byte {
 	r := w.comm.r
 	src := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-	if buf.Type.Contig() {
-		out := make([]byte, buf.Type.Size())
-		copy(out, src[:buf.Type.Size()])
-		return out
+	if !buf.Type.Contig() {
+		t0 := r.P.Now()
+		r.W.M.CopyLocal(r.P, buf.Type.Size()) // pack cost
+		o := r.W.Obs
+		o.Add(r.ID(), obs.CPackBytes, int64(buf.Type.Size()))
+		o.AddTime(r.ID(), obs.TPack, r.P.Now()-t0)
+		if pr := o.Prof(); pr != nil {
+			pr.PhaseAt(r.ID(), profile.PhasePack, t0, r.P.Now())
+		}
+		if o.Tracing() {
+			o.Span(r.ID(), "dt", "pack", t0, r.P.Now(), obs.A("bytes", buf.Type.Size()))
+		}
 	}
-	t0 := r.P.Now()
-	r.W.M.CopyLocal(r.P, buf.Type.Size()) // pack cost
-	o := r.W.Obs
-	o.Add(r.ID(), obs.CPackBytes, int64(buf.Type.Size()))
-	o.AddTime(r.ID(), obs.TPack, r.P.Now()-t0)
-	if pr := o.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhasePack, t0, r.P.Now())
-	}
-	if o.Tracing() {
-		o.Span(r.ID(), "dt", "pack", t0, r.P.Now(), obs.A("bytes", buf.Type.Size()))
-	}
-	return Pack(buf.Type, src)
+	return w.snapshot(src, buf.Type)
 }
 
-// unpackInto scatters dense data into dst (a slice covering the
-// datatype's extent) following the datatype layout, through the
-// flatten-cache kernel.
-func unpackInto(dst []byte, t Datatype, data []byte) {
-	Unpack(t, dst, data)
-}
-
-// packFrom gathers the datatype's bytes out of src (covering its
-// extent) into a dense buffer, through the flatten-cache kernel.
-func packFrom(src []byte, t Datatype) []byte {
-	return Pack(t, src)
+// snapshot gathers t's bytes out of src into a pooled dense buffer.
+func (w *Win) snapshot(src []byte, t Datatype) []byte {
+	data := w.comm.r.W.M.GetBuf(t.Size())
+	PackInto(data, t, src)
+	return data
 }
 
 // Put transfers the origin buffer into the target window at byte
@@ -740,18 +732,10 @@ func (w *Win) Put(buf LocalBuf, target, tdisp int, ttype Datatype) error {
 		if pr != nil {
 			pr.Recv(origin, targetWorld, profile.MsgPut, profile.RouteRMA, len(data))
 		}
-		if !ttype.Contig() {
-			// Target-side unpack cost is borne by the NIC/agent; modeled
-			// as arriving-data processing latency folded into arrive via
-			// CopyTime.
-		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				ws.setErr(fmt.Errorf("mpi: Put apply failed: %v", rec))
-			}
-		}()
-		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		unpackInto(dst, ttype, data)
+		_ = ws.apply("Put", func() {
+			Unpack(ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), data)
+		})
+		m.PutBuf(data)
 	})
 	done := arrive
 	if !ttype.Contig() {
@@ -784,17 +768,17 @@ func (w *Win) shmPut(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch,
 	r := w.comm.r
 	m := r.W.M
 	treg, _ := w.SharedQuery(target)
-	src := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-	data := packFrom(src, buf.Type)
+	data := w.snapshot(buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), buf.Type)
 	t0c := r.P.Now()
 	m.ShmCopy(r.P, len(data))
 	if pr := r.W.Obs.Prof(); pr != nil {
 		pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0c, r.P.Now())
 	}
-	if err := w.shmApply(func() {
-		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		unpackInto(dst, ttype, data)
-	}, "Put"); err != nil {
+	err := w.state.apply("Put", func() {
+		Unpack(ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), data)
+	})
+	m.PutBuf(data)
+	if err != nil {
 		return err
 	}
 	if now := r.P.Now(); now > ep.completeAt {
@@ -804,16 +788,20 @@ func (w *Win) shmPut(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch,
 	return nil
 }
 
-// shmApply runs a direct store into the shared segment, converting
-// panics (bad displacements with checking off) into window errors.
-func (w *Win) shmApply(apply func(), op string) (err error) {
+// apply runs one step that touches window or origin memory — an
+// arrival event's store, a direct store into the shared segment —
+// converting a panic (a bad displacement with checking off) into the
+// window's error. The step's payload is not its business: the caller
+// releases it after apply returns, so it goes back exactly once
+// whether or not the step failed.
+func (ws *winState) apply(op string, step func()) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("mpi: %s apply failed: %v", op, rec)
-			w.state.setErr(err)
+			ws.setErr(err)
 		}
 	}()
-	apply()
+	step()
 	return nil
 }
 
@@ -876,8 +864,13 @@ func (w *Win) Get(buf LocalBuf, target, tdisp int, ttype Datatype) error {
 	pr := r.W.Obs.Prof()
 	reqArrive := r.control(targetWorld)
 	m.Eng.At(reqArrive, func() {
-		src := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		data := packFrom(src, ttype)
+		data := m.GetBuf(nbytes)
+		if ws.apply("Get", func() {
+			PackInto(data, ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()))
+		}) != nil {
+			m.PutBuf(data)
+			return
+		}
 		back := m.SendDataAsync(targetWorld, origin, len(data), fabric.XferOpt{Rate: rate})
 		if pr != nil {
 			base, xs, xa := m.LastXfer()
@@ -905,13 +898,10 @@ func (w *Win) Get(buf LocalBuf, target, tdisp int, ttype Datatype) error {
 			if pr != nil {
 				pr.Recv(targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
 			}
-			defer func() {
-				if rec := recover(); rec != nil {
-					ws.setErr(fmt.Errorf("mpi: Get apply failed: %v", rec))
-				}
-			}()
-			dst := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-			unpackInto(dst, buf.Type, data)
+			_ = ws.apply("Get", func() {
+				Unpack(buf.Type, buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), data)
+			})
+			m.PutBuf(data)
 		})
 	})
 	// Lower bound available at issue time; refined inside the event.
@@ -932,11 +922,11 @@ func (w *Win) shmGet(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch,
 	r := w.comm.r
 	m := r.W.M
 	treg, _ := w.SharedQuery(target)
-	var data []byte
-	if err := w.shmApply(func() {
-		src := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		data = packFrom(src, ttype)
-	}, "Get"); err != nil {
+	data := m.GetBuf(ttype.Size())
+	if err := w.state.apply("Get", func() {
+		PackInto(data, ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()))
+	}); err != nil {
+		m.PutBuf(data)
 		return err
 	}
 	t0c := r.P.Now()
@@ -944,10 +934,11 @@ func (w *Win) shmGet(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch,
 	if pr := r.W.Obs.Prof(); pr != nil {
 		pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0c, r.P.Now())
 	}
-	if err := w.shmApply(func() {
-		dst := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-		unpackInto(dst, buf.Type, data)
-	}, "Get"); err != nil {
+	err := w.state.apply("Get", func() {
+		Unpack(buf.Type, buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), data)
+	})
+	m.PutBuf(data)
+	if err != nil {
 		return err
 	}
 	if now := r.P.Now(); now > ep.completeAt {
@@ -1006,13 +997,10 @@ func (w *Win) Accumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype)
 		if pr != nil {
 			pr.Recv(origin, targetWorld, profile.MsgAcc, profile.RouteRMA, len(data))
 		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				ws.setErr(fmt.Errorf("mpi: Accumulate apply failed: %v", rec))
-			}
-		}()
-		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		applyReduction(dst, ttype, data, op)
+		_ = ws.apply("Accumulate", func() {
+			applyReduction(treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), ttype, data, op)
+		})
+		m.PutBuf(data)
 	})
 	if applyDone > ep.completeAt {
 		ep.completeAt = applyDone
@@ -1037,8 +1025,7 @@ func (w *Win) Accumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype)
 func (w *Win) shmAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype, ep *epoch, t0 sim.Time) error {
 	r := w.comm.r
 	m := r.W.M
-	src := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-	data := packFrom(src, buf.Type)
+	data := w.snapshot(buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), buf.Type)
 	treg, _ := w.SharedQuery(target)
 	tl := w.state.lockAt(target)
 	t0q := r.P.Now()
@@ -1054,10 +1041,11 @@ func (w *Win) shmAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Dataty
 		pr.PhaseAt(r.ID(), profile.PhaseTargetProc, start, fin)
 	}
 	m.SleepUntil(r.P, fin)
-	if err := w.shmApply(func() {
-		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		applyReduction(dst, ttype, data, op)
-	}, "Accumulate"); err != nil {
+	err := w.state.apply("Accumulate", func() {
+		applyReduction(treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), ttype, data, op)
+	})
+	m.PutBuf(data)
+	if err != nil {
 		return err
 	}
 	if fin > ep.completeAt {
@@ -1068,21 +1056,24 @@ func (w *Win) shmAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Dataty
 }
 
 // applyReduction folds dense data into dst following the datatype
-// layout, elementwise on float64 for arithmetic ops.
+// layout, in place on little-endian float64s for arithmetic ops.
 func applyReduction(dst []byte, t Datatype, data []byte, op Op) {
 	if op == OpReplace {
-		unpackInto(dst, t, data)
+		Unpack(t, dst, data)
 		return
 	}
+	// A contiguous type has no flatten cache; its one run lives on the
+	// stack so the fold allocates nothing either way.
+	segs := []Segment{{Off: 0, N: t.Size()}}
+	if !t.Contig() {
+		segs = Flatten(t).Segs
+	}
 	pos := 0
-	t.Segments(func(off, n int) {
-		if n%8 != 0 || off%8 != 0 {
-			panic(fmt.Sprintf("mpi: accumulate segment not float64-aligned (off=%d n=%d)", off, n))
+	for _, sg := range segs {
+		if sg.N%8 != 0 || sg.Off%8 != 0 {
+			panic(fmt.Sprintf("mpi: accumulate segment not float64-aligned (off=%d n=%d)", sg.Off, sg.N))
 		}
-		cur := bytesToF64s(dst[off : off+n])
-		inc := bytesToF64s(data[pos : pos+n])
-		reduceF64(op, cur, inc)
-		copy(dst[off:off+n], f64sToBytes(cur))
-		pos += n
-	})
+		ReduceBytesF64(op, dst[sg.Off:sg.Off+sg.N], data[pos:pos+sg.N])
+		pos += sg.N
+	}
 }

@@ -322,7 +322,7 @@ func (w *Win) FetchAndOp(op Op, operand int64, target, tdisp int) (int64, error)
 		tl.accBusy = fin
 		w.amoShmProf(target, t0q, start, fin)
 		m.SleepUntil(p, fin)
-		if err := w.shmApply(func() {
+		if err := ws.apply("FetchAndOp", func() {
 			b := treg.Bytes(treg.VA+int64(tdisp), 8)
 			old = int64(binary.LittleEndian.Uint64(b))
 			if op != OpNoOp {
@@ -330,7 +330,7 @@ func (w *Win) FetchAndOp(op Op, operand int64, target, tdisp int) (int64, error)
 				reduceI64(op, nv, []int64{operand})
 				binary.LittleEndian.PutUint64(b, uint64(nv[0]))
 			}
-		}, "FetchAndOp"); err != nil {
+		}); err != nil {
 			return 0, err
 		}
 		if ep.completeAt < p.Now() {
@@ -438,13 +438,13 @@ func (w *Win) CompareAndSwap(compare, swapv int64, target, tdisp int) (int64, er
 		tl.accBusy = fin
 		w.amoShmProf(target, t0q, start, fin)
 		m.SleepUntil(p, fin)
-		if err := w.shmApply(func() {
+		if err := ws.apply("CompareAndSwap", func() {
 			b := treg.Bytes(treg.VA+int64(tdisp), 8)
 			old = int64(binary.LittleEndian.Uint64(b))
 			if old == compare {
 				binary.LittleEndian.PutUint64(b, uint64(swapv))
 			}
-		}, "CompareAndSwap"); err != nil {
+		}); err != nil {
 			return 0, err
 		}
 		if ep.completeAt < p.Now() {

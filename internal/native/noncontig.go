@@ -8,17 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// seg is one resolved contiguous piece of a noncontiguous transfer.
-type seg struct {
-	srcVA, dstVA int64
-	sreg, dreg   *fabric.Region
-	n            int
-}
-
 // resolveStrided expands a strided descriptor into segments, resolving
 // regions once per side (a strided transfer stays within one region on
 // each side).
-func (r *Runtime) resolveStrided(s *armci.Strided) ([]seg, int, error) {
+func (r *Runtime) resolveStrided(s *armci.Strided) ([]armci.Seg, int, error) {
 	if err := s.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -30,22 +23,22 @@ func (r *Runtime) resolveStrided(s *armci.Strided) ([]seg, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("native: strided dst: %w", err)
 	}
-	segs := make([]seg, 0, s.Segments())
+	segs := make([]armci.Seg, 0, s.Segments())
 	s.Iterate(func(so, do int) {
-		segs = append(segs, seg{
-			srcVA: s.Src.VA + int64(so), dstVA: s.Dst.VA + int64(do),
-			sreg: sreg, dreg: dreg, n: s.SegBytes(),
+		segs = append(segs, armci.Seg{
+			SrcVA: s.Src.VA + int64(so), DstVA: s.Dst.VA + int64(do),
+			Sreg: sreg, Dreg: dreg, N: s.SegBytes(),
 		})
 	})
 	return segs, s.Segments(), nil
 }
 
 // resolveIOV expands IOV descriptors into segments.
-func (r *Runtime) resolveIOV(iov []armci.GIOV, proc int, remoteIsSrc bool) ([]seg, error) {
+func (r *Runtime) resolveIOV(iov []armci.GIOV, proc int, remoteIsSrc bool) ([]armci.Seg, error) {
 	if err := armci.ValidateIOV(iov, proc, remoteIsSrc); err != nil {
 		return nil, err
 	}
-	var segs []seg
+	var segs []armci.Seg
 	for gi := range iov {
 		g := &iov[gi]
 		for i := range g.Src {
@@ -57,9 +50,9 @@ func (r *Runtime) resolveIOV(iov []armci.GIOV, proc int, remoteIsSrc bool) ([]se
 			if err != nil {
 				return nil, fmt.Errorf("native: iov dst seg %d: %w", i, err)
 			}
-			segs = append(segs, seg{
-				srcVA: g.Src[i].VA, dstVA: g.Dst[i].VA,
-				sreg: sreg, dreg: dreg, n: g.Bytes,
+			segs = append(segs, armci.Seg{
+				SrcVA: g.Src[i].VA, DstVA: g.Dst[i].VA,
+				Sreg: sreg, Dreg: dreg, N: g.Bytes,
 			})
 		}
 	}
@@ -69,21 +62,20 @@ func (r *Runtime) resolveIOV(iov []armci.GIOV, proc int, remoteIsSrc bool) ([]se
 // putSegs is the tuned native noncontiguous put/acc pipeline: one
 // operation setup, per-segment descriptor cost, a single pipelined NIC
 // occupancy for the full payload, segment scatter at arrival.
-func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64) error {
+func (r *Runtime) putSegs(segs []armci.Seg, target int, accumulate bool, scale float64) error {
 	if len(segs) == 0 {
 		return nil
 	}
 	r.opCost()
 	r.p.Elapse(sim.FromSeconds(float64(len(segs)) * segOverheadNs / 1e9))
 	total := 0
-	data := make([][]byte, len(segs))
 	var local *fabric.Region
-	for i, sg := range segs {
-		total += sg.n
-		data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
-		local = sg.sreg
+	for _, sg := range segs {
+		total += sg.N
+		local = sg.Sreg
 	}
 	m := r.w.M
+	slab := armci.Gather(m, segs, total, scale)
 	arrive := m.SendDataAsync(r.Rank(), target, total, fabric.XferOpt{Rate: r.rate(local)})
 	done := arrive
 	if accumulate {
@@ -98,22 +90,7 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 		done = start + sim.FromSeconds(float64(total)/accRate)
 		r.w.agentBusy[target] = done
 	}
-	segsCopy := segs
-	m.Eng.At(done, func() {
-		for i, sg := range segsCopy {
-			dst := sg.dreg.Bytes(sg.dstVA, sg.n)
-			if accumulate {
-				cur := decodeF64(dst)
-				inc := decodeF64(data[i])
-				for k := range cur {
-					cur[k] += scale * inc[k]
-				}
-				encodeF64(dst, cur)
-			} else {
-				copy(dst, data[i])
-			}
-		}
-	})
+	m.Eng.At(done, func() { armci.Scatter(m, segs, slab, accumulate) })
 	r.noteRemote(target, done)
 	r.w.BytesMoved += int64(total)
 	r.w.Segments += int64(len(segs))
@@ -121,7 +98,7 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 }
 
 // getSegs is the native noncontiguous get pipeline.
-func (r *Runtime) getSegs(segs []seg, target int) (armci.Handle, error) {
+func (r *Runtime) getSegs(segs []armci.Seg, target int) (armci.Handle, error) {
 	if len(segs) == 0 {
 		return newHandle(r, true), nil
 	}
@@ -130,25 +107,19 @@ func (r *Runtime) getSegs(segs []seg, target int) (armci.Handle, error) {
 	total := 0
 	var local *fabric.Region
 	for _, sg := range segs {
-		total += sg.n
-		local = sg.dreg
+		total += sg.N
+		local = sg.Dreg
 	}
 	m := r.w.M
 	h := newHandle(r, false)
 	me := r.Rank()
 	rate := r.rate(local)
-	segsCopy := segs
 	req := m.SendDataAsync(me, target, 0, fabric.XferOpt{NoNIC: true})
 	m.Eng.At(req, func() {
-		data := make([][]byte, len(segsCopy))
-		for i, sg := range segsCopy {
-			data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
-		}
+		slab := armci.Gather(m, segs, total, 1)
 		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: rate})
 		m.Eng.At(back, func() {
-			for i, sg := range segsCopy {
-				copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[i])
-			}
+			armci.Scatter(m, segs, slab, false)
 			h.complete()
 		})
 	})

@@ -57,6 +57,29 @@ func BenchmarkWallclockIOVIssue(b *testing.B) {
 	})
 }
 
+// wallclockPayload is the data-path layer row: 1 MiB contiguous
+// operations, one in flight at a time, on the native runtime and on
+// ARMCI-MPI. MB/s is host bytes through the payload path (snapshot,
+// transfer events, apply); B/op and allocs/op show whether a warm
+// operation still allocates its payload.
+func wallclockPayload(b *testing.B, op bench.ContigOp) {
+	const size = 1 << 20
+	plat := harness.TestPlatform()
+	for _, impl := range []harness.Impl{harness.ImplNative, harness.ImplARMCIMPI} {
+		b.Run(string(impl), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(size)
+			if _, err := bench.WallclockContigPayload(plat, impl, op, b.N, size); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+func BenchmarkWallclockContigPayloadPut(b *testing.B) { wallclockPayload(b, bench.OpPut) }
+func BenchmarkWallclockContigPayloadGet(b *testing.B) { wallclockPayload(b, bench.OpGet) }
+func BenchmarkWallclockContigPayloadAcc(b *testing.B) { wallclockPayload(b, bench.OpAcc) }
+
 // BenchmarkWallclockPackSubarray measures the derived-datatype
 // pack/unpack kernels on the subarray shape the direct strided method
 // produces: 256 segments of 128 bytes.
