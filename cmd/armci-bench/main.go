@@ -13,7 +13,7 @@
 //	armci-bench -fig ablations
 //	armci-bench -fig table2
 //	armci-bench -fig wallclock
-//	armci-bench -fig scale [-quick] [-sched goroutine|continuation|parallel]
+//	armci-bench -fig scale [-quick]
 //	armci-bench -fig parallel-speedup [-quick] [-shards n]
 //
 // With no -platform, figure sweeps run on all four platforms. A
@@ -28,20 +28,17 @@
 // is excluded from -fig all for that reason.
 //
 // The scale figure sweeps the CCSD proxy and GA fan-out shapes to
-// 4096-16384 simulated ranks on the Cray XT5 model. It runs under the
-// engine's continuation scheduler by default (goroutine-per-rank does
-// not fit 16k ranks on a laptop-class host); -sched selects the mode
-// explicitly, for every figure. Scale is excluded from -fig all
-// because its jobs dwarf every other sweep.
+// 4096-16384 simulated ranks on the Cray XT5 model. Scale is excluded
+// from -fig all because its jobs dwarf every other sweep.
 //
-// The parallel-speedup figure sweeps the sharded parallel engine
-// (-sched parallel) over host shard counts on the 16k-rank scale
-// exchange, reporting events per host second and the speedup over one
-// shard. -shards caps the sweep (default 8). Like wallclock it is
-// host-time, machine dependent, and excluded from -fig all; its JSON
-// export is a trajectory record, not a guarded artifact. Full-stack
-// jobs under -sched parallel always run as a single shard (identical
-// schedules to the other modes); only shard-confined sweeps fan out.
+// The parallel-speedup figure sweeps the sharded engine over host
+// shard counts on the 16k-rank scale exchange, reporting events per
+// host second and the speedup over one shard. -shards caps the sweep
+// (default 8). Like wallclock it is host-time, machine dependent, and
+// excluded from -fig all; its JSON export is a trajectory record, not
+// a guarded artifact. -shards is the engine's only knob, and full-stack
+// jobs always run as a single shard; only shard-confined sweeps fan
+// out.
 //
 // Runtime tuning (applied to every job a sweep constructs; an
 // ablation's own axis still overrides these):
@@ -89,12 +86,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/sim"
 )
-
-// scaleSched, when set by an explicit -sched flag, overrides the scale
-// sweep's default continuation mode.
-var scaleSched *sim.Mode
 
 func main() {
 	fig := flag.String("fig", "3", "what to regenerate: 3, 4, 5, 6? use nwchem-bench; ablation-shm, ablations, table2, all")
@@ -112,22 +104,11 @@ func main() {
 	runtimeName := flag.String("runtime", "",
 		fmt.Sprintf("extra ARMCI runtime series for the Figure 3 comparison (%s)",
 			strings.Join(harness.ImplNames(), ", ")))
-	sched := flag.String("sched", "",
-		fmt.Sprintf("engine execution mode (%s); -fig scale defaults to continuation",
-			strings.Join(sim.ModeNames(), ", ")))
 	shards := flag.Int("shards", 0,
-		"host shard cap for -sched parallel (parallel-speedup sweep; full-stack jobs always run one shard)")
+		"host shard cap for the parallel-speedup sweep (full-stack jobs always run one shard)")
 	flag.Parse()
 
-	schedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sched" {
-			schedSet = true
-		}
-	})
-	// Scheduler flags are validated before any job is constructed, so a
-	// typo fails fast with the mode list instead of mid-sweep.
-	if err := installSched(*sched, schedSet, *shards); err != nil {
+	if err := installSched(*shards); err != nil {
 		fmt.Fprintln(os.Stderr, "armci-bench:", err)
 		os.Exit(1)
 	}
@@ -154,32 +135,18 @@ func main() {
 	}
 }
 
-// installSched validates the -sched/-shards flags and installs them as
-// the harness-wide scheduler configuration. It runs before any sweep
-// constructs a job, so invalid combinations fail fast: an unknown mode
-// is rejected with the full mode list (sim.ParseMode's error), and a
-// shard count above one demands the parallel engine.
-func installSched(sched string, schedSet bool, shards int) error {
+// installSched validates -shards and installs it as the harness-wide
+// scheduler configuration, before any sweep constructs a job.
+func installSched(shards int) error {
 	if shards < 0 {
 		return fmt.Errorf("-shards %d: shard count must be positive", shards)
-	}
-	if schedSet {
-		mode, err := sim.ParseMode(sched)
-		if err != nil {
-			return err
-		}
-		harness.Sched = mode
-		scaleSched = &mode
-	}
-	if shards > 1 && harness.Sched != sim.ModeParallel {
-		return fmt.Errorf("-shards %d requires -sched parallel (current mode %s)", shards, harness.Sched)
 	}
 	harness.Shards = shards
 	return nil
 }
 
 // checkObsSharding rejects, at parse time, flag combinations that would
-// attach a single observability recorder to a multi-shard parallel run.
+// attach a single observability recorder to a multi-shard run.
 // armci-bench's recorder-backed sweeps are full-stack jobs, which always
 // execute as one shard regardless of -shards; the only sweep that fans
 // out (-fig parallel-speedup) takes no recorder. Rather than silently
@@ -532,9 +499,6 @@ func runFigures(fig, plat, opFilter string, quick bool, rec *obs.Recorder, jsonD
 		cfg := bench.DefaultScale()
 		if quick {
 			cfg = bench.QuickScale()
-		}
-		if scaleSched != nil {
-			cfg.Sched = *scaleSched
 		}
 		cfg.Obs = rec
 		f, err := bench.Scale(cfg)

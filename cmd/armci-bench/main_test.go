@@ -10,54 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// TestInstallSched covers the scheduler flag surface: it must fail
-// fast — before any job is built — with an error that enumerates every
-// valid mode name, and reject shard fan-out outside parallel mode.
+// TestInstallSched covers the scheduler flag surface, which is -shards
+// alone: a negative count fails fast — before any job is built — and a
+// valid one becomes the harness-wide shard cap.
 func TestInstallSched(t *testing.T) {
-	reset := func() {
-		harness.Sched = 0
-		harness.Shards = 0
-		scaleSched = nil
-	}
-	defer reset()
+	defer func() { harness.Shards = 0 }()
 
-	reset()
-	if err := installSched("fiber", true, 0); err == nil {
-		t.Fatal("unknown mode accepted")
-	} else {
-		for _, name := range sim.ModeNames() {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("error %q does not enumerate mode %q", err, name)
-			}
-		}
+	if err := installSched(-1); err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Errorf("negative shard count: err = %v, want one naming -shards", err)
 	}
-	if scaleSched != nil || harness.Sched != 0 {
-		t.Error("failed installSched still installed a mode")
+	if harness.Shards != 0 {
+		t.Error("failed installSched still installed a shard count")
 	}
-
-	reset()
-	if err := installSched("", false, 8); err == nil {
-		t.Error("-shards 8 without -sched parallel accepted")
+	if err := installSched(8); err != nil || harness.Shards != 8 {
+		t.Errorf("installSched(8): err = %v, Shards = %d, want nil/8", err, harness.Shards)
 	}
-	reset()
-	if err := installSched("continuation", true, 4); err == nil {
-		t.Error("-shards 4 with -sched continuation accepted")
-	}
-
-	reset()
-	if err := installSched("parallel", true, 8); err != nil {
-		t.Fatal(err)
-	}
-	if harness.Sched != sim.ModeParallel || harness.Shards != 8 {
-		t.Errorf("Sched=%v Shards=%d, want parallel/8", harness.Sched, harness.Shards)
-	}
-	if scaleSched == nil || *scaleSched != sim.ModeParallel {
-		t.Error("scale override not installed")
-	}
-
-	reset()
-	if err := installSched("", false, 0); err != nil {
-		t.Fatalf("default flags rejected: %v", err)
+	if err := installSched(0); err != nil || harness.Shards != 0 {
+		t.Errorf("default flags: err = %v, Shards = %d, want nil/0", err, harness.Shards)
 	}
 }
 

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/armci"
@@ -32,17 +35,16 @@ func critWorkload(t *testing.T, rt armci.Runtime) {
 	}
 }
 
-// critRun executes critWorkload under impl/opt/mode with a
-// critical-path recorder attached, returning the recorder and the
-// engine's final virtual time.
-func critRun(t *testing.T, impl harness.Impl, opt armcimpi.Options, mode sim.Mode) (*obs.Recorder, sim.Time) {
+// critRun executes critWorkload under impl/opt with a critical-path
+// recorder attached, returning the recorder and the engine's final
+// virtual time.
+func critRun(t *testing.T, impl harness.Impl, opt armcimpi.Options) (*obs.Recorder, sim.Time) {
 	t.Helper()
 	rec := obs.New(obs.Options{CritPath: true})
 	j, err := harness.NewJobObs(harness.TestPlatform(), 4, impl, opt, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Eng.Mode = mode
 	if err := j.Eng.Run(4, func(p *sim.Proc) { critWorkload(t, j.Runtime(p)) }); err != nil {
 		t.Fatal(err)
 	}
@@ -50,71 +52,73 @@ func critRun(t *testing.T, impl harness.Impl, opt armcimpi.Options, mode sim.Mod
 }
 
 // TestCritPathInvariantMatrix pins the analyzer's central invariant on
-// every runtime configuration under all three scheduler modes: the
-// critical-path segment durations sum exactly to the job makespan, and
-// the makespan is exactly the engine's end-to-end virtual time.
+// every runtime configuration: the critical-path segment durations sum
+// exactly to the job makespan, and the makespan is exactly the engine's
+// end-to-end virtual time. The numbers themselves are held to
+// testdata/critpath_matrix.golden, which has one row per configuration
+// per scheduler mode of the commit that recorded it (config/mode; the
+// modes agreed, which is what let them collapse into one engine). Each
+// row is a subtest; each configuration runs once.
 func TestCritPathInvariantMatrix(t *testing.T) {
-	modes := []struct {
-		name string
-		mode sim.Mode
-	}{
-		{"goroutine", sim.ModeGoroutine},
-		{"continuation", sim.ModeContinuation},
-		{"parallel", sim.ModeParallel},
+	const path = "testdata/critpath_matrix.golden"
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := map[string]string{}
 	for _, cfg := range profConfigs() {
-		for _, m := range modes {
-			t.Run(cfg.name+"/"+m.name, func(t *testing.T) {
-				rec, final := critRun(t, cfg.impl, cfg.opt, m.mode)
-				jobs := rec.Crit().Jobs()
-				if len(jobs) != 1 {
-					t.Fatalf("expected 1 analyzed job, got %d", len(jobs))
-				}
-				jb := jobs[0]
-				if jb.Makespan != final {
-					t.Errorf("makespan %d ns != engine final time %d ns", jb.Makespan, final)
-				}
-				if jb.PathNs != jb.Makespan {
-					t.Errorf("critical path sum %d ns != makespan %d ns (off by %d)",
-						jb.PathNs, jb.Makespan, jb.PathNs-jb.Makespan)
-				}
-				if jb.Segments == 0 {
-					t.Error("no critical-path segments recorded")
-				}
-			})
+		rec, final := critRun(t, cfg.impl, cfg.opt)
+		jobs := rec.Crit().Jobs()
+		if len(jobs) != 1 {
+			t.Fatalf("%s: expected 1 analyzed job, got %d", cfg.name, len(jobs))
+		}
+		jb := jobs[0]
+		if jb.Makespan != final {
+			t.Errorf("%s: makespan %d ns != engine final time %d ns", cfg.name, jb.Makespan, final)
+		}
+		if jb.PathNs != jb.Makespan {
+			t.Errorf("%s: critical path sum %d ns != makespan %d ns (off by %d)",
+				cfg.name, jb.PathNs, jb.Makespan, jb.PathNs-jb.Makespan)
+		}
+		if jb.Segments == 0 {
+			t.Errorf("%s: no critical-path segments recorded", cfg.name)
+		}
+		got[cfg.name] = fmt.Sprintf("makespan=%d path=%d final=%d segments=%d", jb.Makespan, jb.PathNs, final, jb.Segments)
+	}
+	var rewritten bytes.Buffer
+	for _, row := range strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n") {
+		name, want, _ := strings.Cut(row, " ")
+		cfg, _, _ := strings.Cut(name, "/")
+		fmt.Fprintf(&rewritten, "%s %s\n", name, got[cfg])
+		t.Run(name, func(t *testing.T) {
+			if got[cfg] != want && !*update {
+				t.Errorf("got %s, recorded %s", got[cfg], want)
+			}
+		})
+	}
+	if *update {
+		if err := os.WriteFile(path, rewritten.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // TestCritPathSchedulerModesAgree requires the analyzed critical path —
-// not just its sum — to be identical across the three scheduler modes:
-// same report bytes, same JSON bytes. The schedulers execute the same
-// virtual schedule, so the dependence graph and its longest path must
-// not depend on how the host drives it.
+// not just its sum — to be the one every scheduler mode of the
+// recording commit produced: same report bytes, same JSON bytes. The
+// dependence graph and its longest path must not depend on how the
+// host drives the virtual schedule.
 func TestCritPathSchedulerModesAgree(t *testing.T) {
-	build := func(mode sim.Mode) (report, js []byte) {
-		rec, _ := critRun(t, harness.ImplARMCIMPI, armcimpi.DefaultOptions(), mode)
-		var rb, jb bytes.Buffer
-		if err := rec.Crit().WriteReport(&rb); err != nil {
-			t.Fatalf("WriteReport: %v", err)
-		}
-		if err := rec.Crit().WriteJSON(&jb); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		return rb.Bytes(), jb.Bytes()
+	rec, _ := critRun(t, harness.ImplARMCIMPI, armcimpi.DefaultOptions())
+	var rb, jb bytes.Buffer
+	if err := rec.Crit().WriteReport(&rb); err != nil {
+		t.Fatalf("WriteReport: %v", err)
 	}
-	rGo, jGo := build(sim.ModeGoroutine)
-	rCont, jCont := build(sim.ModeContinuation)
-	rPar, jPar := build(sim.ModeParallel)
-	if !bytes.Equal(rGo, rCont) {
-		t.Errorf("goroutine and continuation reports differ:\n%s\n---\n%s", rGo, rCont)
+	if err := rec.Crit().WriteJSON(&jb); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
-	if !bytes.Equal(rGo, rPar) {
-		t.Errorf("goroutine and parallel reports differ:\n%s\n---\n%s", rGo, rPar)
-	}
-	if !bytes.Equal(jGo, jCont) || !bytes.Equal(jGo, jPar) {
-		t.Error("critical-path JSON differs across scheduler modes")
-	}
+	checkGolden(t, "testdata/critpath_report.golden", rb.Bytes())
+	checkGolden(t, "testdata/critpath.golden.json", jb.Bytes())
 }
 
 // TestCritPathReportDeterministic requires the text report and JSON
@@ -123,7 +127,7 @@ func TestCritPathSchedulerModesAgree(t *testing.T) {
 // newline-terminated.
 func TestCritPathReportDeterministic(t *testing.T) {
 	build := func() (report, js []byte) {
-		rec, _ := critRun(t, harness.ImplARMCIMPI, armcimpi.DefaultOptions(), sim.ModeGoroutine)
+		rec, _ := critRun(t, harness.ImplARMCIMPI, armcimpi.DefaultOptions())
 		var rb, jb bytes.Buffer
 		if err := rec.Crit().WriteReport(&rb); err != nil {
 			t.Fatalf("WriteReport: %v", err)
@@ -146,8 +150,8 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestCritPathShardedExact drives the multi-shard parallel engine with
-// the sharded observability front at 1, 2, and 4 shards: the invariant
+// TestCritPathShardedExact drives the multi-shard engine with the
+// sharded observability front at 1, 2, and 4 shards: the invariant
 // must hold on the merged recorder at every shard count, and the
 // analyzed critical path must be byte-identical across shard counts —
 // the per-shard edge logs stitch back into the exact single-shard walk.

@@ -3,8 +3,8 @@ package bench
 // The parallel-speedup sweep measures the sharded engine's host-time
 // scaling on the 16k-rank scale workload: a cross-node neighbor
 // exchange on the Cray XT5 model driven through the shard-confined
-// fabric delivery path (fabric.DeliverSharded), the workload class
-// sim.ModeParallel can decompose across host cores. The same run is
+// fabric delivery path (fabric.DeliverSharded), the workload class the
+// engine can decompose across host cores. The same run is
 // repeated at each shard count; virtual results (event and park
 // totals, final virtual time) must be identical at every point — the
 // sweep fails otherwise — so the figure doubles as a determinism check.
@@ -12,8 +12,8 @@ package bench
 // Events/sec numbers are HOST time and machine dependent: like
 // BENCH_wallclock.json, the exported BENCH_parallel-speedup.json is a
 // trajectory seed, not a byte-guarded regression artifact. The guarded
-// artifacts pin parallel-mode correctness instead (byte-identical
-// figures across all three engine modes; see scale_test.go).
+// artifacts and the golden schedules under internal/sim/testdata pin
+// the engine's correctness instead.
 
 import (
 	"fmt"
@@ -57,7 +57,6 @@ func ParallelScaleRun(nranks, rounds, shards int) (sim.Stats, time.Duration, err
 		return sim.Stats{}, 0, fmt.Errorf("bench: parallel scale run wants %d ranks, platform caps at %d", nranks, par.MaxRanks())
 	}
 	eng := sim.NewEngine()
-	eng.Mode = sim.ModeParallel
 	harness.ApplyShards(eng, par, nranks, shards)
 	m, err := fabric.NewMachine(eng, par, nranks)
 	if err != nil {
@@ -103,7 +102,6 @@ func ParallelScaleRunObs(nranks, rounds, shards int, opt obs.Options) (*obs.Reco
 		return nil, sim.Stats{}, fmt.Errorf("bench: parallel scale run wants %d ranks, platform caps at %d", nranks, par.MaxRanks())
 	}
 	eng := sim.NewEngine()
-	eng.Mode = sim.ModeParallel
 	k := harness.ApplyShards(eng, par, nranks, shards)
 	m, err := fabric.NewMachine(eng, par, nranks)
 	if err != nil {

@@ -14,11 +14,10 @@ import (
 
 // ScaleConfig tunes the large-rank scaling sweep: the CCSD(T)-proxy
 // and GA fan-out shapes of Figures 5/6 pushed to thousands of ranks.
-// Jobs this size are why the engine grew its continuation mode — a
-// goroutine per rank is the default elsewhere, but at 16k ranks the
-// resumable-step scheduler keeps the sweep inside a laptop-class
-// memory budget, and the equivalence tests prove both modes produce
-// byte-identical schedules.
+// Jobs this size are why rank bodies are lazily started coroutines: a
+// job holds one goroutine stack per simultaneously parked rank, not per
+// rank, which keeps a 16k-rank sweep inside a laptop-class memory
+// budget.
 type ScaleConfig struct {
 	Ranks []int // simulated process counts, ascending
 
@@ -33,10 +32,6 @@ type ScaleConfig struct {
 	FanoutOwners   int
 	FanoutBlkElems int
 	FanoutIters    int
-
-	// Sched is the engine execution mode the sweep's jobs run under
-	// (continuation by default; -sched overrides).
-	Sched sim.Mode
 
 	// Obs, when non-nil, records per-rank metrics for every job.
 	Obs *obs.Recorder
@@ -54,7 +49,6 @@ func DefaultScale() ScaleConfig {
 		FanoutOwners:   64,
 		FanoutBlkElems: 512,
 		FanoutIters:    2,
-		Sched:          sim.ModeContinuation,
 	}
 }
 
@@ -67,7 +61,6 @@ func QuickScale() ScaleConfig {
 		FanoutOwners:   64,
 		FanoutBlkElems: 512,
 		FanoutIters:    2,
-		Sched:          sim.ModeContinuation,
 	}
 }
 
@@ -80,7 +73,6 @@ func scaleCCSD(plat *platform.Platform, impl harness.Impl, nranks int, cfg Scale
 	if err != nil {
 		return 0, err
 	}
-	j.Eng.Mode = cfg.Sched
 	var phase sim.Time
 	var runErr error
 	err = j.Eng.Run(nranks, func(pr *sim.Proc) {
@@ -120,7 +112,6 @@ func scaleFanout(plat *platform.Platform, impl harness.Impl, nranks int, cfg Sca
 	if err != nil {
 		return 0, 0, err
 	}
-	j.Eng.Mode = cfg.Sched
 	k := cfg.FanoutOwners
 	var runErr error
 	err = j.Eng.Run(nranks, func(pr *sim.Proc) {
@@ -182,7 +173,9 @@ func scaleFanout(plat *platform.Platform, impl harness.Impl, nranks int, cfg Sca
 func Scale(cfg ScaleConfig) (*Figure, error) {
 	plat := platform.Get(platform.CrayXT5)
 	fig := &Figure{
-		Name:   "scale",
+		Name: "scale",
+		// The title is part of the guarded BENCH_scale.json bytes and
+		// keeps the name of the scheduler mode that first produced it.
 		Title:  "Large-rank scaling (continuation scheduler), " + plat.System,
 		XLabel: "number of processes",
 		YLabel: "CCSD phase (virtual seconds) / fan-out latency (us per op)",

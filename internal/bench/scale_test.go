@@ -2,9 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/nwchem"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -20,21 +21,45 @@ func smokeScale() ScaleConfig {
 		FanoutOwners:   8,
 		FanoutBlkElems: 64,
 		FanoutIters:    2,
-		Sched:          sim.ModeContinuation,
 	}
 }
 
-// guardedFigureJSON regenerates every guarded quick figure — the four
-// byte-compared BENCH artifacts plus a smoke-sized scale figure — under
-// the given engine mode and returns each figure's JSON by name.
-func guardedFigureJSON(t *testing.T, mode sim.Mode) map[string][]byte {
+var update = flag.Bool("update", false, "rewrite testdata/ goldens from the current engine")
+
+// checkGolden compares got with the file at path, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
-	prev := harness.Sched
-	harness.Sched = mode
-	defer func() { harness.Sched = prev }()
-	out := map[string][]byte{}
-	add := func(f *Figure, err error) {
-		t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestModeEquivalenceGuardedFigures holds the engine to what the three
+// scheduler modes it replaced all produced: every guarded quick figure
+// regenerates byte-identically to the committed results/ artifact, and
+// the smoke-sized scale figure to a recording made on the last commit
+// that had those modes. (results/ is never rewritten by -update: a
+// moved artifact is a re-baseline to be made with armci-bench -json.)
+func TestModeEquivalenceGuardedFigures(t *testing.T) {
+	ib := platform.Get(platform.InfiniBand)
+	for _, gen := range []func() (*Figure, error){
+		func() (*Figure, error) { return Fig3(ib, QuickFig3()) },
+		func() (*Figure, error) { return AblationShm(ib, QuickShmAblation()) },
+		func() (*Figure, error) { return AblationNbFanout(ib, QuickNbFanout()) },
+		func() (*Figure, error) { return AblationLocality(ib, QuickLocalityAblation()) },
+		func() (*Figure, error) { return Scale(smokeScale()) },
+	} {
+		f, err := gen()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,61 +67,36 @@ func guardedFigureJSON(t *testing.T, mode sim.Mode) map[string][]byte {
 		if err := f.WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}
-		out[f.Name] = b.Bytes()
-	}
-	ib := platform.Get(platform.InfiniBand)
-	add(Fig3(ib, QuickFig3()))
-	add(AblationShm(ib, QuickShmAblation()))
-	add(AblationNbFanout(ib, QuickNbFanout()))
-	add(AblationLocality(ib, QuickLocalityAblation()))
-	sc := smokeScale()
-	sc.Sched = mode
-	add(Scale(sc))
-	return out
-}
-
-// diffFigureSets fails the test on any difference between two guarded
-// figure sets generated under different engine modes.
-func diffFigureSets(t *testing.T, aName, bName string, a, b map[string][]byte) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("figure sets differ: %d (%s) vs %d (%s)", len(a), aName, len(b), bName)
-	}
-	for name, ab := range a {
-		bb, ok := b[name]
-		if !ok {
-			t.Errorf("figure %q missing from %s run", name, bName)
+		if f.Name == "scale" {
+			checkGolden(t, "testdata/scale_smoke.golden.json", b.Bytes())
 			continue
 		}
-		if !bytes.Equal(ab, bb) {
-			t.Errorf("figure %q differs between modes:\n--- %s ---\n%s\n--- %s ---\n%s", name, aName, ab, bName, bb)
+		path := "../../results/BENCH_" + f.Name + ".json"
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), want) {
+			t.Errorf("figure %q differs from %s:\n%s", f.Name, path, b.Bytes())
 		}
 	}
 }
 
-// TestModeEquivalenceGuardedFigures proves the continuation scheduler
-// is observationally identical to the goroutine reference at the bench
-// level: every guarded figure's JSON must be byte-identical across the
-// two modes. This is what licenses generating BENCH_scale.json (and
-// regenerating the other artifacts) in either mode.
-func TestModeEquivalenceGuardedFigures(t *testing.T) {
-	g := guardedFigureJSON(t, sim.ModeGoroutine)
-	c := guardedFigureJSON(t, sim.ModeContinuation)
-	diffFigureSets(t, "goroutine", "continuation", g, c)
-}
-
-// TestParallelEquivalence extends the guarantee to the parallel
-// engine: every guarded figure regenerated under -sched parallel is
-// byte-identical to the goroutine reference. Full-stack jobs run the
-// parallel engine single-shard (the harness pins them — their layers
-// mutate cross-rank state synchronously), so this pins the shard
-// dispatcher, window plumbing, and drain paths against the reference
-// schedule; multi-shard determinism is covered by the sim and fabric
-// equivalence tests plus TestParallelScaleRunDeterminism.
+// TestParallelEquivalence anchors the sharded exchange on the real
+// fabric cost model to the same recording commit: engine statistics at
+// 1, 2, 4, and 8 shards are the ones its reference scheduler counted.
 func TestParallelEquivalence(t *testing.T) {
-	g := guardedFigureJSON(t, sim.ModeGoroutine)
-	p := guardedFigureJSON(t, sim.ModeParallel)
-	diffFigureSets(t, "goroutine", "parallel", g, p)
+	cfg := QuickParallel()
+	want := sim.Stats{Events: 1528, Parks: 1024, FinalTime: 36339}
+	for _, k := range []int{1, 2, 4, 8} {
+		st, _, err := ParallelScaleRun(cfg.Ranks, cfg.Rounds, k)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if st != want {
+			t.Errorf("shards=%d: stats %+v, recorded %+v", k, st, want)
+		}
+	}
 }
 
 // TestScaleSmokeSeries sanity-checks the scale figure's shape on the
@@ -126,8 +126,8 @@ func TestScaleSmokeSeries(t *testing.T) {
 }
 
 // BenchmarkScale is the CI race-smoke entry point: one smoke-sized
-// scale sweep per iteration, driving the continuation scheduler, the
-// CCSD proxy, and the fan-out shape under the race detector.
+// scale sweep per iteration, driving the engine, the CCSD proxy, and
+// the fan-out shape under the race detector.
 func BenchmarkScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Scale(smokeScale()); err != nil {

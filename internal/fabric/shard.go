@@ -6,14 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the fabric's side of sim.ModeParallel: the lookahead
+// This file is the fabric's side of multi-shard execution: the lookahead
 // bound, the node-aligned rank partitioner, and a delivery path whose
 // every state touch is confined to the shard that owns it.
 //
 // The regular Deliver/SendData paths mutate machine-global state
 // synchronously at the origin — both endpoints' NIC clocks, the shared
 // MsgsSent/BytesSent counters, the single obs recorder — which is why
-// the full communication stacks run parallel mode with one shard.
+// the full communication stacks run on one shard.
 // DeliverSharded splits the cost model at the wire: origin-side
 // overhead and source-NIC occupancy are charged on the sending shard,
 // the flight is a cross-shard event (arriving at least

@@ -83,15 +83,14 @@ func TestNodeAlignedPartition(t *testing.T) {
 	}
 }
 
-// trafficRun drives a small cross-node exchange over DeliverSharded
-// under the given mode/shard count and returns each rank's message
-// arrival log plus the final virtual time.
-func trafficRun(t *testing.T, mode sim.Mode, shards int) ([]string, sim.Time) {
+// trafficRun drives a small cross-node exchange over DeliverSharded at
+// the given shard count and returns each rank's message arrival log
+// plus the final virtual time.
+func trafficRun(t *testing.T, shards int) ([]string, sim.Time) {
 	t.Helper()
 	par := testParams()
 	eng := sim.NewEngine()
-	eng.Mode = mode
-	if mode == sim.ModeParallel && shards > 1 {
+	if shards > 1 {
 		part, k := NodeAlignedPartition(par, 8, shards)
 		eng.Shards = k
 		eng.Partition = part
@@ -125,33 +124,33 @@ func trafficRun(t *testing.T, mode sim.Mode, shards int) ([]string, sim.Time) {
 	}
 	msgs, bytes := m.ShardedTraffic()
 	if msgs != 8*rounds || bytes <= 0 {
-		t.Fatalf("mode=%v shards=%d: traffic counters %d msgs %d bytes", mode, shards, msgs, bytes)
+		t.Fatalf("shards=%d: traffic counters %d msgs %d bytes", shards, msgs, bytes)
 	}
 	return flat, eng.Stats().FinalTime
 }
 
 // TestDeliverShardedEquivalence: the sharded delivery path produces
-// identical per-rank arrival streams and final time under the
-// goroutine reference, the continuation scheduler, and multi-shard
-// parallel execution with a node-aligned partition.
+// identical per-rank arrival streams and final time on one shard and
+// on 2 and 4 shards of a node-aligned partition. The one-shard stream
+// is anchored to what the goroutine-per-rank reference scheduler
+// produced before it was retired.
 func TestDeliverShardedEquivalence(t *testing.T) {
-	refLog, refFinal := trafficRun(t, sim.ModeGoroutine, 0)
-	for _, tc := range []struct {
-		mode   sim.Mode
-		shards int
-	}{
-		{sim.ModeContinuation, 0}, {sim.ModeParallel, 2}, {sim.ModeParallel, 4},
-	} {
-		log, final := trafficRun(t, tc.mode, tc.shards)
+	refLog, refFinal := trafficRun(t, 1)
+	if first, last := "r0: from 4 tag 0 size 384 @2488", "r7: from 3 tag 4 size 352 @8834"; refFinal != 9834 || len(refLog) != 40 || refLog[0] != first || refLog[39] != last {
+		t.Errorf("one-shard run moved: final %d, %d entries, %q .. %q; recorded 9834, 40, %q .. %q",
+			refFinal, len(refLog), refLog[0], refLog[len(refLog)-1], first, last)
+	}
+	for _, shards := range []int{2, 4} {
+		log, final := trafficRun(t, shards)
 		if final != refFinal {
-			t.Errorf("mode=%v shards=%d: final time %v, want %v", tc.mode, tc.shards, final, refFinal)
+			t.Errorf("shards=%d: final time %v, want %v", shards, final, refFinal)
 		}
 		if len(log) != len(refLog) {
-			t.Fatalf("mode=%v shards=%d: %d log entries, want %d", tc.mode, tc.shards, len(log), len(refLog))
+			t.Fatalf("shards=%d: %d log entries, want %d", shards, len(log), len(refLog))
 		}
 		for i := range refLog {
 			if log[i] != refLog[i] {
-				t.Errorf("mode=%v shards=%d: entry %d = %q, want %q", tc.mode, tc.shards, i, log[i], refLog[i])
+				t.Errorf("shards=%d: entry %d = %q, want %q", shards, i, log[i], refLog[i])
 			}
 		}
 	}

@@ -16,8 +16,7 @@ import (
 // via the identity split, window creation, the shared allocation
 // address vector, scalar-broadcast mutex counts, and the dartmpi node
 // window attach — then data movement and a full free cycle on top of
-// the shared metadata. Runs under the continuation scheduler, which is
-// also how the scale sweeps exercise these paths.
+// the shared metadata — the paths the scale sweeps exercise.
 func TestBigCommMetadataPaths(t *testing.T) {
 	const nranks = 4096
 	plat := platform.Get(platform.CrayXT5)
@@ -29,7 +28,6 @@ func TestBigCommMetadataPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j.Eng.Mode = sim.ModeContinuation
 			err = j.Eng.Run(nranks, func(p *sim.Proc) {
 				rt := j.Runtime(p)
 				addrs, err := rt.Malloc(512)
@@ -68,24 +66,23 @@ func TestBigCommMetadataPaths(t *testing.T) {
 // BigCommThreshold scale: a 4096-rank job hits Engine.MaxTime while
 // ranks are parked inside the gather-at-root metadata collectives, and
 // one rank's deferred cleanup panics while the drain unwinds it. The
-// run must still return — no hang, no leaked fibers — with exactly
+// run must still return — no hang, no leaked coroutines — with exactly
 // ErrTimeLimit, and the whole outcome must be byte-identical across
-// repeated runs and across the continuation and (single-shard)
-// parallel schedulers: once draining starts the engine never
-// re-examines rank failures, so the late panic cannot perturb the
-// reported error or the drain order.
+// repeated runs and to what each scheduler of the commit that recorded
+// it reported (one subtest per recording): once draining starts the
+// engine never re-examines rank failures, so the late panic cannot
+// perturb the reported error or the drain order.
 func TestBigCommDrainPanicAfterMaxTime(t *testing.T) {
 	const nranks = 4096
 	plat := platform.Get(platform.CrayXT5)
 
-	run := func(t *testing.T, mode sim.Mode) string {
+	run := func(t *testing.T) string {
 		opt := armcimpi.DefaultOptions()
 		opt.UseMPI3 = true
 		j, err := NewJob(plat, nranks, ImplARMCIMPI, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Eng.Mode = mode
 		// Small enough to fire while the 4096-rank metadata exchange
 		// (window creation, address-vector gather/bcast) is in flight,
 		// so most ranks drain out of collective parks.
@@ -109,12 +106,12 @@ func TestBigCommDrainPanicAfterMaxTime(t *testing.T) {
 		})
 		var tl *sim.ErrTimeLimit
 		if !errors.As(err, &tl) {
-			t.Fatalf("mode=%s: error %v, want *sim.ErrTimeLimit", mode, err)
+			t.Fatalf("error %v, want *sim.ErrTimeLimit", err)
 		}
 		return err.Error()
 	}
 
-	// settle waits for the drained fibers' goroutines to exit; the
+	// settle waits for the drained coroutines' goroutines to exit; the
 	// count only ever returns to baseline if the drain reached every
 	// started rank despite the mid-drain panic.
 	settle := func(t *testing.T, baseline int) {
@@ -126,26 +123,27 @@ func TestBigCommDrainPanicAfterMaxTime(t *testing.T) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("goroutines settled at %d, baseline %d: drained fibers leaked", n, baseline)
+				t.Fatalf("goroutines settled at %d, baseline %d: drained coroutines leaked", n, baseline)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 
-	errTexts := map[sim.Mode]string{}
-	for _, mode := range []sim.Mode{sim.ModeContinuation, sim.ModeParallel} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, rec := range []struct{ sched, err string }{
+		{"continuation", "sim: virtual time limit exceeded at 100.251us"},
+		{"parallel", "sim: virtual time limit exceeded at 100.251us"},
+	} {
+		t.Run(rec.sched, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			first := run(t, mode)
-			second := run(t, mode)
+			first := run(t)
+			second := run(t)
 			if first != second {
 				t.Errorf("drain is nondeterministic: %q then %q", first, second)
 			}
 			settle(t, baseline)
-			errTexts[mode] = first
+			if first != rec.err {
+				t.Errorf("time-limit error %q, recorded %q", first, rec.err)
+			}
 		})
-	}
-	if a, b := errTexts[sim.ModeContinuation], errTexts[sim.ModeParallel]; a != "" && b != "" && a != b {
-		t.Errorf("modes disagree on the time-limit error: continuation %q, parallel %q", a, b)
 	}
 }

@@ -44,27 +44,20 @@ func ImplNames() []string {
 	return []string{string(ImplNative), string(ImplARMCIMPI), string(ImplDataServer), string(ImplDartMPI)}
 }
 
-// Sched selects the engine execution mode for every job the harness
-// builds. The zero value (goroutine mode) is the default and the
-// reference; cmd/armci-bench installs continuation mode from -sched.
-// Callers that need a per-job override set Job.Eng.Mode before Run.
-var Sched sim.Mode
-
-// Shards is the host shard count requested for parallel-mode runs (set
-// from cmd/armci-bench -shards). Full ARMCI stack jobs ignore it — see
-// NewJobObs — but shard-confined sweeps (bench.ParallelSpeedup) honor
-// it as their default shard count.
+// Shards is the host shard count requested for shard-confined sweeps
+// (set from cmd/armci-bench -shards; bench.ParallelSpeedup takes it as
+// its cap). Full ARMCI stack jobs ignore it — see NewJobObs.
 var Shards int
 
-// ApplyShards configures eng for multi-shard parallel execution over
-// nranks ranks of a machine with parameters par: a node-aligned rank
+// ApplyShards configures eng for multi-shard execution over nranks
+// ranks of a machine with parameters par: a node-aligned rank
 // partition (fabric.NodeAlignedPartition, so NICs, mailboxes, and shm
 // windows never straddle a shard boundary) and the fabric's minimum
 // cross-node latency as the conservative lookahead. It returns the
-// effective shard count (clamped to the node count; 1 when eng is not
-// in parallel mode or shards <= 1, in which case eng is untouched).
+// effective shard count (clamped to the node count; 1 when
+// shards <= 1, in which case eng is untouched).
 func ApplyShards(eng *sim.Engine, par fabric.Params, nranks, shards int) int {
-	if eng.Mode != sim.ModeParallel || shards <= 1 {
+	if shards <= 1 {
 		return 1
 	}
 	part, k := fabric.NodeAlignedPartition(par, nranks, shards)
@@ -119,18 +112,13 @@ func NewJobObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Opti
 		// remaining ranks share proportionally less compute.
 		par.Flops *= float64(par.CoresPerNode-1) / float64(par.CoresPerNode)
 	}
+	// Full-stack jobs mutate cross-rank state synchronously at the
+	// origin — NIC clocks of both endpoints, MPI lock queues, the
+	// shared recorder — so they always run as one shard. Multi-shard
+	// execution is reserved for shard-confined workloads built directly
+	// on sim+fabric (fabric.DeliverSharded; see bench.ParallelSpeedup
+	// and ApplyShards).
 	eng := sim.NewEngine()
-	eng.Mode = Sched
-	if Sched == sim.ModeParallel {
-		// Full-stack jobs mutate cross-rank state synchronously at the
-		// origin — NIC clocks of both endpoints, MPI lock queues, the
-		// shared recorder — so they always run as one shard, where the
-		// parallel engine executes the exact continuation-mode schedule.
-		// Multi-shard execution is reserved for shard-confined workloads
-		// built directly on sim+fabric (fabric.DeliverSharded; see
-		// bench.ParallelSpeedup and ApplyShards).
-		eng.Shards = 1
-	}
 	m, err := fabric.NewMachine(eng, par, nranks)
 	if err != nil {
 		return nil, err

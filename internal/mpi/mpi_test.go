@@ -592,3 +592,38 @@ func TestRendezvousCheaperLatencyEagerHigherBandwidthAccounting(t *testing.T) {
 		t.Errorf("rendezvous recv (%v) should cost more than eager recv (%v)", rvT, eagerT)
 	}
 }
+
+// TestEagerSendAllocations pins what a warm eager message costs the
+// allocator: four objects — the message with its payload header (one
+// object, not two), the delivery event's closure, and the receiver's
+// match predicate and mailbox waiter.
+func TestEagerSendAllocations(t *testing.T) {
+	const rounds = 200
+	var allocs float64
+	runMPI(t, 2, func(r *Rank) {
+		c := r.CommWorld()
+		data := make([]byte, 8)
+		pingPong := func() {
+			if c.Rank() == 0 {
+				c.Send(1, 1, data)
+				out, _ := c.Recv(1, 1)
+				c.r.W.M.PutBuf(out)
+			} else {
+				out, _ := c.Recv(0, 1)
+				c.r.W.M.PutBuf(out)
+				c.Send(0, 1, data)
+			}
+		}
+		pingPong() // warm: buffers pooled, coroutines started, heap grown
+		if c.Rank() == 0 {
+			allocs = testing.AllocsPerRun(rounds, pingPong)
+		} else {
+			for i := 0; i < rounds+1; i++ {
+				pingPong()
+			}
+		}
+	})
+	if perMsg := allocs / 2; perMsg > 4 {
+		t.Errorf("a warm eager message allocates %.1f objects, want <= 4", perMsg)
+	}
+}

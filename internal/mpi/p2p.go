@@ -70,16 +70,22 @@ func (c *Comm) Send(to, tag int, data []byte) {
 	}
 }
 
+// eagerMsg is an eager message and its payload in one allocation: the
+// two live and die together, and eager sends (every metadata
+// collective is made of them) are the most numerous objects a job
+// allocates.
+type eagerMsg struct {
+	msg fabric.Msg
+	pl  p2pPayload
+}
+
 func (c *Comm) sendEager(to, tag int, data []byte) {
-	body := c.snapshot(data)
-	msg := &fabric.Msg{
-		From:    c.r.ID(),
-		Kind:    kindP2P,
-		Tag:     tag,
-		Size:    len(data),
-		Payload: &p2pPayload{cid: c.cid, data: body},
+	em := &eagerMsg{
+		msg: fabric.Msg{From: c.r.ID(), Kind: kindP2P, Tag: tag, Size: len(data)},
+		pl:  p2pPayload{cid: c.cid, data: c.snapshot(data)},
 	}
-	c.r.W.M.Deliver(c.group[to], msg, fabric.XferOpt{})
+	em.msg.Payload = &em.pl
+	c.r.W.M.Deliver(c.group[to], &em.msg, fabric.XferOpt{})
 }
 
 // sendRendezvous starts the event-driven rendezvous state machine and

@@ -139,7 +139,7 @@ func OpName(op uint8) string {
 }
 
 // Rec records one shard's dependence edges and per-rank logs. The
-// cooperative scheduler (or the shard worker, in parallel mode)
+// cooperative scheduler (on the owning shard's worker)
 // guarantees single-threaded access.
 type Rec struct {
 	shard int

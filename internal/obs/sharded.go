@@ -6,8 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Sharded is the observability front for a multi-shard parallel run
-// (sim.ModeParallel with Shards > 1). A single Recorder relies on the
+// Sharded is the observability front for a multi-shard run
+// (sim.Engine.Shards > 1). A single Recorder relies on the
 // cooperative scheduler for single-threaded access, which a sharded
 // engine no longer guarantees: shard workers run concurrently within a
 // time window. Sharded therefore gives each shard a private Recorder —

@@ -65,7 +65,6 @@ func shardedWorkload(e *sim.Engine, rec func(r int) *Recorder) func(*sim.Proc) {
 func runShardedSeq(t *testing.T) *Recorder {
 	t.Helper()
 	e := sim.NewEngine()
-	e.Mode = sim.ModeGoroutine
 	r := New(Options{Trace: true, Profile: true})
 	r.BeginJob("sharded-test", e, shNRanks)
 	e.Observe(r)
@@ -75,12 +74,11 @@ func runShardedSeq(t *testing.T) *Recorder {
 	return r
 }
 
-// runShardedPar drives the workload under ModeParallel with k shards,
+// runShardedPar drives the workload on k shards,
 // each with its private recorder, and returns the merged view.
 func runShardedPar(t *testing.T, k int) *Recorder {
 	t.Helper()
 	e := sim.NewEngine()
-	e.Mode = sim.ModeParallel
 	e.Shards = k
 	e.Lookahead = shLookahead
 	s := NewSharded(Options{Trace: true, Profile: true}, k)

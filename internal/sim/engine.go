@@ -1,55 +1,34 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // in which "ranks" (processes of a simulated parallel machine) execute
-// under a cooperative scheduler. Exactly one flow of control — the
-// scheduler or a single rank — is active at any instant, so every run
-// is bit-reproducible: virtual time advances only when the event heap is
-// popped, and ties are broken by insertion sequence.
+// under a cooperative scheduler. Exactly one flow of control per shard —
+// the dispatcher or a single rank — is active at any instant, so every
+// run is bit-reproducible: virtual time advances only when the event
+// heap is popped, and ties are broken by insertion sequence.
 //
 // Higher layers (fabric, MPI, ARMCI) are built from three primitives:
 // Elapse (charge local virtual time), Park/Unpark (block a rank until a
 // condition is signalled), and At (schedule a handler at a future virtual
 // time). Handlers run under the dispatcher and must not block.
 //
-// The engine has two execution modes, selected by the Mode field:
-//
-//   - ModeGoroutine (the default and the reference): every rank gets its
-//     own goroutine up front, and a central scheduler goroutine resumes
-//     one rank at a time over a channel rendezvous. Each park costs two
-//     hops (rank -> scheduler -> next rank).
-//
-//   - ModeContinuation: rank bodies run as resumable steps driven
-//     directly by the event loop. There is no scheduler goroutine; the
-//     dispatch loop (the captured continuation of the simulation) is
-//     executed by whichever rank is parking or finishing, and control
-//     transfers to the next runnable rank with a single wake. Fibers are
-//     spawned lazily at first dispatch, a finishing fiber keeps executing
-//     fresh rank bodies until one parks (run-to-completion batching), and
-//     wake slots are pooled, so a job's live goroutine count is the
-//     number of simultaneously parked ranks, not N. Proc records live in
-//     one slab. This is the mode that holds 16k-rank sweeps.
-//
-//   - ModeParallel: ranks are partitioned into shards, each with its own
-//     event heap, runnable FIFO, clock, and continuation dispatcher, and
-//     the shards execute concurrently inside conservative time windows
-//     bounded by a lookahead (see parallel.go). With one shard the mode
-//     is exactly ModeContinuation — same heap, same sequence numbers,
-//     byte-identical observables — which is how the full communication
-//     stacks run under it; multiple shards require the workload to be
-//     shard-confined (cross-shard interaction only through AtRank with
-//     at least the configured Lookahead of delay).
-//
-// The sequential modes share the event heap, the runnable FIFO, and the
-// sequence numbering, so they produce byte-identical schedules, Stats
-// counters, and observer callback streams (see
-// TestContinuationEquivalence and TestParallelEquivalence).
+// Ranks are partitioned into k >= 1 shards (one by default), each with
+// its own event heap, runnable FIFO, clock and dispatcher; shard.go
+// covers the window barrier that keeps several shards consistent. A
+// dispatcher is a plain loop on one goroutine: it pops the runnable
+// FIFO or the event heap and resumes the chosen rank. A rank body is a
+// runtime coroutine (iter.Pull), created lazily at first dispatch; Park
+// yields back to the dispatcher. Resume and yield are coroutine
+// switches on the same M and P — no channel, no wake of an idle P — so
+// a hand-off costs ~100 ns at any GOMAXPROCS, and a job's live
+// goroutine count is the number of simultaneously parked ranks, not N.
+// Proc records live in one slab.
 //
 // The engine's own wall-clock cost is kept off the simulated results'
 // critical path by three mechanisms: events are value-typed in the heap
 // slice (the popped slots double as a free list, so scheduling allocates
 // nothing once the heap has grown), pure time-advance wakeups carry the
 // parked Proc instead of a closure, and Elapse takes an inline fast path
-// that advances the clock without any channel ping-pong whenever no
-// earlier event or runnable rank could interleave. The fast path
+// that advances the clock without switching to the dispatcher whenever
+// no earlier event or runnable rank could interleave. The fast path
 // consumes the same sequence number and counts the same Parks and
 // Events as the slow path, so engine counters and every downstream
 // virtual-time result are byte-identical whichever path runs.
@@ -57,8 +36,10 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Time is virtual time in nanoseconds.
@@ -104,52 +85,6 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%dns", int64(t))
 	}
-}
-
-// Mode selects the engine's execution strategy. Both modes produce
-// byte-identical virtual-time results; they differ only in host-side
-// goroutine and memory footprint.
-type Mode int
-
-const (
-	// ModeGoroutine runs one goroutine per rank under a central
-	// scheduler goroutine. The default and the reference semantics.
-	ModeGoroutine Mode = iota
-	// ModeContinuation runs rank bodies as resumable steps dispatched
-	// directly by the event loop: lazily spawned fibers, direct
-	// handoff, pooled wake slots, slab-allocated Proc records.
-	ModeContinuation
-	// ModeParallel runs continuation dispatchers on per-shard worker
-	// goroutines synchronized by a conservative time-window barrier;
-	// see parallel.go and the Engine.Shards/Partition/Lookahead fields.
-	ModeParallel
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeGoroutine:
-		return "goroutine"
-	case ModeContinuation:
-		return "continuation"
-	case ModeParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// ModeNames lists the valid ParseMode inputs, in declaration order.
-func ModeNames() []string { return []string{"goroutine", "continuation", "parallel"} }
-
-// ParseMode parses the String form of a Mode. The error enumerates the
-// valid names so CLI surfaces can fail fast with a usable message.
-func ParseMode(s string) (Mode, error) {
-	for i, name := range ModeNames() {
-		if s == name {
-			return Mode(i), nil
-		}
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler mode %q (valid modes: goroutine, continuation, parallel)", s)
 }
 
 // event is one scheduled occurrence. Pure wakeups (Elapse) carry the
@@ -227,36 +162,32 @@ const (
 // Proc is the execution context of one simulated rank. All Proc methods
 // must be called from the flow of control running that rank's body.
 type Proc struct {
-	id      int
-	e       *Engine
-	sh      *shard // parallel mode: owning shard; nil in sequential modes
-	state   procState
-	started bool   // continuation mode: fiber exists (or body has run)
-	why     string // what the proc is parked on, for deadlock reports
-	wake    chan struct{}
+	id    int
+	sh    *shard // owning shard
+	state procState
+	why   string // what the proc is parked on, for deadlock reports
+
+	// The rank's coroutine, created at first dispatch: the dispatcher
+	// calls next to resume the body and stop to unwind it during a
+	// drain; the body calls yield to park.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // ID returns the rank's id in [0, N).
 func (p *Proc) ID() int { return p.id }
 
-// Engine returns the engine this proc belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
-// Now returns the current virtual time: the global clock in the
-// sequential modes, the owning shard's clock in parallel mode.
-func (p *Proc) Now() Time {
-	if p.sh != nil {
-		return p.sh.now
-	}
-	return p.e.now
-}
+// Now returns the current virtual time on the rank's shard.
+func (p *Proc) Now() Time { return p.sh.now }
 
 // Observer receives scheduling callbacks from the engine, giving
 // observability layers access to the virtual clock at the moments
 // ranks block and resume. Callbacks run under the cooperative
-// scheduler (never concurrently) and must not block or re-enter the
-// engine. Elapse's inline fast path still reports its virtual
-// park/resume pair, so observers see the same sequence either way.
+// scheduler (never concurrently within a shard) and must not block or
+// re-enter the engine. Elapse's inline fast path still reports its
+// virtual park/resume pair, so observers see the same sequence either
+// way.
 type Observer interface {
 	// RankParked fires when a rank blocks; why is the park reason.
 	RankParked(rank int, why string, at Time)
@@ -268,8 +199,8 @@ type Observer interface {
 // observer also implements it, RankFinished fires as each rank's body
 // returns normally (never during an abnormal drain), carrying the
 // rank's completion time — the job makespan is the maximum over ranks.
-// In parallel mode the callback runs on the owning shard's worker
-// against the shard's observer, like the other callbacks.
+// The callback runs on the owning shard's dispatcher against the
+// shard's observer, like the other callbacks.
 type FinishObserver interface {
 	RankFinished(rank int, at Time)
 }
@@ -277,76 +208,48 @@ type FinishObserver interface {
 // Engine runs a fixed set of ranks to completion under a virtual
 // clock.
 type Engine struct {
-	now    Time
-	seq    int64
-	events eventHeap
+	// shards[0] exists from NewEngine on, so events scheduled before
+	// Run have a home; Run adds the rest. The slice stays valid after
+	// Run so post-run Now() reads resolve against the final clocks.
+	shards []*shard
 	procs  []*Proc
+	body   func(*Proc)
+	stats  Stats
+	obs    Observer
 
-	// Runnable ring buffer (FIFO). A proc appears at most once, so a
-	// fixed capacity of len(procs) suffices and pushes never allocate.
-	runq   []*Proc
-	rqHead int
-	rqLen  int
+	// draining is set when the run is ending abnormally (rank panic or
+	// Goexit, deadlock, or time limit): every started, unfinished rank
+	// is stopped once, in rank order, and unwinds via a drainSignal
+	// panic so its coroutine exits before Run returns.
+	draining bool
 
-	alive     int
-	schedWake chan struct{}
-	failure   error // first panic captured from a rank body
-	stats     Stats
-	obs       Observer
-	body      func(*Proc)
-
-	// Continuation-mode state: the root's completion channel, the pool
-	// of reusable wake slots, and the drain cursor.
-	rootDone chan error
-	chanPool []chan struct{}
-
-	// draining is set when the run is ending abnormally (rank panic,
-	// deadlock, or time limit): every remaining blocked rank is resumed
-	// once, in rank order, and unwinds via a drainSignal panic so its
-	// goroutine exits before Run returns.
-	draining    bool
-	drainErr    error
-	drainCursor int
-
-	// noInlineElapse disables Elapse's inline fast path; used by the
-	// scheduler-equivalence test to prove both paths produce identical
-	// schedules.
+	// noInlineElapse disables Elapse's inline fast path; the golden
+	// tests use it to prove both paths produce identical schedules.
 	noInlineElapse bool
-
-	// Mode selects goroutine-per-rank or continuation dispatch. Set
-	// before Run; both modes are byte-identical in every virtual-time
-	// observable.
-	Mode Mode
 
 	// MaxTime, when nonzero, aborts Run with ErrTimeLimit once the
 	// virtual clock passes it — a watchdog against virtual livelock
 	// (event chains that never let the ranks finish).
 	MaxTime Time
 
-	// Shards, Partition, and Lookahead configure ModeParallel; the
-	// sequential modes ignore them. Shards is the worker count (<=0
-	// means 1; clamped to the rank count). Partition maps rank ->
-	// shard in [0, Shards); nil means contiguous equal blocks.
-	// Lookahead is the conservative window width: a cross-shard event
-	// must be scheduled at least this far past the sending shard's
-	// window start. Required > 0 when Shards > 1; the fabric's
-	// MinCrossNodeLatency is the natural bound.
+	// Shards is the dispatcher count (<=0 means 1; clamped to the rank
+	// count). Partition maps rank -> shard in [0, Shards); nil means
+	// contiguous equal blocks. Lookahead is the conservative window
+	// width: a cross-shard event must be scheduled at least this far
+	// past the sending shard's window start. Required > 0 when
+	// Shards > 1; the fabric's MinCrossNodeLatency is the natural bound.
 	Shards    int
 	Partition []int
 	Lookahead Time
 
 	// ShardObservers, when set, supplies one Observer per shard for
-	// multi-shard parallel runs (the single obs Observer would race).
-	// Callbacks arrive shard-concurrently but rank-sequentially: one
-	// shard never reports two ranks at once, and a given rank always
-	// reports from its home shard.
+	// multi-shard runs (the single obs Observer would race). Callbacks
+	// arrive shard-concurrently but rank-sequentially: one shard never
+	// reports two ranks at once, and a given rank always reports from
+	// its home shard.
 	ShardObservers func(shard int) Observer
 
-	// shardSet is the live shard array of a parallel run (nil in
-	// sequential modes); it stays valid after Run so post-run Now()
-	// reads resolve against the final shard clocks.
-	shardSet []*shard
-	reports  chan shardReport
+	arrived chan struct{} // shard -> coordinator: waiting at the barrier
 }
 
 // ErrTimeLimit is returned by Run when the virtual clock exceeds
@@ -368,23 +271,24 @@ type Stats struct {
 
 // NewEngine creates an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{schedWake: make(chan struct{})}
+	e := &Engine{}
+	e.shards = []*shard{{e: e, windowEnd: MaxTime}}
+	return e
+}
+
+// one returns the engine's only shard. A multi-shard run has no global
+// clock or heap while shards execute, so the Engine-level call named by
+// op panics there; use the Proc, ShardClock or AtRank form instead.
+func (e *Engine) one(op string) *shard {
+	if len(e.shards) > 1 {
+		panic("sim: Engine." + op + " has no single shard to act on in a multi-shard run; use Proc.Now, ShardClock or AtRank")
+	}
+	return e.shards[0]
 }
 
 // Now returns the current virtual time. It is safe to call from event
-// handlers and rank bodies alike. In a multi-shard parallel run there
-// is no global clock while shards execute, so Now panics there; use
-// Proc.Now or ShardClock instead. A single-shard parallel run (the
-// full-stack configuration) resolves to the one shard's clock.
-func (e *Engine) Now() Time {
-	if n := len(e.shardSet); n > 0 {
-		if n == 1 {
-			return e.shardSet[0].now
-		}
-		panic("sim: Engine.Now has no global value in a multi-shard parallel run; use Proc.Now or ShardClock")
-	}
-	return e.now
-}
+// handlers and rank bodies alike; it panics in a multi-shard run.
+func (e *Engine) Now() Time { return e.one("Now").now }
 
 // Stats returns engine counters. Valid after Run has returned.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -395,52 +299,41 @@ func (e *Engine) Observe(o Observer) { e.obs = o }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
 // It may be called from a rank body or from another handler. Handlers
-// run under the dispatcher and must not block. In a multi-shard
-// parallel run the target shard is ambiguous, so At panics there
-// (schedule through AtRank); with one shard it resolves locally.
+// run under the dispatcher and must not block. It panics in a
+// multi-shard run, where the target shard is ambiguous (schedule
+// through AtRank).
 func (e *Engine) At(t Time, fn func()) {
-	if n := len(e.shardSet); n > 0 {
-		if e.draining {
-			return // unwinding cleanup; the run is over
-		}
-		if n > 1 {
-			panic("sim: Engine.At is ambiguous in a multi-shard parallel run; use AtRank")
-		}
-		e.shardSet[0].at(t, fn)
-		return
+	if e.draining {
+		return // unwinding cleanup; the run is over
 	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.one("At").schedule(t, nil, fn)
 }
 
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.Now()+d, fn) }
 
 // AtRank schedules fn at absolute virtual time t on behalf of rank
-// from, to run where rank to's state lives. In the sequential modes —
-// and whenever both ranks share a shard — it is exactly At. Across
-// shards the event is appended to the sending shard's per-destination
-// outbox and merged into the target heap at the next window boundary,
-// ordered by (time, virtual send time, source shard, outbox sequence);
-// t must be at least the sending shard's window end (guaranteed by any
-// delay >= Lookahead), or AtRank panics with a lookahead violation.
-// It must be called from a flow of control running on rank from's
-// shard (from's rank body, or a handler scheduled to it).
+// from, to run where rank to's state lives. Whenever both ranks share
+// a shard it is exactly At. Across shards the event is appended to the
+// sending shard's per-destination outbox and merged into the target
+// heap at the next window boundary, ordered by (time, virtual send
+// time, source shard, outbox sequence); t must be at least the sending
+// shard's window end (guaranteed by any delay >= Lookahead), or AtRank
+// panics with a lookahead violation. It must be called from a flow of
+// control running on rank from's shard (from's rank body, or a handler
+// scheduled to it).
 func (e *Engine) AtRank(t Time, from, to int, fn func()) {
-	if len(e.shardSet) == 0 {
-		e.At(t, fn)
+	if e.draining {
 		return
 	}
-	if e.draining {
+	if len(e.shards) == 1 {
+		e.shards[0].schedule(t, nil, fn)
 		return
 	}
 	src := e.procs[from].sh
 	dst := e.procs[to].sh
 	if src == dst {
-		src.at(t, fn)
+		src.schedule(t, nil, fn)
 		return
 	}
 	if t < src.windowEnd {
@@ -453,19 +346,8 @@ func (e *Engine) AtRank(t Time, from, to int, fn func()) {
 		xev{at: t, sent: src.now, seq: src.outSeq, src: src.id, fn: fn})
 }
 
-// atWake schedules an unpark of p at absolute time t without building
-// a closure.
-func (e *Engine) atWake(t Time, p *Proc) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, wake: p})
-}
-
 // drainSignal is the panic value used to unwind a blocked rank body
-// when the run ends abnormally; the rank runner recognizes and
-// swallows it.
+// when the run ends abnormally; runBody recognizes and swallows it.
 type drainSignal struct{}
 
 // Elapse charges d nanoseconds of virtual time to the calling rank:
@@ -473,159 +355,94 @@ type drainSignal struct{}
 //
 // When no other rank is runnable, Elapse runs inline instead of
 // parking: it reserves the wake event's sequence number, dispatches any
-// events due before the wake exactly as the scheduler loop would (same
+// events due before the wake exactly as the dispatcher would (same
 // order, same clock updates, same counters), and advances the clock
-// itself — eliminating the park/unpark channel ping-pong. If a
+// itself — eliminating the switch to the dispatcher and back. If a
 // dispatched event makes another rank runnable, that rank must run
 // before this one resumes, so Elapse falls back to a real park whose
 // wake event carries the reserved sequence number; every tie-break
 // then resolves exactly as the parked path would. Which flow of
 // control executes an event handler is invisible to the simulation, so
 // the two paths are indistinguishable in every virtual-time observable.
+// The wake must also land inside the shard's current window, else the
+// rank parks and the wake event waits for a window that covers it.
 func (p *Proc) Elapse(d Time) {
 	if d <= 0 {
 		return
 	}
-	if p.sh != nil {
-		p.sh.elapse(p, d)
-		return
-	}
-	e := p.e
+	sh := p.sh
+	e := sh.e
 	if e.draining {
 		panic(drainSignal{})
 	}
-	due := e.now + d
-	if e.noInlineElapse || e.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) {
-		e.atWake(due, p)
+	due := sh.now + d
+	if e.noInlineElapse || sh.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) || due >= sh.windowEnd {
+		sh.schedule(due, p, nil)
 		p.Park("elapse")
 		return
 	}
 	// Reserve the wake event's sequence number before dispatching:
 	// events run below may schedule new events, and a tie at due must
 	// resolve in favor of this wake exactly as the parked path would.
-	e.seq++
-	wakeSeq := e.seq
-	e.stats.Parks++
-	if e.obs != nil {
-		e.obs.RankParked(p.id, "elapse", e.now)
+	sh.seq++
+	wakeSeq := sh.seq
+	sh.stats.Parks++
+	if sh.obs != nil {
+		sh.obs.RankParked(p.id, "elapse", sh.now)
 	}
 	for {
-		if len(e.events) == 0 || e.events[0].at > due ||
-			(e.events[0].at == due && e.events[0].seq > wakeSeq) {
+		if len(sh.events) == 0 || sh.events[0].at > due ||
+			(sh.events[0].at == due && sh.events[0].seq > wakeSeq) {
 			// The wake event would be dispatched next: count it and
 			// advance inline.
-			e.stats.Events++
-			e.now = due
-			if e.obs != nil {
-				e.obs.RankResumed(p.id, e.now)
+			sh.stats.Events++
+			sh.now = due
+			if sh.obs != nil {
+				sh.obs.RankResumed(p.id, sh.now)
 			}
 			return
 		}
-		// Dispatch the earlier event exactly as the scheduler loop would.
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
+		// Dispatch the earlier event exactly as the dispatcher would.
+		ev := sh.events.pop()
+		if ev.at > sh.now {
+			sh.now = ev.at
 		}
-		e.stats.Events++
-		if ev.wake != nil {
-			e.Unpark(ev.wake)
-		} else {
-			ev.fn()
-		}
-		if e.rqLen > 0 {
-			e.events.push(event{at: due, seq: wakeSeq, wake: p})
-			p.parkReserved("elapse")
+		sh.fire(ev)
+		if sh.rqLen > 0 {
+			sh.events.push(event{at: due, seq: wakeSeq, wake: p})
+			p.park("elapse", true)
 			return
 		}
-	}
-}
-
-// parkReserved parks like Park but without re-counting the park or
-// re-notifying the observer: Elapse's inline path has already done
-// both.
-func (p *Proc) parkReserved(why string) {
-	e := p.e
-	if e.Mode == ModeContinuation {
-		p.contPark(why, true)
-		return
-	}
-	p.state = stateParked
-	p.why = why
-	e.schedWake <- struct{}{}
-	<-p.wake
-	if e.draining {
-		panic(drainSignal{})
-	}
-	p.state = stateRunning
-	p.why = ""
-	if e.obs != nil {
-		e.obs.RankResumed(p.id, e.now)
 	}
 }
 
 // Park blocks the calling rank until another component calls Unpark on
 // it. The why string is reported if the simulation deadlocks.
-func (p *Proc) Park(why string) {
-	e := p.e
-	if e.draining {
-		panic(drainSignal{})
-	}
-	if p.sh != nil {
-		p.sh.park(p, why, false)
-		return
-	}
-	if e.Mode == ModeContinuation {
-		p.contPark(why, false)
-		return
-	}
-	p.state = stateParked
-	p.why = why
-	e.stats.Parks++
-	if e.obs != nil {
-		e.obs.RankParked(p.id, why, e.now)
-	}
-	e.schedWake <- struct{}{} // hand control to the scheduler
-	<-p.wake                  // wait to be resumed
-	if e.draining {
-		panic(drainSignal{})
-	}
-	p.state = stateRunning
-	p.why = ""
-	if e.obs != nil {
-		e.obs.RankResumed(p.id, e.now)
-	}
-}
+func (p *Proc) Park(why string) { p.park(why, false) }
 
-// contPark is the continuation-mode park: the parking rank itself
-// executes the dispatch loop (the simulation's continuation) and hands
-// control directly to the next runnable flow, then blocks on its
-// pooled wake slot until a wake event or Unpark resumes it. preCounted
-// marks parks whose statistics and observer callback were already
-// recorded by Elapse's inline path.
-func (p *Proc) contPark(why string, preCounted bool) {
-	e := p.e
-	if e.draining {
+// park yields the rank's coroutine back to its shard's dispatcher.
+// preCounted marks parks whose statistics and observer callback were
+// already recorded by Elapse's inline path.
+func (p *Proc) park(why string, preCounted bool) {
+	sh := p.sh
+	if sh.e.draining {
 		panic(drainSignal{})
 	}
 	p.state = stateParked
 	p.why = why
 	if !preCounted {
-		e.stats.Parks++
-		if e.obs != nil {
-			e.obs.RankParked(p.id, why, e.now)
+		sh.stats.Parks++
+		if sh.obs != nil {
+			sh.obs.RankParked(p.id, why, sh.now)
 		}
 	}
-	if next := e.advance(false); next != nil {
-		panic("sim: internal: advance(false) returned a fresh proc")
-	}
-	<-p.wake
-	if e.draining {
-		panic(drainSignal{})
+	if !p.yield(struct{}{}) {
+		panic(drainSignal{}) // stopped by a drain
 	}
 	p.state = stateRunning
 	p.why = ""
-	if e.obs != nil {
-		e.obs.RankResumed(p.id, e.now)
+	if sh.obs != nil {
+		sh.obs.RankResumed(p.id, sh.now)
 	}
 }
 
@@ -639,17 +456,13 @@ func (e *Engine) Unpark(p *Proc) {
 	if e.draining {
 		// Unwinding rank bodies may signal peers from their deferred
 		// cleanup; the run is over, so wakes are dropped (every blocked
-		// rank is resumed exactly once by the drain itself).
+		// rank is stopped exactly once by the drain itself).
 		return
 	}
 	switch p.state {
 	case stateParked:
 		p.state = stateRunnable
-		if p.sh != nil {
-			p.sh.pushRunnable(p)
-		} else {
-			e.pushRunnable(p)
-		}
+		p.sh.pushRunnable(p)
 	case stateRunnable:
 		// Already queued; nothing to do.
 	case stateDone:
@@ -657,26 +470,6 @@ func (e *Engine) Unpark(p *Proc) {
 	default:
 		panic(fmt.Sprintf("sim: unpark of running rank %d", p.id))
 	}
-}
-
-func (e *Engine) pushRunnable(p *Proc) {
-	i := e.rqHead + e.rqLen
-	if i >= len(e.runq) {
-		i -= len(e.runq)
-	}
-	e.runq[i] = p
-	e.rqLen++
-}
-
-func (e *Engine) popRunnable() *Proc {
-	p := e.runq[e.rqHead]
-	e.runq[e.rqHead] = nil
-	e.rqHead++
-	if e.rqHead == len(e.runq) {
-		e.rqHead = 0
-	}
-	e.rqLen--
-	return p
 }
 
 // Deadlock is returned (wrapped) by Run when every rank is parked and no
@@ -687,346 +480,54 @@ type Deadlock struct {
 }
 
 func (d *Deadlock) Error() string {
-	ids := make([]int, 0, len(d.Waiting))
-	for id := range d.Waiting {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	s := fmt.Sprintf("sim: deadlock at t=%v:", d.Time)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(d.Waiting)) {
 		s += fmt.Sprintf(" rank %d parked on %q;", id, d.Waiting[id])
 	}
 	return s
 }
 
-type rankPanic struct {
-	rank int
-	val  interface{}
+// resume hands control to p until it parks or finishes, creating its
+// coroutine at first dispatch.
+func (sh *shard) resume(p *Proc) {
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			sh.runBody(p)
+		})
+	}
+	p.next()
 }
 
-func (r *rankPanic) Error() string {
-	return fmt.Sprintf("sim: rank %d panicked: %v", r.rank, r.val)
-}
-
-// deadlockError builds the Deadlock report from the current park set.
-func (e *Engine) deadlockError() *Deadlock {
-	d := &Deadlock{Time: e.now, Waiting: map[int]string{}}
-	for _, p := range e.procs {
-		if p.state == stateParked {
-			d.Waiting[p.id] = p.why
-		}
-	}
-	return d
-}
-
-// Run creates n ranks and executes body(p) on each, returning once all
-// ranks have finished. It returns an error if the simulation deadlocks
-// or any rank body panics; in every case — success or failure — all
-// rank goroutines have exited by the time Run returns (abnormal ends
-// drain the blocked ranks deterministically, in rank order). Run may
-// be called repeatedly on fresh engines but not concurrently on the
-// same engine.
-func (e *Engine) Run(n int, body func(p *Proc)) error {
-	if n <= 0 {
-		return fmt.Errorf("sim: Run needs n > 0, got %d", n)
-	}
-	e.body = body
-	e.procs = make([]*Proc, n)
-	if e.Mode == ModeParallel {
-		return e.runParallel(n)
-	}
-	e.runq = make([]*Proc, n)
-	e.alive = n
-	if e.Mode == ModeContinuation {
-		return e.runContinuation(n)
-	}
-	return e.runGoroutine(n)
-}
-
-// runGoroutine is the reference scheduler: one goroutine per rank,
-// resumed by a central loop.
-func (e *Engine) runGoroutine(n int) error {
-	for i := 0; i < n; i++ {
-		p := &Proc{id: i, e: e, state: stateRunnable, wake: make(chan struct{})}
-		e.procs[i] = p
-		e.pushRunnable(p)
-	}
-	for _, p := range e.procs {
-		p := p
-		go func() {
-			defer func() {
-				r := recover()
-				if r != nil {
-					if _, drained := r.(drainSignal); !drained && e.failure == nil {
-						e.failure = &rankPanic{rank: p.id, val: r}
-					}
-				}
-				p.state = stateDone
-				e.alive--
-				if r == nil && !e.draining {
-					if f, ok := e.obs.(FinishObserver); ok {
-						f.RankFinished(p.id, e.now)
-					}
-				}
-				e.schedWake <- struct{}{}
-			}()
-			<-p.wake // wait for first dispatch
-			if e.draining {
-				return
-			}
-			p.state = stateRunning
-			e.body(p)
-		}()
-	}
-	// Scheduler loop: run ranks until none is runnable, then pop events.
-	for {
-		if e.failure != nil {
-			return e.drainGoroutines(e.failure)
-		}
-		if e.rqLen > 0 {
-			p := e.popRunnable()
-			p.wake <- struct{}{}
-			<-e.schedWake // rank parked or exited
-			continue
-		}
-		if e.alive == 0 {
-			e.stats.FinalTime = e.now
-			return nil
-		}
-		if len(e.events) == 0 {
-			return e.drainGoroutines(e.deadlockError())
-		}
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if e.MaxTime > 0 && e.now > e.MaxTime {
-			return e.drainGoroutines(&ErrTimeLimit{At: e.now})
-		}
-		e.stats.Events++
-		if ev.wake != nil {
-			e.Unpark(ev.wake)
-		} else {
-			ev.fn()
-		}
-	}
-}
-
-// drainGoroutines ends an abnormal goroutine-mode run without leaking:
-// every rank goroutine that has not finished is blocked on its wake
-// channel (at first dispatch or inside Park), so each is resumed once,
-// in rank order, unwinds via drainSignal, and signals the scheduler
-// back before the next is woken. Engine statistics and observers see
-// nothing: the drain happens after the run's last observable instant.
-func (e *Engine) drainGoroutines(err error) error {
-	e.draining = true
-	e.drainErr = err
-	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
-		}
-		p.wake <- struct{}{}
-		<-e.schedWake
-	}
-	return err
-}
-
-// runContinuation is the continuation-mode driver: Proc records are
-// slab-allocated, fibers are spawned lazily at first dispatch, and the
-// root goroutine only seeds the dispatch loop and waits for the
-// simulation's terminal handoff.
-func (e *Engine) runContinuation(n int) error {
-	e.rootDone = make(chan error, 1)
-	slab := make([]Proc, n)
-	for i := range slab {
-		p := &slab[i]
-		p.id = i
-		p.e = e
-		p.state = stateRunnable
-		e.procs[i] = p
-		e.pushRunnable(p)
-	}
-	// Hand control to the first dispatch; the run ends when some fiber
-	// executes the terminal transfer on rootDone.
-	if next := e.advance(false); next != nil {
-		panic("sim: internal: advance(false) returned a fresh proc")
-	}
-	return <-e.rootDone
-}
-
-// advance is the continuation-mode dispatch loop, executed by whatever
-// flow of control is giving up the simulation (a parking rank, a
-// finished body's fiber, or the root at startup). It mirrors the
-// goroutine scheduler loop statement for statement — same runnable
-// FIFO, same event heap pops, same counter updates — and returns after
-// handing control to exactly one successor. When the next runnable
-// rank is fresh (no fiber yet) and the caller can run it on its own
-// goroutine (mayInline), the proc is returned instead; otherwise a new
-// fiber is spawned for it. A nil return means control went elsewhere.
-func (e *Engine) advance(mayInline bool) *Proc {
-	for {
-		if e.draining {
-			e.drainNext()
-			return nil
-		}
-		if e.failure != nil {
-			e.terminate(e.failure)
-			return nil
-		}
-		if e.rqLen > 0 {
-			p := e.popRunnable()
-			if p.started {
-				p.wake <- struct{}{} // resume the parked fiber; never blocks (cap 1)
-				return nil
-			}
-			if mayInline {
-				return p
-			}
-			e.spawnFiber(p)
-			return nil
-		}
-		if e.alive == 0 {
-			e.stats.FinalTime = e.now
-			e.rootDone <- nil
-			return nil
-		}
-		if len(e.events) == 0 {
-			e.terminate(e.deadlockError())
-			return nil
-		}
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if e.MaxTime > 0 && e.now > e.MaxTime {
-			e.terminate(&ErrTimeLimit{At: e.now})
-			return nil
-		}
-		e.stats.Events++
-		if ev.wake != nil {
-			e.Unpark(ev.wake)
-		} else {
-			ev.fn()
-		}
-	}
-}
-
-// getChan takes a wake slot from the pool (or makes one). Wake slots
-// have capacity one so a handoff never blocks the sender; a slot is
-// returned to the pool when its fiber's body finishes, so steady-state
-// dispatch allocates nothing.
-func (e *Engine) getChan() chan struct{} {
-	if n := len(e.chanPool); n > 0 {
-		ch := e.chanPool[n-1]
-		e.chanPool[n-1] = nil
-		e.chanPool = e.chanPool[:n-1]
-		return ch
-	}
-	return make(chan struct{}, 1)
-}
-
-func (e *Engine) putChan(ch chan struct{}) {
-	e.chanPool = append(e.chanPool, ch)
-}
-
-// spawnFiber starts the lazily created goroutine that will run p's
-// body (and, after it finishes, any further fresh bodies the dispatch
-// loop hands it).
-func (e *Engine) spawnFiber(p *Proc) {
-	p.started = true
-	p.wake = e.getChan()
-	go e.fiberLoop(p)
-}
-
-// fiberLoop runs rank bodies to completion on one goroutine: after a
-// body finishes, the fiber itself drives the dispatch loop, and if the
-// next dispatch is a fresh rank it runs that body in place instead of
-// spawning — so phases where ranks finish back-to-back execute on a
-// single goroutine.
-func (e *Engine) fiberLoop(p *Proc) {
-	for {
-		e.runBody(p)
-		ch := p.wake
-		p.wake = nil
-		e.putChan(ch) // before advance: the slot may serve the next spawn
-		next := e.advance(true)
-		if next == nil {
-			return
-		}
-		next.started = true
-		next.wake = e.getChan()
-		p = next
-	}
-}
-
-// runBody executes one rank body with the same recovery semantics as
-// the goroutine-mode runner. In parallel mode the failure and alive
-// bookkeeping is per shard: shards run concurrently, and the
-// coordinator merges their outcomes deterministically at the barrier.
-func (e *Engine) runBody(p *Proc) {
+// runBody executes one rank body on its coroutine and records how it
+// ended. Failure and alive bookkeeping is per shard: shards run
+// concurrently, and the coordinator merges their outcomes
+// deterministically at the barrier. A Goexit cannot be recovered: it
+// is recorded here, kills the coroutine, and iter.Pull re-raises it in
+// the dispatcher — see shard.work for how the run survives that.
+func (sh *shard) runBody(p *Proc) {
+	returned := false
 	defer func() {
 		r := recover()
-		if r != nil {
-			if _, drained := r.(drainSignal); !drained {
-				if sh := p.sh; sh != nil {
-					if sh.failure == nil {
-						sh.failure = &rankPanic{rank: p.id, val: r}
-					}
-				} else if e.failure == nil {
-					e.failure = &rankPanic{rank: p.id, val: r}
-				}
+		if _, drained := r.(drainSignal); !drained && sh.failure == nil {
+			if r != nil {
+				sh.failure = fmt.Errorf("sim: rank %d panicked: %v", p.id, r)
+			} else if !returned { // every t.Fatal inside a body is one
+				sh.failure = fmt.Errorf("sim: rank %d exited via runtime.Goexit", p.id)
 			}
 		}
 		p.state = stateDone
-		if sh := p.sh; sh != nil {
-			sh.alive--
-			if sh.alive == 0 {
-				sh.lastFinish = sh.now
-			}
-			if r == nil && !e.draining {
-				if f, ok := sh.obs.(FinishObserver); ok {
-					f.RankFinished(p.id, sh.now)
-				}
-			}
-		} else {
-			e.alive--
-			if r == nil && !e.draining {
-				if f, ok := e.obs.(FinishObserver); ok {
-					f.RankFinished(p.id, e.now)
-				}
+		sh.alive--
+		if sh.alive == 0 {
+			sh.lastFinish = sh.now
+		}
+		if returned && !sh.e.draining {
+			if f, ok := sh.obs.(FinishObserver); ok {
+				f.RankFinished(p.id, sh.now)
 			}
 		}
 	}()
 	p.state = stateRunning
-	e.body(p)
+	sh.e.body(p)
+	returned = true
 }
-
-// terminate begins the abnormal end of a continuation-mode run: record
-// the error, then resume each blocked fiber once (in rank order) so it
-// unwinds and exits; the last drain step performs the terminal
-// handoff to the root.
-func (e *Engine) terminate(err error) {
-	e.draining = true
-	e.drainErr = err
-	e.drainNext()
-}
-
-// drainNext resumes the next blocked fiber (parked, or runnable but
-// not yet handed the token — both block on their wake slot) so it can
-// unwind, or signals the root when none remain. Never-started ranks
-// have no goroutine and need no draining. The cursor is monotonic:
-// states cannot regress during a drain (Unpark is a no-op).
-func (e *Engine) drainNext() {
-	for e.drainCursor < len(e.procs) {
-		p := e.procs[e.drainCursor]
-		e.drainCursor++
-		if p.started && p.state != stateDone {
-			p.wake <- struct{}{}
-			return
-		}
-	}
-	e.rootDone <- e.drainErr
-}
-
-// Procs returns the engine's ranks; valid during and after Run.
-func (e *Engine) Procs() []*Proc { return e.procs }
