@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/armci"
 	"repro/internal/armcimpi"
 	"repro/internal/core"
 	"repro/internal/ga"
@@ -75,7 +74,7 @@ func main() {
 			}
 			// Synchronize within the group only.
 			rt.Fence(g.AbsoluteID(0))
-			armci.GroupCommOf(g).Barrier()
+			g.Comm.Barrier()
 			if g.RankOf(me) == g.Size()-1 {
 				probe := make([]float64, 4)
 				if err := a.Get([]int{31, 28}, []int{31, 31}, probe); err != nil {
@@ -84,7 +83,7 @@ func main() {
 				fmt.Printf("[%s] last member read tail values %.1f..%.1f via absolute ids\n",
 					rt.Name(), probe[0], probe[3])
 			}
-			armci.GroupCommOf(g).Barrier()
+			g.Comm.Barrier()
 			if err := a.Destroy(); err != nil {
 				log.Fatal(err)
 			}

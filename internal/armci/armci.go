@@ -5,16 +5,19 @@
 // the paper's two API extensions (direct local access and access
 // modes).
 //
-// Two implementations satisfy Runtime: internal/native (the
-// vendor-tuned baseline built directly on the fabric) and
-// internal/armcimpi (the paper's contribution, built on MPI one-sided
-// communication). Global Arrays (internal/ga) runs unchanged on either.
+// Two implementations satisfy Runtime: Direct in this package, for
+// runtimes that move bytes themselves over a Transport
+// (internal/native, the vendor-tuned baseline built directly on the
+// fabric, and internal/dataserver), and internal/armcimpi (the paper's
+// contribution, built on MPI one-sided communication; internal/dartmpi
+// embeds it). Global Arrays (internal/ga) runs unchanged on any.
 package armci
 
 import (
 	"fmt"
 
 	"repro/internal/fabric"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -74,8 +77,8 @@ func (m AccessMode) String() string {
 // use absolute process ids (world ranks); group ids must be translated
 // via AbsoluteID, mirroring ARMCI_Absolute_id (SectionIV).
 type Group struct {
-	Ranks []int       // group rank -> world rank, ascending creation order
-	Impl  interface{} // runtime-private state (e.g. an MPI communicator)
+	Ranks []int     // group rank -> world rank, ascending
+	Comm  *mpi.Comm // the communicator backing the group (SectionV.A)
 }
 
 // Size returns the number of members.

@@ -1,0 +1,183 @@
+package armci
+
+import (
+	"sort"
+
+	"repro/internal/mpi"
+)
+
+// Allocation is one collective ARMCI_Malloc as the translation table
+// records it: the member processes, each member's slice of the
+// allocation, and whatever the owning runtime hangs off it (Ext: MPI
+// windows and the RMW mutex for armcimpi, node windows for dartmpi,
+// nothing for the runtimes that move bytes themselves).
+type Allocation[T any] struct {
+	ID    int
+	Group []int  // world ranks, ascending; group rank -> world rank
+	Addrs []Addr // base address per group rank (Nil for a zero-size slice)
+	Sizes []int  // slice length per group rank
+	Ext   T
+}
+
+// RankOf translates a world rank to its group rank in the allocation,
+// or -1 for a non-member.
+func (a *Allocation[T]) RankOf(world int) int {
+	if i := sort.SearchInts(a.Group, world); i < len(a.Group) && a.Group[i] == world {
+		return i
+	}
+	return -1
+}
+
+// Directory is the SectionV.B translation table: every live allocation
+// of a job, indexed by id and, per world rank, as a VA-sorted list of
+// the rank's slices. Slices on one rank are disjoint because each
+// rank's allocator hands out disjoint VA ranges, so an address
+// resolves by binary search in O(log #allocations). One member of each
+// collective allocation registers it; all members look it up.
+type Directory[T any] struct {
+	ids    map[int]*Allocation[T]
+	spans  [][]interval[T] // by world rank, sorted by lo
+	nextID int
+}
+
+// interval is one rank-local VA interval [lo, hi) of an allocation.
+type interval[T any] struct {
+	lo, hi int64
+	a      *Allocation[T]
+	gr     int // the allocation's group rank on this world rank
+}
+
+// Register enters an allocation over group (retained, not copied) with
+// the given per-member slices and returns its record. Zero-size slices
+// are not indexed: no address resolves to them.
+func (d *Directory[T]) Register(group []int, addrs []Addr, sizes []int, ext T) *Allocation[T] {
+	a := &Allocation[T]{ID: d.nextID, Group: group, Addrs: addrs, Sizes: sizes, Ext: ext}
+	d.nextID++
+	if d.ids == nil {
+		d.ids = map[int]*Allocation[T]{}
+	}
+	d.ids[a.ID] = a
+	for gr, world := range group {
+		if sizes[gr] == 0 {
+			continue
+		}
+		for len(d.spans) <= world {
+			d.spans = append(d.spans, nil)
+		}
+		lo := addrs[gr].VA
+		list := d.spans[world]
+		i := sort.Search(len(list), func(i int) bool { return list[i].lo >= lo })
+		list = append(list, interval[T]{})
+		copy(list[i+1:], list[i:])
+		list[i] = interval[T]{lo: lo, hi: lo + int64(sizes[gr]), a: a, gr: gr}
+		d.spans[world] = list
+	}
+	return a
+}
+
+// RegisterCollective is Register for a runtime whose members all need
+// the shared entry back: every member of comm contributes the base VA
+// and size of its slice, comm's first member enters the allocation
+// (with the extension newExt builds), and its id is broadcast so all
+// members attach to one entry. Base addresses travel by allgather on
+// small groups (the all-to-all of SectionV.B) and by gather-at-root on
+// large ones, so the N-entry address table is built once instead of on
+// every lock-stepped rank; large groups also pass the job-wide shared
+// group slice as members, which is then retained instead of copied.
+func (d *Directory[T]) RegisterCollective(comm *mpi.Comm, members []int, va int64, bytes int, newExt func() T) *Allocation[T] {
+	var vas []int64
+	if comm.Size() >= mpi.BigCommThreshold {
+		for _, p := range comm.Gather(0, mpi.I64sToBytes([]int64{va, int64(bytes)})) {
+			vas = append(vas, mpi.BytesToI64s(p)...)
+		}
+	} else {
+		members = append([]int(nil), members...)
+		vas = comm.AllgatherI64([]int64{va, int64(bytes)})
+	}
+	var id int
+	if comm.Rank() == 0 {
+		addrs, sizes := decodeSlices(members, vas)
+		id = d.Register(members, addrs, sizes, newExt()).ID
+	}
+	return d.ByID(int(comm.BcastI64(0, []int64{int64(id)})[0]))
+}
+
+// decodeSlices turns the gathered (base VA, size) pair of every member
+// of an allocation, in group-rank order, into the address and size
+// vectors a Directory records. A zero-size slice has the Nil address.
+func decodeSlices(members []int, vas []int64) (addrs []Addr, sizes []int) {
+	addrs, sizes = make([]Addr, len(members)), make([]int, len(members))
+	for i, world := range members {
+		sizes[i] = int(vas[2*i+1])
+		if sizes[i] > 0 {
+			addrs[i] = Addr{Rank: world, VA: vas[2*i]}
+		}
+	}
+	return addrs, sizes
+}
+
+// Unregister removes an allocation from the table.
+func (d *Directory[T]) Unregister(a *Allocation[T]) {
+	delete(d.ids, a.ID)
+	for gr, world := range a.Group {
+		if a.Sizes[gr] == 0 {
+			continue
+		}
+		lo := a.Addrs[gr].VA
+		list := d.spans[world]
+		i := sort.Search(len(list), func(i int) bool { return list[i].lo >= lo })
+		if i < len(list) && list[i].a == a {
+			d.spans[world] = append(list[:i], list[i+1:]...)
+		}
+	}
+}
+
+// at returns the slice on addr.Rank that contains addr.VA, or nil.
+func (d *Directory[T]) at(addr Addr) *interval[T] {
+	if addr.Rank < 0 || addr.Rank >= len(d.spans) {
+		return nil
+	}
+	// The first slice ending above the address is the only candidate.
+	list := d.spans[addr.Rank]
+	i := sort.Search(len(list), func(i int) bool { return list[i].hi > addr.VA })
+	if i < len(list) && addr.VA >= list[i].lo {
+		return &list[i]
+	}
+	return nil
+}
+
+// Find locates the allocation whose slice on addr.Rank contains the
+// address and returns it with the slice's group rank (the window rank,
+// for an MPI-backed runtime) and the byte displacement into the slice.
+func (d *Directory[T]) Find(addr Addr) (a *Allocation[T], gr, disp int, ok bool) {
+	if s := d.at(addr); s != nil {
+		return s.a, s.gr, int(addr.VA - s.lo), true
+	}
+	return nil, 0, 0, false
+}
+
+// FindRange is Find for an n-byte access: the slice must contain all of
+// [addr, addr+n), so a caller that goes on to touch the bytes can never
+// overrun it.
+func (d *Directory[T]) FindRange(addr Addr, n int) (a *Allocation[T], gr int, ok bool) {
+	if s := d.at(addr); s != nil && addr.VA+int64(n) <= s.hi {
+		return s.a, s.gr, true
+	}
+	return nil, 0, false
+}
+
+// FindBase locates the allocation whose slice on addr.Rank starts
+// exactly at addr.VA — the lookup of Free's leader election, which
+// names an allocation by one member's base address.
+func (d *Directory[T]) FindBase(addr Addr) *Allocation[T] {
+	if s := d.at(addr); s != nil && s.lo == addr.VA {
+		return s.a
+	}
+	return nil
+}
+
+// ByID returns a registered allocation, or nil.
+func (d *Directory[T]) ByID(id int) *Allocation[T] { return d.ids[id] }
+
+// Len returns the number of live allocations (leak assertions).
+func (d *Directory[T]) Len() int { return len(d.ids) }

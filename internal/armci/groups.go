@@ -6,69 +6,46 @@ import (
 	"repro/internal/mpi"
 )
 
-// MPIColl adapts an MPI rank handle to the collective-bootstrap
-// interface both ARMCI runtimes use for process management. In the
-// paper's software stacks (Figure 1) MPI is present alongside ARMCI in
-// both configurations, providing process management and collectives.
-type MPIColl struct {
-	R *mpi.Rank
-}
-
-// Barrier synchronizes the world.
-func (c MPIColl) Barrier() { c.R.CommWorld().Barrier() }
-
-// AllgatherI64 gathers one vector per rank over the world.
-func (c MPIColl) AllgatherI64(vals []int64) []int64 {
-	return c.R.CommWorld().AllgatherI64(vals)
-}
-
-// BcastI64 broadcasts from root over the world.
-func (c MPIColl) BcastI64(root int, vals []int64) []int64 {
-	return c.R.CommWorld().BcastI64(root, vals)
-}
+// In the paper's software stacks (Figure 1) MPI is present alongside
+// ARMCI in every configuration, providing process management and
+// collectives: an ARMCI processor group is backed directly by an MPI
+// communicator (SectionV.A), whichever runtime moves the data.
 
 // groupTagBase reserves a tag range for noncollective group formation.
 const groupTagBase = 1 << 22
 
-// GroupComm builds a communicator for the given sorted member list.
-// In collective mode every world rank must call (non-members receive
-// nil); in noncollective mode only members call, using the recursive
-// intercommunicator algorithm.
-func (c MPIColl) GroupComm(members []int, collective bool) interface{} {
-	world := c.R.CommWorld()
-	if collective {
-		color := -1
-		key := 0
-		if i := sort.SearchInts(members, c.R.ID()); i < len(members) && members[i] == c.R.ID() {
-			color = 0
-			key = i
-		}
-		comm := world.Split(color, key)
-		if comm == nil {
-			return nil
-		}
-		return comm
+// GroupCreateCollective creates a processor group from world ranks;
+// every world process calls (members and non-members alike), and
+// non-members receive nil.
+func GroupCreateCollective(r *mpi.Rank, members []int) (*Group, error) {
+	ms := sortedUnique(members)
+	color, key := -1, 0
+	if i := sort.SearchInts(ms, r.ID()); i < len(ms) && ms[i] == r.ID() {
+		color, key = 0, i
 	}
-	return mpi.CommCreateGroup(world, members, groupTagBase)
-}
-
-// GroupAllgatherI64 gathers over a group communicator.
-func (c MPIColl) GroupAllgatherI64(g interface{}, vals []int64) []int64 {
-	return g.(*mpi.Comm).AllgatherI64(vals)
-}
-
-// GroupBarrier synchronizes a group.
-func (c MPIColl) GroupBarrier(g interface{}) { g.(*mpi.Comm).Barrier() }
-
-// GroupBcastI64 broadcasts within a group.
-func (c MPIColl) GroupBcastI64(g interface{}, root int, vals []int64) []int64 {
-	return g.(*mpi.Comm).BcastI64(root, vals)
-}
-
-// GroupCommOf extracts the MPI communicator backing a group.
-func GroupCommOf(g *Group) *mpi.Comm {
-	if g == nil || g.Impl == nil {
-		return nil
+	comm := r.CommWorld().Split(color, key)
+	if comm == nil {
+		return nil, nil
 	}
-	return g.Impl.(*mpi.Comm)
+	return &Group{Ranks: ms, Comm: comm}, nil
+}
+
+// GroupCreate creates a processor group noncollectively — only members
+// call — using the recursive intercommunicator creation and merging
+// algorithm of the authors' prior work (SectionV.A).
+func GroupCreate(r *mpi.Rank, members []int) (*Group, error) {
+	ms := sortedUnique(members)
+	return &Group{Ranks: ms, Comm: mpi.CommCreateGroup(r.CommWorld(), ms, groupTagBase)}, nil
+}
+
+func sortedUnique(members []int) []int {
+	ms := append([]int(nil), members...)
+	sort.Ints(ms)
+	out := ms[:0]
+	for i, v := range ms {
+		if i == 0 || v != ms[i-1] {
+			out = append(out, v)
+		}
+	}
+	return out
 }

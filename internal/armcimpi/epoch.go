@@ -24,7 +24,7 @@ type epochCtl struct {
 
 // beginEpoch opens the access discipline for one target.
 func (r *Runtime) beginEpoch(g *GMR, gr int, class OpClass) (*epochCtl, error) {
-	win := g.wins[r.Rank()]
+	win := g.Ext.wins[r.Rank()]
 	e := &epochCtl{r: r, g: g, gr: gr, win: win, class: class, mpi3: r.Opt.UseMPI3}
 	if e.mpi3 {
 		return e, r.ensureLockAll(win)

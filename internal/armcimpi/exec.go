@@ -472,7 +472,7 @@ func (r *Runtime) issueOneNb3(h *nbHandle, p *plan, local armci.Addr, span int, 
 		h.temps = append(h.temps, scaled)
 		buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: mpi.TypeContiguous(ltype.Size())}
 	}
-	win := p.g.wins[r.Rank()]
+	win := p.g.Ext.wins[r.Rank()]
 	if err := r.ensureLockAll(win); err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ package armcimpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/armci"
 	"repro/internal/conflicttree"
@@ -117,20 +116,14 @@ func DefaultOptions() Options {
 }
 
 // World is the shared state of the ARMCI-MPI job: the GMR translation
-// table (SectionV.A).
+// table (SectionV.A), an armci.Directory whose entries carry the MPI
+// side of each allocation.
 type World struct {
-	Mpi    *mpi.World
-	gmrs   []*GMR
-	nextID int
-
-	// Translation indexes, maintained by register/unregister: ids maps
-	// GMR id -> GMR, and spans holds each world rank's allocations as a
-	// VA-sorted interval list, so find resolves <rank, address> in
-	// O(log #allocations) instead of scanning every GMR. Intervals on
-	// one rank are disjoint because each rank's allocator hands out
-	// disjoint VA ranges.
-	ids   map[int]*GMR
-	spans map[int][]gmrSpan
+	Mpi *mpi.World
+	dir armci.Directory[gmrExt]
+	// mutexSets counts live mutex sets (each GMR's RMW set included);
+	// the set's first member keeps it.
+	mutexSets int
 
 	// leaderBusy is the staging-pipe horizon of each node's leader
 	// rank: RouteStagedRMA plans queue behind it. Lazily sized by
@@ -144,95 +137,26 @@ type World struct {
 	AutoFalls int64 // scans that fell back to conservative
 }
 
-// gmrSpan is one rank-local VA interval [lo, hi) of a GMR.
-type gmrSpan struct {
-	lo, hi int64
-	g      *GMR
-	gr     int // the GMR's group (window) rank on this world rank
-}
-
 // NewWorld creates ARMCI-MPI state on an MPI world.
 func NewWorld(mw *mpi.World) *World { return &World{Mpi: mw} }
 
 // GMR is one global memory region: an ARMCI allocation backed by an
-// MPI window (SectionV.B).
-type GMR struct {
-	id     int
-	group  []int        // world ranks (ascending)
-	rankOf map[int]int  // world rank -> group (window) rank
-	addrs  []armci.Addr // base address per group rank (Nil if size 0)
-	sizes  []int
-	mode   armci.AccessMode
+// MPI window (SectionV.B). Group ranks are window ranks.
+type GMR = armci.Allocation[gmrExt]
 
+// gmrExt is what ARMCI-MPI hangs off a directory entry.
+type gmrExt struct {
+	mode  armci.AccessMode
 	wins  map[int]*mpi.Win // per-world-rank window handle
 	mutex map[int]*Mutexes // per-world-rank handle of the RMW mutex set
 }
 
-// find locates the GMR containing the address and returns the window
-// rank and byte displacement, by binary search over the rank's sorted
-// interval list.
-func (w *World) find(addr armci.Addr) (*GMR, int, int, bool) {
-	spans := w.spans[addr.Rank]
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].hi > addr.VA })
-	if i < len(spans) && addr.VA >= spans[i].lo {
-		s := &spans[i]
-		return s.g, s.gr, int(addr.VA - s.lo), true
-	}
-	return nil, 0, 0, false
-}
-
-// byID returns a registered GMR.
-func (w *World) byID(id int) *GMR { return w.ids[id] }
-
 // NumGMRs returns the number of live registered GMRs (test hook for
 // leak assertions).
-func (w *World) NumGMRs() int { return len(w.gmrs) }
+func (w *World) NumGMRs() int { return w.dir.Len() }
 
-// register enters a GMR into the translation table and both indexes.
-func (w *World) register(g *GMR) {
-	w.gmrs = append(w.gmrs, g)
-	if w.ids == nil {
-		w.ids = map[int]*GMR{}
-		w.spans = map[int][]gmrSpan{}
-	}
-	w.ids[g.id] = g
-	for gr, world := range g.group {
-		if g.sizes[gr] == 0 {
-			continue
-		}
-		lo := g.addrs[gr].VA
-		sp := gmrSpan{lo: lo, hi: lo + int64(g.sizes[gr]), g: g, gr: gr}
-		list := w.spans[world]
-		i := sort.Search(len(list), func(i int) bool { return list[i].lo >= sp.lo })
-		list = append(list, gmrSpan{})
-		copy(list[i+1:], list[i:])
-		list[i] = sp
-		w.spans[world] = list
-	}
-}
-
-// unregister removes a GMR from the table and both indexes.
-func (w *World) unregister(g *GMR) {
-	for i, e := range w.gmrs {
-		if e == g {
-			w.gmrs = append(w.gmrs[:i], w.gmrs[i+1:]...)
-			break
-		}
-	}
-	delete(w.ids, g.id)
-	for gr, world := range g.group {
-		if g.sizes[gr] == 0 {
-			continue
-		}
-		list := w.spans[world]
-		for i := range list {
-			if list[i].g == g && list[i].gr == gr {
-				w.spans[world] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-	}
-}
+// NumMutexSets returns the number of live mutex sets, likewise.
+func (w *World) NumMutexSets() int { return w.mutexSets }
 
 // Runtime is one rank's ARMCI-MPI handle.
 type Runtime struct {
@@ -240,8 +164,7 @@ type Runtime struct {
 	R   *mpi.Rank
 	Opt Options
 
-	coll armci.MPIColl
-	dla  map[int64]dlaSection // open direct-local-access sections by base VA
+	dla map[int64]dlaSection // open direct-local-access sections by base VA
 
 	// policy is the routing layer's decision maker (route.go); New
 	// installs the engine default, SetRoutePolicy replaces it.
@@ -291,7 +214,6 @@ type dlaSection struct {
 func New(w *World, r *mpi.Rank, opt Options) *Runtime {
 	rt := &Runtime{
 		W: w, R: r, Opt: opt,
-		coll:    armci.MPIColl{R: r},
 		dla:     map[int64]dlaSection{},
 		pending: map[*mpi.Win]*pendingOps{},
 	}
@@ -388,7 +310,7 @@ func (r *Runtime) MallocGroup(g *armci.Group, bytes int) ([]armci.Addr, error) {
 	if g == nil {
 		return nil, fmt.Errorf("armcimpi: MallocGroup with nil group")
 	}
-	return r.mallocOn(armci.GroupCommOf(g), g.Ranks, bytes)
+	return r.mallocOn(g.Comm, g.Ranks, bytes)
 }
 
 func (r *Runtime) mallocOn(comm *mpi.Comm, members []int, bytes int) ([]armci.Addr, error) {
@@ -412,88 +334,30 @@ func (r *Runtime) mallocOn(comm *mpi.Comm, members []int, bytes int) ([]armci.Ad
 		return nil, err
 	}
 	// The group's first member enters the GMR into the translation
-	// table; its id is broadcast so all members attach to one entry.
-	// Base addresses travel by allgather on small groups (the
-	// all-to-all of SectionV.B) and by gather-at-root on large ones, so
-	// the N-entry address table is built once instead of on every
-	// lock-stepped rank.
-	big := comm.Size() >= mpi.BigCommThreshold
-	var id int
-	if big {
-		parts := comm.Gather(0, mpi.I64sToBytes([]int64{va, int64(bytes)}))
-		if comm.Rank() == 0 {
-			g := newGMR(r.W, members, true)
-			for i, p := range parts {
-				v := mpi.BytesToI64s(p)
-				g.sizes[i] = int(v[1])
-				if g.sizes[i] > 0 {
-					g.addrs[i] = armci.Addr{Rank: members[i], VA: v[0]}
-				}
-			}
-			r.W.register(g)
-			id = g.id
-		}
-		id = int(comm.BcastI64(0, []int64{int64(id)})[0])
-	} else {
-		vas := comm.AllgatherI64([]int64{va, int64(bytes)})
-		if comm.Rank() == 0 {
-			g := newGMR(r.W, members, false)
-			for i, world := range members {
-				g.sizes[i] = int(vas[2*i+1])
-				if g.sizes[i] > 0 {
-					g.addrs[i] = armci.Addr{Rank: world, VA: vas[2*i]}
-				}
-			}
-			r.W.register(g)
-			id = g.id
-		}
-		id = int(comm.BcastI64(0, []int64{int64(id)})[0])
-	}
-	g := r.W.byID(id)
-	g.wins[r.Rank()] = win
+	// table; all members attach their window handle to the one entry.
+	g := r.W.dir.RegisterCollective(comm, members, va, bytes, func() gmrExt {
+		return gmrExt{wins: map[int]*mpi.Win{}, mutex: map[int]*Mutexes{}}
+	})
+	g.Ext.wins[r.Rank()] = win
 	// The per-GMR mutex for read-modify-write (SectionV.D).
 	mux, err := newMutexes(r, comm, 1)
 	if err != nil {
 		return nil, err
 	}
-	g.mutex[r.Rank()] = mux
+	g.Ext.mutex[r.Rank()] = mux
 	comm.Barrier()
 	o := r.obs()
 	o.Inc(r.Rank(), obs.CGmrAlloc)
 	o.Add(r.Rank(), obs.CGmrBytes, int64(bytes))
 	if o.Tracing() {
-		o.Span(r.Rank(), "armci", "gmr.alloc", t0, r.R.P.Now(), obs.A("bytes", bytes), obs.A("id", id))
+		o.Span(r.Rank(), "armci", "gmr.alloc", t0, r.R.P.Now(), obs.A("bytes", bytes), obs.A("id", g.ID))
 	}
-	if big {
+	if comm.Size() >= mpi.BigCommThreshold {
 		// One shared address vector for the job; callers treat it as
 		// read-only (a per-rank copy would be N² entries).
-		return g.addrs, nil
+		return g.Addrs, nil
 	}
-	return append([]armci.Addr(nil), g.addrs...), nil
-}
-
-// newGMR builds an empty GMR record over members. When shareGroup is
-// set the members slice is retained as-is (large groups pass the
-// job-wide shared group slice); otherwise it is copied.
-func newGMR(w *World, members []int, shareGroup bool) *GMR {
-	group := members
-	if !shareGroup {
-		group = append([]int(nil), members...)
-	}
-	g := &GMR{
-		id:     w.nextID,
-		group:  group,
-		rankOf: map[int]int{},
-		addrs:  make([]armci.Addr, len(members)),
-		sizes:  make([]int, len(members)),
-		wins:   map[int]*mpi.Win{},
-		mutex:  map[int]*Mutexes{},
-	}
-	w.nextID++
-	for i, world := range members {
-		g.rankOf[world] = i
-	}
-	return g
+	return append([]armci.Addr(nil), g.Addrs...), nil
 }
 
 // Free collectively releases a world allocation; processes with a
@@ -508,7 +372,7 @@ func (r *Runtime) FreeGroup(g *armci.Group, addr armci.Addr) error {
 	if g == nil {
 		return fmt.Errorf("armcimpi: FreeGroup with nil group")
 	}
-	return r.freeOn(armci.GroupCommOf(g), addr)
+	return r.freeOn(g.Comm, addr)
 }
 
 func (r *Runtime) freeOn(comm *mpi.Comm, addr armci.Addr) error {
@@ -532,17 +396,17 @@ func (r *Runtime) freeOn(comm *mpi.Comm, addr armci.Addr) error {
 	}
 	hdr = comm.BcastI64(leaderComm, hdr)
 	key := armci.Addr{Rank: leader, VA: hdr[0]}
-	g, _, _, ok := r.W.find(key)
+	g, _, _, ok := r.W.dir.Find(key)
 	if !ok {
 		return fmt.Errorf("armcimpi: Free(%v): no GMR for leader address", key)
 	}
 	// Destroy the RMW mutex and the window, then release local memory.
-	if mux := g.mutex[r.Rank()]; mux != nil {
+	if mux := g.Ext.mutex[r.Rank()]; mux != nil {
 		if err := mux.Destroy(); err != nil {
 			return err
 		}
 	}
-	win := g.wins[r.Rank()]
+	win := g.Ext.wins[r.Rank()]
 	if err := r.ensureNoLockAll(win); err != nil {
 		return err
 	}
@@ -550,15 +414,14 @@ func (r *Runtime) freeOn(comm *mpi.Comm, addr armci.Addr) error {
 	if err := win.Free(); err != nil {
 		return err
 	}
-	gr := g.rankOf[r.Rank()]
-	if g.sizes[gr] > 0 {
-		if err := r.W.Mpi.M.Space(r.Rank()).Free(g.addrs[gr].VA); err != nil {
+	if gr := g.RankOf(r.Rank()); g.Sizes[gr] > 0 {
+		if err := r.W.Mpi.M.Space(r.Rank()).Free(g.Addrs[gr].VA); err != nil {
 			return err
 		}
 	}
 	comm.Barrier()
 	if comm.Rank() == 0 {
-		r.W.unregister(g)
+		r.W.dir.Unregister(g)
 	}
 	r.obs().Inc(r.Rank(), obs.CGmrFree)
 	return nil

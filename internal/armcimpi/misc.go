@@ -17,14 +17,14 @@ func (r *Runtime) AccessBegin(addr armci.Addr, n int) ([]byte, error) {
 	if addr.Rank != r.Rank() {
 		return nil, fmt.Errorf("armcimpi: AccessBegin on remote address %v", addr)
 	}
-	g, gr, _, ok := r.W.find(addr)
+	g, gr, _, ok := r.W.dir.Find(addr)
 	if !ok {
 		return nil, fmt.Errorf("armcimpi: AccessBegin: %v is not in any GMR", addr)
 	}
 	if _, open := r.dla[addr.VA]; open {
 		return nil, fmt.Errorf("armcimpi: AccessBegin: %v already open", addr)
 	}
-	win := g.wins[r.Rank()]
+	win := g.Ext.wins[r.Rank()]
 	if r.Opt.UseMPI3 {
 		// Lock-all stays open; quiesce this origin's pending operations
 		// and rely on coherence for direct access (how later ARMCI-MPI
@@ -57,8 +57,8 @@ func (r *Runtime) AccessEnd(addr armci.Addr) error {
 	if r.Opt.UseMPI3 {
 		return nil // lock-all stays open; coherence publishes the stores
 	}
-	gr := sec.g.rankOf[r.Rank()]
-	return sec.g.wins[r.Rank()].Unlock(gr)
+	gr := sec.g.RankOf(r.Rank())
+	return sec.g.Ext.wins[r.Rank()].Unlock(gr)
 }
 
 // SetAccessMode installs the SectionVIII.A access-mode hint on the
@@ -66,13 +66,13 @@ func (r *Runtime) AccessEnd(addr armci.Addr) error {
 // processes must agree on the phase change, and in-flight conflicting
 // operations must be complete.
 func (r *Runtime) SetAccessMode(mode armci.AccessMode, addr armci.Addr) error {
-	g, _, _, ok := r.W.find(addr)
+	g, _, _, ok := r.W.dir.Find(addr)
 	if !ok {
 		return fmt.Errorf("armcimpi: SetAccessMode: %v is not in any GMR", addr)
 	}
 	// Fence is free (SectionV.F); the barrier orders the phase change.
 	r.Barrier()
-	g.mode = mode
+	g.Ext.mode = mode
 	r.Barrier()
 	return nil
 }
@@ -94,7 +94,7 @@ func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, er
 	if err != nil {
 		return 0, err
 	}
-	win := g.wins[r.Rank()]
+	win := g.Ext.wins[r.Rank()]
 	if r.Opt.UseMPI3 {
 		// SectionVIII.B: a single atomic fetch-and-op under lock-all —
 		// no lock round trips, no mutex.
@@ -116,7 +116,7 @@ func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, er
 		return old, nil
 	}
 	// MPI-2 path: mutex + read epoch + write epoch.
-	mux := g.mutex[r.Rank()]
+	mux := g.Ext.mutex[r.Rank()]
 	mux.Lock(0, addr.Rank)
 	scratch := r.R.AllocMem(8)
 	defer r.W.Mpi.M.Space(r.Rank()).Free(scratch.VA)
@@ -154,40 +154,14 @@ func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, er
 }
 
 // GroupCreateCollective creates an ARMCI processor group; all world
-// processes call (non-members receive nil). Backed directly by an MPI
-// communicator (SectionV.A).
+// processes call (non-members receive nil).
 func (r *Runtime) GroupCreateCollective(members []int) (*armci.Group, error) {
-	ms := sortedUnique(members)
-	impl := r.coll.GroupComm(ms, true)
-	if impl == nil {
-		return nil, nil
-	}
-	return &armci.Group{Ranks: ms, Impl: impl}, nil
+	return armci.GroupCreateCollective(r.R, members)
 }
 
-// GroupCreate creates a group noncollectively — only members call —
-// using the recursive intercommunicator creation and merging algorithm
-// of the authors' prior work (SectionV.A).
+// GroupCreate creates a group noncollectively — only members call.
 func (r *Runtime) GroupCreate(members []int) (*armci.Group, error) {
-	ms := sortedUnique(members)
-	impl := r.coll.GroupComm(ms, false)
-	return &armci.Group{Ranks: ms, Impl: impl}, nil
-}
-
-func sortedUnique(members []int) []int {
-	ms := append([]int(nil), members...)
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j] < ms[j-1]; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-	out := ms[:0]
-	for i, v := range ms {
-		if i == 0 || v != ms[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return armci.GroupCreate(r.R, members)
 }
 
 // LocalBytes exposes local buffer memory on the calling process. For

@@ -85,6 +85,9 @@ func newMutexes(r *Runtime, parent *mpi.Comm, n int) (*Mutexes, error) {
 	}
 	m.win = win
 	m.scratch = r.R.AllocMem(comm.Size() + 1)
+	if comm.Rank() == 0 {
+		r.W.mutexSets++
+	}
 	return m, nil
 }
 
@@ -196,6 +199,9 @@ func (m *Mutexes) Unlock(mtx, proc int) {
 func (m *Mutexes) Destroy() error {
 	if err := m.win.Free(); err != nil {
 		return err
+	}
+	if m.comm.Rank() == 0 {
+		m.r.W.mutexSets--
 	}
 	sp := m.r.W.Mpi.M.Space(m.r.Rank())
 	if m.win.LocalRegion() != nil {

@@ -23,9 +23,9 @@ const (
 // hint guarantees the operation mix cannot conflict (SectionVIII.A).
 func lockType(g *GMR, class OpClass) mpi.LockType {
 	switch {
-	case g.mode == armci.ModeReadOnly && class == ClassGet:
+	case g.Ext.mode == armci.ModeReadOnly && class == ClassGet:
 		return mpi.LockShared
-	case g.mode == armci.ModeAccOnly && class == ClassAcc:
+	case g.Ext.mode == armci.ModeAccOnly && class == ClassAcc:
 		return mpi.LockShared
 	default:
 		return mpi.LockExclusive
@@ -81,7 +81,7 @@ func (r *Runtime) acquireLocal(addr armci.Addr, span int) (localView, error) {
 	if reg == nil {
 		return localView{}, fmt.Errorf("armcimpi: local address %v (+%d) not in any allocation", addr, span)
 	}
-	g, gr, _, inGMR := r.W.find(addr)
+	g, gr, _, inGMR := r.W.dir.Find(addr)
 	// MPI-3 mode needs no staging: lock-all relaxes conflicting access
 	// from erroneous to undefined, and the coherent-platform assumption
 	// (SectionV.E.1) makes direct use safe.
@@ -94,7 +94,7 @@ func (r *Runtime) acquireLocal(addr armci.Addr, span int) (localView, error) {
 	// so copy directly under the section's protection instead.
 	t0 := r.R.P.Now()
 	tmp := r.R.AllocMem(span)
-	win := g.wins[r.Rank()]
+	win := g.Ext.wins[r.Rank()]
 	owned := r.dlaCovers(g, addr.VA, span)
 	if !owned {
 		if err := win.Lock(mpi.LockExclusive, gr); err != nil {
@@ -125,7 +125,7 @@ func (r *Runtime) release(v *localView, writeBack bool) error {
 	}
 	m := r.W.Mpi.M
 	if writeBack {
-		win := v.g.wins[r.Rank()]
+		win := v.g.Ext.wins[r.Rank()]
 		if !v.dlaOwned {
 			if err := win.Lock(mpi.LockExclusive, v.myRank); err != nil {
 				return err
@@ -151,13 +151,13 @@ func (v *localView) buf(va int64, t mpi.Datatype) mpi.LocalBuf {
 
 // remote resolves a global address to (GMR, window rank, displacement).
 func (r *Runtime) remote(addr armci.Addr, n int) (*GMR, int, int, error) {
-	g, gr, disp, ok := r.W.find(addr)
+	g, gr, disp, ok := r.W.dir.Find(addr)
 	if !ok {
 		return nil, 0, 0, fmt.Errorf("armcimpi: %v is not in any GMR", addr)
 	}
-	if disp+n > g.sizes[gr] {
+	if disp+n > g.Sizes[gr] {
 		return nil, 0, 0, fmt.Errorf("armcimpi: access %v(+%d) overruns GMR slice of %d bytes",
-			addr, n, g.sizes[gr])
+			addr, n, g.Sizes[gr])
 	}
 	return g, gr, disp, nil
 }

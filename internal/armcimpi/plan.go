@@ -225,7 +225,7 @@ func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (*pla
 	tree.Reset()
 	var g0 *GMR
 	for _, sg := range segs {
-		g, _, _, ok := r.W.find(sg.remote)
+		g, _, _, ok := r.W.dir.Find(sg.remote)
 		if !ok {
 			safe = false
 			break
@@ -276,7 +276,7 @@ func (r *Runtime) compileConservative(class OpClass, scale float64, segs []iovSe
 // be done while the remote epoch is open).
 func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (*plan, error) {
 	for _, sg := range segs {
-		if _, _, _, inGMR := r.W.find(sg.local); inGMR && !r.Opt.NoStaging {
+		if _, _, _, inGMR := r.W.dir.Find(sg.local); inGMR && !r.Opt.NoStaging {
 			return r.compileConservative(class, scale, segs), nil
 		}
 	}
@@ -296,7 +296,7 @@ func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (*
 	if err != nil {
 		return nil, err
 	}
-	base := g.addrs[gr]
+	base := g.Addrs[gr]
 	ps := make([]planSeg, len(segs))
 	for i, sg := range segs {
 		ps[i] = planSeg{local: sg.local, disp: int(sg.remote.VA - base.VA), n: sg.n}
@@ -315,7 +315,7 @@ func (r *Runtime) compileIOVDirect(class OpClass, scale float64, segs []iovSeg) 
 	if err != nil {
 		return nil, err
 	}
-	base := g.addrs[gr]
+	base := g.Addrs[gr]
 	// Local side: offsets relative to the lowest local address.
 	localBase := segs[0].local.VA
 	for _, sg := range segs {
@@ -349,7 +349,7 @@ func (r *Runtime) compileIOVDirect(class OpClass, scale float64, segs []iovSeg) 
 // remoteGMR resolves a remote address to its GMR without a span check
 // (per-segment checks happen via window bounds).
 func (r *Runtime) remoteGMR(addr armci.Addr) (*GMR, int, int, error) {
-	g, gr, disp, ok := r.W.find(addr)
+	g, gr, disp, ok := r.W.dir.Find(addr)
 	if !ok {
 		return nil, 0, 0, fmt.Errorf("armcimpi: %v is not in any GMR", addr)
 	}

@@ -120,10 +120,6 @@ type RouteDecision struct {
 // (the decision itself costs nothing) and free of data movement.
 type RoutePolicy interface {
 	Decide(req RouteRequest) RouteDecision
-	// Count tallies one routed operation; the engine calls it from the
-	// single decision point (never for per-segment re-entries of an
-	// already routed descriptor, and never for RouteOf probes).
-	Count(dec RouteDecision)
 	// Staged is the accounting callback the executor invokes after
 	// modeling one leader-staging event of n bytes.
 	Staged(n int)
@@ -152,8 +148,7 @@ func (p enginePolicy) Decide(req RouteRequest) RouteDecision {
 	return d
 }
 
-func (enginePolicy) Count(RouteDecision) {}
-func (enginePolicy) Staged(int)          {}
+func (enginePolicy) Staged(int) {}
 
 // MethodFor resolves the configured noncontiguous method for a shape
 // (contiguous transfers have no method choice and report direct).
@@ -207,7 +202,6 @@ func (r *Runtime) decide(req RouteRequest) routed {
 	d := r.policy.Decide(req)
 	if !d.PerSeg {
 		r.countRoute(d, req.Bytes)
-		r.policy.Count(d)
 	}
 	return routed{dec: d, bytes: req.Bytes}
 }

@@ -30,7 +30,6 @@ package dartmpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/armci"
 	"repro/internal/armcimpi"
@@ -49,15 +48,11 @@ type World struct {
 	Mpi   *mpi.World
 	Inner *armcimpi.World
 
-	allocs []*alloc
-	ids    map[int]*alloc
-	nextID int
-
-	// spans holds each world rank's allocations as a VA-sorted interval
-	// list, mirroring the armcimpi GMR index: find resolves
-	// <rank, address> in O(log #allocations) instead of scanning every
-	// allocation on every near-tier classification.
-	spans map[int][]dartSpan
+	// dir records each collective allocation a second time, with the
+	// same membership metadata armcimpi keeps for its GMR: the entry's
+	// extension is each member's handle of its node-local shared
+	// window, by world rank.
+	dir armci.Directory[map[int]*mpi.Win]
 
 	// testAttachFault, when set, is invoked at the top of attachNodeWin
 	// and its error returned as if window creation failed — the
@@ -65,122 +60,21 @@ type World struct {
 	// it so every rank of the collective fails alike.
 	testAttachFault func(bytes int) error
 
-	// Counters, updated by the policy's Count/Staged hooks from the
-	// engine's single routing decision point.
-	SelfOps     int64 // ops routed to the load-store tier
-	NodeOps     int64 // ops routed to the same-node shm tier
-	RemoteOps   int64 // ops routed to the inter-node RMA tier
+	// Counters, updated by the policy's Staged hook.
 	Staged      int64 // remote transfers staged through the node leader
 	StagedBytes int64 // bytes copied through leader staging buffers
-}
-
-// alloc is one collective allocation's node-window record: the same
-// membership metadata armcimpi keeps for its GMR, plus each member's
-// handle of its node-local shared window.
-type alloc struct {
-	id       int
-	group    []int        // world ranks (ascending)
-	rankOf   map[int]int  // world rank -> group rank
-	addrs    []armci.Addr // base address per group rank (Nil if size 0)
-	sizes    []int
-	nodeWins map[int]*mpi.Win // per-world-rank handle of its node window
 }
 
 // NewWorld creates dartmpi state on an MPI world. The inner armcimpi
 // world shares the same MPI world, so collectives, observability, and
 // the fabric are common to both layers.
 func NewWorld(mw *mpi.World) *World {
-	return &World{
-		Mpi:   mw,
-		Inner: armcimpi.NewWorld(mw),
-		ids:   map[int]*alloc{},
-	}
-}
-
-// dartSpan is one rank-local VA interval [lo, hi) of an allocation.
-type dartSpan struct {
-	lo, hi int64
-	a      *alloc
-	gr     int // the allocation's group rank on this world rank
-}
-
-// find locates the allocation fully containing [addr, addr+n) and
-// returns its group rank for addr.Rank, by binary search over the
-// rank's sorted interval list. Containment (not just base membership)
-// is required, so the near tiers can never overrun a slice;
-// out-of-range accesses fall through to the wire path, which reports
-// them with the engine's usual diagnostics.
-func (w *World) find(addr armci.Addr, n int) (*alloc, int, bool) {
-	spans := w.spans[addr.Rank]
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].hi > addr.VA })
-	if i < len(spans) && addr.VA >= spans[i].lo && addr.VA+int64(n) <= spans[i].hi {
-		return spans[i].a, spans[i].gr, true
-	}
-	return nil, 0, false
-}
-
-// findByBase locates the allocation whose slice on key.Rank starts
-// exactly at key.VA (the leader-election lookup during Free).
-func (w *World) findByBase(key armci.Addr) *alloc {
-	spans := w.spans[key.Rank]
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].lo >= key.VA })
-	if i < len(spans) && spans[i].lo == key.VA {
-		return spans[i].a
-	}
-	return nil
-}
-
-// register enters an allocation into the translation table and the
-// span index.
-func (w *World) register(a *alloc) {
-	a.id = w.nextID
-	w.nextID++
-	w.allocs = append(w.allocs, a)
-	w.ids[a.id] = a
-	if w.spans == nil {
-		w.spans = map[int][]dartSpan{}
-	}
-	for gr, world := range a.group {
-		if a.sizes[gr] == 0 {
-			continue
-		}
-		lo := a.addrs[gr].VA
-		sp := dartSpan{lo: lo, hi: lo + int64(a.sizes[gr]), a: a, gr: gr}
-		list := w.spans[world]
-		i := sort.Search(len(list), func(i int) bool { return list[i].lo >= sp.lo })
-		list = append(list, dartSpan{})
-		copy(list[i+1:], list[i:])
-		list[i] = sp
-		w.spans[world] = list
-	}
-}
-
-// unregister removes an allocation from the table and the span index.
-func (w *World) unregister(a *alloc) {
-	for i, e := range w.allocs {
-		if e == a {
-			w.allocs = append(w.allocs[:i], w.allocs[i+1:]...)
-			break
-		}
-	}
-	delete(w.ids, a.id)
-	for gr, world := range a.group {
-		if a.sizes[gr] == 0 {
-			continue
-		}
-		list := w.spans[world]
-		for i := range list {
-			if list[i].a == a && list[i].gr == gr {
-				w.spans[world] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-	}
+	return &World{Mpi: mw, Inner: armcimpi.NewWorld(mw)}
 }
 
 // NumAllocs returns the number of live node-window allocations
 // (diagnostics and leak tests).
-func (w *World) NumAllocs() int { return len(w.allocs) }
+func (w *World) NumAllocs() int { return w.dir.Len() }
 
 // SetAttachFault installs (or, with nil, clears) the error-injection
 // hook invoked at the top of attachNodeWin. Test hook: the fault is
@@ -255,7 +149,7 @@ func (r *Runtime) MallocGroup(g *armci.Group, bytes int) ([]armci.Addr, error) {
 		return nil, err
 	}
 	mine := addrs[g.RankOf(r.Rank())]
-	if err := r.attachNodeWin(armci.GroupCommOf(g), g.Ranks, mine, bytes); err != nil {
+	if err := r.attachNodeWin(g.Comm, g.Ranks, mine, bytes); err != nil {
 		if ferr := r.Runtime.FreeGroup(g, mine); ferr != nil {
 			return nil, fmt.Errorf("%w (inner free during cleanup also failed: %v)", err, ferr)
 		}
@@ -297,66 +191,13 @@ func (r *Runtime) attachNodeWin(comm *mpi.Comm, members []int, myAddr armci.Addr
 	if err != nil {
 		return err
 	}
-	// Exchange base addresses over the full allocation group so every
-	// member holds identical translation metadata. Small groups use the
-	// symmetric allgather; large groups gather at rank 0, which builds
-	// the shared record once (the table is shared via the ids map, so
-	// no other rank ever needs the address vector).
-	big := comm.Size() >= mpi.BigCommThreshold
-	var id int
-	if big {
-		parts := comm.Gather(0, mpi.I64sToBytes([]int64{va, int64(bytes)}))
-		if comm.Rank() == 0 {
-			a := newAlloc(members, true)
-			for i, p := range parts {
-				v := mpi.BytesToI64s(p)
-				a.sizes[i] = int(v[1])
-				if a.sizes[i] > 0 {
-					a.addrs[i] = armci.Addr{Rank: members[i], VA: v[0]}
-				}
-			}
-			r.W.register(a)
-			id = a.id
-		}
-	} else {
-		vas := comm.AllgatherI64([]int64{va, int64(bytes)})
-		if comm.Rank() == 0 {
-			a := newAlloc(members, false)
-			for i, world := range members {
-				a.sizes[i] = int(vas[2*i+1])
-				if a.sizes[i] > 0 {
-					a.addrs[i] = armci.Addr{Rank: world, VA: vas[2*i]}
-				}
-			}
-			r.W.register(a)
-			id = a.id
-		}
-	}
-	id = int(comm.BcastI64(0, []int64{int64(id)})[0])
-	r.W.ids[id].nodeWins[me] = win
+	// Exchange base addresses over the full allocation group and attach
+	// this member's node window to the shared entry.
+	r.W.dir.RegisterCollective(comm, members, va, bytes, func() map[int]*mpi.Win {
+		return map[int]*mpi.Win{}
+	}).Ext[me] = win
 	comm.Barrier()
 	return nil
-}
-
-// newAlloc builds an empty allocation record over members. When
-// shareGroup is set the members slice is retained as-is (large groups
-// pass the job-wide shared group slice); otherwise it is copied.
-func newAlloc(members []int, shareGroup bool) *alloc {
-	group := members
-	if !shareGroup {
-		group = append([]int(nil), members...)
-	}
-	a := &alloc{
-		group:    group,
-		rankOf:   map[int]int{},
-		addrs:    make([]armci.Addr, len(members)),
-		sizes:    make([]int, len(members)),
-		nodeWins: map[int]*mpi.Win{},
-	}
-	for i, world := range members {
-		a.rankOf[world] = i
-	}
-	return a
 }
 
 // Free collectively releases a world allocation.
@@ -369,7 +210,7 @@ func (r *Runtime) FreeGroup(g *armci.Group, addr armci.Addr) error {
 	if g == nil {
 		return fmt.Errorf("dartmpi: FreeGroup with nil group")
 	}
-	return r.freeOn(armci.GroupCommOf(g), addr, func() error { return r.Runtime.FreeGroup(g, addr) })
+	return r.freeOn(g.Comm, addr, func() error { return r.Runtime.FreeGroup(g, addr) })
 }
 
 // freeOn tears down the node window first (its group is a sub-set of
@@ -397,18 +238,18 @@ func (r *Runtime) freeOn(comm *mpi.Comm, addr armci.Addr, innerFree func() error
 	}
 	hdr = comm.BcastI64(comm.RankOfWorld(leader), hdr)
 	key := armci.Addr{Rank: leader, VA: hdr[0]}
-	a := r.W.findByBase(key)
+	a := r.W.dir.FindBase(key)
 	if a == nil {
 		return fmt.Errorf("dartmpi: Free(%v): no allocation for leader address", key)
 	}
-	if win := a.nodeWins[r.Rank()]; win != nil {
+	if win := a.Ext[r.Rank()]; win != nil {
 		if err := win.Free(); err != nil {
 			return err
 		}
 	}
 	comm.Barrier()
 	if comm.Rank() == 0 {
-		r.W.unregister(a)
+		r.W.dir.Unregister(a)
 	}
 	return innerFree()
 }

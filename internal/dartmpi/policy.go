@@ -1,9 +1,6 @@
 package dartmpi
 
-import (
-	"repro/internal/armcimpi"
-	"repro/internal/obs"
-)
+import "repro/internal/armcimpi"
 
 // dartPolicy is dartmpi's RoutePolicy: the locality classifier the
 // engine consults once per operation. It only answers routing
@@ -45,8 +42,8 @@ func (p dartPolicy) Decide(req armcimpi.RouteRequest) armcimpi.RouteDecision {
 		return d
 	}
 	if near && req.Bytes > 0 && req.Local.Rank == me {
-		if a, gr, ok := r.W.find(req.Remote, req.Bytes); ok {
-			if win := a.nodeWins[me]; win != nil {
+		if a, gr, ok := r.W.dir.FindRange(req.Remote, req.Bytes); ok {
+			if win := a.Ext[me]; win != nil {
 				if wr := win.Comm().RankOfWorld(req.Remote.Rank); wr >= 0 {
 					d.Direct = true
 					d.Route = armcimpi.RouteNode
@@ -56,7 +53,7 @@ func (p dartPolicy) Decide(req armcimpi.RouteRequest) armcimpi.RouteDecision {
 					d.Node = armcimpi.NodeBinding{
 						Win:  win,
 						Rank: wr,
-						Disp: int(req.Remote.VA - a.addrs[gr].VA),
+						Disp: int(req.Remote.VA - a.Addrs[gr].VA),
 					}
 					return d
 				}
@@ -84,26 +81,6 @@ func (p dartPolicy) staged(target, n int) bool {
 		return false
 	}
 	return me != m.NodeOf(me)*m.Par.CoresPerNode
-}
-
-// Count tallies one routed operation. The engine calls it from its
-// single decision point: whole descriptors that re-enter per segment
-// are not counted here — their segments are, individually.
-func (p dartPolicy) Count(d armcimpi.RouteDecision) {
-	w := p.r.W
-	o := w.Mpi.Obs
-	me := p.r.Rank()
-	switch d.Route {
-	case armcimpi.RouteSelf:
-		w.SelfOps++
-		o.Inc(me, obs.CDartSelf)
-	case armcimpi.RouteNode:
-		w.NodeOps++
-		o.Inc(me, obs.CDartNode)
-	default:
-		w.RemoteOps++
-		o.Inc(me, obs.CDartRemote)
-	}
 }
 
 // Staged records one leader-staging event the executor modeled (the

@@ -24,8 +24,6 @@
 package dataserver
 
 import (
-	"fmt"
-
 	"repro/internal/armci"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -38,92 +36,45 @@ import (
 // server (tag matching, envelope processing).
 const tagMatchNs = 450
 
-// World is the shared state of the data-server ARMCI job.
+// World is the shared state of the data-server ARMCI job: the direct
+// runtime's world (the ARMCI surface is armci.Direct) plus the servers'
+// queues. Its Obs recorder, when non-nil, also receives per-rank
+// request counters, queueing delays, and server-lane trace spans.
 type World struct {
-	M   *fabric.Machine
+	*armci.DirectWorld
 	Tun *platform.Tuning
-
-	allocs []*allocation
-	nextID int
 
 	// serverBusy[node] is the per-node data server's queue horizon —
 	// the structural bottleneck.
 	serverBusy []sim.Time
-	// lastRemote[origin][target] tracks remote completion for Fence.
-	lastRemote [][]sim.Time
-	mutexes    []*mutexHost
 
 	// Counters.
-	Ops        int64
 	Requests   int64
 	ServerWait sim.Time // aggregate time requests spent queued at servers
-
-	// Obs, when non-nil, receives per-rank request counters, queueing
-	// delays, and server-lane trace spans. Nil-safe no-ops when off.
-	Obs *obs.Recorder
-}
-
-type allocation struct {
-	id     int
-	group  []int
-	rankOf map[int]int
-	addrs  []armci.Addr
-	sizes  []int
 }
 
 // NewWorld creates data-server ARMCI state.
 func NewWorld(m *fabric.Machine, tun *platform.Tuning) *World {
 	nodes := (m.NRanks + m.Par.CoresPerNode - 1) / m.Par.CoresPerNode
-	w := &World{M: m, Tun: tun, serverBusy: make([]sim.Time, nodes)}
-	w.lastRemote = make([][]sim.Time, m.NRanks)
-	for i := range w.lastRemote {
-		w.lastRemote[i] = make([]sim.Time, m.NRanks)
-	}
+	w := &World{Tun: tun, serverBusy: make([]sim.Time, nodes)}
+	w.DirectWorld = armci.NewDirectWorld(m, w)
 	return w
 }
 
-// Runtime is one rank's data-server ARMCI handle.
-type Runtime struct {
-	w    *World
-	coll Collective
-	p    *sim.Proc
-	dla  map[int64]bool
+var _ armci.Transport = (*World)(nil)
+
+// Labels names the runtime and its park reasons. A get parks under its
+// own name: the two-sided protocol completes it before returning.
+func (w *World) Labels() armci.Labels {
+	return armci.Labels{Name: "armci-ds", Wait: "armci-ds.Get", Rmw: "armci-ds.Rmw", MutexLock: "armci-ds.MutexLock"}
 }
 
-// Collective matches the bootstrap interface of the native runtime.
-type Collective interface {
-	Barrier()
-	AllgatherI64(vals []int64) []int64
-	BcastI64(root int, vals []int64) []int64
-	GroupComm(members []int, collective bool) interface{}
-	GroupAllgatherI64(g interface{}, vals []int64) []int64
-	GroupBarrier(g interface{})
-	GroupBcastI64(g interface{}, root int, vals []int64) []int64
-}
+// OpCost is the per-operation software overhead at the origin.
+func (w *World) OpCost() sim.Time { return sim.FromSeconds(w.Tun.OpOverheadNs / 1e9) }
 
-// New creates the per-rank handle.
-func New(w *World, coll Collective, p *sim.Proc) *Runtime {
-	return &Runtime{w: w, coll: coll, p: p, dla: map[int64]bool{}}
-}
-
-var _ armci.Runtime = (*Runtime)(nil)
-
-// Name identifies the implementation.
-func (r *Runtime) Name() string { return "armci-ds" }
-
-// Rank returns the calling world rank.
-func (r *Runtime) Rank() int { return r.p.ID() }
-
-// Nprocs returns the world size.
-func (r *Runtime) Nprocs() int { return r.w.M.NRanks }
-
-// Proc returns the simulation context.
-func (r *Runtime) Proc() *sim.Proc { return r.p }
-
-func (r *Runtime) opCost() {
-	r.p.Elapse(sim.FromSeconds(r.w.Tun.OpOverheadNs / 1e9))
-	r.w.Ops++
-}
+// AllocDomain leaves ARMCI memory unregistered: the server maps it into
+// node-shared space, and the data server, not the NIC, serves it.
+func (w *World) AllocDomain() (fabric.Domain, bool) { return fabric.DomainNone, false }
 
 // serve schedules one request at the target node's data server: the
 // server becomes available at max(arrive, busy), spends procNs plus
@@ -143,171 +94,131 @@ func (w *World) serve(node int, arrive sim.Time, copyBytes int, procNs float64) 
 }
 
 // rate is the two-sided path's achievable link fraction.
-func (r *Runtime) rate() float64 {
-	return r.w.M.Par.Bandwidth * r.w.Tun.BandwidthFrac
-}
+func (w *World) rate() float64 { return w.M.Par.Bandwidth * w.Tun.BandwidthFrac }
 
-// region resolves an address to its backing region.
-func (r *Runtime) region(a armci.Addr, n int) (*fabric.Region, error) {
-	reg := r.w.M.Space(a.Rank).Find(a.VA, n)
-	if reg == nil {
-		return nil, fmt.Errorf("armci-ds: address %v (+%d) not in any allocation", a, n)
+// served records one data request's pass through node's server: the
+// origin's queue and service phases, its request counters, and the
+// server-lane trace span.
+func (w *World) served(origin, node int, name string, bytes int, arrive, start, done sim.Time) {
+	if pr := w.Obs.Prof(); pr != nil {
+		pr.PhaseAt(origin, profile.PhaseTargetQueue, arrive, start)
+		pr.PhaseAt(origin, profile.PhaseTargetProc, start, done)
 	}
-	return reg, nil
-}
-
-// noteRemote records remote completion for Fence.
-func (r *Runtime) noteRemote(target int, at sim.Time) {
-	if r.w.lastRemote[r.Rank()][target] < at {
-		r.w.lastRemote[r.Rank()][target] = at
-	}
-}
-
-// putSegs ships segments to the target's data server: one two-sided
-// exchange carrying the whole payload, then the server copies each
-// segment into place (server-side staging copy).
-func (r *Runtime) putSegs(segs []armci.Seg, target int, accumulate bool, scale float64) error {
-	if len(segs) == 0 {
-		return nil
-	}
-	r.opCost()
-	m := r.w.M
-	total := 0
-	for _, sg := range segs {
-		total += sg.N
-	}
-	slab := armci.Gather(m, segs, total, scale)
-	node := m.NodeOf(target)
-	me := r.Rank()
-	pr := r.w.Obs.Prof()
-	if m.SameNode(r.Rank(), target) && !accumulate {
-		// Node-local shared memory: direct copy, no server involved.
-		t0c := r.p.Now()
-		m.CopyLocal(r.p, total)
-		if pr != nil {
-			pr.PhaseAt(me, profile.PhaseShmCopy, t0c, r.p.Now())
-			pr.Send(me, target, profile.MsgPut, profile.RouteShm, total)
-			pr.Recv(me, target, profile.MsgPut, profile.RouteShm, total)
-		}
-		armci.Scatter(m, segs, slab, false)
-		r.noteRemote(target, r.p.Now())
-		return nil
-	}
-	arrive := m.SendDataAsync(r.Rank(), target, total, fabric.XferOpt{Rate: r.rate()})
-	class := profile.MsgPut
-	if accumulate {
-		class = profile.MsgAcc
-	}
-	if pr != nil {
-		base, xs, xa := m.LastXfer()
-		pr.PhaseAt(me, profile.PhaseWireQueue, base, xs)
-		pr.PhaseAt(me, profile.PhaseWire, xs, xa)
-		pr.Send(me, target, class, profile.RouteDS, total)
-	}
-	procNs := 0.0
-	copyBytes := total // staging copy out of the receive buffer
-	if accumulate {
-		procNs = float64(total) / r.accRate() * 1e9
-	}
-	start, done := r.w.serve(node, arrive, copyBytes, procNs)
-	if pr != nil {
-		pr.PhaseAt(me, profile.PhaseTargetQueue, arrive, start)
-		pr.PhaseAt(me, profile.PhaseTargetProc, start, done)
-	}
-	o := r.w.Obs
-	o.Inc(r.Rank(), obs.CDsRequests)
-	o.AddTime(r.Rank(), obs.TDsWait, start-arrive)
-	name := "put"
-	if accumulate {
-		name = "acc"
-	}
+	o := w.Obs
+	o.Inc(origin, obs.CDsRequests)
+	o.AddTime(origin, obs.TDsWait, start-arrive)
 	if o.Tracing() {
 		o.SpanLane(obs.LaneServer(node), "ds", name, start, done,
-			obs.A("origin", r.Rank()), obs.A("bytes", total))
+			obs.A("origin", origin), obs.A("bytes", bytes))
 	}
+}
+
+// wire records the transfer SendDataAsync just booked — its queue and
+// wire phases at rank me — and the message it carries.
+func (w *World) wire(me, from, to int, class profile.MsgClass, bytes int) {
+	if pr := w.Obs.Prof(); pr != nil {
+		base, xs, xa := w.M.LastXfer()
+		pr.PhaseAt(me, profile.PhaseWireQueue, base, xs)
+		pr.PhaseAt(me, profile.PhaseWire, xs, xa)
+		pr.Send(from, to, class, profile.RouteDS, bytes)
+	}
+}
+
+// shm performs the node-local leg of a transfer between ranks sharing
+// memory: one copy at the node's rate, no server involved.
+func (w *World) shm(p *sim.Proc, from, to int, class profile.MsgClass, bytes int) {
+	t0 := p.Now()
+	w.M.CopyLocal(p, bytes)
+	if pr := w.Obs.Prof(); pr != nil {
+		pr.PhaseAt(p.ID(), profile.PhaseShmCopy, t0, p.Now())
+		pr.Send(from, to, class, profile.RouteShm, bytes)
+		pr.Recv(from, to, class, profile.RouteShm, bytes)
+	}
+}
+
+// Put ships the segments to the target's data server: one two-sided
+// exchange carrying the whole payload — the server unpacks a strided or
+// IOV descriptor itself, which is this design's noncontiguous
+// advantage — then the server copies each segment into place
+// (server-side staging copy).
+func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
+	m, me, target, total := w.M, p.ID(), x.Target, x.Total
+	slab := x.Gather(m)
+	if m.SameNode(me, target) && !x.Accumulate {
+		// Node-local shared memory: direct copy.
+		w.shm(p, me, target, profile.MsgPut, total)
+		x.Scatter(m, slab)
+		return p.Now()
+	}
+	arrive := m.SendDataAsync(me, target, total, fabric.XferOpt{Rate: w.rate()})
+	class, name, procNs := profile.MsgPut, "put", 0.0
+	if x.Accumulate {
+		accRate := m.Par.AccumRate
+		if w.Tun.AccumRate > 0 {
+			accRate = w.Tun.AccumRate
+		}
+		class, name, procNs = profile.MsgAcc, "acc", float64(total)/accRate*1e9
+	}
+	w.wire(me, me, target, class, total)
+	// The staging copy out of the receive buffer covers the payload.
+	start, done := w.serve(m.NodeOf(target), arrive, total, procNs)
+	w.served(me, m.NodeOf(target), name, total, arrive, start, done)
+	pr := w.Obs.Prof()
 	m.Eng.At(done, func() {
 		if pr != nil {
 			pr.Recv(me, target, class, profile.RouteDS, total)
 		}
-		armci.Scatter(m, segs, slab, accumulate)
+		x.Scatter(m, slab)
 	})
-	r.noteRemote(target, done)
-	return nil
+	return done
 }
 
-// getSegs requests segments from the target's data server.
-func (r *Runtime) getSegs(segs []armci.Seg, target int) error {
-	if len(segs) == 0 {
-		return nil
+// Get requests the segments from the target's data server and waits
+// for them.
+func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
+	m, me, target, total := w.M, p.ID(), x.Target, x.Total
+	if m.SameNode(me, target) {
+		w.shm(p, target, me, profile.MsgGet, total)
+		x.Copy()
+		h.Complete()
+		return
 	}
-	r.opCost()
-	m := r.w.M
-	total := 0
-	for _, sg := range segs {
-		total += sg.N
-	}
-	pr := r.w.Obs.Prof()
-	if m.SameNode(r.Rank(), target) {
-		t0c := r.p.Now()
-		m.CopyLocal(r.p, total)
-		if pr != nil {
-			pr.PhaseAt(r.Rank(), profile.PhaseShmCopy, t0c, r.p.Now())
-			pr.Send(target, r.Rank(), profile.MsgGet, profile.RouteShm, total)
-			pr.Recv(target, r.Rank(), profile.MsgGet, profile.RouteShm, total)
-		}
-		for _, sg := range segs {
-			copy(sg.Dreg.Bytes(sg.DstVA, sg.N), sg.Sreg.Bytes(sg.SrcVA, sg.N))
-		}
-		return nil
-	}
-	node := m.NodeOf(target)
-	req := m.SendDataAsync(r.Rank(), target, 0, fabric.XferOpt{NoNIC: true})
+	req := m.SendDataAsync(me, target, 0, fabric.XferOpt{NoNIC: true})
 	// Server gathers the segments (staging copy) and then *sends* them
 	// back — unlike an RDMA engine, the two-sided server's CPU is busy
 	// for the duration of the response injection too.
-	start, served := r.w.serve(node, req, total, float64(total)/r.rate()*1e9)
-	if pr != nil {
-		pr.PhaseAt(r.Rank(), profile.PhaseTargetQueue, req, start)
-		pr.PhaseAt(r.Rank(), profile.PhaseTargetProc, start, served)
-	}
-	o := r.w.Obs
-	o.Inc(r.Rank(), obs.CDsRequests)
-	o.AddTime(r.Rank(), obs.TDsWait, start-req)
-	if o.Tracing() {
-		o.SpanLane(obs.LaneServer(node), "ds", "get", start, served,
-			obs.A("origin", r.Rank()), obs.A("bytes", total))
-	}
-	done := false
-	p := r.p
-	eng := m.Eng
-	me := r.Rank()
-	eng.At(served, func() {
-		slab := armci.Gather(m, segs, total, 1)
-		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: r.rate()})
-		if pr != nil {
-			base, xs, xa := m.LastXfer()
-			pr.PhaseAt(me, profile.PhaseWireQueue, base, xs)
-			pr.PhaseAt(me, profile.PhaseWire, xs, xa)
-			pr.Send(target, me, profile.MsgGet, profile.RouteDS, total)
-		}
-		eng.At(back, func() {
+	start, served := w.serve(m.NodeOf(target), req, total, float64(total)/w.rate()*1e9)
+	w.served(me, m.NodeOf(target), "get", total, req, start, served)
+	pr := w.Obs.Prof()
+	m.Eng.At(served, func() {
+		slab := x.Gather(m)
+		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: w.rate()})
+		w.wire(me, target, me, profile.MsgGet, total)
+		m.Eng.At(back, func() {
 			if pr != nil {
 				pr.Recv(target, me, profile.MsgGet, profile.RouteDS, total)
 			}
-			armci.Scatter(m, segs, slab, false)
-			done = true
-			eng.Unpark(p)
+			x.Scatter(m, slab)
+			h.Complete()
 		})
 	})
-	for !done {
-		p.Park("armci-ds.Get")
-	}
-	return nil
+	h.Wait()
 }
 
-func (r *Runtime) accRate() float64 {
-	if r.w.Tun.AccumRate > 0 {
-		return r.w.Tun.AccumRate
+// Serve queues a control or atomic request at the target's data server,
+// reserved when the request is issued; the server itself is the arbiter
+// (and so trivially serializes atomics).
+func (w *World) Serve(origin, target int, arrive sim.Time, amoBytes int, fn func()) {
+	start, served := w.serve(w.M.NodeOf(target), arrive, amoBytes, 0)
+	if pr := w.Obs.Prof(); pr != nil && amoBytes > 0 {
+		pr.PhaseAt(origin, profile.PhaseTargetQueue, arrive, start)
+		pr.PhaseAt(origin, profile.PhaseTargetProc, start, served)
+		pr.Send(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
+		request := fn
+		fn = func() {
+			pr.Recv(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
+			request()
+		}
 	}
-	return r.w.M.Par.AccumRate
+	w.M.Eng.At(served, fn)
 }

@@ -103,7 +103,7 @@ func (a *Array) sync() {
 	if a.group == nil {
 		a.env.Mpi.CommWorld().Barrier()
 	} else {
-		armci.GroupCommOf(a.group).Barrier()
+		a.group.Comm.Barrier()
 	}
 }
 

@@ -58,9 +58,10 @@ func TestDartNoShmForcesRMA(t *testing.T) {
 	if shm := obs.Total(rec.Metrics().Counter(obs.CBytesShm)); shm == 0 {
 		t.Error("default dartmpi moved no bytes over the shm path")
 	}
-	if j.DartWorld.NodeOps == 0 || j.DartWorld.SelfOps == 0 || j.DartWorld.RemoteOps == 0 {
+	ops := func(c string) int64 { return obs.Total(rec.Metrics().Counter(c)) }
+	if ops(obs.CRouteNode) == 0 || ops(obs.CRouteSelf) == 0 || ops(obs.CRouteRMA)+ops(obs.CRouteStaged) == 0 {
 		t.Errorf("expected all tiers exercised: self=%d node=%d remote=%d",
-			j.DartWorld.SelfOps, j.DartWorld.NodeOps, j.DartWorld.RemoteOps)
+			ops(obs.CRouteSelf), ops(obs.CRouteNode), ops(obs.CRouteRMA)+ops(obs.CRouteStaged))
 	}
 
 	opt.NoShm = true
@@ -68,9 +69,8 @@ func TestDartNoShmForcesRMA(t *testing.T) {
 	if shm := obs.Total(rec.Metrics().Counter(obs.CBytesShm)); shm != 0 {
 		t.Errorf("rma.bytes.shm = %d under NoShm dartmpi, want 0", shm)
 	}
-	if j.DartWorld.SelfOps != 0 || j.DartWorld.NodeOps != 0 {
-		t.Errorf("near tiers used under NoShm: self=%d node=%d",
-			j.DartWorld.SelfOps, j.DartWorld.NodeOps)
+	if ops(obs.CRouteSelf) != 0 || ops(obs.CRouteNode) != 0 {
+		t.Errorf("near tiers used under NoShm: self=%d node=%d", ops(obs.CRouteSelf), ops(obs.CRouteNode))
 	}
 	if j.DartWorld.Staged != 0 {
 		t.Errorf("leader staging ran under NoShm: %d", j.DartWorld.Staged)

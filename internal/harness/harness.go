@@ -158,9 +158,9 @@ func (j *Job) Runtime(p *sim.Proc) armci.Runtime {
 	r := j.MpiWorld.Rank(p)
 	switch j.Impl {
 	case ImplNative:
-		return native.New(j.NativeWorld, armci.MPIColl{R: r}, p)
+		return armci.NewDirect(j.NativeWorld.DirectWorld, r)
 	case ImplDataServer:
-		return dataserver.New(j.DSWorld, armci.MPIColl{R: r}, p)
+		return armci.NewDirect(j.DSWorld.DirectWorld, r)
 	case ImplDartMPI:
 		return dartmpi.New(j.DartWorld, r, j.Opt)
 	default:

@@ -15,7 +15,8 @@ import (
 // on the MPI-3 lock-all backend (SectionVIII.B), the data server, and
 // the locality-aware dartmpi runtime (with and without MPI-3) — the
 // paper's central claim is that application code is oblivious to which
-// runtime is underneath.
+// runtime is underneath. Every body frees what it creates, so each run
+// must end quiescent (assertNoLeaks).
 func forBoth(t *testing.T, nranks int, body func(t *testing.T, rt armci.Runtime)) {
 	t.Helper()
 	variants := []struct {
@@ -33,12 +34,35 @@ func forBoth(t *testing.T, nranks int, body func(t *testing.T, rt armci.Runtime)
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			_, err := Run(TestPlatform(), nranks, v.impl, v.opt,
+			j, err := Run(TestPlatform(), nranks, v.impl, v.opt,
 				func(rt armci.Runtime) { body(t, rt) })
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertNoLeaks(t, j)
 		})
+	}
+}
+
+// assertNoLeaks checks a finished job's translation tables and mutex
+// registries are empty: every collective allocation was freed and every
+// mutex set destroyed, whichever runtime kept them.
+func assertNoLeaks(t *testing.T, j *Job) {
+	t.Helper()
+	var allocs, mutexSets int
+	switch j.Impl {
+	case ImplNative:
+		allocs, mutexSets = j.NativeWorld.NumAllocs(), j.NativeWorld.NumMutexSets()
+	case ImplDataServer:
+		allocs, mutexSets = j.DSWorld.NumAllocs(), j.DSWorld.NumMutexSets()
+	case ImplDartMPI:
+		allocs = j.DartWorld.NumAllocs() + j.DartWorld.Inner.NumGMRs()
+		mutexSets = j.DartWorld.Inner.NumMutexSets()
+	default:
+		allocs, mutexSets = j.AMWorld.NumGMRs(), j.AMWorld.NumMutexSets()
+	}
+	if allocs != 0 || mutexSets != 0 {
+		t.Errorf("%s job ended with %d live allocations and %d live mutex sets, want 0 and 0", j.Impl, allocs, mutexSets)
 	}
 }
 

@@ -1,120 +1,66 @@
-// Package native implements the ARMCI Runtime interface directly on
-// the simulated fabric's RDMA primitives, standing in for the
-// vendor-tuned native ARMCI implementations the paper compares against
-// (ARMCI-Native). Its structural advantages over ARMCI-MPI mirror the
-// real ones: no lock round trips around one-sided operations, pre-pinned
-// allocation pools, NIC-side atomics for read-modify-write, and a tuned
-// per-segment strided pipeline. Its per-platform quality is set by
-// platform.Tuning (e.g. the under-tuned Cray XE6 development port).
+// Package native is the transport that stands in for the vendor-tuned
+// native ARMCI implementations the paper compares against
+// (ARMCI-Native): the fabric's RDMA primitives driven directly. Its
+// structural advantages over ARMCI-MPI mirror the real ones: no lock
+// round trips around one-sided operations, pre-pinned allocation pools,
+// NIC-side atomics for read-modify-write, and a tuned per-segment
+// strided pipeline. Its per-platform quality is set by platform.Tuning
+// (e.g. the under-tuned Cray XE6 development port).
 //
-// As in the paper's Figure 1(a), MPI is present alongside native ARMCI:
-// the runtime uses an MPI rank handle for process-management collectives
-// (allocation exchange, barriers, groups), never for data movement.
+// The ARMCI surface above it is armci.Direct. As in the paper's
+// Figure 1(a), MPI is present alongside native ARMCI: the runtime uses
+// an MPI rank handle for process-management collectives (allocation
+// exchange, barriers, groups), never for data movement.
 package native
 
 import (
-	"fmt"
-
 	"repro/internal/armci"
 	"repro/internal/fabric"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
-// World is the shared state of the native ARMCI job.
-type World struct {
-	M   *fabric.Machine
-	Tun *platform.Tuning
+const (
+	// segOverheadNs is the tuned per-segment CPU cost of the native
+	// strided pipeline (descriptor chaining on the NIC).
+	segOverheadNs = 120
+	// amoProcessNs is the NIC-side execution time of an atomic.
+	amoProcessNs = 90
+)
 
-	allocs []*allocation
-	nextID int
+// World is the shared state of the native ARMCI job: the direct
+// runtime's world plus the transport's own clocks.
+type World struct {
+	*armci.DirectWorld
+	Tun *platform.Tuning
 
 	// Per-target serialization point for accumulates and atomics (the
 	// communication helper thread / NIC agent).
 	agentBusy []sim.Time
-	// Per-origin, per-target remote completion horizon for Fence.
-	lastRemote [][]sim.Time
-
-	mutexes []*mutexHost
-
-	// Counters.
-	Ops        int64
-	Segments   int64
-	BytesMoved int64
-}
-
-// allocation records one collective ARMCI_Malloc. Every member
-// computes identical content from the allgathered metadata; the first
-// member's copy is registered in the shared directory.
-type allocation struct {
-	id     int
-	group  []int        // world ranks
-	rankOf map[int]int  // world rank -> group rank
-	addrs  []armci.Addr // per group rank (Nil for zero-size)
-	sizes  []int        // per group rank
 }
 
 // NewWorld creates native ARMCI state for machine m with tuning tun.
 func NewWorld(m *fabric.Machine, tun *platform.Tuning) *World {
-	w := &World{M: m, Tun: tun, agentBusy: make([]sim.Time, m.NRanks)}
-	w.lastRemote = make([][]sim.Time, m.NRanks)
-	for i := range w.lastRemote {
-		w.lastRemote[i] = make([]sim.Time, m.NRanks)
-	}
+	w := &World{Tun: tun, agentBusy: make([]sim.Time, m.NRanks)}
+	w.DirectWorld = armci.NewDirectWorld(m, w)
 	return w
 }
 
-// Runtime is one rank's native ARMCI handle. Collectives ride on the
-// provided MPI rank (coll), as in the paper's native software stack.
-type Runtime struct {
-	w    *World
-	coll Collective
-	p    *sim.Proc
+var _ armci.Transport = (*World)(nil)
 
-	dla map[int64]bool // open direct-local-access ranges (by VA)
+// Labels names the runtime and its park reasons.
+func (w *World) Labels() armci.Labels {
+	return armci.Labels{Name: "native", Wait: "native.Wait", Rmw: "native.Rmw", MutexLock: "native.MutexLock"}
 }
 
-// Collective is the subset of MPI the native runtime borrows for
-// process management, satisfied by *mpi.Rank's CommWorld plus group
-// helpers (see internal/armci/groups.go for the adapters).
-type Collective interface {
-	Barrier()
-	AllgatherI64(vals []int64) []int64
-	BcastI64(root int, vals []int64) []int64
-	GroupComm(members []int, collective bool) interface{} // opaque comm for Group.Impl
-	GroupAllgatherI64(g interface{}, vals []int64) []int64
-	GroupBarrier(g interface{})
-	GroupBcastI64(g interface{}, root int, vals []int64) []int64
-}
-
-// New creates the per-rank native runtime handle.
-func New(w *World, coll Collective, p *sim.Proc) *Runtime {
-	return &Runtime{w: w, coll: coll, p: p, dla: map[int64]bool{}}
-}
-
-var _ armci.Runtime = (*Runtime)(nil)
-
-// Name identifies the implementation.
-func (r *Runtime) Name() string { return "native" }
-
-// Rank returns the calling world rank.
-func (r *Runtime) Rank() int { return r.p.ID() }
-
-// Nprocs returns the world size.
-func (r *Runtime) Nprocs() int { return r.w.M.NRanks }
-
-// Proc returns the simulation context.
-func (r *Runtime) Proc() *sim.Proc { return r.p }
-
-// opCost charges the native per-operation software overhead, including
-// any scale penalty of under-tuned target agents.
-func (r *Runtime) opCost() {
-	over := r.w.Tun.OpOverheadNs
-	if r.w.Tun.ScalePenaltyNs > 0 {
-		over += r.w.Tun.ScalePenaltyNs * log2f(r.Nprocs())
+// OpCost is the native per-operation software overhead, including any
+// scale penalty of under-tuned target agents.
+func (w *World) OpCost() sim.Time {
+	over := w.Tun.OpOverheadNs
+	if w.Tun.ScalePenaltyNs > 0 {
+		over += w.Tun.ScalePenaltyNs * log2f(w.M.NRanks)
 	}
-	r.p.Elapse(sim.FromSeconds(over / 1e9))
-	r.w.Ops++
+	return sim.FromSeconds(over / 1e9)
 }
 
 func log2f(n int) float64 {
@@ -126,181 +72,80 @@ func log2f(n int) float64 {
 	return f
 }
 
+// AllocDomain places ARMCI memory in ARMCI's pre-pinned pools.
+func (w *World) AllocDomain() (fabric.Domain, bool) { return fabric.DomainARMCI, true }
+
 // rate returns the achievable transfer rate for a local buffer: the
 // pinned path at the tuned fraction of link bandwidth, or ARMCI's
 // pipelined non-pinned path for memory ARMCI has not registered
 // (Figure 5's "ARMCI-IB, MPI Touch" curve).
-func (r *Runtime) rate(local *fabric.Region) float64 {
-	full := r.w.M.Par.Bandwidth * r.w.Tun.BandwidthFrac
-	if r.w.M.Par.PinPageNs <= 0 {
+func (w *World) rate(local *fabric.Region) float64 {
+	full := w.M.Par.Bandwidth * w.Tun.BandwidthFrac
+	if w.M.Par.PinPageNs <= 0 || local.PinnedFor(fabric.DomainARMCI) {
 		return full
 	}
-	if local != nil && local.PinnedFor(fabric.DomainARMCI) {
-		return full
-	}
-	if r.w.M.Par.UnpinnedRate < full {
-		return r.w.M.Par.UnpinnedRate
-	}
-	return full
+	return min(w.M.Par.UnpinnedRate, full)
 }
 
-// region resolves a local address (on the calling rank) to its region.
-func (r *Runtime) region(a armci.Addr, n int) (*fabric.Region, error) {
-	reg := r.w.M.Space(a.Rank).Find(a.VA, n)
-	if reg == nil {
-		return nil, fmt.Errorf("native: address %v (+%d) not in any allocation", a, n)
-	}
-	return reg, nil
+// agent reserves the target's helper-thread/NIC agent for busy,
+// starting no earlier than from, and returns when it finishes.
+func (w *World) agent(target int, from, busy sim.Time) sim.Time {
+	done := max(from, w.agentBusy[target]) + busy
+	w.agentBusy[target] = done
+	return done
 }
 
-// Malloc collectively allocates globally accessible memory (world).
-func (r *Runtime) Malloc(bytes int) ([]armci.Addr, error) {
-	return r.mallocOn(nil, bytes)
+// segCost charges the per-segment descriptor cost of a noncontiguous
+// transfer.
+func segCost(p *sim.Proc, x armci.Xfer) {
+	if !x.Contig() {
+		p.Elapse(sim.FromSeconds(float64(len(x.Segs)) * segOverheadNs / 1e9))
+	}
 }
 
-// MallocGroup allocates over a group.
-func (r *Runtime) MallocGroup(g *armci.Group, bytes int) ([]armci.Addr, error) {
-	if g == nil {
-		return nil, fmt.Errorf("native: MallocGroup with nil group")
-	}
-	return r.mallocOn(g, bytes)
-}
-
-func (r *Runtime) mallocOn(g *armci.Group, bytes int) ([]armci.Addr, error) {
-	if bytes < 0 {
-		return nil, fmt.Errorf("native: Malloc(%d): negative size", bytes)
-	}
-	var reg *fabric.Region
-	var va int64
-	if bytes > 0 {
-		reg = r.w.M.Space(r.Rank()).Alloc(bytes, fabric.DomainARMCI, true)
-		va = reg.VA
-	}
-	// Exchange base addresses (the all-to-all of SectionV.B).
-	var vas []int64
-	var members []int
-	if g == nil {
-		vas = r.coll.AllgatherI64([]int64{va, int64(bytes)})
-		members = make([]int, r.Nprocs())
-		for i := range members {
-			members[i] = i
+// Put is the tuned native put/accumulate pipeline: per-segment
+// descriptor cost, a single pipelined NIC occupancy for the full
+// payload, segment scatter at arrival — after the agent has applied the
+// reduction serially, for an accumulate.
+func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
+	segCost(p, x)
+	m := w.M
+	slab := x.Gather(m) // snapshot at issue; the landing event returns it
+	done := m.SendDataAsync(p.ID(), x.Target, x.Total, fabric.XferOpt{Rate: w.rate(x.Local)})
+	if x.Accumulate {
+		accRate := m.Par.AccumRate
+		if w.Tun.AccumRate > 0 {
+			accRate = w.Tun.AccumRate
 		}
-	} else {
-		vas = r.coll.GroupAllgatherI64(g.Impl, []int64{va, int64(bytes)})
-		members = g.Ranks
+		done = w.agent(x.Target, done, sim.FromSeconds(float64(x.Total)/accRate))
 	}
-	a := &allocation{
-		group:  members,
-		rankOf: map[int]int{},
-		addrs:  make([]armci.Addr, len(members)),
-		sizes:  make([]int, len(members)),
-	}
-	for i, world := range members {
-		a.rankOf[world] = i
-		a.sizes[i] = int(vas[2*i+1])
-		if vas[2*i+1] > 0 {
-			a.addrs[i] = armci.Addr{Rank: world, VA: vas[2*i]}
-		}
-	}
-	_ = reg
-	// One rank registers the allocation in the shared directory (all
-	// members computed identical content).
-	if members[0] == r.Rank() {
-		a.id = r.w.nextID
-		r.w.nextID++
-		r.w.allocs = append(r.w.allocs, a)
-	}
-	r.barrierOn(g)
-	return append([]armci.Addr(nil), a.addrs...), nil
+	m.Eng.At(done, func() { x.Scatter(m, slab) })
+	return done
 }
 
-func (r *Runtime) barrierOn(g *armci.Group) {
-	if g == nil {
-		r.coll.Barrier()
-	} else {
-		r.coll.GroupBarrier(g.Impl)
-	}
+// Get is the native get pipeline: a request, then the payload straight
+// back from the target's memory.
+func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
+	segCost(p, x)
+	m, me, rate := w.M, p.ID(), w.rate(x.Local)
+	req := m.SendDataAsync(me, x.Target, 0, fabric.XferOpt{NoNIC: true})
+	m.Eng.At(req, func() {
+		slab := x.Gather(m)
+		back := m.SendDataAsync(x.Target, me, x.Total, fabric.XferOpt{Rate: rate})
+		m.Eng.At(back, func() {
+			x.Scatter(m, slab)
+			h.Complete()
+		})
+	})
 }
 
-// findAlloc locates the shared allocation containing addr.
-func (w *World) findAlloc(addr armci.Addr) *allocation {
-	for _, a := range w.allocs {
-		if gr, ok := a.rankOf[addr.Rank]; ok {
-			base := a.addrs[gr]
-			if !base.Nil() && addr.VA >= base.VA && addr.VA < base.VA+int64(a.sizes[gr]) {
-				return a
-			}
-		}
+// Serve evaluates a request inside its arrival event: a control message
+// at once, an atomic after the NIC agent has executed it.
+func (w *World) Serve(origin, target int, arrive sim.Time, amoBytes int, fn func()) {
+	eng := w.M.Eng
+	if amoBytes == 0 {
+		eng.At(arrive, fn)
+		return
 	}
-	return nil
-}
-
-// Free collectively releases an allocation (world).
-func (r *Runtime) Free(addr armci.Addr) error { return r.freeOn(nil, addr) }
-
-// FreeGroup releases a group allocation.
-func (r *Runtime) FreeGroup(g *armci.Group, addr armci.Addr) error { return r.freeOn(g, addr) }
-
-func (r *Runtime) freeOn(g *armci.Group, addr armci.Addr) error {
-	// Leader election over (possibly NULL) addresses, as in SectionV.B.
-	mine := int64(-1)
-	if !addr.Nil() {
-		mine = int64(r.Rank())
-	}
-	var leader int64
-	var gathered []int64
-	if g == nil {
-		gathered = r.coll.AllgatherI64([]int64{mine, addr.VA})
-	} else {
-		gathered = r.coll.GroupAllgatherI64(g.Impl, []int64{mine, addr.VA})
-	}
-	var leaderVA int64
-	leader = -1
-	for i := 0; i < len(gathered)/2; i++ {
-		if gathered[2*i] > leader {
-			leader = gathered[2*i]
-			leaderVA = gathered[2*i+1]
-		}
-	}
-	if leader < 0 {
-		return fmt.Errorf("native: Free: all processes passed NULL")
-	}
-	key := armci.Addr{Rank: int(leader), VA: leaderVA}
-	a := r.w.findAlloc(key)
-	if a == nil {
-		return fmt.Errorf("native: Free(%v): unknown allocation", key)
-	}
-	// Release the local slice. The shared record is left intact until
-	// the final barrier: other members may still be looking it up.
-	gr := a.rankOf[r.Rank()]
-	if a.sizes[gr] > 0 {
-		if err := r.w.M.Space(r.Rank()).Free(a.addrs[gr].VA); err != nil {
-			return err
-		}
-	}
-	r.barrierOn(g)
-	// Drop from the directory once (by the group's first member).
-	if a.group[0] == r.Rank() {
-		for i, e := range r.w.allocs {
-			if e == a {
-				r.w.allocs = append(r.w.allocs[:i], r.w.allocs[i+1:]...)
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// MallocLocal allocates from ARMCI's pre-pinned local pools.
-func (r *Runtime) MallocLocal(bytes int) armci.Addr {
-	reg := r.w.M.Space(r.Rank()).Alloc(bytes, fabric.DomainARMCI, true)
-	return armci.Addr{Rank: r.Rank(), VA: reg.VA}
-}
-
-// FreeLocal releases local buffer memory.
-func (r *Runtime) FreeLocal(addr armci.Addr) error {
-	if addr.Rank != r.Rank() {
-		return fmt.Errorf("native: FreeLocal of remote address %v", addr)
-	}
-	return r.w.M.Space(r.Rank()).Free(addr.VA)
+	eng.At(arrive, func() { eng.At(w.agent(target, eng.Now(), amoProcessNs), fn) })
 }

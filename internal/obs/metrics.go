@@ -60,13 +60,9 @@ const (
 	CRouteStaged      = "route.staged.ops"   // decisions routed to leader-staged RMA
 	CRouteStagedBytes = "route.staged.bytes" // payload bytes behind those decisions
 
-	// Locality-aware runtime (internal/dartmpi). The dart.* names are
-	// kept as aliases of the route.* counters for dartmpi jobs (artifact
-	// compatibility with PR 6); dart.leader.* counts staging events the
-	// executor actually modeled, route.staged.* counts the decisions.
-	CDartSelf        = "dart.self.ops"      // ops routed to the load-store tier
-	CDartNode        = "dart.node.ops"      // ops routed to the same-node shm tier
-	CDartRemote      = "dart.remote.ops"    // ops routed to the inter-node RMA tier
+	// Locality-aware runtime (internal/dartmpi): dart.leader.* counts
+	// staging events the executor actually modeled, route.staged.*
+	// counts the decisions.
 	CDartStaged      = "dart.leader.staged" // remote transfers staged through the node leader
 	CDartStagedBytes = "dart.leader.bytes"  // bytes copied through leader staging buffers
 )
