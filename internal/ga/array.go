@@ -2,6 +2,7 @@ package ga
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/armci"
 )
@@ -36,8 +37,8 @@ func (e *Env) CreateOnGroup(g *armci.Group, name string, elem Elem, dims []int) 
 }
 
 func (e *Env) createOn(g *armci.Group, name string, elem Elem, dims []int) (*Array, error) {
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("ga: Create(%q): no dimensions", name)
+	if len(dims) == 0 || len(dims) > maxDims {
+		return nil, fmt.Errorf("ga: Create(%q): %d dimensions, want 1..%d", name, len(dims), maxDims)
 	}
 	for d, x := range dims {
 		if x <= 0 {
@@ -55,13 +56,10 @@ func (e *Env) createOn(g *armci.Group, name string, elem Elem, dims []int) (*Arr
 		myIdx = g.RankOf(e.Me())
 	}
 	mine := 0
-	if myIdx < dist.OwnerCount() {
-		bd := dist.BlockDims(myIdx)
-		if bd != nil {
-			mine = elemBytes
-			for _, x := range bd {
-				mine *= x
-			}
+	if bd := dist.BlockDims(myIdx); bd != nil {
+		mine = elemBytes
+		for _, x := range bd {
+			mine *= x
 		}
 	}
 	var addrs []armci.Addr
@@ -158,7 +156,8 @@ func (a *Array) Distribution(world int) (lo, hi []int, ok bool) {
 	if owner >= a.dist.OwnerCount() {
 		return nil, nil, false
 	}
-	return a.dist.Block(owner)
+	lo, hi, ok = a.dist.Block(owner)
+	return slices.Clone(lo), slices.Clone(hi), ok
 }
 
 // Locate returns the world rank owning the element at idx (GA_Locate).
@@ -184,26 +183,28 @@ func (a *Array) LocateRegion(lo, hi []int) ([]Patch, error) {
 }
 
 // blockAddr returns the remote address of element `idx` inside the
-// block of the given owner index, plus the owner's block dims.
-func (a *Array) blockAddr(owner int, idx []int) (armci.Addr, []int) {
-	bLo, _, _ := a.dist.Block(owner)
-	bd := a.dist.BlockDims(owner)
+// block of the given owner index.
+func (a *Array) blockAddr(owner int, idx []int) armci.Addr {
+	bLo, _, bd := a.dist.block(owner)
 	off := 0
 	for d := range idx {
 		off = off*bd[d] + (idx[d] - bLo[d])
 	}
-	return a.addrs[owner].Add(off * elemBytes), bd
+	return a.addrs[owner].Add(off * elemBytes)
 }
 
 // Access grants direct access to the calling process's local block
-// (GA_Access): the returned floats alias the block's memory until
-// Release. The block's extents come from Distribution.
+// (GA_Access): the block's F64s/I64s alias its memory until Release.
+// The block's extents come from Distribution.
 func (a *Array) Access() (*LocalBlock, error) {
+	if a.freed {
+		return nil, fmt.Errorf("ga: Access on destroyed array %q", a.name)
+	}
 	idx := a.myOwnerIdx()
 	if idx < 0 || idx >= a.dist.OwnerCount() {
 		return nil, fmt.Errorf("ga: Access: rank %d owns no block of %q", a.env.Me(), a.name)
 	}
-	bd := a.dist.BlockDims(idx)
+	lo, hi, bd := a.dist.block(idx)
 	n := elemBytes
 	for _, x := range bd {
 		n *= x
@@ -212,8 +213,7 @@ func (a *Array) Access() (*LocalBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi, _ := a.dist.Block(idx)
-	return &LocalBlock{a: a, mem: mem, dims: bd, Lo: lo, Hi: hi}, nil
+	return &LocalBlock{a: a, mem: mem, dims: bd, Lo: slices.Clone(lo), Hi: slices.Clone(hi)}, nil
 }
 
 // Release ends direct access (GA_Release / GA_Release_update).
@@ -225,9 +225,16 @@ func (b *LocalBlock) Release() error {
 type LocalBlock struct {
 	a      *Array
 	mem    []byte
-	dims   []int
-	Lo, Hi []int // inclusive global bounds of the block
+	dims   []int // shared block table row: read-only
+	Lo, Hi []int // inclusive global bounds of the block (the caller's own copies)
 }
+
+// F64s returns the block's elements in row-major order, aliasing its
+// memory until Release.
+func (b *LocalBlock) F64s() []float64 { return view[float64](b.mem) }
+
+// I64s is F64s for an integer array.
+func (b *LocalBlock) I64s() []int64 { return view[int64](b.mem) }
 
 // Dims returns the block extents.
 func (b *LocalBlock) Dims() []int { return append([]int(nil), b.dims...) }

@@ -70,9 +70,8 @@ func Dgemm(alpha float64, a, b *Array, beta float64, c *Array, kblk int, m *fabr
 			if err != nil {
 				return err
 			}
-			for i := range acc {
-				cur := f64get(blk.mem[8*i:])
-				f64put(blk.mem[8*i:], alpha*acc[i]+beta*cur)
+			for i, cv := 0, blk.F64s(); i < len(acc); i++ {
+				cv[i] = alpha*acc[i] + beta*cv[i]
 			}
 			if err := blk.Release(); err != nil {
 				return err
@@ -110,9 +109,10 @@ func Transpose(a, b *Array) error {
 			if err != nil {
 				return err
 			}
+			dst := blk.F64s()
 			for i := 0; i < rows; i++ {
 				for j := 0; j < cols; j++ {
-					f64put(blk.mem[8*(i*cols+j):], src[j*rows+i])
+					dst[i*cols+j] = src[j*rows+i]
 				}
 			}
 			if err := blk.Release(); err != nil {

@@ -13,6 +13,13 @@ type Distribution struct {
 	Dims []int   // array extents
 	Grid []int   // process grid extents (product <= nprocs)
 	cuts [][]int // per dim: block start indices, length grid[d]+1
+	// blocks is the per-owner block table: for each owner index its
+	// inclusive lo, its inclusive hi and its extents, nd ints each, in
+	// one backing array. Like the record it is shared by every rank
+	// (and every job of the same shape) through distCache, so nothing
+	// may write it after buildDistribution and nothing may hand a slice
+	// of it to a caller outside the package.
+	blocks []int
 }
 
 // factorGrid chooses a process grid for nprocs processes over the
@@ -83,7 +90,8 @@ func newDistribution(dims []int, nprocs int) *Distribution {
 	return d
 }
 
-// buildDistribution computes the block decomposition.
+// buildDistribution computes the block decomposition and its
+// per-owner block table.
 func buildDistribution(dims []int, nprocs int) *Distribution {
 	grid := factorGrid(nprocs, dims)
 	d := &Distribution{Dims: append([]int(nil), dims...), Grid: grid}
@@ -103,6 +111,19 @@ func buildDistribution(dims []int, nprocs int) *Distribution {
 		cuts[g] = dims[dim]
 		d.cuts[dim] = cuts
 	}
+	nd := len(dims)
+	d.blocks = make([]int, d.OwnerCount()*3*nd)
+	for owner := 0; owner < d.OwnerCount(); owner++ {
+		lo, hi, ext := d.block(owner)
+		o := owner
+		for dim := nd - 1; dim >= 0; dim-- {
+			c := o % grid[dim]
+			o /= grid[dim]
+			lo[dim] = d.cuts[dim][c]
+			hi[dim] = d.cuts[dim][c+1] - 1
+			ext[dim] = hi[dim] - lo[dim] + 1
+		}
+	}
 	return d
 }
 
@@ -115,67 +136,44 @@ func (d *Distribution) OwnerCount() int {
 	return n
 }
 
-// coordsOf maps an owner index (0..OwnerCount-1) to grid coordinates
-// in row-major order.
-func (d *Distribution) coordsOf(owner int) []int {
-	nd := len(d.Grid)
-	c := make([]int, nd)
-	for dim := nd - 1; dim >= 0; dim-- {
-		c[dim] = owner % d.Grid[dim]
-		owner /= d.Grid[dim]
-	}
-	return c
-}
-
-// ownerOf maps grid coordinates to the owner index.
-func (d *Distribution) ownerOf(coords []int) int {
-	o := 0
-	for dim := 0; dim < len(d.Grid); dim++ {
-		o = o*d.Grid[dim] + coords[dim]
-	}
-	return o
+// block returns owner's rows of the block table: inclusive bounds and
+// extents. The slices are the shared table itself — read-only.
+func (d *Distribution) block(owner int) (lo, hi, ext []int) {
+	nd := len(d.Dims)
+	b := d.blocks[owner*3*nd : (owner+1)*3*nd]
+	return b[:nd:nd], b[nd : 2*nd : 2*nd], b[2*nd:]
 }
 
 // Block returns the inclusive [lo, hi] index range owned by owner in
-// each dimension; ok is false when the owner index is out of range or
-// the block is empty.
+// each dimension; ok is false when the owner index is out of range.
+// (No block is ever empty: factorGrid never splits a dimension into
+// more blocks than it has elements.) The slices are shared and
+// read-only; Array.Distribution hands out copies.
 func (d *Distribution) Block(owner int) (lo, hi []int, ok bool) {
 	if owner < 0 || owner >= d.OwnerCount() {
 		return nil, nil, false
 	}
-	c := d.coordsOf(owner)
-	lo = make([]int, len(d.Dims))
-	hi = make([]int, len(d.Dims))
-	for dim := range d.Dims {
-		lo[dim] = d.cuts[dim][c[dim]]
-		hi[dim] = d.cuts[dim][c[dim]+1] - 1
-		if hi[dim] < lo[dim] {
-			return nil, nil, false
-		}
-	}
+	lo, hi, _ = d.block(owner)
 	return lo, hi, true
 }
 
-// BlockDims returns the extents of an owner's block.
+// BlockDims returns the extents of an owner's block (shared,
+// read-only), nil when the owner index is out of range.
 func (d *Distribution) BlockDims(owner int) []int {
-	lo, hi, ok := d.Block(owner)
-	if !ok {
+	if owner < 0 || owner >= d.OwnerCount() {
 		return nil
 	}
-	out := make([]int, len(lo))
-	for i := range lo {
-		out[i] = hi[i] - lo[i] + 1
-	}
-	return out
+	_, _, ext := d.block(owner)
+	return ext
 }
 
 // OwnerOfIndex returns the owner index holding the given element.
 func (d *Distribution) OwnerOfIndex(idx []int) int {
-	coords := make([]int, len(d.Dims))
+	o := 0
 	for dim := range d.Dims {
-		coords[dim] = sort.SearchInts(d.cuts[dim][1:], idx[dim]+1)
+		o = o*d.Grid[dim] + sort.SearchInts(d.cuts[dim][1:], idx[dim]+1)
 	}
-	return d.ownerOf(coords)
+	return o
 }
 
 // Patch is the intersection of a requested range with one owner's
@@ -185,55 +183,70 @@ type Patch struct {
 	Lo, Hi []int
 }
 
+// ownerWalk is the odometer over the grid coordinates of the owners a
+// requested range touches, in owner order, last dimension fastest. It
+// lives on the caller's stack.
+type ownerWalk struct {
+	grid        []int
+	lo, hi, cur [maxDims]int // coordinate range and cursor
+	done        bool
+}
+
+// owners starts the walk over the owners of [lo, hi].
+func (d *Distribution) owners(lo, hi []int) ownerWalk {
+	w := ownerWalk{grid: d.Grid}
+	for dim := range d.Grid {
+		w.lo[dim] = sort.SearchInts(d.cuts[dim][1:], lo[dim]+1)
+		w.hi[dim] = sort.SearchInts(d.cuts[dim][1:], hi[dim]+1)
+	}
+	w.cur = w.lo
+	return w
+}
+
+// count returns the number of owners the whole walk visits.
+func (w *ownerWalk) count() int {
+	n := 1
+	for dim := range w.grid {
+		n *= w.hi[dim] - w.lo[dim] + 1
+	}
+	return n
+}
+
+// next returns the next owner index; ok is false after the last.
+func (w *ownerWalk) next() (owner int, ok bool) {
+	if w.done {
+		return 0, false
+	}
+	for dim, g := range w.grid {
+		owner = owner*g + w.cur[dim]
+	}
+	dim := len(w.grid) - 1
+	for ; dim >= 0; dim-- {
+		w.cur[dim]++
+		if w.cur[dim] <= w.hi[dim] {
+			break
+		}
+		w.cur[dim] = w.lo[dim]
+	}
+	w.done = dim < 0
+	return owner, true
+}
+
 // Intersect returns the per-owner patches covering [lo, hi], in owner
-// order — the fan-out of the paper's Figure 2.
+// order — the fan-out of the paper's Figure 2. The patches are the
+// caller's own.
 func (d *Distribution) Intersect(lo, hi []int) []Patch {
 	nd := len(d.Dims)
-	// Per dimension, find the grid coordinate range touched.
-	cLo := make([]int, nd)
-	cHi := make([]int, nd)
-	for dim := 0; dim < nd; dim++ {
-		cLo[dim] = sort.SearchInts(d.cuts[dim][1:], lo[dim]+1)
-		cHi[dim] = sort.SearchInts(d.cuts[dim][1:], hi[dim]+1)
-	}
-	var patches []Patch
-	coords := append([]int(nil), cLo...)
-	for {
-		owner := d.ownerOf(coords)
-		bLo, bHi, ok := d.Block(owner)
-		if ok {
-			p := Patch{Owner: owner, Lo: make([]int, nd), Hi: make([]int, nd)}
-			for dim := 0; dim < nd; dim++ {
-				p.Lo[dim] = max(lo[dim], bLo[dim])
-				p.Hi[dim] = min(hi[dim], bHi[dim])
-			}
-			patches = append(patches, p)
+	w := d.owners(lo, hi)
+	patches := make([]Patch, 0, w.count())
+	for owner, ok := w.next(); ok; owner, ok = w.next() {
+		bLo, bHi, _ := d.block(owner)
+		p := Patch{Owner: owner, Lo: make([]int, nd), Hi: make([]int, nd)}
+		for dim := 0; dim < nd; dim++ {
+			p.Lo[dim] = max(lo[dim], bLo[dim])
+			p.Hi[dim] = min(hi[dim], bHi[dim])
 		}
-		// Odometer over the coordinate ranges.
-		dim := nd - 1
-		for ; dim >= 0; dim-- {
-			coords[dim]++
-			if coords[dim] <= cHi[dim] {
-				break
-			}
-			coords[dim] = cLo[dim]
-		}
-		if dim < 0 {
-			return patches
-		}
+		patches = append(patches, p)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return patches
 }

@@ -3,6 +3,7 @@ package ga
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/armci"
 	"repro/internal/mpi"
@@ -41,123 +42,74 @@ func (a *Array) issueIOV(kind fanKind, alpha float64, iov []armci.GIOV, proc int
 // (SectionVI.A's workload), all owners nonblocking with a single
 // WaitAll before the copy-out.
 func (a *Array) Gather(subs [][]int, vals []float64) error {
-	if len(vals) != len(subs) {
-		return fmt.Errorf("ga: Gather: %d subscripts but %d values", len(subs), len(vals))
-	}
-	groups, order, err := a.iovByOwner(subs)
-	if err != nil {
-		return err
-	}
-	scratch := a.env.scratch(len(subs) * elemBytes)
-	var handles []armci.Handle
-	pos := 0
-	for _, bkt := range groups {
-		g := armci.GIOV{Bytes: elemBytes}
-		for _, k := range bkt.idxs {
-			addr, _ := a.blockAddr(bkt.owner, subs[k])
-			g.Src = append(g.Src, addr)
-			g.Dst = append(g.Dst, scratch.Add(pos*elemBytes))
-			order[k] = pos
-			pos++
-		}
-		h, err := a.issueIOV(fanGet, 1, []armci.GIOV{g}, a.worldRankOfOwner(bkt.owner))
-		if err != nil {
-			armci.WaitAll(handles...)
-			return fmt.Errorf("ga: Gather %q: %w", a.name, err)
-		}
-		if h != nil {
-			handles = append(handles, h)
-		}
-	}
-	armci.WaitAll(handles...)
-	b, err := a.env.Rt.LocalBytes(scratch, len(subs)*elemBytes)
-	if err != nil {
-		return err
-	}
-	for k := range subs {
-		vals[k] = f64get(b[8*order[k]:])
-	}
-	return nil
+	return a.elements("Gather", fanGet, 1, subs, vals)
 }
 
 // Scatter writes vals to the elements at the given subscripts
 // (NGA_Scatter).
 func (a *Array) Scatter(subs [][]int, vals []float64) error {
-	if len(vals) != len(subs) {
-		return fmt.Errorf("ga: Scatter: %d subscripts but %d values", len(subs), len(vals))
-	}
-	groups, _, err := a.iovByOwner(subs)
-	if err != nil {
-		return err
-	}
-	scratch := a.env.scratch(len(subs) * elemBytes)
-	b, err := a.env.Rt.LocalBytes(scratch, len(subs)*elemBytes)
-	if err != nil {
-		return err
-	}
-	var handles []armci.Handle
-	pos := 0
-	for _, bkt := range groups {
-		g := armci.GIOV{Bytes: elemBytes}
-		for _, k := range bkt.idxs {
-			f64put(b[8*pos:], vals[k])
-			addr, _ := a.blockAddr(bkt.owner, subs[k])
-			g.Src = append(g.Src, scratch.Add(pos*elemBytes))
-			g.Dst = append(g.Dst, addr)
-			pos++
-		}
-		h, err := a.issueIOV(fanPut, 1, []armci.GIOV{g}, a.worldRankOfOwner(bkt.owner))
-		if err != nil {
-			armci.WaitAll(handles...)
-			return fmt.Errorf("ga: Scatter %q: %w", a.name, err)
-		}
-		if h != nil {
-			handles = append(handles, h)
-		}
-	}
-	armci.WaitAll(handles...)
-	return nil
+	return a.elements("Scatter", fanPut, 1, subs, vals)
 }
 
 // ScatterAcc accumulates vals into the elements at the subscripts
 // (NGA_Scatter_acc).
 func (a *Array) ScatterAcc(subs [][]int, vals []float64, alpha float64) error {
-	if len(vals) != len(subs) {
-		return fmt.Errorf("ga: ScatterAcc: %d subscripts but %d values", len(subs), len(vals))
-	}
 	if a.elem != F64 {
 		return fmt.Errorf("ga: ScatterAcc on non-double array %q", a.name)
 	}
-	groups, _, err := a.iovByOwner(subs)
+	return a.elements("ScatterAcc", fanAcc, alpha, subs, vals)
+}
+
+// elements is Gather, Scatter and ScatterAcc: the subscripts are
+// bucketed by owner, each bucket's values packed contiguously in the
+// scratch buffer in owner order, and one I/O vector operation issued
+// per owner.
+func (a *Array) elements(op string, kind fanKind, alpha float64, subs [][]int, vals []float64) error {
+	if len(vals) != len(subs) {
+		return fmt.Errorf("ga: %s: %d subscripts but %d values", op, len(subs), len(vals))
+	}
+	groups, err := a.iovByOwner(subs)
 	if err != nil {
 		return err
 	}
 	scratch := a.env.scratch(len(subs) * elemBytes)
-	b, err := a.env.Rt.LocalBytes(scratch, len(subs)*elemBytes)
-	if err != nil {
-		return err
+	var packed []float64 // the scratch buffer, viewed once a gather has landed
+	if kind != fanGet {
+		packed = view[float64](a.env.scratchBytes(len(subs) * elemBytes))
 	}
 	var handles []armci.Handle
 	pos := 0
 	for _, bkt := range groups {
 		g := armci.GIOV{Bytes: elemBytes}
 		for _, k := range bkt.idxs {
-			f64put(b[8*pos:], vals[k])
-			addr, _ := a.blockAddr(bkt.owner, subs[k])
-			g.Src = append(g.Src, scratch.Add(pos*elemBytes))
-			g.Dst = append(g.Dst, addr)
+			remote, local := a.blockAddr(bkt.owner, subs[k]), scratch.Add(pos*elemBytes)
+			if kind == fanGet {
+				g.Src, g.Dst = append(g.Src, remote), append(g.Dst, local)
+			} else {
+				packed[pos] = vals[k]
+				g.Src, g.Dst = append(g.Src, local), append(g.Dst, remote)
+			}
 			pos++
 		}
-		h, err := a.issueIOV(fanAcc, alpha, []armci.GIOV{g}, a.worldRankOfOwner(bkt.owner))
+		h, err := a.issueIOV(kind, alpha, []armci.GIOV{g}, a.worldRankOfOwner(bkt.owner))
 		if err != nil {
 			armci.WaitAll(handles...)
-			return fmt.Errorf("ga: ScatterAcc %q: %w", a.name, err)
+			return fmt.Errorf("ga: %s %q: %w", op, a.name, err)
 		}
 		if h != nil {
 			handles = append(handles, h)
 		}
 	}
 	armci.WaitAll(handles...)
+	if kind == fanGet {
+		packed, pos = view[float64](a.env.scratchBytes(len(subs)*elemBytes)), 0
+		for _, bkt := range groups {
+			for _, k := range bkt.idxs {
+				vals[k] = packed[pos]
+				pos++
+			}
+		}
+	}
 	return nil
 }
 
@@ -168,14 +120,13 @@ type ownerBucket struct {
 }
 
 // iovByOwner buckets subscripts by owning process in ascending owner
-// order (map iteration would make virtual time nondeterministic),
-// plus an index map so gathered values land in input order.
-func (a *Array) iovByOwner(subs [][]int) ([]ownerBucket, []int, error) {
+// order (map iteration would make virtual time nondeterministic).
+func (a *Array) iovByOwner(subs [][]int) ([]ownerBucket, error) {
 	groups := map[int][]int{}
 	var owners []int
 	for k, sub := range subs {
 		if err := checkRange(a.dist.Dims, sub, sub); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		owner := a.dist.OwnerOfIndex(sub)
 		if _, seen := groups[owner]; !seen {
@@ -183,20 +134,12 @@ func (a *Array) iovByOwner(subs [][]int) ([]ownerBucket, []int, error) {
 		}
 		groups[owner] = append(groups[owner], k)
 	}
-	sortInts(owners)
+	slices.Sort(owners)
 	out := make([]ownerBucket, len(owners))
 	for i, o := range owners {
 		out[i] = ownerBucket{owner: o, idxs: groups[o]}
 	}
-	return out, make([]int, len(subs)), nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return out, nil
 }
 
 // Duplicate creates a new array with the same shape, type, and
@@ -218,9 +161,9 @@ func (a *Array) Scale(alpha float64) error {
 		if err != nil {
 			return err
 		}
-		n := len(b.mem) / elemBytes
-		for i := 0; i < n; i++ {
-			f64put(b.mem[8*i:], alpha*f64get(b.mem[8*i:]))
+		elems := b.F64s()
+		for i := range elems {
+			elems[i] *= alpha
 		}
 		if err := b.Release(); err != nil {
 			return err
@@ -261,8 +204,8 @@ func Add(alpha float64, a *Array, beta float64, b *Array, c *Array) error {
 			if err != nil {
 				return err
 			}
-			for i := 0; i < n; i++ {
-				f64put(blk.mem[8*i:], alpha*av[i]+beta*bv[i])
+			for i, cv := 0, blk.F64s(); i < n; i++ {
+				cv[i] = alpha*av[i] + beta*bv[i]
 			}
 			if err := blk.Release(); err != nil {
 				return err
@@ -325,9 +268,8 @@ func (a *Array) MaxElem() (float64, []int, error) {
 			return 0, nil, err
 		}
 		d := blk.Dims()
-		n := len(blk.mem) / elemBytes
-		for i := 0; i < n; i++ {
-			v := math.Abs(f64get(blk.mem[8*i:]))
+		for i, e := range blk.F64s() {
+			v := math.Abs(e)
 			if v > best {
 				best = v
 				// Unflatten i into block-relative then global indices.

@@ -32,6 +32,15 @@ const (
 
 const elemBytes = 8
 
+// keepSlots is the number of patch descriptor slots an Env retains
+// between fan-outs (4 KB): wide enough for the tile-sized patches of a
+// blocked algorithm, small enough to keep on each of 16k ranks.
+const keepSlots = 16
+
+// maxDims bounds array dimensionality (GA_MAX_DIM), which lets a
+// fan-out keep its per-dimension working arrays on the stack.
+const maxDims = 7
+
 func (e Elem) String() string {
 	if e == I64 {
 		return "i64"
@@ -58,29 +67,45 @@ type Env struct {
 	// on-demand registration discussion).
 	scratchAddr armci.Addr
 	scratchLen  int
+
+	// slots and handles are the descriptor and handle storage of the
+	// fan-out in progress, reused by the next one: a slot is valid from
+	// its patch's issue until the fan-out's WaitAll returns. Env keeps
+	// keepSlots slots (allocated by the first fan-out); a wider fan-out
+	// makes its own array, so what a rank retains is bounded however
+	// many owners it once addressed.
+	slots   []patchSlot
+	handles []armci.Handle
 }
 
 // scratch returns a local buffer of at least n bytes, growing (and
 // re-registering) geometrically.
 func (e *Env) scratch(n int) armci.Addr {
-	if n <= e.scratchLen {
-		return e.scratchAddr
-	}
-	if e.scratchLen > 0 {
-		if err := e.Rt.FreeLocal(e.scratchAddr); err != nil {
-			panic(err)
+	if n > e.scratchLen {
+		if e.scratchLen > 0 {
+			if err := e.Rt.FreeLocal(e.scratchAddr); err != nil {
+				panic(err)
+			}
 		}
+		e.scratchLen = max(2*e.scratchLen, n, 4096)
+		e.scratchAddr = e.Rt.MallocLocal(e.scratchLen)
 	}
-	size := e.scratchLen * 2
-	if size < n {
-		size = n
-	}
-	if size < 4096 {
-		size = 4096
-	}
-	e.scratchAddr = e.Rt.MallocLocal(size)
-	e.scratchLen = size
 	return e.scratchAddr
+}
+
+// scratchBytes returns the first n bytes of the scratch buffer, valid
+// until the next scratch call. The buffer is backed on first touch, so
+// a get asks only after its data has landed: thousands of ranks parked
+// in a get should not each pin a zeroed buffer while they wait.
+func (e *Env) scratchBytes(n int) []byte {
+	if n == 0 { // an empty Gather/Scatter: nothing to address
+		return nil
+	}
+	b, err := e.Rt.LocalBytes(e.scratchAddr, n)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // NewEnv creates the per-rank GA environment.

@@ -6,45 +6,39 @@ import (
 	"repro/internal/armci"
 )
 
-// rowStrides returns the byte stride of each dimension of a row-major
-// array with the given extents.
-func rowStrides(dims []int) []int {
-	nd := len(dims)
-	rs := make([]int, nd)
-	rs[nd-1] = elemBytes
-	for d := nd - 2; d >= 0; d-- {
-		rs[d] = rs[d+1] * dims[d+1]
-	}
-	return rs
+// patchSlot is the storage of one in-flight patch descriptor: the
+// armci.Strided handed to the runtime and the arrays its Count and
+// stride slices point into.
+type patchSlot struct {
+	s    armci.Strided
+	ints [3 * maxDims]int // count | local stride | remote stride
 }
 
-// patchStrided builds the ARMCI strided descriptor moving the patch
-// [p.Lo, p.Hi] between the remote block of owner and a local row-major
-// buffer holding the full request [lo..hi]. dir selects orientation:
-// for a put/acc the local buffer is the source; for a get it is the
-// destination. Trailing dimensions that are contiguous on both sides
-// are collapsed, as GA's runtime does before calling ARMCI.
-func (a *Array) patchStrided(owner int, p Patch, lo, hi []int, local armci.Addr, isPut bool) *armci.Strided {
-	nd := len(a.dist.Dims)
-	bd := a.dist.BlockDims(owner)
-	remoteBase, _ := a.blockAddr(owner, p.Lo)
-	reqDims := make([]int, nd)
-	for d := 0; d < nd; d++ {
-		reqDims[d] = hi[d] - lo[d] + 1
+// patchStrided builds, in slot, the ARMCI strided descriptor moving
+// owner's share of the request [lo, hi] between the owner's remote
+// block and a local row-major buffer holding the full request, whose
+// per-dimension byte strides are rsLocal. For a put/acc the local
+// buffer is the source; for a get it is the destination. Trailing
+// dimensions that are contiguous on both sides are collapsed, as GA's
+// runtime does before calling ARMCI.
+func (a *Array) patchStrided(slot *patchSlot, owner int, lo, hi, rsLocal []int, local armci.Addr, isPut bool) *armci.Strided {
+	nd := len(lo)
+	bLo, bHi, bd := a.dist.block(owner)
+	var rsRemote, pl [maxDims]int // remote byte strides, patch extents
+	rsRemote[nd-1] = elemBytes
+	for d := nd - 2; d >= 0; d-- {
+		rsRemote[d] = rsRemote[d+1] * bd[d+1]
 	}
-	rsLocal := rowStrides(reqDims)
-	rsRemote := rowStrides(bd)
-	// Local base offset of the patch corner within the request buffer.
-	off := 0
+	// Byte offsets of the patch corner within the request buffer and
+	// within the owner's block.
+	offLocal, offRemote := 0, 0
 	for d := 0; d < nd; d++ {
-		off += (p.Lo[d] - lo[d]) * rsLocal[d]
+		pLo := max(lo[d], bLo[d])
+		pl[d] = min(hi[d], bHi[d]) - pLo + 1
+		offLocal += (pLo - lo[d]) * rsLocal[d]
+		offRemote += (pLo - bLo[d]) * rsRemote[d]
 	}
-	localBase := local.Add(off)
-	// Patch extents.
-	pl := make([]int, nd)
-	for d := 0; d < nd; d++ {
-		pl[d] = p.Hi[d] - p.Lo[d] + 1
-	}
+	localBase, remoteBase := local.Add(offLocal), a.addrs[owner].Add(offRemote)
 	// Collapse trailing dims that are dense on both sides.
 	inner := nd - 1
 	seg := pl[inner] * elemBytes
@@ -54,50 +48,23 @@ func (a *Array) patchStrided(owner int, p Patch, lo, hi []int, local armci.Addr,
 	}
 	// Build Table I notation: count[0] = seg bytes; levels walk outward.
 	sl := inner
-	count := make([]int, sl+1)
+	count := slot.ints[:sl+1]
+	localStride := slot.ints[maxDims : maxDims+sl]
+	remoteStride := slot.ints[2*maxDims : 2*maxDims+sl]
 	count[0] = seg
-	localStride := make([]int, sl)
-	remoteStride := make([]int, sl)
 	for i := 0; i < sl; i++ {
 		dim := inner - 1 - i
 		count[i+1] = pl[dim]
 		localStride[i] = rsLocal[dim]
 		remoteStride[i] = rsRemote[dim]
 	}
-	s := &armci.Strided{Count: count}
+	s := &slot.s
 	if isPut {
-		s.Src, s.Dst = localBase, remoteBase
-		s.SrcStride, s.DstStride = localStride, remoteStride
+		*s = armci.Strided{Src: localBase, Dst: remoteBase, SrcStride: localStride, DstStride: remoteStride, Count: count}
 	} else {
-		s.Src, s.Dst = remoteBase, localBase
-		s.SrcStride, s.DstStride = remoteStride, localStride
+		*s = armci.Strided{Src: remoteBase, Dst: localBase, SrcStride: remoteStride, DstStride: localStride, Count: count}
 	}
 	return s
-}
-
-// scratchFrom marshals host floats into a local runtime buffer. The
-// copy is host-language marshalling, not simulated work: in the C
-// implementation the user buffer is used directly.
-func (a *Array) scratchFromF64(vals []float64) armci.Addr {
-	addr := a.env.scratch(len(vals) * elemBytes)
-	b, err := a.env.Rt.LocalBytes(addr, len(vals)*elemBytes)
-	if err != nil {
-		panic(err)
-	}
-	for i, v := range vals {
-		f64put(b[8*i:], v)
-	}
-	return addr
-}
-
-func (a *Array) scratchToF64(addr armci.Addr, vals []float64) {
-	b, err := a.env.Rt.LocalBytes(addr, len(vals)*elemBytes)
-	if err != nil {
-		panic(err)
-	}
-	for i := range vals {
-		vals[i] = f64get(b[8*i:])
-	}
 }
 
 func (a *Array) reqLen(lo, hi []int) int {
@@ -106,19 +73,6 @@ func (a *Array) reqLen(lo, hi []int) int {
 		n *= hi[d] - lo[d] + 1
 	}
 	return n
-}
-
-func (a *Array) checkOp(lo, hi []int, vals []float64) error {
-	if a.freed {
-		return fmt.Errorf("ga: operation on destroyed array %q", a.name)
-	}
-	if err := checkRange(a.dist.Dims, lo, hi); err != nil {
-		return err
-	}
-	if want := a.reqLen(lo, hi); len(vals) != want {
-		return fmt.Errorf("ga: buffer has %d elements, patch needs %d", len(vals), want)
-	}
-	return nil
 }
 
 // fanKind selects the ARMCI operation family of a fan-out.
@@ -173,21 +127,68 @@ func (a *Array) issuePatch(kind fanKind, alpha float64, s *armci.Strided) (armci
 // operation per owning process, all owners issued nonblocking, then a
 // single WaitAll for local completion. On an issue error the handles
 // already in flight are waited before reporting, so the shared scratch
-// buffer is never left with outstanding operations.
+// buffer is never left with outstanding operations. Descriptors and
+// handles live in Env storage, one slot per owner so that none is
+// rewritten before the WaitAll; a warm fan-out allocates nothing per
+// owner (and nothing at all up to keepSlots owners).
 func (a *Array) fanout(kind fanKind, alpha float64, lo, hi []int, local armci.Addr) error {
-	var handles []armci.Handle
-	for _, p := range a.dist.Intersect(lo, hi) {
-		s := a.patchStrided(p.Owner, p, lo, hi, local, kind != fanGet)
-		h, err := a.issuePatch(kind, alpha, s)
-		if err != nil {
-			armci.WaitAll(handles...)
-			return err
-		}
-		if h != nil {
+	e := a.env
+	nd := len(lo)
+	var rsLocal [maxDims]int // byte strides of the row-major request buffer
+	rsLocal[nd-1] = elemBytes
+	for d := nd - 2; d >= 0; d-- {
+		rsLocal[d] = rsLocal[d+1] * (hi[d+1] - lo[d+1] + 1)
+	}
+	w := a.dist.owners(lo, hi)
+	if e.slots == nil {
+		e.slots = make([]patchSlot, keepSlots)
+	}
+	slot, handles := e.slots, e.handles[:0]
+	if n := w.count(); n > len(slot) {
+		slot = make([]patchSlot, n) // all up front: growing would move slots in flight
+	}
+	var err error
+	for owner, ok := w.next(); ok && err == nil; owner, ok = w.next() {
+		s := a.patchStrided(&slot[0], owner, lo, hi, rsLocal[:nd], local, kind != fanGet)
+		slot = slot[1:]
+		var h armci.Handle
+		if h, err = a.issuePatch(kind, alpha, s); err == nil && h != nil {
 			handles = append(handles, h)
 		}
 	}
 	armci.WaitAll(handles...)
+	clear(handles) // drop the references; the storage is reused
+	e.handles = handles[:0]
+	return err
+}
+
+// transfer is Put, Get and Acc for either element type: validate,
+// marshal vals through the scratch buffer, fan out. The marshalling is
+// one copy through the typed view and not simulated work — in the C
+// implementation the user buffer is used directly — but the scratch
+// address is what the runtime (and its registration cache) sees, so
+// gets land there and are copied out once.
+func transfer[T float64 | int64](a *Array, op string, kind fanKind, alpha float64, lo, hi []int, vals []T) error {
+	if a.freed {
+		return fmt.Errorf("ga: operation on destroyed array %q", a.name)
+	}
+	if err := checkRange(a.dist.Dims, lo, hi); err != nil {
+		return err
+	}
+	if want := a.reqLen(lo, hi); len(vals) != want {
+		return fmt.Errorf("ga: buffer has %d elements, patch needs %d", len(vals), want)
+	}
+	n := len(vals) * elemBytes
+	addr := a.env.scratch(n)
+	if kind != fanGet {
+		copy(view[T](a.env.scratchBytes(n)), vals)
+	}
+	if err := a.fanout(kind, alpha, lo, hi, addr); err != nil {
+		return fmt.Errorf("ga: %s %q: %w", op, a.name, err)
+	}
+	if kind == fanGet {
+		copy(vals, view[T](a.env.scratchBytes(n)))
+	}
 	return nil
 }
 
@@ -195,45 +196,40 @@ func (a *Array) fanout(kind fanKind, alpha float64, lo, hi []int, local armci.Ad
 // the array (GA_Put / NGA_Put). One strided ARMCI put is issued per
 // owning process (Figure 2), all owners nonblocking.
 func (a *Array) Put(lo, hi []int, vals []float64) error {
-	if err := a.checkOp(lo, hi, vals); err != nil {
-		return err
-	}
-	scratch := a.scratchFromF64(vals)
-	if err := a.fanout(fanPut, 1, lo, hi, scratch); err != nil {
-		return fmt.Errorf("ga: Put %q: %w", a.name, err)
-	}
-	return nil
+	return transfer(a, "Put", fanPut, 1, lo, hi, vals)
 }
 
 // Get reads the inclusive range [lo, hi] into vals (row-major)
 // (GA_Get / NGA_Get). The per-owner gets overlap; the copy-out happens
 // after all of them complete locally.
 func (a *Array) Get(lo, hi []int, vals []float64) error {
-	if err := a.checkOp(lo, hi, vals); err != nil {
-		return err
-	}
-	scratch := a.env.scratch(len(vals) * elemBytes)
-	if err := a.fanout(fanGet, 1, lo, hi, scratch); err != nil {
-		return fmt.Errorf("ga: Get %q: %w", a.name, err)
-	}
-	a.scratchToF64(scratch, vals)
-	return nil
+	return transfer(a, "Get", fanGet, 1, lo, hi, vals)
 }
 
 // Acc atomically accumulates alpha*vals into the range [lo, hi]
 // (GA_Acc / NGA_Acc).
 func (a *Array) Acc(lo, hi []int, vals []float64, alpha float64) error {
-	if err := a.checkOp(lo, hi, vals); err != nil {
-		return err
-	}
 	if a.elem != F64 {
 		return fmt.Errorf("ga: Acc on non-double array %q", a.name)
 	}
-	scratch := a.scratchFromF64(vals)
-	if err := a.fanout(fanAcc, alpha, lo, hi, scratch); err != nil {
-		return fmt.Errorf("ga: Acc %q: %w", a.name, err)
+	return transfer(a, "Acc", fanAcc, alpha, lo, hi, vals)
+}
+
+// PutI64 writes int64 values over the inclusive range [lo, hi] of an
+// integer array.
+func (a *Array) PutI64(lo, hi []int, vals []int64) error {
+	if a.elem != I64 {
+		return fmt.Errorf("ga: PutI64 on non-integer array %q", a.name)
 	}
-	return nil
+	return transfer(a, "PutI64", fanPut, 1, lo, hi, vals)
+}
+
+// GetI64 reads int64 values over the inclusive range [lo, hi].
+func (a *Array) GetI64(lo, hi []int, vals []int64) error {
+	if a.elem != I64 {
+		return fmt.Errorf("ga: GetI64 on non-integer array %q", a.name)
+	}
+	return transfer(a, "GetI64", fanGet, 1, lo, hi, vals)
 }
 
 // ReadInc atomically adds inc to the int64 element at idx and returns
@@ -247,20 +243,20 @@ func (a *Array) ReadInc(idx []int, inc int64) (int64, error) {
 		return 0, err
 	}
 	owner := a.dist.OwnerOfIndex(idx)
-	addr, _ := a.blockAddr(owner, idx)
-	return a.env.Rt.Rmw(armci.FetchAndAdd, addr, inc)
+	return a.env.Rt.Rmw(armci.FetchAndAdd, a.blockAddr(owner, idx), inc)
 }
 
-// Fill sets every element to v (GA_Fill); collective.
-func (a *Array) Fill(v float64) error {
+// fill sets every element of the calling rank's block to v, then
+// synchronizes.
+func fill[T float64 | int64](a *Array, v T) error {
 	if idx := a.myOwnerIdx(); idx >= 0 && idx < a.dist.OwnerCount() {
 		b, err := a.Access()
 		if err != nil {
 			return err
 		}
-		n := len(b.mem) / elemBytes
-		for i := 0; i < n; i++ {
-			f64put(b.mem[8*i:], v)
+		elems := view[T](b.mem)
+		for i := range elems {
+			elems[i] = v
 		}
 		if err := b.Release(); err != nil {
 			return err
@@ -269,27 +265,16 @@ func (a *Array) Fill(v float64) error {
 	a.sync()
 	return nil
 }
+
+// Fill sets every element to v (GA_Fill); collective.
+func (a *Array) Fill(v float64) error { return fill(a, v) }
 
 // FillI64 sets every element of an integer array to v; collective.
 func (a *Array) FillI64(v int64) error {
 	if a.elem != I64 {
 		return fmt.Errorf("ga: FillI64 on non-integer array %q", a.name)
 	}
-	if idx := a.myOwnerIdx(); idx >= 0 && idx < a.dist.OwnerCount() {
-		b, err := a.Access()
-		if err != nil {
-			return err
-		}
-		n := len(b.mem) / elemBytes
-		for i := 0; i < n; i++ {
-			i64put(b.mem[8*i:], v)
-		}
-		if err := b.Release(); err != nil {
-			return err
-		}
-	}
-	a.sync()
-	return nil
+	return fill(a, v)
 }
 
 // Zero clears the array (GA_Zero); collective.
@@ -319,71 +304,12 @@ func (a *Array) CopyTo(dst *Array) error {
 			if err != nil {
 				return err
 			}
-			for i, v := range vals {
-				f64put(blk.mem[8*i:], v)
-			}
+			copy(blk.F64s(), vals)
 			if err := blk.Release(); err != nil {
 				return err
 			}
 		}
 	}
 	a.sync()
-	return nil
-}
-
-// scratchFromI64 marshals host int64s into the scratch buffer.
-func (a *Array) scratchFromI64(vals []int64) armci.Addr {
-	addr := a.env.scratch(len(vals) * elemBytes)
-	b, err := a.env.Rt.LocalBytes(addr, len(vals)*elemBytes)
-	if err != nil {
-		panic(err)
-	}
-	for i, v := range vals {
-		i64put(b[8*i:], v)
-	}
-	return addr
-}
-
-// PutI64 writes int64 values over the inclusive range [lo, hi] of an
-// integer array.
-func (a *Array) PutI64(lo, hi []int, vals []int64) error {
-	if a.elem != I64 {
-		return fmt.Errorf("ga: PutI64 on non-integer array %q", a.name)
-	}
-	if err := checkRange(a.dist.Dims, lo, hi); err != nil {
-		return err
-	}
-	if want := a.reqLen(lo, hi); len(vals) != want {
-		return fmt.Errorf("ga: buffer has %d elements, patch needs %d", len(vals), want)
-	}
-	scratch := a.scratchFromI64(vals)
-	if err := a.fanout(fanPut, 1, lo, hi, scratch); err != nil {
-		return fmt.Errorf("ga: PutI64 %q: %w", a.name, err)
-	}
-	return nil
-}
-
-// GetI64 reads int64 values over the inclusive range [lo, hi].
-func (a *Array) GetI64(lo, hi []int, vals []int64) error {
-	if a.elem != I64 {
-		return fmt.Errorf("ga: GetI64 on non-integer array %q", a.name)
-	}
-	if err := checkRange(a.dist.Dims, lo, hi); err != nil {
-		return err
-	}
-	if want := a.reqLen(lo, hi); len(vals) != want {
-		return fmt.Errorf("ga: buffer has %d elements, patch needs %d", len(vals), want)
-	}
-	scratch := a.env.scratch(len(vals) * elemBytes)
-	if err := a.fanout(fanGet, 1, lo, hi, scratch); err != nil {
-		return fmt.Errorf("ga: GetI64 %q: %w", a.name, err)
-	}
-	b, err := a.env.Rt.LocalBytes(scratch, len(vals)*elemBytes)
-	if err != nil {
-		return err
-	}
-	for i := range vals {
-		vals[i] = i64get(b[8*i:])
-	}
 	return nil
 }

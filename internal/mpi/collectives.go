@@ -106,9 +106,9 @@ func (c *Comm) Allgather(mine []byte) [][]byte {
 // rank order.
 func (c *Comm) allgatherI64(mine []int64) []int64 {
 	parts := c.Allgather(i64sToBytes(mine))
-	var out []int64
+	out := make([]int64, 0, len(parts)*len(mine)) // equal-length parts
 	for _, p := range parts {
-		out = append(out, bytesToI64s(p)...)
+		out = appendI64s(out, p)
 		c.r.W.M.PutBuf(p)
 	}
 	return out

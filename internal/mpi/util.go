@@ -17,10 +17,12 @@ func i64sToBytes(xs []int64) []byte {
 	return b
 }
 
-func bytesToI64s(b []byte) []int64 {
-	xs := make([]int64, len(b)/8)
-	for i := range xs {
-		xs[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+func bytesToI64s(b []byte) []int64 { return appendI64s(make([]int64, 0, len(b)/8), b) }
+
+// appendI64s decodes b onto the end of xs.
+func appendI64s(xs []int64, b []byte) []int64 {
+	for ; len(b) >= 8; b = b[8:] {
+		xs = append(xs, int64(binary.LittleEndian.Uint64(b)))
 	}
 	return xs
 }

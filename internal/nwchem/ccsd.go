@@ -39,6 +39,7 @@ func (s *System) CCSD() (Result, error) {
 					return res, fmt.Errorf("nwchem: ccsd task %d: %w", k, err)
 				}
 			}
+			s.releaseTiles()
 		}
 		s.Env.Sync()
 	}
@@ -65,11 +66,11 @@ func (s *System) ccsdTask(task int, res *Result) error {
 	oo := p.oo()
 
 	// Get T2[:, cdLo:cdHi] and V[cdLo:cdHi, abLo:abHi].
-	t2 := make([]float64, oo*ncd)
+	t2 := s.tile(0, oo*ncd)
 	if err := s.T2.Get([]int{0, cdLo}, []int{oo - 1, cdHi}, t2); err != nil {
 		return err
 	}
-	v := make([]float64, ncd*nab)
+	v := s.tile(1, ncd*nab)
 	if err := s.V.Get([]int{cdLo, abLo}, []int{cdHi, abHi}, v); err != nil {
 		return err
 	}
@@ -77,7 +78,11 @@ func (s *System) ccsdTask(task int, res *Result) error {
 	flops := 2.0 * float64(oo) * float64(ncd) * float64(nab) * p.flopMult()
 	s.M.Compute(s.Env.Rt.Proc(), flops)
 	res.Flops += flops
-	r := make([]float64, oo*nab)
+	// The accumulate source must start all-zero (and stay so when
+	// Numeric is off), whatever an earlier task or phase landed in the
+	// tile.
+	r := s.tile(2, oo*nab)
+	clear(r)
 	if p.Numeric {
 		for i := 0; i < oo; i++ {
 			for k := 0; k < ncd; k++ {

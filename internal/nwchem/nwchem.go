@@ -106,39 +106,63 @@ type Result struct {
 	Elapsed sim.Time // virtual wall time of the phase (max over ranks is taken by the caller)
 }
 
-// amplitude is the synthetic initial guess: a smooth deterministic
-// function of the global indices, so every rank fills its own block
-// without communication and a serial reference can recompute it.
-func amplitude(row, col int) float64 {
-	x := float64((row*31+col*17)%97) / 97.0
-	return 0.05 + 0.9*x*x - 0.4*x
+// synth is a synthetic matrix: a smooth deterministic function of the
+// global indices, so every rank fills its own block without
+// communication and a serial reference can recompute it. Element
+// (row, col) is table[(row*rowMul+col*colMul) % len(table)].
+type synth struct {
+	table          []float64
+	rowMul, colMul int
 }
 
-// integral is the synthetic two-electron integral matrix V[cd,ab].
-func integral(row, col int) float64 {
-	x := float64((row*13+col*29)%89) / 89.0
-	return 0.3 - x*0.6 + 0.1*x*x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
+// newSynth tabulates f(k/n) for the n residues k.
+func newSynth(n, rowMul, colMul int, f func(x float64) float64) *synth {
+	s := &synth{table: make([]float64, n), rowMul: rowMul, colMul: colMul}
+	for k := range s.table {
+		s.table[k] = f(float64(k) / float64(n))
 	}
-	return b
+	return s
 }
 
-// fillMatrix initializes a 2-D global array from f(row, col), each
-// rank writing its own block through direct local access.
-func fillMatrix(a *ga.Array, f func(r, c int) float64) error {
-	blk, err := a.Access()
-	if err != nil {
+var (
+	// amplitudes is the initial guess for T2.
+	amplitudes = newSynth(97, 31, 17, func(x float64) float64 { return 0.05 + 0.9*x*x - 0.4*x })
+	// integrals is the two-electron integral matrix V[cd,ab].
+	integrals = newSynth(89, 13, 29, func(x float64) float64 { return 0.3 - x*0.6 + 0.1*x*x })
+)
+
+// at returns element (row, col): the definition fillRow steps through,
+// and what the tests' serial reference calls.
+func (s *synth) at(row, col int) float64 {
+	return s.table[(row*s.rowMul+col*s.colMul)%len(s.table)]
+}
+
+// fillRow writes row's elements from column col0 on into dst, stepping
+// the residue instead of recomputing it per element.
+func (s *synth) fillRow(row, col0 int, dst []float64) {
+	n := len(s.table)
+	k, step := (row*s.rowMul+col0*s.colMul)%n, s.colMul%n
+	for j := range dst {
+		dst[j] = s.table[k]
+		if k += step; k >= n {
+			k -= n
+		}
+	}
+}
+
+// fillMatrix initializes a 2-D global array from m, each rank writing
+// the rows of its own block through direct local access.
+func fillMatrix(e *ga.Env, a *ga.Array, m *synth) error {
+	if _, _, ok := a.Distribution(e.Me()); !ok {
 		return nil // ranks without a block have nothing to fill
 	}
-	d := blk.Dims()
-	for i := 0; i < d[0]; i++ {
-		for j := 0; j < d[1]; j++ {
-			blk.SetF64(f(blk.Lo[0]+i, blk.Lo[1]+j), i, j)
-		}
+	blk, err := a.Access()
+	if err != nil {
+		return err
+	}
+	vals, cols := blk.F64s(), blk.Dims()[1]
+	for i := 0; i*cols < len(vals); i++ {
+		m.fillRow(blk.Lo[0]+i, blk.Lo[1], vals[i*cols:(i+1)*cols])
 	}
 	return blk.Release()
 }
@@ -153,6 +177,24 @@ type System struct {
 	V       *ga.Array // integrals, (nv*nv) x (nv*nv)
 	R       *ga.Array // residual, (no*no) x (nv*nv)
 	Counter *ga.Array // NXTVAL dynamic load-balancing counter
+
+	// tiles are this rank's task buffers, grow-only and reused by the
+	// tasks of one NXTVAL claim. A rank going back to the counter drops
+	// them: ranks queue there, and 4096 idle ranks holding 48 KB each
+	// are 200 MB of live heap. Teardown drops what an error path left.
+	tiles [3][]float64
+}
+
+// releaseTiles drops the rank's task buffers.
+func (s *System) releaseTiles() { s.tiles = [3][]float64{} }
+
+// tile returns the rank's i-th task buffer resized to n elements; its
+// contents are whatever the previous task left.
+func (s *System) tile(i, n int) []float64 {
+	if cap(s.tiles[i]) < n {
+		s.tiles[i] = make([]float64, n)
+	}
+	return s.tiles[i][:n]
 }
 
 // Setup collectively creates and initializes the arrays.
@@ -174,10 +216,10 @@ func Setup(e *ga.Env, m *fabric.Machine, p Params) (*System, error) {
 	if s.Counter, err = e.Create("nxtval", ga.I64, []int{1}); err != nil {
 		return nil, err
 	}
-	if err := fillMatrix(s.T2, amplitude); err != nil {
+	if err := fillMatrix(e, s.T2, amplitudes); err != nil {
 		return nil, err
 	}
-	if err := fillMatrix(s.V, integral); err != nil {
+	if err := fillMatrix(e, s.V, integrals); err != nil {
 		return nil, err
 	}
 	e.Sync()
@@ -186,6 +228,7 @@ func Setup(e *ga.Env, m *fabric.Machine, p Params) (*System, error) {
 
 // Teardown collectively destroys the arrays.
 func (s *System) Teardown() error {
+	s.releaseTiles()
 	for _, a := range []*ga.Array{s.T2, s.V, s.R, s.Counter} {
 		if err := a.Destroy(); err != nil {
 			return err

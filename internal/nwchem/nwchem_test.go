@@ -53,6 +53,9 @@ func runProxy(t *testing.T, n int, impl harness.Impl, p Params, triples bool) (R
 	return out, j.Eng.Stats().FinalTime
 }
 
+func amplitude(row, col int) float64 { return amplitudes.at(row, col) }
+func integral(row, col int) float64  { return integrals.at(row, col) }
+
 // serialReference computes R = T2 * V and the energy functional
 // directly.
 func serialReference(p Params) float64 {

@@ -43,15 +43,15 @@ func (s *System) Triples() (Result, error) {
 			nab := abHi - abLo + 1
 			// Fetch the amplitude panel and two integral panels this triple
 			// needs (three one-sided gets, as TCE's (T) loops issue).
-			t2 := make([]float64, oo*nab)
+			t2 := s.tile(0, oo*nab)
 			if err := s.T2.Get([]int{0, abLo}, []int{oo - 1, abHi}, t2); err != nil {
 				return res, fmt.Errorf("nwchem: (T) task %d: %w", t, err)
 			}
-			v1 := make([]float64, nab*min(nab, p.vv()))
+			v1 := s.tile(1, nab*min(nab, p.vv()))
 			if err := s.V.Get([]int{abLo, 0}, []int{abHi, min(nab, p.vv()) - 1}, v1); err != nil {
 				return res, err
 			}
-			v2 := make([]float64, nab)
+			v2 := s.tile(2, nab)
 			if err := s.V.Get([]int{abLo, abLo}, []int{abLo, abHi}, v2); err != nil {
 				return res, err
 			}
@@ -72,6 +72,7 @@ func (s *System) Triples() (Result, error) {
 			}
 			res.Tasks++
 		}
+		s.releaseTiles()
 	}
 	s.Env.Sync()
 	sum := s.Env.GopF64(mpi.OpSum, []float64{local})
