@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,13 +29,13 @@ func main() {
 	cores := flag.String("cores", "", "comma-separated process counts (overrides defaults)")
 	flag.Parse()
 
-	if err := run(*plat, *quick, *triples, *cores); err != nil {
+	if err := run(os.Stdout, *plat, *quick, *triples, *cores); err != nil {
 		fmt.Fprintln(os.Stderr, "nwchem-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(plat string, quick bool, triples, cores string) error {
+func run(w io.Writer, plat string, quick bool, triples, cores string) error {
 	cfg := bench.DefaultFig6()
 	if quick {
 		cfg = bench.QuickFig6()
@@ -76,7 +77,7 @@ func run(plat string, quick bool, triples, cores string) error {
 		if err != nil {
 			return err
 		}
-		fig.Print(os.Stdout)
+		fig.Print(w)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ga"
 	"repro/internal/harness"
@@ -104,6 +105,16 @@ func NWChemPhase(plat *platform.Platform, impl harness.Impl, cores int, p nwchem
 // Fig6 regenerates one platform's panel of Figure 6: CCSD (and
 // optionally (T)) time versus process count for both runtimes. Times
 // are reported in virtual minutes, as in the paper's axes.
+//
+// Every point is its own simulation job — engine, machine and runtimes
+// of its own, as every point of the paper's figure was its own NWChem
+// run — so the panel is enumerated, swept on every host core (sweep)
+// and assembled: dispatch is largest process count first, because the
+// 128-rank jobs cost several times the 8-rank ones and must not be
+// what the last worker starts on, while points are added in
+// enumeration order, so the figure is byte-for-byte what running the
+// jobs one after another in that order gives. Process counts above the
+// platform's cap are skipped; a panel left with no point is an error.
 func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, error) {
 	fig := &Figure{
 		Name:   "fig6-" + plat.Name,
@@ -111,6 +122,14 @@ func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, e
 		XLabel: "number of processes",
 		YLabel: "phase time (virtual minutes)",
 	}
+	type point struct {
+		impl    harness.Impl
+		series  string
+		cores   int
+		triples bool
+		t       sim.Time // the job's result
+	}
+	var points []point
 	for _, impl := range []harness.Impl{harness.ImplARMCIMPI, harness.ImplNative} {
 		name := "ARMCI-MPI"
 		if impl == harness.ImplNative {
@@ -120,19 +139,39 @@ func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, e
 			if cores > plat.MaxRanks() {
 				continue
 			}
-			t, err := NWChemPhase(plat, impl, cores, cfg.ParamsFor(plat), false)
-			if err != nil {
-				return nil, fmt.Errorf("bench: fig6 %s/%s ccsd @%d: %w", plat.Name, impl, cores, err)
-			}
-			fig.Add(name+" CCSD", float64(cores), t.Seconds()/60)
+			points = append(points, point{impl: impl, series: name + " CCSD", cores: cores})
 			if withTriples {
-				tt, err := NWChemPhase(plat, impl, cores, cfg.ParamsFor(plat), true)
-				if err != nil {
-					return nil, fmt.Errorf("bench: fig6 %s/%s (T) @%d: %w", plat.Name, impl, cores, err)
-				}
-				fig.Add(name+" (T)", float64(cores), tt.Seconds()/60)
+				points = append(points, point{impl: impl, series: name + " (T)", cores: cores, triples: true})
 			}
 		}
+	}
+	if len(points) == 0 {
+		return nil, fmt.Errorf("bench: fig6 %s: no process count in %v fits the platform's %d ranks", plat.Name, cfg.Cores, plat.MaxRanks())
+	}
+	order := make([]*point, len(points))
+	for i := range points {
+		order[i] = &points[i]
+	}
+	sort.SliceStable(order, func(a, b int) bool { return order[a].cores > order[b].cores })
+	p := cfg.ParamsFor(plat)
+	err := sweep(len(order), func(i int) error {
+		pt := order[i]
+		t, err := NWChemPhase(plat, pt.impl, pt.cores, p, pt.triples)
+		if err != nil {
+			phase := "ccsd"
+			if pt.triples {
+				phase = "(T)"
+			}
+			return fmt.Errorf("bench: fig6 %s/%s %s @%d: %w", plat.Name, pt.impl, phase, pt.cores, err)
+		}
+		pt.t = t
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, pt := range points {
+		fig.Add(pt.series, float64(pt.cores), pt.t.Seconds()/60)
 	}
 	return fig, nil
 }

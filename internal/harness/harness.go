@@ -46,7 +46,9 @@ func ImplNames() []string {
 
 // Shards is the host shard count requested for shard-confined sweeps
 // (set from cmd/armci-bench -shards; bench.ParallelSpeedup takes it as
-// its cap). Full ARMCI stack jobs ignore it — see NewJobObs.
+// its cap). Full ARMCI stack jobs ignore it — see NewJobObs. It is set
+// once, before any job is built: jobs of one figure may be built
+// concurrently (DESIGN.md, "Figure sweeps") and only read it.
 var Shards int
 
 // ApplyShards configures eng for multi-shard execution over nranks

@@ -11,10 +11,12 @@ package mpi
 // once per datatype instance. Iterating f.Segs is allocation-free, and
 // the pack/unpack kernels in pack.go are plain copy loops over it.
 //
-// The cooperative scheduler guarantees at most one goroutine touches a
-// datatype at a time (rank handoffs go through channels, so the lazy
-// build is ordered by happens-before edges), which keeps the memo a
-// plain field rather than a sync.Once.
+// The memo is a plain field rather than a sync.Once because a datatype
+// belongs to one job and one rank of a job runs at a time: the engine
+// switches ranks by coroutine hand-off (iter.Pull), which orders the
+// lazy build before every later read. Jobs that run side by side on
+// different host threads (DESIGN.md, "Figure sweeps") share no
+// datatype.
 
 // Segment is one contiguous run of a flattened datatype, relative to
 // the base address.
