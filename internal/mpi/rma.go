@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -24,21 +25,47 @@ func (lt LockType) String() string {
 	return "shared"
 }
 
+// opKind is what a one-sided operation does at the bytes it names: it
+// decides what lands. (What the operation costs is its route's
+// business: see issue.)
 type opKind int
 
 const (
 	opGet opKind = iota
 	opPut
 	opAcc
+	opFetchOp // MPI-3 atomics from here on
+	opCAS
 )
 
-func (k opKind) writes() bool { return k != opGet }
+// kinds holds what the layers around the op core call each kind: the
+// exported call (apply errors, diagnostics), its trace span, its op
+// counter, its communication-matrix class and, for the atomics that
+// block on a round trip, the park reason.
+var kinds = [...]struct {
+	name, span, metric, park string
+	class                    profile.MsgClass
+}{
+	opGet:     {name: "Get", span: "get", metric: obs.COpsGet, class: profile.MsgGet},
+	opPut:     {name: "Put", span: "put", metric: obs.COpsPut, class: profile.MsgPut},
+	opAcc:     {name: "Accumulate", span: "acc", metric: obs.COpsAcc, class: profile.MsgAcc},
+	opFetchOp: {name: "FetchAndOp", span: "fetch_and_op", metric: obs.COpsAmo, class: profile.MsgAmo, park: "mpi.FetchAndOp"},
+	opCAS:     {name: "CompareAndSwap", span: "compare_and_swap", metric: obs.COpsAmo, class: profile.MsgAmo, park: "mpi.CompareAndSwap"},
+}
+
+func (k opKind) String() string { return kinds[k].name }
+func (k opKind) writes() bool   { return k != opGet }
+func (k opKind) atomic() bool   { return k >= opFetchOp }
+
+// accumulates reports whether the target's agent applies the kind
+// element by element, so that two of them with the same op commute.
+func (k opKind) accumulates() bool { return k >= opAcc }
 
 // rng is a byte range [Lo,Hi) touched at a target, with the access kind.
 type rng struct {
 	lo, hi int
 	kind   opKind
-	op     Op // for opAcc: same-op accumulates may overlap
+	op     Op // for the accumulate family: same-op updates may overlap
 }
 
 func (a rng) overlaps(b rng) bool { return a.lo < b.hi && b.lo < a.hi }
@@ -50,8 +77,8 @@ func (a rng) conflicts(b rng) bool {
 	if !a.kind.writes() && !b.kind.writes() {
 		return false // concurrent reads are fine
 	}
-	if a.kind == opAcc && b.kind == opAcc && a.op == b.op {
-		return false // same-op accumulates may overlap (MPI-2 7.4.2)
+	if a.kind.accumulates() && b.kind.accumulates() && a.op == b.op {
+		return false // same-op accumulates may overlap (MPI-2 7.4.2); MPI-3 puts its atomics in the same family
 	}
 	return true
 }
@@ -80,6 +107,19 @@ type targetLock struct {
 	// accBusy serializes target-side accumulate processing, modeling
 	// the agent/NIC that applies reductions.
 	accBusy sim.Time
+}
+
+// serve books cost worth of work on the target's agent, no earlier than
+// at and behind whatever it is already doing, and returns when the work
+// starts and finishes.
+func (t *targetLock) serve(at, cost sim.Time) (start, fin sim.Time) {
+	start = at
+	if t.accBusy > start {
+		start = t.accBusy
+	}
+	fin = start + cost
+	t.accBusy = fin
+	return start, fin
 }
 
 func (t *targetLock) heldExclusive() bool {
@@ -147,10 +187,6 @@ type Win struct {
 
 	cur *epoch         // at most one open epoch per window per origin (MPI-2)
 	all map[int]*epoch // lock-all mode accounting (MPI-3); nil when inactive
-
-	// Active-target (fence) mode state.
-	fenced   bool
-	fenceEps map[int]*epoch
 }
 
 // epoch is the origin-side record of an open access epoch.
@@ -165,12 +201,39 @@ type epoch struct {
 	relaxed    bool // MPI-3 lock-all: conflicts are undefined, not errors
 }
 
+// extend moves the epoch's completion horizon out to t.
+func (ep *epoch) extend(t sim.Time) {
+	if t > ep.completeAt {
+		ep.completeAt = t
+	}
+}
+
+// settle blocks r until every operation of the epoch has completed
+// remotely. completeAt can advance while the rank sleeps (get return
+// paths are timed when their request reaches the target), so it
+// re-checks until the horizon is stable.
+func (ep *epoch) settle(r *Rank) {
+	for {
+		horizon := ep.completeAt
+		r.W.M.SleepUntil(r.P, horizon)
+		if ep.completeAt <= horizon {
+			return
+		}
+	}
+}
+
 // LocalBuf names an origin-side buffer for RMA: a region, a byte
 // offset into it, and a datatype describing the layout from there.
 type LocalBuf struct {
 	Region *fabric.Region
 	Off    int
 	Type   Datatype
+}
+
+// bytes is the memory the layout touches, from its first byte to one
+// past its last; it panics if that runs outside the region.
+func (b LocalBuf) bytes() []byte {
+	return b.Region.Bytes(b.Region.VA+int64(b.Off), b.Type.Span())
 }
 
 // WinCreate collectively creates a window over comm; each rank exposes
@@ -302,16 +365,16 @@ func (w *Win) SharedQuery(target int) (*fabric.Region, bool) {
 	return reg, true
 }
 
-// shmFast reports whether ops on target can take the intra-node
+// viaShm reports whether ops on target can take the intra-node
 // shared-memory path.
-func (w *Win) shmFast(target int) bool {
+func (w *Win) viaShm(target int) bool {
 	_, ok := w.SharedQuery(target)
 	return ok
 }
 
-// shmLatency is the cost of one shared-segment synchronization step
+// segSyncLatency is the cost of one shared-segment synchronization step
 // (lock-word CAS, release store): a node-local memory round trip.
-func (w *Win) shmLatency() sim.Time {
+func (w *Win) segSyncLatency() sim.Time {
 	return sim.FromSeconds(w.state.w.M.Par.LocalLatencyNs / 1e9)
 }
 
@@ -320,13 +383,18 @@ func (w *Win) Free() error {
 	if w.cur != nil {
 		return fmt.Errorf("mpi: Win.Free with open epoch on target %d", w.cur.target)
 	}
+	if w.all != nil {
+		return fmt.Errorf("mpi: Win.Free in lock-all mode (UnlockAll first)")
+	}
 	w.comm.Barrier()
 	if w.rank == 0 {
 		w.state.freed = true
 	}
-	err := w.state.err
-	return err
+	return w.state.err
 }
+
+// validTarget reports whether target is a rank of the window.
+func (w *Win) validTarget(target int) bool { return target >= 0 && target < len(w.state.group) }
 
 // Size returns the exposed byte count of the given window rank.
 func (w *Win) Size(rank int) int { return w.state.sizes[rank] }
@@ -365,10 +433,7 @@ func (w *Win) Lock(lt LockType, target int) error {
 	if w.all != nil {
 		return fmt.Errorf("mpi: Win.Lock(%v,%d) while in lock-all mode is erroneous", lt, target)
 	}
-	if w.fenced {
-		return fmt.Errorf("mpi: Win.Lock(%v,%d) inside an active fence epoch is erroneous", lt, target)
-	}
-	if target < 0 || target >= len(w.state.group) {
+	if !w.validTarget(target) {
 		return fmt.Errorf("mpi: Win.Lock: bad target %d", target)
 	}
 	r := w.comm.r
@@ -380,14 +445,14 @@ func (w *Win) Lock(lt LockType, target int) error {
 	eng := r.W.M.Eng
 	p := r.P
 
-	shm := w.shmFast(target)
+	shm := w.viaShm(target)
 	notify := r.W.M.RoundTripTime(targetWorld, r.ID()) / 2
 	if shm {
 		// The lock word lives in the shared segment: acquiring it is a
 		// node-local CAS, with no control message and no target-side
 		// progress needed. Arbitration (shared/exclusive, FIFO queue) is
 		// unchanged.
-		notify = w.shmLatency()
+		notify = w.segSyncLatency()
 	}
 	ep := &epoch{target: target, ltype: lt}
 	w.cur = ep
@@ -426,16 +491,13 @@ func (w *Win) Lock(lt LockType, target int) error {
 	ep.openedAt = p.Now()
 	ep.completeAt = p.Now()
 	r.W.Epochs++
-	if lt == LockShared {
-		r.W.SharedEpochs++
-	} else {
-		r.W.ExclEpochs++
-	}
 	o := r.W.Obs
 	wait := p.Now() - reqAt
 	if lt == LockShared {
+		r.W.SharedEpochs++
 		o.AddTime(r.ID(), obs.TLockWaitShared, wait)
 	} else {
+		r.W.ExclEpochs++
 		o.AddTime(r.ID(), obs.TLockWaitExcl, wait)
 	}
 	o.Observe(r.ID(), obs.HLockWait, wait)
@@ -498,21 +560,13 @@ func (w *Win) Unlock(target int) error {
 	tU := p.Now()
 
 	// Wait for the slowest operation of the epoch to complete remotely.
-	// completeAt can advance while we sleep (get return paths are timed
-	// when their request reaches the target), so re-check until stable.
-	for {
-		horizon := ep.completeAt
-		r.W.M.SleepUntil(p, horizon)
-		if ep.completeAt <= horizon {
-			break
-		}
-	}
+	ep.settle(r)
 	// Unlock handshake: release at the target, ack back to the origin.
 	// On the shared-memory path the release is a node-local store on the
 	// lock word — no control message, no target-side progress.
 	done := false
-	if w.shmFast(target) {
-		eng.At(p.Now()+w.shmLatency(), func() {
+	if w.viaShm(target) {
+		eng.At(p.Now()+w.segSyncLatency(), func() {
 			ws.release(tl, ep.active, eng.Now(), r.ID())
 			done = true
 			eng.Unpark(p)
@@ -622,7 +676,7 @@ func (w *Win) checkEpochOp(ep *epoch, target int, newRng rng) error {
 	for _, old := range ep.ranges {
 		if old.conflicts(newRng) {
 			return fmt.Errorf("mpi: conflicting RMA operations in one epoch at target %d: [%d,%d) %v vs [%d,%d) %v",
-				target, old.lo, old.hi, kindName(old.kind), newRng.lo, newRng.hi, kindName(newRng.kind))
+				target, old.lo, old.hi, old.kind, newRng.lo, newRng.hi, newRng.kind)
 		}
 	}
 	ep.ranges = append(ep.ranges, newRng)
@@ -644,27 +698,132 @@ func (w *Win) checkEpochOp(ep *epoch, target int, newRng rng) error {
 	return nil
 }
 
-func kindName(k opKind) string {
-	switch k {
-	case opGet:
-		return "get"
-	case opPut:
-		return "put"
-	default:
-		return "accumulate"
-	}
+// rmaOp is one one-sided call, compiled by its exported constructor
+// (Put, RGet, FetchAndOp, ...) into a by-value descriptor and run by
+// issue. Its kind decides what lands; the route issue picks for its
+// target, once, from SharedQuery decides what it costs (costShm,
+// costWire). DESIGN.md §4 has the walk-through and the invariant that
+// keeps the split honest: no cost-model call moves within a route.
+type rmaOp struct {
+	kind   opKind
+	op     Op       // what the landing folds with: OpReplace for a put, OpNoOp for a get
+	buf    LocalBuf // origin side; the atomics have only a layout
+	target int      // window rank
+	at     LocalBuf // target side: displacement and layout, and the region the route reaches
+
+	operand, compare int64 // atomics: FetchAndOp's operand or CAS's new value; CAS's comparand
 }
 
-func (w *Win) opPrologue(buf LocalBuf, target, tdisp int, ttype Datatype, kind opKind, op Op) (*epoch, error) {
-	ep := w.cur
-	if ep == nil || ep.target != target {
-		return nil, fmt.Errorf("mpi: RMA op on target %d without an open epoch", target)
+// xferOp describes a put, get or accumulate.
+func xferOp(kind opKind, op Op, buf LocalBuf, target, tdisp int, ttype Datatype) rmaOp {
+	return rmaOp{kind: kind, op: op, buf: buf, target: target, at: LocalBuf{Off: tdisp, Type: ttype}}
+}
+
+// issue runs one operation: prologue, the route's cost step, tail. It
+// returns the epoch the operation joined (request-based calls track its
+// horizon) and, for an atomic, the value it displaced.
+func (w *Win) issue(d rmaOp) (*epoch, int64, error) {
+	r := w.comm.r
+	t0 := r.P.Now()
+	ep, err := w.prologue(d)
+	if err != nil {
+		return nil, 0, err
 	}
-	if buf.Type.Size() != ttype.Size() {
+	treg, shm := w.SharedQuery(d.target)
+	if !shm {
+		treg = w.state.regions[d.target]
+	}
+	d.at.Region = treg
+	var old int64
+	var agentAt, done sim.Time
+	if shm {
+		// Complete on return: the horizon is now.
+		if old, err = w.costShm(d); err != nil {
+			return nil, 0, err
+		}
+		done = r.P.Now()
+	} else {
+		old, agentAt, done = w.costWire(d, ep, t0)
+	}
+	ep.extend(done)
+
+	// One emit per operation, keyed by (kind, route).
+	origin, targetWorld, n := r.ID(), w.state.group[d.target], d.at.Type.Size()
+	o := r.W.Obs
+	o.Inc(origin, kinds[d.kind].metric)
+	switch {
+	case d.kind.atomic(): // eight bytes of control, not payload
+	case shm:
+		o.Add(origin, obs.CBytesShm, int64(n))
+		o.Inc(origin, obs.CShmCopies)
+	default:
+		o.Add(origin, bytesMetric(d.buf.Type, d.at.Type), int64(n))
+	}
+	if pr := o.Prof(); pr != nil && shm {
+		src, dst := origin, targetWorld
+		if d.kind == opGet {
+			src, dst = dst, src
+		}
+		// The shm route completes synchronously at the origin CPU, so the
+		// send and receive sides of the matrix are recorded together.
+		pr.Send(src, dst, kinds[d.kind].class, profile.RouteShm, n)
+		pr.Recv(src, dst, kinds[d.kind].class, profile.RouteShm, n)
+	}
+	// A wire get's true return time is known only when its request
+	// reaches the target; its span is recorded there.
+	if o.Tracing() && (shm || d.kind != opGet) {
+		args := []obs.Arg{obs.A("target", targetWorld), obs.A("bytes", n)}
+		if d.kind.atomic() {
+			args = args[:1]
+		}
+		o.Span(origin, "rma", d.spanName(shm), t0, done, args...)
+		if !shm && d.kind == opAcc {
+			o.SpanLane(obs.LaneServer(r.W.M.NodeOf(targetWorld)), "agent", "apply("+d.op.String()+")",
+				agentAt, done, obs.A("origin", origin), obs.A("bytes", n))
+		}
+	}
+	return ep, old, nil
+}
+
+// spanName is the operation's trace span name on its route; the two
+// kinds that carry a reduction name it, each where it always has.
+func (d rmaOp) spanName(shm bool) string {
+	route := ""
+	if shm {
+		route = ".shm"
+	}
+	switch d.kind {
+	case opAcc:
+		return "acc" + route + "(" + d.op.String() + ")"
+	case opFetchOp:
+		return "fetch_and_op(" + d.op.String() + ")" + route
+	}
+	return kinds[d.kind].span + route
+}
+
+// prologue is what every kind must pass before it costs anything: a
+// target in the window, an epoch that covers it (the MPI-2 epoch locked
+// on that target, or lock-all's per-target accounting epoch), matching
+// origin and target sizes and, with checking on, bounds and the MPI-2
+// conflict rules. Only then is the per-op overhead charged.
+func (w *Win) prologue(d rmaOp) (*epoch, error) {
+	if !w.validTarget(d.target) {
+		return nil, fmt.Errorf("mpi: %v: bad target %d", d.kind, d.target)
+	}
+	var ep *epoch
+	switch {
+	case w.cur != nil && w.cur.target == d.target:
+		ep = w.cur
+	case w.all != nil:
+		ep = w.lockAllEpoch(d.target)
+	default:
+		return nil, fmt.Errorf("mpi: %v on target %d without an open epoch or lock-all", d.kind, d.target)
+	}
+	if d.buf.Type.Size() != d.at.Type.Size() {
 		return nil, fmt.Errorf("mpi: RMA origin/target size mismatch: %d vs %d bytes",
-			buf.Type.Size(), ttype.Size())
+			d.buf.Type.Size(), d.at.Type.Size())
 	}
-	if err := w.checkEpochOp(ep, target, rng{lo: tdisp, hi: tdisp + ttype.Span(), kind: kind, op: op}); err != nil {
+	if err := w.checkEpochOp(ep, d.target, rng{lo: d.at.Off, hi: d.at.Off + d.at.Type.Span(), kind: d.kind, op: d.op}); err != nil {
 		return nil, err
 	}
 	w.chargeRMAOverheads(ep)
@@ -676,7 +835,7 @@ func (w *Win) opPrologue(buf LocalBuf, target, tdisp int, ttype Datatype, kind o
 // noncontiguous layouts.
 func (w *Win) pack(buf LocalBuf) []byte {
 	r := w.comm.r
-	src := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
+	src := buf.bytes()
 	if !buf.Type.Contig() {
 		t0 := r.P.Now()
 		r.W.M.CopyLocal(r.P, buf.Type.Size()) // pack cost
@@ -700,100 +859,209 @@ func (w *Win) snapshot(src []byte, t Datatype) []byte {
 	return data
 }
 
-// Put transfers the origin buffer into the target window at byte
-// displacement tdisp with layout ttype. Nonblocking: completion is
-// guaranteed by Unlock.
-func (w *Win) Put(buf LocalBuf, target, tdisp int, ttype Datatype) error {
-	t0 := w.comm.r.P.Now()
-	ep, err := w.opPrologue(buf, target, tdisp, ttype, opPut, OpReplace)
-	if err != nil {
-		return err
+// profXfer attributes the transfer the fabric has just timed to rank's
+// wire phases and books its send side in the communication matrix.
+func profXfer(pr *profile.Profiler, m *fabric.Machine, rank, src, dst int, class profile.MsgClass, n int) {
+	if pr == nil {
+		return
 	}
-	if w.shmFast(target) {
-		return w.shmPut(buf, target, tdisp, ttype, ep, t0)
-	}
+	base, xs, xa := m.LastXfer()
+	pr.PhaseAt(rank, profile.PhaseWireQueue, base, xs)
+	pr.PhaseAt(rank, profile.PhaseWire, xs, xa)
+	pr.Send(src, dst, class, profile.RouteRMA, n)
+}
+
+// profServe attributes one booking of the target's agent (serve): the
+// wait behind earlier work, then the work.
+func profServe(pr *profile.Profiler, rank int, at, start, fin sim.Time) {
+	pr.PhaseAt(rank, profile.PhaseTargetQueue, at, start)
+	pr.PhaseAt(rank, profile.PhaseTargetProc, start, fin)
+}
+
+// costWire is the cost step of the fabric route. It returns the horizon
+// the operation is known to complete by, for an accumulate when the
+// target's agent starts on it, and for an atomic the value displaced.
+// Bytes cross the wire in three shapes. Put and accumulate push a
+// snapshot of the origin: pack, registration, one transfer, landing at
+// its arrival (behind the target's agent for an accumulate). Get pulls:
+// a control message out, and only when it arrives can the reply be
+// timed (NIC occupancy at the target), so the horizon returned is a
+// lower bound refined from inside the event — which is why settle
+// re-checks. The atomics are a round trip through the agent, sat out
+// parked. Landing closures capture the fields they read, never d: they
+// are the per-op garbage of this path.
+func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, done sim.Time) {
 	r := w.comm.r
-	m := r.W.M
-	data := w.pack(buf) // snapshot origin bytes at issue time
-	rate := w.originXferRate(buf, len(data))
-	targetWorld := w.state.group[target]
-	arrive := m.SendDataAsync(r.ID(), targetWorld, len(data), fabric.XferOpt{Rate: rate}) + r.progressDelay()
-	origin := r.ID()
+	m, ws := r.W.M, w.state
+	origin, targetWorld := r.ID(), ws.group[d.target]
 	pr := r.W.Obs.Prof()
-	if pr != nil {
-		base, xs, xa := m.LastXfer()
-		pr.PhaseAt(origin, profile.PhaseWireQueue, base, xs)
-		pr.PhaseAt(origin, profile.PhaseWire, xs, xa)
-		pr.Send(origin, targetWorld, profile.MsgPut, profile.RouteRMA, len(data))
-	}
-	treg := w.state.regions[target]
-	ws := w.state
-	m.Eng.At(arrive, func() {
-		if pr != nil {
-			pr.Recv(origin, targetWorld, profile.MsgPut, profile.RouteRMA, len(data))
-		}
-		_ = ws.apply("Put", func() {
-			Unpack(ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), data)
+	tl := ws.lockAt(d.target)
+	kind, op, at := d.kind, d.op, d.at
+	switch {
+	case kind == opGet:
+		buf, nbytes := d.buf, at.Type.Size()
+		rate := w.originXferRate(buf, nbytes)
+		reqArrive := r.control(targetWorld)
+		m.Eng.At(reqArrive, func() {
+			data := m.GetBuf(nbytes)
+			if _, err := ws.land(opGet, OpNoOp, at, data, 0, 0); err != nil {
+				return
+			}
+			back := m.SendDataAsync(targetWorld, origin, len(data), fabric.XferOpt{Rate: rate})
+			profXfer(pr, m, origin, targetWorld, origin, profile.MsgGet, len(data))
+			arrive := back
+			if !at.Type.Contig() || !buf.Type.Contig() {
+				back += m.CopyTime(nbytes)
+			}
+			if pr != nil && back > arrive {
+				pr.PhaseAt(origin, profile.PhasePack, arrive, back)
+			}
+			ep.extend(back)
+			if o := r.W.Obs; o.Tracing() {
+				o.Span(origin, "rma", "get", t0, back, obs.A("target", targetWorld), obs.A("bytes", nbytes))
+			}
+			m.Eng.At(back, func() {
+				pr.Recv(targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
+				ws.land(opGet, OpReplace, buf, data, 0, 0)
+			})
 		})
-		m.PutBuf(data)
-	})
-	done := arrive
-	if !ttype.Contig() {
-		done += m.CopyTime(len(data))
+		done = reqArrive + sim.FromSeconds(float64(nbytes)/rate) + sim.FromSeconds(m.Par.LatencyNs/1e9)
+
+	case kind.atomic():
+		// Written from event context, read after the park: declared here
+		// so only an atomic pays for it.
+		var reply struct {
+			old  int64
+			back bool
+		}
+		p, eng, operand, compare := r.P, m.Eng, d.operand, d.compare
+		pr.Send(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
+		arrive := r.control(targetWorld)
+		eng.At(arrive, func() {
+			start, fin := tl.serve(eng.Now(), amoProcessNs)
+			profServe(pr, origin, eng.Now(), start, fin)
+			eng.At(fin, func() {
+				pr.Recv(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
+				var err error
+				if reply.old, err = ws.land(kind, op, at, nil, operand, compare); err != nil {
+					reply.back = true // nothing to send back: the window's error wakes the origin
+					eng.Unpark(p)
+					return
+				}
+				back := m.SendDataAsync(targetWorld, origin, 0, fabric.XferOpt{NoNIC: true})
+				eng.At(back, func() {
+					reply.back = true
+					eng.Unpark(p)
+				})
+			})
+		})
+		for !reply.back {
+			p.Park(kinds[kind].park)
+		}
+		old, done = reply.old, p.Now()
+
+	default:
+		data := w.pack(d.buf) // snapshot origin bytes at issue time
+		rate := w.originXferRate(d.buf, len(data))
+		arrive := m.SendDataAsync(origin, targetWorld, len(data), fabric.XferOpt{Rate: rate}) + r.progressDelay()
+		profXfer(pr, m, origin, origin, targetWorld, kinds[kind].class, len(data))
+		landAt := arrive
+		if kind == opAcc {
+			// The target agent applies the reduction at the accumulate
+			// rate, serialized per target.
+			accRate := m.Par.AccumRate
+			if r.W.Tun.AccumRate > 0 {
+				accRate = r.W.Tun.AccumRate
+			}
+			agentAt, landAt = tl.serve(arrive, sim.FromSeconds(float64(len(data))/accRate))
+			profServe(pr, origin, arrive, agentAt, landAt)
+		}
+		m.Eng.At(landAt, func() {
+			ws.w.Obs.Prof().Recv(origin, targetWorld, kinds[kind].class, profile.RouteRMA, len(data))
+			ws.land(kind, op, at, data, 0, 0)
+		})
+		done = landAt
+		if kind == opPut && !at.Type.Contig() {
+			done += m.CopyTime(len(data)) // the target unpacks
+		}
 	}
-	if done > ep.completeAt {
-		ep.completeAt = done
-	}
-	o := r.W.Obs
-	o.Inc(r.ID(), obs.COpsPut)
-	o.Add(r.ID(), bytesMetric(buf.Type, ttype), int64(len(data)))
-	if o.Tracing() {
-		o.Span(r.ID(), "rma", "put", t0, done, obs.A("target", targetWorld), obs.A("bytes", len(data)))
-	}
-	return nil
+	return old, agentAt, done
 }
 
-// bytesMetric classifies an op's payload: contiguous on both sides, or
-// moved through a datatype pack/unpack path on either side.
-func bytesMetric(origin, target Datatype) string {
-	if origin.Contig() && target.Contig() {
-		return obs.CBytesContig
-	}
-	return obs.CBytesPacked
-}
-
-// shmPut is Put over the shared segment: one direct (possibly strided)
-// copy by the origin CPU, complete on return. No NIC, no registration.
-func (w *Win) shmPut(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch, t0 sim.Time) error {
+// costShm is the cost step of the shared-segment route: the origin CPU
+// moves the bytes itself — one direct, possibly strided copy; no NIC,
+// registration or pack charge — and the operation, a get included, is
+// complete on return. Accumulates and atomics are read-modify-writes by
+// the origin CPU too, but stay serialized per target on the horizon the
+// wire agent also uses: concurrent same-op accumulates under shared
+// locks must not interleave elementwise.
+func (w *Win) costShm(d rmaOp) (int64, error) {
 	r := w.comm.r
-	m := r.W.M
-	treg, _ := w.SharedQuery(target)
-	data := w.snapshot(buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), buf.Type)
-	t0c := r.P.Now()
-	m.ShmCopy(r.P, len(data))
-	if pr := r.W.Obs.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0c, r.P.Now())
+	m, ws := r.W.M, w.state
+	pr := r.W.Obs.Prof()
+	dst, op := d.at, d.op
+	var data []byte
+	switch d.kind {
+	case opPut, opAcc:
+		data = w.snapshot(d.buf.bytes(), d.buf.Type)
+	case opGet:
+		data = m.GetBuf(d.at.Type.Size())
+		if _, err := ws.land(d.kind, OpNoOp, d.at, data, 0, 0); err != nil {
+			return 0, err
+		}
+		dst, op = d.buf, OpReplace
 	}
-	err := w.state.apply("Put", func() {
-		Unpack(ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), data)
-	})
-	m.PutBuf(data)
-	if err != nil {
-		return err
+	if d.kind == opPut || d.kind == opGet {
+		t0 := r.P.Now()
+		m.ShmCopy(r.P, len(data))
+		if pr != nil {
+			pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0, r.P.Now())
+		}
+	} else {
+		cost := sim.Time(amoProcessNs)
+		if d.kind == opAcc {
+			cost = m.ShmCopyTime(len(data))
+			m.ShmAccount(len(data))
+		}
+		start, fin := ws.lockAt(d.target).serve(r.P.Now(), cost)
+		profServe(pr, r.ID(), r.P.Now(), start, fin)
+		m.SleepUntil(r.P, fin)
 	}
-	if now := r.P.Now(); now > ep.completeAt {
-		ep.completeAt = now
-	}
-	w.shmOpObs(obs.COpsPut, "put.shm", target, len(data), t0)
-	return nil
+	return ws.land(d.kind, op, dst, data, d.operand, d.compare)
 }
 
-// apply runs one step that touches window or origin memory — an
-// arrival event's store, a direct store into the shared segment —
-// converting a panic (a bad displacement with checking off) into the
-// window's error. The step's payload is not its business: the caller
-// releases it after apply returns, so it goes back exactly once
-// whether or not the step failed.
+// land is the one place an operation touches window or origin memory,
+// on either route, in rank or event context. As in MPI-3 the kinds are
+// one family: the bytes at `at` are folded with data under op (OpReplace
+// is a put, and a get's store into its origin buffer) or, under OpNoOp,
+// gathered into data (a get's read of the target); an atomic does the
+// same to eight bytes and returns what was there. The payload goes back
+// to the pool here, exactly once, whether or not the step failed; only
+// a successful gather keeps it, as the reply it is about to travel in.
+func (ws *winState) land(kind opKind, op Op, at LocalBuf, data []byte, operand, compare int64) (old int64, err error) {
+	err = ws.apply(kind.String(), func() {
+		mem := at.bytes()
+		switch {
+		case kind.atomic():
+			old = int64(binary.LittleEndian.Uint64(mem))
+			if nv, store := amoUpdate(kind, op, old, operand, compare); store {
+				binary.LittleEndian.PutUint64(mem, uint64(nv))
+			}
+		case op == OpNoOp:
+			PackInto(data, at.Type, mem)
+		default:
+			applyReduction(mem, at.Type, data, op)
+		}
+	})
+	if op != OpNoOp || err != nil {
+		ws.w.M.PutBuf(data) // an atomic has none: a no-op
+	}
+	return old, err
+}
+
+// apply runs one step that touches window or origin memory, converting
+// a panic (a bad displacement with checking off) into the window's
+// error. It holds the only recover on the RMA path.
 func (ws *winState) apply(op string, step func()) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -805,254 +1073,36 @@ func (ws *winState) apply(op string, step func()) (err error) {
 	return nil
 }
 
-// shmOpObs records counters, the comm-matrix entry, and the trace span
-// of one shm-path op.
-func (w *Win) shmOpObs(opMetric, span string, target, nbytes int, t0 sim.Time) {
-	r := w.comm.r
-	o := r.W.Obs
-	o.Inc(r.ID(), opMetric)
-	o.Add(r.ID(), obs.CBytesShm, int64(nbytes))
-	o.Inc(r.ID(), obs.CShmCopies)
-	if pr := o.Prof(); pr != nil {
-		class := profile.MsgAcc
-		switch opMetric {
-		case obs.COpsPut:
-			class = profile.MsgPut
-		case obs.COpsGet:
-			class = profile.MsgGet
-		}
-		src, dst := r.ID(), w.state.group[target]
-		if class == profile.MsgGet {
-			src, dst = dst, src
-		}
-		// The shm path completes synchronously at the origin CPU, so the
-		// send and receive sides of the matrix are recorded together.
-		pr.Send(src, dst, class, profile.RouteShm, nbytes)
-		pr.Recv(src, dst, class, profile.RouteShm, nbytes)
-	}
-	if o.Tracing() {
-		o.Span(r.ID(), "rma", span, t0, r.P.Now(),
-			obs.A("target", w.state.group[target]), obs.A("bytes", nbytes))
-	}
+// Put transfers the origin buffer into the target window at byte
+// displacement tdisp with layout ttype. Nonblocking: completion is
+// guaranteed by Unlock.
+func (w *Win) Put(buf LocalBuf, target, tdisp int, ttype Datatype) error {
+	_, _, err := w.issue(xferOp(opPut, OpReplace, buf, target, tdisp, ttype))
+	return err
 }
 
 // Get transfers from the target window into the origin buffer.
 // Nonblocking: the origin buffer holds the data only after Unlock.
 func (w *Win) Get(buf LocalBuf, target, tdisp int, ttype Datatype) error {
-	t0 := w.comm.r.P.Now()
-	ep, err := w.opPrologue(buf, target, tdisp, ttype, opGet, OpNoOp)
-	if err != nil {
-		return err
-	}
-	if w.shmFast(target) {
-		return w.shmGet(buf, target, tdisp, ttype, ep, t0)
-	}
-	r := w.comm.r
-	m := r.W.M
-	nbytes := ttype.Size()
-	rate := w.originXferRate(buf, nbytes)
-	targetWorld := w.state.group[target]
-	treg := w.state.regions[target]
-	ws := w.state
-	// Request travels to the target; at arrival the data is read and
-	// streamed back, landing in the origin buffer. The true return time
-	// depends on NIC occupancy at request arrival, so the epoch's
-	// completion horizon is updated from inside the event; Unlock
-	// re-checks completeAt after sleeping so it never closes the epoch
-	// before the data has landed.
-	origin := r.ID()
-	pr := r.W.Obs.Prof()
-	reqArrive := r.control(targetWorld)
-	m.Eng.At(reqArrive, func() {
-		data := m.GetBuf(nbytes)
-		if ws.apply("Get", func() {
-			PackInto(data, ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()))
-		}) != nil {
-			m.PutBuf(data)
-			return
-		}
-		back := m.SendDataAsync(targetWorld, origin, len(data), fabric.XferOpt{Rate: rate})
-		if pr != nil {
-			base, xs, xa := m.LastXfer()
-			pr.PhaseAt(origin, profile.PhaseWireQueue, base, xs)
-			pr.PhaseAt(origin, profile.PhaseWire, xs, xa)
-			pr.Send(targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
-		}
-		back0 := back
-		if !ttype.Contig() || !buf.Type.Contig() {
-			back += m.CopyTime(nbytes)
-		}
-		if pr != nil && back > back0 {
-			pr.PhaseAt(origin, profile.PhasePack, back0, back)
-		}
-		if back > ep.completeAt {
-			ep.completeAt = back
-		}
-		// The true return time is known only here (it depends on NIC
-		// occupancy at the target), so the span is recorded from inside
-		// the event.
-		if o := r.W.Obs; o.Tracing() {
-			o.Span(origin, "rma", "get", t0, back, obs.A("target", targetWorld), obs.A("bytes", nbytes))
-		}
-		m.Eng.At(back, func() {
-			if pr != nil {
-				pr.Recv(targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
-			}
-			_ = ws.apply("Get", func() {
-				Unpack(buf.Type, buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), data)
-			})
-			m.PutBuf(data)
-		})
-	})
-	// Lower bound available at issue time; refined inside the event.
-	done := reqArrive + sim.FromSeconds(float64(nbytes)/rate) +
-		sim.FromSeconds(m.Par.LatencyNs/1e9)
-	if done > ep.completeAt {
-		ep.completeAt = done
-	}
-	o := r.W.Obs
-	o.Inc(r.ID(), obs.COpsGet)
-	o.Add(r.ID(), bytesMetric(buf.Type, ttype), int64(nbytes))
-	return nil
-}
-
-// shmGet is Get over the shared segment: a direct read by the origin
-// CPU. Unlike the RMA path, the data is in the origin buffer on return.
-func (w *Win) shmGet(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch, t0 sim.Time) error {
-	r := w.comm.r
-	m := r.W.M
-	treg, _ := w.SharedQuery(target)
-	data := m.GetBuf(ttype.Size())
-	if err := w.state.apply("Get", func() {
-		PackInto(data, ttype, treg.Bytes(treg.VA+int64(tdisp), ttype.Span()))
-	}); err != nil {
-		m.PutBuf(data)
-		return err
-	}
-	t0c := r.P.Now()
-	m.ShmCopy(r.P, len(data))
-	if pr := r.W.Obs.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0c, r.P.Now())
-	}
-	err := w.state.apply("Get", func() {
-		Unpack(buf.Type, buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), data)
-	})
-	m.PutBuf(data)
-	if err != nil {
-		return err
-	}
-	if now := r.P.Now(); now > ep.completeAt {
-		ep.completeAt = now
-	}
-	w.shmOpObs(obs.COpsGet, "get.shm", target, len(data), t0)
-	return nil
+	_, _, err := w.issue(xferOp(opGet, OpNoOp, buf, target, tdisp, ttype))
+	return err
 }
 
 // Accumulate applies the origin buffer into the target window with the
 // reduction op (element type float64 for arithmetic ops; OpReplace
 // behaves like Put with element granularity). Nonblocking.
 func (w *Win) Accumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype) error {
-	t0 := w.comm.r.P.Now()
-	ep, err := w.opPrologue(buf, target, tdisp, ttype, opAcc, op)
-	if err != nil {
-		return err
-	}
-	if w.shmFast(target) {
-		return w.shmAccumulate(buf, op, target, tdisp, ttype, ep, t0)
-	}
-	r := w.comm.r
-	m := r.W.M
-	data := w.pack(buf)
-	rate := w.originXferRate(buf, len(data))
-	targetWorld := w.state.group[target]
-	treg := w.state.regions[target]
-	ws := w.state
-	tl := w.state.lockAt(target)
-	arrive := m.SendDataAsync(r.ID(), targetWorld, len(data), fabric.XferOpt{Rate: rate}) + r.progressDelay()
-	origin := r.ID()
-	pr := r.W.Obs.Prof()
-	if pr != nil {
-		base, xs, xa := m.LastXfer()
-		pr.PhaseAt(origin, profile.PhaseWireQueue, base, xs)
-		pr.PhaseAt(origin, profile.PhaseWire, xs, xa)
-		pr.Send(origin, targetWorld, profile.MsgAcc, profile.RouteRMA, len(data))
-	}
-	// The target agent applies the reduction at the accumulate rate,
-	// serialized per target.
-	accRate := m.Par.AccumRate
-	if r.W.Tun.AccumRate > 0 {
-		accRate = r.W.Tun.AccumRate
-	}
-	start := arrive
-	if tl.accBusy > start {
-		start = tl.accBusy
-	}
-	applyDone := start + sim.FromSeconds(float64(len(data))/accRate)
-	tl.accBusy = applyDone
-	if pr != nil {
-		pr.PhaseAt(origin, profile.PhaseTargetQueue, arrive, start)
-		pr.PhaseAt(origin, profile.PhaseTargetProc, start, applyDone)
-	}
-	m.Eng.At(applyDone, func() {
-		if pr != nil {
-			pr.Recv(origin, targetWorld, profile.MsgAcc, profile.RouteRMA, len(data))
-		}
-		_ = ws.apply("Accumulate", func() {
-			applyReduction(treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), ttype, data, op)
-		})
-		m.PutBuf(data)
-	})
-	if applyDone > ep.completeAt {
-		ep.completeAt = applyDone
-	}
-	o := r.W.Obs
-	o.Inc(r.ID(), obs.COpsAcc)
-	o.Add(r.ID(), bytesMetric(buf.Type, ttype), int64(len(data)))
-	if o.Tracing() {
-		o.Span(r.ID(), "rma", "acc("+op.String()+")", t0, applyDone,
-			obs.A("target", targetWorld), obs.A("bytes", len(data)))
-		o.SpanLane(obs.LaneServer(m.NodeOf(targetWorld)), "agent", "apply("+op.String()+")",
-			start, applyDone, obs.A("origin", r.ID()), obs.A("bytes", len(data)))
-	}
-	return nil
+	_, _, err := w.issue(xferOp(opAcc, op, buf, target, tdisp, ttype))
+	return err
 }
 
-// shmAccumulate applies a reduction through the shared segment. The
-// read-modify-write is done by the origin CPU, but applications to one
-// target stay serialized (the accBusy horizon the RMA agent also uses):
-// concurrent same-op accumulates under shared locks must not interleave
-// elementwise.
-func (w *Win) shmAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype, ep *epoch, t0 sim.Time) error {
-	r := w.comm.r
-	m := r.W.M
-	data := w.snapshot(buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span()), buf.Type)
-	treg, _ := w.SharedQuery(target)
-	tl := w.state.lockAt(target)
-	t0q := r.P.Now()
-	start := t0q
-	if tl.accBusy > start {
-		start = tl.accBusy
+// bytesMetric classifies an op's payload: contiguous on both sides, or
+// moved through a datatype pack/unpack path on either side.
+func bytesMetric(origin, target Datatype) string {
+	if origin.Contig() && target.Contig() {
+		return obs.CBytesContig
 	}
-	fin := start + m.ShmCopyTime(len(data))
-	tl.accBusy = fin
-	m.ShmAccount(len(data))
-	if pr := r.W.Obs.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhaseTargetQueue, t0q, start)
-		pr.PhaseAt(r.ID(), profile.PhaseTargetProc, start, fin)
-	}
-	m.SleepUntil(r.P, fin)
-	err := w.state.apply("Accumulate", func() {
-		applyReduction(treg.Bytes(treg.VA+int64(tdisp), ttype.Span()), ttype, data, op)
-	})
-	m.PutBuf(data)
-	if err != nil {
-		return err
-	}
-	if fin > ep.completeAt {
-		ep.completeAt = fin
-	}
-	w.shmOpObs(obs.COpsAcc, "acc.shm("+op.String()+")", target, len(data), t0)
-	return nil
+	return obs.CBytesPacked
 }
 
 // applyReduction folds dense data into dst following the datatype

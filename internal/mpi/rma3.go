@@ -1,11 +1,9 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
-	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
 	"repro/internal/sim"
@@ -31,7 +29,7 @@ func (w *Win) LockedAll() bool { return w.all != nil }
 // modeled here.
 func (w *Win) LockAll() error {
 	if !w.comm.r.W.MPI3 {
-		return errMPI3(w, "Win_lock_all")
+		return errMPI3("Win_lock_all")
 	}
 	if w.cur != nil {
 		return fmt.Errorf("mpi: LockAll with an MPI-2 epoch open on target %d", w.cur.target)
@@ -44,16 +42,16 @@ func (w *Win) LockAll() error {
 	return nil
 }
 
-// UnlockAll flushes all pending operations and leaves lock-all mode.
+// UnlockAll flushes all pending operations and leaves lock-all mode,
+// reporting the window's error as Unlock does — the mode is left either
+// way, so a failed window can still be freed.
 func (w *Win) UnlockAll() error {
 	if w.all == nil {
 		return fmt.Errorf("mpi: UnlockAll without LockAll")
 	}
-	if err := w.FlushAll(); err != nil {
-		return err
-	}
+	err := w.FlushAll()
 	w.all = nil
-	return w.state.err
+	return err
 }
 
 // Flush blocks until every operation issued to target since the last
@@ -65,30 +63,19 @@ func (w *Win) Flush(target int) error {
 	if w.all == nil {
 		return fmt.Errorf("mpi: Flush outside lock-all mode")
 	}
+	if !w.validTarget(target) {
+		return fmt.Errorf("mpi: Win.Flush: bad target %d", target)
+	}
 	r := w.comm.r
 	t0 := r.P.Now()
 	r.opOverhead()
 	if ep := w.all[target]; ep != nil {
-		for {
-			horizon := ep.completeAt
-			r.W.M.SleepUntil(r.P, horizon)
-			if ep.completeAt <= horizon {
-				break
-			}
-		}
-		if !w.shmFast(target) {
+		ep.settle(r)
+		if !w.viaShm(target) {
 			r.P.Elapse(r.W.M.RoundTripTime(r.ID(), w.state.group[target]))
 		}
 	}
-	o := r.W.Obs
-	o.Inc(r.ID(), obs.CEpochFlush)
-	if pr := o.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhaseEpochWait, t0, r.P.Now())
-	}
-	if o.Tracing() {
-		o.Span(r.ID(), "epoch", "flush", t0, r.P.Now(), obs.A("target", w.state.group[target]))
-	}
-	return w.state.err
+	return w.flushed(t0, "flush", target)
 }
 
 // FlushAll flushes every target with pending operations.
@@ -112,7 +99,7 @@ func (w *Win) FlushAll() error {
 		for _, t := range targets {
 			if ep := w.all[t]; ep.completeAt > last {
 				last = ep.completeAt
-				if w.shmFast(t) {
+				if w.viaShm(t) {
 					rtt = 0 // shm targets need no completion round trip
 				} else {
 					rtt = r.W.M.RoundTripTime(r.ID(), w.state.group[t])
@@ -125,12 +112,26 @@ func (w *Win) FlushAll() error {
 		r.W.M.SleepUntil(r.P, last)
 	}
 	r.P.Elapse(rtt)
+	return w.flushed(t0, "flush_all", -1)
+}
+
+// flushed records a flush that began at t0 — the counter, the epoch-wait
+// phase, the span (naming the target, if there is one) — and returns
+// the window's error, which is what a flush reports.
+func (w *Win) flushed(t0 sim.Time, span string, target int) error {
+	r := w.comm.r
 	o := r.W.Obs
 	o.Inc(r.ID(), obs.CEpochFlush)
 	if pr := o.Prof(); pr != nil {
 		pr.PhaseAt(r.ID(), profile.PhaseEpochWait, t0, r.P.Now())
 	}
-	o.Span(r.ID(), "epoch", "flush_all", t0, r.P.Now())
+	if o.Tracing() {
+		var args []obs.Arg
+		if target >= 0 {
+			args = []obs.Arg{obs.A("target", w.state.group[target])}
+		}
+		o.Span(r.ID(), "epoch", span, t0, r.P.Now(), args...)
+	}
 	return w.state.err
 }
 
@@ -149,15 +150,17 @@ func (w *Win) lockAllEpoch(target int) *epoch {
 	return ep
 }
 
-func errMPI3(w *Win, call string) error {
+func errMPI3(call string) error {
 	return fmt.Errorf("mpi: %s requires MPI-3 mode (MPI 2.2 provides no such operation)", call)
 }
 
-// RMAReq is a request handle for an MPI-3 request-based operation.
+// RMAReq is a request handle for an MPI-3 request-based operation. A
+// put or accumulate snapshots its origin at issue, so its request is
+// complete once the synchronous injection overheads (charged before the
+// handle exists) are done: it has no epoch to track.
 type RMAReq struct {
-	r      *Rank
-	doneAt sim.Time
-	ep     *epoch // when set, Wait tracks the epoch's (refinable) horizon
+	r  *Rank
+	ep *epoch // a get's epoch: the request completes at its (refinable) horizon
 }
 
 // Wait blocks until the operation has completed locally. Get-style
@@ -165,26 +168,13 @@ type RMAReq struct {
 // refines once the request reaches the target (NIC occupancy there is
 // unknown at issue time).
 func (q *RMAReq) Wait() {
-	for {
-		t := q.doneAt
-		if q.ep != nil && q.ep.completeAt > t {
-			t = q.ep.completeAt
-		}
-		q.r.W.M.SleepUntil(q.r.P, t)
-		if q.ep == nil || q.ep.completeAt <= t {
-			return
-		}
+	if q.ep != nil {
+		q.ep.settle(q.r)
 	}
 }
 
 // Test reports whether the operation has completed.
-func (q *RMAReq) Test() bool {
-	t := q.doneAt
-	if q.ep != nil && q.ep.completeAt > t {
-		t = q.ep.completeAt
-	}
-	return q.r.P.Now() >= t
-}
+func (q *RMAReq) Test() bool { return q.ep == nil || q.r.P.Now() >= q.ep.completeAt }
 
 // WaitAllRMA blocks until every request in reqs has completed locally
 // (MPI_Waitall over request-based RMA operations). Nil requests are
@@ -208,307 +198,85 @@ func TestAllRMA(reqs []*RMAReq) bool {
 	return true
 }
 
-// RPut is a request-based Put (MPI_Rput): valid in lock-all mode; the
-// returned request completes when the origin buffer is reusable.
-func (w *Win) RPut(buf LocalBuf, target, tdisp int, ttype Datatype) (*RMAReq, error) {
+// request issues d as a request-based operation, valid in lock-all mode
+// only.
+func (w *Win) request(d rmaOp) (*RMAReq, error) {
 	if w.all == nil {
-		return nil, fmt.Errorf("mpi: RPut outside lock-all mode")
+		return nil, fmt.Errorf("mpi: R%v outside lock-all mode", d.kind)
 	}
-	before := w.cur
-	w.cur = w.lockAllEpoch(target)
-	err := w.Put(buf, target, tdisp, ttype)
-	ep := w.cur
-	w.cur = before
+	ep, _, err := w.issue(d)
 	if err != nil {
 		return nil, err
 	}
-	// Local completion: the origin buffer was snapshotted at issue, so
-	// the request is complete as soon as the synchronous injection
-	// overheads (already charged) are done.
-	_ = ep
-	return &RMAReq{r: w.comm.r, doneAt: w.comm.r.P.Now()}, nil
+	q := &RMAReq{r: w.comm.r}
+	if d.kind == opGet {
+		q.ep = ep
+	}
+	return q, nil
+}
+
+// RPut is a request-based Put (MPI_Rput): valid in lock-all mode; the
+// returned request completes when the origin buffer is reusable.
+func (w *Win) RPut(buf LocalBuf, target, tdisp int, ttype Datatype) (*RMAReq, error) {
+	return w.request(xferOp(opPut, OpReplace, buf, target, tdisp, ttype))
 }
 
 // RAccumulate is a request-based Accumulate (MPI_Raccumulate): valid
 // in lock-all mode; local completion on return (origin snapshotted).
 func (w *Win) RAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype) (*RMAReq, error) {
-	if w.all == nil {
-		return nil, fmt.Errorf("mpi: RAccumulate outside lock-all mode")
-	}
-	before := w.cur
-	w.cur = w.lockAllEpoch(target)
-	err := w.Accumulate(buf, op, target, tdisp, ttype)
-	w.cur = before
-	if err != nil {
-		return nil, err
-	}
-	return &RMAReq{r: w.comm.r, doneAt: w.comm.r.P.Now()}, nil
+	return w.request(xferOp(opAcc, op, buf, target, tdisp, ttype))
 }
 
 // RGet is a request-based Get (MPI_Rget); the request completes when
 // the data has landed in the origin buffer.
 func (w *Win) RGet(buf LocalBuf, target, tdisp int, ttype Datatype) (*RMAReq, error) {
-	if w.all == nil {
-		return nil, fmt.Errorf("mpi: RGet outside lock-all mode")
-	}
-	before := w.cur
-	w.cur = w.lockAllEpoch(target)
-	err := w.Get(buf, target, tdisp, ttype)
-	ep := w.cur
-	w.cur = before
-	if err != nil {
-		return nil, err
-	}
-	return &RMAReq{r: w.comm.r, doneAt: ep.completeAt, ep: ep}, nil
+	return w.request(xferOp(opGet, OpNoOp, buf, target, tdisp, ttype))
 }
 
 const amoProcessNs = 120 // target-side atomic execution cost
 
-// amoShmProf records the profiler attribution of a same-node atomic:
-// serialization behind the target's accumulate engine, the atomic
-// execution, and the 8-byte matrix entry (send and receive together —
-// the shm path completes synchronously).
-func (w *Win) amoShmProf(target int, t0q, start, fin sim.Time) {
-	pr := w.comm.r.W.Obs.Prof()
-	if pr == nil {
-		return
+// int64Type is the layout of the one element an atomic works on.
+var int64Type = TypeContiguous(8)
+
+// atomic issues a read-modify-write of the int64 at (target, tdisp) and
+// blocks until the value it displaced is back. It requires MPI-3 mode
+// and an open epoch or lock-all on the target; like the calls that
+// close an epoch, it reports the window's error.
+func (w *Win) atomic(call string, d rmaOp, target, tdisp int) (int64, error) {
+	if !w.comm.r.W.MPI3 {
+		return 0, errMPI3(call)
 	}
-	rank := w.comm.r.ID()
-	pr.PhaseAt(rank, profile.PhaseTargetQueue, t0q, start)
-	pr.PhaseAt(rank, profile.PhaseTargetProc, start, fin)
-	targetWorld := w.state.group[target]
-	pr.Send(rank, targetWorld, profile.MsgAmo, profile.RouteShm, 8)
-	pr.Recv(rank, targetWorld, profile.MsgAmo, profile.RouteShm, 8)
+	d.target, d.buf.Type, d.at = target, int64Type, LocalBuf{Off: tdisp, Type: int64Type}
+	_, old, err := w.issue(d)
+	if err != nil {
+		return 0, err
+	}
+	return old, w.state.err
+}
+
+// amoUpdate is where the two atomics differ: the value to store over
+// old, and whether to store it.
+func amoUpdate(kind opKind, op Op, old, operand, compare int64) (int64, bool) {
+	if kind == opCAS {
+		return operand, old == compare
+	}
+	if op == OpNoOp {
+		return old, false
+	}
+	v := []int64{old}
+	reduceI64(op, v, []int64{operand})
+	return v[0], true
 }
 
 // FetchAndOp atomically applies op to the int64 at (target, tdisp) with
 // operand `operand` and returns the previous value (MPI_Fetch_and_op
 // with MPI_INT64_T). OpNoOp reads without modifying; OpReplace swaps.
-// Requires MPI-3 mode and an open epoch or lock-all on the target.
 func (w *Win) FetchAndOp(op Op, operand int64, target, tdisp int) (int64, error) {
-	r := w.comm.r
-	t0 := r.P.Now()
-	if !r.W.MPI3 {
-		return 0, errMPI3(w, "Fetch_and_op")
-	}
-	var ep *epoch
-	switch {
-	case w.cur != nil && w.cur.target == target:
-		ep = w.cur
-	case w.all != nil:
-		ep = w.lockAllEpoch(target)
-	default:
-		return 0, fmt.Errorf("mpi: FetchAndOp on target %d without epoch or lock-all", target)
-	}
-	w.chargeRMAOverheads(ep)
-	m := r.W.M
-	eng := m.Eng
-	p := r.P
-	targetWorld := w.state.group[target]
-	treg := w.state.regions[target]
-	tl := w.state.lockAt(target)
-	ws := w.state
-	var old int64
-	if w.shmFast(target) {
-		// Same-node atomic: a CPU atomic on the shared segment. Still
-		// serialized with accumulate processing on this target, but no
-		// control messages.
-		t0q := p.Now()
-		start := t0q
-		if tl.accBusy > start {
-			start = tl.accBusy
-		}
-		fin := start + sim.Time(amoProcessNs)
-		tl.accBusy = fin
-		w.amoShmProf(target, t0q, start, fin)
-		m.SleepUntil(p, fin)
-		if err := ws.apply("FetchAndOp", func() {
-			b := treg.Bytes(treg.VA+int64(tdisp), 8)
-			old = int64(binary.LittleEndian.Uint64(b))
-			if op != OpNoOp {
-				nv := []int64{old}
-				reduceI64(op, nv, []int64{operand})
-				binary.LittleEndian.PutUint64(b, uint64(nv[0]))
-			}
-		}); err != nil {
-			return 0, err
-		}
-		if ep.completeAt < p.Now() {
-			ep.completeAt = p.Now()
-		}
-		o := r.W.Obs
-		o.Inc(r.ID(), obs.COpsAmo)
-		if o.Tracing() {
-			o.Span(r.ID(), "rma", "fetch_and_op("+op.String()+").shm", t0, p.Now(), obs.A("target", targetWorld))
-		}
-		return old, ws.err
-	}
-	done := false
-	pr := r.W.Obs.Prof()
-	origin := r.ID()
-	if pr != nil {
-		pr.Send(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
-	}
-	arrive := r.control(targetWorld)
-	eng.At(arrive, func() {
-		// Atomics serialize through the target agent.
-		t0q := eng.Now()
-		start := t0q
-		if tl.accBusy > start {
-			start = tl.accBusy
-		}
-		fin := start + sim.Time(amoProcessNs)
-		tl.accBusy = fin
-		if pr != nil {
-			pr.PhaseAt(origin, profile.PhaseTargetQueue, t0q, start)
-			pr.PhaseAt(origin, profile.PhaseTargetProc, start, fin)
-		}
-		eng.At(fin, func() {
-			if pr != nil {
-				pr.Recv(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
-			}
-			defer func() {
-				if rec := recover(); rec != nil {
-					ws.setErr(fmt.Errorf("mpi: FetchAndOp apply failed: %v", rec))
-					done = true
-					eng.Unpark(p)
-				}
-			}()
-			b := treg.Bytes(treg.VA+int64(tdisp), 8)
-			old = int64(binary.LittleEndian.Uint64(b))
-			if op != OpNoOp {
-				nv := []int64{old}
-				reduceI64(op, nv, []int64{operand})
-				binary.LittleEndian.PutUint64(b, uint64(nv[0]))
-			}
-			back := m.SendDataAsync(targetWorld, r.ID(), 0, fabric.XferOpt{NoNIC: true})
-			eng.At(back, func() {
-				done = true
-				eng.Unpark(p)
-			})
-		})
-	})
-	for !done {
-		p.Park("mpi.FetchAndOp")
-	}
-	if ep.completeAt < p.Now() {
-		ep.completeAt = p.Now()
-	}
-	o := r.W.Obs
-	o.Inc(r.ID(), obs.COpsAmo)
-	if o.Tracing() {
-		o.Span(r.ID(), "rma", "fetch_and_op("+op.String()+")", t0, p.Now(), obs.A("target", targetWorld))
-	}
-	return old, ws.err
+	return w.atomic("Fetch_and_op", rmaOp{kind: opFetchOp, op: op, operand: operand}, target, tdisp)
 }
 
 // CompareAndSwap atomically replaces the int64 at (target, tdisp) with
 // swapv if it equals compare, returning the previous value.
 func (w *Win) CompareAndSwap(compare, swapv int64, target, tdisp int) (int64, error) {
-	r := w.comm.r
-	t0 := r.P.Now()
-	if !r.W.MPI3 {
-		return 0, errMPI3(w, "Compare_and_swap")
-	}
-	var ep *epoch
-	switch {
-	case w.cur != nil && w.cur.target == target:
-		ep = w.cur
-	case w.all != nil:
-		ep = w.lockAllEpoch(target)
-	default:
-		return 0, fmt.Errorf("mpi: CompareAndSwap on target %d without epoch or lock-all", target)
-	}
-	w.chargeRMAOverheads(ep)
-	m := r.W.M
-	eng := m.Eng
-	p := r.P
-	targetWorld := w.state.group[target]
-	treg := w.state.regions[target]
-	tl := w.state.lockAt(target)
-	ws := w.state
-	var old int64
-	if w.shmFast(target) {
-		t0q := p.Now()
-		start := t0q
-		if tl.accBusy > start {
-			start = tl.accBusy
-		}
-		fin := start + sim.Time(amoProcessNs)
-		tl.accBusy = fin
-		w.amoShmProf(target, t0q, start, fin)
-		m.SleepUntil(p, fin)
-		if err := ws.apply("CompareAndSwap", func() {
-			b := treg.Bytes(treg.VA+int64(tdisp), 8)
-			old = int64(binary.LittleEndian.Uint64(b))
-			if old == compare {
-				binary.LittleEndian.PutUint64(b, uint64(swapv))
-			}
-		}); err != nil {
-			return 0, err
-		}
-		if ep.completeAt < p.Now() {
-			ep.completeAt = p.Now()
-		}
-		o := r.W.Obs
-		o.Inc(r.ID(), obs.COpsAmo)
-		if o.Tracing() {
-			o.Span(r.ID(), "rma", "compare_and_swap.shm", t0, p.Now(), obs.A("target", targetWorld))
-		}
-		return old, ws.err
-	}
-	done := false
-	pr := r.W.Obs.Prof()
-	origin := r.ID()
-	if pr != nil {
-		pr.Send(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
-	}
-	arrive := r.control(targetWorld)
-	eng.At(arrive, func() {
-		t0q := eng.Now()
-		start := t0q
-		if tl.accBusy > start {
-			start = tl.accBusy
-		}
-		fin := start + sim.Time(amoProcessNs)
-		tl.accBusy = fin
-		if pr != nil {
-			pr.PhaseAt(origin, profile.PhaseTargetQueue, t0q, start)
-			pr.PhaseAt(origin, profile.PhaseTargetProc, start, fin)
-		}
-		eng.At(fin, func() {
-			if pr != nil {
-				pr.Recv(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
-			}
-			defer func() {
-				if rec := recover(); rec != nil {
-					ws.setErr(fmt.Errorf("mpi: CompareAndSwap apply failed: %v", rec))
-					done = true
-					eng.Unpark(p)
-				}
-			}()
-			b := treg.Bytes(treg.VA+int64(tdisp), 8)
-			old = int64(binary.LittleEndian.Uint64(b))
-			if old == compare {
-				binary.LittleEndian.PutUint64(b, uint64(swapv))
-			}
-			back := m.SendDataAsync(targetWorld, r.ID(), 0, fabric.XferOpt{NoNIC: true})
-			eng.At(back, func() {
-				done = true
-				eng.Unpark(p)
-			})
-		})
-	})
-	for !done {
-		p.Park("mpi.CompareAndSwap")
-	}
-	if ep.completeAt < p.Now() {
-		ep.completeAt = p.Now()
-	}
-	o := r.W.Obs
-	o.Inc(r.ID(), obs.COpsAmo)
-	if o.Tracing() {
-		o.Span(r.ID(), "rma", "compare_and_swap", t0, p.Now(), obs.A("target", targetWorld))
-	}
-	return old, ws.err
+	return w.atomic("Compare_and_swap", rmaOp{kind: opCAS, op: OpReplace, operand: swapv, compare: compare}, target, tdisp)
 }

@@ -79,6 +79,16 @@ func TestApplyFailureReleasesPayloadOnce(t *testing.T) {
 			t16 := TypeContiguous(winBytes)
 			return win.Get(LocalBuf{Region: small, Off: 8, Type: t16}, 1, 0, t16)
 		}, "Get apply failed"},
+		// The atomics carry no payload; what they must not do is skip
+		// winState.apply, on either route.
+		{"fetch-and-op", func(win *Win, _, _ *fabric.Region) error {
+			_, err := win.FetchAndOp(OpSum, 1, 1, 12)
+			return err
+		}, "FetchAndOp apply failed"},
+		{"compare-and-swap", func(win *Win, _, _ *fabric.Region) error {
+			_, err := win.CompareAndSwap(0, 1, 1, winBytes)
+			return err
+		}, "CompareAndSwap apply failed"},
 	}
 	for _, shared := range []bool{false, true} {
 		for _, tc := range cases {
@@ -90,6 +100,7 @@ func TestApplyFailureReleasesPayloadOnce(t *testing.T) {
 				ledger := watchBufs(t)
 				runMPI(t, 2, func(r *Rank) {
 					r.W.Checked = false
+					r.W.EnableMPI3()
 					create := WinCreate
 					if shared {
 						create = WinCreateShared

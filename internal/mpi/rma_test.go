@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -291,17 +292,52 @@ func TestSameOpAccumulatesMayOverlap(t *testing.T) {
 }
 
 func TestAccessOutsideWindowRejected(t *testing.T) {
-	withWin(t, 2, 16, func(r *Rank, win *Win, reg *fabric.Region) {
-		if r.ID() != 0 {
-			return
-		}
-		src := r.AllocMem(32)
-		must(t, win.Lock(LockExclusive, 1))
-		if err := win.Put(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(32)}, 1, 0, TypeContiguous(32)); err == nil {
-			t.Error("put past window end accepted")
-		}
-		must(t, win.Unlock(1))
-	})
+	// Every kind is stopped at issue, on both routes: the same error, no
+	// virtual time charged, and nothing left behind in the window.
+	big := TypeContiguous(32)
+	cases := []struct {
+		name  string
+		issue func(win *Win, src *fabric.Region) error
+	}{
+		{"put", func(win *Win, src *fabric.Region) error {
+			return win.Put(LocalBuf{Region: src, Type: big}, 1, 0, big)
+		}},
+		{"fetch-and-op", func(win *Win, _ *fabric.Region) error {
+			_, err := win.FetchAndOp(OpSum, 1, 1, 12) // [12,20) of 16
+			return err
+		}},
+		{"compare-and-swap", func(win *Win, _ *fabric.Region) error {
+			_, err := win.CompareAndSwap(0, 1, 1, 16)
+			return err
+		}},
+	}
+	for _, create := range []func(*Comm, *fabric.Region) (*Win, error){WinCreate, WinCreateShared} {
+		runMPI(t, 2, func(r *Rank) {
+			r.W.EnableMPI3()
+			win, err := create(r.CommWorld(), r.AllocMem(16))
+			must(t, err)
+			if r.ID() == 0 {
+				src := r.AllocMem(32)
+				must(t, win.Lock(LockExclusive, 1))
+				for _, tc := range cases {
+					t0 := r.P.Now()
+					err := tc.issue(win, src)
+					if err == nil || !strings.Contains(err.Error(), "outside window") {
+						t.Errorf("shared=%v: %s past window end: %v", win.Shared(), tc.name, err)
+					}
+					if d := r.P.Now() - t0; d != 0 {
+						t.Errorf("shared=%v: rejected %s charged %v", win.Shared(), tc.name, d)
+					}
+				}
+				old, err := win.FetchAndOp(OpSum, 5, 1, 8)
+				if err != nil || old != 0 {
+					t.Errorf("shared=%v: in-window atomic after the rejections = %d, %v", win.Shared(), old, err)
+				}
+				must(t, win.Unlock(1))
+			}
+			must(t, win.Free())
+		})
+	}
 }
 
 func TestSizeMismatchRejected(t *testing.T) {
@@ -467,9 +503,33 @@ func TestMPI3RPutRGetFlush(t *testing.T) {
 			src := r.AllocMem(8)
 			copy(src.Backing(), []byte("RMA3!!!!"))
 			must(t, win.LockAll())
-			req, err := win.RPut(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(8)}, 1, 0, TypeContiguous(8))
+			t8 := TypeContiguous(8)
+			req, err := win.RPut(LocalBuf{Region: src, Off: 0, Type: t8}, 1, 0, t8)
 			must(t, err)
 			req.Wait()
+			// Lock-all is an open access epoch like any other: the window
+			// cannot be freed under it. (Free is collective; only the
+			// rejection keeps this rank out of its barrier.)
+			if err := win.Free(); err == nil || !strings.Contains(err.Error(), "lock-all") {
+				t.Errorf("Free in lock-all mode = %v", err)
+			}
+			// A target outside the window is an error, never an index:
+			// with a tracer attached the flush span names the target.
+			for _, rec := range []*obs.Recorder{nil, obs.New(obs.Options{Trace: true})} {
+				if rec != nil {
+					rec.BeginJob("flush", r.W.M.Eng, 2)
+				}
+				r.W.Obs = rec
+				if err := win.Flush(7); err == nil {
+					t.Errorf("Flush(7) on a 2-rank window accepted (tracer %v)", rec != nil)
+				}
+			}
+			r.W.Obs = nil
+			if _, err := win.RPut(LocalBuf{Region: src, Type: t8}, 7, 0, t8); err == nil {
+				t.Error("RPut to rank 7 of a 2-rank window accepted")
+			}
+			// MPI-3 allows the plain calls under lock-all too.
+			must(t, win.Put(LocalBuf{Region: src, Type: t8}, 1, 8, t8))
 			must(t, win.Flush(1))
 			dst := r.AllocMem(8)
 			greq, err := win.RGet(LocalBuf{Region: dst, Off: 0, Type: TypeContiguous(8)}, 1, 0, TypeContiguous(8))
@@ -575,66 +635,5 @@ func TestCrossOriginSharedAccumulatesAllowed(t *testing.T) {
 		r.P.Elapse(sim.Time(10+r.ID()) * sim.Microsecond)
 		must(t, win.Accumulate(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(16)}, OpSum, 2, 0, TypeContiguous(16)))
 		must(t, win.Unlock(2))
-	})
-}
-
-func TestActiveTargetFenceEpochs(t *testing.T) {
-	// SectionIII's active mode: collective fences bracket access
-	// epochs; everyone may put without locks, and data is visible
-	// after the closing fence.
-	withWin(t, 4, 64, func(r *Rank, win *Win, reg *fabric.Region) {
-		must(t, win.FenceSync()) // open the epoch
-		src := r.AllocMem(8)
-		copy(src.Backing(), []byte{byte(r.ID() + 1)})
-		next := (r.ID() + 1) % 4
-		must(t, win.FPut(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(8)}, next, 0, TypeContiguous(8)))
-		must(t, win.FenceSync()) // complete the epoch
-		prev := byte((r.ID()+3)%4 + 1)
-		if reg.Backing()[0] != prev {
-			t.Errorf("rank %d: window byte = %d, want %d after fence", r.ID(), reg.Backing()[0], prev)
-		}
-		// Second epoch: everyone accumulates into rank 0.
-		fsrc := r.AllocMem(8)
-		copy(fsrc.Backing(), f64sToBytes([]float64{1}))
-		must(t, win.FAccumulate(LocalBuf{Region: fsrc, Off: 0, Type: TypeContiguous(8)}, OpSum, 0, 8, TypeContiguous(8)))
-		must(t, win.FenceExit())
-		if r.ID() == 0 {
-			if got := bytesToF64s(reg.Backing()[8:16])[0]; got != 4 {
-				t.Errorf("fenced accumulate = %v, want 4", got)
-			}
-		}
-	})
-}
-
-func TestActiveModeExclusions(t *testing.T) {
-	withWin(t, 2, 16, func(r *Rank, win *Win, reg *fabric.Region) {
-		src := r.AllocMem(8)
-		if err := win.FPut(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(8)}, 1, 0, TypeContiguous(8)); err == nil {
-			t.Error("FPut outside a fence epoch accepted")
-		}
-		must(t, win.FenceSync())
-		if err := win.Lock(LockExclusive, 1); err == nil {
-			t.Error("passive lock inside an active epoch accepted")
-			must(t, win.Unlock(1))
-		}
-		must(t, win.FenceExit())
-		// After leaving active mode, passive locks work again.
-		must(t, win.Lock(LockExclusive, 1))
-		must(t, win.Unlock(1))
-	})
-}
-
-func TestFenceVsLockAllExclusion(t *testing.T) {
-	runMPI(t, 2, func(r *Rank) {
-		r.W.EnableMPI3()
-		reg := r.AllocMem(16)
-		win, err := WinCreate(r.CommWorld(), reg)
-		must(t, err)
-		must(t, win.LockAll())
-		if err := win.FenceSync(); err == nil {
-			t.Error("Win_fence while in lock-all accepted")
-		}
-		must(t, win.UnlockAll())
-		must(t, win.Free())
 	})
 }
