@@ -12,33 +12,17 @@
 //	armci-bench -fig ablation-locality [-platform ...] [-quick]
 //	armci-bench -fig ablations
 //	armci-bench -fig table2
-//	armci-bench -fig wallclock
 //	armci-bench -fig scale [-quick]
-//	armci-bench -fig parallel-speedup [-quick] [-shards n]
 //
 // With no -platform, figure sweeps run on all four platforms. A
 // combined -fig figN-plat spelling (e.g. -fig fig3-ib) selects one
 // figure on one platform, matching the BENCH_<name>.json artifact
 // names. Output is gnuplot-style columns on stdout.
 //
-// The wallclock figure measures the simulator harness's own host-time
-// cost (issue rates, pack throughput, scheduler event rates). Unlike
-// every other figure it is machine dependent and NOT byte-deterministic,
-// so its JSON export is a trajectory record, not a guarded artifact. It
-// is excluded from -fig all for that reason.
-//
 // The scale figure sweeps the CCSD proxy and GA fan-out shapes to
 // 4096-16384 simulated ranks on the Cray XT5 model. Scale is excluded
-// from -fig all because its jobs dwarf every other sweep.
-//
-// The parallel-speedup figure sweeps the sharded engine over host
-// shard counts on the 16k-rank scale exchange, reporting events per
-// host second and the speedup over one shard. -shards caps the sweep
-// (default 8). Like wallclock it is host-time, machine dependent, and
-// excluded from -fig all; its JSON export is a trajectory record, not
-// a guarded artifact. -shards is the engine's only knob, and full-stack
-// jobs always run as a single shard; only shard-confined sweeps fan
-// out.
+// from -fig all because its jobs dwarf every other sweep. (What the
+// simulator costs the host is measured by go run ./benchmark.)
 //
 // Runtime tuning (applied to every job a sweep constructs; an
 // ablation's own axis still overrides these):
@@ -50,7 +34,9 @@
 //	                    Figure 3 comparison (native, armci-mpi, armci-ds,
 //	                    or dartmpi)
 //
-// Observability (figure sweeps 3, 4, and 5):
+// Observability (the figures that record: 3, 4, 5, ablation-shm,
+// ablation-locality, scale; with any other figure these flags are an
+// error):
 //
 //	-stats         print per-rank metrics (lock waits, bytes moved
 //	               contiguous vs packed, epoch flushes, ...) after the runs
@@ -79,6 +65,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/armcimpi"
@@ -104,18 +91,7 @@ func main() {
 	runtimeName := flag.String("runtime", "",
 		fmt.Sprintf("extra ARMCI runtime series for the Figure 3 comparison (%s)",
 			strings.Join(harness.ImplNames(), ", ")))
-	shards := flag.Int("shards", 0,
-		"host shard cap for the parallel-speedup sweep (full-stack jobs always run one shard)")
 	flag.Parse()
-
-	if err := installSched(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "armci-bench:", err)
-		os.Exit(1)
-	}
-	if err := checkObsSharding(*shards, *stats, *profile, *critpath, *trace); err != nil {
-		fmt.Fprintln(os.Stderr, "armci-bench:", err)
-		os.Exit(1)
-	}
 
 	if *runtimeName != "" {
 		impl, err := harness.ParseImpl(*runtimeName)
@@ -135,28 +111,15 @@ func main() {
 	}
 }
 
-// installSched validates -shards and installs it as the harness-wide
-// scheduler configuration, before any sweep constructs a job.
-func installSched(shards int) error {
-	if shards < 0 {
-		return fmt.Errorf("-shards %d: shard count must be positive", shards)
-	}
-	harness.Shards = shards
-	return nil
-}
+// recording lists the figures whose jobs take the recorder.
+var recording = []string{"3", "4", "5", "ablation-shm", "ablation-locality", "scale"}
 
-// checkObsSharding rejects, at parse time, flag combinations that would
-// attach a single observability recorder to a multi-shard run.
-// armci-bench's recorder-backed sweeps are full-stack jobs, which always
-// execute as one shard regardless of -shards; the only sweep that fans
-// out (-fig parallel-speedup) takes no recorder. Rather than silently
-// ignore either flag, the conflict is an error naming every flag
-// involved. (Multi-shard critical-path recording itself is supported —
-// the bench test suite drives it through obs.Sharded and its
-// deterministic per-shard merge — it is only this CLI pairing that has
-// no meaning.)
-func checkObsSharding(shards int, stats, profile, critpath bool, trace string) error {
-	if shards <= 1 {
+// checkObsFigure rejects, at parse time, an observability flag on a
+// figure that records nothing: the report would come out empty
+// ("(no metrics recorded)", a top-operations table with no rows) and
+// the run would still exit 0.
+func checkObsFigure(fig string, stats, profile, critpath bool, trace string) error {
+	if fig == "all" || slices.Contains(recording, fig) {
 		return nil
 	}
 	var set []string
@@ -175,8 +138,8 @@ func checkObsSharding(shards int, stats, profile, critpath bool, trace string) e
 	if len(set) == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s cannot be combined with -shards %d: observability attaches one recorder per sweep, and the multi-shard parallel-speedup sweep runs without one (full-stack figure sweeps always execute as a single shard; rerun with -shards 1 or drop %s)",
-		strings.Join(set, "/"), shards, strings.Join(set, "/"))
+	return fmt.Errorf("%s: -fig %s records nothing; the figures that do are %s",
+		strings.Join(set, "/"), fig, strings.Join(recording, ", "))
 }
 
 // installTweak translates the runtime-tuning flags into the bench
@@ -237,9 +200,12 @@ func run(fig, plat, opFilter string, quick, stats, profile, critpath bool, trace
 		}
 	}
 	switch fig {
-	case "3", "4", "5", "ablation-shm", "ablation-nbfanout", "ablation-locality", "ablations", "table2", "wallclock", "scale", "parallel-speedup", "all":
+	case "3", "4", "5", "ablation-shm", "ablation-nbfanout", "ablation-locality", "ablations", "table2", "scale", "all":
 	default:
 		return fmt.Errorf("unknown -fig %q", fig)
+	}
+	if err := checkObsFigure(fig, stats, profile, critpath, traceFile); err != nil {
+		return err
 	}
 	var rec *obs.Recorder
 	if stats || profile || critpath || traceFile != "" {
@@ -482,19 +448,8 @@ func runFigures(fig, plat, opFilter string, quick bool, rec *obs.Recorder, jsonD
 			return nil
 		}
 	}
-	if fig == "wallclock" {
-		cfg := bench.DefaultWallclock()
-		if quick {
-			cfg = bench.QuickWallclock()
-		}
-		f, err := bench.Wallclock(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(f, jsonDir)
-	}
-	// Like wallclock, scale is excluded from -fig all: its jobs are
-	// orders of magnitude larger than every other sweep.
+	// Scale is excluded from -fig all: its jobs are orders of magnitude
+	// larger than every other sweep.
 	if fig == "scale" {
 		cfg := bench.DefaultScale()
 		if quick {
@@ -502,26 +457,6 @@ func runFigures(fig, plat, opFilter string, quick bool, rec *obs.Recorder, jsonD
 		}
 		cfg.Obs = rec
 		f, err := bench.Scale(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(f, jsonDir)
-	}
-	// parallel-speedup is host-time like wallclock and likewise excluded
-	// from -fig all.
-	if fig == "parallel-speedup" {
-		cfg := bench.DefaultParallel()
-		if quick {
-			cfg = bench.QuickParallel()
-		}
-		if harness.Shards > 0 {
-			var list []int
-			for k := 1; k < harness.Shards; k *= 2 {
-				list = append(list, k)
-			}
-			cfg.Shards = append(list, harness.Shards)
-		}
-		f, err := bench.ParallelSpeedup(cfg)
 		if err != nil {
 			return err
 		}

@@ -10,23 +10,36 @@ import (
 	"repro/internal/sim"
 )
 
-// TestInstallSched covers the scheduler flag surface, which is -shards
-// alone: a negative count fails fast — before any job is built — and a
-// valid one becomes the harness-wide shard cap.
-func TestInstallSched(t *testing.T) {
-	defer func() { harness.Shards = 0 }()
-
-	if err := installSched(-1); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("negative shard count: err = %v, want one naming -shards", err)
+// TestObsFlagsNeedARecordingFigure: an observability flag on a figure
+// whose jobs take no recorder used to print an empty report and exit 0;
+// it is an error before anything runs, naming the figures that record.
+// A recording figure passes the check (it would go on to run, so only
+// the check is called for those).
+func TestObsFlagsNeedARecordingFigure(t *testing.T) {
+	for _, c := range []struct {
+		fig                      string
+		stats, profile, critpath bool
+		trace                    string
+	}{
+		{fig: "ablations", profile: true},
+		{fig: "table2", stats: true},
+		{fig: "ablation-nbfanout", critpath: true},
+		{fig: "table2", trace: "t.json"},
+		{fig: "ablations", stats: true, profile: true, critpath: true, trace: "t.json"},
+	} {
+		err := run(c.fig, "", "", true, c.stats, c.profile, c.critpath, c.trace, "")
+		if err == nil || !strings.Contains(err.Error(), "-fig "+c.fig+" records nothing") ||
+			!strings.Contains(err.Error(), "ablation-locality") {
+			t.Errorf("%+v: err = %v, want one naming the figure and those that record", c, err)
+		}
 	}
-	if harness.Shards != 0 {
-		t.Error("failed installSched still installed a shard count")
+	for _, fig := range append([]string{"all"}, recording...) {
+		if err := checkObsFigure(fig, true, true, true, "t.json"); err != nil {
+			t.Errorf("-fig %s with every observability flag: %v", fig, err)
+		}
 	}
-	if err := installSched(8); err != nil || harness.Shards != 8 {
-		t.Errorf("installSched(8): err = %v, Shards = %d, want nil/8", err, harness.Shards)
-	}
-	if err := installSched(0); err != nil || harness.Shards != 0 {
-		t.Errorf("default flags: err = %v, Shards = %d, want nil/0", err, harness.Shards)
+	if err := checkObsFigure("table2", false, false, false, ""); err != nil {
+		t.Errorf("no observability flag: %v", err)
 	}
 }
 

@@ -13,9 +13,8 @@
 // that drifted.
 //
 // -tol relaxes number comparison to a relative tolerance, for
-// host-time trajectory artifacts (wallclock, parallel-speedup) whose
-// values are machine dependent: shapes and labels must still match
-// exactly, numbers may drift by the given fraction.
+// artifacts whose values are machine dependent: shapes and labels must
+// still match exactly, numbers may drift by the given fraction.
 package main
 
 import (

@@ -64,8 +64,8 @@ type Labels struct {
 // DirectWorld is the job-wide state of a direct runtime.
 type DirectWorld struct {
 	M *fabric.Machine
-	// Obs, when non-nil, receives a profiler scope per surface
-	// operation (and whatever the transport records). Nil-safe.
+	// Obs, when non-nil, is told of each surface operation's scope
+	// (and whatever the transport reports). Nil-safe.
 	Obs *obs.Recorder
 
 	t      Transport
@@ -411,10 +411,8 @@ func (h *Pending) Test() bool { return h.done }
 // put issues a resolved put or accumulate under op's profiler scope.
 // Local completion is immediate; remote completion is noted for Fence.
 func (r *Direct) put(op profile.Op, x Xfer, err error) error {
-	if pr := r.w.Obs.Prof(); pr != nil {
-		pr.Begin(r.Rank(), op)
-		defer pr.End(r.Rank())
-	}
+	r.w.Obs.OpBegin(r.Rank(), op)
+	defer r.w.Obs.OpEnd(r.Rank())
 	if err != nil || x.empty() {
 		return err
 	}
@@ -427,10 +425,8 @@ func (r *Direct) put(op profile.Op, x Xfer, err error) error {
 
 // get issues a resolved get under op's profiler scope.
 func (r *Direct) get(op profile.Op, x Xfer, err error) (Handle, error) {
-	if pr := r.w.Obs.Prof(); pr != nil {
-		pr.Begin(r.Rank(), op)
-		defer pr.End(r.Rank())
-	}
+	r.w.Obs.OpBegin(r.Rank(), op)
+	defer r.w.Obs.OpEnd(r.Rank())
 	if err != nil {
 		return nil, err
 	}
@@ -566,10 +562,8 @@ func (r *Direct) Barrier() {
 // the request is serviced at the target by whatever the transport puts
 // there (NIC atomics, the data server), which also serializes it.
 func (r *Direct) Rmw(op RmwOp, addr Addr, operand int64) (int64, error) {
-	if pr := r.w.Obs.Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpRmw)
-		defer pr.End(r.Rank())
-	}
+	r.w.Obs.OpBegin(r.Rank(), profile.OpRmw)
+	defer r.w.Obs.OpEnd(r.Rank())
 	if addr.Nil() {
 		return 0, r.errf("Rmw on NULL address")
 	}
@@ -702,9 +696,7 @@ func (s *mutexSet) Unlock(mtx, proc int) {
 		eng.At(back, func() {
 			// Critical path: the waiter's lock wait ends because this
 			// rank released the mutex at relAt.
-			if c := m.Obs.Crit(); c != nil {
-				c.WakeGrant(next.p.ID(), by, relAt)
-			}
+			m.Obs.WakeGrant(next.p.ID(), by, relAt)
 			next.grant()
 		})
 	})

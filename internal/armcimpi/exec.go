@@ -7,7 +7,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -93,7 +92,7 @@ func (r *Runtime) execute(p *plan) error {
 	if p.dec.Route == RouteStagedRMA {
 		r.execStage(p.stageBytes)
 	}
-	r.obs().Inc(r.Rank(), obs.CPlanExec)
+	r.obs().Count(r.Rank(), obs.CPlanExec, 1)
 	switch p.kind {
 	case planBatched:
 		return r.execBatched(p)
@@ -122,20 +121,16 @@ func (r *Runtime) execStage(n int) {
 		r.W.leaderBusy = make([]sim.Time, (m.NRanks+cpn-1)/cpn)
 	}
 	p := r.R.P
-	pr := r.obs().Prof()
 	t0 := p.Now()
 	if b := r.W.leaderBusy[node]; b > t0 {
 		m.SleepUntil(p, b)
-		pr.PhaseAt(me, profile.PhaseLeaderQueue, t0, p.Now())
+		r.obs().Waited(obs.Wait{Kind: obs.WaitLeaderQueue, Rank: me, From: t0, To: p.Now()})
 	}
 	c0 := p.Now()
 	m.ShmCopy(p, n)
-	pr.PhaseAt(me, profile.PhaseLeaderCopy, c0, p.Now())
+	r.obs().Waited(obs.Wait{Kind: obs.WaitLeaderCopy, Rank: me, From: c0, To: p.Now(), N: n})
 	r.W.leaderBusy[node] = p.Now()
 	r.policy.Staged(n)
-	o := r.obs()
-	o.Inc(me, obs.CDartStaged)
-	o.Add(me, obs.CDartStagedBytes, int64(n))
 }
 
 // execNear carries out a directly bound near-tier plan: RouteSelf
@@ -254,7 +249,7 @@ func (r *Runtime) execSingle(p *plan) (err error) {
 		return err
 	}
 	st.e = nil
-	r.obs().Add(r.Rank(), obs.CPlanSegs, 1)
+	r.obs().Count(r.Rank(), obs.CPlanSegs, 1)
 	return st.finish()
 }
 
@@ -308,7 +303,7 @@ func (r *Runtime) execBatched(p *plan) (err error) {
 		}
 		st.e = nil
 	}
-	r.obs().Add(r.Rank(), obs.CPlanSegs, int64(len(p.segs)))
+	r.obs().Count(r.Rank(), obs.CPlanSegs, len(p.segs))
 	return st.finish()
 }
 
@@ -381,7 +376,7 @@ func (h *nbHandle) Test() bool {
 // failures (a corrupted allocator) are programming errors and panic.
 func (h *nbHandle) settle() {
 	h.done = true
-	h.r.obs().Add(h.r.Rank(), obs.CNbDone, int64(len(h.reqs)))
+	h.r.obs().Count(h.r.Rank(), obs.CNbDone, len(h.reqs))
 	for _, t := range h.temps {
 		if err := h.r.freeTemp(t); err != nil {
 			panic(fmt.Sprintf("armcimpi: nonblocking cleanup failed: %v", err))
@@ -419,7 +414,7 @@ func (r *Runtime) execNb3(p *plan) (armci.Handle, error) {
 		h.Wait()
 		return nil, err
 	}
-	r.obs().Add(r.Rank(), obs.CNbIssued, int64(len(h.reqs)))
+	r.obs().Count(r.Rank(), obs.CNbIssued, len(h.reqs))
 	return h, nil
 }
 

@@ -346,12 +346,7 @@ func (r *Runtime) mallocOn(comm *mpi.Comm, members []int, bytes int) ([]armci.Ad
 	}
 	g.Ext.mutex[r.Rank()] = mux
 	comm.Barrier()
-	o := r.obs()
-	o.Inc(r.Rank(), obs.CGmrAlloc)
-	o.Add(r.Rank(), obs.CGmrBytes, int64(bytes))
-	if o.Tracing() {
-		o.Span(r.Rank(), "armci", "gmr.alloc", t0, r.R.P.Now(), obs.A("bytes", bytes), obs.A("id", g.ID))
-	}
+	r.obs().Alloc(r.Rank(), t0, r.R.P.Now(), bytes, g.ID)
 	if comm.Size() >= mpi.BigCommThreshold {
 		// One shared address vector for the job; callers treat it as
 		// read-only (a per-rank copy would be N² entries).
@@ -423,7 +418,7 @@ func (r *Runtime) freeOn(comm *mpi.Comm, addr armci.Addr) error {
 	if comm.Rank() == 0 {
 		r.W.dir.Unregister(g)
 	}
-	r.obs().Inc(r.Rank(), obs.CGmrFree)
+	r.obs().Count(r.Rank(), obs.CGmrFree, 1)
 	return nil
 }
 

@@ -83,10 +83,8 @@ func (r *Runtime) SetAccessMode(mode armci.AccessMode, addr armci.Addr) error {
 // (SectionV.D). With UseMPI3, a single fetch-and-op inside one epoch
 // is used instead (SectionVIII.B's extension).
 func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, error) {
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpRmw)
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profile.OpRmw)
+	defer r.obs().OpEnd(r.Rank())
 	if addr.Nil() {
 		return 0, fmt.Errorf("armcimpi: Rmw on NULL address")
 	}

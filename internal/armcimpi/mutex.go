@@ -7,7 +7,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 )
 
 // Mutexes implements the ARMCI mutex API with the MPI RMA queueing
@@ -159,17 +158,7 @@ func (m *Mutexes) Lock(mtx, proc int) {
 		// Enqueued: wait locally for the lock to be forwarded.
 		m.comm.Recv(mpi.AnySource, m.tag(host, mtx))
 	}
-	o := m.r.obs()
-	rank := m.r.Rank()
-	o.MaxGauge(rank, obs.GMutexQueue, int64(queued))
-	o.AddTime(rank, obs.TMutexWait, m.r.R.P.Now()-t0)
-	if pr := o.Prof(); pr != nil {
-		pr.PhaseAt(rank, profile.PhaseLockWait, t0, m.r.R.P.Now())
-	}
-	if o.Tracing() {
-		o.Span(rank, "armci", "mutex.lock", t0, m.r.R.P.Now(),
-			obs.A("host", proc), obs.A("queued", queued))
-	}
+	m.r.obs().Waited(obs.Wait{Kind: obs.WaitMutex, Rank: m.r.Rank(), From: t0, To: m.r.R.P.Now(), Peer: proc, N: queued})
 }
 
 // Unlock releases mutex mtx on world rank proc, forwarding it to the

@@ -51,10 +51,8 @@ func nbImmediate(err error) (armci.Handle, error) {
 // under MPI-3 it issues an Rput whose remote completion is deferred to
 // Fence, enabling communication/computation overlap.
 func (r *Runtime) NbPut(src, dst armci.Addr, n int) (armci.Handle, error) {
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpNbPut)
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profile.OpNbPut)
+	defer r.obs().OpEnd(r.Rank())
 	if !r.Opt.UseMPI3 {
 		return nbImmediate(r.Put(src, dst, n))
 	}
@@ -72,10 +70,8 @@ func (r *Runtime) NbPut(src, dst armci.Addr, n int) (armci.Handle, error) {
 // NbGet issues a get; under MPI-2 it completes immediately, under
 // MPI-3 the handle's Wait blocks until the data has landed.
 func (r *Runtime) NbGet(src, dst armci.Addr, n int) (armci.Handle, error) {
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpNbGet)
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profile.OpNbGet)
+	defer r.obs().OpEnd(r.Rank())
 	if !r.Opt.UseMPI3 {
 		return nbImmediate(r.Get(src, dst, n))
 	}
@@ -94,10 +90,8 @@ func (r *Runtime) NbGet(src, dst armci.Addr, n int) (armci.Handle, error) {
 // under MPI-3 it issues an Raccumulate (prescaled when scale != 1)
 // whose remote completion is deferred to Fence.
 func (r *Runtime) NbAcc(op armci.AccOp, scale float64, src, dst armci.Addr, n int) (armci.Handle, error) {
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpNbAcc)
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profile.OpNbAcc)
+	defer r.obs().OpEnd(r.Rank())
 	if !r.Opt.UseMPI3 {
 		return nbImmediate(r.Acc(op, scale, src, dst, n))
 	}
@@ -134,10 +128,8 @@ func (r *Runtime) NbAccS(op armci.AccOp, scale float64, s *armci.Strided) (armci
 }
 
 func (r *Runtime) nbStrided(class OpClass, scale float64, s *armci.Strided) (armci.Handle, error) {
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profNbStridedOp[class])
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profNbStridedOp[class])
+	defer r.obs().OpEnd(r.Rank())
 	if !r.Opt.UseMPI3 {
 		var err error
 		switch class {
@@ -185,10 +177,8 @@ func (r *Runtime) NbAccV(op armci.AccOp, scale float64, iov []armci.GIOV, proc i
 }
 
 func (r *Runtime) nbIOV(class OpClass, scale float64, iov []armci.GIOV, proc int) (armci.Handle, error) {
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profNbIOVOp[class])
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profNbIOVOp[class])
+	defer r.obs().OpEnd(r.Rank())
 	if !r.Opt.UseMPI3 {
 		var err error
 		switch class {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/armci"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/obs/profile"
 )
 
@@ -49,10 +48,8 @@ func (r *Runtime) strided(class OpClass, scale float64, s *armci.Strided) error 
 		return err
 	}
 	t0 := r.R.P.Now()
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profStridedOp[class])
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profStridedOp[class])
+	defer r.obs().OpEnd(r.Rank())
 	local, remote := s.Src, s.Dst
 	if class == ClassGet {
 		local, remote = s.Dst, s.Src
@@ -66,17 +63,7 @@ func (r *Runtime) strided(class OpClass, scale float64, s *armci.Strided) error 
 	if err := r.execute(p); err != nil {
 		return err
 	}
-	name := "puts"
-	switch class {
-	case ClassGet:
-		name = "gets"
-	case ClassAcc:
-		name = "accs"
-	}
-	if o := r.obs(); o.Tracing() {
-		o.Span(r.Rank(), "armci", name, t0, r.R.P.Now(),
-			obs.A("method", rt.dec.Method.String()), obs.A("seg", s.SegBytes()))
-	}
+	r.obs().OpDone(r.Rank(), profStridedOp[class], t0, r.R.P.Now(), remote.Rank, s.SegBytes(), rt.dec.Method)
 	return nil
 }
 
@@ -244,10 +231,8 @@ func orient(iov []armci.GIOV, class OpClass) []iovSeg {
 // iov compiles and executes an IOV operation with the routed method
 // (SectionVI.A).
 func (r *Runtime) iov(class OpClass, scale float64, iov []armci.GIOV, proc int) error {
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profIOVOp[class])
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profIOVOp[class])
+	defer r.obs().OpEnd(r.Rank())
 	rt := r.decide(RouteRequest{Class: class, Shape: ShapeIOV, Target: proc, Bytes: iovBytes(iov)})
 	p, err := r.compileIOV(class, scale, iov, proc, rt)
 	if err != nil {

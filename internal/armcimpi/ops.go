@@ -109,11 +109,7 @@ func (r *Runtime) acquireLocal(addr armci.Addr, span int) (localView, error) {
 		}
 	}
 	r.W.Staged++
-	o := r.obs()
-	o.Inc(r.Rank(), obs.CStaged)
-	if o.Tracing() {
-		o.Span(r.Rank(), "armci", "stage", t0, r.R.P.Now(), obs.A("bytes", span))
-	}
+	r.obs().Waited(obs.Wait{Kind: obs.WaitStage, Rank: r.Rank(), From: t0, To: r.R.P.Now(), N: span})
 	return localView{reg: tmp, base: addr.VA, staged: true, dlaOwned: owned, orig: addr, span: span, g: g, myRank: gr}, nil
 }
 
@@ -167,10 +163,8 @@ func (r *Runtime) remote(addr armci.Addr, n int) (*GMR, int, int, error) {
 // locally and remotely complete on return (SectionV.F).
 func (r *Runtime) Put(src, dst armci.Addr, n int) error {
 	t0 := r.R.P.Now()
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpPut)
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profile.OpPut)
+	defer r.obs().OpEnd(r.Rank())
 	if err := armci.CheckContig(src, dst, n); err != nil {
 		return err
 	}
@@ -182,9 +176,7 @@ func (r *Runtime) Put(src, dst armci.Addr, n int) error {
 	if err := r.execute(p); err != nil {
 		return err
 	}
-	if o := r.obs(); o.Tracing() {
-		o.Span(r.Rank(), "armci", "put", t0, r.R.P.Now(), obs.A("to", dst.Rank), obs.A("bytes", n))
-	}
+	r.obs().OpDone(r.Rank(), profile.OpPut, t0, r.R.P.Now(), dst.Rank, n, nil)
 	return nil
 }
 
@@ -192,10 +184,8 @@ func (r *Runtime) Put(src, dst armci.Addr, n int) error {
 // available on return.
 func (r *Runtime) Get(src, dst armci.Addr, n int) error {
 	t0 := r.R.P.Now()
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpGet)
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profile.OpGet)
+	defer r.obs().OpEnd(r.Rank())
 	if err := armci.CheckContig(src, dst, n); err != nil {
 		return err
 	}
@@ -207,9 +197,7 @@ func (r *Runtime) Get(src, dst armci.Addr, n int) error {
 	if err := r.execute(p); err != nil {
 		return err
 	}
-	if o := r.obs(); o.Tracing() {
-		o.Span(r.Rank(), "armci", "get", t0, r.R.P.Now(), obs.A("from", src.Rank), obs.A("bytes", n))
-	}
+	r.obs().OpDone(r.Rank(), profile.OpGet, t0, r.R.P.Now(), src.Rank, n, nil)
 	return nil
 }
 
@@ -218,10 +206,8 @@ func (r *Runtime) Get(src, dst armci.Addr, n int) error {
 // argument) and issues MPI_Accumulate with MPI_SUM.
 func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int) error {
 	t0 := r.R.P.Now()
-	if pr := r.obs().Prof(); pr != nil {
-		pr.Begin(r.Rank(), profile.OpAcc)
-		defer pr.End(r.Rank())
-	}
+	r.obs().OpBegin(r.Rank(), profile.OpAcc)
+	defer r.obs().OpEnd(r.Rank())
 	if err := armci.CheckContig(src, dst, n); err != nil {
 		return err
 	}
@@ -236,9 +222,7 @@ func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int)
 	if err := r.execute(p); err != nil {
 		return err
 	}
-	if o := r.obs(); o.Tracing() {
-		o.Span(r.Rank(), "armci", "acc", t0, r.R.P.Now(), obs.A("to", dst.Rank), obs.A("bytes", n))
-	}
+	r.obs().OpDone(r.Rank(), profile.OpAcc, t0, r.R.P.Now(), dst.Rank, n, nil)
 	return nil
 }
 

@@ -206,22 +206,17 @@ func (r *Runtime) decide(req RouteRequest) routed {
 	return routed{dec: d, bytes: req.Bytes}
 }
 
-// countRoute emits the per-route op/byte counters from the decision
-// point. Near-tier descriptors (PerSeg) are not counted here: their
-// segments re-enter the engine and are decided individually.
+// tiers is how the recorder knows each route.
+var tiers = [...]obs.Tier{
+	RouteRMA:       obs.TierRMA,
+	RouteSelf:      obs.TierSelf,
+	RouteNode:      obs.TierNode,
+	RouteStagedRMA: obs.TierStaged,
+}
+
+// countRoute reports one decision from the decision point. Near-tier
+// descriptors (PerSeg) are not counted here: their segments re-enter
+// the engine and are decided individually.
 func (r *Runtime) countRoute(d RouteDecision, bytes int) {
-	o := r.obs()
-	var ops, by string
-	switch d.Route {
-	case RouteSelf:
-		ops, by = obs.CRouteSelf, obs.CRouteSelfBytes
-	case RouteNode:
-		ops, by = obs.CRouteNode, obs.CRouteNodeBytes
-	case RouteStagedRMA:
-		ops, by = obs.CRouteStaged, obs.CRouteStagedBytes
-	default:
-		ops, by = obs.CRouteRMA, obs.CRouteRMABytes
-	}
-	o.Inc(r.Rank(), ops)
-	o.Add(r.Rank(), by, int64(bytes))
+	r.obs().Routed(r.Rank(), tiers[d.Route], bytes)
 }

@@ -2,37 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
-
-// TestParallelSpeedupQuick: the sweep produces both series at every
-// requested shard count with positive rates (virtual-result identity
-// across shard counts is enforced inside ParallelSpeedup itself).
-func TestParallelSpeedupQuick(t *testing.T) {
-	cfg := QuickParallel()
-	f, err := ParallelSpeedup(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, label := range []string{"scale-exchange (events/s)", "speedup"} {
-		s := f.Get(label)
-		if s == nil {
-			t.Fatalf("series %q missing", label)
-		}
-		if len(s.X) != len(cfg.Shards) {
-			t.Errorf("series %q sampled at %v, want one point per %v", label, s.X, cfg.Shards)
-		}
-		for i, y := range s.Y {
-			if y <= 0 {
-				t.Errorf("series %q sample %d = %v, want > 0", label, i, y)
-			}
-		}
-	}
-	if s := f.Get("speedup"); s.Y[0] != 1 {
-		t.Errorf("speedup at first shard count = %v, want 1", s.Y[0])
-	}
-}
 
 // TestParallelScaleRunDeterminism: the exchange produces identical
 // engine statistics (events, parks, final virtual time) at every shard
@@ -57,43 +28,15 @@ func TestParallelScaleRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelSpeedupTarget asserts the acceptance bar — >= 2.5x
-// events/sec at 8 shards versus 1 on the 16k-rank sweep — on hosts
-// with enough cores to express it.
-func TestParallelSpeedupTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 16k-rank sweep skipped in -short mode")
-	}
-	if runtime.NumCPU() < 8 {
-		t.Skipf("needs >= 8 host cores to assert the 8-shard target, have %d", runtime.NumCPU())
-	}
-	f, err := ParallelSpeedup(DefaultParallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := f.Get("speedup")
-	if s == nil {
-		t.Fatal("speedup series missing")
-	}
-	at8, ok := s.At(8)
-	if !ok {
-		t.Fatalf("no 8-shard sample in %v", s.X)
-	}
-	if at8 < 2.5 {
-		t.Errorf("speedup at 8 shards = %.2fx, want >= 2.5x", at8)
-	}
-}
-
 // BenchmarkParallelShards is the CI race-smoke entry point for the
 // sharded engine at the bench level: one quick-sized exchange per
 // iteration at each shard count, under whatever GOMAXPROCS the CI
 // matrix sets.
 func BenchmarkParallelShards(b *testing.B) {
-	cfg := QuickParallel()
 	for _, k := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ParallelScaleRun(cfg.Ranks, cfg.Rounds, k); err != nil {
+				if _, _, err := ParallelScaleRun(256, 2, k); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -86,10 +86,9 @@ func TestModeEquivalenceGuardedFigures(t *testing.T) {
 // fabric cost model to the same recording commit: engine statistics at
 // 1, 2, 4, and 8 shards are the ones its reference scheduler counted.
 func TestParallelEquivalence(t *testing.T) {
-	cfg := QuickParallel()
 	want := sim.Stats{Events: 1528, Parks: 1024, FinalTime: 36339}
 	for _, k := range []int{1, 2, 4, 8} {
-		st, _, err := ParallelScaleRun(cfg.Ranks, cfg.Rounds, k)
+		st, _, err := ParallelScaleRun(256, 2, k)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
 		}

@@ -1,20 +1,14 @@
 package bench
 
-// The wall-clock suite measures the simulator's HOST cost, not the
+// The wall-clock drivers measure the simulator's HOST cost, not the
 // simulated machine: operation issue rates (complete armci op →
 // GMR translation → datatype → epoch → sim event round trips per host
 // second), derived-datatype pack/unpack throughput, and raw scheduler
-// event dispatch rates at large rank counts. Virtual-time results are
-// covered by the deterministic figures; this suite is the perf
-// trajectory for the harness itself, bounding how far rank counts and
-// message sizes can scale in real time.
-//
-// Numbers are host-machine dependent and NOT byte-deterministic; the
-// exported results/BENCH_wallclock.json is a trajectory seed, not a
-// guarded regression artifact.
+// event dispatch rates at large rank counts. They time one loop each
+// and leave sizes, repetition and statistics to their callers: the
+// layer rows of go run ./benchmark and the root Benchmark* functions.
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/armci"
@@ -152,102 +146,4 @@ func WallclockPackRoundtrip(t mpi.Datatype, src, dense []byte, iters int) time.D
 		mpi.Unpack(t, src, dense)
 	}
 	return time.Since(t0)
-}
-
-// WallclockConfig sizes the reduced sweep behind the exported figure.
-type WallclockConfig struct {
-	Ops        int // operations per issue-rate point
-	PackIters  int // round trips per pack point
-	EventSteps int // elapse steps per rank per events point
-
-	// Scale-workload shape: the cross-node exchange of the parallel
-	// sweep (ParallelScaleRun), measured single-shard here so the
-	// speedup figure has a host-time baseline at the same rank counts.
-	// The wall-clock dimension lives in this (non-guarded) figure so
-	// BENCH_scale.json stays a byte-compared virtual-time artifact.
-	ScaleRanks  []int // rank counts for the scale-events series
-	ScaleRounds int   // exchange rounds per rank
-}
-
-// DefaultWallclock returns a configuration that completes in a few
-// host seconds on commodity hardware.
-func DefaultWallclock() WallclockConfig {
-	return WallclockConfig{
-		Ops: 400, PackIters: 4000, EventSteps: 400,
-		ScaleRanks: []int{4096, 16384}, ScaleRounds: 4,
-	}
-}
-
-// QuickWallclock returns a smoke-test configuration (used by CI under
-// the race detector) that touches every measured path in well under a
-// second.
-func QuickWallclock() WallclockConfig {
-	return WallclockConfig{
-		Ops: 10, PackIters: 10, EventSteps: 10,
-		ScaleRanks: []int{128}, ScaleRounds: 1,
-	}
-}
-
-// Wallclock runs the reduced wall-clock sweep and returns it as a
-// figure: issue rates in ops/s over payload or segment count, pack
-// throughput in MB/s over segment count, and scheduler event rates in
-// events/s over rank count.
-func Wallclock(cfg WallclockConfig) (*Figure, error) {
-	plat := harness.TestPlatform()
-	fig := &Figure{
-		Name:   "wallclock",
-		Title:  "harness wall-clock cost (host time, machine dependent)",
-		XLabel: "bytes | segments | ranks",
-		YLabel: "ops/s | MB/s | events/s",
-	}
-	for _, bytes := range []int{8, 512, 8192} {
-		d, err := WallclockContigIssue(plat, cfg.Ops, bytes)
-		if err != nil {
-			return nil, fmt.Errorf("wallclock contig(%d): %w", bytes, err)
-		}
-		fig.Add("contig-issue (ops/s)", float64(bytes), rate(cfg.Ops, d))
-	}
-	for _, nsegs := range []int{16, 64, 256} {
-		d, err := WallclockStridedIssue(plat, cfg.Ops, nsegs, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wallclock strided(%d): %w", nsegs, err)
-		}
-		fig.Add("strided-issue (ops/s)", float64(nsegs), rate(cfg.Ops, d))
-		d, err = WallclockIOVIssue(plat, cfg.Ops, nsegs, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wallclock iov(%d): %w", nsegs, err)
-		}
-		fig.Add("iov-issue (ops/s)", float64(nsegs), rate(cfg.Ops, d))
-	}
-	for _, nsegs := range []int{32, 256} {
-		t := WallclockPackType(nsegs, 128)
-		src := make([]byte, t.Span())
-		dense := make([]byte, t.Size())
-		d := WallclockPackRoundtrip(t, src, dense, cfg.PackIters)
-		mb := float64(2*t.Size()*cfg.PackIters) / 1e6
-		fig.Add("pack-subarray (MB/s)", float64(nsegs), mb/d.Seconds())
-	}
-	for _, nranks := range []int{64, 128, 256} {
-		ev, d, err := WallclockEvents(nranks, cfg.EventSteps)
-		if err != nil {
-			return nil, fmt.Errorf("wallclock events(%d): %w", nranks, err)
-		}
-		fig.Add("scheduler (events/s)", float64(nranks), float64(ev)/d.Seconds())
-	}
-	for _, nranks := range cfg.ScaleRanks {
-		st, d, err := ParallelScaleRun(nranks, cfg.ScaleRounds, 1)
-		if err != nil {
-			return nil, fmt.Errorf("wallclock scale-events(%d): %w", nranks, err)
-		}
-		fig.Add("scale-exchange (events/s)", float64(nranks), float64(st.Events)/d.Seconds())
-	}
-	return fig, nil
-}
-
-// rate converts (ops, duration) to operations per host second.
-func rate(ops int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(ops) / d.Seconds()
 }

@@ -5,41 +5,9 @@ import (
 	"testing"
 )
 
-// TestWallclockQuickFigure smoke-tests the host-time sweep: every
-// series present with positive rates, including the scale-exchange
-// events/sec dimension the parallel speedup figure baselines against.
-func TestWallclockQuickFigure(t *testing.T) {
-	f, err := Wallclock(QuickWallclock())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"contig-issue (ops/s)", "strided-issue (ops/s)", "iov-issue (ops/s)",
-		"pack-subarray (MB/s)", "scheduler (events/s)", "scale-exchange (events/s)",
-	}
-	for _, label := range want {
-		s := f.Get(label)
-		if s == nil {
-			t.Errorf("series %q missing", label)
-			continue
-		}
-		for i, y := range s.Y {
-			if y <= 0 {
-				t.Errorf("series %q sample %d = %v, want > 0", label, i, y)
-			}
-		}
-	}
-	if s := f.Get("scale-exchange (events/s)"); s != nil {
-		cfg := QuickWallclock()
-		if len(s.X) != len(cfg.ScaleRanks) {
-			t.Errorf("scale-exchange sampled at %v, want one point per %v", s.X, cfg.ScaleRanks)
-		}
-	}
-}
-
 // BenchmarkWallclockScaleEvents measures the host cost of the scale
 // exchange single-shard — the events/sec trajectory of the sequential
-// engine on the workload the parallel sweep decomposes.
+// engine on the workload the sharded engine decomposes.
 func BenchmarkWallclockScaleEvents(b *testing.B) {
 	for _, nranks := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("ranks=%d", nranks), func(b *testing.B) {

@@ -96,44 +96,22 @@ func (w *World) serve(node int, arrive sim.Time, copyBytes int, procNs float64) 
 // rate is the two-sided path's achievable link fraction.
 func (w *World) rate() float64 { return w.M.Par.Bandwidth * w.Tun.BandwidthFrac }
 
-// served records one data request's pass through node's server: the
-// origin's queue and service phases, its request counters, and the
-// server-lane trace span.
-func (w *World) served(origin, node int, name string, bytes int, arrive, start, done sim.Time) {
-	if pr := w.Obs.Prof(); pr != nil {
-		pr.PhaseAt(origin, profile.PhaseTargetQueue, arrive, start)
-		pr.PhaseAt(origin, profile.PhaseTargetProc, start, done)
-	}
-	o := w.Obs
-	o.Inc(origin, obs.CDsRequests)
-	o.AddTime(origin, obs.TDsWait, start-arrive)
-	if o.Tracing() {
-		o.SpanLane(obs.LaneServer(node), "ds", name, start, done,
-			obs.A("origin", origin), obs.A("bytes", bytes))
-	}
-}
-
-// wire records the transfer SendDataAsync just booked — its queue and
-// wire phases at rank me — and the message it carries.
-func (w *World) wire(me, from, to int, class profile.MsgClass, bytes int) {
-	if pr := w.Obs.Prof(); pr != nil {
-		base, xs, xa := w.M.LastXfer()
-		pr.PhaseAt(me, profile.PhaseWireQueue, base, xs)
-		pr.PhaseAt(me, profile.PhaseWire, xs, xa)
-		pr.Send(from, to, class, profile.RouteDS, bytes)
-	}
+// served reports one data request's reservation (serve) of target's
+// server on origin's behalf.
+func (w *World) served(origin, target int, class profile.MsgClass, bytes int, arrive, start, done sim.Time) {
+	w.Obs.Booked(obs.Booking{Rank: origin, At: arrive, Start: start, Done: done,
+		Lane: obs.LaneServer(w.M.NodeOf(target)), Class: class, Bytes: bytes})
 }
 
 // shm performs the node-local leg of a transfer between ranks sharing
-// memory: one copy at the node's rate, no server involved.
+// memory: one copy at the node's rate, no server involved, sent and
+// landed at once.
 func (w *World) shm(p *sim.Proc, from, to int, class profile.MsgClass, bytes int) {
 	t0 := p.Now()
 	w.M.CopyLocal(p, bytes)
-	if pr := w.Obs.Prof(); pr != nil {
-		pr.PhaseAt(p.ID(), profile.PhaseShmCopy, t0, p.Now())
-		pr.Send(from, to, class, profile.RouteShm, bytes)
-		pr.Recv(from, to, class, profile.RouteShm, bytes)
-	}
+	w.Obs.Waited(obs.Wait{Kind: obs.WaitShmCopy, Rank: p.ID(), From: t0, To: p.Now()})
+	w.Obs.Sent(from, to, class, profile.RouteShm, bytes)
+	w.Obs.Landed(from, to, class, profile.RouteShm, bytes)
 }
 
 // Put ships the segments to the target's data server: one two-sided
@@ -151,23 +129,20 @@ func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 		return p.Now()
 	}
 	arrive := m.SendDataAsync(me, target, total, fabric.XferOpt{Rate: w.rate()})
-	class, name, procNs := profile.MsgPut, "put", 0.0
+	class, procNs := profile.MsgPut, 0.0
 	if x.Accumulate {
 		accRate := m.Par.AccumRate
 		if w.Tun.AccumRate > 0 {
 			accRate = w.Tun.AccumRate
 		}
-		class, name, procNs = profile.MsgAcc, "acc", float64(total)/accRate*1e9
+		class, procNs = profile.MsgAcc, float64(total)/accRate*1e9
 	}
-	w.wire(me, me, target, class, total)
+	w.Obs.Wire(me, me, target, class, profile.RouteDS, total)
 	// The staging copy out of the receive buffer covers the payload.
 	start, done := w.serve(m.NodeOf(target), arrive, total, procNs)
-	w.served(me, m.NodeOf(target), name, total, arrive, start, done)
-	pr := w.Obs.Prof()
+	w.served(me, target, class, total, arrive, start, done)
 	m.Eng.At(done, func() {
-		if pr != nil {
-			pr.Recv(me, target, class, profile.RouteDS, total)
-		}
+		w.Obs.Landed(me, target, class, profile.RouteDS, total)
 		x.Scatter(m, slab)
 	})
 	return done
@@ -188,16 +163,13 @@ func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	// back — unlike an RDMA engine, the two-sided server's CPU is busy
 	// for the duration of the response injection too.
 	start, served := w.serve(m.NodeOf(target), req, total, float64(total)/w.rate()*1e9)
-	w.served(me, m.NodeOf(target), "get", total, req, start, served)
-	pr := w.Obs.Prof()
+	w.served(me, target, profile.MsgGet, total, req, start, served)
 	m.Eng.At(served, func() {
 		slab := x.Gather(m)
 		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: w.rate()})
-		w.wire(me, target, me, profile.MsgGet, total)
+		w.Obs.Wire(me, target, me, profile.MsgGet, profile.RouteDS, total)
 		m.Eng.At(back, func() {
-			if pr != nil {
-				pr.Recv(target, me, profile.MsgGet, profile.RouteDS, total)
-			}
+			w.Obs.Landed(target, me, profile.MsgGet, profile.RouteDS, total)
 			x.Scatter(m, slab)
 			h.Complete()
 		})
@@ -210,13 +182,12 @@ func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 // (and so trivially serializes atomics).
 func (w *World) Serve(origin, target int, arrive sim.Time, amoBytes int, fn func()) {
 	start, served := w.serve(w.M.NodeOf(target), arrive, amoBytes, 0)
-	if pr := w.Obs.Prof(); pr != nil && amoBytes > 0 {
-		pr.PhaseAt(origin, profile.PhaseTargetQueue, arrive, start)
-		pr.PhaseAt(origin, profile.PhaseTargetProc, start, served)
-		pr.Send(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
+	if o := w.Obs; o != nil && amoBytes > 0 {
+		o.Booked(obs.Booking{Rank: origin, At: arrive, Start: start, Done: served})
+		o.Sent(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
 		request := fn
 		fn = func() {
-			pr.Recv(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
+			o.Landed(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
 			request()
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/obs/critpath"
 	"repro/internal/sim"
 )
 
@@ -105,33 +104,11 @@ type Machine struct {
 	sendMsgs  []int64
 	sendBytes []int64
 
-	// Obs, when non-nil, receives per-rank injection counters and
-	// per-node NIC link busy time. All hooks are nil-safe no-ops.
+	// Obs, when non-nil, is told of every timed transfer, message edge
+	// and wake (internal/obs events; each names the rank it concerns, so
+	// a multi-shard run's recorder files it in that rank's shard). All
+	// hooks are nil-safe no-ops.
 	Obs *obs.Recorder
-
-	// CritFor, when non-nil, resolves the critical-path recorder that
-	// owns a rank's dependence logs — the per-shard sub-recorders of a
-	// multi-shard parallel run (a recording must go to the recorder of
-	// the shard that owns the rank). When nil, Obs's recorder (possibly
-	// none) serves every rank. The resolver must be immutable during
-	// the run: shard workers call it concurrently.
-	CritFor func(rank int) *critpath.Rec
-
-	// lastXfer records the timing decomposition of the most recent
-	// xferCost: Base is the pre-NIC-arbitration earliest start (origin
-	// overheads charged), Start the actual wire start after link
-	// queueing, Arrive the remote arrival. The scheduler is
-	// cooperative, so a caller reading it immediately after
-	// SendData/SendDataAsync sees its own transfer.
-	lastXfer struct{ Base, Start, Arrive sim.Time }
-}
-
-// LastXfer returns the timing decomposition of the most recent
-// transfer; see the lastXfer field. Profiler hooks use it to split an
-// op's wire time into queueing [Base, Start) and transfer [Start,
-// Arrive).
-func (m *Machine) LastXfer() (base, start, arrive sim.Time) {
-	return m.lastXfer.Base, m.lastXfer.Start, m.lastXfer.Arrive
 }
 
 // NewMachine creates fabric state for nranks ranks on engine eng.
@@ -156,14 +133,6 @@ func NewMachine(eng *sim.Engine, par Params, nranks int) (*Machine, error) {
 		m.spaces[i] = newAddrSpace(i)
 	}
 	return m, nil
-}
-
-// critOf returns the critical-path recorder owning rank's logs.
-func (m *Machine) critOf(rank int) *critpath.Rec {
-	if m.CritFor != nil {
-		return m.CritFor(rank)
-	}
-	return m.Obs.Crit()
 }
 
 // NodeOf returns the node hosting the given rank.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/obs/critpath"
 	"repro/internal/sim"
 )
 
@@ -20,10 +19,10 @@ type Msg struct {
 	Payload interface{}
 	Arrived sim.Time
 
-	// chain is the message's dependence edge in the critical-path
-	// recorder (zero when analysis is off): set at the send site, it
-	// names the delivery as the wake cause of whoever it releases.
-	chain critpath.Ref
+	// chain is the message's dependence edge (zero when observability
+	// is off): set at the send site, it names the delivery as the wake
+	// cause of whoever it releases.
+	chain obs.Ref
 }
 
 // mailbox holds delivered-but-unreceived messages and the set of
@@ -56,8 +55,6 @@ func (m *Machine) xferCost(now sim.Time, src, dst, n int, opt XferOpt) (start, a
 	par := &m.Par
 	m.MsgsSent++
 	m.BytesSent += int64(n)
-	m.Obs.Inc(src, obs.CFabMsgs)
-	m.Obs.Add(src, obs.CFabBytes, int64(n))
 	if m.SameNode(src, dst) {
 		rate := opt.Rate
 		if rate == 0 {
@@ -69,7 +66,10 @@ func (m *Machine) xferCost(now sim.Time, src, dst, n int, opt XferOpt) (start, a
 		if arrive <= now {
 			arrive = now + 1
 		}
-		m.lastXfer.Base, m.lastXfer.Start, m.lastXfer.Arrive = now, start, arrive
+		if m.Obs != nil {
+			m.Obs.Xfer(obs.Xfer{Src: src, Dst: dst, Bytes: n, NicS: -1, NicD: -1,
+				Now: now, Base: now, Start: start, Arrive: arrive})
+		}
 		return start, arrive
 	}
 	rate := opt.Rate
@@ -79,8 +79,9 @@ func (m *Machine) xferCost(now sim.Time, src, dst, n int, opt XferOpt) (start, a
 	base := now + sim.FromSeconds((par.MsgOverhead+opt.Overhead)/1e9)
 	start = base
 	occupy := sim.FromSeconds(float64(n) / rate)
+	sn, dn := -1, -1
 	if !opt.NoNIC {
-		sn, dn := m.NodeOf(src), m.NodeOf(dst)
+		sn, dn = m.NodeOf(src), m.NodeOf(dst)
 		s, d := &m.nics[sn], &m.nics[dn]
 		if s.freeAt > start {
 			start = s.freeAt
@@ -90,23 +91,15 @@ func (m *Machine) xferCost(now sim.Time, src, dst, n int, opt XferOpt) (start, a
 		}
 		s.freeAt = start + occupy
 		d.freeAt = start + occupy
-		m.Obs.LinkBusy(sn, occupy)
-		m.Obs.LinkBusy(dn, occupy)
-		if pr := m.Obs.Prof(); pr != nil {
-			queued, backlog := start-base, start+occupy-now
-			pr.Link(sn, n, queued, occupy, backlog)
-			pr.Link(dn, n, queued, occupy, backlog)
-		}
-		if m.Obs.Tracing() {
-			m.Obs.SpanLane(obs.LaneNIC(sn), "nic", "xfer", start, start+occupy,
-				obs.A("bytes", n), obs.A("dst", dst))
-		}
 	}
 	arrive = start + occupy + sim.FromSeconds(par.LatencyNs/1e9)
 	if arrive <= now {
 		arrive = now + 1
 	}
-	m.lastXfer.Base, m.lastXfer.Start, m.lastXfer.Arrive = base, start, arrive
+	if m.Obs != nil {
+		m.Obs.Xfer(obs.Xfer{Src: src, Dst: dst, Bytes: n, NicS: sn, NicD: dn,
+			Now: now, Base: base, Start: start, Occupy: occupy, Arrive: arrive})
+	}
 	return start, arrive
 }
 
@@ -119,10 +112,10 @@ func (m *Machine) Deliver(dst int, msg *Msg, opt XferOpt) sim.Time {
 		panic(fmt.Sprintf("fabric: Deliver to bad rank %d", dst))
 	}
 	now := m.Eng.Now()
-	_, arrive := m.xferCost(now, msg.From, dst, msg.Size, opt)
-	if c := m.Obs.Crit(); c != nil {
+	start, arrive := m.xferCost(now, msg.From, dst, msg.Size, opt)
+	if m.Obs != nil {
 		nicS, nicD := m.xferNics(msg.From, dst, opt)
-		msg.chain = c.MsgHop(msg.From, now, m.lastXfer.Start, arrive, nicS, nicD, c.Ambient())
+		msg.chain = m.Obs.MsgHop(msg.From, now, start, arrive, nicS, nicD)
 	}
 	box := m.boxes[dst]
 	m.Eng.At(arrive, func() {
@@ -133,11 +126,19 @@ func (m *Machine) Deliver(dst int, msg *Msg, opt XferOpt) sim.Time {
 	return arrive
 }
 
+// handle runs a message's event-context handler on rank under the
+// message's provenance: whatever the handler sends or wakes is chained
+// to the delivery that triggered it.
+func (m *Machine) handle(rank int, msg *Msg, fn func(*Msg)) {
+	prev := m.Obs.Enter(rank, msg.chain)
+	fn(msg)
+	m.Obs.Leave(rank, prev)
+}
+
 // matchWaiters wakes every parked waiter whose predicate now matches a
 // queued message, consuming matched messages in FIFO order. Callback
-// waiters run inline (event context) under the matched message's
-// dependence provenance; proc waiters have the message named as their
-// wake cause, then are unparked.
+// waiters run inline (event context, see handle); proc waiters have the
+// message named as their wake cause, then are unparked.
 func (m *Machine) matchWaiters(box *mailbox) {
 	for i := 0; i < len(box.waiters); {
 		w := box.waiters[i]
@@ -146,17 +147,9 @@ func (m *Machine) matchWaiters(box *mailbox) {
 			box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
 			box.waiters = append(box.waiters[:i], box.waiters[i+1:]...)
 			if w.fn != nil {
-				if c := m.critOf(box.owner); c != nil {
-					prev := c.SetAmbient(w.got.chain)
-					w.fn(w.got)
-					c.SetAmbient(prev)
-				} else {
-					w.fn(w.got)
-				}
+				m.handle(box.owner, w.got, w.fn)
 			} else {
-				if c := m.critOf(w.p.ID()); c != nil {
-					c.WakeCause(w.p.ID(), w.got.chain)
-				}
+				m.Obs.WakeCause(w.p.ID(), w.got.chain)
 				m.Eng.Unpark(w.p)
 			}
 			continue
@@ -201,15 +194,7 @@ func (m *Machine) OnRecv(rank int, match func(*Msg) bool, fn func(*Msg)) {
 		msg := box.queue[idx]
 		box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
 		// Run via the event queue so the caller's context never nests.
-		m.Eng.At(m.Eng.Now(), func() {
-			if c := m.critOf(rank); c != nil {
-				prev := c.SetAmbient(msg.chain)
-				fn(msg)
-				c.SetAmbient(prev)
-				return
-			}
-			fn(msg)
-		})
+		m.Eng.At(m.Eng.Now(), func() { m.handle(rank, msg, fn) })
 		return
 	}
 	box.waiters = append(box.waiters, &waiter{match: match, fn: fn})

@@ -12,8 +12,8 @@ import (
 //
 // The regular Deliver/SendData paths mutate machine-global state
 // synchronously at the origin — both endpoints' NIC clocks, the shared
-// MsgsSent/BytesSent counters, the single obs recorder — which is why
-// the full communication stacks run on one shard.
+// MsgsSent/BytesSent counters — which is why the full communication
+// stacks run on one shard.
 // DeliverSharded splits the cost model at the wire: origin-side
 // overhead and source-NIC occupancy are charged on the sending shard,
 // the flight is a cross-shard event (arriving at least
@@ -79,9 +79,11 @@ func (m *Machine) ShardedTraffic() (msgs, bytes int64) {
 // touches destination-shard state at the origin: intra-node delivery
 // stays on the shared shard, and cross-node delivery charges the
 // source NIC now, flies as a cross-shard event, and arbitrates the
-// destination NIC on arrival. The machine-global counters and the obs
-// recorder are not used — per-rank counters (ShardedTraffic) replace
-// them, because shards would race on anything global.
+// destination NIC on arrival. The machine-global counters are not used
+// — per-rank counters (ShardedTraffic) replace them, because shards
+// would race on anything global — and of the obs events only the
+// message edges are emitted: each names a rank, so the recorder files
+// it in the buffer of that rank's shard.
 func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) sim.Time {
 	if dst < 0 || dst >= m.NRanks {
 		panic(fmt.Sprintf("fabric: DeliverSharded to bad rank %d", dst))
@@ -103,9 +105,7 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 		if arrive <= now {
 			arrive = now + 1
 		}
-		if c := m.critOf(src); c != nil {
-			msg.chain = c.MsgHop(src, now, now, arrive, -1, -1, c.Ambient())
-		}
+		msg.chain = m.Obs.MsgHop(src, now, now, arrive, -1, -1)
 		m.Eng.AtRank(arrive, src, dst, func() {
 			msg.Arrived = arrive
 			box.queue = append(box.queue, msg)
@@ -127,9 +127,9 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 		s.freeAt = start + occupy
 	}
 	arrive := start + occupy + sim.FromSeconds(par.LatencyNs/1e9)
-	if c := m.critOf(src); c != nil {
+	if m.Obs != nil {
 		nicS, nicD := m.xferNics(src, dst, opt)
-		msg.chain = c.MsgHop(src, now, start, arrive, nicS, nicD, c.Ambient())
+		msg.chain = m.Obs.MsgHop(src, now, start, arrive, nicS, nicD)
 	}
 	m.Eng.AtRank(arrive, src, dst, func() {
 		land := arrive
@@ -141,11 +141,11 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 			d.freeAt = land + occupy
 		}
 		if land > arrive {
-			// The edge extension is recorded on the destination shard's
-			// recorder (this closure runs there); the origin shard's hop
-			// table is never touched after the send.
-			if c := m.critOf(dst); c != nil {
-				msg.chain = c.ArbHop(msg.From, arrive, land, m.NodeOf(dst), msg.chain)
+			// The edge extension is recorded against dst, so in the
+			// destination shard's buffer (this closure runs there); the
+			// origin shard's hop table is never touched after the send.
+			if m.Obs != nil {
+				msg.chain = m.Obs.ArbHop(dst, msg.From, arrive, land, m.NodeOf(dst), msg.chain)
 			}
 			m.Eng.AtRank(land, dst, dst, func() {
 				msg.Arrived = land

@@ -44,13 +44,6 @@ func ImplNames() []string {
 	return []string{string(ImplNative), string(ImplARMCIMPI), string(ImplDataServer), string(ImplDartMPI)}
 }
 
-// Shards is the host shard count requested for shard-confined sweeps
-// (set from cmd/armci-bench -shards; bench.ParallelSpeedup takes it as
-// its cap). Full ARMCI stack jobs ignore it — see NewJobObs. It is set
-// once, before any job is built: jobs of one figure may be built
-// concurrently (DESIGN.md, "Figure sweeps") and only read it.
-var Shards int
-
 // ApplyShards configures eng for multi-shard execution over nranks
 // ranks of a machine with parameters par: a node-aligned rank
 // partition (fabric.NodeAlignedPartition, so NICs, mailboxes, and shm
@@ -104,9 +97,9 @@ func NewJob(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options
 
 // NewJobObs is NewJob with an observability recorder attached: the
 // recorder opens a new trace process for this job, becomes the engine's
-// scheduling observer, and is wired into every layer's hook point
-// (fabric link busy, MPI lock/epoch/op metrics, ARMCI staging and
-// mutexes, data-server queueing). rec may be nil: observability off.
+// scheduling observer, and is handed to every layer that emits events
+// (fabric, MPI and through it ARMCI-MPI, the data server). rec may be
+// nil: observability off.
 func NewJobObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, rec *obs.Recorder) (*Job, error) {
 	par := plat.Params
 	if impl == ImplDataServer && par.CoresPerNode > 1 {
@@ -118,7 +111,7 @@ func NewJobObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Opti
 	// origin — NIC clocks of both endpoints, MPI lock queues, the
 	// shared recorder — so they always run as one shard. Multi-shard
 	// execution is reserved for shard-confined workloads built directly
-	// on sim+fabric (fabric.DeliverSharded; see bench.ParallelSpeedup
+	// on sim+fabric (fabric.DeliverSharded; see bench.ParallelScaleRun
 	// and ApplyShards).
 	eng := sim.NewEngine()
 	m, err := fabric.NewMachine(eng, par, nranks)

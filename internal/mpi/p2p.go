@@ -119,9 +119,7 @@ func (c *Comm) sendRendezvous(to, tag int, data []byte) *rvState {
 		if st.waiter != nil {
 			// The blocked sender is released by the clear-to-send whose
 			// handler this is: its delivery edge is the wake cause.
-			if cr := m.Obs.Crit(); cr != nil {
-				cr.WakeAmbient(st.waiter.ID())
-			}
+			m.Obs.WakeAmbient(st.waiter.ID())
 			m.Eng.Unpark(st.waiter)
 			st.waiter = nil
 		}

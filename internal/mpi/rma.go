@@ -39,18 +39,19 @@ const (
 )
 
 // kinds holds what the layers around the op core call each kind: the
-// exported call (apply errors, diagnostics), its trace span, its op
-// counter, its communication-matrix class and, for the atomics that
-// block on a round trip, the park reason.
+// exported call (apply errors, diagnostics), the kind and the message
+// class the recorder knows it by and, for the atomics that block on a
+// round trip, the park reason.
 var kinds = [...]struct {
-	name, span, metric, park string
-	class                    profile.MsgClass
+	name, park string
+	ev         obs.RMAKind
+	class      profile.MsgClass
 }{
-	opGet:     {name: "Get", span: "get", metric: obs.COpsGet, class: profile.MsgGet},
-	opPut:     {name: "Put", span: "put", metric: obs.COpsPut, class: profile.MsgPut},
-	opAcc:     {name: "Accumulate", span: "acc", metric: obs.COpsAcc, class: profile.MsgAcc},
-	opFetchOp: {name: "FetchAndOp", span: "fetch_and_op", metric: obs.COpsAmo, class: profile.MsgAmo, park: "mpi.FetchAndOp"},
-	opCAS:     {name: "CompareAndSwap", span: "compare_and_swap", metric: obs.COpsAmo, class: profile.MsgAmo, park: "mpi.CompareAndSwap"},
+	opGet:     {name: "Get", ev: obs.RMAGet, class: profile.MsgGet},
+	opPut:     {name: "Put", ev: obs.RMAPut, class: profile.MsgPut},
+	opAcc:     {name: "Accumulate", ev: obs.RMAAcc, class: profile.MsgAcc},
+	opFetchOp: {name: "FetchAndOp", ev: obs.RMAFetchOp, class: profile.MsgAmo, park: "mpi.FetchAndOp"},
+	opCAS:     {name: "CompareAndSwap", ev: obs.RMACas, class: profile.MsgAmo, park: "mpi.CompareAndSwap"},
 }
 
 func (k opKind) String() string { return kinds[k].name }
@@ -467,9 +468,7 @@ func (w *Win) Lock(lt LockType, target int) error {
 			if by >= 0 {
 				// A queued grant: name the releasing rank as the edge
 				// that ends the origin's lock wait.
-				if c := r.W.Obs.Crit(); c != nil {
-					c.WakeGrant(p.ID(), by, at)
-				}
+				r.W.Obs.WakeGrant(p.ID(), by, at)
 			}
 			eng.Unpark(p)
 		})
@@ -491,23 +490,13 @@ func (w *Win) Lock(lt LockType, target int) error {
 	ep.openedAt = p.Now()
 	ep.completeAt = p.Now()
 	r.W.Epochs++
-	o := r.W.Obs
-	wait := p.Now() - reqAt
 	if lt == LockShared {
 		r.W.SharedEpochs++
-		o.AddTime(r.ID(), obs.TLockWaitShared, wait)
 	} else {
 		r.W.ExclEpochs++
-		o.AddTime(r.ID(), obs.TLockWaitExcl, wait)
 	}
-	o.Observe(r.ID(), obs.HLockWait, wait)
-	o.Inc(r.ID(), obs.CEpochs)
-	if pr := o.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhaseLockWait, reqAt, p.Now())
-	}
-	if o.Tracing() {
-		o.Span(r.ID(), "mpi", "lock("+lt.String()+")", reqAt, p.Now(), obs.A("target", targetWorld))
-	}
+	r.W.Obs.Waited(obs.Wait{Kind: obs.WaitLock, Excl: lt == LockExclusive, Rank: r.ID(),
+		From: reqAt, To: p.Now(), Peer: targetWorld})
 	return nil
 }
 
@@ -584,13 +573,8 @@ func (w *Win) Unlock(target int) error {
 	for !done {
 		p.Park("mpi.WinUnlock")
 	}
-	if pr := r.W.Obs.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhaseEpochWait, tU, p.Now())
-	}
-	if o := r.W.Obs; o.Tracing() {
-		o.Span(r.ID(), "epoch", "epoch("+ep.ltype.String()+")", ep.openedAt, p.Now(),
-			obs.A("target", targetWorld), obs.A("ops", ep.nops))
-	}
+	r.W.Obs.Waited(obs.Wait{Kind: obs.WaitEpoch, Excl: ep.ltype == LockExclusive, Rank: r.ID(),
+		From: tU, To: p.Now(), Open: ep.openedAt, Peer: targetWorld, N: ep.nops})
 	w.cur = nil
 	return ws.err
 }
@@ -747,58 +731,15 @@ func (w *Win) issue(d rmaOp) (*epoch, int64, error) {
 	}
 	ep.extend(done)
 
-	// One emit per operation, keyed by (kind, route).
-	origin, targetWorld, n := r.ID(), w.state.group[d.target], d.at.Type.Size()
-	o := r.W.Obs
-	o.Inc(origin, kinds[d.kind].metric)
-	switch {
-	case d.kind.atomic(): // eight bytes of control, not payload
-	case shm:
-		o.Add(origin, obs.CBytesShm, int64(n))
-		o.Inc(origin, obs.CShmCopies)
-	default:
-		o.Add(origin, bytesMetric(d.buf.Type, d.at.Type), int64(n))
-	}
-	if pr := o.Prof(); pr != nil && shm {
-		src, dst := origin, targetWorld
-		if d.kind == opGet {
-			src, dst = dst, src
-		}
-		// The shm route completes synchronously at the origin CPU, so the
-		// send and receive sides of the matrix are recorded together.
-		pr.Send(src, dst, kinds[d.kind].class, profile.RouteShm, n)
-		pr.Recv(src, dst, kinds[d.kind].class, profile.RouteShm, n)
-	}
-	// A wire get's true return time is known only when its request
-	// reaches the target; its span is recorded there.
-	if o.Tracing() && (shm || d.kind != opGet) {
-		args := []obs.Arg{obs.A("target", targetWorld), obs.A("bytes", n)}
-		if d.kind.atomic() {
-			args = args[:1]
-		}
-		o.Span(origin, "rma", d.spanName(shm), t0, done, args...)
-		if !shm && d.kind == opAcc {
-			o.SpanLane(obs.LaneServer(r.W.M.NodeOf(targetWorld)), "agent", "apply("+d.op.String()+")",
-				agentAt, done, obs.A("origin", origin), obs.A("bytes", n))
-		}
+	// One emit per operation: what was issued, over which route.
+	if o := r.W.Obs; o != nil {
+		targetWorld := w.state.group[d.target]
+		o.RMA(obs.RMA{Kind: kinds[d.kind].ev, Red: d.op, Shm: shm,
+			Packed: !d.buf.Type.Contig() || !d.at.Type.Contig(),
+			Origin: r.ID(), Target: targetWorld, Bytes: d.at.Type.Size(), T0: t0, Done: done,
+			AgentLane: obs.LaneServer(r.W.M.NodeOf(targetWorld)), AgentAt: agentAt})
 	}
 	return ep, old, nil
-}
-
-// spanName is the operation's trace span name on its route; the two
-// kinds that carry a reduction name it, each where it always has.
-func (d rmaOp) spanName(shm bool) string {
-	route := ""
-	if shm {
-		route = ".shm"
-	}
-	switch d.kind {
-	case opAcc:
-		return "acc" + route + "(" + d.op.String() + ")"
-	case opFetchOp:
-		return "fetch_and_op(" + d.op.String() + ")" + route
-	}
-	return kinds[d.kind].span + route
 }
 
 // prologue is what every kind must pass before it costs anything: a
@@ -839,15 +780,7 @@ func (w *Win) pack(buf LocalBuf) []byte {
 	if !buf.Type.Contig() {
 		t0 := r.P.Now()
 		r.W.M.CopyLocal(r.P, buf.Type.Size()) // pack cost
-		o := r.W.Obs
-		o.Add(r.ID(), obs.CPackBytes, int64(buf.Type.Size()))
-		o.AddTime(r.ID(), obs.TPack, r.P.Now()-t0)
-		if pr := o.Prof(); pr != nil {
-			pr.PhaseAt(r.ID(), profile.PhasePack, t0, r.P.Now())
-		}
-		if o.Tracing() {
-			o.Span(r.ID(), "dt", "pack", t0, r.P.Now(), obs.A("bytes", buf.Type.Size()))
-		}
+		r.W.Obs.Waited(obs.Wait{Kind: obs.WaitPack, Rank: r.ID(), From: t0, To: r.P.Now(), N: buf.Type.Size()})
 	}
 	return w.snapshot(src, buf.Type)
 }
@@ -857,25 +790,6 @@ func (w *Win) snapshot(src []byte, t Datatype) []byte {
 	data := w.comm.r.W.M.GetBuf(t.Size())
 	PackInto(data, t, src)
 	return data
-}
-
-// profXfer attributes the transfer the fabric has just timed to rank's
-// wire phases and books its send side in the communication matrix.
-func profXfer(pr *profile.Profiler, m *fabric.Machine, rank, src, dst int, class profile.MsgClass, n int) {
-	if pr == nil {
-		return
-	}
-	base, xs, xa := m.LastXfer()
-	pr.PhaseAt(rank, profile.PhaseWireQueue, base, xs)
-	pr.PhaseAt(rank, profile.PhaseWire, xs, xa)
-	pr.Send(src, dst, class, profile.RouteRMA, n)
-}
-
-// profServe attributes one booking of the target's agent (serve): the
-// wait behind earlier work, then the work.
-func profServe(pr *profile.Profiler, rank int, at, start, fin sim.Time) {
-	pr.PhaseAt(rank, profile.PhaseTargetQueue, at, start)
-	pr.PhaseAt(rank, profile.PhaseTargetProc, start, fin)
 }
 
 // costWire is the cost step of the fabric route. It returns the horizon
@@ -894,7 +808,7 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 	r := w.comm.r
 	m, ws := r.W.M, w.state
 	origin, targetWorld := r.ID(), ws.group[d.target]
-	pr := r.W.Obs.Prof()
+	o := r.W.Obs
 	tl := ws.lockAt(d.target)
 	kind, op, at := d.kind, d.op, d.at
 	switch {
@@ -908,20 +822,15 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 				return
 			}
 			back := m.SendDataAsync(targetWorld, origin, len(data), fabric.XferOpt{Rate: rate})
-			profXfer(pr, m, origin, targetWorld, origin, profile.MsgGet, len(data))
+			o.Wire(origin, targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
 			arrive := back
 			if !at.Type.Contig() || !buf.Type.Contig() {
 				back += m.CopyTime(nbytes)
 			}
-			if pr != nil && back > arrive {
-				pr.PhaseAt(origin, profile.PhasePack, arrive, back)
-			}
 			ep.extend(back)
-			if o := r.W.Obs; o.Tracing() {
-				o.Span(origin, "rma", "get", t0, back, obs.A("target", targetWorld), obs.A("bytes", nbytes))
-			}
+			o.GetDone(origin, targetWorld, nbytes, t0, arrive, back)
 			m.Eng.At(back, func() {
-				pr.Recv(targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
+				o.Landed(targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
 				ws.land(opGet, OpReplace, buf, data, 0, 0)
 			})
 		})
@@ -935,13 +844,13 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 			back bool
 		}
 		p, eng, operand, compare := r.P, m.Eng, d.operand, d.compare
-		pr.Send(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
+		o.Sent(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
 		arrive := r.control(targetWorld)
 		eng.At(arrive, func() {
 			start, fin := tl.serve(eng.Now(), amoProcessNs)
-			profServe(pr, origin, eng.Now(), start, fin)
+			o.Booked(obs.Booking{Rank: origin, At: eng.Now(), Start: start, Done: fin})
 			eng.At(fin, func() {
-				pr.Recv(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
+				o.Landed(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
 				var err error
 				if reply.old, err = ws.land(kind, op, at, nil, operand, compare); err != nil {
 					reply.back = true // nothing to send back: the window's error wakes the origin
@@ -964,7 +873,7 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 		data := w.pack(d.buf) // snapshot origin bytes at issue time
 		rate := w.originXferRate(d.buf, len(data))
 		arrive := m.SendDataAsync(origin, targetWorld, len(data), fabric.XferOpt{Rate: rate}) + r.progressDelay()
-		profXfer(pr, m, origin, origin, targetWorld, kinds[kind].class, len(data))
+		o.Wire(origin, origin, targetWorld, kinds[kind].class, profile.RouteRMA, len(data))
 		landAt := arrive
 		if kind == opAcc {
 			// The target agent applies the reduction at the accumulate
@@ -974,10 +883,10 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 				accRate = r.W.Tun.AccumRate
 			}
 			agentAt, landAt = tl.serve(arrive, sim.FromSeconds(float64(len(data))/accRate))
-			profServe(pr, origin, arrive, agentAt, landAt)
+			o.Booked(obs.Booking{Rank: origin, At: arrive, Start: agentAt, Done: landAt})
 		}
 		m.Eng.At(landAt, func() {
-			ws.w.Obs.Prof().Recv(origin, targetWorld, kinds[kind].class, profile.RouteRMA, len(data))
+			ws.w.Obs.Landed(origin, targetWorld, kinds[kind].class, profile.RouteRMA, len(data))
 			ws.land(kind, op, at, data, 0, 0)
 		})
 		done = landAt
@@ -998,7 +907,6 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 func (w *Win) costShm(d rmaOp) (int64, error) {
 	r := w.comm.r
 	m, ws := r.W.M, w.state
-	pr := r.W.Obs.Prof()
 	dst, op := d.at, d.op
 	var data []byte
 	switch d.kind {
@@ -1014,9 +922,7 @@ func (w *Win) costShm(d rmaOp) (int64, error) {
 	if d.kind == opPut || d.kind == opGet {
 		t0 := r.P.Now()
 		m.ShmCopy(r.P, len(data))
-		if pr != nil {
-			pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0, r.P.Now())
-		}
+		r.W.Obs.Waited(obs.Wait{Kind: obs.WaitShmCopy, Rank: r.ID(), From: t0, To: r.P.Now()})
 	} else {
 		cost := sim.Time(amoProcessNs)
 		if d.kind == opAcc {
@@ -1024,7 +930,7 @@ func (w *Win) costShm(d rmaOp) (int64, error) {
 			m.ShmAccount(len(data))
 		}
 		start, fin := ws.lockAt(d.target).serve(r.P.Now(), cost)
-		profServe(pr, r.ID(), r.P.Now(), start, fin)
+		r.W.Obs.Booked(obs.Booking{Rank: r.ID(), At: r.P.Now(), Start: start, Done: fin})
 		m.SleepUntil(r.P, fin)
 	}
 	return ws.land(d.kind, op, dst, data, d.operand, d.compare)
@@ -1094,15 +1000,6 @@ func (w *Win) Get(buf LocalBuf, target, tdisp int, ttype Datatype) error {
 func (w *Win) Accumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype) error {
 	_, _, err := w.issue(xferOp(opAcc, op, buf, target, tdisp, ttype))
 	return err
-}
-
-// bytesMetric classifies an op's payload: contiguous on both sides, or
-// moved through a datatype pack/unpack path on either side.
-func bytesMetric(origin, target Datatype) string {
-	if origin.Contig() && target.Contig() {
-		return obs.CBytesContig
-	}
-	return obs.CBytesPacked
 }
 
 // applyReduction folds dense data into dst following the datatype

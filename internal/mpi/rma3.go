@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -75,7 +74,7 @@ func (w *Win) Flush(target int) error {
 			r.P.Elapse(r.W.M.RoundTripTime(r.ID(), w.state.group[target]))
 		}
 	}
-	return w.flushed(t0, "flush", target)
+	return w.flushed(t0, target)
 }
 
 // FlushAll flushes every target with pending operations.
@@ -112,26 +111,18 @@ func (w *Win) FlushAll() error {
 		r.W.M.SleepUntil(r.P, last)
 	}
 	r.P.Elapse(rtt)
-	return w.flushed(t0, "flush_all", -1)
+	return w.flushed(t0, -1)
 }
 
-// flushed records a flush that began at t0 — the counter, the epoch-wait
-// phase, the span (naming the target, if there is one) — and returns
-// the window's error, which is what a flush reports.
-func (w *Win) flushed(t0 sim.Time, span string, target int) error {
+// flushed records a flush of target (of every target when negative)
+// that began at t0 and returns the window's error, which is what a flush
+// reports.
+func (w *Win) flushed(t0 sim.Time, target int) error {
 	r := w.comm.r
-	o := r.W.Obs
-	o.Inc(r.ID(), obs.CEpochFlush)
-	if pr := o.Prof(); pr != nil {
-		pr.PhaseAt(r.ID(), profile.PhaseEpochWait, t0, r.P.Now())
+	if target >= 0 {
+		target = w.state.group[target]
 	}
-	if o.Tracing() {
-		var args []obs.Arg
-		if target >= 0 {
-			args = []obs.Arg{obs.A("target", w.state.group[target])}
-		}
-		o.Span(r.ID(), "epoch", span, t0, r.P.Now(), args...)
-	}
+	r.W.Obs.Waited(obs.Wait{Kind: obs.WaitFlush, Rank: r.ID(), From: t0, To: r.P.Now(), Peer: target})
 	return w.state.err
 }
 
@@ -145,7 +136,7 @@ func (w *Win) lockAllEpoch(target int) *epoch {
 			openedAt: r.P.Now(), completeAt: r.P.Now()}
 		w.all[target] = ep
 		r.W.Epochs++
-		r.W.Obs.Inc(r.ID(), obs.CEpochs)
+		r.W.Obs.Count(r.ID(), obs.CEpochs, 1)
 	}
 	return ep
 }

@@ -61,25 +61,21 @@ func (a *agg) merge(o *agg) {
 	}
 }
 
-// view is one job's complete log set: per-rank waits, activities, and
-// finish times, plus the hop tables of every shard (index = shard id)
-// for Ref resolution.
+// view is one job's complete log set: the per-rank logs, plus the hop
+// tables of every shard (index = shard id) for Ref resolution.
 type view struct {
 	label  string
-	waits  [][]wait
-	acts   [][]act
-	scopes [][]span
-	fins   []sim.Time
-	tabs   [][]hop
+	ranks  []rankLog
+	shards []shardLog
 }
 
 func (v *view) resolve(ref Ref) (hop, bool) {
 	shard := int(ref >> refIdxBits)
 	idx := int(ref&(1<<refIdxBits-1)) - 1
-	if shard >= len(v.tabs) || idx < 0 || idx >= len(v.tabs[shard]) {
+	if shard >= len(v.shards) || idx < 0 || idx >= len(v.shards[shard].hops) {
 		return hop{}, false
 	}
-	return v.tabs[shard][idx], true
+	return v.shards[shard].hops[idx], true
 }
 
 // walker is the backward critical-path walk state.
@@ -87,9 +83,9 @@ type walker struct {
 	v   *view
 	agg *agg
 
-	wi []int // per-rank wait cursor: index one past the next candidate
-	ai []int // per-rank activity cursor, same convention
-	si []int // per-rank scope cursor, same convention
+	// Per-rank descending cursors into the wait, activity and scope
+	// logs: each is the index one past the next candidate.
+	cur []struct{ w, a, s int }
 
 	path sim.Time
 	segs int
@@ -102,8 +98,8 @@ type walker struct {
 // it consumes, so the emitted durations sum to the makespan.
 func analyze(v view, out *agg) {
 	start, makespan := -1, sim.Time(-1)
-	for rank, f := range v.fins {
-		if f > makespan {
+	for rank := range v.ranks {
+		if f := v.ranks[rank].fin; f > makespan {
 			start, makespan = rank, f
 		}
 	}
@@ -112,9 +108,9 @@ func analyze(v view, out *agg) {
 	}
 	// Close any wait left open (a drained or deadlocked rank) at that
 	// rank's own finish horizon so the logs stay well-formed.
-	for rank := range v.waits {
-		if ws := v.waits[rank]; len(ws) > 0 && ws[len(ws)-1].end < 0 {
-			f := v.fins[rank]
+	for rank := range v.ranks {
+		if ws := v.ranks[rank].waits; len(ws) > 0 && ws[len(ws)-1].end < 0 {
+			f := v.ranks[rank].fin
 			if f < ws[len(ws)-1].start {
 				f = ws[len(ws)-1].start
 			}
@@ -122,13 +118,10 @@ func analyze(v view, out *agg) {
 			ws[len(ws)-1].cause = 0
 		}
 	}
-	w := &walker{v: &v, agg: out,
-		wi: make([]int, len(v.waits)), ai: make([]int, len(v.waits)),
-		si: make([]int, len(v.waits))}
-	for rank := range v.waits {
-		w.wi[rank] = len(v.waits[rank])
-		w.ai[rank] = len(v.acts[rank])
-		w.si[rank] = len(v.scopes[rank])
+	w := &walker{v: &v, agg: out, cur: make([]struct{ w, a, s int }, len(v.ranks))}
+	for rank := range v.ranks {
+		l := &v.ranks[rank]
+		w.cur[rank].w, w.cur[rank].a, w.cur[rank].s = len(l.waits), len(l.acts), len(l.scopes)
 	}
 
 	rank, t := start, makespan
@@ -178,19 +171,19 @@ func analyze(v view, out *agg) {
 // consumes it. The frontier is globally non-increasing, so the
 // per-rank descending cursor never has to back up.
 func (w *walker) popWait(rank int, t sim.Time) *wait {
-	if rank >= len(w.wi) {
+	if rank >= len(w.cur) {
 		return nil
 	}
-	ws := w.v.waits[rank]
-	i := w.wi[rank]
+	ws := w.v.ranks[rank].waits
+	i := w.cur[rank].w
 	for i > 0 && ws[i-1].start >= t {
 		i--
 	}
 	if i == 0 {
-		w.wi[rank] = 0
+		w.cur[rank].w = 0
 		return nil
 	}
-	w.wi[rank] = i - 1
+	w.cur[rank].w = i - 1
 	return &ws[i-1]
 }
 
@@ -222,8 +215,8 @@ func (w *walker) unwind(h hop, rank int, t sim.Time, why string) (int, sim.Time)
 		if h.kind == hopArb {
 			wirePh = uint8(profile.PhaseWireQueue)
 		}
-		w.emit(rank2(h.from), xfer, arr, opNone, wirePh, h.nicS)
-		w.emit(rank2(h.from), sent, xfer, opNone, uint8(profile.PhaseWireQueue), h.nicS)
+		w.emit(h.from, xfer, arr, opNone, wirePh, h.nicS)
+		w.emit(h.from, sent, xfer, opNone, uint8(profile.PhaseWireQueue), h.nicS)
 		rank, cur = h.from, sent
 		prev, ok := w.v.resolve(h.prev)
 		if !ok {
@@ -231,13 +224,6 @@ func (w *walker) unwind(h hop, rank int, t sim.Time, why string) (int, sim.Time)
 		}
 		h = prev
 	}
-}
-
-func rank2(r int) int {
-	if r < 0 {
-		return -1
-	}
-	return r
 }
 
 func clamp(x, lo, hi sim.Time) sim.Time {
@@ -265,43 +251,9 @@ func (w *walker) emitRange(rank int, lo, hi sim.Time, blocked bool, why string, 
 		c.ns += hi - lo
 		w.agg.chains[ck] = c
 	}
-	var acts []act
-	i := 0
-	if rank >= 0 && rank < len(w.ai) {
-		acts = w.v.acts[rank]
-		i = w.ai[rank]
-	}
-	for i > 0 && acts[i-1].start >= hi {
-		i--
-	}
-	end := hi
-	for i > 0 && acts[i-1].end > lo {
-		ac := acts[i-1]
-		s, e := ac.start, ac.end
-		if s < lo {
-			s = lo
-		}
-		if e > end {
-			e = end
-		}
-		if e < end {
-			w.gap(rank, e, end, blocked)
-		}
-		w.emit(rank, s, e, ac.op, ac.ph, -1)
-		end = s
-		if ac.start < lo {
-			// The activity extends below this range; a later, lower
-			// range on this rank may still need its remainder.
-			break
-		}
-		i--
-	}
-	if end > lo {
-		w.gap(rank, lo, end, blocked)
-	}
-	if rank >= 0 && rank < len(w.ai) {
-		w.ai[rank] = i
-	}
+	w.tile(rank, false, lo, hi,
+		func(ac act, s, e sim.Time) { w.emit(rank, s, e, ac.op, ac.ph, -1) },
+		func(s, e sim.Time) { w.gap(rank, s, e, blocked) })
 }
 
 // gap attributes an interval no activity covered: "local" execution
@@ -312,43 +264,49 @@ func (w *walker) gap(rank int, lo, hi sim.Time, blocked bool) {
 	if blocked {
 		ph = phBlocked
 	}
-	var ss []span
-	i := 0
-	if rank >= 0 && rank < len(w.si) {
-		ss = w.v.scopes[rank]
-		i = w.si[rank]
+	w.tile(rank, true, lo, hi,
+		func(sp act, s, e sim.Time) { w.emit(rank, s, e, sp.op, ph, -1) },
+		func(s, e sim.Time) { w.emit(rank, s, e, opNone, ph, -1) })
+}
+
+// tile walks rank's activity log (or its scope log) — sorted, disjoint
+// intervals — backward over [lo, hi) from the rank's descending cursor,
+// handing each covered piece to in and each uncovered one to out,
+// latest first. A rank with no log (rank < 0: an edge from no rank in
+// particular) is one uncovered piece.
+func (w *walker) tile(rank int, scopes bool, lo, hi sim.Time, in func(a act, s, e sim.Time), out func(s, e sim.Time)) {
+	if rank < 0 || rank >= len(w.cur) {
+		out(lo, hi)
+		return
 	}
-	for i > 0 && ss[i-1].start >= hi {
+	log, cur := w.v.ranks[rank].acts, &w.cur[rank].a
+	if scopes {
+		log, cur = w.v.ranks[rank].scopes, &w.cur[rank].s
+	}
+	i := *cur
+	for i > 0 && log[i-1].start >= hi {
 		i--
 	}
 	end := hi
-	for i > 0 && ss[i-1].end > lo {
-		sp := ss[i-1]
-		s, e := sp.start, sp.end
-		if s < lo {
-			s = lo
-		}
-		if e > end {
-			e = end
-		}
+	for i > 0 && log[i-1].end > lo {
+		a := log[i-1]
+		s, e := max(a.start, lo), min(a.end, end)
 		if e < end {
-			w.emit(rank, e, end, opNone, ph, -1)
+			out(e, end)
 		}
-		w.emit(rank, s, e, sp.op, ph, -1)
+		in(a, s, e)
 		end = s
-		if sp.start < lo {
-			// The scope extends below this range; a later, lower range
-			// on this rank may still need its remainder.
+		if a.start < lo {
+			// The interval extends below this range; a later, lower
+			// range on this rank may still need its remainder.
 			break
 		}
 		i--
 	}
 	if end > lo {
-		w.emit(rank, lo, end, opNone, ph, -1)
+		out(lo, end)
 	}
-	if rank >= 0 && rank < len(w.si) {
-		w.si[rank] = i
-	}
+	*cur = i
 }
 
 // emit records one critical-path segment. Every nanosecond of the

@@ -31,10 +31,11 @@
 //
 // Like the rest of internal/obs, every recording method is nil-safe (a
 // nil *Rec no-ops at the cost of one branch) and warmed record paths
-// allocate nothing. Multi-shard parallel runs give each shard a
-// private Rec (obs.Sharded wires this); Merge stitches the per-shard
-// logs back into one exact view, with hop references resolving across
-// shards through the shard id packed into every reference.
+// allocate nothing. One Rec serves every shard of a multi-shard run: a
+// rank's logs are written only by the worker of the shard that owns the
+// rank, each shard appends to its own hop table, and hop references
+// resolve across shards through the shard id packed into every
+// reference — so the view the walk reads is exact at any shard count.
 package critpath
 
 import (
@@ -42,20 +43,27 @@ import (
 	"repro/internal/sim"
 )
 
-// Clock supplies the current virtual time; obs.Recorder's job clocks
-// satisfy it.
-type Clock interface {
-	Now() sim.Time
-}
-
 // Ref identifies a recorded dependence edge: shard id in the high
 // bits, 1-based hop index in the low 40. Zero means "no edge".
 type Ref uint64
 
 const refIdxBits = 40
 
-func (r *Rec) pack(idx int) Ref {
-	return Ref(r.shard)<<refIdxBits | Ref(idx+1)
+// shardOf returns the id and the log of the shard that owns rank.
+func (r *Rec) shardOf(rank int) (int, *shardLog) {
+	id := 0
+	if r.part != nil {
+		id = r.part[rank]
+	}
+	return id, &r.shards[id]
+}
+
+// addHop appends h to the hop table of rank's shard and returns its
+// reference.
+func (r *Rec) addHop(rank int, h hop) Ref {
+	id, t := r.shardOf(rank)
+	t.hops = append(t.hops, h)
+	return Ref(id)<<refIdxBits | Ref(len(t.hops))
 }
 
 // Edge kinds in the hop table.
@@ -84,21 +92,16 @@ type wait struct {
 	cause      Ref
 }
 
-// act is one activity interval: a raw profiler phase attribution after
-// the per-rank cursor clamp.
+// act is one interval of a rank's activity log — a raw profiler phase
+// attribution after the per-rank cursor clamp — or of its scope log: a
+// completed operation scope (ph unused). Scopes are sequential per
+// rank, so both logs are sorted and non-overlapping; the walk uses the
+// scope log to label time no phase attribution covered with the
+// operation that contained it.
 type act struct {
 	start, end sim.Time
 	op         uint8 // profile.Op, or opNone
 	ph         uint8 // profile.Phase
-}
-
-// span is one completed operation scope on a rank. Scopes are
-// sequential per rank, so each log is sorted and non-overlapping; the
-// walk uses it to label time no phase attribution covered with the
-// operation that contained it.
-type span struct {
-	start, end sim.Time
-	op         uint8
 }
 
 // opNone labels segments with no open operation scope.
@@ -138,123 +141,93 @@ func OpName(op uint8) string {
 	return profile.Op(op).String()
 }
 
-// Rec records one shard's dependence edges and per-rank logs. The
-// cooperative scheduler (on the owning shard's worker)
-// guarantees single-threaded access.
+// rankLog is one rank's logs of the job being recorded.
+type rankLog struct {
+	waits  []wait
+	acts   []act
+	scopes []act
+	cursor sim.Time // activity clamp
+	cause  Ref      // pending wake cause, consumed by Resumed
+	fin    sim.Time // finish time, -1 until finished
+}
+
+// shardLog is what one engine shard's worker alone appends to.
+type shardLog struct {
+	hops    []hop
+	ambient Ref // provenance of the running delivery handler, if any
+}
+
+// Rec records one job at a time. Within a shard the cooperative
+// scheduler guarantees single-threaded access; across shards no two
+// workers touch the same rankLog or shardLog, and nothing else is
+// written while a job runs.
 type Rec struct {
-	shard int
-	clock Clock
 	label string
 	open  bool // a job is being recorded
 
-	waits  [][]wait
-	acts   [][]act
-	scopes [][]span
-	cursor []sim.Time // per-rank activity clamp
-	cause  []Ref      // pending wake cause, consumed by Resumed
-	fins   []sim.Time // per-rank finish time, -1 until finished
-	hops   []hop
-
-	ambient Ref // provenance of the running delivery handler, if any
-
-	// partial marks a per-shard sub-recorder: its logs cover only its
-	// own ranks, so BeginJob never analyzes locally — Merge builds the
-	// global view instead.
-	partial bool
+	ranks  []rankLog  // sized by BeginJob: never grown while shards run
+	shards []shardLog // index = engine shard
+	part   []int      // rank -> shard; nil on one shard
 
 	flat *profile.Profiler // flat-attribution source for the report
 	agg  agg               // closed-job aggregate
 }
 
-// New creates a recorder for a single-shard (sequential or solo
-// parallel) run. flat, when non-nil, supplies the flat profiler
-// aggregation the report contrasts critical shares against.
-func New(flat *profile.Profiler) *Rec {
-	return &Rec{flat: flat, agg: newAgg()}
+// New creates a recorder for runs of up to shards engine shards. flat,
+// when non-nil, supplies the flat profiler aggregation the report
+// contrasts critical shares against.
+func New(flat *profile.Profiler, shards int) *Rec {
+	return &Rec{flat: flat, shards: make([]shardLog, shards), agg: newAgg()}
 }
 
-// NewShard creates shard's private sub-recorder for a multi-shard
-// parallel run. Its logs are partial (its own ranks only); Merge
-// combines the shards into an analyzable whole.
-func NewShard(shard int, flat *profile.Profiler) *Rec {
-	r := New(flat)
-	r.shard = shard
-	r.partial = true
-	return r
+// SetFlat replaces the report's flat-attribution source (a multi-shard
+// run's profilers are per shard until merged).
+func (r *Rec) SetFlat(flat *profile.Profiler) {
+	if r != nil {
+		r.flat = flat
+	}
 }
 
-// BeginJob opens a new job: any previously recorded job is analyzed
-// into the aggregate first (on partial shard recorders the analysis is
-// deferred to Merge), then the per-job logs reset. label names the job
-// in the per-job invariant table.
-func (r *Rec) BeginJob(label string, clock Clock) {
+// BeginJob opens a new job of nranks ranks, partitioned over the
+// shards by part (nil: all on shard 0): any previously recorded job is
+// analyzed into the aggregate first, then the per-job logs reset,
+// keeping backing arrays for reuse. label names the job in the per-job
+// invariant table.
+func (r *Rec) BeginJob(label string, part []int, nranks int) {
 	if r == nil {
 		return
 	}
 	r.Flush()
-	r.clock = clock
-	r.label = label
-	r.open = true
+	r.label, r.part, r.open = label, part, true
+	for len(r.ranks) < nranks {
+		r.ranks = append(r.ranks, rankLog{})
+	}
+	for i := range r.ranks {
+		l := &r.ranks[i]
+		*l = rankLog{waits: l.waits[:0], acts: l.acts[:0], scopes: l.scopes[:0], fin: -1}
+	}
+	for i := range r.shards {
+		r.shards[i] = shardLog{hops: r.shards[i].hops[:0]}
+	}
 }
 
 // Flush analyzes the currently recorded job, if any, folding its
-// critical path into the aggregate and resetting the per-job logs.
-// The report writers call it implicitly.
+// critical path into the aggregate. The report writers call it
+// implicitly.
 func (r *Rec) Flush() {
 	if r == nil || !r.open {
 		return
 	}
 	r.open = false
-	if !r.partial {
-		v := view{
-			label:  r.label,
-			waits:  r.waits,
-			acts:   r.acts,
-			scopes: r.scopes,
-			fins:   r.fins,
-			tabs:   [][]hop{r.hops},
-		}
-		analyze(v, &r.agg)
-	}
-	r.reset()
+	analyze(view{label: r.label, ranks: r.ranks, shards: r.shards}, &r.agg)
 }
 
-// reset clears the per-job logs, keeping backing arrays for reuse.
-func (r *Rec) reset() {
-	for i := range r.waits {
-		r.waits[i] = r.waits[i][:0]
+// log returns rank's logs, or nil for a rank outside the open job.
+func (r *Rec) log(rank int) *rankLog {
+	if r == nil || rank < 0 || rank >= len(r.ranks) {
+		return nil
 	}
-	for i := range r.acts {
-		r.acts[i] = r.acts[i][:0]
-	}
-	for i := range r.scopes {
-		r.scopes[i] = r.scopes[i][:0]
-	}
-	for i := range r.cursor {
-		r.cursor[i] = 0
-	}
-	for i := range r.cause {
-		r.cause[i] = 0
-	}
-	for i := range r.fins {
-		r.fins[i] = -1
-	}
-	r.hops = r.hops[:0]
-	r.ambient = 0
-}
-
-// growRank materializes per-rank state up to rank (appended records
-// are zeroed even when the backing arrays are reused), so idle ranks
-// of a large job cost nothing.
-func (r *Rec) growRank(rank int) {
-	for len(r.waits) <= rank {
-		r.waits = append(r.waits, nil)
-		r.acts = append(r.acts, nil)
-		r.scopes = append(r.scopes, nil)
-		r.cursor = append(r.cursor, 0)
-		r.cause = append(r.cause, 0)
-		r.fins = append(r.fins, -1)
-	}
+	return &r.ranks[rank]
 }
 
 // --- scheduler hooks (forwarded by obs.Recorder) ---------------------
@@ -263,37 +236,31 @@ func (r *Rec) growRank(rank int) {
 // is cleared: causes name the edge that ends this wait, not an
 // earlier one.
 func (r *Rec) Parked(rank int, why string, at sim.Time) {
-	if r == nil || rank < 0 {
-		return
+	if l := r.log(rank); l != nil {
+		l.cause = 0
+		l.waits = append(l.waits, wait{start: at, end: -1, why: why})
 	}
-	r.growRank(rank)
-	r.cause[rank] = 0
-	r.waits[rank] = append(r.waits[rank], wait{start: at, end: -1, why: why})
 }
 
 // Resumed closes rank's open wait, attaching the pending wake cause
 // (if a dependence hook named one).
 func (r *Rec) Resumed(rank int, at sim.Time) {
-	if r == nil || rank < 0 || rank >= len(r.waits) {
+	l := r.log(rank)
+	if l == nil {
 		return
 	}
-	ws := r.waits[rank]
-	if n := len(ws); n > 0 && ws[n-1].end < 0 {
-		ws[n-1].end = at
-		ws[n-1].cause = r.cause[rank]
+	if n := len(l.waits); n > 0 && l.waits[n-1].end < 0 {
+		l.waits[n-1].end = at
+		l.waits[n-1].cause = l.cause
 	}
-	r.cause[rank] = 0
+	l.cause = 0
 }
 
 // Finished records rank's completion time (sim.FinishObserver via
 // obs.Recorder). The job makespan is the maximum over ranks.
 func (r *Rec) Finished(rank int, at sim.Time) {
-	if r == nil || rank < 0 {
-		return
-	}
-	r.growRank(rank)
-	if at > r.fins[rank] {
-		r.fins[rank] = at
+	if l := r.log(rank); l != nil && at > l.fin {
+		l.fin = at
 	}
 }
 
@@ -301,40 +268,35 @@ func (r *Rec) Finished(rank int, at sim.Time) {
 
 // MsgHop records a fabric message edge: injected at sent by from,
 // started serializing at xfer (the wire-queue end), delivered at arr.
-// prev chains the provenance of a message sent from inside a delivery
-// handler. Returns the reference the message carries to its
-// destination.
-func (r *Rec) MsgHop(from int, sent, xfer, arr sim.Time, nicS, nicD int, prev Ref) Ref {
-	if r == nil {
+// A message sent from inside a delivery handler (SetAmbient) is chained
+// to the delivery that ran the handler. Returns the reference the
+// message carries to its destination.
+func (r *Rec) MsgHop(from int, sent, xfer, arr sim.Time, nicS, nicD int) Ref {
+	if r.log(from) == nil {
 		return 0
 	}
-	r.hops = append(r.hops, hop{kind: hopMsg, from: from,
-		sent: sent, xfer: xfer, arr: arr, nicS: nicS, nicD: nicD, prev: prev})
-	return r.pack(len(r.hops) - 1)
+	_, t := r.shardOf(from)
+	return r.addHop(from, hop{kind: hopMsg, from: from,
+		sent: sent, xfer: xfer, arr: arr, nicS: nicS, nicD: nicD, prev: t.ambient})
 }
 
-// ArbHop extends a message edge with a destination-NIC arbitration
-// delay (the sharded delivery path re-queues behind the destination
-// link): the message was due at sent but landed at arr.
-func (r *Rec) ArbHop(from int, sent, arr sim.Time, nicD int, prev Ref) Ref {
-	if r == nil {
+// ArbHop extends a message edge with the arbitration delay of rank's
+// NIC nicD (the sharded delivery path re-queues behind the destination
+// link): the message from rank from was due at sent but landed at arr.
+func (r *Rec) ArbHop(rank, from int, sent, arr sim.Time, nicD int, prev Ref) Ref {
+	if r.log(rank) == nil {
 		return 0
 	}
-	r.hops = append(r.hops, hop{kind: hopArb, from: from,
+	return r.addHop(rank, hop{kind: hopArb, from: from,
 		sent: sent, xfer: sent, arr: arr, nicS: nicD, nicD: nicD, prev: prev})
-	return r.pack(len(r.hops) - 1)
 }
 
 // WakeCause names the edge that is about to release rank's open wait.
 // The first cause wins: a rank woken by one arrival stays attributed
 // to it even if later deliveries pile on before it runs.
 func (r *Rec) WakeCause(rank int, cause Ref) {
-	if r == nil || rank < 0 || cause == 0 {
-		return
-	}
-	r.growRank(rank)
-	if r.cause[rank] == 0 {
-		r.cause[rank] = cause
+	if l := r.log(rank); l != nil && l.cause == 0 {
+		l.cause = cause
 	}
 }
 
@@ -343,43 +305,30 @@ func (r *Rec) WakeCause(rank int, cause Ref) {
 // the pending wake cause. by < 0 (an uncontended direct grant) records
 // a local edge the walk treats as rank-local wait.
 func (r *Rec) WakeGrant(rank, by int, sent sim.Time) {
-	if r == nil || rank < 0 {
-		return
+	if l := r.log(rank); l != nil && l.cause == 0 {
+		l.cause = r.addHop(rank, hop{kind: hopGrant, from: by, sent: sent})
 	}
-	r.growRank(rank)
-	if r.cause[rank] != 0 {
-		return
-	}
-	r.hops = append(r.hops, hop{kind: hopGrant, from: by, sent: sent})
-	r.cause[rank] = r.pack(len(r.hops) - 1)
 }
 
-// WakeAmbient names the running delivery handler's provenance as
-// rank's wake cause (a handler that explicitly unparks a waiter, e.g.
-// the rendezvous sender released by the clear-to-send arrival).
+// WakeAmbient names the provenance of the delivery handler running on
+// rank's shard as rank's wake cause (a handler that explicitly unparks
+// a waiter, e.g. the rendezvous sender released by the clear-to-send
+// arrival).
 func (r *Rec) WakeAmbient(rank int) {
-	if r == nil {
-		return
+	if r.log(rank) != nil {
+		_, t := r.shardOf(rank)
+		r.WakeCause(rank, t.ambient)
 	}
-	r.WakeCause(rank, r.ambient)
-}
-
-// Ambient returns the provenance of the running delivery handler.
-func (r *Rec) Ambient() Ref {
-	if r == nil {
-		return 0
-	}
-	return r.ambient
 }
 
 // SetAmbient installs the provenance of a delivery handler about to
-// run, returning the previous value for restoration.
-func (r *Rec) SetAmbient(ref Ref) (prev Ref) {
-	if r == nil {
+// run on rank's shard, returning the previous value for restoration.
+func (r *Rec) SetAmbient(rank int, ref Ref) (prev Ref) {
+	if r.log(rank) == nil {
 		return 0
 	}
-	prev = r.ambient
-	r.ambient = ref
+	_, t := r.shardOf(rank)
+	prev, t.ambient = t.ambient, ref
 	return prev
 }
 
@@ -390,75 +339,25 @@ func (r *Rec) SetAmbient(ref Ref) (prev Ref) {
 // profiler's scope and cursor gating. The per-rank cursor clamp keeps
 // the activity log sorted and non-overlapping.
 func (r *Rec) RawPhase(rank int, op profile.Op, ph profile.Phase, start, end sim.Time) {
-	if r == nil || rank < 0 || !r.open {
+	l := r.log(rank)
+	if l == nil || !r.open {
 		return
 	}
-	r.growRank(rank)
-	if start < r.cursor[rank] {
-		start = r.cursor[rank]
-	}
+	start = max(start, l.cursor)
 	if end <= start {
 		return
 	}
-	r.cursor[rank] = end
-	r.acts[rank] = append(r.acts[rank], act{start: start, end: end, op: uint8(op), ph: uint8(ph)})
+	l.cursor = end
+	l.acts = append(l.acts, act{start: start, end: end, op: uint8(op), ph: uint8(ph)})
 }
 
 // RawScope implements the scope half of profile.Sink: one completed
 // operation scope on rank. Scopes close in increasing end order and
 // never overlap, so the log stays sorted without clamping.
 func (r *Rec) RawScope(rank int, op profile.Op, start, end sim.Time) {
-	if r == nil || rank < 0 || !r.open || end <= start {
-		return
+	if l := r.log(rank); l != nil && r.open && end > start {
+		l.scopes = append(l.scopes, act{start: start, end: end, op: uint8(op)})
 	}
-	r.growRank(rank)
-	r.scopes[rank] = append(r.scopes[rank], span{start: start, end: end, op: uint8(op)})
-}
-
-// --- shard merge -----------------------------------------------------
-
-// Merge stitches the per-shard sub-recorders of a parallel run into
-// one analyzable recorder, in shard id order. Each rank lives on
-// exactly one shard, so the per-rank logs are disjoint and their union
-// is exact; hop references resolve across shards through the shard id
-// packed into every Ref. The current (un-analyzed) job of the shards
-// is analyzed here as one global job; flat supplies the merged
-// profiler for the report. Call it only after the run has completed.
-func Merge(shards []*Rec, flat *profile.Profiler) *Rec {
-	out := New(flat)
-	if len(shards) == 0 || shards[0] == nil {
-		return out
-	}
-	v := view{label: shards[0].label, tabs: make([][]hop, len(shards))}
-	for i, s := range shards {
-		v.tabs[i] = s.hops
-		for rank := range s.waits {
-			for len(v.waits) <= rank {
-				v.waits = append(v.waits, nil)
-				v.acts = append(v.acts, nil)
-				v.scopes = append(v.scopes, nil)
-				v.fins = append(v.fins, -1)
-			}
-			if len(s.waits[rank]) > 0 {
-				v.waits[rank] = s.waits[rank]
-			}
-			if len(s.acts[rank]) > 0 {
-				v.acts[rank] = s.acts[rank]
-			}
-			if len(s.scopes[rank]) > 0 {
-				v.scopes[rank] = s.scopes[rank]
-			}
-			if s.fins[rank] > v.fins[rank] {
-				v.fins[rank] = s.fins[rank]
-			}
-		}
-		// Closed-job aggregates of the shards (normally empty: sharded
-		// fronts record one job per run) carry over additively.
-		out.agg.merge(&s.agg)
-		s.open = false
-	}
-	analyze(v, &out.agg)
-	return out
 }
 
 // Jobs returns the per-job invariant records analyzed so far,

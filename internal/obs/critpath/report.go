@@ -1,34 +1,14 @@
 package critpath
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
-
-// errWriter folds the error handling of a report's many prints.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
-}
-
-func pct(part, whole sim.Time) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * float64(part) / float64(whole)
-}
 
 // tables derives the report's sorted views from the aggregate.
 type tables struct {
@@ -94,7 +74,7 @@ func sortedI32(m map[int32]sim.Time) []int32 {
 			ks = append(ks, k)
 		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }
 
@@ -109,25 +89,25 @@ func (r *Rec) WriteReport(w io.Writer) error {
 	}
 	r.Flush()
 	t := r.tables()
-	e := &errWriter{w: w}
+	e := &profile.Printer{W: w}
 
-	e.printf("armci-crit: critical-path report (virtual time)\n")
-	e.printf("jobs analyzed: %d   total critical time: %d ns (== sum of job makespans)\n\n",
+	e.Printf("armci-crit: critical-path report (virtual time)\n")
+	e.Printf("jobs analyzed: %d   total critical time: %d ns (== sum of job makespans)\n\n",
 		len(r.agg.jobs), t.total)
 
-	e.printf("per-job invariant (path sum == makespan):\n")
-	e.printf("  %-44s %14s %14s %6s %6s\n", "job", "makespan_ns", "path_ns", "segs", "start")
+	e.Printf("per-job invariant (path sum == makespan):\n")
+	e.Printf("  %-44s %14s %14s %6s %6s\n", "job", "makespan_ns", "path_ns", "segs", "start")
 	for _, j := range r.agg.jobs {
 		mark := ""
 		if j.PathNs != j.Makespan {
 			mark = "  VIOLATED"
 		}
-		e.printf("  %-44s %14d %14d %6d %6d%s\n",
+		e.Printf("  %-44s %14d %14d %6d %6d%s\n",
 			j.Label, j.Makespan, j.PathNs, j.Segments, j.Start, mark)
 	}
 
-	e.printf("\ncritical time by phase (vs flat profiler attribution):\n")
-	e.printf("  %-14s %14s %7s %14s %7s\n", "phase", "crit_ns", "crit%", "flat_ns", "flat%")
+	e.Printf("\ncritical time by phase (vs flat profiler attribution):\n")
+	e.Printf("  %-14s %14s %7s %14s %7s\n", "phase", "crit_ns", "crit%", "flat_ns", "flat%")
 	for ph := 0; ph < numPhases; ph++ {
 		var flat sim.Time
 		if ph < int(profile.NumPhases) {
@@ -136,24 +116,24 @@ func (r *Rec) WriteReport(w io.Writer) error {
 		if t.byPhase[ph] == 0 && flat == 0 {
 			continue
 		}
-		e.printf("  %-14s %14d %6.2f%% %14d %6.2f%%\n",
-			PhaseName(uint8(ph)), t.byPhase[ph], pct(t.byPhase[ph], t.total),
-			flat, pct(flat, t.flatTot))
+		e.Printf("  %-14s %14d %6.2f%% %14d %6.2f%%\n",
+			PhaseName(uint8(ph)), t.byPhase[ph], profile.Pct(t.byPhase[ph], t.total),
+			flat, profile.Pct(flat, t.flatTot))
 	}
 
-	e.printf("\ncritical time by operation:\n")
-	e.printf("  %-8s %14s %7s\n", "op", "crit_ns", "crit%")
+	e.Printf("\ncritical time by operation:\n")
+	e.Printf("  %-8s %14s %7s\n", "op", "crit_ns", "crit%")
 	for op := uint8(0); op <= opNone; op++ {
 		if ns := t.byOp[op]; ns != 0 {
-			e.printf("  %-8s %14d %6.2f%%\n", OpName(op), ns, pct(ns, t.total))
+			e.Printf("  %-8s %14d %6.2f%%\n", OpName(op), ns, profile.Pct(ns, t.total))
 		}
 	}
 
-	e.printf("\ntop wait chains (critical waits by park reason x releasing rank):\n")
-	e.printf("  %-24s %8s %8s %14s %7s\n", "why", "by-rank", "count", "wait_ns", "crit%")
+	e.Printf("\ntop wait chains (critical waits by park reason x releasing rank):\n")
+	e.Printf("  %-24s %8s %8s %14s %7s\n", "why", "by-rank", "count", "wait_ns", "crit%")
 	for i, k := range t.chainKys {
 		if i >= 20 {
-			e.printf("  ... %d more\n", len(t.chainKys)-i)
+			e.Printf("  ... %d more\n", len(t.chainKys)-i)
 			break
 		}
 		v := r.agg.chains[k]
@@ -161,31 +141,31 @@ func (r *Rec) WriteReport(w io.Writer) error {
 		if k.from < 0 {
 			by = "local"
 		}
-		e.printf("  %-24s %8s %8d %14d %6.2f%%\n", k.why, by, v.count, v.ns, pct(v.ns, t.total))
+		e.Printf("  %-24s %8s %8d %14d %6.2f%%\n", k.why, by, v.count, v.ns, profile.Pct(v.ns, t.total))
 	}
 
-	e.printf("\ncritical time by NIC:\n")
-	e.printf("  %-6s %14s %7s\n", "nic", "crit_ns", "crit%")
+	e.Printf("\ncritical time by NIC:\n")
+	e.Printf("  %-6s %14s %7s\n", "nic", "crit_ns", "crit%")
 	for _, nic := range sortedI32(t.byNic) {
 		name := fmt.Sprintf("%d", nic)
 		if nic < 0 {
 			name = "-"
 		}
-		e.printf("  %-6s %14d %6.2f%%\n", name, t.byNic[nic], pct(t.byNic[nic], t.total))
+		e.Printf("  %-6s %14d %6.2f%%\n", name, t.byNic[nic], profile.Pct(t.byNic[nic], t.total))
 	}
 
-	e.printf("\ncritical time by rank (top 10):\n")
-	e.printf("  %-6s %14s %7s\n", "rank", "crit_ns", "crit%")
+	e.Printf("\ncritical time by rank (top 10):\n")
+	e.Printf("  %-6s %14s %7s\n", "rank", "crit_ns", "crit%")
 	ranks := sortedI32(t.byRank)
 	sort.SliceStable(ranks, func(i, j int) bool { return t.byRank[ranks[i]] > t.byRank[ranks[j]] })
 	for i, rank := range ranks {
 		if i >= 10 {
-			e.printf("  ... %d more\n", len(ranks)-i)
+			e.Printf("  ... %d more\n", len(ranks)-i)
 			break
 		}
-		e.printf("  %-6d %14d %6.2f%%\n", rank, t.byRank[rank], pct(t.byRank[rank], t.total))
+		e.Printf("  %-6d %14d %6.2f%%\n", rank, t.byRank[rank], profile.Pct(t.byRank[rank], t.total))
 	}
-	return e.err
+	return e.Err
 }
 
 // --- JSON artifact ---------------------------------------------------
@@ -289,11 +269,5 @@ func (r *Rec) WriteJSON(w io.Writer) error {
 		doc.Chains = append(doc.Chains, chainJSON{Why: k.why, From: int(k.from),
 			Count: v.count, WaitNs: int64(v.ns)})
 	}
-	b, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return profile.WriteJSON(w, &doc)
 }

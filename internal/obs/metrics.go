@@ -1,8 +1,7 @@
 package obs
 
 import (
-	"math/bits"
-
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -67,29 +66,9 @@ const (
 	CDartStagedBytes = "dart.leader.bytes"  // bytes copied through leader staging buffers
 )
 
-// histBuckets is the bucket count of the log2 latency histograms:
-// bucket i holds durations in [2^(i-1), 2^i) ns, bucket 0 holds zero.
-const histBuckets = 48
-
-// Hist is one log2 latency histogram.
-type Hist struct {
-	Count   int64
-	SumNs   int64
-	Buckets [histBuckets]int64
-}
-
-func (h *Hist) observe(d sim.Time) {
-	if d < 0 {
-		d = 0
-	}
-	b := bits.Len64(uint64(d))
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.Count++
-	h.SumNs += int64(d)
-	h.Buckets[b]++
-}
+// Hist is one log2 latency histogram: bucket i holds durations in
+// [2^(i-1), 2^i) ns, bucket 0 holds zero.
+type Hist = profile.Hist
 
 // Metrics is the per-rank registry. Ranks are dense small integers;
 // slices grow on demand so one registry can span jobs of different
@@ -112,16 +91,11 @@ func NewMetrics() *Metrics {
 	}
 }
 
-func growI64(s []int64, n int) []int64 {
+// grow extends s with zeros until index n exists.
+func grow[T any](s []T, n int) []T {
+	var zero T
 	for len(s) <= n {
-		s = append(s, 0)
-	}
-	return s
-}
-
-func growTime(s []sim.Time, n int) []sim.Time {
-	for len(s) <= n {
-		s = append(s, 0)
+		s = append(s, zero)
 	}
 	return s
 }
@@ -131,7 +105,7 @@ func (m *Metrics) Add(rank int, name string, v int64) {
 	if m == nil || rank < 0 {
 		return
 	}
-	s := growI64(m.counters[name], rank)
+	s := grow(m.counters[name], rank)
 	s[rank] += v
 	m.counters[name] = s
 }
@@ -141,7 +115,7 @@ func (m *Metrics) AddTime(rank int, name string, d sim.Time) {
 	if m == nil || rank < 0 {
 		return
 	}
-	s := growTime(m.times[name], rank)
+	s := grow(m.times[name], rank)
 	s[rank] += d
 	m.times[name] = s
 }
@@ -156,7 +130,7 @@ func (m *Metrics) Observe(rank int, name string, d sim.Time) {
 		hs = append(hs, &Hist{})
 	}
 	m.hists[name] = hs
-	hs[rank].observe(d)
+	hs[rank].Observe(d)
 }
 
 // MaxGauge raises the named high-water mark of one rank to v.
@@ -164,7 +138,7 @@ func (m *Metrics) MaxGauge(rank int, name string, v int64) {
 	if m == nil || rank < 0 {
 		return
 	}
-	s := growI64(m.gauges[name], rank)
+	s := grow(m.gauges[name], rank)
 	if v > s[rank] {
 		s[rank] = v
 	}
@@ -176,7 +150,7 @@ func (m *Metrics) LinkBusy(node int, d sim.Time) {
 	if m == nil || node < 0 {
 		return
 	}
-	m.links = growTime(m.links, node)
+	m.links = grow(m.links, node)
 	m.links[node] += d
 }
 
@@ -191,29 +165,9 @@ func (m *Metrics) Merge(o *Metrics) {
 	if m == nil || o == nil {
 		return
 	}
-	for name, vals := range o.counters {
-		s := growI64(m.counters[name], len(vals)-1)
-		for i, v := range vals {
-			s[i] += v
-		}
-		m.counters[name] = s
-	}
-	for name, vals := range o.times {
-		s := growTime(m.times[name], len(vals)-1)
-		for i, v := range vals {
-			s[i] += v
-		}
-		m.times[name] = s
-	}
-	for name, vals := range o.gauges {
-		s := growI64(m.gauges[name], len(vals)-1)
-		for i, v := range vals {
-			if v > s[i] {
-				s[i] = v
-			}
-		}
-		m.gauges[name] = s
-	}
+	mergeSeries(m.counters, o.counters, func(a, b int64) int64 { return a + b })
+	mergeSeries(m.times, o.times, func(a, b sim.Time) sim.Time { return a + b })
+	mergeSeries(m.gauges, o.gauges, func(a, b int64) int64 { return max(a, b) })
 	for name, hs := range o.hists {
 		dst := m.hists[name]
 		for len(dst) < len(hs) {
@@ -221,16 +175,24 @@ func (m *Metrics) Merge(o *Metrics) {
 		}
 		m.hists[name] = dst
 		for i, h := range hs {
-			dst[i].Count += h.Count
-			dst[i].SumNs += h.SumNs
-			for b := range h.Buckets {
-				dst[i].Buckets[b] += h.Buckets[b]
-			}
+			dst[i].Add(h)
 		}
 	}
-	m.links = growTime(m.links, len(o.links)-1)
+	m.links = grow(m.links, len(o.links)-1)
 	for i, v := range o.links {
 		m.links[i] += v
+	}
+}
+
+// mergeSeries folds every per-rank series of src into dst's series of
+// the same name, rank by rank.
+func mergeSeries[T any](dst, src map[string][]T, fold func(a, b T) T) {
+	for name, vals := range src {
+		s := grow(dst[name], len(vals)-1)
+		for i, v := range vals {
+			s[i] = fold(s[i], v)
+		}
+		dst[name] = s
 	}
 }
 
@@ -266,26 +228,13 @@ func (m *Metrics) HistOf(name string) []*Hist {
 	return m.hists[name]
 }
 
-// Links returns per-node NIC busy time.
-func (m *Metrics) Links() []sim.Time {
-	if m == nil {
-		return nil
-	}
-	return m.links
-}
-
 // Total sums a counter across ranks.
-func Total(vals []int64) int64 {
-	var t int64
-	for _, v := range vals {
-		t += v
-	}
-	return t
-}
+func Total(vals []int64) int64 { return sum(vals) }
 
 // TotalTime sums a time metric across ranks.
-func TotalTime(vals []sim.Time) sim.Time {
-	var t sim.Time
+func TotalTime(vals []sim.Time) sim.Time { return sum(vals) }
+
+func sum[T int64 | sim.Time](vals []T) (t T) {
 	for _, v := range vals {
 		t += v
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -13,22 +14,51 @@ type fakeClock struct{ t sim.Time }
 
 func (c *fakeClock) Now() sim.Time { return c.t }
 
+// testMethod stands in for the enums hook sites pass as fmt.Stringer
+// (a transfer method, a reduction).
+type testMethod int
+
+func (testMethod) String() string { return "direct" }
+
+// everyEvent emits each event of the vocabulary once, as rank 1 of a
+// two-node job talking to rank 2.
+func everyEvent(r *Recorder) {
+	r.OpBegin(1, profile.OpPut)
+	r.Waited(Wait{Kind: WaitLock, Excl: true, Rank: 1, From: 0, To: 10, Peer: 2})
+	r.Waited(Wait{Kind: WaitPack, Rank: 1, From: 10, To: 12, N: 64})
+	r.Xfer(Xfer{Src: 1, Dst: 2, Bytes: 64, NicS: 0, NicD: 1, Now: 12, Base: 13, Start: 14, Occupy: 5, Arrive: 21})
+	r.Wire(1, 1, 2, profile.MsgPut, profile.RouteRMA, 64)
+	r.Booked(Booking{Rank: 1, At: 21, Start: 22, Done: 25})
+	r.Booked(Booking{Rank: 1, At: 21, Start: 25, Done: 27, Lane: LaneServer(1), Class: profile.MsgPut, Bytes: 64})
+	r.Sent(1, 2, profile.MsgAmo, profile.RouteRMA, 8)
+	r.Landed(1, 2, profile.MsgPut, profile.RouteRMA, 64)
+	r.RMA(RMA{Kind: RMAAcc, Red: testMethod(0), Origin: 1, Target: 2, Bytes: 64, T0: 10, Done: 27, AgentLane: LaneServer(1), AgentAt: 22})
+	r.GetDone(1, 2, 64, 10, 21, 23)
+	r.Waited(Wait{Kind: WaitEpoch, Excl: true, Rank: 1, From: 27, To: 30, Open: 10, Peer: 2, N: 1})
+	r.OpEnd(1)
+	r.OpDone(1, profile.OpPut, 0, 30, 2, 64, nil)
+	r.OpDone(1, profile.OpPutS, 0, 30, 2, 16, testMethod(0))
+	r.Alloc(1, 0, 5, 4096, 7)
+	r.Routed(1, TierRMA, 64)
+	r.Count(1, CPlanExec, 1)
+	edge := r.MsgHop(1, 12, 14, 21, 0, 1)
+	edge = r.ArbHop(2, 1, 21, 22, 1, edge)
+	prev := r.Enter(2, edge)
+	r.WakeAmbient(2)
+	r.Leave(2, prev)
+	r.WakeCause(2, edge)
+	r.WakeGrant(2, 1, 30)
+	r.RankParked(2, "recv", 1)
+	r.RankResumed(2, 22)
+	r.RankFinished(2, 40)
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.BeginJob("x", &fakeClock{}, 4)
-	r.Inc(0, COpsPut)
-	r.Add(1, CBytesContig, 64)
-	r.AddTime(0, TLockWaitExcl, 10)
-	r.Observe(0, HLockWait, 10)
-	r.MaxGauge(0, GMutexQueue, 3)
-	r.LinkBusy(0, 5)
-	r.Span(0, "rma", "put", 0, 10)
-	r.SpanLane(LaneServer(0), "ds", "serve", 0, 10)
-	r.Instant(0, "m", "mark", 5)
-	r.RankParked(0, "x", 1)
-	r.RankResumed(0, 2)
-	if r.Enabled() || r.Tracing() {
-		t.Fatal("nil recorder reports enabled")
+	everyEvent(r)
+	if r.Metrics() != nil || r.Prof() != nil || r.Crit() != nil {
+		t.Fatal("nil recorder hands out instruments")
 	}
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -42,14 +72,14 @@ func TestNilRecorderIsSafe(t *testing.T) {
 func TestMetricsAccumulate(t *testing.T) {
 	r := New(Options{})
 	r.BeginJob("job", &fakeClock{}, 2)
-	r.Inc(0, COpsPut)
-	r.Inc(0, COpsPut)
-	r.Add(1, COpsPut, 3)
-	r.AddTime(1, TLockWaitShared, 2500)
-	r.Observe(0, HLockWait, 1023)
-	r.Observe(0, HLockWait, 1024)
-	r.MaxGauge(0, GMutexQueue, 2)
-	r.MaxGauge(0, GMutexQueue, 1)
+	r.RMA(RMA{Kind: RMAPut, Origin: 0, Target: 1})
+	r.RMA(RMA{Kind: RMAPut, Origin: 0, Target: 1})
+	r.Count(1, COpsPut, 3)
+	r.Waited(Wait{Kind: WaitLock, Rank: 1, From: 100, To: 2600, Peer: 0})
+	r.Waited(Wait{Kind: WaitLock, Excl: true, Rank: 0, From: 0, To: 1023, Peer: 1})
+	r.Waited(Wait{Kind: WaitLock, Excl: true, Rank: 0, From: 0, To: 1024, Peer: 1})
+	r.Waited(Wait{Kind: WaitMutex, Rank: 0, Peer: 1, N: 2})
+	r.Waited(Wait{Kind: WaitMutex, Rank: 0, Peer: 1, N: 1})
 
 	m := r.Metrics()
 	if got := m.Counter(COpsPut); got[0] != 2 || got[1] != 3 {
@@ -60,6 +90,9 @@ func TestMetricsAccumulate(t *testing.T) {
 	}
 	if got := m.Gauge(GMutexQueue); got[0] != 2 {
 		t.Errorf("gauge = %v", got)
+	}
+	if got := m.Counter(CEpochs); got[0] != 2 || got[1] != 1 {
+		t.Errorf("a granted lock opens an epoch: epochs = %v", got)
 	}
 	h := m.HistOf(HLockWait)[0]
 	if h.Count != 2 || h.SumNs != 2047 {
@@ -76,13 +109,13 @@ func TestTraceExportIsValidJSONAndDeterministic(t *testing.T) {
 		r := New(Options{Trace: true})
 		c := &fakeClock{}
 		r.BeginJob("job-a", c, 2)
-		r.Span(0, "rma", "put", 100, 1600, A("target", 1), A("bytes", 64))
-		r.Span(1, "mpi", "lock(exclusive)", 0, 2500)
-		r.Instant(0, "epoch", "flush", 3000)
+		r.RMA(RMA{Kind: RMAPut, Origin: 0, Target: 1, Bytes: 64, T0: 100, Done: 1600})
+		r.Waited(Wait{Kind: WaitLock, Excl: true, Rank: 1, From: 0, To: 2500, Peer: 0})
+		r.Waited(Wait{Kind: WaitFlush, Rank: 0, From: 3000, To: 3000, Peer: -1})
 		r.RankParked(1, "mpi.WinLock", 100)
 		r.RankResumed(1, 900)
 		r.BeginJob("job-b", c, 1)
-		r.Span(0, "rma", "get", 0, 333)
+		r.GetDone(0, 0, 8, 0, 333, 333)
 		var buf bytes.Buffer
 		if err := r.WriteTrace(&buf); err != nil {
 			t.Fatal(err)
@@ -100,7 +133,7 @@ func TestTraceExportIsValidJSONAndDeterministic(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, a)
 	}
 	// 5 metadata (job-a proc + name and sort_index per rank) + 3
-	// spans/instants + 1 park span + 3 metadata (job-b) + 1 span.
+	// spans + 1 park span + 3 metadata (job-b) + 1 span.
 	if len(doc.TraceEvents) != 13 {
 		t.Fatalf("event count = %d", len(doc.TraceEvents))
 	}
@@ -139,12 +172,12 @@ func TestStatsJSONDeterministic(t *testing.T) {
 	build := func() []byte {
 		r := New(Options{})
 		r.BeginJob("job", &fakeClock{}, 2)
-		r.Add(0, CBytesContig, 100)
-		r.Add(1, CBytesPacked, 50)
-		r.AddTime(0, TLockWaitExcl, 12345)
-		r.Observe(1, HLockWait, 777)
-		r.MaxGauge(0, GMutexQueue, 4)
-		r.LinkBusy(1, 999)
+		r.RMA(RMA{Kind: RMAPut, Origin: 0, Target: 1, Bytes: 100})
+		r.RMA(RMA{Kind: RMAGet, Packed: true, Origin: 1, Target: 0, Bytes: 50})
+		r.Waited(Wait{Kind: WaitLock, Excl: true, Rank: 0, To: 12345, Peer: 1})
+		r.Waited(Wait{Kind: WaitLock, Rank: 1, To: 777, Peer: 0})
+		r.Waited(Wait{Kind: WaitMutex, Rank: 0, Peer: 1, N: 4})
+		r.Xfer(Xfer{Src: 0, Dst: 1, Bytes: 100, NicS: 0, NicD: 1, Occupy: 999})
 		var buf bytes.Buffer
 		if err := r.WriteStatsJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -184,11 +217,13 @@ func TestFormatUs(t *testing.T) {
 func TestStatsTextReport(t *testing.T) {
 	r := New(Options{})
 	r.BeginJob("job", &fakeClock{}, 2)
-	r.AddTime(0, TLockWaitShared, 1500)
-	r.AddTime(1, TLockWaitExcl, 2500)
-	r.Add(0, CBytesContig, 4096)
-	r.Add(0, CBytesPacked, 128)
-	r.Add(1, CEpochFlush, 3)
+	r.Waited(Wait{Kind: WaitLock, Rank: 0, To: 1500, Peer: 1})
+	r.Waited(Wait{Kind: WaitLock, Excl: true, Rank: 1, To: 2500, Peer: 0})
+	r.RMA(RMA{Kind: RMAPut, Origin: 0, Target: 1, Bytes: 4096})
+	r.RMA(RMA{Kind: RMAPut, Packed: true, Origin: 0, Target: 1, Bytes: 128})
+	for i := 0; i < 3; i++ {
+		r.Waited(Wait{Kind: WaitFlush, Rank: 1, Peer: 0})
+	}
 	var buf bytes.Buffer
 	r.WriteStats(&buf)
 	out := buf.String()

@@ -23,11 +23,15 @@
 package profile
 
 import (
+	"maps"
+	"math/bits"
+	"slices"
+
 	"repro/internal/sim"
 )
 
-// Clock supplies the current virtual time; obs.Recorder's job clocks
-// satisfy it.
+// Clock supplies the current virtual time; *sim.Engine and its shard
+// clocks satisfy it. It is the one clock interface of internal/obs.
 type Clock interface {
 	Now() sim.Time
 }
@@ -75,9 +79,12 @@ var phaseNames = [NumPhases]string{
 	"leader.queue", "leader.copy", "other",
 }
 
-func (ph Phase) String() string {
-	if ph < NumPhases {
-		return phaseNames[ph]
+func (ph Phase) String() string { return nameOf(phaseNames[:], int(ph)) }
+
+// nameOf is names[i], or "?" for a value past the enum.
+func nameOf(names []string, i int) string {
+	if i < len(names) {
+		return names[i]
 	}
 	return "?"
 }
@@ -116,12 +123,7 @@ var opNames = [NumOps]string{
 	"nbputv", "nbgetv", "nbaccv",
 }
 
-func (op Op) String() string {
-	if op < NumOps {
-		return opNames[op]
-	}
-	return "?"
-}
+func (op Op) String() string { return nameOf(opNames[:], int(op)) }
 
 // MsgClass classifies a communication-matrix entry's payload.
 type MsgClass uint8
@@ -138,12 +140,7 @@ const (
 
 var msgClassNames = [NumMsgClasses]string{"put", "get", "acc", "amo"}
 
-func (c MsgClass) String() string {
-	if c < NumMsgClasses {
-		return msgClassNames[c]
-	}
-	return "?"
-}
+func (c MsgClass) String() string { return nameOf(msgClassNames[:], int(c)) }
 
 // Route classifies how the payload moved.
 type Route uint8
@@ -162,29 +159,27 @@ const (
 
 var routeNames = [NumRoutes]string{"rma", "shm", "ds"}
 
-func (r Route) String() string {
-	if r < NumRoutes {
-		return routeNames[r]
-	}
-	return "?"
-}
+func (r Route) String() string { return nameOf(routeNames[:], int(r)) }
 
-// histBuckets mirrors the obs metrics histograms: bucket b holds
-// durations in [2^(b-1), 2^b) ns, bucket 0 holds zero.
+// histBuckets is the bucket count of the log2 histograms: bucket b
+// holds durations in [2^(b-1), 2^b) ns, bucket 0 holds zero.
 const histBuckets = 48
 
-// Hist is one log2 virtual-time histogram.
+// Hist is one log2 virtual-time histogram, the one histogram type of
+// internal/obs (the metrics registry's latency histograms are Hists
+// too).
 type Hist struct {
 	Count   int64
 	SumNs   int64
 	Buckets [histBuckets]int64
 }
 
-func (h *Hist) observe(d sim.Time) {
+// Observe records one duration (negative durations count as zero).
+func (h *Hist) Observe(d sim.Time) {
 	if d < 0 {
 		d = 0
 	}
-	b := bitLen(uint64(d))
+	b := bits.Len64(uint64(d))
 	if b >= histBuckets {
 		b = histBuckets - 1
 	}
@@ -193,15 +188,25 @@ func (h *Hist) observe(d sim.Time) {
 	h.Buckets[b]++
 }
 
-// bitLen is bits.Len64 without the import (keeps the package's only
-// dependency the sim clock).
-func bitLen(x uint64) int {
-	n := 0
-	for x != 0 {
-		x >>= 1
-		n++
+// Add folds o's samples into h.
+func (h *Hist) Add(o *Hist) {
+	h.Count += o.Count
+	h.SumNs += o.SumNs
+	for b, c := range o.Buckets {
+		h.Buckets[b] += c
 	}
-	return n
+}
+
+// Sparse lists the nonzero buckets as [bucket, count] pairs, the form
+// every JSON report uses; nil when the histogram is empty.
+func (h *Hist) Sparse() [][2]int64 {
+	var out [][2]int64
+	for b, c := range h.Buckets {
+		if c != 0 {
+			out = append(out, [2]int64{int64(b), c})
+		}
+	}
+	return out
 }
 
 // scope is one rank's open operation. Nested Begin calls (a public op
@@ -276,9 +281,9 @@ func New() *Profiler {
 // BeginJob binds the profiler to a new job's clock. Statistics
 // accumulate across jobs; open scopes are discarded (each job's
 // virtual clock restarts at zero). Per-rank scope records are
-// materialized lazily on first use — idle ranks of a large job cost
-// nothing — so nranks is only a hint and may be zero.
-func (p *Profiler) BeginJob(clock Clock, nranks int) {
+// materialized lazily on first use: idle ranks of a large job cost
+// nothing.
+func (p *Profiler) BeginJob(clock Clock) {
 	if p == nil {
 		return
 	}
@@ -344,10 +349,10 @@ func (p *Profiler) End(rank int) {
 	}
 	for ph := Phase(0); ph < NumPhases; ph++ {
 		if t := sc.phases[ph]; t > 0 {
-			p.histAt(sc.op, ph, rank).observe(t)
+			histOf(&p.hists[sc.op][ph], rank).Observe(t)
 		}
 	}
-	p.totalAt(sc.op, rank).observe(total)
+	histOf(&p.totals[sc.op], rank).Observe(total)
 }
 
 // PhaseAt attributes [start, end) of rank's open operation to phase
@@ -393,28 +398,13 @@ func (p *Profiler) SetSink(s Sink) {
 	p.sink = s
 }
 
-// InScope reports whether rank has an open operation scope (used by
-// hooks whose work is only worth doing when it will be attributed).
-func (p *Profiler) InScope(rank int) bool {
-	return p != nil && rank >= 0 && rank < len(p.scopes) && p.scopes[rank].open
-}
-
-func (p *Profiler) histAt(op Op, ph Phase, rank int) *Hist {
-	hs := p.hists[op][ph]
-	for len(hs) <= rank {
-		hs = append(hs, Hist{})
+// histOf returns rank's histogram in *hs, growing the per-rank vector
+// on demand.
+func histOf(hs *[]Hist, rank int) *Hist {
+	for len(*hs) <= rank {
+		*hs = append(*hs, Hist{})
 	}
-	p.hists[op][ph] = hs
-	return &hs[rank]
-}
-
-func (p *Profiler) totalAt(op Op, rank int) *Hist {
-	hs := p.totals[op]
-	for len(hs) <= rank {
-		hs = append(hs, Hist{})
-	}
-	p.totals[op] = hs
-	return &hs[rank]
+	return &(*hs)[rank]
 }
 
 // --- communication matrix -------------------------------------------
@@ -463,24 +453,11 @@ func (p *Profiler) Cells() []Cell {
 	if p == nil {
 		return nil
 	}
-	keys := make([]uint64, 0, len(p.matrix))
-	for k := range p.matrix {
-		keys = append(keys, k)
-	}
-	sortU64(keys)
-	out := make([]Cell, len(keys))
-	for i, k := range keys {
-		out[i] = *p.matrix[k]
+	out := make([]Cell, 0, len(p.matrix))
+	for _, k := range slices.Sorted(maps.Keys(p.matrix)) {
+		out = append(out, *p.matrix[k])
 	}
 	return out
-}
-
-func sortU64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // --- link telemetry --------------------------------------------------
@@ -505,14 +482,6 @@ func (p *Profiler) Link(node int, bytes int, queued, busy, backlog sim.Time) {
 	if backlog > ls.MaxBacklog {
 		ls.MaxBacklog = backlog
 	}
-}
-
-// LinkStats returns per-node NIC utilization records.
-func (p *Profiler) LinkStats() []LinkStat {
-	if p == nil {
-		return nil
-	}
-	return p.links
 }
 
 // --- shard merging ---------------------------------------------------
@@ -565,11 +534,7 @@ func mergeHists(dst, src []Hist) []Hist {
 		dst = append(dst, Hist{})
 	}
 	for i := range src {
-		dst[i].Count += src[i].Count
-		dst[i].SumNs += src[i].SumNs
-		for b := range src[i].Buckets {
-			dst[i].Buckets[b] += src[i].Buckets[b]
-		}
+		dst[i].Add(&src[i])
 	}
 	return dst
 }

@@ -5,19 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // aggHist sums a per-rank histogram slice into one histogram.
 func aggHist(hs []Hist) Hist {
 	var out Hist
 	for i := range hs {
-		out.Count += hs[i].Count
-		out.SumNs += hs[i].SumNs
-		for b := range hs[i].Buckets {
-			out.Buckets[b] += hs[i].Buckets[b]
-		}
+		out.Add(&hs[i])
 	}
 	return out
 }
@@ -69,36 +63,36 @@ func (p *Profiler) WriteReport(w io.Writer) error {
 		grand += a.total.SumNs
 	}
 
-	bw := &errWriter{w: w}
-	bw.printf("armci-prof: phase-attribution report (virtual time)\n")
-	bw.printf("---------------------------------------------------\n\n")
+	bw := &Printer{W: w}
+	bw.Printf("armci-prof: phase-attribution report (virtual time)\n")
+	bw.Printf("---------------------------------------------------\n\n")
 
-	bw.printf("Top operations by aggregate time\n")
-	bw.printf("  %-8s %12s %16s %14s %8s\n", "op", "calls", "time(ns)", "mean(ns)", "% total")
+	bw.Printf("Top operations by aggregate time\n")
+	bw.Printf("  %-8s %12s %16s %14s %8s\n", "op", "calls", "time(ns)", "mean(ns)", "% total")
 	for _, a := range aggs {
 		mean := int64(0)
 		if a.total.Count > 0 {
 			mean = a.total.SumNs / a.total.Count
 		}
-		bw.printf("  %-8s %12d %16d %14d %7.2f%%\n",
-			a.op, a.total.Count, a.total.SumNs, mean, pct(a.total.SumNs, grand))
+		bw.Printf("  %-8s %12d %16d %14d %7.2f%%\n",
+			a.op, a.total.Count, a.total.SumNs, mean, Pct(a.total.SumNs, grand))
 	}
-	bw.printf("\n")
+	bw.Printf("\n")
 
-	bw.printf("Phase breakdown per operation (%% of op time)\n")
-	bw.printf("  %-8s", "op")
+	bw.Printf("Phase breakdown per operation (%% of op time)\n")
+	bw.Printf("  %-8s", "op")
 	for ph := Phase(0); ph < NumPhases; ph++ {
-		bw.printf(" %12s", ph)
+		bw.Printf(" %12s", ph)
 	}
-	bw.printf("\n")
+	bw.Printf("\n")
 	for _, a := range aggs {
-		bw.printf("  %-8s", a.op)
+		bw.Printf("  %-8s", a.op)
 		for ph := Phase(0); ph < NumPhases; ph++ {
-			bw.printf(" %11.2f%%", pct(a.phases[ph].SumNs, a.total.SumNs))
+			bw.Printf(" %11.2f%%", Pct(a.phases[ph].SumNs, a.total.SumNs))
 		}
-		bw.printf("\n")
+		bw.Printf("\n")
 	}
-	bw.printf("\n")
+	bw.Printf("\n")
 
 	cells := p.Cells()
 	if len(cells) > 0 {
@@ -111,14 +105,14 @@ func (p *Profiler) WriteReport(w io.Writer) error {
 		if n > 20 {
 			n = 20
 		}
-		bw.printf("Hottest pairs by bytes sent (top %d of %d)\n", n, len(cells))
-		bw.printf("  %4s %4s %-5s %-5s %10s %14s %10s %14s\n",
+		bw.Printf("Hottest pairs by bytes sent (top %d of %d)\n", n, len(cells))
+		bw.Printf("  %4s %4s %-5s %-5s %10s %14s %10s %14s\n",
 			"src", "dst", "class", "route", "s.msgs", "s.bytes", "r.msgs", "r.bytes")
 		for _, c := range cells[:n] {
-			bw.printf("  %4d %4d %-5s %-5s %10d %14d %10d %14d\n",
+			bw.Printf("  %4d %4d %-5s %-5s %10d %14d %10d %14d\n",
 				c.Src, c.Dst, c.Class, c.Route, c.SentMsgs, c.SentBytes, c.RecvMsgs, c.RecvBytes)
 		}
-		bw.printf("\n")
+		bw.Printf("\n")
 	}
 
 	links := p.links
@@ -130,39 +124,44 @@ func (p *Profiler) WriteReport(w io.Writer) error {
 		}
 	}
 	if hasLinks {
-		bw.printf("Link utilization (per node NIC)\n")
-		bw.printf("  %4s %10s %14s %14s %14s %14s\n",
+		bw.Printf("Link utilization (per node NIC)\n")
+		bw.Printf("  %4s %10s %14s %14s %14s %14s\n",
 			"node", "msgs", "bytes", "busy(ns)", "queued(ns)", "maxbacklog")
 		for node := range links {
 			ls := &links[node]
 			if ls.Msgs == 0 {
 				continue
 			}
-			bw.printf("  %4d %10d %14d %14d %14d %14d\n",
+			bw.Printf("  %4d %10d %14d %14d %14d %14d\n",
 				node, ls.Msgs, ls.Bytes, int64(ls.Busy), int64(ls.Queued), int64(ls.MaxBacklog))
 		}
-		bw.printf("\n")
+		bw.Printf("\n")
 	}
-	return bw.err
+	return bw.Err
 }
 
-func pct(part, whole int64) float64 {
+// Pct is part's share of whole in percent (0 of an empty whole).
+func Pct[T ~int64](part, whole T) float64 {
 	if whole == 0 {
 		return 0
 	}
 	return 100 * float64(part) / float64(whole)
 }
 
-type errWriter struct {
-	w   io.Writer
-	err error
+// Printer folds the error handling of a text report's many prints: the
+// first write error sticks and silences the rest. The critical-path
+// report prints through it too.
+type Printer struct {
+	W   io.Writer
+	Err error
 }
 
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
+// Printf formats to W unless an earlier print failed.
+func (e *Printer) Printf(format string, args ...any) {
+	if e.Err != nil {
 		return
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	_, e.Err = fmt.Fprintf(e.W, format, args...)
 }
 
 // --- JSON ------------------------------------------------------------
@@ -178,13 +177,7 @@ type profHistJSON struct {
 }
 
 func toHistJSON(h Hist) profHistJSON {
-	out := profHistJSON{Count: h.Count, SumNs: h.SumNs}
-	for b, c := range h.Buckets {
-		if c != 0 {
-			out.Buckets = append(out.Buckets, [2]int64{int64(b), c})
-		}
-	}
-	return out
+	return profHistJSON{Count: h.Count, SumNs: h.SumNs, Buckets: h.Sparse()}
 }
 
 type profPhaseJSON struct {
@@ -265,20 +258,16 @@ func (p *Profiler) WriteJSON(w io.Writer) error {
 			MaxBacklogNs: int64(ls.MaxBacklog),
 		})
 	}
-	buf, err := json.MarshalIndent(&doc, "", "  ")
+	return WriteJSON(w, &doc)
+}
+
+// WriteJSON writes doc the way every report of internal/obs is
+// written: indented by two spaces, newline-terminated.
+func WriteJSON(w io.Writer, doc any) error {
+	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
+	_, err = w.Write(append(buf, '\n'))
 	return err
-}
-
-// TotalTime returns the aggregate attributed time for op across all
-// ranks (0 if the op never completed) — convenience for tests.
-func (p *Profiler) TotalTime(op Op) sim.Time {
-	if p == nil || op >= NumOps {
-		return 0
-	}
-	return sim.Time(aggHist(p.totals[op]).SumNs)
 }

@@ -1,11 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -13,10 +14,10 @@ import (
 // map keys, so marshalling is byte-deterministic.
 type statsJSON struct {
 	Counters   map[string][]int64    `json:"counters"`
-	TimesNs    map[string][]int64    `json:"times_ns"`
+	TimesNs    map[string][]sim.Time `json:"times_ns"`
 	Gauges     map[string][]int64    `json:"gauges,omitempty"`
 	Histograms map[string][]histJSON `json:"histograms,omitempty"`
-	LinkBusyNs []int64               `json:"link_busy_ns,omitempty"`
+	LinkBusyNs []sim.Time            `json:"link_busy_ns,omitempty"`
 }
 
 // histJSON serializes one rank's histogram; buckets list only nonzero
@@ -27,64 +28,27 @@ type histJSON struct {
 	Buckets [][2]int64 `json:"buckets"`
 }
 
-// StatsJSON renders the registry as deterministic JSON.
-func (m *Metrics) StatsJSON() ([]byte, error) {
-	s := statsJSON{
-		Counters: map[string][]int64{},
-		TimesNs:  map[string][]int64{},
-	}
-	if m != nil {
-		for name, vals := range m.counters {
-			s.Counters[name] = vals
-		}
-		for name, vals := range m.times {
-			ns := make([]int64, len(vals))
-			for i, v := range vals {
-				ns[i] = int64(v)
-			}
-			s.TimesNs[name] = ns
-		}
-		if len(m.gauges) > 0 {
-			s.Gauges = map[string][]int64{}
-			for name, vals := range m.gauges {
-				s.Gauges[name] = vals
-			}
-		}
-		if len(m.hists) > 0 {
-			s.Histograms = map[string][]histJSON{}
-			for name, hs := range m.hists {
-				out := make([]histJSON, len(hs))
-				for i, h := range hs {
-					hj := histJSON{Count: h.Count, SumNs: h.SumNs, Buckets: [][2]int64{}}
-					for b, c := range h.Buckets {
-						if c != 0 {
-							hj.Buckets = append(hj.Buckets, [2]int64{int64(b), c})
-						}
-					}
-					out[i] = hj
-				}
-				s.Histograms[name] = out
-			}
-		}
-		if len(m.links) > 0 {
-			s.LinkBusyNs = make([]int64, len(m.links))
-			for i, v := range m.links {
-				s.LinkBusyNs[i] = int64(v)
-			}
-		}
-	}
-	return json.MarshalIndent(&s, "", "  ")
-}
-
 // WriteStatsJSON writes the registry as deterministic JSON.
 func (r *Recorder) WriteStatsJSON(w io.Writer) error {
-	b, err := r.Metrics().StatsJSON()
-	if err != nil {
-		return err
+	m := r.Metrics()
+	if m == nil {
+		m = NewMetrics()
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	s := statsJSON{Counters: m.counters, TimesNs: m.times, Gauges: m.gauges, LinkBusyNs: m.links}
+	if len(m.hists) > 0 {
+		s.Histograms = map[string][]histJSON{}
+	}
+	for name, hs := range m.hists {
+		out := make([]histJSON, len(hs))
+		for i, h := range hs {
+			out[i] = histJSON{Count: h.Count, SumNs: h.SumNs, Buckets: h.Sparse()}
+			if out[i].Buckets == nil {
+				out[i].Buckets = [][2]int64{} // an empty rank prints "[]", not "null"
+			}
+		}
+		s.Histograms[name] = out
+	}
+	return profile.WriteJSON(w, &s)
 }
 
 // nranks returns the widest per-rank vector in the registry.
@@ -94,35 +58,23 @@ func (m *Metrics) nranks() int {
 		return 0
 	}
 	for _, v := range m.counters {
-		if len(v) > n {
-			n = len(v)
-		}
+		n = max(n, len(v))
 	}
 	for _, v := range m.times {
-		if len(v) > n {
-			n = len(v)
-		}
+		n = max(n, len(v))
 	}
 	for _, v := range m.gauges {
-		if len(v) > n {
-			n = len(v)
-		}
+		n = max(n, len(v))
 	}
 	return n
 }
 
-func at64(s []int64, i int) int64 {
+// at is s[i], or zero past the end of a rank that never recorded.
+func at[T any](s []T, i int) (v T) {
 	if i < len(s) {
-		return s[i]
+		v = s[i]
 	}
-	return 0
-}
-
-func atTime(s []sim.Time, i int) sim.Time {
-	if i < len(s) {
-		return s[i]
-	}
-	return 0
+	return v
 }
 
 // WriteStats writes a human-readable report: a per-rank summary table
@@ -130,12 +82,7 @@ func atTime(s []sim.Time, i int) sim.Time {
 // epoch flushes), then every counter, time, and gauge in sorted order,
 // and per-node link busy time.
 func (r *Recorder) WriteStats(w io.Writer) {
-	r.Metrics().WriteStats(w)
-}
-
-// WriteStats writes the registry's human-readable report; see
-// Recorder.WriteStats.
-func (m *Metrics) WriteStats(w io.Writer) {
+	m := r.Metrics()
 	n := m.nranks()
 	fmt.Fprintf(w, "# obs stats — per-rank summary\n")
 	if n == 0 {
@@ -148,25 +95,25 @@ func (m *Metrics) WriteStats(w io.Writer) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(w, "%-5d %14.3f %14.3f %14d %14d %12d %10d %10d %10d %10d\n",
 			i,
-			atTime(m.times[TLockWaitShared], i).Micros(),
-			atTime(m.times[TLockWaitExcl], i).Micros(),
-			at64(m.counters[CBytesContig], i),
-			at64(m.counters[CBytesPacked], i),
-			at64(m.counters[CEpochFlush], i),
-			at64(m.counters[CEpochs], i),
-			at64(m.counters[COpsPut], i),
-			at64(m.counters[COpsGet], i),
-			at64(m.counters[COpsAcc], i))
+			at(m.times[TLockWaitShared], i).Micros(),
+			at(m.times[TLockWaitExcl], i).Micros(),
+			at(m.counters[CBytesContig], i),
+			at(m.counters[CBytesPacked], i),
+			at(m.counters[CEpochFlush], i),
+			at(m.counters[CEpochs], i),
+			at(m.counters[COpsPut], i),
+			at(m.counters[COpsGet], i),
+			at(m.counters[COpsAcc], i))
 	}
 
 	fmt.Fprintf(w, "\n# counters (per-rank, then total)\n")
-	for _, name := range sortedKeysI64(m.counters) {
+	for _, name := range sortedKeys(m.counters) {
 		vals := m.counters[name]
 		fmt.Fprintf(w, "%-24s total=%-12d", name, Total(vals))
 		writeI64Row(w, vals)
 	}
 	fmt.Fprintf(w, "\n# virtual-time metrics (us per rank, then total)\n")
-	for _, name := range sortedKeysTime(m.times) {
+	for _, name := range sortedKeys(m.times) {
 		vals := m.times[name]
 		fmt.Fprintf(w, "%-24s total=%-12.3f", name, TotalTime(vals).Micros())
 		for _, v := range vals {
@@ -176,26 +123,17 @@ func (m *Metrics) WriteStats(w io.Writer) {
 	}
 	if len(m.gauges) > 0 {
 		fmt.Fprintf(w, "\n# high-water gauges (per-rank)\n")
-		for _, name := range sortedKeysI64(m.gauges) {
+		for _, name := range sortedKeys(m.gauges) {
 			fmt.Fprintf(w, "%-24s", name)
 			writeI64Row(w, m.gauges[name])
 		}
 	}
 	if len(m.hists) > 0 {
 		fmt.Fprintf(w, "\n# latency histograms (aggregated across ranks; bucket b: [2^(b-1), 2^b) ns)\n")
-		names := make([]string, 0, len(m.hists))
-		for name := range m.hists {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedKeys(m.hists) {
 			var agg Hist
 			for _, h := range m.hists[name] {
-				agg.Count += h.Count
-				agg.SumNs += h.SumNs
-				for b, c := range h.Buckets {
-					agg.Buckets[b] += c
-				}
+				agg.Add(h)
 			}
 			mean := 0.0
 			if agg.Count > 0 {
@@ -225,20 +163,6 @@ func writeI64Row(w io.Writer, vals []int64) {
 	fmt.Fprintln(w)
 }
 
-func sortedKeysI64(m map[string][]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedKeysTime(m map[string][]sim.Time) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+func sortedKeys[V any](m map[string]V) []string {
+	return slices.Sorted(maps.Keys(m))
 }

@@ -16,37 +16,37 @@ const (
 )
 
 // shardedWorkload is a shard-confined exchange (cross-shard effects
-// only through AtRank at >= Lookahead) instrumented through rec, which
-// maps a rank to the recorder its shard owns: counters, time metrics,
-// histograms, gauges, spans, instants, profiler scopes, per-node link
-// telemetry (rank r lives on node r/2), and parks via the engine
-// observer hookup the caller installs.
-func shardedWorkload(e *sim.Engine, rec func(r int) *Recorder) func(*sim.Proc) {
+// only through AtRank at >= Lookahead) instrumented through o: every
+// record names the rank it concerns, which is all that files it in that
+// rank's shard. It leaves counters, time metrics, histograms, gauges,
+// spans, profiler scopes and matrix cells, per-node link telemetry
+// (rank r lives on node r/2), and parks via the engine observer hookup
+// the caller installs. The test.* series have no event of their own and
+// go to the owning buffer directly.
+func shardedWorkload(e *sim.Engine, o *Recorder) func(*sim.Proc) {
 	inbox := make([]int, shNRanks)
 	waiting := make([]*sim.Proc, shNRanks)
 	return func(p *sim.Proc) {
 		r := p.ID()
 		partner := (r + shNRanks/2) % shNRanks
 		for i := 0; i < shRounds; i++ {
-			o := rec(r)
-			pr := o.Prof()
 			start := p.Now()
-			pr.Begin(r, profile.OpPut)
+			o.OpBegin(r, profile.OpPut)
 			p.Elapse(sim.Time(200 + 31*r + 7*i))
-			pr.PhaseAt(r, profile.PhaseWire, start, p.Now())
-			pr.Send(r, partner, profile.MsgPut, profile.RouteRMA, 64+r)
-			pr.End(r)
-			o.Inc(r, "test.sends")
-			o.AddTime(r, "test.busy", p.Now()-start)
-			o.Observe(r, "test.step", p.Now()-start)
-			o.MaxGauge(r, "test.round", int64(i+1))
-			o.LinkBusy(r/2, sim.Time(50+r))
-			o.Span(r, "test", "step", start, p.Now())
+			o.Waited(Wait{Kind: WaitShmCopy, Rank: r, From: start, To: p.Now()})
+			o.Sent(r, partner, profile.MsgPut, profile.RouteRMA, 64+r)
+			o.OpEnd(r)
+			o.Count(r, "test.sends", 1)
+			b := o.of(r)
+			b.m.AddTime(r, "test.busy", p.Now()-start)
+			b.m.Observe(r, "test.step", p.Now()-start)
+			b.m.MaxGauge(r, "test.round", int64(i+1))
+			b.m.LinkBusy(r/2, sim.Time(50+r))
+			b.tr.span(o.pid, r, "test", "step", start, p.Now(), nil)
 			at := p.Now() + shLookahead + sim.Time(13*r+5*i)
 			e.AtRank(at, r, partner, func() {
-				d := rec(partner)
-				d.Inc(partner, "test.arrivals")
-				d.Instant(partner, "net", "arrive", at)
+				o.Count(partner, "test.arrivals", 1)
+				o.of(partner).tr.span(o.pid, partner, "net", "arrive", at, at, nil)
 				inbox[partner]++
 				if w := waiting[partner]; w != nil {
 					waiting[partner] = nil
@@ -68,24 +68,27 @@ func runShardedSeq(t *testing.T) *Recorder {
 	r := New(Options{Trace: true, Profile: true})
 	r.BeginJob("sharded-test", e, shNRanks)
 	e.Observe(r)
-	if err := e.Run(shNRanks, shardedWorkload(e, func(int) *Recorder { return r })); err != nil {
+	if err := e.Run(shNRanks, shardedWorkload(e, r)); err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
-// runShardedPar drives the workload on k shards,
-// each with its private recorder, and returns the merged view.
+// runShardedPar drives the workload on k shards, each with its private
+// buffer of one recorder, and returns the merged view.
 func runShardedPar(t *testing.T, k int) *Recorder {
 	t.Helper()
 	e := sim.NewEngine()
 	e.Shards = k
 	e.Lookahead = shLookahead
 	s := NewSharded(Options{Trace: true, Profile: true}, k)
-	e.ShardObservers = s.Observers()
-	s.BeginJob("sharded-test", func(i int) Clock { return e.ShardClock(i) }, shNRanks)
-	rec := func(r int) *Recorder { return s.Rec(e.ShardOf(r, shNRanks)) }
-	if err := e.Run(shNRanks, shardedWorkload(e, rec)); err != nil {
+	e.ShardObservers = func(int) sim.Observer { return s }
+	part := make([]int, shNRanks)
+	for r := range part {
+		part[r] = e.ShardOf(r, shNRanks)
+	}
+	s.BeginShardedJob("sharded-test", func(i int) Clock { return e.ShardClock(i) }, part)
+	if err := e.Run(shNRanks, shardedWorkload(e, s)); err != nil {
 		t.Fatal(err)
 	}
 	return s.Merge()
@@ -131,7 +134,7 @@ func TestShardedMergeEqualsSequential(t *testing.T) {
 			diffTime(t, "test.busy", gm.TimeOf("test.busy"), rm.TimeOf("test.busy"))
 			diffTime(t, "sched.park:recv", gm.TimeOf("sched.park:recv"), rm.TimeOf("sched.park:recv"))
 			diffI64(t, "test.round", gm.Gauge("test.round"), rm.Gauge("test.round"))
-			diffTime(t, "links", gm.Links(), rm.Links())
+			diffTime(t, "links", gm.links, rm.links)
 			gh, rh := gm.HistOf("test.step"), rm.HistOf("test.step")
 			if len(gh) != len(rh) {
 				t.Fatalf("hist ranks %d, want %d", len(gh), len(rh))

@@ -10,26 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Arg is one key/value annotation on a trace event. Values may be
-// string, int, int64, float64, or bool; anything else is rendered via
-// fmt.Sprint. Args keep insertion order so exports are byte-stable.
-type Arg struct {
+// arg is one key/value annotation on a trace event: a string or an
+// int (anything else is rendered via fmt.Sprint). Args keep insertion
+// order so exports are byte-stable.
+type arg struct {
 	Key string
 	Val interface{}
 }
 
-// A is shorthand for constructing an Arg.
-func A(key string, val interface{}) Arg { return Arg{Key: key, Val: val} }
-
 type traceEvent struct {
 	name  string
 	cat   string
-	ph    byte // 'X' complete, 'i' instant, 'M' metadata
+	ph    byte // 'X' complete, 'M' metadata
 	tsNs  int64
 	durNs int64
 	pid   int
 	tid   int
-	args  []Arg
+	args  []arg
 }
 
 // Tracer buffers trace events in insertion order. The simulation is
@@ -46,10 +43,7 @@ type Tracer struct {
 	named map[int64]bool
 }
 
-// NewTracer creates an empty tracer.
-func NewTracer() *Tracer { return &Tracer{} }
-
-func (t *Tracer) span(pid, tid int, cat, name string, start, end sim.Time, args []Arg) {
+func (t *Tracer) span(pid, tid int, cat, name string, start, end sim.Time, args []arg) {
 	if end < start {
 		end = start
 	}
@@ -90,64 +84,50 @@ func (t *Tracer) nameAux(pid, tid int) {
 	t.events = append(t.events,
 		traceEvent{
 			name: "thread_name", ph: 'M', pid: pid, tid: tid,
-			args: []Arg{{Key: "name", Val: name}},
+			args: []arg{{Key: "name", Val: name}},
 		},
 		traceEvent{
 			name: "thread_sort_index", ph: 'M', pid: pid, tid: tid,
-			args: []Arg{{Key: "sort_index", Val: sort}},
+			args: []arg{{Key: "sort_index", Val: sort}},
 		})
-}
-
-func (t *Tracer) instant(pid, tid int, cat, name string, at sim.Time, args []Arg) {
-	t.events = append(t.events, traceEvent{
-		name: name, cat: cat, ph: 'i',
-		tsNs: int64(at), pid: pid, tid: tid, args: args,
-	})
 }
 
 // meta emits process and thread naming metadata for a new job.
 func (t *Tracer) meta(pid int, label string, nranks int) {
 	t.events = append(t.events, traceEvent{
 		name: "process_name", ph: 'M', pid: pid,
-		args: []Arg{{Key: "name", Val: label}},
+		args: []arg{{Key: "name", Val: label}},
 	})
 	for i := 0; i < nranks; i++ {
 		t.events = append(t.events,
 			traceEvent{
 				name: "thread_name", ph: 'M', pid: pid, tid: i,
-				args: []Arg{{Key: "name", Val: fmt.Sprintf("rank %d", i)}},
+				args: []arg{{Key: "name", Val: fmt.Sprintf("rank %d", i)}},
 			},
 			traceEvent{
 				name: "thread_sort_index", ph: 'M', pid: pid, tid: i,
-				args: []Arg{{Key: "sort_index", Val: i}},
+				args: []arg{{Key: "sort_index", Val: i}},
 			})
 	}
 }
-
-// Len reports the number of buffered events.
-func (t *Tracer) Len() int { return len(t.events) }
 
 // WriteTrace exports the buffered events as Chrome trace_event JSON
 // (the "JSON object format"), loadable in chrome://tracing and
 // Perfetto. Timestamps are virtual microseconds with nanosecond
 // precision. Output is byte-deterministic for a deterministic run.
 func (r *Recorder) WriteTrace(w io.Writer) error {
-	if r == nil || r.tr == nil {
+	if r == nil || r.bufs[0].tr == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n")
 		return err
 	}
-	return r.tr.Write(w)
-}
-
-// Write exports the tracer's events; see Recorder.WriteTrace.
-func (t *Tracer) Write(w io.Writer) error {
+	events := r.bufs[0].tr.events
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":[` + "\n")
-	for i := range t.events {
+	for i := range events {
 		if i > 0 {
 			bw.WriteString(",\n")
 		}
-		writeEvent(bw, &t.events[i])
+		writeEvent(bw, &events[i])
 	}
 	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
 	return bw.Flush()
@@ -168,13 +148,8 @@ func writeEvent(bw *bufio.Writer, e *traceEvent) {
 	if e.ph != 'M' {
 		bw.WriteString(`,"ts":`)
 		bw.WriteString(formatUs(e.tsNs))
-		if e.ph == 'X' {
-			bw.WriteString(`,"dur":`)
-			bw.WriteString(formatUs(e.durNs))
-		}
-		if e.ph == 'i' {
-			bw.WriteString(`,"s":"t"`)
-		}
+		bw.WriteString(`,"dur":`)
+		bw.WriteString(formatUs(e.durNs))
 	}
 	bw.WriteString(`,"pid":`)
 	bw.WriteString(strconv.Itoa(e.pid))
@@ -229,14 +204,6 @@ func jsonValue(v interface{}) []byte {
 		return jsonString(x)
 	case int:
 		return []byte(strconv.Itoa(x))
-	case int64:
-		return []byte(strconv.FormatInt(x, 10))
-	case bool:
-		return []byte(strconv.FormatBool(x))
-	case float64:
-		return []byte(strconv.FormatFloat(x, 'g', -1, 64))
-	case sim.Time:
-		return []byte(strconv.FormatInt(int64(x), 10))
 	default:
 		return jsonString(fmt.Sprint(v))
 	}

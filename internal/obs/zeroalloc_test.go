@@ -13,51 +13,44 @@ type fixedClock sim.Time
 func (c fixedClock) Now() sim.Time { return sim.Time(c) }
 
 // TestDisabledRecorderAllocatesNothing pins the disabled-observability
-// cost to zero heap allocations: every facade method on a nil Recorder
-// must return before building anything. Hot paths call these guards on
-// every operation, so a single alloc here would dominate wall-clock
-// profiles.
+// cost to zero heap allocations: every event on a nil Recorder must
+// return before building anything, and passing it its arguments — the
+// by-value event structs, an enum handed over as a fmt.Stringer — must
+// build nothing either. Hot paths emit these on every operation, so a
+// single alloc here would dominate wall-clock profiles.
 func TestDisabledRecorderAllocatesNothing(t *testing.T) {
 	var r *Recorder // disabled: nil recorder
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.Inc(0, "c")
-		r.Add(0, "c", 3)
-		r.AddTime(0, "t", 5)
-		r.Observe(0, "h", 7)
-		r.MaxGauge(0, "g", 9)
-		r.LinkBusy(0, 11)
-		r.Span(0, "cat", "name", 0, 1)
-		r.SpanLane(1, "cat", "name", 0, 1)
-		r.Instant(0, "cat", "name", 2)
-		r.RankParked(0, "recv", 0)
-		r.RankResumed(0, 1)
-		_ = r.Enabled()
-		_ = r.Tracing()
-	})
+	allocs := testing.AllocsPerRun(1000, func() { everyEvent(r) })
 	if allocs != 0 {
 		t.Errorf("nil recorder allocated %.1f per run, want 0", allocs)
 	}
 }
 
+// profCycle is one operation's worth of the events the profiler
+// records: a scope, phases of each reporting shape, a timed transfer
+// with link statistics, both matrix sides.
+func profCycle(r *Recorder) {
+	r.OpBegin(1, profile.OpGet)
+	r.Waited(Wait{Kind: WaitLock, Rank: 1, From: 0, To: 5, Peer: 2})
+	r.Xfer(Xfer{Src: 1, Dst: 2, Bytes: 128, NicS: 0, NicD: 1, Now: 5, Base: 6, Start: 7, Occupy: 2, Arrive: 9})
+	r.Wire(1, 1, 2, profile.MsgGet, profile.RouteRMA, 128)
+	r.Booked(Booking{Rank: 1, At: 9, Start: 10, Done: 11})
+	r.Landed(1, 2, profile.MsgGet, profile.RouteRMA, 128)
+	r.OpEnd(1)
+}
+
 // TestDisabledProfilerAllocatesNothing pins the disabled-profiler cost
-// to zero heap allocations: a nil *profile.Profiler is what every hook
-// site holds when -profile is off, and each method must return before
-// touching any state.
+// to zero heap allocations: with -profile off the events that carry
+// phases, matrix cells and link statistics reach a nil
+// *profile.Profiler, which must return before touching any state (the
+// metrics they also feed are warm after the first cycle).
 func TestDisabledProfilerAllocatesNothing(t *testing.T) {
 	r := New(Options{}) // no Profile: Prof() returns nil
-	pr := r.Prof()
-	if pr != nil {
+	if r.Prof() != nil {
 		t.Fatal("recorder without Options.Profile returned a profiler")
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		pr.Begin(0, profile.OpPut)
-		pr.PhaseAt(0, profile.PhaseWire, 0, 5)
-		pr.Send(0, 1, profile.MsgPut, profile.RouteRMA, 64)
-		pr.Recv(0, 1, profile.MsgPut, profile.RouteRMA, 64)
-		pr.Link(0, 64, 1, 2, 3)
-		pr.End(0)
-		_ = pr.InScope(0)
-	})
+	r.BeginJob("job", fixedClock(0), 4)
+	allocs := testing.AllocsPerRun(1000, func() { profCycle(r) })
 	if allocs != 0 {
 		t.Errorf("nil profiler allocated %.1f per run, want 0", allocs)
 	}
@@ -70,56 +63,44 @@ func TestDisabledProfilerAllocatesNothing(t *testing.T) {
 func TestProfilerRecordPathAllocatesNothing(t *testing.T) {
 	r := New(Options{Profile: true})
 	r.BeginJob("job", fixedClock(0), 4)
-	pr := r.Prof()
-	if pr == nil {
+	if r.Prof() == nil {
 		t.Fatal("recorder with Options.Profile returned nil profiler")
 	}
-	// Warm every table the cycle touches.
-	pr.Begin(1, profile.OpGet)
-	pr.PhaseAt(1, profile.PhaseLockWait, 0, 5)
-	pr.PhaseAt(1, profile.PhaseWire, 5, 9)
-	pr.Send(1, 2, profile.MsgGet, profile.RouteRMA, 128)
-	pr.Recv(1, 2, profile.MsgGet, profile.RouteRMA, 128)
-	pr.Link(0, 128, 1, 2, 3)
-	pr.End(1)
-	allocs := testing.AllocsPerRun(1000, func() {
-		pr.Begin(1, profile.OpGet)
-		pr.PhaseAt(1, profile.PhaseLockWait, 0, 5)
-		pr.PhaseAt(1, profile.PhaseWire, 5, 9)
-		pr.Send(1, 2, profile.MsgGet, profile.RouteRMA, 128)
-		pr.Recv(1, 2, profile.MsgGet, profile.RouteRMA, 128)
-		pr.Link(0, 128, 1, 2, 3)
-		pr.End(1)
-	})
+	profCycle(r) // warm every table the cycle touches
+	allocs := testing.AllocsPerRun(1000, func() { profCycle(r) })
+	if got := r.Prof().TotalHists(profile.OpGet)[1].Count; got != 1002 {
+		t.Errorf("profiler closed %d get scopes, want one per cycle", got)
+	}
 	if allocs != 0 {
 		t.Errorf("warm profiler record cycle allocated %.1f per run, want 0", allocs)
 	}
 }
 
 // TestDisabledCritPathAllocatesNothing pins the disabled critical-path
-// cost to zero heap allocations: a nil *critpath.Rec is what every
-// dependence-edge hook site holds when -critpath is off (fabric
-// delivery, lock grants, park/resume forwarding), and each method must
-// return before touching any state.
+// cost to zero heap allocations: with -critpath off every wake-edge
+// event (fabric delivery, lock grants, handler provenance) and the
+// park/resume forwarding reach a nil *critpath.Rec, which must return
+// before touching any state.
 func TestDisabledCritPathAllocatesNothing(t *testing.T) {
 	r := New(Options{}) // no CritPath: Crit() returns nil
-	c := r.Crit()
-	if c != nil {
+	if r.Crit() != nil {
 		t.Fatal("recorder without Options.CritPath returned a critpath recorder")
 	}
+	r.BeginJob("job", fixedClock(0), 4)
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Parked(0, "recv", 0)
-		c.Resumed(0, 5)
-		c.Finished(0, 9)
-		_ = c.MsgHop(0, 1, 2, 3, 0, 1, 0)
-		_ = c.ArbHop(0, 1, 2, 1, 0)
-		c.WakeCause(0, 7)
-		c.WakeGrant(0, 1, 3)
-		c.WakeAmbient(0)
-		_ = c.Ambient()
-		_ = c.SetAmbient(0)
-		c.RawPhase(0, profile.OpPut, profile.PhaseWire, 0, 5)
-		c.RawScope(0, profile.OpPut, 0, 5)
+		r.RankParked(0, "recv", 0)
+		edge := r.MsgHop(1, 1, 2, 3, 0, 1)
+		edge = r.ArbHop(0, 1, 3, 4, 1, edge)
+		r.WakeCause(0, edge)
+		r.WakeGrant(0, 1, 3)
+		prev := r.Enter(0, edge)
+		r.WakeAmbient(0)
+		r.Leave(0, prev)
+		r.RankResumed(0, 5)
+		r.RankFinished(0, 9)
+		if edge != 0 {
+			t.Fatal("disabled critical path handed out an edge")
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("nil critpath recorder allocated %.1f per run, want 0", allocs)
@@ -159,7 +140,7 @@ func TestCritPathWarmRecordCycleBounded(t *testing.T) {
 	cycle := func() {
 		for i := range refs {
 			c.Parked(1, "recv", sim.Time(i))
-			ref := c.MsgHop(0, sim.Time(i), sim.Time(i+1), sim.Time(i+2), 0, 1, 0)
+			ref := c.MsgHop(0, sim.Time(i), sim.Time(i+1), sim.Time(i+2), 0, 1)
 			c.WakeCause(1, ref)
 			c.Resumed(1, sim.Time(i+3))
 			c.RawPhase(1, profile.OpGet, profile.PhaseWire, sim.Time(i), sim.Time(i+3))
@@ -220,10 +201,10 @@ func TestParkNameInterning(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("interned park/resume allocated %.1f per run, want 0", allocs)
 	}
-	if got := r.parkName("recv").metric; got != "sched.park:recv" {
+	if got := r.bufs[0].parkName("recv").metric; got != "sched.park:recv" {
 		t.Errorf("interned metric = %q, want sched.park:recv", got)
 	}
-	if got := r.parkName("recv").span; got != "park:recv" {
+	if got := r.bufs[0].parkName("recv").span; got != "park:recv" {
 		t.Errorf("interned span = %q, want park:recv", got)
 	}
 }

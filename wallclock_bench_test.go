@@ -5,12 +5,8 @@ package repro
 //
 //	go test -bench 'BenchmarkWallclock' -benchtime 1x .
 //
-// and regenerate the machine-readable trajectory artifact with
-//
-//	go run ./cmd/armci-bench -wallclock results
-//
-// ops/s and events/s metrics are the numbers the ISSUE's ≥2x
-// acceptance bar is measured on.
+// The same driver loops are the layer rows of go run ./benchmark, which
+// is where the host-time trajectory is kept.
 
 import (
 	"testing"
