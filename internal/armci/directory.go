@@ -87,9 +87,7 @@ func (d *Directory[T]) Register(group []int, addrs []Addr, sizes []int, ext T) *
 func (d *Directory[T]) RegisterCollective(comm *mpi.Comm, members []int, va int64, bytes int, newExt func() T) *Allocation[T] {
 	var vas []int64
 	if comm.Size() >= mpi.BigCommThreshold {
-		for _, p := range comm.Gather(0, mpi.I64sToBytes([]int64{va, int64(bytes)})) {
-			vas = append(vas, mpi.BytesToI64s(p)...)
-		}
+		vas = comm.GatherI64(0, []int64{va, int64(bytes)})
 	} else {
 		members = append([]int(nil), members...)
 		vas = comm.AllgatherI64([]int64{va, int64(bytes)})

@@ -22,10 +22,11 @@ type epochCtl struct {
 	mpi3  bool
 }
 
-// beginEpoch opens the access discipline for one target.
-func (r *Runtime) beginEpoch(g *GMR, gr int, class OpClass) (*epochCtl, error) {
+// beginEpoch opens the access discipline for one target. The control
+// block is a value: the executor holds it while the epoch is open.
+func (r *Runtime) beginEpoch(g *GMR, gr int, class OpClass) (epochCtl, error) {
 	win := g.Ext.wins[r.Rank()]
-	e := &epochCtl{r: r, g: g, gr: gr, win: win, class: class, mpi3: r.Opt.UseMPI3}
+	e := epochCtl{r: r, g: g, gr: gr, win: win, class: class, mpi3: r.Opt.UseMPI3}
 	if e.mpi3 {
 		return e, r.ensureLockAll(win)
 	}

@@ -19,21 +19,63 @@ import (
 
 // execState tracks the resources one blocking plan execution holds so
 // they are torn down exactly once — on success through finish, and on
-// a mid-sequence failure through abort.
+// a mid-sequence failure through abort. It lives on the executing
+// function's stack; its slices are the runtime's scratch, borrowed by
+// newExec and given back by finish or abort (a nested execution would
+// find them lent out and grow its own).
 type execState struct {
 	r     *Runtime
-	e     *epochCtl
-	views []localView
-	wb    []bool
+	e     epochCtl
+	open  bool // e is an open epoch
+	held  []heldView
 	temps []*fabric.Region
 }
 
+// heldView is a local view and whether releasing it writes back (gets).
+type heldView struct {
+	v         localView
+	writeBack bool
+}
+
+func (r *Runtime) newExec() execState {
+	st := execState{r: r, held: r.held, temps: r.temps}
+	r.held, r.temps = nil, nil
+	return st
+}
+
+// giveBack returns the scratch slices, emptied, to the runtime.
+func (st *execState) giveBack() {
+	clear(st.held)
+	clear(st.temps)
+	st.r.held, st.r.temps = st.held[:0], st.temps[:0]
+	st.held, st.temps = nil, nil
+}
+
 func (st *execState) addView(v localView, writeBack bool) {
-	st.views = append(st.views, v)
-	st.wb = append(st.wb, writeBack)
+	st.held = append(st.held, heldView{v: v, writeBack: writeBack})
 }
 
 func (st *execState) addTemp(t *fabric.Region) { st.temps = append(st.temps, t) }
+
+// begin opens the epoch the plan's operations issue into.
+func (st *execState) begin(p *plan) error {
+	e, err := st.r.beginEpoch(p.g, p.gr, p.class)
+	if err != nil {
+		return err
+	}
+	st.e, st.open = e, true
+	return nil
+}
+
+// end closes the open epoch; one that fails to close stays open for
+// abort to try again.
+func (st *execState) end() error {
+	if err := st.e.end(); err != nil {
+		return err
+	}
+	st.open = false
+	return nil
+}
 
 // issue dispatches one operation into the open epoch.
 func (st *execState) issue(class OpClass, buf mpi.LocalBuf, disp int, rtype mpi.Datatype) error {
@@ -56,13 +98,15 @@ func (st *execState) finish() error {
 			return err
 		}
 	}
-	st.temps = nil
-	for i := range st.views {
-		if err := st.r.release(&st.views[i], st.wb[i]); err != nil {
+	clear(st.temps)
+	st.temps = st.temps[:0]
+	for i := range st.held {
+		h := &st.held[i]
+		if err := st.r.release(&h.v, h.writeBack); err != nil {
 			return err
 		}
 	}
-	st.views, st.wb = nil, nil
+	st.giveBack()
 	return nil
 }
 
@@ -70,18 +114,16 @@ func (st *execState) finish() error {
 // so the target window is not left locked, free temporaries, and drop
 // held views without write-back (their contents are not trustworthy).
 func (st *execState) abort() {
-	if st.e != nil {
-		_ = st.e.end()
-		st.e = nil
+	if st.open {
+		_ = st.end()
 	}
 	for _, t := range st.temps {
 		_ = st.r.freeTemp(t)
 	}
-	st.temps = nil
-	for i := range st.views {
-		_ = st.r.release(&st.views[i], false)
+	for i := range st.held {
+		_ = st.r.release(&st.held[i].v, false)
 	}
-	st.views, st.wb = nil, nil
+	st.giveBack()
 }
 
 // execute carries out a compiled plan with blocking semantics: the
@@ -185,7 +227,7 @@ func (r *Runtime) execNodeEpoch(p *plan) error {
 	if err != nil {
 		return err
 	}
-	t := mpi.TypeContiguous(p.span)
+	t := r.contig(p.span)
 	buf := mpi.LocalBuf{Region: reg, Off: int(p.local.VA - reg.VA), Type: t}
 	var tmp *fabric.Region
 	if p.class == ClassAcc && p.scale != 1 {
@@ -217,7 +259,7 @@ func (r *Runtime) execNodeEpoch(p *plan) error {
 
 // execSingle issues one datatype-described operation in one epoch.
 func (r *Runtime) execSingle(p *plan) (err error) {
-	st := &execState{r: r}
+	st := r.newExec()
 	defer func() {
 		if err != nil {
 			st.abort()
@@ -235,20 +277,17 @@ func (r *Runtime) execSingle(p *plan) (err error) {
 			return err
 		}
 		st.addTemp(scaled)
-		buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: mpi.TypeContiguous(p.ltype.Size())}
+		buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: r.contig(p.ltype.Size())}
 	}
-	e, err := r.beginEpoch(p.g, p.gr, p.class)
-	if err != nil {
+	if err = st.begin(p); err != nil {
 		return err
 	}
-	st.e = e
 	if err = st.issue(p.class, buf, p.disp, p.rtype); err != nil {
 		return err
 	}
-	if err = st.e.end(); err != nil {
+	if err = st.end(); err != nil {
 		return err
 	}
-	st.e = nil
 	r.obs().Count(r.Rank(), obs.CPlanSegs, 1)
 	return st.finish()
 }
@@ -259,7 +298,7 @@ func (r *Runtime) execSingle(p *plan) (err error) {
 // holding all views until finish is free — but the discipline keeps
 // the release invariant uniform across plan kinds.
 func (r *Runtime) execBatched(p *plan) (err error) {
-	st := &execState{r: r}
+	st := r.newExec()
 	defer func() {
 		if err != nil {
 			st.abort()
@@ -274,34 +313,32 @@ func (r *Runtime) execBatched(p *plan) (err error) {
 		if end > len(p.segs) {
 			end = len(p.segs)
 		}
-		var e *epochCtl
-		if e, err = r.beginEpoch(p.g, p.gr, p.class); err != nil {
+		if err = st.begin(p); err != nil {
 			return err
 		}
-		st.e = e
 		for _, sg := range p.segs[start:end] {
 			var v localView
 			if v, err = r.acquireLocal(sg.local, sg.n); err != nil {
 				return err
 			}
 			st.addView(v, p.class == ClassGet)
-			buf := v.buf(sg.local.VA, mpi.TypeContiguous(sg.n))
+			t := r.contig(sg.n)
+			buf := v.buf(sg.local.VA, t)
 			if p.class == ClassAcc && p.scale != 1 {
 				var scaled *fabric.Region
-				if scaled, err = r.prescale(&v, sg.local.VA, mpi.TypeContiguous(sg.n), p.scale); err != nil {
+				if scaled, err = r.prescale(&v, sg.local.VA, t, p.scale); err != nil {
 					return err
 				}
 				st.addTemp(scaled)
-				buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: mpi.TypeContiguous(sg.n)}
+				buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: t}
 			}
-			if err = st.issue(p.class, buf, sg.disp, mpi.TypeContiguous(sg.n)); err != nil {
+			if err = st.issue(p.class, buf, sg.disp, t); err != nil {
 				return err
 			}
 		}
-		if err = st.e.end(); err != nil {
+		if err = st.end(); err != nil {
 			return err
 		}
-		st.e = nil
 	}
 	r.obs().Count(r.Rank(), obs.CPlanSegs, len(p.segs))
 	return st.finish()
@@ -317,11 +354,11 @@ func (r *Runtime) execBatched(p *plan) (err error) {
 func (r *Runtime) execPerSeg(p *plan) error {
 	pin := !p.dec.PerSeg
 	if pin {
-		defer func() { r.pinnedRoute = nil }()
+		defer func() { r.pinned = false }()
 	}
 	for _, sg := range p.csegs {
 		if pin {
-			r.pinnedRoute = &RouteDecision{Route: RouteRMA, Method: p.dec.Method}
+			r.pinnedRoute, r.pinned = RouteDecision{Route: RouteRMA, Method: p.dec.Method}, true
 		}
 		var err error
 		switch p.class {
@@ -424,7 +461,7 @@ func (r *Runtime) issueNb3(p *plan, h *nbHandle) error {
 		return r.issueOneNb3(h, p, p.local, p.span, p.ltype, p.disp, p.rtype)
 	case planBatched:
 		for _, sg := range p.segs {
-			t := mpi.TypeContiguous(sg.n)
+			t := r.contig(sg.n)
 			if err := r.issueOneNb3(h, p, sg.local, sg.n, t, sg.disp, t); err != nil {
 				return err
 			}
@@ -440,7 +477,7 @@ func (r *Runtime) issueNb3(p *plan, h *nbHandle) error {
 			if err != nil {
 				return err
 			}
-			if err := r.issueNb3(sub, h); err != nil {
+			if err := r.issueNb3(&sub, h); err != nil {
 				return err
 			}
 		}
@@ -465,7 +502,7 @@ func (r *Runtime) issueOneNb3(h *nbHandle, p *plan, local armci.Addr, span int, 
 			return err
 		}
 		h.temps = append(h.temps, scaled)
-		buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: mpi.TypeContiguous(ltype.Size())}
+		buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: r.contig(ltype.Size())}
 	}
 	win := p.g.Ext.wins[r.Rank()]
 	if err := r.ensureLockAll(win); err != nil {

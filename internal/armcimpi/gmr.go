@@ -168,12 +168,19 @@ type Runtime struct {
 
 	// policy is the routing layer's decision maker (route.go); New
 	// installs the engine default, SetRoutePolicy replaces it.
-	// pinnedRoute, when non-nil, is consumed by the next decide call:
-	// per-segment re-entries of an already routed conservative plan
-	// keep the descriptor's decision instead of re-deciding (and
+	// pinnedRoute, when pinned is set, is consumed by the next decide
+	// call: per-segment re-entries of an already routed conservative
+	// plan keep the descriptor's decision instead of re-deciding (and
 	// re-staging or re-counting).
 	policy      RoutePolicy
-	pinnedRoute *RouteDecision
+	pinnedRoute RouteDecision
+	pinned      bool
+
+	// held and temps are the executor's scratch slices (exec.go), lent
+	// to one blocking execution at a time; lastContig is contig's memo.
+	held       []heldView
+	temps      []*fabric.Region
+	lastContig mpi.Datatype
 
 	// Outstanding MPI-3 request ops, tracked per window and per target
 	// (window rank) so Fence(proc) can flush just that target.

@@ -47,15 +47,12 @@ func newMutexes(r *Runtime, parent *mpi.Comm, n int) (*Mutexes, error) {
 		// every rank hosts the same count (GMR mutex sets host exactly
 		// one each), so a scalar broadcast replaces the N-entry count
 		// vector every rank would otherwise hold.
-		parts := comm.Gather(0, mpi.I64sToBytes([]int64{int64(n)}))
-		var all []int64
+		all := comm.GatherI64(0, []int64{int64(n)})
 		hdr := make([]int64, 1)
 		if comm.Rank() == 0 {
-			all = make([]int64, len(parts))
-			hdr[0] = mpi.BytesToI64s(parts[0])[0]
-			for i, p := range parts {
-				all[i] = mpi.BytesToI64s(p)[0]
-				if all[i] != hdr[0] {
+			hdr[0] = all[0]
+			for _, c := range all {
+				if c != hdr[0] {
 					hdr[0] = -1
 				}
 			}

@@ -64,7 +64,7 @@ func (r *Runtime) NbPut(src, dst armci.Addr, n int) (armci.Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.execNb3(p)
+	return r.execNb3(&p)
 }
 
 // NbGet issues a get; under MPI-2 it completes immediately, under
@@ -83,7 +83,7 @@ func (r *Runtime) NbGet(src, dst armci.Addr, n int) (armci.Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.execNb3(p)
+	return r.execNb3(&p)
 }
 
 // NbAcc issues an accumulate; under MPI-2 it completes immediately,
@@ -106,7 +106,7 @@ func (r *Runtime) NbAcc(op armci.AccOp, scale float64, src, dst armci.Addr, n in
 	if err != nil {
 		return nil, err
 	}
-	return r.execNb3(p)
+	return r.execNb3(&p)
 }
 
 // NbPutS issues a strided put through the configured strided method.
@@ -155,7 +155,7 @@ func (r *Runtime) nbStrided(class OpClass, scale float64, s *armci.Strided) (arm
 	if err != nil {
 		return nil, err
 	}
-	return r.execNb3(p)
+	return r.execNb3(&p)
 }
 
 // NbPutV issues a generalized I/O vector put to proc.
@@ -196,5 +196,5 @@ func (r *Runtime) nbIOV(class OpClass, scale float64, iov []armci.GIOV, proc int
 	if err != nil {
 		return nil, err
 	}
-	return r.execNb3(p)
+	return r.execNb3(&p)
 }

@@ -60,7 +60,7 @@ func (r *Runtime) strided(class OpClass, scale float64, s *armci.Strided) error 
 	if err != nil {
 		return err
 	}
-	if err := r.execute(p); err != nil {
+	if err := r.execute(&p); err != nil {
 		return err
 	}
 	r.obs().OpDone(r.Rank(), profStridedOp[class], t0, r.R.P.Now(), remote.Rank, s.SegBytes(), rt.dec.Method)
@@ -214,7 +214,11 @@ type iovSeg struct {
 }
 
 func orient(iov []armci.GIOV, class OpClass) []iovSeg {
-	var segs []iovSeg
+	n := 0
+	for gi := range iov {
+		n += len(iov[gi].Src)
+	}
+	segs := make([]iovSeg, 0, n)
 	for gi := range iov {
 		g := &iov[gi]
 		for i := range g.Src {
@@ -238,5 +242,5 @@ func (r *Runtime) iov(class OpClass, scale float64, iov []armci.GIOV, proc int) 
 	if err != nil {
 		return err
 	}
-	return r.execute(p)
+	return r.execute(&p)
 }

@@ -173,7 +173,7 @@ func (r *Runtime) Put(src, dst armci.Addr, n int) error {
 	if err != nil {
 		return err
 	}
-	if err := r.execute(p); err != nil {
+	if err := r.execute(&p); err != nil {
 		return err
 	}
 	r.obs().OpDone(r.Rank(), profile.OpPut, t0, r.R.P.Now(), dst.Rank, n, nil)
@@ -194,7 +194,7 @@ func (r *Runtime) Get(src, dst armci.Addr, n int) error {
 	if err != nil {
 		return err
 	}
-	if err := r.execute(p); err != nil {
+	if err := r.execute(&p); err != nil {
 		return err
 	}
 	r.obs().OpDone(r.Rank(), profile.OpGet, t0, r.R.P.Now(), src.Rank, n, nil)
@@ -219,7 +219,7 @@ func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int)
 	if err != nil {
 		return err
 	}
-	if err := r.execute(p); err != nil {
+	if err := r.execute(&p); err != nil {
 		return err
 	}
 	r.obs().OpDone(r.Rank(), profile.OpAcc, t0, r.R.P.Now(), dst.Rank, n, nil)

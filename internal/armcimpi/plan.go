@@ -107,19 +107,19 @@ func (p *plan) nsegs() int {
 // has already validated the request (CheckContig and, for accumulate,
 // float64 alignment) and routed it. Direct near decisions become
 // planNear; everything else resolves against the GMR as before.
-func (r *Runtime) compileContig(class OpClass, scale float64, local, remote armci.Addr, n int, rt routed) (*plan, error) {
+func (r *Runtime) compileContig(class OpClass, scale float64, local, remote armci.Addr, n int, rt routed) (plan, error) {
 	if rt.dec.Direct {
-		return &plan{
+		return plan{
 			class: class, scale: scale, kind: planNear,
 			local: local, span: n, raddr: remote, dec: rt.dec,
 		}, nil
 	}
 	g, gr, disp, err := r.remote(remote, n)
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
-	t := mpi.TypeContiguous(n)
-	return &plan{
+	t := r.contig(n)
+	return plan{
 		class: class, scale: scale, kind: planSingle,
 		g: g, gr: gr, local: local, span: n, ltype: t, rtype: t, disp: disp,
 		dec: rt.dec, stageBytes: rt.bytes,
@@ -131,7 +131,7 @@ func (r *Runtime) compileContig(class OpClass, scale float64, local, remote armc
 // IOV engine over the descriptor's segment expansion, or — for a
 // near-tier descriptor — one contiguous segment per stride iteration,
 // each re-entering the engine to be routed individually.
-func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided, rt routed) (*plan, error) {
+func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided, rt routed) (plan, error) {
 	if rt.dec.PerSeg {
 		seg := s.SegBytes()
 		csegs := make([]contigSeg, 0, s.TotalBytes()/max(seg, 1))
@@ -142,7 +142,7 @@ func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided,
 			}
 			csegs = append(csegs, c)
 		})
-		return &plan{class: class, scale: scale, kind: planPerSeg, csegs: csegs, dec: rt.dec}, nil
+		return plan{class: class, scale: scale, kind: planPerSeg, csegs: csegs, dec: rt.dec}, nil
 	}
 	if rt.dec.Method != MethodDirect {
 		g := s.ToGIOV()
@@ -162,9 +162,9 @@ func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided,
 	}
 	g, gr, disp, err := r.remote(remoteAddr, remoteSpan)
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
-	return &plan{
+	return plan{
 		class: class, scale: scale, kind: planSingle, g: g, gr: gr,
 		local: localAddr, span: localSpan,
 		ltype: r.stridedTypeCached(localStride, s.Count),
@@ -178,15 +178,15 @@ func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided,
 // with the routed method (SectionVI.A). Near-tier descriptors compile
 // to the per-segment plan regardless of method: each segment re-enters
 // the engine and is routed on its own.
-func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, proc int, rt routed) (*plan, error) {
+func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, proc int, rt routed) (plan, error) {
 	if err := armci.ValidateIOV(iov, proc, class == ClassGet); err != nil {
-		return nil, err
+		return plan{}, err
 	}
 	segs := orient(iov, class)
 	if len(segs) == 0 {
-		return &plan{class: class, scale: scale, kind: planPerSeg, dec: rt.dec}, nil
+		return plan{class: class, scale: scale, kind: planPerSeg, dec: rt.dec}, nil
 	}
-	p, err := func() (*plan, error) {
+	p, err := func() (plan, error) {
 		if rt.dec.PerSeg {
 			return r.compileConservative(class, scale, segs), nil
 		}
@@ -200,11 +200,11 @@ func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, pro
 		case MethodAuto:
 			return r.compileAuto(class, scale, segs)
 		default:
-			return nil, fmt.Errorf("armcimpi: unknown IOV method %v", rt.dec.Method)
+			return plan{}, fmt.Errorf("armcimpi: unknown IOV method %v", rt.dec.Method)
 		}
 	}()
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
 	p.dec, p.stageBytes = rt.dec, rt.bytes
 	return p, nil
@@ -218,7 +218,7 @@ func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, pro
 // side for get: two segments writing the same bytes within one epoch
 // may land in either order, whereas overlapping get sources are
 // read-read and harmless.
-func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (*plan, error) {
+func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (plan, error) {
 	r.W.AutoScans++
 	safe := true
 	tree := &r.scan
@@ -261,12 +261,12 @@ func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (*pla
 
 // compileConservative plans one contiguous operation per segment, each
 // in its own epoch; segments may overlap and span GMRs.
-func (r *Runtime) compileConservative(class OpClass, scale float64, segs []iovSeg) *plan {
+func (r *Runtime) compileConservative(class OpClass, scale float64, segs []iovSeg) plan {
 	csegs := make([]contigSeg, len(segs))
 	for i, sg := range segs {
 		csegs[i] = contigSeg{local: sg.local, remote: sg.remote, n: sg.n}
 	}
-	return &plan{class: class, scale: scale, kind: planPerSeg, csegs: csegs}
+	return plan{class: class, scale: scale, kind: planPerSeg, csegs: csegs}
 }
 
 // compileBatched plans up to BatchSize contiguous operations per
@@ -274,7 +274,7 @@ func (r *Runtime) compileConservative(class OpClass, scale float64, segs []iovSe
 // MPI reports an error (SectionVI.B's motivation). Local buffers
 // living in global space force the conservative plan (staging cannot
 // be done while the remote epoch is open).
-func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (*plan, error) {
+func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (plan, error) {
 	for _, sg := range segs {
 		if _, _, _, inGMR := r.W.dir.Find(sg.local); inGMR && !r.Opt.NoStaging {
 			return r.compileConservative(class, scale, segs), nil
@@ -294,14 +294,14 @@ func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (*
 	}
 	g, gr, _, err := r.remoteGMR(segs[0].remote)
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
 	base := g.Addrs[gr]
 	ps := make([]planSeg, len(segs))
 	for i, sg := range segs {
 		ps[i] = planSeg{local: sg.local, disp: int(sg.remote.VA - base.VA), n: sg.n}
 	}
-	return &plan{
+	return plan{
 		class: class, scale: scale, kind: planBatched,
 		g: g, gr: gr, segs: ps, batch: r.Opt.BatchSize,
 	}, nil
@@ -310,10 +310,10 @@ func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (*
 // compileIOVDirect plans one MPI indexed datatype per side and a
 // single operation, letting MPI choose pack/unpack or batching
 // (SectionVI.A's direct method).
-func (r *Runtime) compileIOVDirect(class OpClass, scale float64, segs []iovSeg) (*plan, error) {
+func (r *Runtime) compileIOVDirect(class OpClass, scale float64, segs []iovSeg) (plan, error) {
 	g, gr, _, err := r.remoteGMR(segs[0].remote)
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
 	base := g.Addrs[gr]
 	// Local side: offsets relative to the lowest local address.
@@ -337,13 +337,25 @@ func (r *Runtime) compileIOVDirect(class OpClass, scale float64, segs []iovSeg) 
 		rOffs[i] = int(sg.remote.VA - base.VA)
 		rLens[i] = sg.n
 	}
-	return &plan{
+	return plan{
 		class: class, scale: scale, kind: planSingle, g: g, gr: gr,
 		local: armci.Addr{Rank: r.Rank(), VA: localBase}, span: localSpan,
 		ltype: mpi.TypeIndexed(lOffs, lLens),
 		rtype: mpi.TypeIndexed(rOffs, rLens),
 		disp:  0,
 	}, nil
+}
+
+// contig is mpi.TypeContiguous(n), keeping the last one built: a
+// datatype is immutable, and boxing one into the Datatype interface is
+// an allocation that the segments of one strided plan — all the same
+// length — would otherwise pay once each.
+func (r *Runtime) contig(n int) mpi.Datatype {
+	if t := r.lastContig; t != nil && t.Size() == n {
+		return t
+	}
+	r.lastContig = mpi.TypeContiguous(n)
+	return r.lastContig
 }
 
 // remoteGMR resolves a remote address to its GMR without a span check

@@ -195,9 +195,9 @@ type routed struct {
 // instead (execPerSeg sets it), so a descriptor is decided — and
 // counted — once, not once per segment.
 func (r *Runtime) decide(req RouteRequest) routed {
-	if d := r.pinnedRoute; d != nil {
-		r.pinnedRoute = nil
-		return routed{dec: *d, bytes: req.Bytes}
+	if r.pinned {
+		r.pinned = false
+		return routed{dec: r.pinnedRoute, bytes: req.Bytes}
 	}
 	d := r.policy.Decide(req)
 	if !d.PerSeg {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/armci"
 	"repro/internal/armcimpi"
@@ -32,13 +33,14 @@ func QuickFig4() Fig4Config {
 	return Fig4Config{SegSizes: []int{16, 1024}, MaxSegs: 64, Iters: 2}
 }
 
-// stridedSeries names the method variants plotted in Figure 4.
+// stridedVariant is one of the method variants plotted in Figure 4.
 type stridedVariant struct {
 	label  string
 	impl   harness.Impl
 	method armcimpi.Method
 }
 
+// fig4Variants lists the series in plotting order.
 func fig4Variants() []stridedVariant {
 	return []stridedVariant{
 		{"Native", harness.ImplNative, armcimpi.MethodDirect},
@@ -48,6 +50,14 @@ func fig4Variants() []stridedVariant {
 		{"IOV-Consrv", harness.ImplARMCIMPI, armcimpi.MethodConservative},
 	}
 }
+
+// fig4Dispatch is the order a panel's jobs are handed to several
+// workers, as indices into fig4Variants: the method that opens the most
+// epochs per operation first — conservative, batched, IOV-direct,
+// direct, native (0.69 / 0.45 / 0.26 / 0.25 / 0.17 host seconds summed
+// over the 24 panels, DESIGN.md "Figure sweeps") — so the longest job is
+// never the one the last free worker starts on.
+var fig4Dispatch = [...]int{4, 3, 2, 1, 0}
 
 // StridedBandwidth measures one variant's strided bandwidth for a
 // fixed segment size over a range of segment counts. The transfer is a
@@ -132,6 +142,16 @@ func doStrided(rt armci.Runtime, op ContigOp, s *armci.Strided) error {
 
 // Fig4 regenerates one platform/segment-size/operation panel of
 // Figure 4: bandwidth vs segment count for every transfer method.
+//
+// Every method is its own simulation job, so the panel is enumerated,
+// swept and assembled: series are added in enumeration order, so the
+// figure is byte-for-byte what running the jobs one after another
+// gives. The sweep uses every host core, or one worker when cfg.Obs is
+// set: a recorder is one sink, filled in job order, which is also why
+// the full stacks run on one shard. One worker gains nothing from
+// fig4Dispatch and runs the jobs in plotting order, which keeps a
+// recorder's job sequence (trace, critical-path report) the sequential
+// loop's.
 func Fig4(plat *platform.Platform, op ContigOp, segBytes int, cfg Fig4Config) (*Figure, error) {
 	var counts []int
 	for c := 1; c <= cfg.MaxSegs; c *= 2 {
@@ -143,12 +163,26 @@ func Fig4(plat *platform.Platform, op ContigOp, segBytes int, cfg Fig4Config) (*
 		XLabel: "number of contiguous segments",
 		YLabel: "bandwidth (GB/s)",
 	}
-	for _, v := range fig4Variants() {
-		s, err := stridedBandwidthObs(plat, v, op, segBytes, counts, cfg.Iters, cfg.Obs)
+	vs := fig4Variants()
+	fig.Series = make([]Series, len(vs))
+	workers, order := runtime.GOMAXPROCS(0), fig4Dispatch
+	if cfg.Obs != nil {
+		workers = 1
+	}
+	if workers == 1 {
+		order = [...]int{0, 1, 2, 3, 4}
+	}
+	err := sweep(workers, len(order), func(i int) error {
+		k := order[i]
+		s, err := stridedBandwidthObs(plat, vs[k], op, segBytes, counts, cfg.Iters, cfg.Obs)
 		if err != nil {
-			return nil, fmt.Errorf("bench: fig4 %s/%s/%s: %w", plat.Name, v.label, op, err)
+			return fmt.Errorf("bench: fig4 %s/%s/%s: %w", plat.Name, vs[k].label, op, err)
 		}
-		fig.Series = append(fig.Series, s)
+		fig.Series[k] = s
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return fig, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/ga"
@@ -154,7 +155,7 @@ func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, e
 	}
 	sort.SliceStable(order, func(a, b int) bool { return order[a].cores > order[b].cores })
 	p := cfg.ParamsFor(plat)
-	err := sweep(len(order), func(i int) error {
+	err := sweep(runtime.GOMAXPROCS(0), len(order), func(i int) error {
 		pt := order[i]
 		t, err := NWChemPhase(plat, pt.impl, pt.cores, p, pt.triples)
 		if err != nil {

@@ -57,7 +57,7 @@ func scaleExchangeBody(m *fabric.Machine, nranks, rounds int) func(p *sim.Proc) 
 			m.DeliverSharded(p, partner, msg, fabric.XferOpt{})
 		}
 		for got := 0; got < rounds; got++ {
-			m.Recv(p, func(*fabric.Msg) bool { return true })
+			m.Recv(p, fabric.Match{From: fabric.Any, Tag: fabric.Any})
 		}
 	}
 }

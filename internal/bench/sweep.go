@@ -2,15 +2,15 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// sweep calls job(0) … job(n-1) on min(GOMAXPROCS, n) workers that
-// draw the next index from one shared counter — the proxy's own NXTVAL
-// scheme, one level up — and returns once every worker has exited.
+// sweep calls job(0) … job(n-1) on min(workers, n) workers (at least
+// one) that draw the next index from one shared counter — the proxy's
+// own NXTVAL scheme, one level up — and returns once every worker has
+// exited. The caller chooses the count.
 // Indices are handed out in ascending order, so a caller that wants its
 // longest jobs started first puts them at the front; a job publishes
 // its result by writing the slot of a caller-owned slice that belongs
@@ -26,13 +26,13 @@ import (
 // take the process down from a goroutine nobody can recover.
 //
 // What jobs may share is the caller's contract: see "Figure sweeps" in
-// DESIGN.md for the one Fig6 relies on.
-func sweep(n int, job func(i int) error) error {
+// DESIGN.md for the one Fig6 and Fig4 rely on.
+func sweep(workers, n int, job func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
+	for range min(max(workers, 1), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -25,7 +25,7 @@ func TestSweepRunsEveryIndexOnce(t *testing.T) {
 	atProcs(t, func(t *testing.T, procs int) {
 		for _, n := range []int{0, 1, procs - 1, procs, 57} { // none, fewer than, as many as, more than the workers
 			ran := make([]atomic.Int32, n)
-			if err := sweep(n, func(i int) error { ran[i].Add(1); return nil }); err != nil {
+			if err := sweep(procs, n, func(i int) error { ran[i].Add(1); return nil }); err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 			for i := range ran {
@@ -51,7 +51,7 @@ func TestSweepResultsInIndexOrder(t *testing.T) {
 		var mu sync.Mutex
 		var finished []int
 		out := make([]int, n)
-		err := sweep(n, func(i int) error {
+		err := sweep(procs, n, func(i int) error {
 			<-done[i+1]
 			out[i] = i * i
 			mu.Lock()
@@ -80,7 +80,7 @@ func TestSweepLowestIndexErrorWins(t *testing.T) {
 		// wherever there are workers to run both, the later error is the
 		// first to be recorded and must still lose.
 		six := make(chan struct{})
-		err := sweep(40, func(i int) error {
+		err := sweep(procs, 40, func(i int) error {
 			switch i {
 			case 5:
 				if procs > 1 {
@@ -108,7 +108,7 @@ func TestSweepStopsAfterFailure(t *testing.T) {
 		const n, bad = 1000, 5
 		var started atomic.Int32
 		returned := make(chan struct{})
-		err := sweep(n, func(i int) error {
+		err := sweep(procs, n, func(i int) error {
 			started.Add(1)
 			if i == bad {
 				defer close(returned)
@@ -134,7 +134,7 @@ func TestSweepStopsAfterFailure(t *testing.T) {
 
 func TestSweepPanicIsAnError(t *testing.T) {
 	atProcs(t, func(t *testing.T, procs int) {
-		err := sweep(6, func(i int) error {
+		err := sweep(procs, 6, func(i int) error {
 			if i == 3 {
 				var m map[string]int
 				m["boom"] = 1
@@ -154,7 +154,7 @@ func TestSweepPanicIsAnError(t *testing.T) {
 
 func TestSweepReturnsTheJobsError(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	if err := sweep(3, func(i int) error { return sentinel }); err != sentinel {
+	if err := sweep(runtime.GOMAXPROCS(0), 3, func(i int) error { return sentinel }); err != sentinel {
 		t.Errorf("err = %v, want the job's own error value", err)
 	}
 }

@@ -78,7 +78,7 @@ func TestDeliverAndRecv(t *testing.T) {
 		case 0:
 			m.Deliver(3, &Msg{From: 0, Kind: 7, Tag: 42, Size: 100}, XferOpt{})
 		case 3:
-			msg := m.Recv(p, func(msg *Msg) bool { return msg.Kind == 7 })
+			msg := m.Recv(p, Match{Kinds: 1 << 7, From: Any, Tag: Any})
 			gotFrom, gotTag = msg.From, msg.Tag
 			if msg.Arrived <= 0 {
 				t.Error("message arrived at time 0; transfer cost missing")
@@ -100,7 +100,7 @@ func TestRecvBlocksUntilMatch(t *testing.T) {
 			p.Elapse(50_000)
 			m.Deliver(1, &Msg{From: 0, Tag: 1}, XferOpt{})
 		} else {
-			msg := m.Recv(p, func(msg *Msg) bool { return msg.Tag == 1 })
+			msg := m.Recv(p, Match{From: Any, Tag: 1})
 			if p.Now() < 50_000 {
 				t.Errorf("recv returned at %v, before the send at 50us", p.Now())
 			}
@@ -123,8 +123,8 @@ func TestRecvMatchesInArrivalOrder(t *testing.T) {
 			m.Deliver(1, &Msg{From: 0, Tag: 1, Payload: "second"}, XferOpt{})
 		} else {
 			p.Elapse(100_000) // both queued by now
-			a := m.Recv(p, func(msg *Msg) bool { return msg.Tag == 1 })
-			b := m.Recv(p, func(msg *Msg) bool { return msg.Tag == 1 })
+			a := m.Recv(p, Match{From: Any, Tag: 1})
+			b := m.Recv(p, Match{From: Any, Tag: 1})
 			if a.Payload != "first" || b.Payload != "second" {
 				t.Errorf("order: got %v then %v", a.Payload, b.Payload)
 			}
@@ -141,11 +141,11 @@ func TestTryRecv(t *testing.T) {
 		if p.ID() == 0 {
 			m.Deliver(1, &Msg{From: 0, Tag: 9}, XferOpt{})
 		} else {
-			if _, ok := m.TryRecv(p, func(msg *Msg) bool { return msg.Tag == 9 }); ok {
+			if _, ok := m.TryRecv(p, Match{From: Any, Tag: 9}); ok {
 				t.Error("TryRecv matched before delivery")
 			}
 			p.Elapse(100_000)
-			if _, ok := m.TryRecv(p, func(msg *Msg) bool { return msg.Tag == 9 }); !ok {
+			if _, ok := m.TryRecv(p, Match{From: Any, Tag: 9}); !ok {
 				t.Error("TryRecv missed a queued message")
 			}
 		}

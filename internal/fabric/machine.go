@@ -129,7 +129,7 @@ func NewMachine(eng *sim.Engine, par Params, nranks int) (*Machine, error) {
 	m.sendMsgs = make([]int64, nranks)
 	m.sendBytes = make([]int64, nranks)
 	for i := range m.boxes {
-		m.boxes[i] = &mailbox{owner: i}
+		m.boxes[i] = &mailbox{m: m, owner: i}
 		m.spaces[i] = newAddrSpace(i)
 	}
 	return m, nil

@@ -7,13 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Msg is a message delivered into a rank's mailbox. Kind and Tag are
-// interpreted by the layer that sent the message (the fabric itself
-// attaches no meaning). Payload carries protocol state by reference —
-// the simulation does not serialize it; Size alone determines cost.
+// Msg is a message delivered into a rank's mailbox. Kind, Ctx and Tag
+// are interpreted by the layer that sent the message (the fabric itself
+// attaches no meaning; receives select on them, see Match). Payload
+// carries protocol state by reference — the simulation does not
+// serialize it; Size alone determines cost.
 type Msg struct {
 	From    int
 	Kind    int
+	Ctx     int
 	Tag     int
 	Size    int
 	Payload interface{}
@@ -23,21 +25,55 @@ type Msg struct {
 	// is off): set at the send site, it names the delivery as the wake
 	// cause of whoever it releases.
 	chain obs.Ref
+
+	// In flight the message is its own arrival event (landing,
+	// arbitration): box is where it lands, occupy how long it holds the
+	// destination NIC under DeliverSharded.
+	box    *mailbox
+	occupy sim.Time
 }
 
-// mailbox holds delivered-but-unreceived messages and the set of
-// waiters parked on a match.
+// Any is the wildcard for Match.From and Match.Tag.
+const Any = -1
+
+// Match selects the messages a receive accepts, by header alone and by
+// value: one of a set of kinds, one context, and one sender and one tag
+// or either as Any.
+type Match struct {
+	Kinds uint64 // bit k accepts Kind k (0 <= k < 64); zero accepts every kind
+	Ctx   int
+	From  int
+	Tag   int
+}
+
+func (k Match) accepts(msg *Msg) bool {
+	return (k.Kinds == 0 || k.Kinds&(1<<uint(msg.Kind)) != 0) && msg.Ctx == k.Ctx &&
+		(k.From == Any || msg.From == k.From) && (k.Tag == Any || msg.Tag == k.Tag)
+}
+
+// mailbox holds a rank's delivered-but-unreceived messages and what is
+// waiting on a match: the rank itself, blocked in Recv (a rank blocks
+// in at most one receive, so this is one slot), and OnRecv callbacks.
+// A parked receive or callback never matches a queued message — it
+// looked before parking, and every later arrival is offered to it
+// first — so an arrival is the only message that can release one.
 type mailbox struct {
-	owner   int // rank this mailbox belongs to
-	queue   []*Msg
-	waiters []*waiter
+	m     *Machine
+	owner int // rank this mailbox belongs to
+	queue []*Msg
+
+	blocked *sim.Proc // the rank, parked in Recv; nil when it is not
+	want    Match     // what blocked waits for
+	got     *Msg      // what released it, until Recv returns it
+
+	callbacks []callback
 }
 
-type waiter struct {
-	p     *sim.Proc
-	match func(*Msg) bool
-	got   *Msg
-	fn    func(*Msg) // callback waiter: runs in event context instead of unparking
+// callback is an OnRecv registration: fn runs in event context on the
+// first message match accepts.
+type callback struct {
+	match Match
+	fn    func(*Msg)
 }
 
 // XferOpt tunes the cost model of a single transfer.
@@ -117,13 +153,17 @@ func (m *Machine) Deliver(dst int, msg *Msg, opt XferOpt) sim.Time {
 		nicS, nicD := m.xferNics(msg.From, dst, opt)
 		msg.chain = m.Obs.MsgHop(msg.From, now, start, arrive, nicS, nicD)
 	}
-	box := m.boxes[dst]
-	m.Eng.At(arrive, func() {
-		msg.Arrived = arrive
-		box.queue = append(box.queue, msg)
-		m.matchWaiters(box)
-	})
+	msg.box, msg.Arrived = m.boxes[dst], arrive
+	m.Eng.AtEvent(arrive, (*landing)(msg))
 	return arrive
+}
+
+// landing is a message in flight as the event of its arrival.
+type landing Msg
+
+func (l *landing) Fire() {
+	msg := (*Msg)(l)
+	msg.box.land(msg)
 }
 
 // handle runs a message's event-context handler on rank under the
@@ -135,81 +175,73 @@ func (m *Machine) handle(rank int, msg *Msg, fn func(*Msg)) {
 	m.Obs.Leave(rank, prev)
 }
 
-// matchWaiters wakes every parked waiter whose predicate now matches a
-// queued message, consuming matched messages in FIFO order. Callback
-// waiters run inline (event context, see handle); proc waiters have the
-// message named as their wake cause, then are unparked.
-func (m *Machine) matchWaiters(box *mailbox) {
-	for i := 0; i < len(box.waiters); {
-		w := box.waiters[i]
-		if idx := box.findLocked(w.match); idx >= 0 {
-			w.got = box.queue[idx]
-			box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
-			box.waiters = append(box.waiters[:i], box.waiters[i+1:]...)
-			if w.fn != nil {
-				m.handle(box.owner, w.got, w.fn)
-			} else {
-				m.Obs.WakeCause(w.p.ID(), w.got.chain)
-				m.Eng.Unpark(w.p)
-			}
-			continue
-		}
-		i++
+// land offers an arrived message to what waits on the mailbox — the
+// blocked receive first, then callbacks in registration order — and
+// queues it if nothing takes it. A callback runs inline (event context,
+// see handle); the blocked rank has the message named as its wake
+// cause, then is unparked.
+func (b *mailbox) land(msg *Msg) {
+	m := b.m
+	if p := b.blocked; p != nil && b.want.accepts(msg) {
+		b.blocked, b.got = nil, msg
+		m.Obs.WakeCause(p.ID(), msg.chain)
+		m.Eng.Unpark(p)
+		return
 	}
+	for i, cb := range b.callbacks {
+		if cb.match.accepts(msg) {
+			b.callbacks = append(b.callbacks[:i], b.callbacks[i+1:]...)
+			m.handle(b.owner, msg, cb.fn)
+			return
+		}
+	}
+	b.queue = append(b.queue, msg)
 }
 
-func (b *mailbox) findLocked(match func(*Msg) bool) int {
+// take removes and returns the first queued message k accepts.
+func (b *mailbox) take(k Match) (*Msg, bool) {
 	for i, msg := range b.queue {
-		if match(msg) {
-			return i
+		if k.accepts(msg) {
+			b.queue = append(b.queue[:i], b.queue[i+1:]...)
+			return msg, true
 		}
 	}
-	return -1
+	return nil, false
 }
 
-// Recv blocks the calling rank until a message matching the predicate
-// is available in its mailbox and returns it. Messages are matched in
-// arrival order.
-func (m *Machine) Recv(p *sim.Proc, match func(*Msg) bool) *Msg {
+// Recv blocks the calling rank until a message k accepts is available
+// in its mailbox and returns it. Messages are matched in arrival order.
+func (m *Machine) Recv(p *sim.Proc, k Match) *Msg {
 	box := m.boxes[p.ID()]
-	if idx := box.findLocked(match); idx >= 0 {
-		msg := box.queue[idx]
-		box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
+	if msg, ok := box.take(k); ok {
 		return msg
 	}
-	w := &waiter{p: p, match: match}
-	box.waiters = append(box.waiters, w)
+	box.blocked, box.want = p, k
 	p.Park("fabric.Recv")
-	return w.got
+	msg := box.got
+	box.got = nil
+	return msg
 }
 
 // OnRecv registers a one-shot callback on a rank's mailbox: when a
-// matching message arrives (or is already queued), it is consumed and
+// message k accepts arrives (or is already queued), it is consumed and
 // fn runs in event context. Used for event-driven protocols (e.g. the
 // MPI rendezvous sender) that must progress while the owning rank is
 // busy or parked elsewhere.
-func (m *Machine) OnRecv(rank int, match func(*Msg) bool, fn func(*Msg)) {
+func (m *Machine) OnRecv(rank int, k Match, fn func(*Msg)) {
 	box := m.boxes[rank]
-	if idx := box.findLocked(match); idx >= 0 {
-		msg := box.queue[idx]
-		box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
+	if msg, ok := box.take(k); ok {
 		// Run via the event queue so the caller's context never nests.
 		m.Eng.At(m.Eng.Now(), func() { m.handle(rank, msg, fn) })
 		return
 	}
-	box.waiters = append(box.waiters, &waiter{match: match, fn: fn})
+	box.callbacks = append(box.callbacks, callback{match: k, fn: fn})
 }
 
-// TryRecv returns a matching message if one is already queued, without
+// TryRecv returns a message k accepts if one is already queued, without
 // blocking. The second result reports whether a message was consumed.
-func (m *Machine) TryRecv(p *sim.Proc, match func(*Msg) bool) (*Msg, bool) {
-	box := m.boxes[p.ID()]
-	if idx := box.findLocked(match); idx >= 0 {
-		msg := box.queue[idx]
-		box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
-		return msg, true
-	}
-	return nil, false
+func (m *Machine) TryRecv(p *sim.Proc, k Match) (*Msg, bool) {
+	return m.boxes[p.ID()].take(k)
 }
 
 // Pending reports the number of undelivered messages queued at a rank.

@@ -94,7 +94,7 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 	m.sendMsgs[src]++
 	m.sendBytes[src] += int64(n)
 	par := &m.Par
-	box := m.boxes[dst]
+	msg.box = m.boxes[dst]
 	if m.SameNode(src, dst) {
 		rate := opt.Rate
 		if rate == 0 {
@@ -106,11 +106,8 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 			arrive = now + 1
 		}
 		msg.chain = m.Obs.MsgHop(src, now, now, arrive, -1, -1)
-		m.Eng.AtRank(arrive, src, dst, func() {
-			msg.Arrived = arrive
-			box.queue = append(box.queue, msg)
-			m.matchWaiters(box)
-		})
+		msg.Arrived = arrive
+		m.Eng.AtRankEvent(arrive, src, dst, (*landing)(msg))
 		return arrive
 	}
 	rate := opt.Rate
@@ -131,32 +128,41 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 		nicS, nicD := m.xferNics(src, dst, opt)
 		msg.chain = m.Obs.MsgHop(src, now, start, arrive, nicS, nicD)
 	}
-	m.Eng.AtRank(arrive, src, dst, func() {
-		land := arrive
-		if !opt.NoNIC {
-			d := &m.nics[m.NodeOf(dst)]
-			if d.freeAt > land {
-				land = d.freeAt
-			}
-			d.freeAt = land + occupy
-		}
-		if land > arrive {
-			// The edge extension is recorded against dst, so in the
-			// destination shard's buffer (this closure runs there); the
-			// origin shard's hop table is never touched after the send.
-			if m.Obs != nil {
-				msg.chain = m.Obs.ArbHop(dst, msg.From, arrive, land, m.NodeOf(dst), msg.chain)
-			}
-			m.Eng.AtRank(land, dst, dst, func() {
-				msg.Arrived = land
-				box.queue = append(box.queue, msg)
-				m.matchWaiters(box)
-			})
-			return
-		}
-		msg.Arrived = arrive
-		box.queue = append(box.queue, msg)
-		m.matchWaiters(box)
-	})
+	msg.Arrived = arrive
+	if opt.NoNIC {
+		m.Eng.AtRankEvent(arrive, src, dst, (*landing)(msg))
+	} else {
+		msg.occupy = occupy
+		m.Eng.AtRankEvent(arrive, src, dst, (*arbitration)(msg))
+	}
 	return arrive
+}
+
+// arbitration is a cross-node message reaching the destination NIC: it
+// lands now if the NIC is free, else at the end of the NIC's current
+// occupancy.
+type arbitration Msg
+
+func (a *arbitration) Fire() {
+	msg := (*Msg)(a)
+	m, dst := msg.box.m, msg.box.owner
+	arrive := msg.Arrived
+	land := arrive
+	d := &m.nics[m.NodeOf(dst)]
+	if d.freeAt > land {
+		land = d.freeAt
+	}
+	d.freeAt = land + msg.occupy
+	if land > arrive {
+		// The edge extension is recorded against dst, so in the
+		// destination shard's buffer (this event runs there); the origin
+		// shard's hop table is never touched after the send.
+		if m.Obs != nil {
+			msg.chain = m.Obs.ArbHop(dst, msg.From, arrive, land, m.NodeOf(dst), msg.chain)
+		}
+		msg.Arrived = land
+		m.Eng.AtRankEvent(land, dst, dst, (*landing)(msg))
+		return
+	}
+	msg.box.land(msg)
 }

@@ -110,7 +110,7 @@ func trafficRun(t *testing.T, shards int) ([]string, sim.Time) {
 			m.DeliverSharded(p, partner, &Msg{From: r, Kind: 1, Tag: i, Size: 256 + 32*r}, XferOpt{})
 		}
 		for got := 0; got < rounds; got++ {
-			msg := m.Recv(p, func(*Msg) bool { return true })
+			msg := m.Recv(p, Match{From: Any, Tag: Any})
 			logs[r] = append(logs[r], fmt.Sprintf("from %d tag %d size %d @%d", msg.From, msg.Tag, msg.Size, msg.Arrived))
 		}
 	}); err != nil {
@@ -166,7 +166,7 @@ func TestDeliverShardedIntraNode(t *testing.T) {
 		case 0:
 			m.DeliverSharded(p, 1, &Msg{From: 0, Size: 64}, XferOpt{})
 		case 1:
-			msg := m.Recv(p, func(*Msg) bool { return true })
+			msg := m.Recv(p, Match{From: Any, Tag: Any})
 			arrived = msg.Arrived
 		}
 	}); err != nil {

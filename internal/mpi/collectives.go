@@ -105,8 +105,13 @@ func (c *Comm) Allgather(mine []byte) [][]byte {
 // allgatherI64 gathers equal-length int64 vectors, concatenated in
 // rank order.
 func (c *Comm) allgatherI64(mine []int64) []int64 {
-	parts := c.Allgather(i64sToBytes(mine))
-	out := make([]int64, 0, len(parts)*len(mine)) // equal-length parts
+	return c.decodeI64s(c.Allgather(i64sToBytes(mine)), len(mine))
+}
+
+// decodeI64s concatenates per-rank message bodies of per int64s each,
+// in rank order, handing every body back to the pool once decoded.
+func (c *Comm) decodeI64s(parts [][]byte, per int) []int64 {
+	out := make([]int64, 0, len(parts)*per)
 	for _, p := range parts {
 		out = appendI64s(out, p)
 		c.r.W.M.PutBuf(p)
@@ -118,7 +123,9 @@ func (c *Comm) allgatherI64(mine []int64) []int64 {
 func (c *Comm) AllgatherI64(mine []int64) []int64 { return c.allgatherI64(mine) }
 
 // Gather collects every rank's contribution at root (in rank order);
-// non-root ranks receive nil.
+// non-root ranks receive nil. Every slot, the root's own included, is a
+// pooled message body that now belongs to the caller (see snapshot);
+// GatherI64 hands them back once decoded.
 func (c *Comm) Gather(root int, mine []byte) [][]byte {
 	c.collSeq++
 	tag := c.collTag(0)
@@ -127,12 +134,22 @@ func (c *Comm) Gather(root int, mine []byte) [][]byte {
 		return nil
 	}
 	out := make([][]byte, c.Size())
-	out[root] = append([]byte(nil), mine...)
+	out[root] = c.snapshot(mine)
 	for i := 0; i < c.Size()-1; i++ {
 		data, st := c.Recv(AnySource, tag)
 		out[st.Source] = data
 	}
 	return out
+}
+
+// GatherI64 gathers equal-length int64 vectors at root, concatenated in
+// rank order; non-root ranks receive nil.
+func (c *Comm) GatherI64(root int, mine []int64) []int64 {
+	parts := c.Gather(root, i64sToBytes(mine))
+	if parts == nil {
+		return nil
+	}
+	return c.decodeI64s(parts, len(mine))
 }
 
 // AllreduceF64 reduces float64 vectors elementwise across all ranks

@@ -149,16 +149,15 @@ func (c *Comm) Split(color, key int) *Comm {
 func (c *Comm) splitBig(color, key int) *Comm {
 	n := c.Size()
 	type ck struct{ color, key, rank int }
-	parts := c.Gather(0, i64sToBytes([]int64{int64(color), int64(key)}))
+	all := c.GatherI64(0, []int64{int64(color), int64(key)})
 	var pairs []ck
 	var colors []int
 	hdr := make([]int64, 2)
 	if c.rank == 0 {
 		pairs = make([]ck, n)
 		colorSet := map[int]bool{}
-		for i, p := range parts {
-			v := bytesToI64s(p)
-			pairs[i] = ck{color: int(v[0]), key: int(v[1]), rank: i}
+		for i := range pairs {
+			pairs[i] = ck{color: int(all[2*i]), key: int(all[2*i+1]), rank: i}
 			if pairs[i].color >= 0 {
 				colorSet[pairs[i].color] = true
 			}

@@ -594,9 +594,10 @@ func TestRendezvousCheaperLatencyEagerHigherBandwidthAccounting(t *testing.T) {
 }
 
 // TestEagerSendAllocations pins what a warm eager message costs the
-// allocator: four objects — the message with its payload header (one
-// object, not two), the delivery event's closure, and the receiver's
-// match predicate and mailbox waiter.
+// allocator: nothing. The message and its payload are one record that
+// the receive hands back to the world's free list; its delivery is that
+// record scheduled as an event, not a closure; the receive matches by a
+// by-value key; and a blocked receiver waits in its mailbox's one slot.
 func TestEagerSendAllocations(t *testing.T) {
 	const rounds = 200
 	var allocs float64
@@ -623,7 +624,7 @@ func TestEagerSendAllocations(t *testing.T) {
 			}
 		}
 	})
-	if perMsg := allocs / 2; perMsg > 4 {
-		t.Errorf("a warm eager message allocates %.1f objects, want <= 4", perMsg)
+	if perMsg := allocs / 2; perMsg > 0 {
+		t.Errorf("a warm eager message allocates %.1f objects, want 0", perMsg)
 	}
 }

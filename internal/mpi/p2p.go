@@ -14,27 +14,21 @@ type Status struct {
 	Size   int
 }
 
-// p2pPayload carries a point-to-point message body plus its matching
-// context id.
-type p2pPayload struct {
-	cid  int
-	data []byte
-}
+// Point-to-point messages match by header (fabric.Match): Kind, Ctx
+// and Tag. An eager body or a request-to-send carries its
+// communicator's context id in Ctx and the user tag in Tag; the
+// clear-to-send and the rendezvous body carry the transfer's rendezvous
+// id in Ctx.
 
 // rtsPayload announces a rendezvous send (request-to-send).
 type rtsPayload struct {
-	cid  int
+	src  int // the sender's communicator rank
 	rvID int
 	size int
 }
 
-// ctsPayload grants a rendezvous send (clear-to-send).
-type ctsPayload struct{ rvID int }
-
 // rvDataPayload carries the rendezvous body.
 type rvDataPayload struct {
-	cid  int
-	rvID int
 	data []byte
 }
 
@@ -70,22 +64,36 @@ func (c *Comm) Send(to, tag int, data []byte) {
 	}
 }
 
-// eagerMsg is an eager message and its payload in one allocation: the
-// two live and die together, and eager sends (every metadata
-// collective is made of them) are the most numerous objects a job
-// allocates.
+// eagerMsg is an eager message and its payload in one record — it is
+// its own Payload — that the receive which consumes it hands back to
+// the world's free list: eager sends (every metadata collective is made
+// of them) are the most numerous records a job has, and a warm one
+// allocates nothing. Between send and receive the record is the
+// fabric's (in flight, then queued); after the receive has read it,
+// nothing holds it.
 type eagerMsg struct {
-	msg fabric.Msg
-	pl  p2pPayload
+	msg  fabric.Msg
+	src  int // the sender's communicator rank, the receive's Status.Source
+	data []byte
 }
 
 func (c *Comm) sendEager(to, tag int, data []byte) {
-	em := &eagerMsg{
-		msg: fabric.Msg{From: c.r.ID(), Kind: kindP2P, Tag: tag, Size: len(data)},
-		pl:  p2pPayload{cid: c.cid, data: c.snapshot(data)},
+	w := c.r.W
+	em := w.eager.get()
+	*em = eagerMsg{
+		msg:  fabric.Msg{From: c.r.ID(), Kind: kindP2P, Ctx: c.cid, Tag: tag, Size: len(data)},
+		src:  c.rank,
+		data: c.snapshot(data),
 	}
-	em.msg.Payload = &em.pl
-	c.r.W.M.Deliver(c.group[to], &em.msg, fabric.XferOpt{})
+	em.msg.Payload = em
+	w.M.Deliver(c.group[to], &em.msg, fabric.XferOpt{})
+}
+
+// consume reads a received eager message and recycles its record.
+func (c *Comm) consume(em *eagerMsg) ([]byte, Status) {
+	data, st := em.data, Status{Source: em.src, Tag: em.msg.Tag, Size: em.msg.Size}
+	c.r.W.eager.put(em)
+	return data, st
 }
 
 // sendRendezvous starts the event-driven rendezvous state machine and
@@ -103,17 +111,15 @@ func (c *Comm) sendRendezvous(to, tag int, data []byte) *rvState {
 	st := &rvState{}
 	// Request to send (control message).
 	m.Deliver(dest, &fabric.Msg{
-		From: me, Kind: kindRendezvousRTS, Tag: tag, Size: 0,
-		Payload: &rtsPayload{cid: c.cid, rvID: rvID, size: len(body)},
+		From: me, Kind: kindRendezvousRTS, Ctx: c.cid, Tag: tag, Size: 0,
+		Payload: &rtsPayload{src: c.rank, rvID: rvID, size: len(body)},
 	}, fabric.XferOpt{NoNIC: true})
 	// When the clear-to-send arrives, ship the body (event context).
-	m.OnRecv(me, func(msg *fabric.Msg) bool {
-		pl, ok := msg.Payload.(*ctsPayload)
-		return ok && msg.Kind == kindRendezvousCTS && pl.rvID == rvID
-	}, func(*fabric.Msg) {
+	cts := fabric.Match{Kinds: 1 << kindRendezvousCTS, Ctx: rvID, From: fabric.Any, Tag: fabric.Any}
+	m.OnRecv(me, cts, func(*fabric.Msg) {
 		m.Deliver(dest, &fabric.Msg{
-			From: me, Kind: kindRendezvousData, Tag: tag, Size: len(body),
-			Payload: &rvDataPayload{cid: c.cid, rvID: rvID, data: body},
+			From: me, Kind: kindRendezvousData, Ctx: rvID, Tag: tag, Size: len(body),
+			Payload: &rvDataPayload{data: body},
 		}, fabric.XferOpt{})
 		st.done = true
 		if st.waiter != nil {
@@ -136,44 +142,24 @@ func (c *Comm) snapshot(data []byte) []byte {
 	return body
 }
 
-// match builds a predicate for (cid, src, tag) with wildcard support;
-// it matches eager bodies and, when includeRTS is set, rendezvous
-// announcements. src is a communicator rank or AnySource.
-func (c *Comm) match(src, tag int, includeRTS bool) func(*fabric.Msg) bool {
-	var worldSrc int
+// match is the receive selector for (src, tag) on this communicator,
+// with wildcard support: eager bodies and, when includeRTS is set,
+// rendezvous announcements. src is a communicator rank or AnySource.
+func (c *Comm) match(src, tag int, includeRTS bool) fabric.Match {
+	k := fabric.Match{Kinds: 1 << kindP2P, Ctx: c.cid, From: fabric.Any, Tag: tag}
+	if includeRTS {
+		k.Kinds |= 1 << kindRendezvousRTS
+	}
 	if src != AnySource {
 		if src < 0 || src >= c.Size() {
 			panic(fmt.Sprintf("mpi: Recv from bad rank %d of comm size %d", src, c.Size()))
 		}
-		worldSrc = c.group[src]
+		k.From = c.group[src]
 	}
-	return func(m *fabric.Msg) bool {
-		var cid int
-		switch pl := m.Payload.(type) {
-		case *p2pPayload:
-			if m.Kind != kindP2P {
-				return false
-			}
-			cid = pl.cid
-		case *rtsPayload:
-			if !includeRTS {
-				return false
-			}
-			cid = pl.cid
-		default:
-			return false
-		}
-		if cid != c.cid {
-			return false
-		}
-		if src != AnySource && m.From != worldSrc {
-			return false
-		}
-		if tag != AnyTag && m.Tag != tag {
-			return false
-		}
-		return true
+	if tag == AnyTag {
+		k.Tag = fabric.Any
 	}
+	return k
 }
 
 // Recv blocks until a message from src (or AnySource) with tag (or
@@ -184,8 +170,8 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	c.r.opOverhead()
 	m := c.r.W.M.Recv(c.r.P, c.match(src, tag, true))
 	switch pl := m.Payload.(type) {
-	case *p2pPayload:
-		return pl.data, Status{Source: c.rankOfWorld(m.From), Tag: m.Tag, Size: m.Size}
+	case *eagerMsg:
+		return c.consume(pl)
 	case *rtsPayload:
 		return c.completeRendezvous(m, pl)
 	default:
@@ -197,15 +183,11 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 func (c *Comm) completeRendezvous(rts *fabric.Msg, pl *rtsPayload) ([]byte, Status) {
 	machine := c.r.W.M
 	machine.Deliver(rts.From, &fabric.Msg{
-		From: c.r.ID(), Kind: kindRendezvousCTS, Size: 0,
-		Payload: &ctsPayload{rvID: pl.rvID},
+		From: c.r.ID(), Kind: kindRendezvousCTS, Ctx: pl.rvID, Size: 0,
 	}, fabric.XferOpt{NoNIC: true})
-	data := machine.Recv(c.r.P, func(m *fabric.Msg) bool {
-		dp, ok := m.Payload.(*rvDataPayload)
-		return ok && m.Kind == kindRendezvousData && dp.rvID == pl.rvID
-	})
+	data := machine.Recv(c.r.P, fabric.Match{Kinds: 1 << kindRendezvousData, Ctx: pl.rvID, From: fabric.Any, Tag: fabric.Any})
 	dp := data.Payload.(*rvDataPayload)
-	return dp.data, Status{Source: c.rankOfWorld(data.From), Tag: data.Tag, Size: data.Size}
+	return dp.data, Status{Source: pl.src, Tag: data.Tag, Size: data.Size}
 }
 
 // TryRecv receives a matching *eager* message if one is already
@@ -216,8 +198,8 @@ func (c *Comm) TryRecv(src, tag int) ([]byte, Status, bool) {
 	if !ok {
 		return nil, Status{}, false
 	}
-	pl := m.Payload.(*p2pPayload)
-	return pl.data, Status{Source: c.rankOfWorld(m.From), Tag: m.Tag, Size: m.Size}, true
+	data, st := c.consume(m.Payload.(*eagerMsg))
+	return data, st, true
 }
 
 // Sendrecv performs a combined send and receive, safe against cyclic

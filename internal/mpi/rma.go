@@ -89,22 +89,13 @@ func (a rng) conflicts(b rng) bool {
 type activeEpoch struct {
 	originWorld int
 	ltype       LockType
-	ranges      []rng
-}
-
-type lockWaiter struct {
-	originWorld int
-	ltype       LockType
-	// grant hands the lock over at time at; by is the world rank whose
-	// release made the grant possible (-1 for an uncontended direct
-	// grant), feeding the critical-path wait-chain attribution.
-	grant func(at sim.Time, by int)
+	touched     rangeSet
 }
 
 // targetLock arbitrates passive-target access to one window rank.
 type targetLock struct {
 	holders []*activeEpoch // currently granted epochs
-	queue   []lockWaiter   // FIFO waiters
+	queue   []*epoch       // FIFO waiters: MPI-2 epochs whose Lock is pending
 	// accBusy serializes target-side accumulate processing, modeling
 	// the agent/NIC that applies reductions.
 	accBusy sim.Time
@@ -137,15 +128,6 @@ func (t *targetLock) grantable(lt LockType) bool {
 	// Shared request with shared holders: grant only if no exclusive
 	// request is queued ahead (prevents writer starvation).
 	return len(t.queue) == 0
-}
-
-func (t *targetLock) find(originWorld int) *activeEpoch {
-	for _, h := range t.holders {
-		if h.originWorld == originWorld {
-			return h
-		}
-	}
-	return nil
 }
 
 // winState is the shared (cross-rank) state of one window.
@@ -188,6 +170,15 @@ type Win struct {
 
 	cur *epoch         // at most one open epoch per window per origin (MPI-2)
 	all map[int]*epoch // lock-all mode accounting (MPI-3); nil when inactive
+
+	doneReq *RMAReq // the completed request every RPut and RAccumulate returns
+
+	// rec is the one MPI-2 epoch record, built at the first Lock and
+	// reopened by every later one: MPI-2 allows one open epoch per window
+	// per origin, so the epoch, its target-side activeEpoch, their range
+	// sets and the events of its handshake are never live twice (see
+	// DESIGN.md, "Per-message and per-epoch records").
+	rec *epoch
 }
 
 // epoch is the origin-side record of an open access epoch.
@@ -197,9 +188,31 @@ type epoch struct {
 	nops       int
 	openedAt   sim.Time // grant time, for epoch trace spans
 	completeAt sim.Time
-	ranges     []rng // target ranges touched, for same-epoch checking
+	ranges     []rng    // target ranges touched in issue order, to word a conflict
+	touched    rangeSet // the same ranges, indexed, to find one
 	active     *activeEpoch
-	relaxed    bool // MPI-3 lock-all: conflicts are undefined, not errors
+	relaxed    bool    // MPI-3 lock-all: conflicts are undefined, not errors
+	getReq     *RMAReq // lock-all: the request every RGet to target returns
+
+	// The MPI-2 Lock/Unlock handshake. Its three events (lockRequest,
+	// unlockRequest, signal) are this record, so scheduling them
+	// allocates nothing; act is the target-side record a grant installs.
+	w        *Win
+	tl       *targetLock
+	shm      bool     // the lock word lives in a shared segment
+	notify   sim.Time // the target-to-origin leg of a grant or release ack
+	grantAt  sim.Time
+	grantBy  int  // the releasing world rank a queued grant waited on, or -1
+	signaled bool // the pending grant or release has reached the origin
+	act      activeEpoch
+}
+
+// reopen readies the window's MPI-2 record for a new epoch on target,
+// keeping what its range sets have grown.
+func (ep *epoch) reopen(target int, lt LockType, tl *targetLock, shm bool) {
+	*ep = epoch{target: target, ltype: lt, w: ep.w, tl: tl, shm: shm,
+		ranges: ep.ranges[:0], touched: ep.touched, act: ep.act}
+	ep.touched.reset()
 }
 
 // extend moves the epoch's completion horizon out to t.
@@ -269,13 +282,13 @@ func winCreate(comm *Comm, region *fabric.Region, shared bool) (*Win, error) {
 		// that builds the shared window state, not on all N lock-stepped
 		// ranks at once. Rank 0 must build the state before broadcasting
 		// the id, since peers look it up as soon as the id arrives.
-		parts := comm.Gather(0, i64sToBytes([]int64{sz}))
+		sizes := comm.GatherI64(0, []int64{sz})
 		if comm.rank == 0 {
 			id = w.nextWin
 			w.nextWin++
 			ws := newWinState(id, w, comm, shared)
-			for i, p := range parts {
-				ws.sizes[i] = int(bytesToI64s(p)[0])
+			for i, s := range sizes {
+				ws.sizes[i] = int(s)
 			}
 			w.wins[id] = ws
 		}
@@ -441,50 +454,29 @@ func (w *Win) Lock(lt LockType, target int) error {
 	reqAt := r.P.Now()
 	r.opOverhead()
 	ws := w.state
-	tl := ws.lockAt(target)
 	targetWorld := ws.group[target]
-	eng := r.W.M.Eng
 	p := r.P
 
-	shm := w.viaShm(target)
-	notify := r.W.M.RoundTripTime(targetWorld, r.ID()) / 2
-	if shm {
+	if w.rec == nil {
+		w.rec = &epoch{w: w}
+	}
+	ep := w.rec
+	ep.reopen(target, lt, ws.lockAt(target), w.viaShm(target))
+	ep.notify = r.W.M.RoundTripTime(targetWorld, r.ID()) / 2
+	if ep.shm {
 		// The lock word lives in the shared segment: acquiring it is a
 		// node-local CAS, with no control message and no target-side
 		// progress needed. Arbitration (shared/exclusive, FIFO queue) is
 		// unchanged.
-		notify = w.segSyncLatency()
+		ep.notify = w.segSyncLatency()
 	}
-	ep := &epoch{target: target, ltype: lt}
 	w.cur = ep
-	granted := false
-	grant := func(at sim.Time, by int) {
-		ae := &activeEpoch{originWorld: r.ID(), ltype: lt}
-		ep.active = ae
-		tl.holders = append(tl.holders, ae)
-		// Grant notification travels back to the origin.
-		eng.At(at+notify, func() {
-			granted = true
-			if by >= 0 {
-				// A queued grant: name the releasing rank as the edge
-				// that ends the origin's lock wait.
-				r.W.Obs.WakeGrant(p.ID(), by, at)
-			}
-			eng.Unpark(p)
-		})
-	}
 	arrive := p.Now()
-	if !shm {
+	if !ep.shm {
 		arrive = r.control(targetWorld)
 	}
-	eng.At(arrive, func() {
-		if tl.grantable(lt) {
-			grant(eng.Now(), -1)
-		} else {
-			tl.queue = append(tl.queue, lockWaiter{originWorld: r.ID(), ltype: lt, grant: grant})
-		}
-	})
-	for !granted {
+	r.W.M.Eng.AtEvent(arrive, (*lockRequest)(ep))
+	for !ep.signaled {
 		p.Park("mpi.WinLock")
 	}
 	ep.openedAt = p.Now()
@@ -498,6 +490,48 @@ func (w *Win) Lock(lt LockType, target int) error {
 	r.W.Obs.Waited(obs.Wait{Kind: obs.WaitLock, Excl: lt == LockExclusive, Rank: r.ID(),
 		From: reqAt, To: p.Now(), Peer: targetWorld})
 	return nil
+}
+
+// lockRequest is an epoch's lock request reaching the target: granted
+// at once if the lock is free for its type, else queued.
+type lockRequest epoch
+
+func (q *lockRequest) Fire() {
+	ep := (*epoch)(q)
+	if ep.tl.grantable(ep.ltype) {
+		ep.grant(ep.w.comm.r.W.M.Eng.Now(), -1)
+	} else {
+		ep.tl.queue = append(ep.tl.queue, ep)
+	}
+}
+
+// grant hands the target's lock to ep at time at; by is the world rank
+// whose release made the grant possible (-1 for an uncontended direct
+// grant), feeding the critical-path wait-chain attribution. The grant
+// notification travels back to the origin.
+func (ep *epoch) grant(at sim.Time, by int) {
+	ep.act.originWorld, ep.act.ltype = ep.w.comm.r.ID(), ep.ltype
+	ep.act.touched.reset()
+	ep.active = &ep.act
+	ep.tl.holders = append(ep.tl.holders, ep.active)
+	ep.grantAt, ep.grantBy = at, by
+	ep.w.comm.r.W.M.Eng.AtEvent(at+ep.notify, (*signal)(ep))
+}
+
+// signal is a grant or a release acknowledgement reaching the origin,
+// which resumes.
+type signal epoch
+
+func (s *signal) Fire() {
+	ep := (*epoch)(s)
+	r := ep.w.comm.r
+	ep.signaled = true
+	if ep.grantBy >= 0 {
+		// A queued grant: name the releasing rank as the edge that ends
+		// the origin's lock wait.
+		r.W.Obs.WakeGrant(r.ID(), ep.grantBy, ep.grantAt)
+	}
+	r.W.M.Eng.Unpark(r.P)
 }
 
 // release drops the epoch's hold at the target and hands the lock to
@@ -541,10 +575,7 @@ func (w *Win) Unlock(target int) error {
 	}
 	r := w.comm.r
 	r.opOverhead()
-	ws := w.state
-	tl := ws.lockAt(target)
-	targetWorld := ws.group[target]
-	eng := r.W.M.Eng
+	targetWorld := w.state.group[target]
 	p := r.P
 	tU := p.Now()
 
@@ -553,30 +584,36 @@ func (w *Win) Unlock(target int) error {
 	// Unlock handshake: release at the target, ack back to the origin.
 	// On the shared-memory path the release is a node-local store on the
 	// lock word — no control message, no target-side progress.
-	done := false
-	if w.viaShm(target) {
-		eng.At(p.Now()+w.segSyncLatency(), func() {
-			ws.release(tl, ep.active, eng.Now(), r.ID())
-			done = true
-			eng.Unpark(p)
-		})
-	} else {
-		arrive := r.control(targetWorld)
-		eng.At(arrive, func() {
-			ws.release(tl, ep.active, eng.Now(), r.ID())
-			eng.At(eng.Now()+r.W.M.RoundTripTime(targetWorld, r.ID())/2, func() {
-				done = true
-				eng.Unpark(p)
-			})
-		})
+	ep.signaled, ep.grantBy = false, -1
+	arrive := p.Now() + w.segSyncLatency()
+	if !ep.shm {
+		arrive = r.control(targetWorld)
 	}
-	for !done {
+	r.W.M.Eng.AtEvent(arrive, (*unlockRequest)(ep))
+	for !ep.signaled {
 		p.Park("mpi.WinUnlock")
 	}
 	r.W.Obs.Waited(obs.Wait{Kind: obs.WaitEpoch, Excl: ep.ltype == LockExclusive, Rank: r.ID(),
 		From: tU, To: p.Now(), Open: ep.openedAt, Peer: targetWorld, N: ep.nops})
 	w.cur = nil
-	return ws.err
+	return w.state.err
+}
+
+// unlockRequest is an epoch's release reaching the target's lock. Over
+// the wire an acknowledgement travels back; on a shared segment the
+// origin did the release itself and resumes at once.
+type unlockRequest epoch
+
+func (q *unlockRequest) Fire() {
+	ep := (*epoch)(q)
+	r := ep.w.comm.r
+	eng := r.W.M.Eng
+	ep.w.state.release(ep.tl, ep.active, eng.Now(), r.ID())
+	if ep.shm {
+		(*signal)(ep).Fire()
+		return
+	}
+	eng.AtEvent(eng.Now()+ep.notify, (*signal)(ep))
 }
 
 // effRateFor returns the MPI transfer rate on this machine for a
@@ -657,27 +694,30 @@ func (w *Win) checkEpochOp(ep *epoch, target int, newRng rng) error {
 	if ep.relaxed {
 		return nil // MPI-3: conflicting outcomes are undefined, not erroneous
 	}
-	for _, old := range ep.ranges {
-		if old.conflicts(newRng) {
-			return fmt.Errorf("mpi: conflicting RMA operations in one epoch at target %d: [%d,%d) %v vs [%d,%d) %v",
-				target, old.lo, old.hi, old.kind, newRng.lo, newRng.hi, newRng.kind)
+	if ep.touched.conflicts(newRng) {
+		// The index found a conflict; the first one in issue order is
+		// the one the error names.
+		for _, old := range ep.ranges {
+			if old.conflicts(newRng) {
+				return fmt.Errorf("mpi: conflicting RMA operations in one epoch at target %d: [%d,%d) %v vs [%d,%d) %v",
+					target, old.lo, old.hi, old.kind, newRng.lo, newRng.hi, newRng.kind)
+			}
 		}
 	}
 	ep.ranges = append(ep.ranges, newRng)
+	ep.touched.add(newRng)
 	tl := ws.lockAt(target)
 	for _, h := range tl.holders {
 		if h == ep.active {
 			continue
 		}
-		for _, old := range h.ranges {
-			if old.conflicts(newRng) {
-				return fmt.Errorf("mpi: conflicting RMA operations from origins %d and %d at target %d (shared-lock data race)",
-					h.originWorld, w.comm.r.ID(), target)
-			}
+		if h.touched.conflicts(newRng) {
+			return fmt.Errorf("mpi: conflicting RMA operations from origins %d and %d at target %d (shared-lock data race)",
+				h.originWorld, w.comm.r.ID(), target)
 		}
 	}
 	if ep.active != nil {
-		ep.active.ranges = append(ep.active.ranges, newRng)
+		ep.active.touched.add(newRng)
 	}
 	return nil
 }
@@ -801,9 +841,8 @@ func (w *Win) snapshot(src []byte, t Datatype) []byte {
 // a control message out, and only when it arrives can the reply be
 // timed (NIC occupancy at the target), so the horizon returned is a
 // lower bound refined from inside the event — which is why settle
-// re-checks. The atomics are a round trip through the agent, sat out
-// parked. Landing closures capture the fields they read, never d: they
-// are the per-op garbage of this path.
+// re-checks. Both ride on a pooled xfer record. The atomics are a round
+// trip through the agent, sat out parked.
 func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, done sim.Time) {
 	r := w.comm.r
 	m, ws := r.W.M, w.state
@@ -816,24 +855,10 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 		buf, nbytes := d.buf, at.Type.Size()
 		rate := w.originXferRate(buf, nbytes)
 		reqArrive := r.control(targetWorld)
-		m.Eng.At(reqArrive, func() {
-			data := m.GetBuf(nbytes)
-			if _, err := ws.land(opGet, OpNoOp, at, data, 0, 0); err != nil {
-				return
-			}
-			back := m.SendDataAsync(targetWorld, origin, len(data), fabric.XferOpt{Rate: rate})
-			o.Wire(origin, targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
-			arrive := back
-			if !at.Type.Contig() || !buf.Type.Contig() {
-				back += m.CopyTime(nbytes)
-			}
-			ep.extend(back)
-			o.GetDone(origin, targetWorld, nbytes, t0, arrive, back)
-			m.Eng.At(back, func() {
-				o.Landed(targetWorld, origin, profile.MsgGet, profile.RouteRMA, len(data))
-				ws.land(opGet, OpReplace, buf, data, 0, 0)
-			})
-		})
+		x := r.W.xfers.get()
+		*x = xfer{ws: ws, kind: opGet, op: OpNoOp, at: at, src: targetWorld, dst: origin,
+			buf: buf, rate: rate, ep: ep, t0: t0}
+		m.Eng.AtEvent(reqArrive, (*getRequest)(x))
 		done = reqArrive + sim.FromSeconds(float64(nbytes)/rate) + sim.FromSeconds(m.Par.LatencyNs/1e9)
 
 	case kind.atomic():
@@ -885,16 +910,77 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 			agentAt, landAt = tl.serve(arrive, sim.FromSeconds(float64(len(data))/accRate))
 			o.Booked(obs.Booking{Rank: origin, At: arrive, Start: agentAt, Done: landAt})
 		}
-		m.Eng.At(landAt, func() {
-			ws.w.Obs.Landed(origin, targetWorld, kinds[kind].class, profile.RouteRMA, len(data))
-			ws.land(kind, op, at, data, 0, 0)
-		})
+		x := r.W.xfers.get()
+		*x = xfer{ws: ws, kind: kind, op: op, at: at, data: data, src: origin, dst: targetWorld}
+		m.Eng.AtEvent(landAt, (*landing)(x))
 		done = landAt
 		if kind == opPut && !at.Type.Contig() {
 			done += m.CopyTime(len(data)) // the target unpacks
 		}
 	}
 	return old, agentAt, done
+}
+
+// xfer is one wire put, accumulate or get in flight, as the events it
+// is scheduled as: a get's request reaching the target (getRequest),
+// then bytes landing where they fold (landing) — at the target for a
+// put or accumulate, in the origin buffer for a get's reply. Records
+// come from the world's free list and go back once landed, so a warm
+// operation allocates none; the list is job-scoped and the event order
+// deterministic, so which record serves which operation repeats too.
+type xfer struct {
+	ws       *winState
+	kind     opKind
+	op       Op
+	at       LocalBuf // where the bytes land (for a get's request, what it reads)
+	data     []byte
+	src, dst int // world ranks the bytes travel from and to
+
+	// A get's request: where its reply lands, at what rate the reply
+	// travels, the epoch whose horizon it refines, and the issue time.
+	buf  LocalBuf
+	rate float64
+	ep   *epoch
+	t0   sim.Time
+}
+
+// getRequest is a get's request reaching the target: the target's bytes
+// are read into a pooled reply, the reply is timed back and lands in
+// the origin buffer.
+type getRequest xfer
+
+func (q *getRequest) Fire() {
+	x := (*xfer)(q)
+	ws := x.ws
+	m, o := ws.w.M, ws.w.Obs
+	nbytes := x.at.Type.Size()
+	data := m.GetBuf(nbytes)
+	if _, err := ws.land(opGet, OpNoOp, x.at, data, 0, 0); err != nil {
+		ws.w.xfers.put(x)
+		return
+	}
+	target, origin := x.src, x.dst
+	back := m.SendDataAsync(target, origin, len(data), fabric.XferOpt{Rate: x.rate})
+	o.Wire(origin, target, origin, profile.MsgGet, profile.RouteRMA, len(data))
+	arrive := back
+	if !x.at.Type.Contig() || !x.buf.Type.Contig() {
+		back += m.CopyTime(nbytes)
+	}
+	x.ep.extend(back)
+	o.GetDone(origin, target, nbytes, x.t0, arrive, back)
+	x.op, x.at, x.data, x.ep = OpReplace, x.buf, data, nil
+	m.Eng.AtEvent(back, (*landing)(x))
+}
+
+// landing is an operation's bytes arriving where they fold.
+type landing xfer
+
+func (l *landing) Fire() {
+	x := (*xfer)(l)
+	ws := x.ws
+	ws.w.Obs.Landed(x.src, x.dst, kinds[x.kind].class, profile.RouteRMA, len(x.data))
+	ws.land(x.kind, x.op, x.at, x.data, 0, 0)
+	ws.w.xfers.put(x)
 }
 
 // costShm is the cost step of the shared-segment route: the origin CPU

@@ -148,7 +148,10 @@ func errMPI3(call string) error {
 // RMAReq is a request handle for an MPI-3 request-based operation. A
 // put or accumulate snapshots its origin at issue, so its request is
 // complete once the synchronous injection overheads (charged before the
-// handle exists) are done: it has no epoch to track.
+// handle exists) are done: it has no epoch to track. A handle is
+// immutable, so requests that answer alike share one: every put and
+// accumulate on a window the window's completed handle, every get to
+// one target the handle of that target's lock-all epoch.
 type RMAReq struct {
 	r  *Rank
 	ep *epoch // a get's epoch: the request completes at its (refinable) horizon
@@ -199,11 +202,16 @@ func (w *Win) request(d rmaOp) (*RMAReq, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &RMAReq{r: w.comm.r}
 	if d.kind == opGet {
-		q.ep = ep
+		if ep.getReq == nil {
+			ep.getReq = &RMAReq{r: w.comm.r, ep: ep}
+		}
+		return ep.getReq, nil
 	}
-	return q, nil
+	if w.doneReq == nil {
+		w.doneReq = &RMAReq{r: w.comm.r}
+	}
+	return w.doneReq, nil
 }
 
 // RPut is a request-based Put (MPI_Rput): valid in lock-all mode; the

@@ -269,6 +269,72 @@ func TestNonConflictingOpsInEpochAllowed(t *testing.T) {
 	})
 }
 
+// TestEpochConflictVerdicts is the same-epoch conflict rule as a table:
+// each row issues ops into one exclusive epoch, and the last one must be
+// accepted or rejected with exactly the error text the linear scan
+// words — the index finds a conflict, the first one in issue order is
+// the one named.
+func TestEpochConflictVerdicts(t *testing.T) {
+	type op struct {
+		kind   opKind
+		red    Op
+		lo, hi int
+	}
+	disjoint := make([]op, 1024) // a batched epoch's ascending segments
+	for i := range disjoint {
+		disjoint[i] = op{opPut, OpReplace, 16 * i, 16*i + 8}
+	}
+	descending := make([]op, 64)
+	for i := range descending {
+		descending[i] = op{opPut, OpReplace, 16 * (63 - i), 16*(63-i) + 16}
+	}
+	rows := []struct {
+		name string
+		ops  []op
+		want string // "" accepts the last op
+	}{
+		{"same-op acc overlap", []op{{opAcc, OpSum, 0, 16}, {opAcc, OpSum, 8, 24}}, ""},
+		{"get/get overlap", []op{{opGet, OpNoOp, 0, 16}, {opGet, OpNoOp, 8, 24}}, ""},
+		{"put/get overlap", []op{{opPut, OpReplace, 0, 16}, {opGet, OpNoOp, 4, 20}},
+			"mpi: conflicting RMA operations in one epoch at target 1: [0,16) Put vs [4,20) Get"},
+		{"acc ops differ", []op{{opAcc, OpSum, 0, 16}, {opAcc, OpMax, 8, 24}},
+			"mpi: conflicting RMA operations in one epoch at target 1: [0,16) Accumulate vs [8,24) Accumulate"},
+		{"acc after put", []op{{opPut, OpReplace, 32, 48}, {opAcc, OpSum, 0, 8}, {opAcc, OpSum, 40, 44}},
+			"mpi: conflicting RMA operations in one epoch at target 1: [32,48) Put vs [40,44) Accumulate"},
+		{"first conflict in issue order", []op{{opGet, OpNoOp, 64, 80}, {opGet, OpNoOp, 0, 16}, {opGet, OpNoOp, 8, 72}, {opPut, OpReplace, 12, 66}},
+			"mpi: conflicting RMA operations in one epoch at target 1: [64,80) Get vs [12,66) Put"},
+		{"1024-op disjoint epoch", disjoint, ""},
+		{"disjoint descending", descending, ""},
+		{"touching ranges", []op{{opPut, OpReplace, 0, 8}, {opPut, OpReplace, 8, 16}, {opGet, OpNoOp, 16, 24}}, ""},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			withWin(t, 2, 16*1024, func(r *Rank, win *Win, reg *fabric.Region) {
+				if r.ID() != 0 {
+					return
+				}
+				src := r.AllocMem(16 * 1024)
+				must(t, win.Lock(LockExclusive, 1))
+				var err error
+				for i, o := range row.ops {
+					ct := TypeContiguous(o.hi - o.lo)
+					err = win.issueErr(rmaOp{kind: o.kind, op: o.red, buf: LocalBuf{Region: src, Type: ct}, target: 1, at: LocalBuf{Off: o.lo, Type: ct}})
+					if err != nil && i < len(row.ops)-1 {
+						t.Fatalf("op %d rejected: %v", i, err)
+					}
+				}
+				switch {
+				case row.want == "" && err != nil:
+					t.Errorf("rejected: %v", err)
+				case row.want != "" && (err == nil || err.Error() != row.want):
+					t.Errorf("got %v, want %q", err, row.want)
+				}
+				must(t, win.Unlock(1))
+			})
+		})
+	}
+}
+
 func TestSameOpAccumulatesMayOverlap(t *testing.T) {
 	withWin(t, 2, 16, func(r *Rank, win *Win, reg *fabric.Region) {
 		if r.ID() != 0 {
@@ -636,4 +702,10 @@ func TestCrossOriginSharedAccumulatesAllowed(t *testing.T) {
 		must(t, win.Accumulate(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(16)}, OpSum, 2, 0, TypeContiguous(16)))
 		must(t, win.Unlock(2))
 	})
+}
+
+// issueErr issues d and reports only its error.
+func (w *Win) issueErr(d rmaOp) error {
+	_, _, err := w.issue(d)
+	return err
 }

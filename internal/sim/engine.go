@@ -87,13 +87,36 @@ func (t Time) String() string {
 	}
 }
 
-// event is one scheduled occurrence. Pure wakeups (Elapse) carry the
-// parked proc in wake and no closure; handler events carry fn.
+// event is one scheduled occurrence. What happens when it fires is ev:
+// a pure wakeup (Elapse) is the parked Proc itself, a handler scheduled
+// with At is its func, and a caller's record scheduled with AtEvent is
+// that record — none of the three allocates at scheduling time.
 type event struct {
-	at   Time
-	seq  int64
-	wake *Proc
-	fn   func()
+	at  Time
+	seq int64
+	ev  Event
+}
+
+// Event is a scheduled occurrence that is its own record: Fire runs in
+// event context (under the dispatcher, never blocking), like an At
+// handler. A type that schedules the same kind of occurrence many times
+// — a message landing in a mailbox, an epoch's grant — implements it on
+// the record it already holds, so scheduling allocates nothing, where
+// each At closure is one more object.
+type Event interface{ Fire() }
+
+// funcEvent adapts an At handler. A func value is pointer-shaped, so
+// storing one in the Event interface does not allocate.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// wakeup is a parked Proc as the event that makes it runnable.
+type wakeup Proc
+
+func (w *wakeup) Fire() {
+	p := (*Proc)(w)
+	p.sh.e.Unpark(p)
 }
 
 // eventHeap is a value-typed binary min-heap ordered by (at, seq).
@@ -128,7 +151,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // clear the vacated slot so fn/wake are collectable
+	s[n] = event{} // clear the vacated slot so its Event is collectable
 	s = s[:n]
 	*h = s
 	// Sift down.
@@ -302,11 +325,14 @@ func (e *Engine) Observe(o Observer) { e.obs = o }
 // run under the dispatcher and must not block. It panics in a
 // multi-shard run, where the target shard is ambiguous (schedule
 // through AtRank).
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, fn func()) { e.AtEvent(t, funcEvent(fn)) }
+
+// AtEvent is At for a caller-held record: ev.Fire runs at t.
+func (e *Engine) AtEvent(t Time, ev Event) {
 	if e.draining {
 		return // unwinding cleanup; the run is over
 	}
-	e.one("At").schedule(t, nil, fn)
+	e.one("At").schedule(t, ev)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -322,18 +348,22 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.Now()+d, fn) }
 // panics with a lookahead violation. It must be called from a flow of
 // control running on rank from's shard (from's rank body, or a handler
 // scheduled to it).
-func (e *Engine) AtRank(t Time, from, to int, fn func()) {
+func (e *Engine) AtRank(t Time, from, to int, fn func()) { e.AtRankEvent(t, from, to, funcEvent(fn)) }
+
+// AtRankEvent is AtRank for a caller-held record: ev.Fire runs at t
+// where rank to's state lives.
+func (e *Engine) AtRankEvent(t Time, from, to int, ev Event) {
 	if e.draining {
 		return
 	}
 	if len(e.shards) == 1 {
-		e.shards[0].schedule(t, nil, fn)
+		e.shards[0].schedule(t, ev)
 		return
 	}
 	src := e.procs[from].sh
 	dst := e.procs[to].sh
 	if src == dst {
-		src.schedule(t, nil, fn)
+		src.schedule(t, ev)
 		return
 	}
 	if t < src.windowEnd {
@@ -343,7 +373,7 @@ func (e *Engine) AtRank(t Time, from, to int, fn func()) {
 	}
 	src.outSeq++
 	src.outbox[dst.id] = append(src.outbox[dst.id],
-		xev{at: t, sent: src.now, seq: src.outSeq, src: src.id, fn: fn})
+		xev{at: t, sent: src.now, seq: src.outSeq, src: src.id, ev: ev})
 }
 
 // drainSignal is the panic value used to unwind a blocked rank body
@@ -377,7 +407,7 @@ func (p *Proc) Elapse(d Time) {
 	}
 	due := sh.now + d
 	if e.noInlineElapse || sh.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) || due >= sh.windowEnd {
-		sh.schedule(due, p, nil)
+		sh.schedule(due, (*wakeup)(p))
 		p.Park("elapse")
 		return
 	}
@@ -409,7 +439,7 @@ func (p *Proc) Elapse(d Time) {
 		}
 		sh.fire(ev)
 		if sh.rqLen > 0 {
-			sh.events.push(event{at: due, seq: wakeSeq, wake: p})
+			sh.events.push(event{at: due, seq: wakeSeq, ev: (*wakeup)(p)})
 			p.park("elapse", true)
 			return
 		}

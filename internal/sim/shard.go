@@ -51,14 +51,14 @@ import (
 	"slices"
 )
 
-// xev is a cross-shard event in flight: a closure plus the ordering
+// xev is a cross-shard event in flight: the Event plus the ordering
 // key it will be merged under at the receiving shard.
 type xev struct {
 	at   Time
 	sent Time  // sending shard's clock at scheduling time
 	seq  int64 // sending shard's outbox sequence
 	src  int   // sending shard id
-	fn   func()
+	ev   Event
 }
 
 // cmd is the coordinator's answer to a shard waiting at the barrier.
@@ -110,11 +110,10 @@ type shard struct {
 	released bool          // the dispatcher returned; the worker may exit
 }
 
-// schedule pushes an event at absolute time t (clamped to now): a pure
-// wakeup of p, which needs no closure, or a handler fn.
-func (sh *shard) schedule(t Time, p *Proc, fn func()) {
+// schedule pushes ev at absolute time t (clamped to now).
+func (sh *shard) schedule(t Time, ev Event) {
 	sh.seq++
-	sh.events.push(event{at: max(t, sh.now), seq: sh.seq, wake: p, fn: fn})
+	sh.events.push(event{at: max(t, sh.now), seq: sh.seq, ev: ev})
 }
 
 func (sh *shard) pushRunnable(p *Proc) {
@@ -140,11 +139,7 @@ func (sh *shard) popRunnable() *Proc {
 // fire runs one popped event; the caller has advanced the clock to it.
 func (sh *shard) fire(ev event) {
 	sh.stats.Events++
-	if ev.wake != nil {
-		sh.e.Unpark(ev.wake)
-	} else {
-		ev.fn()
-	}
+	ev.ev.Fire()
 }
 
 // work is a shard's worker goroutine: it runs the dispatcher until the
@@ -253,9 +248,9 @@ func (sh *shard) ingest() {
 			cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
 	for _, x := range sh.inbox {
-		sh.schedule(x.at, nil, x.fn)
+		sh.schedule(x.at, x.ev)
 	}
-	clear(sh.inbox) // the heap owns the closures now
+	clear(sh.inbox) // the heap owns the events now
 	sh.inbox = sh.inbox[:0]
 }
 
@@ -395,7 +390,7 @@ func (e *Engine) coordinate() error {
 					next = min(next, x.at)
 				}
 				e.shards[d].inbox = append(e.shards[d].inbox, evs...)
-				clear(evs) // the inbox owns the closures now
+				clear(evs) // the inbox owns the events now
 				sh.outbox[d] = evs[:0]
 			}
 		}
