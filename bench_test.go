@@ -7,13 +7,10 @@ package repro
 // virtual-time results (bandwidths in GB/s, phase times in virtual
 // milliseconds), while ns/op measures the simulator's host cost.
 //
-// Full sweeps (the paper's exact axes) are produced by the CLIs:
+// Full sweeps (the paper's exact axes) are produced by the CLI:
 //
-//	go run ./cmd/platforms            # Table II
-//	go run ./cmd/armci-bench -fig 3   # Figure 3
-//	go run ./cmd/armci-bench -fig 4   # Figure 4
-//	go run ./cmd/armci-bench -fig 5   # Figure 5
-//	go run ./cmd/nwchem-bench         # Figure 6
+//	go run ./cmd/armci-bench -fig table2  # Table II
+//	go run ./cmd/armci-bench -fig 3       # Figure 3 (likewise 4, 5, 6)
 
 import (
 	"io"

@@ -1,28 +1,30 @@
-// Command armci-bench regenerates the communication figures of the
-// paper (Figures 3, 4, and 5) and the ablation tables on the simulated
-// platforms.
+// Command armci-bench regenerates the paper's evaluation on the
+// simulated platforms: Table II, Figures 3-6, and the ablations.
 //
 // Usage:
 //
 //	armci-bench -fig 3 [-platform bgp|ib|xt5|xe6] [-quick]
 //	armci-bench -fig 4 [-platform ...] [-op get|put|acc] [-quick]
 //	armci-bench -fig 5 [-quick]
-//	armci-bench -fig ablation-shm [-platform ...] [-quick]
-//	armci-bench -fig ablation-nbfanout [-platform ...] [-quick]
-//	armci-bench -fig ablation-locality [-platform ...] [-quick]
+//	armci-bench -fig 6 [-platform ...] [-quick]
+//	armci-bench -fig ablation-shm|ablation-nbfanout|ablation-locality [-platform ...] [-quick]
 //	armci-bench -fig ablations
 //	armci-bench -fig table2
 //	armci-bench -fig scale [-quick]
+//	armci-bench -fig all
+//	armci-bench -fig results -json DIR
 //
-// With no -platform, figure sweeps run on all four platforms. A
+// The figures table below names every figure once. With no -platform,
+// figures 3, 4 and 6 run on all four platforms and the three ablation
+// figures on InfiniBand, where their acceptance criteria are stated; a
 // combined -fig figN-plat spelling (e.g. -fig fig3-ib) selects one
-// figure on one platform, matching the BENCH_<name>.json artifact
-// names. Output is gnuplot-style columns on stdout.
-//
-// The scale figure sweeps the CCSD proxy and GA fan-out shapes to
-// 4096-16384 simulated ranks on the Cray XT5 model. Scale is excluded
-// from -fig all because its jobs dwarf every other sweep. (What the
-// simulator costs the host is measured by go run ./benchmark.)
+// platform, as the BENCH_<name>.json artifact names do. Figure 6 runs
+// its (T) phase on InfiniBand and the Cray XE6, as the paper shows it.
+// Table II is followed by the calibrated model parameters. -fig all
+// runs every figure but scale (4096-16384 simulated ranks), whose jobs
+// dwarf every other sweep. -fig results rewrites every file under
+// results/ into DIR, each from the run the results table names for it;
+// with -json results, a clean git status is the regeneration check.
 //
 // Runtime tuning (applied to every job a sweep constructs; an
 // ablation's own axis still overrides these):
@@ -34,38 +36,33 @@
 //	                    Figure 3 comparison (native, armci-mpi, armci-ds,
 //	                    or dartmpi)
 //
-// Observability (the figures that record: 3, 4, 5, ablation-shm,
-// ablation-locality, scale; with any other figure these flags are an
-// error):
+// Observability (only on the figures that record: 3, 4, 5,
+// ablation-shm, ablation-locality, scale):
 //
 //	-stats         print per-rank metrics (lock waits, bytes moved
 //	               contiguous vs packed, epoch flushes, ...) after the runs
-//	-trace f.json  write a Chrome trace_event file viewable in
-//	               chrome://tracing or https://ui.perfetto.dev
-//	-profile       attribute each operation's virtual time to phases
-//	               (lock wait, pack, shm copy, wire, target processing)
-//	               and print an mpiP-style report: top operations, phase
-//	               percentages, hottest rank pairs, link utilization.
-//	               With -json dir, also writes dir/PROF_<fig>.json
-//	-critpath      record the happens-before graph of every job and
-//	               print the exact critical path: which operations,
-//	               wait chains, and ranks the end-to-end virtual time
-//	               actually decomposes into (the per-job segment sums
-//	               equal the makespans exactly), side by side with the
-//	               flat profiler shares. With -json dir, also writes
-//	               dir/CRIT_<fig>.json
-//	-json dir      also write each figure as dir/BENCH_<name>.json
+//	-trace f.json  write a Chrome trace_event file (https://ui.perfetto.dev)
+//	-profile       print an mpiP-style report of each operation's virtual
+//	               time by phase (lock wait, pack, shm copy, wire, target)
+//	-critpath      print the exact critical path of every job: the
+//	               operations, wait chains and ranks its virtual time
+//	               decomposes into, beside the profiler shares
+//	-json dir      also write each figure as dir/BENCH_<name>.json, and
+//	               -profile/-critpath as dir/PROF_<fig>.json/CRIT_<fig>.json
+//	               (not with table2 or ablations, which have no JSON form)
 //
 // All output is in deterministic virtual time: repeat runs of the same
 // configuration produce byte-identical stats, trace, and JSON files.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 
 	"repro/internal/armcimpi"
@@ -75,16 +72,25 @@ import (
 	"repro/internal/platform"
 )
 
+// args is one armci-bench command line, less the runtime-tuning flags,
+// which installTweak applies once for the whole process.
+type args struct {
+	fig, plat, op                   string
+	quick, stats, profile, critpath bool
+	trace, jsonDir                  string
+}
+
 func main() {
-	fig := flag.String("fig", "3", "what to regenerate: 3, 4, 5, 6? use nwchem-bench; ablation-shm, ablations, table2, all")
-	plat := flag.String("platform", "", "platform (bgp, ib, xt5, xe6); empty = all")
-	op := flag.String("op", "", "operation filter for fig 4 (get, put, acc); empty = all")
-	quick := flag.Bool("quick", false, "reduced sweeps")
-	stats := flag.Bool("stats", false, "print per-rank observability metrics after the figure sweeps")
-	trace := flag.String("trace", "", "write a Chrome trace_event JSON file covering the figure sweeps")
-	profile := flag.Bool("profile", false, "attribute per-operation virtual time to phases and print an mpiP-style report")
-	critpath := flag.Bool("critpath", false, "record dependence chains and print the exact critical-path report (with -json, also CRIT_<fig>.json)")
-	jsonDir := flag.String("json", "", "also write each figure as BENCH_<name>.json into this directory")
+	var a args
+	flag.StringVar(&a.fig, "fig", "3", "what to regenerate: "+strings.Join(figNames(func(*figure) bool { return true }), ", ")+", all, or results (every file under results/, into the -json directory)")
+	flag.StringVar(&a.plat, "platform", "", "platform (bgp, ib, xt5, xe6); empty = the figure's default")
+	flag.StringVar(&a.op, "op", "", "operation filter for fig 4 (get, put, acc); empty = all")
+	flag.BoolVar(&a.quick, "quick", false, "reduced sweeps")
+	flag.BoolVar(&a.stats, "stats", false, "print per-rank observability metrics after the figure sweeps")
+	flag.StringVar(&a.trace, "trace", "", "write a Chrome trace_event JSON file covering the figure sweeps")
+	flag.BoolVar(&a.profile, "profile", false, "attribute per-operation virtual time to phases and print an mpiP-style report")
+	flag.BoolVar(&a.critpath, "critpath", false, "record dependence chains and print the exact critical-path report (with -json, also CRIT_<fig>.json)")
+	flag.StringVar(&a.jsonDir, "json", "", "also write each figure as BENCH_<name>.json into this directory")
 	batch := flag.Int("batch", -1, "batched-method operations per epoch (0 = unlimited; -1 = default)")
 	stridedMethod := flag.String("strided-method", "", "strided transfer method (conservative, batched, iov-direct, direct, auto)")
 	iovMethod := flag.String("iov-method", "", "I/O vector transfer method (conservative, batched, iov-direct, auto)")
@@ -93,53 +99,145 @@ func main() {
 			strings.Join(harness.ImplNames(), ", ")))
 	flag.Parse()
 
-	if *runtimeName != "" {
-		impl, err := harness.ParseImpl(*runtimeName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "armci-bench:", err)
-			os.Exit(1)
-		}
+	err := installTweak(*batch, *stridedMethod, *iovMethod)
+	if err == nil && *runtimeName != "" {
+		var impl harness.Impl
+		impl, err = harness.ParseImpl(*runtimeName)
 		bench.ExtraImpls = append(bench.ExtraImpls, impl)
 	}
-	if err := installTweak(*batch, *stridedMethod, *iovMethod); err != nil {
-		fmt.Fprintln(os.Stderr, "armci-bench:", err)
-		os.Exit(1)
+	if err == nil {
+		err = run(os.Stdout, a)
 	}
-	if err := run(*fig, *plat, *op, *quick, *stats, *profile, *critpath, *trace, *jsonDir); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "armci-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// recording lists the figures whose jobs take the recorder.
-var recording = []string{"3", "4", "5", "ablation-shm", "ablation-locality", "scale"}
+// figure is one -fig name. The valid names, the figures that record,
+// the figures that write JSON and -fig all are all read off the figures
+// table; nothing else lists them.
+type figure struct {
+	name string
+	// plats is where the figure runs with no -platform: "all" four
+	// platforms, one named platform, or "" for once with no platform
+	// (gen then gets nil and -platform is ignored).
+	plats   string
+	records bool // its jobs take the recorder (-stats/-profile/-critpath/-trace)
+	inAll   bool // -fig all runs it
+	// Exactly one of gen and text is set. gen returns one platform's
+	// panels, which print as columns and, with -json, are written as
+	// BENCH_<name>.json; text prints a table with no JSON form.
+	gen  func(p *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error)
+	text func(w io.Writer) error
+}
 
-// checkObsFigure rejects, at parse time, an observability flag on a
-// figure that records nothing: the report would come out empty
-// ("(no metrics recorded)", a top-operations table with no rows) and
-// the run would still exit 0.
-func checkObsFigure(fig string, stats, profile, critpath bool, trace string) error {
-	if fig == "all" || slices.Contains(recording, fig) {
-		return nil
+var figures = []figure{
+	{name: "table2", inAll: true, text: table2},
+	{name: "3", plats: "all", records: true, inAll: true,
+		gen: func(p *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error) {
+			cfg := pick(a.quick, bench.DefaultFig3, bench.QuickFig3)
+			cfg.Obs = rec
+			return one(bench.Fig3(p, cfg))
+		}},
+	{name: "4", plats: "all", records: true, inAll: true,
+		gen: func(p *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error) {
+			cfg := pick(a.quick, bench.DefaultFig4, bench.QuickFig4)
+			cfg.Obs = rec
+			ops := []bench.ContigOp{bench.OpGet, bench.OpAcc, bench.OpPut}
+			if a.op != "" {
+				ops = []bench.ContigOp{bench.ContigOp(a.op)}
+			}
+			var figs []*bench.Figure
+			for _, seg := range cfg.SegSizes {
+				for _, o := range ops {
+					f, err := bench.Fig4(p, o, seg, cfg)
+					if err != nil {
+						return nil, err
+					}
+					figs = append(figs, f)
+				}
+			}
+			return figs, nil
+		}},
+	{name: "5", records: true, inAll: true,
+		gen: func(_ *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error) {
+			cfg := pick(a.quick, bench.DefaultFig5, bench.QuickFig5)
+			cfg.Obs = rec
+			return one(bench.Fig5(cfg))
+		}},
+	{name: "6", plats: "all", inAll: true,
+		gen: func(p *platform.Platform, a args, _ *obs.Recorder) ([]*bench.Figure, error) {
+			withT := p.Name == platform.InfiniBand || p.Name == platform.CrayXE6
+			return one(bench.Fig6(p, pick(a.quick, bench.DefaultFig6, bench.QuickFig6), withT))
+		}},
+	{name: "ablation-shm", plats: platform.InfiniBand, records: true, inAll: true,
+		gen: func(p *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error) {
+			cfg := pick(a.quick, bench.DefaultShmAblation, bench.QuickShmAblation)
+			cfg.Obs = rec
+			return one(bench.AblationShm(p, cfg))
+		}},
+	{name: "ablation-nbfanout", plats: platform.InfiniBand, inAll: true,
+		gen: func(p *platform.Platform, a args, _ *obs.Recorder) ([]*bench.Figure, error) {
+			return one(bench.AblationNbFanout(p, pick(a.quick, bench.DefaultNbFanout, bench.QuickNbFanout)))
+		}},
+	{name: "ablation-locality", plats: platform.InfiniBand, records: true, inAll: true,
+		gen: func(p *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error) {
+			cfg := pick(a.quick, bench.DefaultLocalityAblation, bench.QuickLocalityAblation)
+			cfg.Obs = rec
+			return one(bench.AblationLocality(p, cfg))
+		}},
+	{name: "ablations", inAll: true, text: ablations},
+	{name: "scale", records: true,
+		gen: func(_ *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error) {
+			cfg := pick(a.quick, bench.DefaultScale, bench.QuickScale)
+			cfg.Obs = rec
+			return one(bench.Scale(cfg))
+		}},
+}
+
+// results names every file under results/ and the run that rebuilds
+// it. A .txt file is what its run prints; a .json file is what its run
+// writes with -json. -fig results -json DIR writes exactly this set.
+var results = []struct {
+	file string
+	run  args
+}{
+	{"table2.txt", args{fig: "table2"}},
+	{"fig3.txt", args{fig: "3"}},
+	{"fig4.txt", args{fig: "4"}},
+	{"fig5.txt", args{fig: "5"}},
+	{"fig6.txt", args{fig: "6"}},
+	{"ablations.txt", args{fig: "ablations"}},
+	{"BENCH_fig3-ib.json", args{fig: "fig3-ib", quick: true}},
+	{"PROF_fig3-ib.json", args{fig: "fig3-ib", quick: true, profile: true}},
+	{"CRIT_fig3-ib.json", args{fig: "fig3-ib", quick: true, critpath: true}},
+	{"BENCH_ablation-shm.json", args{fig: "ablation-shm", quick: true}},
+	{"BENCH_ablation-nbfanout.json", args{fig: "ablation-nbfanout", quick: true}},
+	{"BENCH_ablation-locality.json", args{fig: "ablation-locality", quick: true}},
+	{"BENCH_scale.json", args{fig: "scale", quick: true}},
+}
+
+func pick[C any](quick bool, full, reduced func() C) C {
+	if quick {
+		return reduced()
 	}
-	var set []string
-	if stats {
-		set = append(set, "-stats")
+	return full()
+}
+
+func one(f *bench.Figure, err error) ([]*bench.Figure, error) {
+	return []*bench.Figure{f}, err
+}
+
+// figNames lists, in table order, the figures for which has is true.
+func figNames(has func(*figure) bool) []string {
+	var names []string
+	for i := range figures {
+		if has(&figures[i]) {
+			names = append(names, figures[i].name)
+		}
 	}
-	if profile {
-		set = append(set, "-profile")
-	}
-	if critpath {
-		set = append(set, "-critpath")
-	}
-	if trace != "" {
-		set = append(set, "-trace")
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s: -fig %s records nothing; the figures that do are %s",
-		strings.Join(set, "/"), fig, strings.Join(recording, ", "))
+	return names
 }
 
 // installTweak translates the runtime-tuning flags into the bench
@@ -175,336 +273,264 @@ func installTweak(batch int, stridedMethod, iovMethod string) error {
 	return nil
 }
 
-func platforms(name string) ([]*platform.Platform, error) {
-	if name == "" {
-		return platform.All(), nil
-	}
-	p, err := platform.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return []*platform.Platform{p}, nil
-}
-
-func run(fig, plat, opFilter string, quick, stats, profile, critpath bool, traceFile, jsonDir string) error {
-	// Accept the combined figN-plat spelling used by the guarded
-	// artifact names: -fig fig3-ib == -fig 3 -platform ib.
-	profName := fig
-	if rest, ok := strings.CutPrefix(fig, "fig"); ok {
+// checkArgs rejects a bad command line before anything runs. It
+// resolves the combined figN-plat spelling in place and returns the
+// figures to run (none for -fig results). A flag whose output the
+// figure cannot produce is an error too: the report or directory would
+// come out empty, and the run would still exit 0.
+func checkArgs(a *args) ([]*figure, error) {
+	if rest, ok := strings.CutPrefix(a.fig, "fig"); ok {
 		if i := strings.IndexByte(rest, '-'); i > 0 {
-			figPlat := rest[i+1:]
-			if plat != "" && plat != figPlat {
-				return fmt.Errorf("-fig %s conflicts with -platform %s", fig, plat)
+			if a.plat != "" && a.plat != rest[i+1:] {
+				return nil, fmt.Errorf("-fig %s conflicts with -platform %s", a.fig, a.plat)
 			}
-			fig, plat = rest[:i], figPlat
+			a.fig, a.plat = rest[:i], rest[i+1:]
 		}
 	}
-	switch fig {
-	case "3", "4", "5", "ablation-shm", "ablation-nbfanout", "ablation-locality", "ablations", "table2", "scale", "all":
-	default:
-		return fmt.Errorf("unknown -fig %q", fig)
+	var figs []*figure
+	for i := range figures {
+		if f := &figures[i]; f.name == a.fig || a.fig == "all" && f.inAll {
+			figs = append(figs, f)
+		}
 	}
-	if err := checkObsFigure(fig, stats, profile, critpath, traceFile); err != nil {
+	if figs == nil && a.fig != "results" {
+		return nil, fmt.Errorf("unknown -fig %q; valid: %s, all, results", a.fig,
+			strings.Join(figNames(func(*figure) bool { return true }), ", "))
+	}
+	if a.plat != "" {
+		if _, err := platform.Lookup(a.plat); err != nil {
+			return nil, err
+		}
+	}
+	// need fails when flags are set on a figure that lacks what they
+	// need, naming the figures that have it; -fig all always passes.
+	need := func(flags []string, lacks string, has func(*figure) bool) error {
+		if len(flags) == 0 || a.fig == "all" || len(figs) == 1 && has(figs[0]) {
+			return nil
+		}
+		return fmt.Errorf("%s: -fig %s %s; the figures that do are %s",
+			strings.Join(flags, "/"), a.fig, lacks, strings.Join(figNames(has), ", "))
+	}
+	var obsFlags []string
+	for i, set := range []bool{a.stats, a.profile, a.critpath, a.trace != ""} {
+		if set {
+			obsFlags = append(obsFlags, []string{"-stats", "-profile", "-critpath", "-trace"}[i])
+		}
+	}
+	if err := need(obsFlags, "records nothing", func(f *figure) bool { return f.records }); err != nil {
+		return nil, err
+	}
+	if a.fig == "results" {
+		if a.jsonDir == "" || a.plat != "" || a.op != "" || a.quick {
+			return nil, errors.New("-fig results takes -json DIR and none of -platform, -op, -quick")
+		}
+		return nil, nil
+	}
+	if a.jsonDir != "" {
+		return figs, need([]string{"-json"}, "writes no JSON", func(f *figure) bool { return f.gen != nil })
+	}
+	return figs, nil
+}
+
+func run(w io.Writer, a args) error {
+	stem := a.fig // PROF_/CRIT_<stem>.json: the -fig spelling as given
+	figs, err := checkArgs(&a)
+	if err != nil {
 		return err
+	}
+	if a.fig == "results" {
+		return writeResults(a.jsonDir)
 	}
 	var rec *obs.Recorder
-	if stats || profile || critpath || traceFile != "" {
-		rec = obs.New(obs.Options{Trace: traceFile != "", Profile: profile, CritPath: critpath})
+	if a.stats || a.profile || a.critpath || a.trace != "" {
+		rec = obs.New(obs.Options{Trace: a.trace != "", Profile: a.profile, CritPath: a.critpath})
 	}
-	if err := runFigures(fig, plat, opFilter, quick, rec, jsonDir); err != nil {
-		return err
+	for _, f := range figs {
+		if err := f.run(w, a, rec); err != nil {
+			return err
+		}
 	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
+	if a.trace != "" {
+		if err := writeFile(a.trace, rec.WriteTrace); err != nil {
+			return err
+		}
+	}
+	if a.stats {
+		rec.WriteStats(w)
+	}
+	if a.profile {
+		if err := report(w, a.jsonDir, "PROF_"+stem, rec.Prof()); err != nil {
+			return err
+		}
+	}
+	if a.critpath {
+		return report(w, a.jsonDir, "CRIT_"+stem, rec.Crit())
+	}
+	return nil
+}
+
+// run prints the figure on each of its platforms and, with -json,
+// writes each panel as BENCH_<name>.json.
+func (f *figure) run(w io.Writer, a args, rec *obs.Recorder) error {
+	if f.text != nil {
+		return f.text(w)
+	}
+	if !f.records {
+		rec = nil
+	}
+	ps := []*platform.Platform{nil}
+	switch {
+	case f.plats == "":
+	case a.plat != "":
+		ps[0] = platform.Get(a.plat)
+	case f.plats == "all":
+		ps = platform.All()
+	default:
+		ps[0] = platform.Get(f.plats)
+	}
+	for _, p := range ps {
+		panels, err := f.gen(p, a, rec)
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if stats {
-		rec.WriteStats(os.Stdout)
-	}
-	if profile {
-		pr := rec.Prof()
-		if err := pr.WriteReport(os.Stdout); err != nil {
-			return err
-		}
-		if jsonDir != "" {
-			path := filepath.Join(jsonDir, "PROF_"+profName+".json")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
+		for _, fig := range panels {
+			fig.Print(w)
+			if a.jsonDir != "" {
+				if err := writeFile(filepath.Join(a.jsonDir, "BENCH_"+fig.Name+".json"), fig.WriteJSON); err != nil {
+					return err
+				}
 			}
-			if err := pr.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "armci-bench: wrote", path)
-		}
-	}
-	if critpath {
-		cr := rec.Crit()
-		if err := cr.WriteReport(os.Stdout); err != nil {
-			return err
-		}
-		if jsonDir != "" {
-			path := filepath.Join(jsonDir, "CRIT_"+profName+".json")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := cr.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "armci-bench: wrote", path)
 		}
 	}
 	return nil
 }
 
-// emit prints a figure and, when a JSON directory was requested, also
-// writes its machine-readable BENCH_<name>.json form.
-func emit(f *bench.Figure, jsonDir string) error {
-	f.Print(os.Stdout)
-	if jsonDir == "" {
-		return nil
+// report prints a profiler or critical-path analysis and, when a JSON
+// directory was requested, also writes it as dir/<stem>.json.
+func report(w io.Writer, dir, stem string, r interface {
+	WriteReport(io.Writer) error
+	WriteJSON(io.Writer) error
+}) error {
+	if err := r.WriteReport(w); err != nil || dir == "" {
+		return err
 	}
-	path, err := f.WriteJSONFile(jsonDir)
+	return writeFile(filepath.Join(dir, stem+".json"), r.WriteJSON)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, "armci-bench: wrote", path)
 	return nil
 }
 
-func runFigures(fig, plat, opFilter string, quick bool, rec *obs.Recorder, jsonDir string) error {
-	if fig == "table2" || fig == "all" {
-		bench.Table2(os.Stdout)
-		if fig == "table2" {
-			return nil
+// writeResults rebuilds every file of the results table into dir. Each
+// file is removed before its run, so a run that stops writing its file
+// shows as a deletion in git status, never as a stale pass.
+func writeResults(dir string) error {
+	for _, r := range results {
+		path := filepath.Join(dir, r.file)
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
 		}
-	}
-	if fig == "3" || fig == "all" {
-		cfg := bench.DefaultFig3()
-		if quick {
-			cfg = bench.QuickFig3()
+		var err error
+		if a := r.run; strings.HasSuffix(r.file, ".txt") {
+			err = writeFile(path, func(w io.Writer) error { return run(w, a) })
+		} else {
+			a.jsonDir = dir
+			err = run(io.Discard, a)
 		}
-		cfg.Obs = rec
-		ps, err := platforms(plat)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", r.file, err)
 		}
-		for _, p := range ps {
-			f, err := bench.Fig3(p, cfg)
-			if err != nil {
-				return err
-			}
-			if err := emit(f, jsonDir); err != nil {
-				return err
-			}
-		}
-		if fig == "3" {
-			return nil
-		}
-	}
-	if fig == "4" || fig == "all" {
-		cfg := bench.DefaultFig4()
-		if quick {
-			cfg = bench.QuickFig4()
-		}
-		cfg.Obs = rec
-		ops := []bench.ContigOp{bench.OpGet, bench.OpAcc, bench.OpPut}
-		if opFilter != "" {
-			ops = []bench.ContigOp{bench.ContigOp(opFilter)}
-		}
-		ps, err := platforms(plat)
-		if err != nil {
-			return err
-		}
-		for _, p := range ps {
-			for _, seg := range cfg.SegSizes {
-				for _, o := range ops {
-					f, err := bench.Fig4(p, o, seg, cfg)
-					if err != nil {
-						return err
-					}
-					if err := emit(f, jsonDir); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if fig == "4" {
-			return nil
-		}
-	}
-	if fig == "5" || fig == "all" {
-		cfg := bench.DefaultFig5()
-		if quick {
-			cfg = bench.QuickFig5()
-		}
-		cfg.Obs = rec
-		f, err := bench.Fig5(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit(f, jsonDir); err != nil {
-			return err
-		}
-		if fig == "5" {
-			return nil
-		}
-	}
-	if fig == "ablation-shm" || fig == "all" {
-		cfg := bench.DefaultShmAblation()
-		if quick {
-			cfg = bench.QuickShmAblation()
-		}
-		cfg.Obs = rec
-		// Default to InfiniBand (the platform the shm acceptance
-		// criterion is stated on); -platform selects another.
-		name := plat
-		if name == "" {
-			name = platform.InfiniBand
-		}
-		p, err := platform.Lookup(name)
-		if err != nil {
-			return err
-		}
-		f, err := bench.AblationShm(p, cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit(f, jsonDir); err != nil {
-			return err
-		}
-		if fig == "ablation-shm" {
-			return nil
-		}
-	}
-	if fig == "ablation-nbfanout" || fig == "all" {
-		cfg := bench.DefaultNbFanout()
-		if quick {
-			cfg = bench.QuickNbFanout()
-		}
-		// Default to InfiniBand, where the acceptance criterion (the
-		// nonblocking fan-out strictly faster from 4 owners) is stated.
-		name := plat
-		if name == "" {
-			name = platform.InfiniBand
-		}
-		p, err := platform.Lookup(name)
-		if err != nil {
-			return err
-		}
-		f, err := bench.AblationNbFanout(p, cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit(f, jsonDir); err != nil {
-			return err
-		}
-		if fig == "ablation-nbfanout" {
-			return nil
-		}
-	}
-	if fig == "ablation-locality" || fig == "all" {
-		cfg := bench.DefaultLocalityAblation()
-		if quick {
-			cfg = bench.QuickLocalityAblation()
-		}
-		cfg.Obs = rec
-		// Default to InfiniBand (the platform the dartmpi same-node
-		// acceptance criterion is stated on); -platform selects another.
-		name := plat
-		if name == "" {
-			name = platform.InfiniBand
-		}
-		p, err := platform.Lookup(name)
-		if err != nil {
-			return err
-		}
-		f, err := bench.AblationLocality(p, cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit(f, jsonDir); err != nil {
-			return err
-		}
-		if fig == "ablation-locality" {
-			return nil
-		}
-	}
-	// Scale is excluded from -fig all: its jobs are orders of magnitude
-	// larger than every other sweep.
-	if fig == "scale" {
-		cfg := bench.DefaultScale()
-		if quick {
-			cfg = bench.QuickScale()
-		}
-		cfg.Obs = rec
-		f, err := bench.Scale(cfg)
-		if err != nil {
-			return err
-		}
-		return emit(f, jsonDir)
-	}
-	if fig == "ablations" || fig == "all" {
-		return ablations()
 	}
 	return nil
 }
 
-func ablations() error {
+// table2 prints the paper's Table II and the calibrated model
+// parameters behind each simulated machine.
+func table2(w io.Writer) error {
+	bench.Table2(w)
+	fmt.Fprintln(w, "# Calibrated model parameters")
+	for _, p := range platform.All() {
+		fmt.Fprintf(w, "%s (%s)\n", p.Name, p.System)
+		fmt.Fprintf(w, "  link: %.2f GB/s, latency %.1f us, per-msg overhead %.0f ns\n",
+			p.Bandwidth/1e9, p.LatencyNs/1e3, p.MsgOverhead)
+		fmt.Fprintf(w, "  cpu: copy %.2f GB/s, %.1f Gflop/s per core, %d cores/node\n",
+			p.CopyRate/1e9, p.Flops/1e9, p.CoresPerNode)
+		if p.PinPageNs > 0 {
+			fmt.Fprintf(w, "  registration: %.0f us/page, bounce threshold %d B\n",
+				p.PinPageNs/1e3, p.BounceThreshold)
+		}
+		fmt.Fprintf(w, "  native ARMCI: %.0f%% of link bw, %.0f ns/op",
+			p.Native.BandwidthFrac*100, p.Native.OpOverheadNs)
+		if p.Native.ScalePenaltyNs > 0 {
+			fmt.Fprintf(w, ", %.1f us/op scale penalty per log2(P)", p.Native.ScalePenaltyNs/1e3)
+		}
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  MPI RMA: %.0f%% of link bw, %.0f ns/op", p.MPI.BandwidthFrac*100, p.MPI.OpOverheadNs)
+		if p.MPI.LargeFrac > 0 {
+			fmt.Fprintf(w, ", %.0f%% beyond %d B", p.MPI.LargeFrac*100, p.MPI.LargeAt)
+		}
+		if p.MPI.QueueSlowdownNs > 0 {
+			fmt.Fprintf(w, ", epoch-queue slowdown %.0f ns/op beyond %d ops",
+				p.MPI.QueueSlowdownNs, p.MPI.QueueThreshold)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+func ablations(w io.Writer) error {
 	ib := platform.Get(platform.InfiniBand)
-	fmt.Println("# Ablation: read-modify-write latency (us/op), InfiniBand")
-	rmw, err := bench.AblationRmw(ib, 16)
-	if err != nil {
+	// rows prints one block of "name value" rows in keys order.
+	rows := func(title string, width, prec int, m map[string]float64, err error, keys ...string) error {
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, title)
+		for _, k := range keys {
+			fmt.Fprintf(w, "%-*s %10.*f\n", width, k, prec, m[k])
+		}
+		fmt.Fprintln(w)
+		return nil
+	}
+	m, err := bench.AblationRmw(ib, 16)
+	if err := rows("# Ablation: read-modify-write latency (us/op), InfiniBand", 16, 2, m, err,
+		"native-atomic", "mpi3-fetchop", "mpi2-mutex"); err != nil {
 		return err
 	}
-	for _, k := range []string{"native-atomic", "mpi3-fetchop", "mpi2-mutex"} {
-		fmt.Printf("%-16s %10.2f\n", k, rmw[k])
-	}
-	fmt.Println()
-
-	fmt.Println("# Ablation: SectionVIII.A access modes (total us, 4 readers x 8 gets of 64KiB)")
-	modes, err := bench.AblationAccessModes(ib, 4, 8, 1<<16)
-	if err != nil {
+	m, err = bench.AblationAccessModes(ib, 4, 8, 1<<16)
+	if err := rows("# Ablation: SectionVIII.A access modes (total us, 4 readers x 8 gets of 64KiB)", 16, 2, m, err,
+		"conflicting", "read-only"); err != nil {
 		return err
 	}
-	for _, k := range []string{"conflicting", "read-only"} {
-		fmt.Printf("%-16s %10.2f\n", k, modes[k])
-	}
-	fmt.Println()
 
-	fmt.Println("# Ablation: strided method bandwidth (GB/s, 256 x 1KiB segments per platform)")
+	fmt.Fprintln(w, "# Ablation: strided method bandwidth (GB/s, 256 x 1KiB segments per platform)")
 	for _, p := range platform.All() {
 		sm, err := bench.AblationStridedMethods(p, 1024, 256, 3)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-6s", p.Name)
+		fmt.Fprintf(w, "%-6s", p.Name)
 		for _, k := range []string{"Native", "Direct", "IOV-Direct", "IOV-Batched", "IOV-Consrv"} {
-			fmt.Printf("  %s=%.3f", k, sm[k])
+			fmt.Fprintf(w, "  %s=%.3f", k, sm[k])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	fmt.Println("# Ablation: batched-method epoch size B (GB/s, 64 x 256B segments, InfiniBand)")
+	fmt.Fprintln(w, "# Ablation: batched-method epoch size B (GB/s, 64 x 256B segments, InfiniBand)")
 	bs, err := bench.AblationBatchSize(ib, 256, 64, []int{1, 4, 16, 64, 0}, 3)
 	if err != nil {
 		return err
@@ -514,38 +540,29 @@ func ablations() error {
 		if b == 0 {
 			label = "unlimited"
 		}
-		fmt.Printf("B=%-10s %8.3f\n", label, bs[b])
+		fmt.Fprintf(w, "B=%-10s %8.3f\n", label, bs[b])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	fmt.Println("# Ablation: SectionV.F asynchronous progress (put latency us, 20us service delay when disabled)")
-	ap, err := bench.AblationAsyncProgress(ib, 20000, 16)
-	if err != nil {
+	m, err = bench.AblationAsyncProgress(ib, 20000, 16)
+	if err := rows("# Ablation: SectionV.F asynchronous progress (put latency us, 20us service delay when disabled)", 20, 2, m, err,
+		"async-progress", "no-async-progress"); err != nil {
 		return err
 	}
-	for _, k := range []string{"async-progress", "no-async-progress"} {
-		fmt.Printf("%-20s %10.2f\n", k, ap[k])
-	}
-	fmt.Println()
-
-	fmt.Println("# Ablation: SectionVIII.B MPI-3 backend vs the paper's MPI-2 design (CCSD proxy, 8 procs, virtual ms)")
-	m3, err := bench.AblationMPI3Backend(ib, 8)
-	if err != nil {
+	m, err = bench.AblationMPI3Backend(ib, 8)
+	if err := rows("# Ablation: SectionVIII.B MPI-3 backend vs the paper's MPI-2 design (CCSD proxy, 8 procs, virtual ms)", 16, 3, m, err,
+		"mpi2-epochs", "mpi3-lockall"); err != nil {
 		return err
 	}
-	for _, k := range []string{"mpi2-epochs", "mpi3-lockall"} {
-		fmt.Printf("%-16s %10.3f\n", k, m3[k])
-	}
-	fmt.Println()
 
-	fmt.Println("# Ablation: SectionIX two-sided data-server ARMCI vs one-sided stacks")
-	fmt.Println("# (4 concurrent 1MiB getters: aggregate GB/s; CCSD proxy at 16 procs: virtual ms)")
 	ds, err := bench.AblationDataServer(ib, 4, 3, 1<<20)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "# Ablation: SectionIX two-sided data-server ARMCI vs one-sided stacks")
+	fmt.Fprintln(w, "# (4 concurrent 1MiB getters: aggregate GB/s; CCSD proxy at 16 procs: virtual ms)")
 	for _, k := range []string{"native", "armci-mpi", "armci-ds"} {
-		fmt.Printf("%-12s bw=%-8.3f ccsd=%.3f\n", k, ds[k], ds["ccsd-"+k])
+		fmt.Fprintf(w, "%-12s bw=%-8.3f ccsd=%.3f\n", k, ds[k], ds["ccsd-"+k])
 	}
 	return nil
 }

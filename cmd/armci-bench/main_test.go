@@ -1,14 +1,22 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/armcimpi"
 	"repro/internal/bench"
 	"repro/internal/harness"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
+
+func recording(f *figure) bool { return f.records }
 
 // TestObsFlagsNeedARecordingFigure: an observability flag on a figure
 // whose jobs take no recorder used to print an empty report and exit 0;
@@ -16,30 +24,207 @@ import (
 // A recording figure passes the check (it would go on to run, so only
 // the check is called for those).
 func TestObsFlagsNeedARecordingFigure(t *testing.T) {
-	for _, c := range []struct {
-		fig                      string
-		stats, profile, critpath bool
-		trace                    string
-	}{
+	for _, a := range []args{
 		{fig: "ablations", profile: true},
 		{fig: "table2", stats: true},
+		{fig: "6", stats: true},
 		{fig: "ablation-nbfanout", critpath: true},
 		{fig: "table2", trace: "t.json"},
 		{fig: "ablations", stats: true, profile: true, critpath: true, trace: "t.json"},
+		{fig: "results", profile: true, jsonDir: t.TempDir()},
 	} {
-		err := run(c.fig, "", "", true, c.stats, c.profile, c.critpath, c.trace, "")
-		if err == nil || !strings.Contains(err.Error(), "-fig "+c.fig+" records nothing") ||
+		err := run(io.Discard, a)
+		if err == nil || !strings.Contains(err.Error(), "-fig "+a.fig+" records nothing") ||
 			!strings.Contains(err.Error(), "ablation-locality") {
-			t.Errorf("%+v: err = %v, want one naming the figure and those that record", c, err)
+			t.Errorf("%+v: err = %v, want one naming the figure and those that record", a, err)
 		}
 	}
-	for _, fig := range append([]string{"all"}, recording...) {
-		if err := checkObsFigure(fig, true, true, true, "t.json"); err != nil {
+	for _, fig := range append([]string{"all"}, figNames(recording)...) {
+		a := args{fig: fig, stats: true, profile: true, critpath: true, trace: "t.json"}
+		if _, err := checkArgs(&a); err != nil {
 			t.Errorf("-fig %s with every observability flag: %v", fig, err)
 		}
 	}
-	if err := checkObsFigure("table2", false, false, false, ""); err != nil {
+	if _, err := checkArgs(&args{fig: "table2"}); err != nil {
 		t.Errorf("no observability flag: %v", err)
+	}
+	if got, want := figNames(recording), []string{"3", "4", "5", "ablation-shm", "ablation-locality", "scale"}; !slices.Equal(got, want) {
+		t.Errorf("recording figures = %v, want %v", got, want)
+	}
+}
+
+// TestJSONNeedsAJSONFigure: -json on a figure with no JSON form used to
+// exit 0 having written nothing; it is an error before anything runs,
+// naming the figures that write JSON. -fig results needs the directory
+// and takes no flag it would ignore.
+func TestJSONNeedsAJSONFigure(t *testing.T) {
+	dir := t.TempDir()
+	for _, fig := range []string{"table2", "ablations"} {
+		err := run(io.Discard, args{fig: fig, jsonDir: dir})
+		if err == nil || !strings.Contains(err.Error(), "-fig "+fig+" writes no JSON") ||
+			!strings.Contains(err.Error(), "3, 4, 5, 6, ablation-shm, ablation-nbfanout, ablation-locality, scale") {
+			t.Errorf("-fig %s -json: err = %v, want one naming the figures that write JSON", fig, err)
+		}
+	}
+	for _, a := range []args{
+		{fig: "results"},
+		{fig: "results", jsonDir: dir, quick: true},
+		{fig: "results", jsonDir: dir, plat: "ib"},
+	} {
+		if err := run(io.Discard, a); err == nil || !strings.Contains(err.Error(), "-fig results takes -json DIR") {
+			t.Errorf("%+v: err = %v", a, err)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("rejected runs wrote %d files", len(ents))
+	}
+	for _, fig := range append([]string{"all"}, figNames(func(f *figure) bool { return f.gen != nil })...) {
+		if _, err := checkArgs(&args{fig: fig, jsonDir: dir}); err != nil {
+			t.Errorf("-fig %s -json: %v", fig, err)
+		}
+	}
+}
+
+// TestUnknownNamesListValid: an unknown -fig or -platform is an error
+// that lists the valid names, whatever the figure.
+func TestUnknownNamesListValid(t *testing.T) {
+	err := run(io.Discard, args{fig: "7"})
+	if err == nil {
+		t.Fatal("-fig 7 accepted")
+	}
+	for _, name := range append(figNames(func(*figure) bool { return true }), "all", "results") {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("-fig 7: %q does not list %s", err, name)
+		}
+	}
+	for _, fig := range []string{"3", "5", "6", "table2", "fig3-vax"} {
+		a := args{fig: fig, plat: "vax"}
+		if fig == "fig3-vax" {
+			a.plat = ""
+		}
+		err := run(io.Discard, a)
+		if err == nil {
+			t.Fatalf("-fig %s -platform vax accepted", fig)
+		}
+		for _, name := range platform.Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("-fig %s -platform vax: %q does not list %s", fig, err, name)
+			}
+		}
+	}
+}
+
+// TestFigAll: -fig all is every figure but scale, in table order, Fig. 6
+// and Table II included.
+func TestFigAll(t *testing.T) {
+	figs, err := checkArgs(&args{fig: "all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range figs {
+		got = append(got, f.name)
+	}
+	want := []string{"table2", "3", "4", "5", "6", "ablation-shm", "ablation-nbfanout", "ablation-locality", "ablations"}
+	if !slices.Equal(got, want) {
+		t.Errorf("-fig all = %v, want %v", got, want)
+	}
+}
+
+// TestResultsManifest: the results table names exactly the files under
+// results/. A committed file no row rebuilds, or a row whose file is not
+// committed, fails here; every row's run passes the argument checks.
+func TestResultsManifest(t *testing.T) {
+	ents, err := os.ReadDir("../../results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed, rows []string
+	for _, e := range ents {
+		committed = append(committed, e.Name())
+	}
+	for _, r := range results {
+		rows = append(rows, r.file)
+		a := r.run
+		if !strings.HasSuffix(r.file, ".txt") {
+			a.jsonDir = t.TempDir()
+		}
+		if _, err := checkArgs(&a); err != nil {
+			t.Errorf("%s: %v", r.file, err)
+		}
+	}
+	slices.Sort(rows)
+	if !slices.Equal(committed, rows) {
+		t.Errorf("results/ holds %v\nthe results table names %v", committed, rows)
+	}
+}
+
+// TestResultsRebuild runs the results rows that take well under a
+// second and compares what each prints or writes with the committed
+// file. The JSON rows run into a directory of their own, so the
+// recorded fig3-ib runs that write PROF and CRIT must also reproduce
+// BENCH_fig3-ib.json byte for byte: recording is pure observation.
+// Under go test -race this also races the critical-path recorder. The
+// full figure sweeps and the scale sweep take seconds each; the
+// -fig results gate rebuilds them.
+func TestResultsRebuild(t *testing.T) {
+	slow := []string{"fig3.txt", "fig4.txt", "fig5.txt", "fig6.txt", "BENCH_scale.json"}
+	for _, r := range results {
+		if slices.Contains(slow, r.file) {
+			continue
+		}
+		t.Run(r.file, func(t *testing.T) {
+			got := map[string][]byte{}
+			if strings.HasSuffix(r.file, ".txt") {
+				var out bytes.Buffer
+				if err := run(&out, r.run); err != nil {
+					t.Fatal(err)
+				}
+				got[r.file] = out.Bytes()
+			} else {
+				a := r.run
+				a.jsonDir = t.TempDir()
+				if err := run(io.Discard, a); err != nil {
+					t.Fatal(err)
+				}
+				ents, _ := os.ReadDir(a.jsonDir)
+				for _, e := range ents {
+					b, err := os.ReadFile(filepath.Join(a.jsonDir, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[e.Name()] = b
+				}
+			}
+			if got[r.file] == nil {
+				t.Errorf("the run wrote no %s (wrote %d files)", r.file, len(got))
+			}
+			for name, b := range got {
+				want, err := os.ReadFile(filepath.Join("../../results", name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, want) {
+					t.Errorf("%s differs from results/%s", name, name)
+				}
+			}
+		})
+	}
+}
+
+// TestFig6QuickIBGolden: the golden is what the parent of the Fig. 6
+// sweep printed for the quick InfiniBand panel, one job after another.
+func TestFig6QuickIBGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig6-quick-ib.golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(&out, args{fig: "6", plat: "ib", quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("output differs from testdata/fig6-quick-ib.golden.txt:\n--- got ---\n%s--- want ---\n%s", out.Bytes(), want)
 	}
 }
 

@@ -122,24 +122,6 @@ func WaitAll(hs ...Handle) {
 	}
 }
 
-// TestAll reports whether every handle in the set is locally complete,
-// without blocking. Every handle is polled (completion may release the
-// handle's resources); handles that do not implement Tester are
-// conservatively treated as incomplete.
-func TestAll(hs ...Handle) bool {
-	all := true
-	for _, h := range hs {
-		if h == nil {
-			continue
-		}
-		t, ok := h.(Tester)
-		if !ok || !t.Test() {
-			all = false
-		}
-	}
-	return all
-}
-
 // Mutexes is a set of ARMCI mutexes created by CreateMutexes. Mutex i
 // of the set lives on the process that hosts it per the creating
 // runtime's distribution (ARMCI hosts mutex i on process i % nprocs

@@ -163,12 +163,6 @@ func (s *Strided) SrcSubarray() (sizes, subsizes, starts []int, ok bool) {
 	return subarrayArgs(s.SrcStride, s.Count)
 }
 
-// DstSubarray returns the subarray description of the destination
-// layout.
-func (s *Strided) DstSubarray() (sizes, subsizes, starts []int, ok bool) {
-	return subarrayArgs(s.DstStride, s.Count)
-}
-
 // ToGIOV converts the strided descriptor into the generalized I/O
 // vector representation (the paper's Algorithm 1 application).
 func (s *Strided) ToGIOV() GIOV {

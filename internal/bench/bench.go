@@ -14,8 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -139,21 +137,6 @@ func (f *Figure) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// WriteJSONFile writes the figure to dir/BENCH_<name>.json and returns
-// the path written.
-func (f *Figure) WriteJSONFile(dir string) (string, error) {
-	path := filepath.Join(dir, "BENCH_"+f.Name+".json")
-	fh, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := f.WriteJSON(fh); err != nil {
-		fh.Close()
-		return "", err
-	}
-	return path, fh.Close()
 }
 
 // At returns the y value at exactly x.

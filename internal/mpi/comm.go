@@ -24,9 +24,6 @@ func (c *Comm) Size() int { return len(c.group) }
 // Rank returns the calling rank's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.group[r] }
-
 // Group returns a copy of the communicator's world-rank group.
 func (c *Comm) Group() []int { return append([]int(nil), c.group...) }
 

@@ -205,8 +205,3 @@ func (r *Rank) opOverhead() {
 func (r *Rank) AllocMem(n int) *fabric.Region {
 	return r.W.M.Space(r.ID()).Alloc(n, fabric.DomainMPI, r.W.Tun.PrepinAlloc)
 }
-
-// FreeMem releases memory allocated with AllocMem.
-func (r *Rank) FreeMem(reg *fabric.Region) error {
-	return r.W.M.Space(r.ID()).Free(reg.VA)
-}

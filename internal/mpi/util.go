@@ -50,12 +50,6 @@ func F64sToBytes(xs []float64) []byte { return f64sToBytes(xs) }
 // BytesToF64s decodes float64s little-endian.
 func BytesToF64s(b []byte) []float64 { return bytesToF64s(b) }
 
-// I64sToBytes encodes int64s little-endian.
-func I64sToBytes(xs []int64) []byte { return i64sToBytes(xs) }
-
-// BytesToI64s decodes int64s little-endian.
-func BytesToI64s(b []byte) []int64 { return bytesToI64s(b) }
-
 // ReduceBytesF64 folds src into dst in place, elementwise over
 // little-endian float64s: dst[i] = dst[i] op src[i]. It is the one
 // accumulate kernel of every runtime (RMA accumulate here, native and
