@@ -153,6 +153,7 @@ type Runtime interface {
 	// Malloc collectively allocates bytes of globally accessible memory
 	// on every process of the world and returns the address vector
 	// (ARMCI_Malloc). A process may pass 0 and receives a Nil address.
+	// The vector may be shared by every member: treat it as read-only.
 	Malloc(bytes int) ([]Addr, error)
 	// MallocGroup is Malloc over a group (only members call).
 	MallocGroup(g *Group, bytes int) ([]Addr, error)

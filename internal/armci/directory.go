@@ -79,19 +79,13 @@ func (d *Directory[T]) Register(group []int, addrs []Addr, sizes []int, ext T) *
 // the shared entry back: every member of comm contributes the base VA
 // and size of its slice, comm's first member enters the allocation
 // (with the extension newExt builds), and its id is broadcast so all
-// members attach to one entry. Base addresses travel by allgather on
-// small groups (the all-to-all of SectionV.B) and by gather-at-root on
-// large ones, so the N-entry address table is built once instead of on
-// every lock-stepped rank; large groups also pass the job-wide shared
-// group slice as members, which is then retained instead of copied.
+// members attach to one entry. The base addresses (the all-to-all of
+// SectionV.B) travel by gather-at-root, so the N-entry address table is
+// built once, read-only and shared, instead of on every rank; members
+// (for a world allocation, the job-wide shared group slice) is retained
+// from the first member, not copied.
 func (d *Directory[T]) RegisterCollective(comm *mpi.Comm, members []int, va int64, bytes int, newExt func() T) *Allocation[T] {
-	var vas []int64
-	if comm.Size() >= mpi.BigCommThreshold {
-		vas = comm.GatherI64(0, []int64{va, int64(bytes)})
-	} else {
-		members = append([]int(nil), members...)
-		vas = comm.AllgatherI64([]int64{va, int64(bytes)})
-	}
+	vas := comm.GatherI64(0, []int64{va, int64(bytes)})
 	var id int
 	if comm.Rank() == 0 {
 		addrs, sizes := decodeSlices(members, vas)

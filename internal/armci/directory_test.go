@@ -1,8 +1,14 @@
 package armci
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/fabric"
+	"repro/internal/mpi"
+	"repro/internal/platform"
+	"repro/internal/sim"
 )
 
 // dirModel drives a Directory and a trivially correct copy of the same
@@ -245,6 +251,95 @@ func TestDirectoryFindAllocatesNothing(t *testing.T) {
 		m.d.FindBase(hit)
 	}); n != 0 {
 		t.Errorf("lookups allocate %v objects per run, want 0", n)
+	}
+}
+
+// TestRegisterCollectiveMatchesOracle registers one allocation over the
+// world and one over the odd ranks' communicator at each size, with
+// random slices (a third of them empty), and checks that every member
+// attaches to the one entry, whose addresses and sizes are the serial
+// reference's: the member's base VA, or Nil for an empty slice. The
+// members slice is retained, not copied. Afterwards every pooled
+// message body has come back to the pool.
+func TestRegisterCollectiveMatchesOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 17, 64} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			vas, sizes := make([]int64, n), make([]int, n)
+			for i := range vas {
+				vas[i] = dirBase + 8*int64(rng.Intn(1<<12))
+				if rng.Intn(3) > 0 {
+					sizes[i] = 8 * (1 + rng.Intn(32))
+				}
+			}
+			out := map[*byte]bool{}
+			fabric.BufHook = func(b []byte, put bool) {
+				if put {
+					delete(out, &b[0])
+				} else {
+					out[&b[0]] = true
+				}
+			}
+			defer func() { fabric.BufHook = nil }()
+
+			var d Directory[int]
+			var odd []int
+			for r := 1; r < n; r += 2 {
+				odd = append(odd, r)
+			}
+			world, sub := make([]*Allocation[int], n), make([]*Allocation[int], n)
+			var worldGroup []int
+			eng := sim.NewEngine()
+			m, err := fabric.NewMachine(eng, fabric.Params{
+				Name: "dir", Nodes: (n + 1) / 2, CoresPerNode: 2,
+				LatencyNs: 1000, Bandwidth: 1e9, MsgOverhead: 100, LocalLatencyNs: 100, LocalBandwidth: 4e9,
+				CopyRate: 4e9, Flops: 1e9, PageSize: 4096, BounceRate: 1e9, UnpinnedRate: 1e9, AccumRate: 1e9,
+			}, n)
+			mustT(t, err)
+			mw := mpi.NewWorld(m, &platform.Tuning{BandwidthFrac: 1})
+			mustT(t, eng.Run(n, func(p *sim.Proc) {
+				c := mw.Rank(p).CommWorld()
+				me := c.Rank()
+				worldGroup = c.GroupShared()
+				world[me] = d.RegisterCollective(c, worldGroup, vas[me], sizes[me], func() int { return 1 })
+				if sc := c.Split(me%2-1, me); sc != nil {
+					sub[me] = d.RegisterCollective(sc, odd, vas[me]+1<<20, sizes[me], func() int { return 2 })
+				}
+			}))
+			m.Retire()
+			if len(out) != 0 {
+				t.Errorf("%d pooled buffers drawn and never returned", len(out))
+			}
+
+			check := func(name string, got []*Allocation[int], members []int, off int64) {
+				if len(members) == 0 {
+					return
+				}
+				a := got[members[0]]
+				for _, r := range members {
+					if got[r] != a {
+						t.Fatalf("%s: rank %d attached to entry %p, rank %d to %p", name, r, got[r], members[0], a)
+					}
+				}
+				if &a.Group[0] != &members[0] {
+					t.Errorf("%s: the members slice was copied", name)
+				}
+				for gr, r := range members {
+					want := Addr{Rank: r, VA: vas[r] + off}
+					if sizes[r] == 0 {
+						want = Addr{}
+					}
+					if a.Addrs[gr] != want || a.Sizes[gr] != sizes[r] {
+						t.Errorf("%s: group rank %d has %v, %d bytes; want %v, %d", name, gr, a.Addrs[gr], a.Sizes[gr], want, sizes[r])
+					}
+				}
+			}
+			check("world", world, worldGroup, 0)
+			check("odd ranks", sub, odd, 1<<20)
+			if d.Len() != 1+min(len(odd), 1) {
+				t.Errorf("Len() = %d", d.Len())
+			}
+		})
 	}
 }
 

@@ -766,3 +766,63 @@ func TestMPI3DLAAndRmwInterleave(t *testing.T) {
 		must(t, rt.Free(addrs[rt.Rank()]))
 	})
 }
+
+// TestMutexCountsMatchOracle creates a mutex set at every size the
+// metadata collectives are checked at, with every rank hosting the same
+// count (held as one scalar) and with per-rank counts (held as the
+// gathered vector, zero counts included), and checks each rank's view
+// of every host's count against the serial reference. Each rank then
+// takes and releases mutex 0 on the next rank that hosts one, so the
+// counts are the ones the lock path validates against. Afterwards every
+// pooled message body has come back to the pool.
+func TestMutexCountsMatchOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 17, 64} {
+		for _, uniform := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%d/uniform=%v", n, uniform), func(t *testing.T) {
+				counts := make([]int, n)
+				scalar := true
+				for i := range counts {
+					counts[i] = 3
+					if !uniform {
+						counts[i] = (i + 1) % 4
+					}
+					scalar = scalar && counts[i] == counts[0]
+				}
+				out := map[*byte]bool{}
+				fabric.BufHook = func(b []byte, put bool) {
+					if put {
+						delete(out, &b[0])
+					} else {
+						out[&b[0]] = true
+					}
+				}
+				defer func() { fabric.BufHook = nil }()
+				w := run(t, n, DefaultOptions(), func(rt *Runtime) {
+					m, err := newMutexes(rt, rt.R.CommWorld(), counts[rt.Rank()])
+					must(t, err)
+					if (m.counts == nil) != scalar {
+						t.Errorf("rank %d: counts held as a vector = %v, want %v", rt.Rank(), m.counts != nil, !scalar)
+					}
+					for host, want := range counts {
+						if got := m.countFor(host); got != want {
+							t.Errorf("rank %d: host %d hosts %d mutexes, want %d", rt.Rank(), host, got, want)
+						}
+					}
+					for k := 1; k <= n; k++ {
+						if host := (rt.Rank() + k) % n; counts[host] > 0 {
+							m.Lock(0, host)
+							m.Unlock(0, host)
+							break
+						}
+					}
+					rt.Barrier()
+					must(t, m.Destroy())
+				})
+				w.Mpi.M.Retire()
+				if len(out) != 0 {
+					t.Errorf("%d pooled buffers drawn and never returned", len(out))
+				}
+			})
+		}
+	}
+}

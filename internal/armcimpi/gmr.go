@@ -354,12 +354,9 @@ func (r *Runtime) mallocOn(comm *mpi.Comm, members []int, bytes int) ([]armci.Ad
 	g.Ext.mutex[r.Rank()] = mux
 	comm.Barrier()
 	r.obs().Alloc(r.Rank(), t0, r.R.P.Now(), bytes, g.ID)
-	if comm.Size() >= mpi.BigCommThreshold {
-		// One shared address vector for the job; callers treat it as
-		// read-only (a per-rank copy would be N² entries).
-		return g.Addrs, nil
-	}
-	return append([]armci.Addr(nil), g.Addrs...), nil
+	// One shared address vector per allocation; callers treat it as
+	// read-only (a per-rank copy would be N² entries).
+	return g.Addrs, nil
 }
 
 // Free collectively releases a world allocation; processes with a

@@ -42,35 +42,27 @@ func newMutexes(r *Runtime, parent *mpi.Comm, n int) (*Mutexes, error) {
 	}
 	comm := parent.Dup()
 	m := &Mutexes{r: r, comm: comm, uniform: -1}
-	if comm.Size() >= mpi.BigCommThreshold {
-		// Gather the counts at rank 0; in the overwhelmingly common case
-		// every rank hosts the same count (GMR mutex sets host exactly
-		// one each), so a scalar broadcast replaces the N-entry count
-		// vector every rank would otherwise hold.
-		all := comm.GatherI64(0, []int64{int64(n)})
-		hdr := make([]int64, 1)
-		if comm.Rank() == 0 {
-			hdr[0] = all[0]
-			for _, c := range all {
-				if c != hdr[0] {
-					hdr[0] = -1
-				}
+	// Gather the counts at rank 0; in the overwhelmingly common case
+	// every rank hosts the same count (GMR mutex sets host exactly one
+	// each), so a scalar broadcast replaces the N-entry count vector
+	// every rank would otherwise hold.
+	all := comm.GatherI64(0, []int64{int64(n)})
+	hdr := make([]int64, 1)
+	if comm.Rank() == 0 {
+		hdr[0] = all[0]
+		for _, c := range all {
+			if c != hdr[0] {
+				hdr[0] = -1
 			}
 		}
-		hdr = comm.BcastI64(0, hdr)
-		if hdr[0] >= 0 {
-			m.uniform = int(hdr[0])
-		} else {
-			all = comm.BcastI64(0, all)
-			m.counts = make([]int, len(all))
-			for i, c := range all {
-				m.counts[i] = int(c)
-			}
-		}
+	}
+	hdr = comm.BcastI64(0, hdr)
+	if hdr[0] >= 0 {
+		m.uniform = int(hdr[0])
 	} else {
-		counts64 := comm.AllgatherI64([]int64{int64(n)})
-		m.counts = make([]int, len(counts64))
-		for i, c := range counts64 {
+		all = comm.BcastI64(0, all)
+		m.counts = make([]int, len(all))
+		for i, c := range all {
 			m.counts[i] = int(c)
 		}
 	}

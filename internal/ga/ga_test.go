@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/armci"
 	"repro/internal/armcimpi"
 	"repro/internal/harness"
 	"repro/internal/mpi"
@@ -429,4 +430,95 @@ func TestMoreRanksThanElements(t *testing.T) {
 	})
 }
 
-var _ = fmt.Sprintf
+// TestAddrVectorsReadOnly runs a GA conformance program — world, group
+// and mostly-empty arrays through put, accumulate, get, transpose,
+// DGEMM, scale, dot, scatter/gather and read-increment — on every
+// runtime, and checks that the address vector each Create received from
+// ARMCI_Malloc is unchanged at the end. On ARMCI-MPI and DART-MPI that
+// vector is the translation directory's own record, one slice shared by
+// every member, which the test also checks: a write through it would
+// corrupt every rank's view of the allocation.
+func TestAddrVectorsReadOnly(t *testing.T) {
+	const n = 6
+	for _, impl := range []harness.Impl{harness.ImplNative, harness.ImplARMCIMPI, harness.ImplDataServer, harness.ImplDartMPI} {
+		t.Run(string(impl), func(t *testing.T) {
+			shared := map[string]map[*armci.Addr]bool{} // array name -> base of each member's vector
+			j, err := harness.NewJob(harness.TestPlatform(), n, impl, armcimpi.DefaultOptions())
+			must(t, err)
+			err = j.Eng.Run(n, func(p *sim.Proc) {
+				rt := j.Runtime(p)
+				e := NewEnv(rt, j.MpiWorld.Rank(p))
+				var arrays []*Array
+				var before [][]armci.Addr
+				create := func(a *Array, err error) *Array {
+					must(t, err)
+					arrays = append(arrays, a)
+					before = append(before, append([]armci.Addr(nil), a.addrs...))
+					if shared[a.Name()] == nil {
+						shared[a.Name()] = map[*armci.Addr]bool{}
+					}
+					shared[a.Name()][&a.addrs[0]] = true
+					return a
+				}
+				a := create(e.Create("A", F64, []int{17, 23}))
+				b := create(e.Create("B", F64, []int{23, 17}))
+				c := create(e.Create("C", F64, []int{17, 17}))
+				tiny := create(e.Create("tiny", F64, []int{2, 2})) // empty slices on most ranks
+				ctr := create(e.Create("ctr", I64, []int{1}))
+				g, err := rt.GroupCreateCollective([]int{1, 3, 5})
+				must(t, err)
+				var grp *Array
+				if g != nil {
+					grp = create(e.CreateOnGroup(g, "grp", F64, []int{9, 9}))
+				}
+				vals := make([]float64, 17*23)
+				for i := range vals {
+					vals[i] = float64(i%7) - 2
+				}
+				if e.Me() == 0 {
+					must(t, a.Put([]int{0, 0}, []int{16, 22}, vals))
+				}
+				e.Sync()
+				must(t, a.Acc([]int{3, 4}, []int{5, 9}, vals[:18], 0.5))
+				e.Sync()
+				must(t, Transpose(a, b))
+				must(t, Dgemm(1, a, b, 0, c, 5, nil))
+				must(t, c.Scale(-2))
+				_, err = Dot(a, a)
+				must(t, err)
+				must(t, tiny.Scatter([][]int{{e.Me() % 2, 1}}, []float64{float64(e.Me())}))
+				e.Sync()
+				got := make([]float64, 2)
+				must(t, tiny.Gather([][]int{{0, 1}, {1, 1}}, got))
+				_, err = ctr.ReadInc([]int{0}, 1)
+				must(t, err)
+				if grp != nil {
+					must(t, grp.Fill(1.5))
+					out := make([]float64, 81)
+					must(t, grp.Get([]int{0, 0}, []int{8, 8}, out))
+				}
+				e.Sync()
+				for i, x := range arrays {
+					if fmt.Sprint(x.addrs) != fmt.Sprint(before[i]) {
+						t.Errorf("rank %d: array %s address vector %v, was %v at Create", e.Me(), x.Name(), x.addrs, before[i])
+					}
+				}
+				if grp != nil {
+					must(t, grp.Destroy())
+				}
+				for _, x := range arrays[:5] {
+					must(t, x.Destroy())
+				}
+			})
+			j.M.Retire()
+			must(t, err)
+			if impl == harness.ImplARMCIMPI || impl == harness.ImplDartMPI {
+				for name, bases := range shared {
+					if len(bases) != 1 {
+						t.Errorf("array %s: %d distinct address vectors, want the directory's one", name, len(bases))
+					}
+				}
+			}
+		})
+	}
+}

@@ -2,21 +2,24 @@ package harness
 
 import (
 	"errors"
+	"math/bits"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/armci"
 	"repro/internal/armcimpi"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
-// TestBigCommMetadataPaths drives the gather-at-root metadata branches
-// that engage at mpi.BigCommThreshold (4096) ranks: communicator Dup
-// via the identity split, window creation, the shared allocation
-// address vector, scalar-broadcast mutex counts, and the dartmpi node
-// window attach — then data movement and a full free cycle on top of
-// the shared metadata — the paths the scale sweeps exercise.
+// TestBigCommMetadataPaths drives the gather-at-root metadata
+// collectives at the 4096 ranks the scale sweep starts from:
+// communicator Dup via the identity split, window creation, the shared
+// allocation address vector, scalar-broadcast mutex counts, and the
+// dartmpi node split and node window attach — then data movement and a
+// full free cycle on top of the shared metadata.
 func TestBigCommMetadataPaths(t *testing.T) {
 	const nranks = 4096
 	plat := platform.Get(platform.CrayXT5)
@@ -62,8 +65,37 @@ func TestBigCommMetadataPaths(t *testing.T) {
 	}
 }
 
-// TestBigCommDrainPanicAfterMaxTime pins the drain path at
-// BigCommThreshold scale: a 4096-rank job hits Engine.MaxTime while
+// TestMallocMessagesNearLinear pins the metadata collectives' algorithm
+// by counting, not timing: one collective Malloc, Barrier and Free on
+// ARMCI-MPI. Gathers and broadcasts send n−1 messages each; the
+// dissemination barriers and the recursive-doubling leader election
+// send n·log2(n). So messages ÷ (n·log2 n) stays bounded, and 256 ranks
+// send at most 4 × 8/6 times what 64 do. The counts are exact and
+// deterministic: a regression to an allgather ring (n(n−1) messages per
+// exchange) fails here on any host.
+func TestMallocMessagesNearLinear(t *testing.T) {
+	msgs := map[int]int64{}
+	for _, n := range []int{16, 64, 256} {
+		rec := obs.New(obs.Options{})
+		_, err := RunObs(platform.Get(platform.CrayXT5), n, ImplARMCIMPI, armcimpi.DefaultOptions(), rec, func(rt armci.Runtime) {
+			addrs, err := rt.Malloc(64)
+			must(t, err)
+			rt.Barrier()
+			must(t, rt.Free(addrs[rt.Rank()]))
+		})
+		must(t, err)
+		msgs[n] = obs.Total(rec.Metrics().Counter(obs.CFabMsgs))
+		if per := float64(msgs[n]) / float64(n*bits.Len(uint(n-1))); per > 12 {
+			t.Errorf("%d ranks: %d fabric messages, %.1f per rank per log2(n)", n, msgs[n], per)
+		}
+	}
+	if msgs[256]*6 > msgs[64]*4*8 {
+		t.Errorf("fabric messages: %d at 256 ranks > 16/3 × %d at 64, more than n·log2(n) growth", msgs[256], msgs[64])
+	}
+}
+
+// TestBigCommDrainPanicAfterMaxTime pins the drain path at the scale
+// sweep's smallest size: a 4096-rank job hits Engine.MaxTime while
 // ranks are parked inside the gather-at-root metadata collectives, and
 // one rank's deferred cleanup panics while the drain unwinds it. The
 // run must still return — no hang, no leaked coroutines — with exactly

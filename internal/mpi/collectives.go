@@ -102,9 +102,10 @@ func (c *Comm) Allgather(mine []byte) [][]byte {
 	return out
 }
 
-// allgatherI64 gathers equal-length int64 vectors, concatenated in
-// rank order.
-func (c *Comm) allgatherI64(mine []int64) []int64 {
+// AllgatherI64 gathers equal-length int64 vectors, concatenated in rank
+// order, on every rank. The library's own metadata exchanges use
+// GatherI64 plus a broadcast instead: the ring sends n(n−1) messages.
+func (c *Comm) AllgatherI64(mine []int64) []int64 {
 	return c.decodeI64s(c.Allgather(i64sToBytes(mine)), len(mine))
 }
 
@@ -118,9 +119,6 @@ func (c *Comm) decodeI64s(parts [][]byte, per int) []int64 {
 	}
 	return out
 }
-
-// AllgatherI64 gathers equal-length int64 vectors in rank order.
-func (c *Comm) AllgatherI64(mine []int64) []int64 { return c.allgatherI64(mine) }
 
 // Gather collects every rank's contribution at root (in rank order);
 // non-root ranks receive nil. Every slot, the root's own included, is a

@@ -64,86 +64,19 @@ func (c *Comm) Dup() *Comm {
 	return c.Split(0, c.rank)
 }
 
-// BigCommThreshold is the communicator size at which collective
-// metadata exchanges (Split, window creation, allocation address
-// tables) switch from symmetric allgather algorithms to
-// gather-at-root: with every rank lock-stepped through the same
-// collective, an allgather materializes an N-vector on all N ranks
-// simultaneously (N² aggregate), which is what capped earlier sweeps
-// at a few hundred ranks. The threshold sits above every guarded
-// figure configuration, so existing artifacts stay byte-identical.
-const BigCommThreshold = 4096
-
 // Split partitions the communicator by color; ranks passing the same
 // color form a new communicator ordered by (key, rank). A negative
 // color (MPI_UNDEFINED) yields a nil communicator for that rank.
 // Collective over the communicator.
+//
+// Rank 0 gathers every (color, key) pair, computes the partition once,
+// allocates one context id per color, and sends each member its (cid,
+// rank, group) — so the N-entry pair table exists on one rank, and the
+// exchange costs O(n) messages rather than the n(n−1) of an allgather.
+// The identity partition (every rank, parent order — what Dup
+// produces) is detected and answered with a broadcast alone, sharing
+// the parent's group slice.
 func (c *Comm) Split(color, key int) *Comm {
-	if c.Size() >= BigCommThreshold {
-		return c.splitBig(color, key)
-	}
-	type ck struct{ color, key, rank int }
-	// Exchange (color,key) with everyone.
-	mine := []int64{int64(color), int64(key)}
-	all := c.allgatherI64(mine)
-	pairs := make([]ck, c.Size())
-	for i := 0; i < c.Size(); i++ {
-		pairs[i] = ck{color: int(all[2*i]), key: int(all[2*i+1]), rank: i}
-	}
-	// Identify the distinct non-negative colors in ascending order.
-	colorSet := map[int]bool{}
-	for _, p := range pairs {
-		if p.color >= 0 {
-			colorSet[p.color] = true
-		}
-	}
-	colors := make([]int, 0, len(colorSet))
-	for col := range colorSet {
-		colors = append(colors, col)
-	}
-	sort.Ints(colors)
-	// Rank 0 allocates one context id per color and broadcasts the base.
-	var base int
-	if c.rank == 0 {
-		base = c.r.W.allocCids(len(colors))
-	}
-	base = int(c.bcastI64(0, []int64{int64(base)})[0])
-	if color < 0 {
-		return nil
-	}
-	// Build my color's group ordered by (key, rank).
-	var members []ck
-	for _, p := range pairs {
-		if p.color == color {
-			members = append(members, p)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].rank < members[j].rank
-	})
-	group := make([]int, len(members))
-	myRank := -1
-	for i, m := range members {
-		group[i] = c.group[m.rank]
-		if m.rank == c.rank {
-			myRank = i
-		}
-	}
-	colorIdx := sort.SearchInts(colors, color)
-	return &Comm{r: c.r, cid: base + colorIdx, group: group, rank: myRank}
-}
-
-// splitBig is Split for communicators at or above BigCommThreshold:
-// rank 0 gathers every (color, key) pair, computes the partition once,
-// and scatters each member its (cid, rank, group) — so the full
-// N-entry pair table exists on one rank instead of all N. The common
-// identity partition (every rank, parent order — what Dup produces) is
-// detected and answered with a broadcast alone, sharing the parent's
-// group slice.
-func (c *Comm) splitBig(color, key int) *Comm {
 	n := c.Size()
 	type ck struct{ color, key, rank int }
 	all := c.GatherI64(0, []int64{int64(color), int64(key)})
@@ -187,6 +120,7 @@ func (c *Comm) splitBig(color, key int) *Comm {
 	if c.rank != 0 {
 		data, _ := c.Recv(0, tag)
 		v := bytesToI64s(data)
+		c.r.W.M.PutBuf(data)
 		if v[0] < 0 {
 			return nil
 		}
@@ -201,9 +135,6 @@ func (c *Comm) splitBig(color, key int) *Comm {
 		}
 	}
 	var mine *Comm
-	if color < 0 {
-		mine = nil
-	}
 	for idx, col := range colors {
 		members := byColor[col]
 		sort.Slice(members, func(i, j int) bool {

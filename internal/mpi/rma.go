@@ -275,41 +275,23 @@ func winCreate(comm *Comm, region *fabric.Region, shared bool) (*Win, error) {
 	if region != nil {
 		sz = int64(region.Len)
 	}
+	// The size exchange is part of MPI_Win_create's cost: rank 0 gathers
+	// the sizes, builds the shared window state — the one N-entry size
+	// table — and broadcasts the window id. It must build the state
+	// before broadcasting, since peers look it up as soon as the id
+	// arrives.
 	var id int
-	if comm.Size() >= BigCommThreshold {
-		// Large windows: gather the sizes at rank 0 instead of
-		// allgathering — the N-entry size table exists once, on the rank
-		// that builds the shared window state, not on all N lock-stepped
-		// ranks at once. Rank 0 must build the state before broadcasting
-		// the id, since peers look it up as soon as the id arrives.
-		sizes := comm.GatherI64(0, []int64{sz})
-		if comm.rank == 0 {
-			id = w.nextWin
-			w.nextWin++
-			ws := newWinState(id, w, comm, shared)
-			for i, s := range sizes {
-				ws.sizes[i] = int(s)
-			}
-			w.wins[id] = ws
+	sizes := comm.GatherI64(0, []int64{sz})
+	if comm.rank == 0 {
+		id = w.nextWin
+		w.nextWin++
+		ws := newWinState(id, w, comm, shared)
+		for i, s := range sizes {
+			ws.sizes[i] = int(s)
 		}
-		id = int(comm.bcastI64(0, []int64{int64(id)})[0])
-	} else {
-		// Rank 0 allocates the window id; bcast carries real cost.
-		if comm.rank == 0 {
-			id = w.nextWin
-			w.nextWin++
-		}
-		id = int(comm.bcastI64(0, []int64{int64(id)})[0])
-		// Exchange sizes (the allgather is part of MPI_Win_create's cost).
-		sizes := comm.allgatherI64([]int64{sz})
-		if _, ok := w.wins[id]; !ok {
-			ws := newWinState(id, w, comm, shared)
-			for i := range ws.sizes {
-				ws.sizes[i] = int(sizes[i])
-			}
-			w.wins[id] = ws
-		}
+		w.wins[id] = ws
 	}
+	id = int(comm.bcastI64(0, []int64{int64(id)})[0])
 	ws := w.wins[id]
 	ws.regions[comm.rank] = region
 	if ws.shared && region != nil && region.Len > 0 {
