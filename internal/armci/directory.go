@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/mpi"
+	"repro/internal/spans"
 )
 
 // Allocation is one collective ARMCI_Malloc as the translation table
@@ -29,22 +30,22 @@ func (a *Allocation[T]) RankOf(world int) int {
 }
 
 // Directory is the SectionV.B translation table: every live allocation
-// of a job, indexed by id and, per world rank, as a VA-sorted list of
-// the rank's slices. Slices on one rank are disjoint because each
-// rank's allocator hands out disjoint VA ranges, so an address
-// resolves by binary search in O(log #allocations). One member of each
-// collective allocation registers it; all members look it up.
+// of a job, indexed by id and, per world rank, as a span index of the
+// rank's slices. Slices on one rank are disjoint because each rank's
+// allocator hands out disjoint VA ranges, so an address resolves by
+// binary search in O(log #allocations). One member of each collective
+// allocation registers it; all members look it up.
 type Directory[T any] struct {
 	ids    map[int]*Allocation[T]
-	spans  [][]interval[T] // by world rank, sorted by lo
+	byRank []spans.Index[slot[T]] // the slices on each world rank
 	nextID int
 }
 
-// interval is one rank-local VA interval [lo, hi) of an allocation.
-type interval[T any] struct {
-	lo, hi int64
-	a      *Allocation[T]
-	gr     int // the allocation's group rank on this world rank
+// slot is one rank-local slice of an allocation: the allocation and the
+// slice's group rank on that world rank.
+type slot[T any] struct {
+	a  *Allocation[T]
+	gr int
 }
 
 // Register enters an allocation over group (retained, not copied) with
@@ -61,16 +62,11 @@ func (d *Directory[T]) Register(group []int, addrs []Addr, sizes []int, ext T) *
 		if sizes[gr] == 0 {
 			continue
 		}
-		for len(d.spans) <= world {
-			d.spans = append(d.spans, nil)
+		for len(d.byRank) <= world {
+			d.byRank = append(d.byRank, spans.Index[slot[T]]{})
 		}
 		lo := addrs[gr].VA
-		list := d.spans[world]
-		i := sort.Search(len(list), func(i int) bool { return list[i].lo >= lo })
-		list = append(list, interval[T]{})
-		copy(list[i+1:], list[i:])
-		list[i] = interval[T]{lo: lo, hi: lo + int64(sizes[gr]), a: a, gr: gr}
-		d.spans[world] = list
+		d.byRank[world].Insert(lo, lo+int64(sizes[gr]), slot[T]{a, gr})
 	}
 	return a
 }
@@ -112,38 +108,26 @@ func decodeSlices(members []int, vas []int64) (addrs []Addr, sizes []int) {
 func (d *Directory[T]) Unregister(a *Allocation[T]) {
 	delete(d.ids, a.ID)
 	for gr, world := range a.Group {
-		if a.Sizes[gr] == 0 {
-			continue
-		}
-		lo := a.Addrs[gr].VA
-		list := d.spans[world]
-		i := sort.Search(len(list), func(i int) bool { return list[i].lo >= lo })
-		if i < len(list) && list[i].a == a {
-			d.spans[world] = append(list[:i], list[i+1:]...)
+		if a.Sizes[gr] > 0 {
+			d.byRank[world].Remove(a.Addrs[gr].VA)
 		}
 	}
 }
 
-// at returns the slice on addr.Rank that contains addr.VA, or nil.
-func (d *Directory[T]) at(addr Addr) *interval[T] {
-	if addr.Rank < 0 || addr.Rank >= len(d.spans) {
-		return nil
+// at returns the slice on addr.Rank that contains addr.VA.
+func (d *Directory[T]) at(addr Addr) (spans.Span[slot[T]], bool) {
+	if addr.Rank < 0 || addr.Rank >= len(d.byRank) {
+		return spans.Span[slot[T]]{}, false
 	}
-	// The first slice ending above the address is the only candidate.
-	list := d.spans[addr.Rank]
-	i := sort.Search(len(list), func(i int) bool { return list[i].hi > addr.VA })
-	if i < len(list) && addr.VA >= list[i].lo {
-		return &list[i]
-	}
-	return nil
+	return d.byRank[addr.Rank].At(addr.VA)
 }
 
 // Find locates the allocation whose slice on addr.Rank contains the
 // address and returns it with the slice's group rank (the window rank,
 // for an MPI-backed runtime) and the byte displacement into the slice.
 func (d *Directory[T]) Find(addr Addr) (a *Allocation[T], gr, disp int, ok bool) {
-	if s := d.at(addr); s != nil {
-		return s.a, s.gr, int(addr.VA - s.lo), true
+	if s, ok := d.at(addr); ok {
+		return s.V.a, s.V.gr, int(addr.VA - s.Lo), true
 	}
 	return nil, 0, 0, false
 }
@@ -152,8 +136,8 @@ func (d *Directory[T]) Find(addr Addr) (a *Allocation[T], gr, disp int, ok bool)
 // [addr, addr+n), so a caller that goes on to touch the bytes can never
 // overrun it.
 func (d *Directory[T]) FindRange(addr Addr, n int) (a *Allocation[T], gr int, ok bool) {
-	if s := d.at(addr); s != nil && addr.VA+int64(n) <= s.hi {
-		return s.a, s.gr, true
+	if s, ok := d.at(addr); ok && addr.VA+int64(n) <= s.Hi {
+		return s.V.a, s.V.gr, true
 	}
 	return nil, 0, false
 }
@@ -162,8 +146,8 @@ func (d *Directory[T]) FindRange(addr Addr, n int) (a *Allocation[T], gr int, ok
 // exactly at addr.VA — the lookup of Free's leader election, which
 // names an allocation by one member's base address.
 func (d *Directory[T]) FindBase(addr Addr) *Allocation[T] {
-	if s := d.at(addr); s != nil && s.lo == addr.VA {
-		return s.a
+	if s, ok := d.at(addr); ok && s.Lo == addr.VA {
+		return s.V.a
 	}
 	return nil
 }

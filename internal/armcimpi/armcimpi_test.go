@@ -231,6 +231,72 @@ func TestAutoFallsBackOnOverlap(t *testing.T) {
 	}
 }
 
+// TestAutoVerdictOnUnsortedAndEmptySegments pins the SectionVI.B
+// verdict on descriptors no workload sends: put segments in descending
+// order, aliased or not, and a zero-byte segment, which counts as a
+// conflict. The public IOV calls reject a zero-byte descriptor, so that
+// row compiles its segments directly.
+func TestAutoVerdictOnUnsortedAndEmptySegments(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		offs  []int // destination offsets, 16-byte segments
+		zero  bool  // compile with a zero-byte segment instead
+		falls bool
+	}{
+		{"descending aliased", []int{64, 40, 32}, false, true},
+		{"descending disjoint", []int{96, 64, 32, 0}, false, false},
+		{"zero-byte segment", []int{0, 32}, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.IOVMethod = MethodAuto
+			w := run(t, 2, opt, func(rt *Runtime) {
+				addrs, err := rt.Malloc(256)
+				must(t, err)
+				if rt.Rank() == 0 {
+					src := rt.MallocLocal(16 * len(tc.offs))
+					sb, _ := rt.LocalBytes(src, 16*len(tc.offs))
+					for i := range sb {
+						sb[i] = byte(i + 1)
+					}
+					iov := armci.GIOV{Bytes: 16}
+					for i, off := range tc.offs {
+						iov.Src = append(iov.Src, src.Add(16*i))
+						iov.Dst = append(iov.Dst, addrs[1].Add(off))
+					}
+					if tc.zero {
+						segs := orient([]armci.GIOV{iov}, ClassPut)
+						segs[1].n = 0
+						if p, err := rt.compileAuto(ClassPut, 1, segs); err != nil || p.kind != planPerSeg {
+							t.Errorf("compiled kind %v, %v; want the per-segment plan", p.kind, err)
+						}
+					} else {
+						must(t, rt.PutV([]armci.GIOV{iov}, 1))
+					}
+				}
+				rt.Barrier()
+				if rt.Rank() == 1 && !tc.zero && !tc.falls {
+					mem, err := rt.AccessBegin(addrs[1], 256)
+					must(t, err)
+					for i, off := range tc.offs {
+						for k := 0; k < 16; k++ {
+							if mem[off+k] != byte(16*i+k+1) {
+								t.Fatalf("segment %d byte %d = %d", i, k, mem[off+k])
+							}
+						}
+					}
+					must(t, rt.AccessEnd(addrs[1]))
+				}
+				rt.Barrier()
+				must(t, rt.Free(addrs[rt.Rank()]))
+			})
+			if w.AutoScans != 1 || (w.AutoFalls == 1) != tc.falls {
+				t.Errorf("auto scans %d, falls %d; want 1 scan, fallback %v", w.AutoScans, w.AutoFalls, tc.falls)
+			}
+		})
+	}
+}
+
 func TestAutoFallsBackAcrossGMRs(t *testing.T) {
 	opt := DefaultOptions()
 	opt.IOVMethod = MethodAuto

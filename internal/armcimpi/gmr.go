@@ -13,11 +13,11 @@ import (
 	"fmt"
 
 	"repro/internal/armci"
-	"repro/internal/conflicttree"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/spans"
 )
 
 // Method selects a noncontiguous transfer strategy (SectionVI).
@@ -133,7 +133,7 @@ type World struct {
 
 	// Counters.
 	Staged    int64 // global-buffer staging events (SectionV.E.1)
-	AutoScans int64 // conflict-tree scans performed by MethodAuto
+	AutoScans int64 // conflict scans performed by MethodAuto
 	AutoFalls int64 // scans that fell back to conservative
 }
 
@@ -191,10 +191,9 @@ type Runtime struct {
 	pendingOrder []*mpi.Win
 	pendingDead  int // tombstoned slots in pendingOrder
 
-	// scan is the compiler's scratch conflict tree, Reset and reused
-	// across descriptor scans so each scan is allocation-free once the
-	// node pool has warmed up.
-	scan conflicttree.Tree
+	// scan is destsDisjoint's scratch span list, reused across
+	// descriptor scans so each scan is allocation-free once it has grown.
+	scan []spans.Span[struct{}]
 
 	// dtMemo is a small ring of recently translated strided datatypes.
 	// Applications overwhelmingly reissue transfers with the same

@@ -5,16 +5,18 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/mpi"
+	"repro/internal/spans"
 )
 
 // The transfer-plan engine. Every ARMCI data-movement operation —
 // contiguous, strided, and generalized I/O vector; put, get, and
 // accumulate; blocking and nonblocking — compiles to one plan
 // descriptor and is carried out by the single executor in exec.go.
-// The compilers in this file own method selection (SectionVI),
-// GMR resolution, and the conflict-tree safety scan; the executor
-// owns staging, deadlock avoidance, prescale temporaries, epoch and
-// flush management per backend, batching, and completion tracking.
+// The compilers in this file own method selection (SectionVI), GMR
+// resolution, and SectionVI.B's conflict-tree safety scan
+// (destsDisjoint); the executor owns staging, deadlock avoidance,
+// prescale temporaries, epoch and flush management per backend,
+// batching, and completion tracking.
 
 // planKind selects the executor strategy for a compiled plan.
 type planKind int
@@ -210,42 +212,22 @@ func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, pro
 	return p, nil
 }
 
-// compileAuto scans the descriptor with the conflict tree
-// (SectionVI.B): if all remote segments fall in one GMR and the
-// destination segments do not overlap, the fast method is safe;
-// otherwise fall back to conservative. The overlap check runs on the
-// destination side — the remote side for put and accumulate, the local
-// side for get: two segments writing the same bytes within one epoch
-// may land in either order, whereas overlapping get sources are
-// read-read and harmless.
+// compileAuto is SectionVI.B's conflict-tree scan: if all remote
+// segments fall in one GMR and the destination segments do not overlap,
+// the fast method is safe; otherwise fall back to conservative.
 func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (plan, error) {
 	r.W.AutoScans++
 	safe := true
-	tree := &r.scan
-	tree.Reset()
 	var g0 *GMR
 	for _, sg := range segs {
 		g, _, _, ok := r.W.dir.Find(sg.remote)
-		if !ok {
-			safe = false
+		if !ok || g0 != nil && g != g0 {
+			safe = false // a segment outside every GMR, or segments in different GMRs
 			break
 		}
-		if g0 == nil {
-			g0 = g
-		} else if g != g0 {
-			safe = false // segments correspond to different GMRs
-			break
-		}
-		dst := sg.remote.VA
-		if class == ClassGet {
-			dst = sg.local.VA
-		}
-		if !tree.Insert(dst, dst+int64(sg.n)) {
-			safe = false // overlapping destination segments
-			break
-		}
+		g0 = g
 	}
-	if !safe {
+	if !safe || !r.destsDisjoint(class, segs) {
 		r.W.AutoFalls++
 		return r.compileConservative(class, scale, segs), nil
 	}
@@ -280,17 +262,11 @@ func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (p
 			return r.compileConservative(class, scale, segs), nil
 		}
 	}
-	if class == ClassGet {
+	if class == ClassGet && !r.destsDisjoint(class, segs) {
 		// Gets land in local destinations: aliased destinations within
 		// one epoch would be written in arbitrary order, so serialize
 		// them through the per-segment plan.
-		tree := &r.scan
-		tree.Reset()
-		for _, sg := range segs {
-			if !tree.Insert(sg.local.VA, sg.local.VA+int64(sg.n)) {
-				return r.compileConservative(class, scale, segs), nil
-			}
-		}
+		return r.compileConservative(class, scale, segs), nil
 	}
 	g, gr, _, err := r.remoteGMR(segs[0].remote)
 	if err != nil {
@@ -305,6 +281,24 @@ func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (p
 		class: class, scale: scale, kind: planBatched,
 		g: g, gr: gr, segs: ps, batch: r.Opt.BatchSize,
 	}, nil
+}
+
+// destsDisjoint reports whether a descriptor's destination segments —
+// remote for put and accumulate, local for get — are non-empty and
+// pairwise disjoint. Two segments writing the same bytes within one
+// epoch may land in either order, whereas overlapping get sources are
+// read-read and harmless. The spans go through the runtime's scratch
+// slice, so a warm scan allocates nothing.
+func (r *Runtime) destsDisjoint(class OpClass, segs []iovSeg) bool {
+	r.scan = r.scan[:0]
+	for _, sg := range segs {
+		dst := sg.remote.VA
+		if class == ClassGet {
+			dst = sg.local.VA
+		}
+		r.scan = append(r.scan, spans.Span[struct{}]{Lo: dst, Hi: dst + int64(sg.n)})
+	}
+	return spans.Disjoint(r.scan)
 }
 
 // compileIOVDirect plans one MPI indexed datatype per side and a

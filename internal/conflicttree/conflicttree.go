@@ -1,193 +1,20 @@
-// Package conflicttree implements the paper's O(N log N) IOV overlap
-// detector (SectionVI.B): a self-balancing (AVL) binary tree of
-// disjoint address ranges with a merged check-and-insert operation.
-// Inserting a range that overlaps an existing one fails and leaves the
-// tree unchanged, signalling that the conservative transfer method
-// must be used.
-//
-// The structure differs from an interval tree (CLRS) in that it only
-// ever stores non-overlapping ranges and answers a single yes/no
-// conflict question, which is all the IOV checker needs.
+// Package conflicttree is a shim over spans.Index for benchmark/'s conflicttree.insert_ns
+// driver only; the benchmark-only change that retargets it to spans deletes this package.
 package conflicttree
 
-// Tree is a set of disjoint half-open byte ranges [lo, hi).
-// The zero value is an empty tree ready to use. A tree can be emptied
-// with Reset, which recycles its nodes: callers that scan many
-// descriptors (the IOV compiler) reuse one tree instead of allocating
-// a node per range per scan.
-type Tree struct {
-	root *node
-	size int
-	free []*node // nodes recycled by Reset, available to Insert
-}
+import "repro/internal/spans"
 
-type node struct {
-	lo, hi      int64
-	left, right *node
-	height      int
-}
+// Tree is a set of disjoint, non-empty half-open ranges [lo, hi).
+type Tree struct{ x spans.Index[struct{}] }
 
-func height(n *node) int {
-	if n == nil {
-		return 0
-	}
-	return n.height
-}
-
-func (n *node) update() {
-	hl, hr := height(n.left), height(n.right)
-	if hl > hr {
-		n.height = hl + 1
-	} else {
-		n.height = hr + 1
-	}
-}
-
-func (n *node) balance() int { return height(n.left) - height(n.right) }
-
-func rotateRight(y *node) *node {
-	x := y.left
-	y.left = x.right
-	x.right = y
-	y.update()
-	x.update()
-	return x
-}
-
-func rotateLeft(x *node) *node {
-	y := x.right
-	x.right = y.left
-	y.left = x
-	x.update()
-	y.update()
-	return y
-}
-
-func rebalance(n *node) *node {
-	n.update()
-	switch b := n.balance(); {
-	case b > 1:
-		if n.left.balance() < 0 {
-			n.left = rotateLeft(n.left)
-		}
-		return rotateRight(n)
-	case b < -1:
-		if n.right.balance() > 0 {
-			n.right = rotateRight(n.right)
-		}
-		return rotateLeft(n)
-	}
-	return n
-}
-
-// Size returns the number of stored ranges.
-func (t *Tree) Size() int { return t.size }
-
-// Reset empties the tree, recycling every node for reuse by later
-// Inserts.
-func (t *Tree) Reset() {
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		rec(n.left)
-		rec(n.right)
-		n.left, n.right = nil, nil
-		t.free = append(t.free, n)
-	}
-	rec(t.root)
-	t.root = nil
-	t.size = 0
-}
-
-// alloc takes a recycled node if one is available.
-func (t *Tree) alloc(lo, hi int64) *node {
-	if k := len(t.free); k > 0 {
-		n := t.free[k-1]
-		t.free = t.free[:k-1]
-		*n = node{lo: lo, hi: hi, height: 1}
-		return n
-	}
-	return &node{lo: lo, hi: hi, height: 1}
-}
-
-// Insert attempts to add [lo, hi). It returns false — leaving the tree
-// unchanged — if the range is empty, inverted, or overlaps any stored
-// range; the check and the insertion are a single traversal.
+// Insert adds [lo, hi) unless it is empty, inverted or overlaps a stored range.
 func (t *Tree) Insert(lo, hi int64) bool {
-	if lo >= hi {
+	if lo >= hi || t.x.Overlaps(lo, hi) {
 		return false
 	}
-	root, ok := t.insert(t.root, lo, hi)
-	if !ok {
-		return false
-	}
-	t.root = root
-	t.size++
+	t.x.Insert(lo, hi, struct{}{})
 	return true
 }
 
-func (t *Tree) insert(n *node, lo, hi int64) (*node, bool) {
-	if n == nil {
-		return t.alloc(lo, hi), true
-	}
-	switch {
-	case hi <= n.lo:
-		child, ok := t.insert(n.left, lo, hi)
-		if !ok {
-			return nil, false
-		}
-		n.left = child
-	case lo >= n.hi:
-		child, ok := t.insert(n.right, lo, hi)
-		if !ok {
-			return nil, false
-		}
-		n.right = child
-	default:
-		// lo or hi falls inside [n.lo, n.hi), or the new range encloses
-		// it: a conflict must be reported here — because the tree is
-		// ordered on disjoint ranges, an overlapping stored range cannot
-		// hide in a subtree we would not visit.
-		return nil, false
-	}
-	return rebalance(n), true
-}
-
-// Conflicts reports whether [lo, hi) overlaps any stored range, without
-// inserting. Empty ranges never conflict.
-func (t *Tree) Conflicts(lo, hi int64) bool {
-	if lo >= hi {
-		return false
-	}
-	n := t.root
-	for n != nil {
-		switch {
-		case hi <= n.lo:
-			n = n.left
-		case lo >= n.hi:
-			n = n.right
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// Height returns the tree height (for balance tests).
-func (t *Tree) Height() int { return height(t.root) }
-
-// Walk visits stored ranges in ascending order.
-func (t *Tree) Walk(fn func(lo, hi int64)) {
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		rec(n.left)
-		fn(n.lo, n.hi)
-		rec(n.right)
-	}
-	rec(t.root)
-}
+func (t *Tree) Reset()    { t.x.Reset() }
+func (t *Tree) Size() int { return t.x.Len() }

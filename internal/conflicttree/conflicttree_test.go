@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/spans"
 )
 
 func TestInsertDisjoint(t *testing.T) {
@@ -54,46 +56,20 @@ func TestAdjacentRangesAllowed(t *testing.T) {
 	}
 }
 
+// TestConflictsQuery checks the overlap query without an insert, on the
+// index under the tree: a gap and an empty range do not conflict.
 func TestConflictsQuery(t *testing.T) {
-	var tr Tree
-	tr.Insert(100, 200)
-	tr.Insert(300, 400)
-	if tr.Conflicts(200, 300) {
+	var x spans.Index[struct{}]
+	x.Insert(100, 200, struct{}{})
+	x.Insert(300, 400, struct{}{})
+	if x.Overlaps(200, 300) {
 		t.Error("gap reported as conflict")
 	}
-	if !tr.Conflicts(150, 160) || !tr.Conflicts(399, 500) {
+	if !x.Overlaps(150, 160) || !x.Overlaps(399, 500) {
 		t.Error("overlap missed")
 	}
-	if tr.Conflicts(50, 50) {
+	if x.Overlaps(50, 50) {
 		t.Error("empty range conflicts")
-	}
-}
-
-func TestWalkInOrder(t *testing.T) {
-	var tr Tree
-	for _, lo := range []int64{50, 10, 90, 30, 70} {
-		tr.Insert(lo, lo+5)
-	}
-	var prev int64 = -1
-	tr.Walk(func(lo, hi int64) {
-		if lo <= prev {
-			t.Errorf("walk out of order at %d", lo)
-		}
-		prev = lo
-	})
-}
-
-func TestAVLBalanceUnderSequentialInsert(t *testing.T) {
-	var tr Tree
-	n := 1 << 12
-	for i := 0; i < n; i++ {
-		if !tr.Insert(int64(i*10), int64(i*10+5)) {
-			t.Fatalf("insert %d failed", i)
-		}
-	}
-	// A balanced tree of 4096 nodes has height <= 1.44*log2(n) ~ 18.
-	if h := tr.Height(); h > 20 {
-		t.Errorf("height = %d after sequential inserts; AVL balancing broken", h)
 	}
 }
 
@@ -128,54 +104,5 @@ func TestPropertyMatchesNaiveChecker(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPropertyHeightLogarithmic(t *testing.T) {
-	check := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		var tr Tree
-		for i := 0; i < 1000; i++ {
-			lo := int64(rnd.Intn(1 << 20))
-			tr.Insert(lo, lo+1)
-		}
-		if tr.Size() < 10 {
-			return true
-		}
-		maxH := int(1.45*math.Log2(float64(tr.Size()))) + 2
-		return tr.Height() <= maxH
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkTreeInsertDisjoint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var tr Tree
-		for j := int64(0); j < 1024; j++ {
-			tr.Insert(j*16, j*16+16)
-		}
-	}
-}
-
-func BenchmarkNaiveInsertDisjoint(b *testing.B) {
-	// The O(N^2) scan the paper's tree replaces.
-	type rg struct{ lo, hi int64 }
-	for i := 0; i < b.N; i++ {
-		var acc []rg
-		for j := int64(0); j < 1024; j++ {
-			lo, hi := j*16, j*16+16
-			ok := true
-			for _, a := range acc {
-				if lo < a.hi && a.lo < hi {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				acc = append(acc, rg{lo, hi})
-			}
-		}
 	}
 }

@@ -73,8 +73,8 @@ func (m *Machine) Retire() {
 		return
 	}
 	for _, s := range m.spaces {
-		for _, r := range s.regions {
-			r.release()
+		for r := range s.regions.All() {
+			r.V.release()
 		}
 	}
 	p := m.bufs

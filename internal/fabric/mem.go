@@ -2,9 +2,9 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/spans"
 )
 
 // Addr is a global address in the simulated machine: a rank and a
@@ -81,8 +81,9 @@ type Region struct {
 	// prepinned regions were registered at allocation time by their
 	// allocating domain (e.g. ARMCI's pre-pinned pools).
 	prepinned bool
-	// pinned tracks which domains have on-demand registered the region.
-	pinned map[Domain]bool
+	// pinned has bit d set once domain d has on-demand registered the
+	// region.
+	pinned uint8
 }
 
 // Contains reports whether [va, va+n) falls inside the region.
@@ -137,17 +138,16 @@ func (r *Region) PinnedFor(d Domain) bool {
 	if r.prepinned && r.AllocDomain == d {
 		return true
 	}
-	return r.pinned[d]
+	return r.pinned&(1<<d) != 0
 }
 
 // AddrSpace is one rank's virtual address space: a bump allocator over
-// non-overlapping regions with binary-search lookup. VA 0 is reserved
-// as NULL.
+// non-overlapping regions, indexed by VA. VA 0 is reserved as NULL.
 type AddrSpace struct {
 	m       *Machine
 	rank    int
 	next    int64
-	regions []*Region // sorted by VA
+	regions spans.Index[*Region]
 }
 
 const addrSpaceBase = 0x1000
@@ -165,7 +165,6 @@ func (s *AddrSpace) Alloc(n int, d Domain, prepinned bool) *Region {
 		Len:         n,
 		AllocDomain: d,
 		prepinned:   prepinned,
-		pinned:      map[Domain]bool{},
 	}
 	// Round the next base to a page-ish boundary to keep regions
 	// disjoint even for zero-length allocations.
@@ -174,45 +173,38 @@ func (s *AddrSpace) Alloc(n int, d Domain, prepinned bool) *Region {
 		adv = 64
 	}
 	s.next += adv + 64
-	s.regions = append(s.regions, r)
+	s.regions.Insert(r.VA, r.VA+int64(n), r)
 	return r
 }
 
 // Free releases a region and hands its backing back to the machine.
 // The address must be a region base.
 func (s *AddrSpace) Free(va int64) error {
-	for i, r := range s.regions {
-		if r.VA == va {
-			s.regions = append(s.regions[:i], s.regions[i+1:]...)
-			r.release()
-			return nil
-		}
+	r, ok := s.regions.Remove(va)
+	if !ok {
+		return fmt.Errorf("fabric: Free of unknown region 0x%x on rank %d", va, s.rank)
 	}
-	return fmt.Errorf("fabric: Free of unknown region 0x%x on rank %d", va, s.rank)
+	r.release()
+	return nil
 }
 
 // Find returns the region containing [va, va+n), or nil.
 func (s *AddrSpace) Find(va int64, n int) *Region {
-	i := sort.Search(len(s.regions), func(i int) bool {
-		return s.regions[i].VA+int64(s.regions[i].Len) > va
-	})
-	// Regions are appended in VA order (bump allocator) but Free can
-	// leave the slice still sorted, so binary search is valid.
-	if i < len(s.regions) && s.regions[i].Contains(va, n) {
-		return s.regions[i]
+	if r, ok := s.regions.At(va); ok && r.V.Contains(va, n) {
+		return r.V
 	}
 	return nil
 }
 
-// Regions returns the rank's live regions in VA order.
-func (s *AddrSpace) Regions() []*Region { return s.regions }
+// Len returns the number of live regions.
+func (s *AddrSpace) Len() int { return s.regions.Len() }
 
 // Unpin evicts region r from domain d's registration cache, so the
 // next use pays the on-demand registration cost again (used by the
 // Figure 5 interoperability benchmark to measure the first-touch
 // path). Pre-pinned regions of d's own allocator cannot be evicted.
 func (m *Machine) Unpin(r *Region, d Domain) {
-	delete(r.pinned, d)
+	r.pinned &^= 1 << d
 }
 
 // PinCost returns the registration cost for domain d to use region r
@@ -230,7 +222,7 @@ func (m *Machine) PinCost(r *Region, d Domain) sim.Time {
 	if pages < 1 {
 		pages = 1
 	}
-	r.pinned[d] = true
+	r.pinned |= 1 << d
 	m.PagesPinned += int64(pages)
 	return sim.FromSeconds(float64(pages) * m.Par.PinPageNs / 1e9)
 }

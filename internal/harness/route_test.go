@@ -210,7 +210,7 @@ func TestDartAccPrescaleNoLeak(t *testing.T) {
 		addrs, err := rt.Malloc(64 * 1024)
 		must(t, err)
 		local := rt.MallocLocal(32 * 1024)
-		baseline := len(j.M.Space(rt.Rank()).Regions())
+		baseline := j.M.Space(rt.Rank()).Len()
 		if rt.Rank() == 1 {
 			// Contiguous scaled accumulates on all three tiers (node-epoch
 			// prescale for self and same-node, engine prescale for remote;
@@ -237,7 +237,7 @@ func TestDartAccPrescaleNoLeak(t *testing.T) {
 			must(t, rt.AccS(armci.AccDbl, 2, s2))
 		}
 		rt.Barrier()
-		if got := len(j.M.Space(rt.Rank()).Regions()); got != baseline {
+		if got := j.M.Space(rt.Rank()).Len(); got != baseline {
 			t.Errorf("rank %d: %d regions after scaled accumulates, want %d (prescale temporary leaked)",
 				rt.Rank(), got, baseline)
 		}

@@ -685,6 +685,8 @@ func (w *Win) checkEpochOp(ep *epoch, target int, newRng rng) error {
 					target, old.lo, old.hi, old.kind, newRng.lo, newRng.hi, newRng.kind)
 			}
 		}
+		panic(fmt.Sprintf("mpi: epoch index reports a conflict for [%d,%d) %v at target %d, the issue-order scan of %d ranges finds none",
+			newRng.lo, newRng.hi, newRng.kind, target, len(ep.ranges)))
 	}
 	ep.ranges = append(ep.ranges, newRng)
 	ep.touched.add(newRng)
