@@ -41,7 +41,7 @@ type Transport interface {
 	// Put ships x from p's rank to x.Target — snapshot, occupancy of
 	// whatever serves the target, landing event — and returns the time
 	// the data is remotely complete. The origin buffer is reusable on
-	// return.
+	// return, so the snapshot is taken at issue.
 	Put(p *sim.Proc, x Xfer) sim.Time
 	// Get fetches x from x.Target into p's rank and calls h.Complete
 	// once the data has landed. A transport whose protocol cannot

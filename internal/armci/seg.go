@@ -44,7 +44,9 @@ func (x Xfer) Segments() []Seg {
 
 // Gather snapshots every segment's source bytes, times Scale, into one
 // dense pooled slab of Total bytes — one buffer per operation, not one
-// per segment. A scale of 1 is a plain copy; any other scale requires
+// per segment: a put's or accumulate's origin at issue, or the source
+// of a get from the calling rank itself, which may overlap its
+// destination. A scale of 1 is a plain copy; any other scale requires
 // float64-aligned segments.
 func (x Xfer) Gather(m *fabric.Machine) []byte {
 	slab := m.GetBuf(x.Total)
@@ -75,7 +77,7 @@ func (x Xfer) Scatter(m *fabric.Machine, slab []byte) {
 
 // Copy moves every segment straight from source to destination with no
 // staging slab — a load/store path through memory both sides can
-// address.
+// address, and a remote get's one copy, target to origin.
 func (x Xfer) Copy() {
 	for _, sg := range x.Segments() {
 		copy(sg.Dreg.Bytes(sg.DstVA, sg.N), sg.Sreg.Bytes(sg.SrcVA, sg.N))

@@ -161,8 +161,10 @@ func (r *Runtime) prescale(v *localView, baseVA int64, t mpi.Datatype, scale flo
 	return out, nil
 }
 
-// freeTemp releases a prescale temporary (the accumulate that read it
-// snapshotted it at issue).
+// freeTemp releases a prescale temporary once the accumulate that reads
+// it is done with it: after its epoch completes, which is when a wire
+// accumulate reads its origin, or any time after a request-based one,
+// which snapshots it at issue.
 func (r *Runtime) freeTemp(t *fabric.Region) error {
 	return r.W.Mpi.M.Space(r.Rank()).Free(t.VA)
 }

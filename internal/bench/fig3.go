@@ -125,11 +125,11 @@ func implShort(impl harness.Impl) string {
 // fig3Dispatch is the order the paper pair's six jobs of a panel are
 // handed to several workers, as indices into Fig3's enumeration (native
 // get, put, acc, then ARMCI-MPI get, put, acc): heaviest first — native
-// acc, native put, ARMCI-MPI acc, native get, ARMCI-MPI get, ARMCI-MPI
-// put (1,066 / 716 / 615 / 450 / 443 / 441 host ms summed over the four
+// acc, native put, ARMCI-MPI acc, native get, ARMCI-MPI put, ARMCI-MPI
+// get (532 / 450 / 294 / 171 / 169 / 161 host ms summed over the four
 // platforms, DESIGN.md "Figure sweeps"). Extra runtimes follow in
 // enumeration order.
-var fig3Dispatch = [...]int{2, 1, 5, 0, 3, 4}
+var fig3Dispatch = [...]int{2, 1, 5, 0, 4, 3}
 
 // Fig3 regenerates one platform's panel of Figure 3: get/put/acc
 // bandwidth for native ARMCI and ARMCI-MPI.

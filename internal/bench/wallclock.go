@@ -31,9 +31,11 @@ func WallclockContigIssue(plat *platform.Platform, nops, bytes int) (time.Durati
 // WallclockContigPayload is the data-path row: rank 0 issues nops
 // contiguous operations of the given size to rank 1 under impl, each
 // fenced to remote completion so exactly one payload is in flight and
-// the loop measures the steady state — snapshot, transfer events,
-// apply — rather than the pipeline's depth. Host bytes per second
-// through the payload path is bytes*nops over the returned duration.
+// the loop measures the steady state — transfer events and the
+// payload's copies (one for an epoch-completed put, get or accumulate,
+// two where a snapshot is kept) — rather than the pipeline's depth.
+// Host bytes per second through the payload path is bytes*nops over
+// the returned duration.
 func WallclockContigPayload(plat *platform.Platform, impl harness.Impl, op ContigOp, nops, bytes int) (time.Duration, error) {
 	return issueJob(plat, impl, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
 		err := doContig(rt, op, local, addrs[1], bytes)

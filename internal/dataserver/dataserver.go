@@ -165,12 +165,13 @@ func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	start, served := w.serve(m.NodeOf(target), req, total, float64(total)/w.rate()*1e9)
 	w.served(me, target, profile.MsgGet, total, req, start, served)
 	m.Eng.At(served, func() {
-		slab := x.Gather(m)
+		// The server reads the segments straight into the origin's
+		// buffer, which stays undefined until the reply completes the get.
+		x.Copy()
 		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: w.rate()})
 		w.Obs.Wire(me, target, me, profile.MsgGet, profile.RouteDS, total)
 		m.Eng.At(back, func() {
 			w.Obs.Landed(target, me, profile.MsgGet, profile.RouteDS, total)
-			x.Scatter(m, slab)
 			h.Complete()
 		})
 	})

@@ -139,8 +139,9 @@ func TestScaleBytesF64MatchesDecodeScaleEncode(t *testing.T) {
 	}
 }
 
-// applyReduction is the kernel's one RMA caller: the fold follows the
-// target datatype and leaves the gaps between its runs alone.
+// The two-layout walk is the kernel's one RMA caller: a fold from a
+// dense payload follows the target datatype and leaves the gaps between
+// its runs alone.
 func TestApplyReductionFollowsDatatype(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	types := []Datatype{
@@ -158,7 +159,8 @@ func TestApplyReductionFollowsDatatype(t *testing.T) {
 				refReduce(op, want[off:off+n], data[pos:pos+n])
 				pos += n
 			})
-			applyReduction(dst, dt, data, op)
+			var dr, sr [1]Segment
+			foldRuns(op, dst, runs(dt, &dr), data, dense(len(data), &sr))
 			if at := firstDiff(dst, want); at >= 0 {
 				t.Errorf("%v %v: differs from per-run reference at byte %d", dt, op, at)
 			}

@@ -146,9 +146,11 @@ func errMPI3(call string) error {
 }
 
 // RMAReq is a request handle for an MPI-3 request-based operation. A
-// put or accumulate snapshots its origin at issue, so its request is
-// complete once the synchronous injection overheads (charged before the
-// handle exists) are done: it has no epoch to track. A handle is
+// put's or accumulate's request is complete once the synchronous
+// injection overheads (charged before the handle exists) are done: it
+// has no epoch to track. The origin is the caller's again from then on,
+// so RPut and RAccumulate — unlike Put and Accumulate, which read the
+// origin when the bytes land — take a snapshot at issue. A handle is
 // immutable, so requests that answer alike share one: every put and
 // accumulate on a window the window's completed handle, every get to
 // one target the handle of that target's lock-all epoch.
@@ -198,6 +200,7 @@ func (w *Win) request(d rmaOp) (*RMAReq, error) {
 	if w.all == nil {
 		return nil, fmt.Errorf("mpi: R%v outside lock-all mode", d.kind)
 	}
+	d.snap = true // the request completes at issue, and the origin with it
 	ep, _, err := w.issue(d)
 	if err != nil {
 		return nil, err

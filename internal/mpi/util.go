@@ -98,7 +98,8 @@ func ReduceBytesF64(op Op, dst, src []byte) {
 // ScaleBytesF64 writes scale*src[i] into dst[i] over little-endian
 // float64s — the snapshot pass of a scaled accumulate, so the scale
 // costs no pass of its own. A scale of 1 is a plain copy of every
-// byte (the snapshot of a put or get); any other scale writes the
+// byte (the snapshot of a direct runtime's put, or of a get from the
+// calling rank itself); any other scale writes the
 // len(dst)/8 whole elements. src must be at least as long as dst, and
 // the two must be the same slice or not overlap.
 func ScaleBytesF64(dst, src []byte, scale float64) {

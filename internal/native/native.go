@@ -124,16 +124,27 @@ func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 }
 
 // Get is the native get pipeline: a request, then the payload straight
-// back from the target's memory.
+// back from the target's memory. The target is read when the request
+// reaches it, into the local buffer at once — ARMCI leaves that buffer
+// undefined until the get completes — and the reply only completes the
+// handle. A get from the calling rank itself stages the bytes instead:
+// its source and destination may overlap.
 func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	segCost(p, x)
 	m, me, rate := w.M, p.ID(), w.rate(x.Local)
 	req := m.SendDataAsync(me, x.Target, 0, fabric.XferOpt{NoNIC: true})
 	m.Eng.At(req, func() {
-		slab := x.Gather(m)
+		var slab []byte
+		if x.Target == me {
+			slab = x.Gather(m)
+		} else {
+			x.Copy()
+		}
 		back := m.SendDataAsync(x.Target, me, x.Total, fabric.XferOpt{Rate: rate})
 		m.Eng.At(back, func() {
-			x.Scatter(m, slab)
+			if slab != nil {
+				x.Scatter(m, slab)
+			}
 			h.Complete()
 		})
 	})

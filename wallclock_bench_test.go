@@ -55,9 +55,11 @@ func BenchmarkWallclockIOVIssue(b *testing.B) {
 
 // wallclockPayload is the data-path layer row: 1 MiB contiguous
 // operations, one in flight at a time, on the native runtime and on
-// ARMCI-MPI. MB/s is host bytes through the payload path (snapshot,
-// transfer events, apply); B/op and allocs/op show whether a warm
-// operation still allocates its payload.
+// ARMCI-MPI. MB/s is host bytes through the payload path: the transfer
+// events and the payload's copies — one for every get and for an
+// ARMCI-MPI put or accumulate, which lands from its origin; two for a
+// native put or accumulate, which keeps a snapshot. B/op and allocs/op
+// show whether a warm operation still allocates its payload.
 func wallclockPayload(b *testing.B, op bench.ContigOp) {
 	const size = 1 << 20
 	plat := harness.TestPlatform()
