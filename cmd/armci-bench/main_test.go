@@ -325,7 +325,7 @@ func TestTweakReachesDartRemoteTier(t *testing.T) {
 			})
 			d := pr.RouteOf(armcimpi.RouteRequest{
 				Class: armcimpi.ClassPut, Shape: armcimpi.ShapeStrided,
-				Local: local, Remote: addrs[2], Target: 2, Bytes: 1024,
+				Target: 2, Bytes: 1024,
 			})
 			if d.Route != armcimpi.RouteRMA || d.Method != armcimpi.MethodConservative {
 				t.Errorf("remote strided: route=%s method=%s, want rma/conservative",

@@ -10,8 +10,8 @@ import (
 // Allocation is one collective ARMCI_Malloc as the translation table
 // records it: the member processes, each member's slice of the
 // allocation, and whatever the owning runtime hangs off it (Ext: MPI
-// windows and the RMW mutex for armcimpi, node windows for dartmpi,
-// nothing for the runtimes that move bytes themselves).
+// windows and the RMW mutex for armcimpi and dartmpi, nothing for the
+// runtimes that move bytes themselves).
 type Allocation[T any] struct {
 	ID    int
 	Group []int  // world ranks, ascending; group rank -> world rank

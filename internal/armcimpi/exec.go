@@ -140,8 +140,6 @@ func (r *Runtime) execute(p *plan) error {
 		return r.execBatched(p)
 	case planPerSeg:
 		return r.execPerSeg(p)
-	case planNear:
-		return r.execNear(p)
 	default:
 		return r.execSingle(p)
 	}
@@ -152,8 +150,7 @@ func (r *Runtime) execute(p *plan) error {
 // leader's staging buffer (one shared-memory copy) and queues behind
 // the per-node staging pipe before the wire transfer. Eligibility
 // (threshold, leader and same-node bypass, ablation switches) was
-// decided by the policy; the executor only models the cost and
-// reports the event back through the policy's Staged hook.
+// decided by the policy; the executor only models the cost.
 func (r *Runtime) execStage(n int) {
 	m := r.W.Mpi.M
 	me := r.Rank()
@@ -172,89 +169,6 @@ func (r *Runtime) execStage(n int) {
 	m.ShmCopy(p, n)
 	r.obs().Waited(obs.Wait{Kind: obs.WaitLeaderCopy, Rank: me, From: c0, To: p.Now(), N: n})
 	r.W.leaderBusy[node] = p.Now()
-	r.policy.Staged(n)
-}
-
-// execNear carries out a directly bound near-tier plan: RouteSelf
-// put/get is one local memcpy; RouteSelf accumulate and every
-// RouteNode operation run one exclusive-lock epoch on the decision's
-// node-shared window (self accumulates keep the epoch so same-node
-// updates stay atomic with respect to each other).
-func (r *Runtime) execNear(p *plan) error {
-	if p.dec.Route == RouteSelf && p.class != ClassAcc {
-		return r.execSelfCopy(p)
-	}
-	return r.execNodeEpoch(p)
-}
-
-// nearRegion resolves an address on the calling rank to its region
-// (near plans bypass acquireLocal: the policy proved containment on
-// the remote side, and near tiers never stage the local side).
-func (r *Runtime) nearRegion(addr armci.Addr, n int) (*fabric.Region, error) {
-	reg := r.W.Mpi.M.Space(r.Rank()).Find(addr.VA, n)
-	if reg == nil {
-		return nil, fmt.Errorf("armcimpi: local address %v (+%d) not in any allocation", addr, n)
-	}
-	return reg, nil
-}
-
-// execSelfCopy is the load-store tier: both sides live on the calling
-// rank, so the transfer is one local memcpy.
-func (r *Runtime) execSelfCopy(p *plan) error {
-	src, dst := p.local, p.raddr
-	if p.class == ClassGet {
-		src, dst = p.raddr, p.local
-	}
-	sreg, err := r.nearRegion(src, p.span)
-	if err != nil {
-		return err
-	}
-	dreg, err := r.nearRegion(dst, p.span)
-	if err != nil {
-		return err
-	}
-	r.W.Mpi.M.CopyLocal(r.R.P, p.span)
-	copy(dreg.Bytes(dst.VA, p.span), sreg.Bytes(src.VA, p.span))
-	return nil
-}
-
-// execNodeEpoch is the same-node tier: one exclusive-lock epoch on the
-// decision's node-shared window, whose ops degenerate to shm segment
-// copies. Scaled accumulates share the engine's prescale-temporary
-// path; the temporary is freed after the epoch closes.
-func (r *Runtime) execNodeEpoch(p *plan) error {
-	reg, err := r.nearRegion(p.local, p.span)
-	if err != nil {
-		return err
-	}
-	t := r.contig(p.span)
-	buf := mpi.LocalBuf{Region: reg, Off: int(p.local.VA - reg.VA), Type: t}
-	var tmp *fabric.Region
-	if p.class == ClassAcc && p.scale != 1 {
-		v := localView{reg: reg, base: reg.VA}
-		if tmp, err = r.prescale(&v, p.local.VA, t, p.scale); err != nil {
-			return err
-		}
-		buf = mpi.LocalBuf{Region: tmp, Off: 0, Type: t}
-		defer func() { _ = r.freeTemp(tmp) }()
-	}
-	win, gt, disp := p.dec.Node.Win, p.dec.Node.Rank, p.dec.Node.Disp
-	if err := win.Lock(mpi.LockExclusive, gt); err != nil {
-		return err
-	}
-	var opErr error
-	switch p.class {
-	case ClassPut:
-		opErr = win.Put(buf, gt, disp, t)
-	case ClassGet:
-		opErr = win.Get(buf, gt, disp, t)
-	default:
-		opErr = win.Accumulate(buf, mpi.OpSum, gt, disp, t)
-	}
-	if err := win.Unlock(gt); err != nil && opErr == nil {
-		opErr = err
-	}
-	return opErr
 }
 
 // execSingle issues one datatype-described operation in one epoch.
@@ -346,20 +260,13 @@ func (r *Runtime) execBatched(p *plan) (err error) {
 
 // execPerSeg re-enters the engine once per segment through the public
 // contiguous operations, giving each segment its own epoch (and its
-// own per-segment span check). Near-tier descriptors (dec.PerSeg) are
-// re-routed — and counted — segment by segment, so segments falling
-// outside the policy's near window still reach the wire; conservative
-// wire descriptors instead pin their already counted RMA decision so
-// re-entry neither re-counts nor re-stages.
+// own per-segment span check). Each re-entry is pinned to the wire:
+// the descriptor was already decided and counted, so re-entry neither
+// re-counts nor re-stages.
 func (r *Runtime) execPerSeg(p *plan) error {
-	pin := !p.dec.PerSeg
-	if pin {
-		defer func() { r.pinned = false }()
-	}
+	defer func() { r.pinned = false }()
 	for _, sg := range p.csegs {
-		if pin {
-			r.pinnedRoute, r.pinned = RouteDecision{Route: RouteRMA, Method: p.dec.Method}, true
-		}
+		r.pinned = true
 		var err error
 		switch p.class {
 		case ClassPut:
@@ -430,17 +337,9 @@ func (h *nbHandle) settle() {
 // execNb3 issues a compiled plan as MPI-3 request-based operations and
 // returns a handle tracking completion of the whole set. Under MPI-3
 // local buffers are never staged and lock-all replaces per-op epochs,
-// so every wire plan kind flattens to a stream of R-operations.
-// Near-tier plans have no request form — they complete eagerly via the
-// blocking executor and return an already-completed handle — and
-// leader-staged plans model the staging hop before any request issues.
+// so every plan kind flattens to a stream of R-operations. Leader-staged
+// plans model the staging hop before any request issues.
 func (r *Runtime) execNb3(p *plan) (armci.Handle, error) {
-	if p.kind == planNear || p.dec.PerSeg {
-		if err := r.execute(p); err != nil {
-			return nil, err
-		}
-		return completedHandle{}, nil
-	}
 	if p.dec.Route == RouteStagedRMA {
 		r.execStage(p.stageBytes)
 	}
@@ -468,9 +367,8 @@ func (r *Runtime) issueNb3(p *plan, h *nbHandle) error {
 		}
 		return nil
 	case planPerSeg:
-		// Only conservative wire descriptors reach here (near per-seg
-		// plans took the eager path in execNb3): each segment inherits
-		// the descriptor's already counted RMA decision.
+		// Each segment of a conservative descriptor inherits its
+		// already counted decision, as a wire operation.
 		for _, sg := range p.csegs {
 			rt := routed{dec: RouteDecision{Route: RouteRMA, Method: p.dec.Method}, bytes: sg.n}
 			sub, err := r.compileContig(p.class, p.scale, sg.local, sg.remote, sg.n, rt)

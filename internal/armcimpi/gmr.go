@@ -95,9 +95,8 @@ type Options struct {
 	// NoShm disables the intra-node shared-memory fast path: GMR and
 	// mutex windows are created with plain MPI_Win_create instead of
 	// the Win_allocate_shared flavor, forcing same-node traffic through
-	// the RMA path (the ablation baseline). The dartmpi runtime honors
-	// it too: its same-node tier collapses onto the RMA path so the
-	// ablation switch means the same thing in every runtime.
+	// the RMA path (the ablation baseline). Under dartmpi, which runs
+	// this engine, it also turns leader staging off.
 	NoShm bool
 	// NoLeaderStaging disables dartmpi's hierarchical put/get: large
 	// remote transfers go straight to the wire instead of staging
@@ -167,14 +166,12 @@ type Runtime struct {
 	dla map[int64]dlaSection // open direct-local-access sections by base VA
 
 	// policy is the routing layer's decision maker (route.go); New
-	// installs the engine default, SetRoutePolicy replaces it.
-	// pinnedRoute, when pinned is set, is consumed by the next decide
-	// call: per-segment re-entries of an already routed conservative
-	// plan keep the descriptor's decision instead of re-deciding (and
-	// re-staging or re-counting).
-	policy      RoutePolicy
-	pinnedRoute RouteDecision
-	pinned      bool
+	// installs the engine default, SetRoutePolicy replaces it. pinned,
+	// when set, is consumed by the next decide call: a per-segment
+	// re-entry of an already routed conservative plan goes to the wire
+	// without re-deciding (and re-staging or re-counting).
+	policy RoutePolicy
+	pinned bool
 
 	// held and temps are the executor's scratch slices (exec.go), lent
 	// to one blocking execution at a time; lastContig is contig's memo.

@@ -59,7 +59,7 @@ func (r *Runtime) NbPut(src, dst armci.Addr, n int) (armci.Handle, error) {
 	if err := armci.CheckContig(src, dst, n); err != nil {
 		return nil, err
 	}
-	rt := r.decide(RouteRequest{Class: ClassPut, Shape: ShapeContig, Local: src, Remote: dst, Target: dst.Rank, Bytes: n})
+	rt := r.decide(RouteRequest{Class: ClassPut, Shape: ShapeContig, Target: dst.Rank, Bytes: n})
 	p, err := r.compileContig(ClassPut, 1, src, dst, n, rt)
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func (r *Runtime) NbGet(src, dst armci.Addr, n int) (armci.Handle, error) {
 	if err := armci.CheckContig(src, dst, n); err != nil {
 		return nil, err
 	}
-	rt := r.decide(RouteRequest{Class: ClassGet, Shape: ShapeContig, Local: dst, Remote: src, Target: src.Rank, Bytes: n})
+	rt := r.decide(RouteRequest{Class: ClassGet, Shape: ShapeContig, Target: src.Rank, Bytes: n})
 	p, err := r.compileContig(ClassGet, 1, dst, src, n, rt)
 	if err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ func (r *Runtime) NbAcc(op armci.AccOp, scale float64, src, dst armci.Addr, n in
 	if n%8 != 0 {
 		return nil, fmt.Errorf("armcimpi: NbAcc size %d not a multiple of 8 (float64)", n)
 	}
-	rt := r.decide(RouteRequest{Class: ClassAcc, Shape: ShapeContig, Local: src, Remote: dst, Target: dst.Rank, Bytes: n})
+	rt := r.decide(RouteRequest{Class: ClassAcc, Shape: ShapeContig, Target: dst.Rank, Bytes: n})
 	p, err := r.compileContig(ClassAcc, scale, src, dst, n, rt)
 	if err != nil {
 		return nil, err
@@ -145,12 +145,11 @@ func (r *Runtime) nbStrided(class OpClass, scale float64, s *armci.Strided) (arm
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	local, remote := s.Src, s.Dst
+	target := s.Dst.Rank
 	if class == ClassGet {
-		local, remote = s.Dst, s.Src
+		target = s.Src.Rank
 	}
-	rt := r.decide(RouteRequest{Class: class, Shape: ShapeStrided,
-		Local: local, Remote: remote, Target: remote.Rank, Bytes: s.TotalBytes()})
+	rt := r.decide(RouteRequest{Class: class, Shape: ShapeStrided, Target: target, Bytes: s.TotalBytes()})
 	p, err := r.compileStrided(class, scale, s, rt)
 	if err != nil {
 		return nil, err

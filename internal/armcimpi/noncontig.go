@@ -50,12 +50,11 @@ func (r *Runtime) strided(class OpClass, scale float64, s *armci.Strided) error 
 	t0 := r.R.P.Now()
 	r.obs().OpBegin(r.Rank(), profStridedOp[class])
 	defer r.obs().OpEnd(r.Rank())
-	local, remote := s.Src, s.Dst
+	target := s.Dst.Rank
 	if class == ClassGet {
-		local, remote = s.Dst, s.Src
+		target = s.Src.Rank
 	}
-	rt := r.decide(RouteRequest{Class: class, Shape: ShapeStrided,
-		Local: local, Remote: remote, Target: remote.Rank, Bytes: s.TotalBytes()})
+	rt := r.decide(RouteRequest{Class: class, Shape: ShapeStrided, Target: target, Bytes: s.TotalBytes()})
 	p, err := r.compileStrided(class, scale, s, rt)
 	if err != nil {
 		return err
@@ -63,7 +62,7 @@ func (r *Runtime) strided(class OpClass, scale float64, s *armci.Strided) error 
 	if err := r.execute(&p); err != nil {
 		return err
 	}
-	r.obs().OpDone(r.Rank(), profStridedOp[class], t0, r.R.P.Now(), remote.Rank, s.SegBytes(), rt.dec.Method)
+	r.obs().OpDone(r.Rank(), profStridedOp[class], t0, r.R.P.Now(), target, s.SegBytes(), rt.dec.Method)
 	return nil
 }
 

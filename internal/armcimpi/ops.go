@@ -168,7 +168,7 @@ func (r *Runtime) Put(src, dst armci.Addr, n int) error {
 	if err := armci.CheckContig(src, dst, n); err != nil {
 		return err
 	}
-	rt := r.decide(RouteRequest{Class: ClassPut, Shape: ShapeContig, Local: src, Remote: dst, Target: dst.Rank, Bytes: n})
+	rt := r.decide(RouteRequest{Class: ClassPut, Shape: ShapeContig, Target: dst.Rank, Bytes: n})
 	p, err := r.compileContig(ClassPut, 1, src, dst, n, rt)
 	if err != nil {
 		return err
@@ -189,7 +189,7 @@ func (r *Runtime) Get(src, dst armci.Addr, n int) error {
 	if err := armci.CheckContig(src, dst, n); err != nil {
 		return err
 	}
-	rt := r.decide(RouteRequest{Class: ClassGet, Shape: ShapeContig, Local: dst, Remote: src, Target: src.Rank, Bytes: n})
+	rt := r.decide(RouteRequest{Class: ClassGet, Shape: ShapeContig, Target: src.Rank, Bytes: n})
 	p, err := r.compileContig(ClassGet, 1, dst, src, n, rt)
 	if err != nil {
 		return err
@@ -214,7 +214,7 @@ func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int)
 	if n%8 != 0 {
 		return fmt.Errorf("armcimpi: Acc size %d not a multiple of 8 (float64)", n)
 	}
-	rt := r.decide(RouteRequest{Class: ClassAcc, Shape: ShapeContig, Local: src, Remote: dst, Target: dst.Rank, Bytes: n})
+	rt := r.decide(RouteRequest{Class: ClassAcc, Shape: ShapeContig, Target: dst.Rank, Bytes: n})
 	p, err := r.compileContig(ClassAcc, scale, src, dst, n, rt)
 	if err != nil {
 		return err

@@ -30,14 +30,9 @@ const (
 	// against one GMR (SectionVI.B).
 	planBatched
 	// planPerSeg re-enters the engine once per contiguous segment,
-	// each in its own epoch; segments may overlap and span GMRs
-	// (the conservative method, and near-tier descriptors whose
-	// segments are routed individually).
+	// each in its own epoch; segments may overlap and span GMRs (the
+	// conservative method).
 	planPerSeg
-	// planNear executes a contiguous transfer on a near tier the
-	// policy bound directly: a local memcpy (RouteSelf put/get) or one
-	// exclusive-lock epoch on the decision's node-shared window.
-	planNear
 )
 
 // planSeg is one contiguous piece of a batched plan, its displacement
@@ -64,12 +59,9 @@ type plan struct {
 
 	// The routing decision the policy made for this operation, and the
 	// payload size behind it (execStage's staging model runs on the
-	// whole descriptor, not per segment). planNear also keeps the
-	// remote global address in raddr, since near execution resolves
-	// regions directly instead of through a GMR.
+	// whole descriptor, not per segment).
 	dec        RouteDecision
 	stageBytes int
-	raddr      armci.Addr
 
 	// Target GMR (planSingle and planBatched; conservative segments
 	// resolve their own).
@@ -107,15 +99,8 @@ func (p *plan) nsegs() int {
 
 // compileContig builds the plan for a contiguous transfer. The caller
 // has already validated the request (CheckContig and, for accumulate,
-// float64 alignment) and routed it. Direct near decisions become
-// planNear; everything else resolves against the GMR as before.
+// float64 alignment) and routed it.
 func (r *Runtime) compileContig(class OpClass, scale float64, local, remote armci.Addr, n int, rt routed) (plan, error) {
-	if rt.dec.Direct {
-		return plan{
-			class: class, scale: scale, kind: planNear,
-			local: local, span: n, raddr: remote, dec: rt.dec,
-		}, nil
-	}
 	g, gr, disp, err := r.remote(remote, n)
 	if err != nil {
 		return plan{}, err
@@ -129,23 +114,9 @@ func (r *Runtime) compileContig(class OpClass, scale float64, local, remote armc
 }
 
 // compileStrided builds the plan for a strided transfer using the
-// routed method: the direct subarray translation (SectionVI.C), the
-// IOV engine over the descriptor's segment expansion, or — for a
-// near-tier descriptor — one contiguous segment per stride iteration,
-// each re-entering the engine to be routed individually.
+// routed method: the direct subarray translation (SectionVI.C) or the
+// IOV engine over the descriptor's segment expansion.
 func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided, rt routed) (plan, error) {
-	if rt.dec.PerSeg {
-		seg := s.SegBytes()
-		csegs := make([]contigSeg, 0, s.TotalBytes()/max(seg, 1))
-		s.Iterate(func(so, do int) {
-			c := contigSeg{local: s.Src.Add(so), remote: s.Dst.Add(do), n: seg}
-			if class == ClassGet {
-				c.local, c.remote = s.Dst.Add(do), s.Src.Add(so)
-			}
-			csegs = append(csegs, c)
-		})
-		return plan{class: class, scale: scale, kind: planPerSeg, csegs: csegs, dec: rt.dec}, nil
-	}
 	if rt.dec.Method != MethodDirect {
 		g := s.ToGIOV()
 		proc := s.Dst.Rank
@@ -177,9 +148,7 @@ func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided,
 }
 
 // compileIOV builds the plan for a generalized I/O vector transfer
-// with the routed method (SectionVI.A). Near-tier descriptors compile
-// to the per-segment plan regardless of method: each segment re-enters
-// the engine and is routed on its own.
+// with the routed method (SectionVI.A).
 func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, proc int, rt routed) (plan, error) {
 	if err := armci.ValidateIOV(iov, proc, class == ClassGet); err != nil {
 		return plan{}, err
@@ -189,9 +158,6 @@ func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, pro
 		return plan{class: class, scale: scale, kind: planPerSeg, dec: rt.dec}, nil
 	}
 	p, err := func() (plan, error) {
-		if rt.dec.PerSeg {
-			return r.compileConservative(class, scale, segs), nil
-		}
 		switch rt.dec.Method {
 		case MethodConservative:
 			return r.compileConservative(class, scale, segs), nil

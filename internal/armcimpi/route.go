@@ -1,19 +1,15 @@
 package armcimpi
 
-import (
-	"repro/internal/armci"
-	"repro/internal/mpi"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // The routing layer: locality is a first-class dimension of every
 // compiled transfer plan, decided exactly once per operation by the
 // runtime's RoutePolicy and stamped onto the plan the compilers in
-// plan.go produce. The executor in exec.go carries the decision out —
-// self-copy and node-window epochs are plan kinds, leader staging is a
-// plan prologue — so a policy (armcimpi's observational default, or
-// dartmpi's tiered classifier) only ever answers the question "which
-// route, which method, staged or not?" and never moves data itself.
+// plan.go produce. Every route runs on the GMR window — its shared
+// flavor turns a near target's operations into shm copies inside the
+// MPI layer, and leader staging is a plan prologue — so a policy
+// (armcimpi's default, or dartmpi's, which adds staging) only ever
+// answers "which route, which method?" and never moves data itself.
 
 // Route is the locality class a policy assigns to one operation.
 type Route int
@@ -22,12 +18,9 @@ const (
 	// RouteRMA is the wire tier: the plan executes as passive-target
 	// RMA epochs (or MPI-3 request ops) against the GMR window.
 	RouteRMA Route = iota
-	// RouteSelf is the load-store tier: both sides live on the calling
-	// rank and the transfer is one local memcpy (accumulates keep a
-	// window epoch for atomicity with same-node updates).
+	// RouteSelf is a target on the calling rank.
 	RouteSelf
-	// RouteNode is the same-node tier: one exclusive-lock epoch on the
-	// policy's node-shared window, whose ops degenerate to shm copies.
+	// RouteNode is a same-node target, reached over the shm route.
 	RouteNode
 	// RouteStagedRMA is the hierarchical wire tier: the payload stages
 	// through the node leader's buffer (queue + shm copy) before the
@@ -74,45 +67,17 @@ func (s Shape) String() string {
 type RouteRequest struct {
 	Class OpClass
 	Shape Shape
-	// Local is the caller-side buffer (source for put/acc, destination
-	// for get); Nil for IOV descriptors, whose local sides were already
-	// validated against the calling rank.
-	Local armci.Addr
-	// Remote is the global address (contiguous operations only; Nil for
-	// descriptor shapes, which route by Target alone).
-	Remote armci.Addr
 	// Target is the remote world rank.
 	Target int
 	// Bytes is the operation's total payload.
 	Bytes int
 }
 
-// NodeBinding carries the near-tier window resolution a policy returns
-// for RouteSelf and RouteNode decisions it wants executed directly.
-type NodeBinding struct {
-	Win  *mpi.Win // the node-shared window covering the remote address
-	Rank int      // the target's rank in Win's communicator
-	Disp int      // byte displacement of the remote address in its slice
-}
-
-// RouteDecision is the policy's answer: the route, the noncontiguous
-// compile method for RMA routes, and how the engine should carry the
-// decision out.
+// RouteDecision is the policy's answer: the route, and the
+// noncontiguous compile method.
 type RouteDecision struct {
 	Route  Route
 	Method Method
-	// PerSeg marks a near-tier descriptor: the engine compiles it to a
-	// per-segment plan whose segments re-enter the public contiguous
-	// operations and are routed (and counted) individually, so segments
-	// falling outside the policy's near window still reach the wire.
-	PerSeg bool
-	// Direct marks a near decision the engine executes natively
-	// (self-copy or node-window epoch) using Node. Left false, a
-	// RouteSelf/RouteNode decision is an annotation only and the plan
-	// executes the ordinary epoch path (armcimpi's default policy: the
-	// shm fast path lives inside the MPI layer).
-	Direct bool
-	Node   NodeBinding
 }
 
 // RoutePolicy decides the route and method for every operation the
@@ -120,41 +85,34 @@ type RouteDecision struct {
 // (the decision itself costs nothing) and free of data movement.
 type RoutePolicy interface {
 	Decide(req RouteRequest) RouteDecision
-	// Staged is the accounting callback the executor invokes after
-	// modeling one leader-staging event of n bytes.
-	Staged(n int)
 }
 
-// enginePolicy is armcimpi's built-in policy: method selection from
-// Options, plus a rank-level locality annotation (self / node / rma).
-// It never sets Direct — the engine's own shm fast path lives inside
-// the MPI window layer, so near decisions still execute as epochs —
-// and it never stages.
+// enginePolicy is armcimpi's built-in policy, DefaultRoute. It never
+// stages.
 type enginePolicy struct{ r *Runtime }
 
-func (p enginePolicy) Decide(req RouteRequest) RouteDecision {
-	r := p.r
-	d := RouteDecision{Route: RouteRMA, Method: r.MethodFor(req.Shape)}
-	if r.Opt.NoShm {
-		return d
-	}
-	me := r.Rank()
+func (p enginePolicy) Decide(req RouteRequest) RouteDecision { return p.r.DefaultRoute(req) }
+
+// DefaultRoute is the engine's own decision: the method Options
+// configure for the shape, and the target's locality label as the
+// calling rank sees it — self, node (same node) or rma; under NoShm
+// every target is rma. Exported so external policies start from it.
+func (r *Runtime) DefaultRoute(req RouteRequest) RouteDecision {
+	d := RouteDecision{Route: RouteRMA, Method: r.methodFor(req.Shape)}
+	m := r.W.Mpi.M
 	switch {
-	case req.Target == me:
+	case r.Opt.NoShm || req.Target < 0 || req.Target >= m.NRanks:
+	case req.Target == r.Rank():
 		d.Route = RouteSelf
-	case req.Target >= 0 && req.Target < r.W.Mpi.M.NRanks && r.W.Mpi.M.SameNode(me, req.Target):
+	case m.SameNode(r.Rank(), req.Target):
 		d.Route = RouteNode
 	}
 	return d
 }
 
-func (enginePolicy) Staged(int) {}
-
-// MethodFor resolves the configured noncontiguous method for a shape
+// methodFor resolves the configured noncontiguous method for a shape
 // (contiguous transfers have no method choice and report direct).
-// Exported so external policies pick methods from the same options the
-// engine would.
-func (r *Runtime) MethodFor(shape Shape) Method {
+func (r *Runtime) methodFor(shape Shape) Method {
 	switch shape {
 	case ShapeStrided:
 		return r.stridedMethod()
@@ -166,7 +124,7 @@ func (r *Runtime) MethodFor(shape Shape) Method {
 }
 
 // SetRoutePolicy installs the runtime's routing policy (dartmpi plugs
-// its tier classifier in here). A nil policy restores the default.
+// its staging policy in here). A nil policy restores the default.
 func (r *Runtime) SetRoutePolicy(p RoutePolicy) {
 	if p == nil {
 		p = enginePolicy{r}
@@ -190,19 +148,18 @@ type routed struct {
 }
 
 // decide is the engine's single routing call site: every operation's
-// compile consults the policy exactly once here. Per-segment re-entries
-// of an already routed conservative plan consume the pinned decision
-// instead (execPerSeg sets it), so a descriptor is decided — and
-// counted — once, not once per segment.
+// compile consults the policy exactly once here and reports the
+// decision to the recorder. Per-segment re-entries of a conservative
+// plan are wire operations that were already decided — and counted —
+// with their descriptor (execPerSeg sets pinned), so they neither
+// re-count nor re-stage.
 func (r *Runtime) decide(req RouteRequest) routed {
 	if r.pinned {
 		r.pinned = false
-		return routed{dec: r.pinnedRoute, bytes: req.Bytes}
+		return routed{dec: RouteDecision{Route: RouteRMA, Method: MethodDirect}, bytes: req.Bytes}
 	}
 	d := r.policy.Decide(req)
-	if !d.PerSeg {
-		r.countRoute(d, req.Bytes)
-	}
+	r.obs().Routed(r.Rank(), tiers[d.Route], req.Bytes)
 	return routed{dec: d, bytes: req.Bytes}
 }
 
@@ -212,11 +169,4 @@ var tiers = [...]obs.Tier{
 	RouteSelf:      obs.TierSelf,
 	RouteNode:      obs.TierNode,
 	RouteStagedRMA: obs.TierStaged,
-}
-
-// countRoute reports one decision from the decision point. Near-tier
-// descriptors (PerSeg) are not counted here: their segments re-enter
-// the engine and are decided individually.
-func (r *Runtime) countRoute(d RouteDecision, bytes int) {
-	r.obs().Routed(r.Rank(), tiers[d.Route], bytes)
 }

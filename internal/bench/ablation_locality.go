@@ -117,8 +117,8 @@ func locContigBandwidth(plat *platform.Platform, op ContigOp, v locVariant, intr
 // platform: contiguous put/get bandwidth for a same-node and a
 // cross-node target under all four runtimes, plus the armci-mpi NoShm
 // and dartmpi NoLeaderStaging toggles. Same-node dartmpi must beat the
-// pure-RMA armci-mpi flavor (the tier classifier turns those transfers
-// into shared-segment copies); cross-node, the dartmpi pair brackets
+// pure-RMA armci-mpi flavor (the shared GMR window turns those
+// transfers into shared-segment copies); cross-node, the dartmpi pair brackets
 // what leader staging costs or saves a non-leader origin.
 func AblationLocality(plat *platform.Platform, cfg LocalityAblationConfig) (*Figure, error) {
 	fig := &Figure{

@@ -17,9 +17,8 @@ import (
 // TestBigCommMetadataPaths drives the gather-at-root metadata
 // collectives at the 4096 ranks the scale sweep starts from:
 // communicator Dup via the identity split, window creation, the shared
-// allocation address vector, scalar-broadcast mutex counts, and the
-// dartmpi node split and node window attach — then data movement and a
-// full free cycle on top of the shared metadata.
+// allocation address vector and scalar-broadcast mutex counts — then
+// data movement and a full free cycle on top of the shared metadata.
 func TestBigCommMetadataPaths(t *testing.T) {
 	const nranks = 4096
 	plat := platform.Get(platform.CrayXT5)
@@ -72,21 +71,28 @@ func TestBigCommMetadataPaths(t *testing.T) {
 // send n·log2(n). So messages ÷ (n·log2 n) stays bounded, and 256 ranks
 // send at most 4 × 8/6 times what 64 do. The counts are exact and
 // deterministic: a regression to an allgather ring (n(n−1) messages per
-// exchange) fails here on any host.
+// exchange) fails here on any host. dartmpi allocates through the same
+// engine, so it must send exactly as many messages.
 func TestMallocMessagesNearLinear(t *testing.T) {
-	msgs := map[int]int64{}
-	for _, n := range []int{16, 64, 256} {
+	count := func(impl Impl, n int) int64 {
 		rec := obs.New(obs.Options{})
-		_, err := RunObs(platform.Get(platform.CrayXT5), n, ImplARMCIMPI, armcimpi.DefaultOptions(), rec, func(rt armci.Runtime) {
+		_, err := RunObs(platform.Get(platform.CrayXT5), n, impl, armcimpi.DefaultOptions(), rec, func(rt armci.Runtime) {
 			addrs, err := rt.Malloc(64)
 			must(t, err)
 			rt.Barrier()
 			must(t, rt.Free(addrs[rt.Rank()]))
 		})
 		must(t, err)
-		msgs[n] = obs.Total(rec.Metrics().Counter(obs.CFabMsgs))
+		return obs.Total(rec.Metrics().Counter(obs.CFabMsgs))
+	}
+	msgs := map[int]int64{}
+	for _, n := range []int{16, 64, 256} {
+		msgs[n] = count(ImplARMCIMPI, n)
 		if per := float64(msgs[n]) / float64(n*bits.Len(uint(n-1))); per > 12 {
 			t.Errorf("%d ranks: %d fabric messages, %.1f per rank per log2(n)", n, msgs[n], per)
+		}
+		if dart := count(ImplDartMPI, n); dart != msgs[n] {
+			t.Errorf("%d ranks: dartmpi sends %d fabric messages, ARMCI-MPI %d", n, dart, msgs[n])
 		}
 	}
 	if msgs[256]*6 > msgs[64]*4*8 {

@@ -32,9 +32,9 @@ const (
 	// Related Work contrasts: a per-node data server over MPI
 	// two-sided messaging (SectionIX).
 	ImplDataServer Impl = "armci-ds"
-	// ImplDartMPI is the locality-aware dual-window runtime in the
-	// DART-MPI style: shared-memory windows per node, tiered routing,
-	// and hierarchical leader staging over the armcimpi wire path.
+	// ImplDartMPI is the locality-aware runtime in the DART-MPI style:
+	// the ARMCI-MPI engine on its shared GMR windows, with large remote
+	// transfers staged through the node leader.
 	ImplDartMPI Impl = "dartmpi"
 )
 
@@ -87,7 +87,6 @@ type Job struct {
 	NativeWorld *native.World
 	AMWorld     *armcimpi.World
 	DSWorld     *dataserver.World
-	DartWorld   *dartmpi.World
 }
 
 // NewJob builds the simulation stack for nranks ranks of the platform.
@@ -126,12 +125,10 @@ func NewJobObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Opti
 	switch impl {
 	case ImplNative:
 		j.NativeWorld = native.NewWorld(m, &plat.Native)
-	case ImplARMCIMPI:
+	case ImplARMCIMPI, ImplDartMPI:
 		j.AMWorld = armcimpi.NewWorld(j.MpiWorld)
 	case ImplDataServer:
 		j.DSWorld = dataserver.NewWorld(m, &plat.Native)
-	case ImplDartMPI:
-		j.DartWorld = dartmpi.NewWorld(j.MpiWorld)
 	default:
 		return nil, fmt.Errorf("harness: unknown implementation %q", impl)
 	}
@@ -157,7 +154,7 @@ func (j *Job) Runtime(p *sim.Proc) armci.Runtime {
 	case ImplDataServer:
 		return armci.NewDirect(j.DSWorld.DirectWorld, r)
 	case ImplDartMPI:
-		return dartmpi.New(j.DartWorld, r, j.Opt)
+		return dartmpi.New(j.AMWorld, r, j.Opt)
 	default:
 		return armcimpi.New(j.AMWorld, r, j.Opt)
 	}

@@ -71,9 +71,6 @@ func TestRouteDecisionTable(t *testing.T) {
 			var chunk []string
 			err = j.Eng.Run(4, func(p *sim.Proc) {
 				rt := j.Runtime(p)
-				addrs, err := rt.Malloc(64 * 1024)
-				must(t, err)
-				local := rt.MallocLocal(64 * 1024)
 				if rt.Rank() == 1 {
 					pr, ok := rt.(routeProber)
 					if !ok {
@@ -84,34 +81,20 @@ func TestRouteDecisionTable(t *testing.T) {
 						for _, sh := range shapes {
 							for _, sz := range sizes {
 								for _, pl := range placements {
-									req := armcimpi.RouteRequest{
+									d := pr.RouteOf(armcimpi.RouteRequest{
 										Class: cl.c, Shape: sh,
 										Target: pl.target, Bytes: sz.n,
-									}
-									if sh != armcimpi.ShapeIOV {
-										req.Local = local
-										req.Remote = addrs[pl.target]
-									}
-									d := pr.RouteOf(req)
-									flags := ""
-									if d.PerSeg {
-										flags += " perseg"
-									}
-									if d.Direct {
-										flags += " direct"
-									}
+									})
 									chunk = append(chunk, fmt.Sprintf(
-										"%-9s %-15s %s %-7s %-5s %-6s -> %-10s method=%s%s",
+										"%-9s %-15s %s %-7s %-5s %-6s -> %-10s method=%s",
 										impl, oc.name, cl.name, sh, sz.name, pl.name,
-										d.Route, d.Method, flags))
+										d.Route, d.Method))
 								}
 							}
 						}
 					}
 				}
 				rt.Barrier()
-				must(t, rt.FreeLocal(local))
-				must(t, rt.Free(addrs[rt.Rank()]))
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -158,8 +141,7 @@ func TestRouteDecisionTable(t *testing.T) {
 // the staging events the executor modeled (one staging hop per
 // RouteStagedRMA decision).
 func TestRouteCountersSingleDecisionPoint(t *testing.T) {
-	rec, j := runDart(t, armcimpi.DefaultOptions())
-	m := rec.Metrics()
+	m := runDart(t, armcimpi.DefaultOptions()).Metrics()
 	for _, c := range []string{obs.CRouteSelf, obs.CRouteNode, obs.CRouteRMA, obs.CRouteStaged} {
 		if obs.Total(m.Counter(c)) == 0 {
 			t.Errorf("dartmpi emitted no %s", c)
@@ -167,9 +149,6 @@ func TestRouteCountersSingleDecisionPoint(t *testing.T) {
 	}
 	if staged, events := obs.Total(m.Counter(obs.CRouteStaged)), obs.Total(m.Counter(obs.CDartStaged)); staged != events {
 		t.Errorf("route.staged.ops %d != dart.leader.staged %d", staged, events)
-	}
-	if staged := obs.Total(m.Counter(obs.CRouteStaged)); staged != j.DartWorld.Staged {
-		t.Errorf("route.staged.ops %d != World.Staged %d", staged, j.DartWorld.Staged)
 	}
 
 	// armci-mpi routes through the same decision point: near decisions
@@ -199,7 +178,7 @@ func TestRouteCountersSingleDecisionPoint(t *testing.T) {
 // direct, and remote per-segment — and asserts the prescale
 // temporaries and staging state leak nothing: the rank's address-space
 // region count returns to its post-allocation baseline, and teardown
-// empties both translation tables.
+// empties the GMR table.
 func TestDartAccPrescaleNoLeak(t *testing.T) {
 	j, err := NewJob(TestPlatform(), 4, ImplDartMPI, armcimpi.DefaultOptions())
 	if err != nil {
@@ -247,10 +226,7 @@ func TestDartAccPrescaleNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := j.DartWorld.NumAllocs(); n != 0 {
-		t.Errorf("%d node-window allocations leaked", n)
-	}
-	if n := j.DartWorld.Inner.NumGMRs(); n != 0 {
+	if n := j.AMWorld.NumGMRs(); n != 0 {
 		t.Errorf("%d GMRs leaked", n)
 	}
 }

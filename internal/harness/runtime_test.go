@@ -55,10 +55,7 @@ func assertNoLeaks(t *testing.T, j *Job) {
 		allocs, mutexSets = j.NativeWorld.NumAllocs(), j.NativeWorld.NumMutexSets()
 	case ImplDataServer:
 		allocs, mutexSets = j.DSWorld.NumAllocs(), j.DSWorld.NumMutexSets()
-	case ImplDartMPI:
-		allocs = j.DartWorld.NumAllocs() + j.DartWorld.Inner.NumGMRs()
-		mutexSets = j.DartWorld.Inner.NumMutexSets()
-	default:
+	default: // armci-mpi and dartmpi
 		allocs, mutexSets = j.AMWorld.NumGMRs(), j.AMWorld.NumMutexSets()
 	}
 	if allocs != 0 || mutexSets != 0 {
