@@ -150,47 +150,6 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestCritPathShardedExact drives the multi-shard engine with the
-// sharded observability front at 1, 2, and 4 shards: the invariant
-// must hold on the merged recorder at every shard count, and the
-// analyzed critical path must be byte-identical across shard counts —
-// the per-shard edge logs stitch back into the exact single-shard walk.
-func TestCritPathShardedExact(t *testing.T) {
-	var ref []byte
-	var refFinal sim.Time
-	for _, k := range []int{1, 2, 4} {
-		rec, st, err := ParallelScaleRunObs(256, 2, k, obs.Options{CritPath: true})
-		if err != nil {
-			t.Fatalf("%d shards: %v", k, err)
-		}
-		jobs := rec.Crit().Jobs()
-		if len(jobs) != 1 {
-			t.Fatalf("%d shards: expected 1 analyzed job, got %d", k, len(jobs))
-		}
-		jb := jobs[0]
-		if jb.Makespan != st.FinalTime {
-			t.Errorf("%d shards: makespan %d ns != final time %d ns", k, jb.Makespan, st.FinalTime)
-		}
-		if jb.PathNs != jb.Makespan {
-			t.Errorf("%d shards: path sum %d ns != makespan %d ns", k, jb.PathNs, jb.Makespan)
-		}
-		var jbuf bytes.Buffer
-		if err := rec.Crit().WriteJSON(&jbuf); err != nil {
-			t.Fatalf("%d shards: WriteJSON: %v", k, err)
-		}
-		if ref == nil {
-			ref, refFinal = jbuf.Bytes(), st.FinalTime
-			continue
-		}
-		if st.FinalTime != refFinal {
-			t.Errorf("%d shards: final time %d ns != 1-shard %d ns", k, st.FinalTime, refFinal)
-		}
-		if !bytes.Equal(ref, jbuf.Bytes()) {
-			t.Errorf("%d shards: critical-path JSON differs from the 1-shard analysis", k)
-		}
-	}
-}
-
 // TestCritPathDoesNotPerturbFigures runs a figure sweep with and
 // without the critical-path recorder attached and requires
 // byte-identical figure JSON: recording dependence edges is pure

@@ -1,45 +1,38 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// TestParallelScaleRunDeterminism: the exchange produces identical
-// engine statistics (events, parks, final virtual time) at every shard
-// count — the bench-level restatement of the sim equivalence tests on
-// a real fabric cost model.
-func TestParallelScaleRunDeterminism(t *testing.T) {
-	ref, _, err := ParallelScaleRun(504, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Events == 0 || ref.FinalTime == 0 {
-		t.Fatalf("degenerate reference stats %+v", ref)
-	}
-	for _, k := range []int{2, 4, 8} {
-		st, _, err := ParallelScaleRun(504, 3, k)
+// checkExchange runs the scale exchange as k = 1, 2, 4 and 8 concurrent
+// jobs and requires k times the recorded per-job events and parks at
+// the recorded final time: the jobs share nothing that moves a virtual
+// timestamp, whatever the worker count.
+func checkExchange(t *testing.T, nranks, rounds int, want sim.Stats) {
+	t.Helper()
+	for _, k := range []int{1, 2, 4, 8} {
+		st, _, err := ParallelScaleRun(nranks, rounds, k)
 		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
+			t.Fatalf("k=%d: %v", k, err)
 		}
-		if st != ref {
-			t.Errorf("shards=%d: stats %+v, want %+v", k, st, ref)
+		w := sim.Stats{Events: int64(k) * want.Events, Parks: int64(k) * want.Parks, FinalTime: want.FinalTime}
+		if st != w {
+			t.Errorf("k=%d: stats %+v, want %+v", k, st, w)
 		}
 	}
 }
 
-// BenchmarkParallelShards is the CI race-smoke entry point for the
-// sharded engine at the bench level: one quick-sized exchange per
-// iteration at each shard count, under whatever GOMAXPROCS the CI
-// matrix sets.
-func BenchmarkParallelShards(b *testing.B) {
-	for _, k := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ParallelScaleRun(256, 2, k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+// TestParallelEquivalence pins the exchange at 256 ranks x 2 rounds on
+// the fabric's one cost model (Deliver): one event and one park per
+// message, the final time set by both NICs held for each transfer.
+func TestParallelEquivalence(t *testing.T) {
+	checkExchange(t, 256, 2, sim.Stats{Events: 1024, Parks: 1024, FinalTime: 119531})
+}
+
+// TestParallelScaleRunDeterminism pins the exchange at 504 ranks (42
+// nodes, not a power of two) x 3 rounds.
+func TestParallelScaleRunDeterminism(t *testing.T) {
+	checkExchange(t, 504, 3, sim.Stats{Events: 3024, Parks: 3024, FinalTime: 62964})
 }

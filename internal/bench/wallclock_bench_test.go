@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkWallclockScaleEvents measures the host cost of the scale
-// exchange single-shard — the events/sec trajectory of the sequential
-// engine on the workload the sharded engine decomposes.
+// BenchmarkWallclockScaleEvents measures the host cost of one scale
+// exchange job — the events/sec trajectory of the engine and fabric
+// with no MPI or ARMCI above them.
 func BenchmarkWallclockScaleEvents(b *testing.B) {
 	for _, nranks := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("ranks=%d", nranks), func(b *testing.B) {

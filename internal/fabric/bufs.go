@@ -19,8 +19,8 @@ import (
 // when the region is freed.
 //
 // The free list a job draws from is its Machine's own while the job
-// lives: one flow of control at a time uses it (full communication
-// stacks run on one shard), so GetBuf and PutBuf take no lock. When
+// lives: one flow of control at a time uses it (a job runs on one
+// engine), so GetBuf and PutBuf take no lock. When
 // the job ends, Retire hands the list — with every backing still live —
 // to a process-wide stash, and the next NewMachine adopts it, the way
 // native ARMCI registers its pools once and reuses them across

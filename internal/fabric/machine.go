@@ -99,15 +99,8 @@ type Machine struct {
 	ShmCopies   int64
 	ShmBytes    int64
 
-	// Per-rank injection counters for the shard-confined delivery path
-	// (shard.go); the global counters above would race across shards.
-	sendMsgs  []int64
-	sendBytes []int64
-
 	// Obs, when non-nil, is told of every timed transfer, message edge
-	// and wake (internal/obs events; each names the rank it concerns, so
-	// a multi-shard run's recorder files it in that rank's shard). All
-	// hooks are nil-safe no-ops.
+	// and wake (internal/obs events). All hooks are nil-safe no-ops.
 	Obs *obs.Recorder
 }
 
@@ -126,8 +119,6 @@ func NewMachine(eng *sim.Engine, par Params, nranks int) (*Machine, error) {
 	m.nics = make([]nic, nodes)
 	m.boxes = make([]*mailbox, nranks)
 	m.spaces = make([]*AddrSpace, nranks)
-	m.sendMsgs = make([]int64, nranks)
-	m.sendBytes = make([]int64, nranks)
 	for i := range m.boxes {
 		m.boxes[i] = &mailbox{m: m, owner: i}
 		m.spaces[i] = &AddrSpace{m: m, rank: i, next: addrSpaceBase}

@@ -26,11 +26,9 @@ type Msg struct {
 	// cause of whoever it releases.
 	chain obs.Ref
 
-	// In flight the message is its own arrival event (landing,
-	// arbitration): box is where it lands, occupy how long it holds the
-	// destination NIC under DeliverSharded.
-	box    *mailbox
-	occupy sim.Time
+	// In flight the message is its own arrival event (landing): box is
+	// where it lands.
+	box *mailbox
 }
 
 // Any is the wildcard for Match.From and Match.Tag.

@@ -44,27 +44,6 @@ func ImplNames() []string {
 	return []string{string(ImplNative), string(ImplARMCIMPI), string(ImplDataServer), string(ImplDartMPI)}
 }
 
-// ApplyShards configures eng for multi-shard execution over nranks
-// ranks of a machine with parameters par: a node-aligned rank
-// partition (fabric.NodeAlignedPartition, so NICs, mailboxes, and shm
-// windows never straddle a shard boundary) and the fabric's minimum
-// cross-node latency as the conservative lookahead. It returns the
-// effective shard count (clamped to the node count; 1 when
-// shards <= 1, in which case eng is untouched).
-func ApplyShards(eng *sim.Engine, par fabric.Params, nranks, shards int) int {
-	if shards <= 1 {
-		return 1
-	}
-	part, k := fabric.NodeAlignedPartition(par, nranks, shards)
-	if k <= 1 {
-		return 1
-	}
-	eng.Shards = k
-	eng.Partition = part
-	eng.Lookahead = par.MinCrossNodeLatency()
-	return k
-}
-
 // ParseImpl validates an implementation name from a CLI flag.
 func ParseImpl(s string) (Impl, error) {
 	switch Impl(s) {
@@ -106,12 +85,6 @@ func NewJobObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Opti
 		// remaining ranks share proportionally less compute.
 		par.Flops *= float64(par.CoresPerNode-1) / float64(par.CoresPerNode)
 	}
-	// Full-stack jobs mutate cross-rank state synchronously at the
-	// origin — NIC clocks of both endpoints, MPI lock queues, the
-	// shared recorder — so they always run as one shard. Multi-shard
-	// execution is reserved for shard-confined workloads built directly
-	// on sim+fabric (fabric.DeliverSharded; see bench.ParallelScaleRun
-	// and ApplyShards).
 	eng := sim.NewEngine()
 	m, err := fabric.NewMachine(eng, par, nranks)
 	if err != nil {

@@ -62,20 +62,18 @@ func (a *agg) merge(o *agg) {
 }
 
 // view is one job's complete log set: the per-rank logs, plus the hop
-// tables of every shard (index = shard id) for Ref resolution.
+// table for Ref resolution.
 type view struct {
-	label  string
-	ranks  []rankLog
-	shards []shardLog
+	label string
+	ranks []rankLog
+	hops  []hop
 }
 
 func (v *view) resolve(ref Ref) (hop, bool) {
-	shard := int(ref >> refIdxBits)
-	idx := int(ref&(1<<refIdxBits-1)) - 1
-	if shard >= len(v.shards) || idx < 0 || idx >= len(v.shards[shard].hops) {
+	if ref == 0 || int(ref) > len(v.hops) {
 		return hop{}, false
 	}
-	return v.shards[shard].hops[idx], true
+	return v.hops[ref-1], true
 }
 
 // walker is the backward critical-path walk state.
@@ -209,13 +207,8 @@ func (w *walker) unwind(h hop, rank int, t sim.Time, why string) (int, sim.Time)
 		// (and, on chained hops, the handler time of the hop above).
 		w.emitRange(rank, arr, cur, true, why, h.from)
 		// Wire segments belong to the sender: serialization and
-		// propagation, then the time queued behind the link. An
-		// arbitration hop is pure queueing behind the destination NIC.
-		wirePh := uint8(profile.PhaseWire)
-		if h.kind == hopArb {
-			wirePh = uint8(profile.PhaseWireQueue)
-		}
-		w.emit(h.from, xfer, arr, opNone, wirePh, h.nicS)
+		// propagation, then the time queued behind the link.
+		w.emit(h.from, xfer, arr, opNone, uint8(profile.PhaseWire), h.nicS)
 		w.emit(h.from, sent, xfer, opNone, uint8(profile.PhaseWireQueue), h.nicS)
 		rank, cur = h.from, sent
 		prev, ok := w.v.resolve(h.prev)

@@ -14,8 +14,7 @@
 //     and cursor gating), clamped to a per-rank monotone cursor so
 //     they form a sorted, non-overlapping cover of on-CPU time;
 //   - a hop table of dependence edges: fabric message
-//     send→queue→wire→delivery records (Deliver and DeliverSharded),
-//     destination NIC arbitration extensions, and lock/mutex grant
+//     send→queue→wire→delivery records (Deliver) and lock/mutex grant
 //     edges, chained through an ambient provenance reference when a
 //     message is sent from inside another message's delivery handler
 //     (rendezvous, data-server service, leader staging).
@@ -31,11 +30,7 @@
 //
 // Like the rest of internal/obs, every recording method is nil-safe (a
 // nil *Rec no-ops at the cost of one branch) and warmed record paths
-// allocate nothing. One Rec serves every shard of a multi-shard run: a
-// rank's logs are written only by the worker of the shard that owns the
-// rank, each shard appends to its own hop table, and hop references
-// resolve across shards through the shard id packed into every
-// reference — so the view the walk reads is exact at any shard count.
+// allocate nothing.
 package critpath
 
 import (
@@ -43,40 +38,26 @@ import (
 	"repro/internal/sim"
 )
 
-// Ref identifies a recorded dependence edge: shard id in the high
-// bits, 1-based hop index in the low 40. Zero means "no edge".
+// Ref identifies a recorded dependence edge: its 1-based index in the
+// hop table. Zero means "no edge".
 type Ref uint64
 
-const refIdxBits = 40
-
-// shardOf returns the id and the log of the shard that owns rank.
-func (r *Rec) shardOf(rank int) (int, *shardLog) {
-	id := 0
-	if r.part != nil {
-		id = r.part[rank]
-	}
-	return id, &r.shards[id]
-}
-
-// addHop appends h to the hop table of rank's shard and returns its
-// reference.
-func (r *Rec) addHop(rank int, h hop) Ref {
-	id, t := r.shardOf(rank)
-	t.hops = append(t.hops, h)
-	return Ref(id)<<refIdxBits | Ref(len(t.hops))
+// addHop appends h to the hop table and returns its reference.
+func (r *Rec) addHop(h hop) Ref {
+	r.hops = append(r.hops, h)
+	return Ref(len(r.hops))
 }
 
 // Edge kinds in the hop table.
 const (
 	hopMsg   uint8 = iota // fabric message: sent → queue end → delivery
-	hopArb                // destination NIC arbitration delay (sharded)
 	hopGrant              // lock/mutex queue grant by a releasing rank
 )
 
 // hop is one dependence edge.
 type hop struct {
 	kind uint8
-	from int      // sending rank (msg/arb) or releasing rank (grant)
+	from int      // sending rank (msg) or releasing rank (grant)
 	sent sim.Time // injection time at the origin / release time
 	xfer sim.Time // msg: wire-serialization start (queue end)
 	arr  sim.Time // delivery time at the destination
@@ -151,54 +132,36 @@ type rankLog struct {
 	fin    sim.Time // finish time, -1 until finished
 }
 
-// shardLog is what one engine shard's worker alone appends to.
-type shardLog struct {
-	hops    []hop
-	ambient Ref // provenance of the running delivery handler, if any
-}
-
-// Rec records one job at a time. Within a shard the cooperative
-// scheduler guarantees single-threaded access; across shards no two
-// workers touch the same rankLog or shardLog, and nothing else is
-// written while a job runs.
+// Rec records one job at a time; the cooperative scheduler guarantees
+// single-threaded access.
 type Rec struct {
 	label string
 	open  bool // a job is being recorded
 
-	ranks  []rankLog  // sized by BeginJob: never grown while shards run
-	shards []shardLog // index = engine shard
-	part   []int      // rank -> shard; nil on one shard
+	ranks   []rankLog // sized by BeginJob
+	hops    []hop     // dependence edges; Ref n is hops[n-1]
+	ambient Ref       // provenance of the running delivery handler, if any
 
 	flat *profile.Profiler // flat-attribution source for the report
 	agg  agg               // closed-job aggregate
 }
 
-// New creates a recorder for runs of up to shards engine shards. flat,
-// when non-nil, supplies the flat profiler aggregation the report
-// contrasts critical shares against.
-func New(flat *profile.Profiler, shards int) *Rec {
-	return &Rec{flat: flat, shards: make([]shardLog, shards), agg: newAgg()}
+// New creates a recorder. flat, when non-nil, supplies the flat
+// profiler aggregation the report contrasts critical shares against.
+func New(flat *profile.Profiler) *Rec {
+	return &Rec{flat: flat, agg: newAgg()}
 }
 
-// SetFlat replaces the report's flat-attribution source (a multi-shard
-// run's profilers are per shard until merged).
-func (r *Rec) SetFlat(flat *profile.Profiler) {
-	if r != nil {
-		r.flat = flat
-	}
-}
-
-// BeginJob opens a new job of nranks ranks, partitioned over the
-// shards by part (nil: all on shard 0): any previously recorded job is
-// analyzed into the aggregate first, then the per-job logs reset,
+// BeginJob opens a new job of nranks ranks: any previously recorded job
+// is analyzed into the aggregate first, then the per-job logs reset,
 // keeping backing arrays for reuse. label names the job in the per-job
 // invariant table.
-func (r *Rec) BeginJob(label string, part []int, nranks int) {
+func (r *Rec) BeginJob(label string, nranks int) {
 	if r == nil {
 		return
 	}
 	r.Flush()
-	r.label, r.part, r.open = label, part, true
+	r.label, r.open = label, true
 	for len(r.ranks) < nranks {
 		r.ranks = append(r.ranks, rankLog{})
 	}
@@ -206,9 +169,7 @@ func (r *Rec) BeginJob(label string, part []int, nranks int) {
 		l := &r.ranks[i]
 		*l = rankLog{waits: l.waits[:0], acts: l.acts[:0], scopes: l.scopes[:0], fin: -1}
 	}
-	for i := range r.shards {
-		r.shards[i] = shardLog{hops: r.shards[i].hops[:0]}
-	}
+	r.hops, r.ambient = r.hops[:0], 0
 }
 
 // Flush analyzes the currently recorded job, if any, folding its
@@ -219,7 +180,7 @@ func (r *Rec) Flush() {
 		return
 	}
 	r.open = false
-	analyze(view{label: r.label, ranks: r.ranks, shards: r.shards}, &r.agg)
+	analyze(view{label: r.label, ranks: r.ranks, hops: r.hops}, &r.agg)
 }
 
 // log returns rank's logs, or nil for a rank outside the open job.
@@ -275,20 +236,8 @@ func (r *Rec) MsgHop(from int, sent, xfer, arr sim.Time, nicS, nicD int) Ref {
 	if r.log(from) == nil {
 		return 0
 	}
-	_, t := r.shardOf(from)
-	return r.addHop(from, hop{kind: hopMsg, from: from,
-		sent: sent, xfer: xfer, arr: arr, nicS: nicS, nicD: nicD, prev: t.ambient})
-}
-
-// ArbHop extends a message edge with the arbitration delay of rank's
-// NIC nicD (the sharded delivery path re-queues behind the destination
-// link): the message from rank from was due at sent but landed at arr.
-func (r *Rec) ArbHop(rank, from int, sent, arr sim.Time, nicD int, prev Ref) Ref {
-	if r.log(rank) == nil {
-		return 0
-	}
-	return r.addHop(rank, hop{kind: hopArb, from: from,
-		sent: sent, xfer: sent, arr: arr, nicS: nicD, nicD: nicD, prev: prev})
+	return r.addHop(hop{kind: hopMsg, from: from,
+		sent: sent, xfer: xfer, arr: arr, nicS: nicS, nicD: nicD, prev: r.ambient})
 }
 
 // WakeCause names the edge that is about to release rank's open wait.
@@ -306,29 +255,26 @@ func (r *Rec) WakeCause(rank int, cause Ref) {
 // a local edge the walk treats as rank-local wait.
 func (r *Rec) WakeGrant(rank, by int, sent sim.Time) {
 	if l := r.log(rank); l != nil && l.cause == 0 {
-		l.cause = r.addHop(rank, hop{kind: hopGrant, from: by, sent: sent})
+		l.cause = r.addHop(hop{kind: hopGrant, from: by, sent: sent})
 	}
 }
 
-// WakeAmbient names the provenance of the delivery handler running on
-// rank's shard as rank's wake cause (a handler that explicitly unparks
-// a waiter, e.g. the rendezvous sender released by the clear-to-send
-// arrival).
+// WakeAmbient names the provenance of the running delivery handler as
+// rank's wake cause (a handler that explicitly unparks a waiter, e.g.
+// the rendezvous sender released by the clear-to-send arrival).
 func (r *Rec) WakeAmbient(rank int) {
 	if r.log(rank) != nil {
-		_, t := r.shardOf(rank)
-		r.WakeCause(rank, t.ambient)
+		r.WakeCause(rank, r.ambient)
 	}
 }
 
 // SetAmbient installs the provenance of a delivery handler about to
-// run on rank's shard, returning the previous value for restoration.
+// run on rank, returning the previous value for restoration.
 func (r *Rec) SetAmbient(rank int, ref Ref) (prev Ref) {
 	if r.log(rank) == nil {
 		return 0
 	}
-	_, t := r.shardOf(rank)
-	prev, t.ambient = t.ambient, ref
+	prev, r.ambient = r.ambient, ref
 	return prev
 }
 

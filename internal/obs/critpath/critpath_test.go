@@ -17,8 +17,8 @@ import (
 // c, whose handler on rank 2 (at 270) ships the data d and wakes the
 // parked sender — the ambient wake. Rank 2 computes on to 400 and is
 // the last to finish.
-func record(r *Rec, part []int) {
-	r.BeginJob("hand-built", part, 3)
+func record(r *Rec) {
+	r.BeginJob("hand-built", 3)
 	r.Parked(1, "recv", 20)
 	r.Parked(2, "lock", 30)
 	m1 := r.MsgHop(0, 100, 110, 150, 0, 1)
@@ -75,8 +75,8 @@ type report struct {
 // emits tile the 400 ns makespan exactly — by phase, by rank and by
 // operation.
 func TestWalkTilesTheMakespan(t *testing.T) {
-	r := New(nil, 1)
-	record(r, nil)
+	r := New(nil)
+	record(r)
 	jobs := r.Jobs()
 	if len(jobs) != 1 || jobs[0].Makespan != 400 || jobs[0].PathNs != 400 || jobs[0].Start != 2 {
 		t.Fatalf("jobs = %+v, want one 400 ns job walked from rank 2 with path == makespan", jobs)
@@ -122,36 +122,13 @@ func TestWalkTilesTheMakespan(t *testing.T) {
 	}
 }
 
-// TestShardsDoNotChangeTheWalk: the same job recorded with its ranks
-// spread over two or three shards — hop references then cross hop
-// tables — analyzes to the byte-identical report.
-func TestShardsDoNotChangeTheWalk(t *testing.T) {
-	one := New(nil, 1)
-	record(one, nil)
-	var want bytes.Buffer
-	if err := one.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, part := range [][]int{{0, 0, 1}, {1, 0, 1}, {0, 1, 2}} {
-		r := New(nil, 3)
-		record(r, part)
-		var got bytes.Buffer
-		if err := r.WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("partition %v: report differs from the one-shard one:\n%s", part, got.Bytes())
-		}
-	}
-}
-
 // TestSecondJobStartsClean: BeginJob analyzes the finished job into the
 // aggregate and resets every log — a second, shorter job is walked on
 // its own records only.
 func TestSecondJobStartsClean(t *testing.T) {
-	r := New(nil, 1)
-	record(r, nil)
-	r.BeginJob("second", nil, 2)
+	r := New(nil)
+	record(r)
+	r.BeginJob("second", 2)
 	r.Parked(1, "recv", 5)
 	r.WakeCause(1, r.MsgHop(0, 10, 10, 30, -1, -1))
 	r.Resumed(1, 30)

@@ -219,8 +219,8 @@ type critDoc struct {
 
 // WriteJSON writes the deterministic CRIT artifact: virtual-time
 // attribution only (no hop references, no host times), with every
-// table in a fixed sort order, so repeated runs — at any shard count —
-// produce byte-identical files. The current job is flushed first.
+// table in a fixed sort order, so repeated runs produce byte-identical
+// files. The current job is flushed first.
 func (r *Rec) WriteJSON(w io.Writer) error {
 	if r == nil {
 		return nil

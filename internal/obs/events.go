@@ -27,7 +27,7 @@ func (r *Recorder) OpBegin(rank int, op profile.Op) {
 	if r == nil {
 		return
 	}
-	r.of(rank).prof.Begin(rank, op)
+	r.prof.Begin(rank, op)
 }
 
 // OpEnd closes rank's operation scope (or unwinds one nesting level).
@@ -35,7 +35,7 @@ func (r *Recorder) OpEnd(rank int) {
 	if r == nil {
 		return
 	}
-	r.of(rank).prof.End(rank)
+	r.prof.End(rank)
 }
 
 // OpDone records an operation that completed over [t0, t1): a
@@ -43,7 +43,7 @@ func (r *Recorder) OpEnd(rank int) {
 // bytes, a strided one (method non-nil) with the transfer method its
 // route chose and its n-byte segments.
 func (r *Recorder) OpDone(rank int, op profile.Op, t0, t1 sim.Time, peer, n int, method fmt.Stringer) {
-	if r == nil || r.of(rank).tr == nil {
+	if r == nil || r.tr == nil {
 		return
 	}
 	args := []arg{{"to", peer}, {"bytes", n}}
@@ -53,7 +53,7 @@ func (r *Recorder) OpDone(rank int, op profile.Op, t0, t1 sim.Time, peer, n int,
 	case op == profile.OpGet:
 		args[0].Key = "from"
 	}
-	r.of(rank).tr.span(r.pid, rank, "armci", op.String(), t0, t1, args)
+	r.tr.span(r.pid, rank, "armci", op.String(), t0, t1, args)
 }
 
 // --- waited intervals -------------------------------------------------
@@ -113,29 +113,29 @@ func (r *Recorder) Waited(w Wait) {
 	if r == nil {
 		return
 	}
-	b, k := r.of(w.Rank), &waits[w.Kind]
+	k := &waits[w.Kind]
 	if name := k.time[0]; name != "" {
 		if w.Excl {
 			name = k.time[1]
 		}
-		b.m.AddTime(w.Rank, name, w.To-w.From)
+		r.m.AddTime(w.Rank, name, w.To-w.From)
 	}
 	if k.hist != "" {
-		b.m.Observe(w.Rank, k.hist, w.To-w.From)
+		r.m.Observe(w.Rank, k.hist, w.To-w.From)
 	}
 	if k.count != "" {
-		b.m.Add(w.Rank, k.count, 1)
+		r.m.Add(w.Rank, k.count, 1)
 	}
 	if k.bytes != "" {
-		b.m.Add(w.Rank, k.bytes, int64(w.N))
+		r.m.Add(w.Rank, k.bytes, int64(w.N))
 	}
 	if k.gauge != "" {
-		b.m.MaxGauge(w.Rank, k.gauge, int64(w.N))
+		r.m.MaxGauge(w.Rank, k.gauge, int64(w.N))
 	}
 	if k.phase < profile.NumPhases {
-		b.prof.PhaseAt(w.Rank, k.phase, w.From, w.To)
+		r.prof.PhaseAt(w.Rank, k.phase, w.From, w.To)
 	}
-	if b.tr == nil || k.span[0] == "" {
+	if r.tr == nil || k.span[0] == "" {
 		return
 	}
 	name, start := k.span[0], w.From
@@ -155,7 +155,7 @@ func (r *Recorder) Waited(w Wait) {
 	if k.nKey != "" {
 		args = append(args, arg{k.nKey, w.N})
 	}
-	b.tr.span(r.pid, w.Rank, k.cat, name, start, w.To, args)
+	r.tr.span(r.pid, w.Rank, k.cat, name, start, w.To, args)
 }
 
 // --- transfers, bookings, landings ------------------------------------
@@ -179,20 +179,19 @@ func (r *Recorder) Xfer(x Xfer) {
 	if r == nil {
 		return
 	}
-	b := r.of(x.Src)
-	b.last = x
-	b.m.Add(x.Src, CFabMsgs, 1)
-	b.m.Add(x.Src, CFabBytes, int64(x.Bytes))
+	r.last = x
+	r.m.Add(x.Src, CFabMsgs, 1)
+	r.m.Add(x.Src, CFabBytes, int64(x.Bytes))
 	if x.NicS < 0 {
 		return
 	}
-	b.m.LinkBusy(x.NicS, x.Occupy)
-	b.m.LinkBusy(x.NicD, x.Occupy)
+	r.m.LinkBusy(x.NicS, x.Occupy)
+	r.m.LinkBusy(x.NicD, x.Occupy)
 	queued, backlog := x.Start-x.Base, x.Start+x.Occupy-x.Now
-	b.prof.Link(x.NicS, x.Bytes, queued, x.Occupy, backlog)
-	b.prof.Link(x.NicD, x.Bytes, queued, x.Occupy, backlog)
-	if b.tr != nil {
-		b.tr.span(r.pid, laneNIC(x.NicS), "nic", "xfer", x.Start, x.Start+x.Occupy,
+	r.prof.Link(x.NicS, x.Bytes, queued, x.Occupy, backlog)
+	r.prof.Link(x.NicD, x.Bytes, queued, x.Occupy, backlog)
+	if r.tr != nil {
+		r.tr.span(r.pid, laneNIC(x.NicS), "nic", "xfer", x.Start, x.Start+x.Occupy,
 			[]arg{{"bytes", x.Bytes}, {"dst", x.Dst}})
 	}
 }
@@ -204,7 +203,7 @@ func (r *Recorder) Wire(rank, src, dst int, class profile.MsgClass, route profil
 	if r == nil {
 		return
 	}
-	x, pr := &r.of(src).last, r.of(rank).prof
+	x, pr := &r.last, r.prof
 	pr.PhaseAt(rank, profile.PhaseWireQueue, x.Base, x.Start)
 	pr.PhaseAt(rank, profile.PhaseWire, x.Start, x.Arrive)
 	pr.Send(src, dst, class, route, bytes)
@@ -216,7 +215,7 @@ func (r *Recorder) Sent(src, dst int, class profile.MsgClass, route profile.Rout
 	if r == nil {
 		return
 	}
-	r.of(src).prof.Send(src, dst, class, route, bytes)
+	r.prof.Send(src, dst, class, route, bytes)
 }
 
 // Landed books bytes from src applied at dst: the matrix's receive
@@ -225,7 +224,7 @@ func (r *Recorder) Landed(src, dst int, class profile.MsgClass, route profile.Ro
 	if r == nil {
 		return
 	}
-	r.of(dst).prof.Recv(src, dst, class, route, bytes)
+	r.prof.Recv(src, dst, class, route, bytes)
 }
 
 // Booking is one reservation of a target-side serial agent on behalf of
@@ -247,16 +246,15 @@ func (r *Recorder) Booked(k Booking) {
 	if r == nil {
 		return
 	}
-	b := r.of(k.Rank)
-	b.prof.PhaseAt(k.Rank, profile.PhaseTargetQueue, k.At, k.Start)
-	b.prof.PhaseAt(k.Rank, profile.PhaseTargetProc, k.Start, k.Done)
+	r.prof.PhaseAt(k.Rank, profile.PhaseTargetQueue, k.At, k.Start)
+	r.prof.PhaseAt(k.Rank, profile.PhaseTargetProc, k.Start, k.Done)
 	if k.Lane == 0 {
 		return
 	}
-	b.m.Add(k.Rank, CDsRequests, 1)
-	b.m.AddTime(k.Rank, TDsWait, k.Start-k.At)
-	if b.tr != nil {
-		b.tr.span(r.pid, k.Lane, "ds", k.Class.String(), k.Start, k.Done,
+	r.m.Add(k.Rank, CDsRequests, 1)
+	r.m.AddTime(k.Rank, TDsWait, k.Start-k.At)
+	if r.tr != nil {
+		r.tr.span(r.pid, k.Lane, "ds", k.Class.String(), k.Start, k.Done,
 			[]arg{{"origin", k.Rank}, {"bytes", k.Bytes}})
 	}
 }
@@ -310,27 +308,27 @@ func (r *Recorder) RMA(e RMA) {
 	if r == nil {
 		return
 	}
-	b, k := r.of(e.Origin), &rmaKinds[e.Kind]
-	b.m.Add(e.Origin, k.metric, 1)
+	k := &rmaKinds[e.Kind]
+	r.m.Add(e.Origin, k.metric, 1)
 	switch {
 	case e.Kind >= RMAFetchOp:
 	case e.Shm:
-		b.m.Add(e.Origin, CBytesShm, int64(e.Bytes))
-		b.m.Add(e.Origin, CShmCopies, 1)
+		r.m.Add(e.Origin, CBytesShm, int64(e.Bytes))
+		r.m.Add(e.Origin, CShmCopies, 1)
 	case e.Packed:
-		b.m.Add(e.Origin, CBytesPacked, int64(e.Bytes))
+		r.m.Add(e.Origin, CBytesPacked, int64(e.Bytes))
 	default:
-		b.m.Add(e.Origin, CBytesContig, int64(e.Bytes))
+		r.m.Add(e.Origin, CBytesContig, int64(e.Bytes))
 	}
 	if e.Shm {
 		src, dst := e.Origin, e.Target
 		if e.Kind == RMAGet {
 			src, dst = dst, src
 		}
-		b.prof.Send(src, dst, k.class, profile.RouteShm, e.Bytes)
-		b.prof.Recv(src, dst, k.class, profile.RouteShm, e.Bytes)
+		r.prof.Send(src, dst, k.class, profile.RouteShm, e.Bytes)
+		r.prof.Recv(src, dst, k.class, profile.RouteShm, e.Bytes)
 	}
-	if b.tr == nil || e.Kind == RMAGet && !e.Shm {
+	if r.tr == nil || e.Kind == RMAGet && !e.Shm {
 		return
 	}
 	route := ""
@@ -348,9 +346,9 @@ func (r *Recorder) RMA(e RMA) {
 	if e.Kind >= RMAFetchOp {
 		args = args[:1]
 	}
-	b.tr.span(r.pid, e.Origin, "rma", name, e.T0, e.Done, args)
+	r.tr.span(r.pid, e.Origin, "rma", name, e.T0, e.Done, args)
 	if e.Kind == RMAAcc && !e.Shm {
-		b.tr.span(r.pid, e.AgentLane, "agent", "apply("+e.Red.String()+")", e.AgentAt, e.Done,
+		r.tr.span(r.pid, e.AgentLane, "agent", "apply("+e.Red.String()+")", e.AgentAt, e.Done,
 			[]arg{{"origin", e.Origin}, {"bytes", e.Bytes}})
 	}
 }
@@ -362,12 +360,11 @@ func (r *Recorder) GetDone(origin, target, bytes int, t0, arrive, back sim.Time)
 	if r == nil {
 		return
 	}
-	b := r.of(origin)
 	if back > arrive {
-		b.prof.PhaseAt(origin, profile.PhasePack, arrive, back)
+		r.prof.PhaseAt(origin, profile.PhasePack, arrive, back)
 	}
-	if b.tr != nil {
-		b.tr.span(r.pid, origin, "rma", "get", t0, back, []arg{{"target", target}, {"bytes", bytes}})
+	if r.tr != nil {
+		r.tr.span(r.pid, origin, "rma", "get", t0, back, []arg{{"target", target}, {"bytes", bytes}})
 	}
 }
 
@@ -379,11 +376,10 @@ func (r *Recorder) Alloc(rank int, t0, t1 sim.Time, bytes, id int) {
 	if r == nil {
 		return
 	}
-	b := r.of(rank)
-	b.m.Add(rank, CGmrAlloc, 1)
-	b.m.Add(rank, CGmrBytes, int64(bytes))
-	if b.tr != nil {
-		b.tr.span(r.pid, rank, "armci", "gmr.alloc", t0, t1, []arg{{"bytes", bytes}, {"id", id}})
+	r.m.Add(rank, CGmrAlloc, 1)
+	r.m.Add(rank, CGmrBytes, int64(bytes))
+	if r.tr != nil {
+		r.tr.span(r.pid, rank, "armci", "gmr.alloc", t0, t1, []arg{{"bytes", bytes}, {"id", id}})
 	}
 }
 
@@ -410,9 +406,8 @@ func (r *Recorder) Routed(rank int, tier Tier, bytes int) {
 	if r == nil {
 		return
 	}
-	m := r.of(rank).m
-	m.Add(rank, tiers[tier][0], 1)
-	m.Add(rank, tiers[tier][1], int64(bytes))
+	r.m.Add(rank, tiers[tier][0], 1)
+	r.m.Add(rank, tiers[tier][1], int64(bytes))
 }
 
 // Count adds n to one of rank's plain tallies — the events that are
@@ -422,7 +417,7 @@ func (r *Recorder) Count(rank int, tally string, n int) {
 	if r == nil {
 		return
 	}
-	r.of(rank).m.Add(rank, tally, int64(n))
+	r.m.Add(rank, tally, int64(n))
 }
 
 // --- wake edges ---------------------------------------------------------
@@ -440,15 +435,6 @@ func (r *Recorder) MsgHop(from int, sent, xfer, arr sim.Time, nicS, nicD int) Re
 		return 0
 	}
 	return r.crit.MsgHop(from, sent, xfer, arr, nicS, nicD)
-}
-
-// ArbHop extends edge prev of a message from rank from: due at rank at
-// sent, it waited for rank's NIC nic until arr.
-func (r *Recorder) ArbHop(rank, from int, sent, arr sim.Time, nic int, prev Ref) Ref {
-	if r == nil {
-		return 0
-	}
-	return r.crit.ArbHop(rank, from, sent, arr, nic, prev)
 }
 
 // WakeCause names edge as what is about to release rank's wait.

@@ -154,48 +154,6 @@ func (m *Metrics) LinkBusy(node int, d sim.Time) {
 	m.links[node] += d
 }
 
-// Merge folds o's statistics into m: counters, times, histogram cells,
-// and link busy time add; gauges take the maximum. The per-shard
-// registries of a parallel run hold disjoint rank (and, node-aligned,
-// node) index sets, so merging them yields exactly the union registry a
-// sequential run would have produced. Map iteration order does not
-// matter — addition and max are commutative — so the merged content is
-// deterministic.
-func (m *Metrics) Merge(o *Metrics) {
-	if m == nil || o == nil {
-		return
-	}
-	mergeSeries(m.counters, o.counters, func(a, b int64) int64 { return a + b })
-	mergeSeries(m.times, o.times, func(a, b sim.Time) sim.Time { return a + b })
-	mergeSeries(m.gauges, o.gauges, func(a, b int64) int64 { return max(a, b) })
-	for name, hs := range o.hists {
-		dst := m.hists[name]
-		for len(dst) < len(hs) {
-			dst = append(dst, &Hist{})
-		}
-		m.hists[name] = dst
-		for i, h := range hs {
-			dst[i].Add(h)
-		}
-	}
-	m.links = grow(m.links, len(o.links)-1)
-	for i, v := range o.links {
-		m.links[i] += v
-	}
-}
-
-// mergeSeries folds every per-rank series of src into dst's series of
-// the same name, rank by rank.
-func mergeSeries[T any](dst, src map[string][]T, fold func(a, b T) T) {
-	for name, vals := range src {
-		s := grow(dst[name], len(vals)-1)
-		for i, v := range vals {
-			s[i] = fold(s[i], v)
-		}
-		dst[name] = s
-	}
-}
-
 // Counter returns the per-rank values of a counter (nil if unused).
 func (m *Metrics) Counter(name string) []int64 {
 	if m == nil {

@@ -42,7 +42,6 @@ func everyEvent(r *Recorder) {
 	r.Routed(1, TierRMA, 64)
 	r.Count(1, CPlanExec, 1)
 	edge := r.MsgHop(1, 12, 14, 21, 0, 1)
-	edge = r.ArbHop(2, 1, 21, 22, 1, edge)
 	prev := r.Enter(2, edge)
 	r.WakeAmbient(2)
 	r.Leave(2, prev)

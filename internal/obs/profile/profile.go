@@ -30,8 +30,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Clock supplies the current virtual time; *sim.Engine and its shard
-// clocks satisfy it. It is the one clock interface of internal/obs.
+// Clock supplies the current virtual time; *sim.Engine satisfies it.
+// It is the one clock interface of internal/obs.
 type Clock interface {
 	Now() sim.Time
 }
@@ -482,61 +482,6 @@ func (p *Profiler) Link(node int, bytes int, queued, busy, backlog sim.Time) {
 	if backlog > ls.MaxBacklog {
 		ls.MaxBacklog = backlog
 	}
-}
-
-// --- shard merging ---------------------------------------------------
-
-// Merge folds o's accumulated statistics into p: histogram cells,
-// matrix tallies, and link counters add; MaxBacklog takes the maximum.
-// The per-shard profilers of a parallel run record disjoint rank and
-// node index sets, so the merged profiler equals what a sequential run
-// would have accumulated. Addition is commutative, so the result does
-// not depend on map iteration order. Open scopes in o (there are none
-// after a completed run) are not carried over.
-func (p *Profiler) Merge(o *Profiler) {
-	if p == nil || o == nil {
-		return
-	}
-	for op := Op(0); op < NumOps; op++ {
-		for ph := Phase(0); ph < NumPhases; ph++ {
-			p.hists[op][ph] = mergeHists(p.hists[op][ph], o.hists[op][ph])
-		}
-		p.totals[op] = mergeHists(p.totals[op], o.totals[op])
-	}
-	for k, c := range o.matrix {
-		dst := p.matrix[k]
-		if dst == nil {
-			dst = &Cell{Src: c.Src, Dst: c.Dst, Class: c.Class, Route: c.Route}
-			p.matrix[k] = dst
-		}
-		dst.SentMsgs += c.SentMsgs
-		dst.SentBytes += c.SentBytes
-		dst.RecvMsgs += c.RecvMsgs
-		dst.RecvBytes += c.RecvBytes
-	}
-	for len(p.links) < len(o.links) {
-		p.links = append(p.links, LinkStat{})
-	}
-	for i, ls := range o.links {
-		d := &p.links[i]
-		d.Msgs += ls.Msgs
-		d.Bytes += ls.Bytes
-		d.Busy += ls.Busy
-		d.Queued += ls.Queued
-		if ls.MaxBacklog > d.MaxBacklog {
-			d.MaxBacklog = ls.MaxBacklog
-		}
-	}
-}
-
-func mergeHists(dst, src []Hist) []Hist {
-	for len(dst) < len(src) {
-		dst = append(dst, Hist{})
-	}
-	for i := range src {
-		dst[i].Add(&src[i])
-	}
-	return dst
 }
 
 // --- accessors for tests and reports --------------------------------

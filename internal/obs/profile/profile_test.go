@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/sim"
@@ -143,58 +142,5 @@ func TestSealedScopeDropsLatePhases(t *testing.T) {
 	}
 	if len(sink.phases) != 1 || sink.phases[0].op != NumOps {
 		t.Errorf("sink saw %+v, want the one phase under NumOps", sink.phases)
-	}
-}
-
-// workload drives ranks [lo, hi) of a fixed four-rank exchange.
-func workload(p *Profiler, c *clock, lo, hi int) {
-	p.BeginJob(c)
-	for r := lo; r < hi; r++ {
-		for i := 0; i < 3; i++ {
-			c.t = sim.Time(1000*i + 10*r)
-			p.Begin(r, Op(i))
-			p.PhaseAt(r, PhaseWireQueue, c.t, c.t+sim.Time(5*r))
-			p.PhaseAt(r, PhaseWire, c.t+sim.Time(5*r), c.t+200)
-			p.Send(r, (r+1)%4, MsgClass(i), RouteRMA, 64<<i)
-			p.Recv((r+3)%4, r, MsgClass(i), RouteRMA, 64<<i)
-			p.Link(r/2, 64<<i, sim.Time(5*r), 100, sim.Time(300+r))
-			c.t += 250
-			p.End(r)
-		}
-	}
-}
-
-// TestMergeEqualsSequential: profilers that recorded disjoint rank sets
-// merge into exactly the profiler one sequential run builds — the JSON
-// report, which covers histograms, matrix and links, is byte-identical.
-func TestMergeEqualsSequential(t *testing.T) {
-	seq := New()
-	workload(seq, &clock{}, 0, 4)
-	merged := New()
-	for _, part := range [][2]int{{0, 2}, {2, 4}} {
-		shard := New()
-		workload(shard, &clock{}, part[0], part[1])
-		merged.Merge(shard)
-	}
-	var a, b bytes.Buffer
-	if err := seq.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("merged profile differs from the sequential one:\n%s\nvs\n%s", b.Bytes(), a.Bytes())
-	}
-	cells := merged.Cells()
-	if len(cells) != 12 { // 4 neighbour pairs x 3 classes
-		t.Fatalf("matrix has %d cells, want 12", len(cells))
-	}
-	for _, c := range cells {
-		// The send side was tallied by the sender's shard, the receive
-		// side by the receiver's: the merge joins them in one cell.
-		if c.SentMsgs != 1 || c.RecvMsgs != 1 || c.SentBytes != c.RecvBytes {
-			t.Errorf("cell %+v: want one message on each side, equal bytes", c)
-		}
 	}
 }

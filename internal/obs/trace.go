@@ -116,11 +116,11 @@ func (t *Tracer) meta(pid int, label string, nranks int) {
 // Perfetto. Timestamps are virtual microseconds with nanosecond
 // precision. Output is byte-deterministic for a deterministic run.
 func (r *Recorder) WriteTrace(w io.Writer) error {
-	if r == nil || r.bufs[0].tr == nil {
+	if r == nil || r.tr == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n")
 		return err
 	}
-	events := r.bufs[0].tr.events
+	events := r.tr.events
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":[` + "\n")
 	for i := range events {

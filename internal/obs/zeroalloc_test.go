@@ -90,7 +90,6 @@ func TestDisabledCritPathAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.RankParked(0, "recv", 0)
 		edge := r.MsgHop(1, 1, 2, 3, 0, 1)
-		edge = r.ArbHop(0, 1, 3, 4, 1, edge)
 		r.WakeCause(0, edge)
 		r.WakeGrant(0, 1, 3)
 		prev := r.Enter(0, edge)
@@ -201,10 +200,10 @@ func TestParkNameInterning(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("interned park/resume allocated %.1f per run, want 0", allocs)
 	}
-	if got := r.bufs[0].parkName("recv").metric; got != "sched.park:recv" {
+	if got := r.parkName("recv").metric; got != "sched.park:recv" {
 		t.Errorf("interned metric = %q, want sched.park:recv", got)
 	}
-	if got := r.bufs[0].parkName("recv").span; got != "park:recv" {
+	if got := r.parkName("recv").span; got != "park:recv" {
 		t.Errorf("interned span = %q, want park:recv", got)
 	}
 }

@@ -260,7 +260,7 @@ type Engine struct {
 	// contiguous equal blocks. Lookahead is the conservative window
 	// width: a cross-shard event must be scheduled at least this far
 	// past the sending shard's window start. Required > 0 when
-	// Shards > 1; the fabric's MinCrossNodeLatency is the natural bound.
+	// Shards > 1.
 	Shards    int
 	Partition []int
 	Lookahead Time

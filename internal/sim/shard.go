@@ -28,8 +28,7 @@
 // memory — which no partition can confine). Multi-shard runs require a
 // shard-confined workload: ranks touch only their own shard's state,
 // and all cross-shard interaction flows through AtRank with at least
-// Lookahead of virtual delay. fabric's sharded delivery path provides
-// exactly that contract for node-aligned partitions.
+// Lookahead of virtual delay.
 //
 // Where several shards differ from one, by design:
 //
