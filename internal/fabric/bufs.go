@@ -16,7 +16,9 @@ import (
 // owner and one lifetime: the issuing site draws it with GetBuf, the
 // event that applies it hands it back with PutBuf. A region's backing
 // store (mem.go) is drawn the same way on first touch and handed back
-// when the region is freed.
+// when the region is freed, and so are an application's scratch
+// buffers: nwchem's task tiles are drawn for one task claim and handed
+// back before the rank asks for the next.
 //
 // The free list a job draws from is its Machine's own while the job
 // lives: one flow of control at a time uses it (a job runs on one

@@ -167,3 +167,40 @@ func TestApplyReductionFollowsDatatype(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReduceBytesF64 holds the in-place accumulate kernel to the
+// decode → reduce → encode path it replaced, bit for bit, over all five
+// float64 ops and any length: the ragged tail past the last whole
+// element stays as it was, and the source may be longer than the
+// destination (the longer input is the source). Each byte of edges
+// below len(edgeBits) plants that pattern in one element, alternating
+// destination and source, so signed zeros, infinities and NaN payloads
+// meet each other and ordinary values under every op.
+func FuzzReduceBytesF64(f *testing.F) {
+	f.Fuzz(func(t *testing.T, opSel uint8, dst, src, edges []byte) {
+		op := []Op{OpSum, OpProd, OpMin, OpMax, OpReplace}[opSel%5]
+		dst, src = bytes.Clone(dst), bytes.Clone(src) // the engine's inputs are read-only
+		if len(src) < len(dst) {
+			dst, src = src, dst
+		}
+		for i, e := range edges {
+			b, k := dst, i/2
+			if i%2 == 1 {
+				b = src
+			}
+			if int(e) < len(edgeBits) && 8*k+8 <= len(b) {
+				binary.LittleEndian.PutUint64(b[8*k:], edgeBits[e])
+			}
+		}
+		want, srcBefore := bytes.Clone(dst), bytes.Clone(src)
+		refReduce(op, want, src)
+		ReduceBytesF64(op, dst, src)
+		if at := firstDiff(dst, want); at >= 0 {
+			t.Fatalf("%v n=%d: differs from reference at byte %d: got % x want % x",
+				op, len(dst), at, dst[at&^7:min(at&^7+8, len(dst))], want[at&^7:min(at&^7+8, len(want))])
+		}
+		if !bytes.Equal(src, srcBefore) {
+			t.Fatalf("%v n=%d: kernel modified its source", op, len(dst))
+		}
+	})
+}

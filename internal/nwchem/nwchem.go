@@ -46,28 +46,6 @@ type Params struct {
 	Numeric bool
 }
 
-// W5Scaled returns parameters shaped like the paper's water-pentamer
-// benchmark, scaled down by the given factor (1 = full w5: no=20,
-// nv=435 — far too large to simulate; typical scales are 8-16).
-func W5Scaled(scale int) Params {
-	if scale < 1 {
-		scale = 1
-	}
-	no := 20 / min(scale, 5)
-	if no < 2 {
-		no = 2
-	}
-	nv := 435 / scale
-	if nv < 8 {
-		nv = 8
-	}
-	blk := nv * nv / 8
-	if blk < 16 {
-		blk = 16
-	}
-	return Params{NO: no, NV: nv, Blk: blk, Iter: 2}
-}
-
 // Validate reports the first problem with the parameters.
 func (p *Params) Validate() error {
 	switch {
@@ -137,16 +115,23 @@ func (s *synth) at(row, col int) float64 {
 	return s.table[(row*s.rowMul+col*s.colMul)%len(s.table)]
 }
 
-// fillRow writes row's elements from column col0 on into dst, stepping
-// the residue instead of recomputing it per element.
+// fillRow writes row's elements from column col0 on into dst. It steps
+// the residue through the first len(table) elements only: the row
+// repeats every n/gcd(colMul, n) columns, a divisor of n, so a prefix
+// of n<<i elements is whole periods and the rest is filled by doubling
+// it.
 func (s *synth) fillRow(row, col0 int, dst []float64) {
 	n := len(s.table)
 	k, step := (row*s.rowMul+col0*s.colMul)%n, s.colMul%n
-	for j := range dst {
-		dst[j] = s.table[k]
+	head := dst[:min(n, len(dst))]
+	for j := range head {
+		head[j] = s.table[k]
 		if k += step; k >= n {
 			k -= n
 		}
+	}
+	for j := len(head); j < len(dst); j *= 2 {
+		copy(dst[j:], dst[:j])
 	}
 }
 
@@ -178,23 +163,32 @@ type System struct {
 	R       *ga.Array // residual, (no*no) x (nv*nv)
 	Counter *ga.Array // NXTVAL dynamic load-balancing counter
 
-	// tiles are this rank's task buffers, grow-only and reused by the
-	// tasks of one NXTVAL claim. A rank going back to the counter drops
-	// them: ranks queue there, and 4096 idle ranks holding 48 KB each
-	// are 200 MB of live heap. Teardown drops what an error path left.
-	tiles [3][]float64
+	// tiles are this rank's task buffers, drawn from the machine's
+	// payload free list and reused by the tasks of one NXTVAL claim. A
+	// rank going back to the counter hands them back: ranks queue there,
+	// and 4096 idle ranks holding 48 KB each are 200 MB of live heap,
+	// while the next claim, this rank's or another's, draws them again
+	// instead of allocating. Teardown hands back what an error path left.
+	tiles [3][]byte
 }
 
-// releaseTiles drops the rank's task buffers.
-func (s *System) releaseTiles() { s.tiles = [3][]float64{} }
+// releaseTiles hands the rank's task buffers back to the machine.
+func (s *System) releaseTiles() {
+	for i, b := range s.tiles {
+		s.M.PutBuf(b)
+		s.tiles[i] = nil
+	}
+}
 
 // tile returns the rank's i-th task buffer resized to n elements; its
-// contents are whatever the previous task left.
+// contents are whatever the previous task, or the buffer's previous
+// owner, left.
 func (s *System) tile(i, n int) []float64 {
-	if cap(s.tiles[i]) < n {
-		s.tiles[i] = make([]float64, n)
+	if cap(s.tiles[i]) < 8*n {
+		s.M.PutBuf(s.tiles[i])
+		s.tiles[i] = s.M.GetBuf(8 * n)
 	}
-	return s.tiles[i][:n]
+	return ga.F64View(s.tiles[i][:8*n])
 }
 
 // Setup collectively creates and initializes the arrays.

@@ -2,13 +2,31 @@ package nwchem
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/armcimpi"
+	"repro/internal/fabric"
 	"repro/internal/ga"
 	"repro/internal/harness"
 	"repro/internal/sim"
 )
+
+// TestMain runs every test of this package with the payload pool
+// poisoning each buffer as it is released: a task that reads a pooled
+// tile before overwriting it (a get's landing, CCSD's clear of its
+// accumulate source) computes with 0xDB bytes and fails the numeric
+// comparison it sits under.
+func TestMain(m *testing.M) {
+	fabric.BufHook = func(b []byte, put bool) {
+		if put {
+			for i := range b {
+				b[i] = 0xDB
+			}
+		}
+	}
+	os.Exit(m.Run())
+}
 
 // runProxy executes the proxy on n ranks under the given implementation
 // and returns the rank-0 result plus the final virtual time.
@@ -152,6 +170,28 @@ func TestMoreRanksFasterVirtualTime(t *testing.T) {
 	if t8 >= t2 {
 		t.Errorf("8 ranks (%v) not faster than 2 ranks (%v)", t8, t2)
 	}
+}
+
+// W5Scaled returns parameters shaped like the paper's water-pentamer
+// benchmark, scaled down by the given factor (1 = full w5: no=20,
+// nv=435 — far too large to simulate; typical scales are 8-16).
+func W5Scaled(scale int) Params {
+	if scale < 1 {
+		scale = 1
+	}
+	no := 20 / min(scale, 5)
+	if no < 2 {
+		no = 2
+	}
+	nv := 435 / scale
+	if nv < 8 {
+		nv = 8
+	}
+	blk := nv * nv / 8
+	if blk < 16 {
+		blk = 16
+	}
+	return Params{NO: no, NV: nv, Blk: blk, Iter: 2}
 }
 
 func TestW5ScaledShapes(t *testing.T) {

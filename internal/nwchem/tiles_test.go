@@ -193,17 +193,29 @@ func TestSetupAllocatesNothingPerElement(t *testing.T) {
 	}
 }
 
-// The row fillers step the residue instead of recomputing it; they
-// must write exactly the elements at defines, from any start column,
-// and the tables must hold the formulas the proxy has always used.
+// The row fillers step the residue for one table's length and copy
+// whole periods after that; they must write exactly the elements at
+// defines, bit for bit, from every start column of a period and at
+// every length up to three tables and one more, and the tables must
+// hold the formulas the proxy has always used.
 func TestFillRowMatchesAt(t *testing.T) {
 	for _, m := range []*synth{amplitudes, integrals} {
-		for _, start := range [][2]int{{0, 0}, {3, 5}, {96, 88}, {1000, 977}} {
-			row := make([]float64, 300)
-			m.fillRow(start[0], start[1], row)
-			for j, got := range row {
-				if want := m.at(start[0], start[1]+j); got != want {
-					t.Fatalf("fillRow(%d, %d)[%d] = %v, at = %v", start[0], start[1], j, got, want)
+		n := len(m.table)
+		row := make([]float64, 3*n+1)
+		for _, r := range []int{0, 5, 1000} {
+			for col0 := 0; col0 < n; col0++ {
+				for l := 0; l <= len(row); l++ {
+					clear(row)
+					m.fillRow(r, col0, row[:l])
+					for j, got := range row {
+						want := m.at(r, col0+j)
+						if j >= l {
+							want = 0 // beyond dst: untouched
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("n=%d fillRow(%d, %d, len %d)[%d] = %v, want %v", n, r, col0, l, j, got, want)
+						}
+					}
 				}
 			}
 		}
