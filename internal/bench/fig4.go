@@ -148,7 +148,7 @@ func doStrided(rt armci.Runtime, op ContigOp, s *armci.Strided) error {
 // figure is byte-for-byte what running the jobs one after another
 // gives. The sweep uses every host core, or one worker when cfg.Obs is
 // set: a recorder is one sink, filled in job order, which is also why
-// the full stacks run on one shard. One worker gains nothing from
+// the full stacks run on one dispatcher. One worker gains nothing from
 // fig4Dispatch and runs the jobs in plotting order, which keeps a
 // recorder's job sequence (trace, critical-path report) the sequential
 // loop's.

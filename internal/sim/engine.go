@@ -1,26 +1,24 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // in which "ranks" (processes of a simulated parallel machine) execute
-// under a cooperative scheduler. Exactly one flow of control per shard —
-// the dispatcher or a single rank — is active at any instant, so every
-// run is bit-reproducible: virtual time advances only when the event
-// heap is popped, and ties are broken by insertion sequence.
+// under a cooperative scheduler. Exactly one flow of control — the
+// dispatcher or a single rank — is active at any instant, so every run
+// is bit-reproducible: virtual time advances only when the event heap
+// is popped, and ties are broken by insertion sequence.
 //
 // Higher layers (fabric, MPI, ARMCI) are built from three primitives:
 // Elapse (charge local virtual time), Park/Unpark (block a rank until a
 // condition is signalled), and At (schedule a handler at a future virtual
 // time). Handlers run under the dispatcher and must not block.
 //
-// Ranks are partitioned into k >= 1 shards (one by default), each with
-// its own event heap, runnable FIFO, clock and dispatcher; shard.go
-// covers the window barrier that keeps several shards consistent. A
-// dispatcher is a plain loop on one goroutine: it pops the runnable
-// FIFO or the event heap and resumes the chosen rank. A rank body is a
-// runtime coroutine (iter.Pull), created lazily at first dispatch; Park
-// yields back to the dispatcher. Resume and yield are coroutine
-// switches on the same M and P — no channel, no wake of an idle P — so
-// a hand-off costs ~100 ns at any GOMAXPROCS, and a job's live
-// goroutine count is the number of simultaneously parked ranks, not N.
-// Proc records live in one slab.
+// Every rank of a job shares one event heap, one runnable FIFO and one
+// clock. The dispatcher is a plain loop on one worker goroutine: it
+// pops the runnable FIFO or the event heap and resumes the chosen rank.
+// A rank body is a runtime coroutine (iter.Pull), created lazily at
+// first dispatch; Park yields back to the dispatcher. Resume and yield
+// are coroutine switches on the same M and P — no channel, no wake of
+// an idle P — so a hand-off costs ~100 ns at any GOMAXPROCS, and a
+// job's live goroutine count is the number of simultaneously parked
+// ranks, not N. Proc records live in one slab.
 //
 // The engine's own wall-clock cost is kept off the simulated results'
 // critical path by three mechanisms: events are value-typed in the heap
@@ -35,6 +33,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"maps"
@@ -116,7 +115,7 @@ type wakeup Proc
 
 func (w *wakeup) Fire() {
 	p := (*Proc)(w)
-	p.sh.e.Unpark(p)
+	p.e.Unpark(p)
 }
 
 // eventHeap is a value-typed binary min-heap ordered by (at, seq).
@@ -186,7 +185,7 @@ const (
 // must be called from the flow of control running that rank's body.
 type Proc struct {
 	id    int
-	sh    *shard // owning shard
+	e     *Engine
 	state procState
 	why   string // what the proc is parked on, for deadlock reports
 
@@ -201,16 +200,15 @@ type Proc struct {
 // ID returns the rank's id in [0, N).
 func (p *Proc) ID() int { return p.id }
 
-// Now returns the current virtual time on the rank's shard.
-func (p *Proc) Now() Time { return p.sh.now }
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.e.now }
 
 // Observer receives scheduling callbacks from the engine, giving
 // observability layers access to the virtual clock at the moments
 // ranks block and resume. Callbacks run under the cooperative
-// scheduler (never concurrently within a shard) and must not block or
-// re-enter the engine. Elapse's inline fast path still reports its
-// virtual park/resume pair, so observers see the same sequence either
-// way.
+// scheduler (never concurrently) and must not block or re-enter the
+// engine. Elapse's inline fast path still reports its virtual
+// park/resume pair, so observers see the same sequence either way.
 type Observer interface {
 	// RankParked fires when a rank blocks; why is the park reason.
 	RankParked(rank int, why string, at Time)
@@ -222,23 +220,32 @@ type Observer interface {
 // observer also implements it, RankFinished fires as each rank's body
 // returns normally (never during an abnormal drain), carrying the
 // rank's completion time — the job makespan is the maximum over ranks.
-// The callback runs on the owning shard's dispatcher against the
-// shard's observer, like the other callbacks.
+// The callback runs under the dispatcher, like the other callbacks.
 type FinishObserver interface {
 	RankFinished(rank int, at Time)
 }
 
 // Engine runs a fixed set of ranks to completion under a virtual
-// clock.
+// clock. Exactly one flow of control — the dispatcher or one rank's
+// coroutine — touches its fields at any instant, so none need locks.
 type Engine struct {
-	// shards[0] exists from NewEngine on, so events scheduled before
-	// Run have a home; Run adds the rest. The slice stays valid after
-	// Run so post-run Now() reads resolve against the final clocks.
-	shards []*shard
-	procs  []*Proc
+	now    Time
+	seq    int64
+	events eventHeap
+	procs  []*Proc // ascending rank id
 	body   func(*Proc)
 	stats  Stats
 	obs    Observer
+
+	// Runnable ring buffer (FIFO). A proc appears at most once, so a
+	// fixed capacity of len(procs) suffices and pushes never allocate.
+	runq   []*Proc
+	rqHead int
+	rqLen  int
+
+	alive      int
+	lastFinish Time  // clock when the last rank finished
+	failure    error // first rank panic/Goexit, handler panic, deadlock or time limit
 
 	// draining is set when the run is ending abnormally (rank panic or
 	// Goexit, deadlock, or time limit): every started, unfinished rank
@@ -254,25 +261,6 @@ type Engine struct {
 	// virtual clock passes it — a watchdog against virtual livelock
 	// (event chains that never let the ranks finish).
 	MaxTime Time
-
-	// Shards is the dispatcher count (<=0 means 1; clamped to the rank
-	// count). Partition maps rank -> shard in [0, Shards); nil means
-	// contiguous equal blocks. Lookahead is the conservative window
-	// width: a cross-shard event must be scheduled at least this far
-	// past the sending shard's window start. Required > 0 when
-	// Shards > 1.
-	Shards    int
-	Partition []int
-	Lookahead Time
-
-	// ShardObservers, when set, supplies one Observer per shard for
-	// multi-shard runs (the single obs Observer would race). Callbacks
-	// arrive shard-concurrently but rank-sequentially: one shard never
-	// reports two ranks at once, and a given rank always reports from
-	// its home shard.
-	ShardObservers func(shard int) Observer
-
-	arrived chan struct{} // shard -> coordinator: waiting at the barrier
 }
 
 // ErrTimeLimit is returned by Run when the virtual clock exceeds
@@ -293,25 +281,11 @@ type Stats struct {
 }
 
 // NewEngine creates an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.shards = []*shard{{e: e, windowEnd: MaxTime}}
-	return e
-}
-
-// one returns the engine's only shard. A multi-shard run has no global
-// clock or heap while shards execute, so the Engine-level call named by
-// op panics there; use the Proc, ShardClock or AtRank form instead.
-func (e *Engine) one(op string) *shard {
-	if len(e.shards) > 1 {
-		panic("sim: Engine." + op + " has no single shard to act on in a multi-shard run; use Proc.Now, ShardClock or AtRank")
-	}
-	return e.shards[0]
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time. It is safe to call from event
-// handlers and rank bodies alike; it panics in a multi-shard run.
-func (e *Engine) Now() Time { return e.one("Now").now }
+// handlers and rank bodies alike.
+func (e *Engine) Now() Time { return e.now }
 
 // Stats returns engine counters. Valid after Run has returned.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -322,9 +296,7 @@ func (e *Engine) Observe(o Observer) { e.obs = o }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
 // It may be called from a rank body or from another handler. Handlers
-// run under the dispatcher and must not block. It panics in a
-// multi-shard run, where the target shard is ambiguous (schedule
-// through AtRank).
+// run under the dispatcher and must not block.
 func (e *Engine) At(t Time, fn func()) { e.AtEvent(t, funcEvent(fn)) }
 
 // AtEvent is At for a caller-held record: ev.Fire runs at t.
@@ -332,48 +304,39 @@ func (e *Engine) AtEvent(t Time, ev Event) {
 	if e.draining {
 		return // unwinding cleanup; the run is over
 	}
-	e.one("At").schedule(t, ev)
+	e.schedule(t, ev)
 }
 
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.Now()+d, fn) }
+// schedule pushes ev at absolute time t (clamped to now).
+func (e *Engine) schedule(t Time, ev Event) {
+	e.seq++
+	e.events.push(event{at: max(t, e.now), seq: e.seq, ev: ev})
+}
 
-// AtRank schedules fn at absolute virtual time t on behalf of rank
-// from, to run where rank to's state lives. Whenever both ranks share
-// a shard it is exactly At. Across shards the event is appended to the
-// sending shard's per-destination outbox and merged into the target
-// heap at the next window boundary, ordered by (time, virtual send
-// time, source shard, outbox sequence); t must be at least the sending
-// shard's window end (guaranteed by any delay >= Lookahead), or AtRank
-// panics with a lookahead violation. It must be called from a flow of
-// control running on rank from's shard (from's rank body, or a handler
-// scheduled to it).
-func (e *Engine) AtRank(t Time, from, to int, fn func()) { e.AtRankEvent(t, from, to, funcEvent(fn)) }
+func (e *Engine) pushRunnable(p *Proc) {
+	i := e.rqHead + e.rqLen
+	if i >= len(e.runq) {
+		i -= len(e.runq)
+	}
+	e.runq[i] = p
+	e.rqLen++
+}
 
-// AtRankEvent is AtRank for a caller-held record: ev.Fire runs at t
-// where rank to's state lives.
-func (e *Engine) AtRankEvent(t Time, from, to int, ev Event) {
-	if e.draining {
-		return
+func (e *Engine) popRunnable() *Proc {
+	p := e.runq[e.rqHead]
+	e.runq[e.rqHead] = nil
+	e.rqHead++
+	if e.rqHead == len(e.runq) {
+		e.rqHead = 0
 	}
-	if len(e.shards) == 1 {
-		e.shards[0].schedule(t, ev)
-		return
-	}
-	src := e.procs[from].sh
-	dst := e.procs[to].sh
-	if src == dst {
-		src.schedule(t, ev)
-		return
-	}
-	if t < src.windowEnd {
-		panic(fmt.Sprintf(
-			"sim: cross-shard event violates lookahead: rank %d (shard %d) -> rank %d (shard %d) at %v, window ends %v",
-			from, src.id, to, dst.id, t, src.windowEnd))
-	}
-	src.outSeq++
-	src.outbox[dst.id] = append(src.outbox[dst.id],
-		xev{at: t, sent: src.now, seq: src.outSeq, src: src.id, ev: ev})
+	e.rqLen--
+	return p
+}
+
+// fire runs one popped event; the caller has advanced the clock to it.
+func (e *Engine) fire(ev event) {
+	e.stats.Events++
+	ev.ev.Fire()
 }
 
 // drainSignal is the panic value used to unwind a blocked rank body
@@ -394,52 +357,49 @@ type drainSignal struct{}
 // then resolves exactly as the parked path would. Which flow of
 // control executes an event handler is invisible to the simulation, so
 // the two paths are indistinguishable in every virtual-time observable.
-// The wake must also land inside the shard's current window, else the
-// rank parks and the wake event waits for a window that covers it.
 func (p *Proc) Elapse(d Time) {
 	if d <= 0 {
 		return
 	}
-	sh := p.sh
-	e := sh.e
+	e := p.e
 	if e.draining {
 		panic(drainSignal{})
 	}
-	due := sh.now + d
-	if e.noInlineElapse || sh.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) || due >= sh.windowEnd {
-		sh.schedule(due, (*wakeup)(p))
+	due := e.now + d
+	if e.noInlineElapse || e.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) {
+		e.schedule(due, (*wakeup)(p))
 		p.Park("elapse")
 		return
 	}
 	// Reserve the wake event's sequence number before dispatching:
 	// events run below may schedule new events, and a tie at due must
 	// resolve in favor of this wake exactly as the parked path would.
-	sh.seq++
-	wakeSeq := sh.seq
-	sh.stats.Parks++
-	if sh.obs != nil {
-		sh.obs.RankParked(p.id, "elapse", sh.now)
+	e.seq++
+	wakeSeq := e.seq
+	e.stats.Parks++
+	if e.obs != nil {
+		e.obs.RankParked(p.id, "elapse", e.now)
 	}
 	for {
-		if len(sh.events) == 0 || sh.events[0].at > due ||
-			(sh.events[0].at == due && sh.events[0].seq > wakeSeq) {
+		if len(e.events) == 0 || e.events[0].at > due ||
+			(e.events[0].at == due && e.events[0].seq > wakeSeq) {
 			// The wake event would be dispatched next: count it and
 			// advance inline.
-			sh.stats.Events++
-			sh.now = due
-			if sh.obs != nil {
-				sh.obs.RankResumed(p.id, sh.now)
+			e.stats.Events++
+			e.now = due
+			if e.obs != nil {
+				e.obs.RankResumed(p.id, e.now)
 			}
 			return
 		}
 		// Dispatch the earlier event exactly as the dispatcher would.
-		ev := sh.events.pop()
-		if ev.at > sh.now {
-			sh.now = ev.at
+		ev := e.events.pop()
+		if ev.at > e.now {
+			e.now = ev.at
 		}
-		sh.fire(ev)
-		if sh.rqLen > 0 {
-			sh.events.push(event{at: due, seq: wakeSeq, ev: (*wakeup)(p)})
+		e.fire(ev)
+		if e.rqLen > 0 {
+			e.events.push(event{at: due, seq: wakeSeq, ev: (*wakeup)(p)})
 			p.park("elapse", true)
 			return
 		}
@@ -450,20 +410,20 @@ func (p *Proc) Elapse(d Time) {
 // it. The why string is reported if the simulation deadlocks.
 func (p *Proc) Park(why string) { p.park(why, false) }
 
-// park yields the rank's coroutine back to its shard's dispatcher.
-// preCounted marks parks whose statistics and observer callback were
-// already recorded by Elapse's inline path.
+// park yields the rank's coroutine back to the dispatcher. preCounted
+// marks parks whose statistics and observer callback were already
+// recorded by Elapse's inline path.
 func (p *Proc) park(why string, preCounted bool) {
-	sh := p.sh
-	if sh.e.draining {
+	e := p.e
+	if e.draining {
 		panic(drainSignal{})
 	}
 	p.state = stateParked
 	p.why = why
 	if !preCounted {
-		sh.stats.Parks++
-		if sh.obs != nil {
-			sh.obs.RankParked(p.id, why, sh.now)
+		e.stats.Parks++
+		if e.obs != nil {
+			e.obs.RankParked(p.id, why, e.now)
 		}
 	}
 	if !p.yield(struct{}{}) {
@@ -471,8 +431,8 @@ func (p *Proc) park(why string, preCounted bool) {
 	}
 	p.state = stateRunning
 	p.why = ""
-	if sh.obs != nil {
-		sh.obs.RankResumed(p.id, sh.now)
+	if e.obs != nil {
+		e.obs.RankResumed(p.id, e.now)
 	}
 }
 
@@ -492,7 +452,7 @@ func (e *Engine) Unpark(p *Proc) {
 	switch p.state {
 	case stateParked:
 		p.state = stateRunnable
-		p.sh.pushRunnable(p)
+		e.pushRunnable(p)
 	case stateRunnable:
 		// Already queued; nothing to do.
 	case stateDone:
@@ -517,47 +477,163 @@ func (d *Deadlock) Error() string {
 	return s
 }
 
+// Run creates n ranks and executes body(p) on each, returning once all
+// ranks have finished. It returns an error if the simulation deadlocks,
+// exceeds MaxTime, or any rank body panics or calls runtime.Goexit; in
+// every case — success or failure — all rank coroutines and the
+// dispatcher's worker have exited by the time Run returns (abnormal
+// ends drain the blocked ranks deterministically, in rank order). Run
+// may be called once per engine. Events scheduled before Run keep their
+// sequence numbers.
+func (e *Engine) Run(n int, body func(p *Proc)) error {
+	if n <= 0 {
+		return fmt.Errorf("sim: Run needs n > 0, got %d", n)
+	}
+	e.body = body
+	e.procs = make([]*Proc, n)
+	e.runq = make([]*Proc, n)
+	slab := make([]Proc, n)
+	for i := range slab {
+		p := &slab[i]
+		p.id, p.e, p.state = i, e, stateRunnable
+		e.procs[i] = p
+		e.pushRunnable(p)
+	}
+	e.alive = n
+	done := make(chan struct{})
+	go e.work(done)
+	<-done
+	return e.failure
+}
+
+// work is the dispatcher's worker goroutine; it closes done when the
+// run is over. A runtime.Goexit in a rank body kills that rank's
+// coroutine and iter.Pull re-raises it in whoever resumed the rank —
+// this goroutine — and a Goexit cannot be recovered; nor could Run's
+// caller survive one, which is why the dispatcher is not run on Run's
+// own goroutine. So the worker is expendable: runBody has already
+// recorded the failure, the dying worker hands the run to a fresh one,
+// and that one drains as for a rank panic. A panic or Goexit in an
+// event handler gets the same treatment instead of killing the process.
+func (e *Engine) work(done chan struct{}) {
+	finished := false
+	defer func() {
+		if finished {
+			close(done)
+			return
+		}
+		if r := recover(); r != nil && e.failure == nil {
+			e.failure = fmt.Errorf("sim: event handler panicked: %v", r)
+		}
+		if e.failure == nil {
+			e.failure = errors.New("sim: event handler exited via runtime.Goexit")
+		}
+		go e.work(done)
+	}()
+	e.loop()
+	finished = true
+}
+
+// loop is the dispatcher: run ranks until none is runnable, then pop
+// events, until every rank has finished or the run fails. It is
+// re-entrant from the top, so a replacement worker picks up wherever a
+// dead one stopped.
+func (e *Engine) loop() {
+	for {
+		switch {
+		case e.failure != nil:
+			e.draining = true
+			e.drain()
+			return
+		case e.rqLen > 0:
+			e.resume(e.popRunnable())
+		case e.alive == 0:
+			// The run ends exactly when its last rank finishes:
+			// remaining events are dropped.
+			e.stats.FinalTime = e.lastFinish
+			return
+		case len(e.events) == 0:
+			e.failure = e.deadlockError()
+		default:
+			ev := e.events.pop()
+			if ev.at > e.now {
+				e.now = ev.at
+			}
+			if e.MaxTime > 0 && e.now > e.MaxTime {
+				e.failure = &ErrTimeLimit{At: e.now}
+			} else {
+				e.fire(ev)
+			}
+		}
+	}
+}
+
+// drain ends an abnormal run without leaking: every started, unfinished
+// rank is parked in yield (never-started ranks have no coroutine), so
+// each is stopped in rank order and unwinds via drainSignal before the
+// next. Engine statistics and observers see nothing: the drain happens
+// after the run's last observable instant, and FinalTime stays zero.
+// States cannot regress during a drain (Unpark is a no-op), so a
+// replacement worker restarting the walk skips what is already done.
+func (e *Engine) drain() {
+	for _, p := range e.procs {
+		if p.stop != nil && p.state != stateDone {
+			p.stop()
+		}
+	}
+}
+
+// deadlockError builds the Deadlock report: no events remain and every
+// living rank is parked.
+func (e *Engine) deadlockError() *Deadlock {
+	d := &Deadlock{Time: e.now, Waiting: map[int]string{}}
+	for _, p := range e.procs {
+		if p.state == stateParked {
+			d.Waiting[p.id] = p.why
+		}
+	}
+	return d
+}
+
 // resume hands control to p until it parks or finishes, creating its
 // coroutine at first dispatch.
-func (sh *shard) resume(p *Proc) {
+func (e *Engine) resume(p *Proc) {
 	if p.next == nil {
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
-			sh.runBody(p)
+			e.runBody(p)
 		})
 	}
 	p.next()
 }
 
 // runBody executes one rank body on its coroutine and records how it
-// ended. Failure and alive bookkeeping is per shard: shards run
-// concurrently, and the coordinator merges their outcomes
-// deterministically at the barrier. A Goexit cannot be recovered: it
-// is recorded here, kills the coroutine, and iter.Pull re-raises it in
-// the dispatcher — see shard.work for how the run survives that.
-func (sh *shard) runBody(p *Proc) {
+// ended. A Goexit cannot be recovered: it is recorded here, kills the
+// coroutine, and iter.Pull re-raises it in the dispatcher — see work
+// for how the run survives that.
+func (e *Engine) runBody(p *Proc) {
 	returned := false
 	defer func() {
 		r := recover()
-		if _, drained := r.(drainSignal); !drained && sh.failure == nil {
+		if _, drained := r.(drainSignal); !drained && e.failure == nil {
 			if r != nil {
-				sh.failure = fmt.Errorf("sim: rank %d panicked: %v", p.id, r)
+				e.failure = fmt.Errorf("sim: rank %d panicked: %v", p.id, r)
 			} else if !returned { // every t.Fatal inside a body is one
-				sh.failure = fmt.Errorf("sim: rank %d exited via runtime.Goexit", p.id)
+				e.failure = fmt.Errorf("sim: rank %d exited via runtime.Goexit", p.id)
 			}
 		}
 		p.state = stateDone
-		sh.alive--
-		if sh.alive == 0 {
-			sh.lastFinish = sh.now
+		e.alive--
+		if e.alive == 0 {
+			e.lastFinish = e.now
 		}
-		if returned && !sh.e.draining {
-			if f, ok := sh.obs.(FinishObserver); ok {
-				f.RankFinished(p.id, sh.now)
+		if returned && !e.draining {
+			if f, ok := e.obs.(FinishObserver); ok {
+				f.RankFinished(p.id, e.now)
 			}
 		}
 	}()
 	p.state = stateRunning
-	sh.e.body(p)
+	e.body(p)
 	returned = true
 }

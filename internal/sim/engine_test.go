@@ -295,3 +295,103 @@ func TestMaxTimeNotTriggeredByNormalRun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWarmParkResumeAllocatesNothing pins the hand-off: once a rank's
+// coroutine exists, a park -> dispatcher -> resume cycle (the parked
+// Elapse path) allocates nothing.
+func TestWarmParkResumeAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	e.noInlineElapse = true
+	var allocs float64
+	if err := e.Run(2, func(p *Proc) {
+		p.Elapse(1) // warm: coroutine started, heap and FIFO grown
+		if p.ID() == 0 {
+			allocs = testing.AllocsPerRun(1000, func() { p.Elapse(1) })
+		} else {
+			for i := 0; i < 1002; i++ {
+				p.Elapse(1)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("warm park/resume cycle allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestRankStartAllocationBudget pins what a rank costs to start: the
+// coroutine (iter.Pull's state, its next/stop/yield closures, the
+// runtime coro and its goroutine) plus the body closure — 12 objects
+// measured; the budget leaves room for a runtime that adds one or two.
+func TestRankStartAllocationBudget(t *testing.T) {
+	const n, budget = 64, 16
+	perRun := testing.AllocsPerRun(20, func() {
+		if err := NewEngine().Run(n, func(p *Proc) { p.Park("x") }); err == nil {
+			t.Fatal("want a deadlock")
+		}
+	})
+	// The engine itself (slab, FIFO, channel, the Deadlock report and
+	// its map) is a per-run constant, measured with a
+	// one-rank run and subtracted.
+	fixed := testing.AllocsPerRun(20, func() { NewEngine().Run(1, func(p *Proc) { p.Park("x") }) })
+	if perRank := (perRun - fixed) / (n - 1); perRank > budget {
+		t.Errorf("starting a rank allocates %.1f objects, budget %d", perRank, budget)
+	}
+}
+
+// BenchmarkElapseSoloRank measures the inline fast path: one rank
+// sleeping repeatedly with no competing events. The parked variant
+// pays the coroutine switch to the dispatcher and back on every call.
+func BenchmarkElapseSoloRank(b *testing.B) {
+	for _, mode := range []struct {
+		name     string
+		noInline bool
+	}{{"inline", false}, {"parked", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			e.noInlineElapse = mode.noInline
+			if err := e.Run(1, func(p *Proc) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Elapse(1)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkElapseTwoRanks measures the contended path: two ranks whose
+// sleeps interleave, so every elapse wakes through the dispatcher.
+func BenchmarkElapseTwoRanks(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	if err := e.Run(2, func(p *Proc) {
+		if p.ID() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			p.Elapse(1)
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkManyRanks measures dispatcher overhead with a park-heavy
+// interleaving workload, rank start included.
+func BenchmarkManyRanks(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := NewEngine().Run(256, func(p *Proc) {
+			for j := 0; j < 16; j++ {
+				p.Elapse(Time(1 + p.ID()%7))
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
