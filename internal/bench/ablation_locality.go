@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/armci"
-	"repro/internal/armcimpi"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -32,85 +30,36 @@ func QuickLocalityAblation() LocalityAblationConfig {
 	return LocalityAblationConfig{MinExp: 3, MaxExp: 16, Iters: 2}
 }
 
-// locVariant is one runtime column of the ablation: an ARMCI
-// implementation plus the option toggles that define its routing
-// policy.
-type locVariant struct {
-	key   string // series label suffix
-	impl  harness.Impl
-	tweak func(*armcimpi.Options)
-}
-
-// locVariants returns the runtime columns in presentation order. The
-// armci-mpi pair isolates the shm fast path; the dartmpi pair isolates
-// leader staging on top of full locality tiering.
-func locVariants() []locVariant {
-	return []locVariant{
-		{key: "native", impl: harness.ImplNative},
-		{key: "armci-ds", impl: harness.ImplDataServer},
-		{key: "armci-mpi shm", impl: harness.ImplARMCIMPI},
-		{key: "armci-mpi rma", impl: harness.ImplARMCIMPI,
-			tweak: func(o *armcimpi.Options) { o.NoShm = true }},
-		{key: "dartmpi", impl: harness.ImplDartMPI},
-		{key: "dartmpi nostage", impl: harness.ImplDartMPI,
-			tweak: func(o *armcimpi.Options) { o.NoLeaderStaging = true }},
-	}
-}
-
-// locContigBandwidth measures contiguous op bandwidth for one runtime
-// variant and placement. The origin is rank 1 — a non-leader core — so
-// dartmpi's hierarchical path must stage inter-node transfers through
-// its node leader rather than short-circuiting at the origin.
-func locContigBandwidth(plat *platform.Platform, op ContigOp, v locVariant, intra bool, cfg LocalityAblationConfig) (Series, error) {
-	sizes := pow2s(cfg.MinExp, cfg.MaxExp)
-	maxSize := sizes[len(sizes)-1]
-	place, target := "inter", plat.CoresPerNode
-	if intra {
-		place, target = "intra", 0
-	}
-	series := Series{Label: fmt.Sprintf("%s %s (%s)", place, op, v.key)}
+// localityProbes lists the ablation's curves: contiguous put, then get,
+// to a same-node and a cross-node target, under every runtime column.
+// The armci-mpi pair isolates the shm fast path; the dartmpi pair
+// isolates leader staging on top of full locality tiering. The origin
+// is rank 1, a non-leader core, so dartmpi's hierarchical path must
+// stage inter-node transfers through its node leader rather than
+// short-circuiting at the origin.
+func localityProbes(plat *platform.Platform, cfg LocalityAblationConfig) []probe {
 	opt := benchOptions()
-	if v.tweak != nil {
-		v.tweak(&opt)
-	}
-	nranks := 2 * plat.CoresPerNode
-	var bwErr error
-	_, err := harness.RunObs(plat, nranks, v.impl, opt, cfg.Obs, func(rt armci.Runtime) {
-		addrs, err := rt.Malloc(maxSize)
-		if err != nil {
-			bwErr = err
-			return
-		}
-		local := rt.MallocLocal(maxSize)
-		if rt.Rank() == 1 {
-			for _, size := range sizes {
-				if err := doContig(rt, op, local, addrs[target], size); err != nil {
-					bwErr = err
-					return
-				}
-				rt.Fence(target)
-				start := rt.Proc().Now()
-				for i := 0; i < cfg.Iters; i++ {
-					if err := doContig(rt, op, local, addrs[target], size); err != nil {
-						bwErr = err
-						return
-					}
-				}
-				rt.Fence(target)
-				elapsed := rt.Proc().Now() - start
-				series.X = append(series.X, float64(size))
-				series.Y = append(series.Y, bandwidth(int64(size)*int64(cfg.Iters), elapsed))
+	noShm, noStage := opt, opt
+	noShm.NoShm, noStage.NoLeaderStaging = true, true
+	sizes := pow2s(cfg.MinExp, cfg.MaxExp)
+	var table []probe
+	for _, op := range []ContigOp{OpPut, OpGet} {
+		for _, place := range []string{"intra", "inter"} {
+			base := probe{plat: plat, origin: 1, target: plat.CoresPerNode, op: op, xs: sizes, iters: cfg.Iters, rec: cfg.Obs}
+			if place == "intra" {
+				base.target = 0
 			}
+			label := func(key string) string { return fmt.Sprintf("%s %s (%s)", place, op, key) }
+			table = append(table,
+				base.as(label("native"), harness.ImplNative, opt),
+				base.as(label("armci-ds"), harness.ImplDataServer, opt),
+				base.as(label("armci-mpi shm"), harness.ImplARMCIMPI, opt),
+				base.as(label("armci-mpi rma"), harness.ImplARMCIMPI, noShm),
+				base.as(label("dartmpi"), harness.ImplDartMPI, opt),
+				base.as(label("dartmpi nostage"), harness.ImplDartMPI, noStage))
 		}
-		rt.Barrier()
-		if err := rt.Free(addrs[rt.Rank()]); err != nil {
-			bwErr = err
-		}
-	})
-	if err != nil {
-		return series, err
 	}
-	return series, bwErr
+	return table
 }
 
 // AblationLocality regenerates the locality-routing ablation on one
@@ -127,16 +76,8 @@ func AblationLocality(plat *platform.Platform, cfg LocalityAblationConfig) (*Fig
 		XLabel: "transfer size (bytes)",
 		YLabel: "bandwidth (GB/s)",
 	}
-	for _, op := range []ContigOp{OpPut, OpGet} {
-		for _, intra := range []bool{true, false} {
-			for _, v := range locVariants() {
-				s, err := locContigBandwidth(plat, op, v, intra, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("bench: ablation-locality %s/%s: %w", plat.Name, s.Label, err)
-				}
-				fig.Series = append(fig.Series, s)
-			}
-		}
+	if err := runTable(fig, localityProbes(plat, cfg), nil); err != nil {
+		return nil, err
 	}
 	return fig, nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/armci"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -32,153 +31,35 @@ func QuickShmAblation() ShmAblationConfig {
 	return ShmAblationConfig{MinExp: 3, MaxExp: 16, Iters: 2, SegBytes: 256, MaxSegs: 16}
 }
 
-// shmVariant is one (placement, path) cell of the ablation: the target
-// on the origin's node or one node away, with the shared-memory fast
-// path enabled or forced off (plain MPI_Win_create windows).
-type shmVariant struct {
-	intra bool
-	noShm bool
-}
-
-func (v shmVariant) label(kind string) string {
-	place, path := "inter", "shm"
-	if v.intra {
-		place = "intra"
-	}
-	if v.noShm {
-		path = "rma"
-	}
-	return fmt.Sprintf("%s %s (%s)", place, kind, path)
-}
-
-func (v shmVariant) target(plat *platform.Platform) int {
-	if v.intra {
-		return 1 // a second core of the origin's node
-	}
-	return plat.CoresPerNode
-}
-
-func shmVariants() []shmVariant {
-	return []shmVariant{
-		{intra: true, noShm: false},
-		{intra: true, noShm: true},
-		{intra: false, noShm: false},
-		{intra: false, noShm: true},
-	}
-}
-
-// shmContigBandwidth measures contiguous op bandwidth for one variant,
-// mirroring the Figure 3 harness but with a selectable target rank and
-// the NoShm ablation switch.
-func shmContigBandwidth(plat *platform.Platform, op ContigOp, v shmVariant, cfg ShmAblationConfig) (Series, error) {
+// shmProbes lists the ablation's curves: contiguous put, contiguous get
+// and strided put (segment counts 1..MaxSegs), each for a target on the
+// origin's node (rank 1) and one node away, with the shm fast path on
+// and forced off (plain MPI_Win_create windows).
+func shmProbes(plat *platform.Platform, cfg ShmAblationConfig) []probe {
+	shm := benchOptions()
+	rma := shm
+	rma.NoShm = true
 	sizes := pow2s(cfg.MinExp, cfg.MaxExp)
-	maxSize := sizes[len(sizes)-1]
-	series := Series{Label: v.label(string(op))}
-	opt := benchOptions()
-	opt.NoShm = v.noShm
-	nranks := 2 * plat.CoresPerNode
-	target := v.target(plat)
-	var bwErr error
-	_, err := harness.RunObs(plat, nranks, harness.ImplARMCIMPI, opt, cfg.Obs, func(rt armci.Runtime) {
-		addrs, err := rt.Malloc(maxSize)
-		if err != nil {
-			bwErr = err
-			return
+	var table []probe
+	for _, kind := range []string{"put", "get", "puts"} {
+		base := probe{plat: plat, op: OpPut, xs: sizes, iters: cfg.Iters, rec: cfg.Obs}
+		switch kind {
+		case "get":
+			base.op = OpGet
+		case "puts":
+			base.xs, base.seg = segCounts(cfg.MaxSegs), cfg.SegBytes
 		}
-		local := rt.MallocLocal(maxSize)
-		if rt.Rank() == 0 {
-			for _, size := range sizes {
-				if err := doContig(rt, op, local, addrs[target], size); err != nil {
-					bwErr = err
-					return
-				}
-				rt.Fence(target)
-				start := rt.Proc().Now()
-				for i := 0; i < cfg.Iters; i++ {
-					if err := doContig(rt, op, local, addrs[target], size); err != nil {
-						bwErr = err
-						return
-					}
-				}
-				rt.Fence(target)
-				elapsed := rt.Proc().Now() - start
-				series.X = append(series.X, float64(size))
-				series.Y = append(series.Y, bandwidth(int64(size)*int64(cfg.Iters), elapsed))
+		for _, place := range []string{"intra", "inter"} {
+			base.target = plat.CoresPerNode
+			if place == "intra" {
+				base.target = 1
 			}
+			table = append(table,
+				base.as(fmt.Sprintf("%s %s (shm)", place, kind), harness.ImplARMCIMPI, shm),
+				base.as(fmt.Sprintf("%s %s (rma)", place, kind), harness.ImplARMCIMPI, rma))
 		}
-		rt.Barrier()
-		if err := rt.Free(addrs[rt.Rank()]); err != nil {
-			bwErr = err
-		}
-	})
-	if err != nil {
-		return series, err
 	}
-	return series, bwErr
-}
-
-// shmStridedBandwidth measures strided put bandwidth for one variant
-// over segment counts, exercising the datatype paths through the shm
-// route (the Figure 4 harness with a selectable target).
-func shmStridedBandwidth(plat *platform.Platform, v shmVariant, cfg ShmAblationConfig) (Series, error) {
-	var counts []int
-	for c := 1; c <= cfg.MaxSegs; c *= 2 {
-		counts = append(counts, c)
-	}
-	opt := benchOptions()
-	opt.NoShm = v.noShm
-	series := Series{Label: v.label("puts")}
-	segBytes := cfg.SegBytes
-	maxSegs := counts[len(counts)-1]
-	remoteStride := 2 * segBytes
-	winBytes := maxSegs*remoteStride + segBytes
-	nranks := 2 * plat.CoresPerNode
-	target := v.target(plat)
-	var bwErr error
-	_, err := harness.RunObs(plat, nranks, harness.ImplARMCIMPI, opt, cfg.Obs, func(rt armci.Runtime) {
-		addrs, err := rt.Malloc(winBytes)
-		if err != nil {
-			bwErr = err
-			return
-		}
-		local := rt.MallocLocal(maxSegs * segBytes)
-		if rt.Rank() == 0 {
-			for _, nseg := range counts {
-				s := &armci.Strided{
-					Src:       local,
-					Dst:       addrs[target],
-					SrcStride: []int{segBytes},
-					DstStride: []int{remoteStride},
-					Count:     []int{segBytes, nseg},
-				}
-				if err := rt.PutS(s); err != nil {
-					bwErr = err
-					return
-				}
-				rt.Fence(target)
-				start := rt.Proc().Now()
-				for i := 0; i < cfg.Iters; i++ {
-					if err := rt.PutS(s); err != nil {
-						bwErr = err
-						return
-					}
-				}
-				rt.Fence(target)
-				elapsed := rt.Proc().Now() - start
-				payload := int64(segBytes) * int64(nseg) * int64(cfg.Iters)
-				series.X = append(series.X, float64(nseg))
-				series.Y = append(series.Y, bandwidth(payload, elapsed))
-			}
-		}
-		rt.Barrier()
-		if err := rt.Free(addrs[rt.Rank()]); err != nil {
-			bwErr = err
-		}
-	})
-	if err != nil {
-		return series, err
-	}
-	return series, bwErr
+	return table
 }
 
 // AblationShm regenerates the intra-node shared-memory ablation on one
@@ -193,21 +74,8 @@ func AblationShm(plat *platform.Platform, cfg ShmAblationConfig) (*Figure, error
 		XLabel: "transfer size (bytes) / segment count",
 		YLabel: "bandwidth (GB/s)",
 	}
-	for _, op := range []ContigOp{OpPut, OpGet} {
-		for _, v := range shmVariants() {
-			s, err := shmContigBandwidth(plat, op, v, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("bench: ablation-shm %s/%s: %w", plat.Name, s.Label, err)
-			}
-			fig.Series = append(fig.Series, s)
-		}
-	}
-	for _, v := range shmVariants() {
-		s, err := shmStridedBandwidth(plat, v, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: ablation-shm %s/%s: %w", plat.Name, s.Label, err)
-		}
-		fig.Series = append(fig.Series, s)
+	if err := runTable(fig, shmProbes(plat, cfg), nil); err != nil {
+		return nil, err
 	}
 	return fig, nil
 }

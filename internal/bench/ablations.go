@@ -139,84 +139,48 @@ func AblationAccessModes(plat *platform.Platform, readers, iters, size int) (map
 // Figure 4's method choice (SectionVII.D picked batched on BG/P and
 // direct elsewhere).
 func AblationStridedMethods(plat *platform.Platform, segBytes, nsegs, iters int) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, v := range fig4Variants() {
-		s, err := StridedBandwidth(plat, v, OpPut, segBytes, []int{nsegs}, iters)
-		if err != nil {
-			return nil, err
-		}
-		out[v.label] = s.Last()
-	}
-	return out, nil
+	return lastPoints(fig4Probes(plat, OpPut, segBytes, []int{nsegs}, iters, nil))
 }
 
 // AblationBatchSize sweeps the batched method's B parameter
 // (SectionVI.A: "issues up to B operations per epoch ... default 0,
 // or unlimited"), showing the epoch-amortization tradeoff.
 func AblationBatchSize(plat *platform.Platform, segBytes, nsegs int, batches []int, iters int) (map[int]float64, error) {
-	out := map[int]float64{}
-	for _, b := range batches {
-		v := stridedVariant{label: fmt.Sprintf("B=%d", b), impl: harness.ImplARMCIMPI, method: armcimpi.MethodBatched}
-		opt := benchOptions()
-		opt.StridedMethod = armcimpi.MethodBatched
+	base := probe{plat: plat, target: plat.CoresPerNode, op: OpPut, xs: []int{nsegs}, seg: segBytes, iters: iters}
+	opt := benchOptions()
+	opt.StridedMethod = armcimpi.MethodBatched
+	table := make([]probe, len(batches))
+	for i, b := range batches {
 		opt.BatchSize = b
-		series, err := stridedWithOptions(plat, opt, v.label, OpPut, segBytes, []int{nsegs}, iters)
-		if err != nil {
-			return nil, err
-		}
-		out[b] = series.Last()
+		table[i] = base.as(fmt.Sprintf("B=%d", b), harness.ImplARMCIMPI, opt)
+	}
+	bw, err := lastPoints(table)
+	if err != nil {
+		return nil, err
+	}
+	out := map[int]float64{}
+	for i, b := range batches {
+		out[b] = bw[table[i].label]
 	}
 	return out, nil
 }
 
-// stridedWithOptions is StridedBandwidth with explicit runtime options.
-func stridedWithOptions(plat *platform.Platform, opt armcimpi.Options, label string, op ContigOp, segBytes int, counts []int, iters int) (Series, error) {
-	series := Series{Label: label}
-	maxSegs := counts[len(counts)-1]
-	remoteStride := 2 * segBytes
-	winBytes := maxSegs*remoteStride + segBytes
-	nranks := 2 * plat.CoresPerNode
-	target := plat.CoresPerNode
-	var bwErr error
-	_, err := harness.Run(plat, nranks, harness.ImplARMCIMPI, opt, func(rt armci.Runtime) {
-		addrs, err := rt.Malloc(winBytes)
-		if err != nil {
-			bwErr = err
-			return
-		}
-		local := rt.MallocLocal(maxSegs * segBytes)
-		if rt.Rank() == 0 {
-			for _, nseg := range counts {
-				s := &armci.Strided{
-					Src: local, Dst: addrs[target],
-					SrcStride: []int{segBytes}, DstStride: []int{remoteStride},
-					Count: []int{segBytes, nseg},
-				}
-				start := rt.Proc().Now()
-				for i := 0; i < iters; i++ {
-					if err := doStrided(rt, op, s); err != nil {
-						bwErr = err
-						return
-					}
-				}
-				elapsed := rt.Proc().Now() - start
-				series.X = append(series.X, float64(nseg))
-				series.Y = append(series.Y, bandwidth(int64(segBytes)*int64(nseg)*int64(iters), elapsed))
-			}
-		}
-		rt.Barrier()
-		if err := rt.Free(addrs[rt.Rank()]); err != nil {
-			bwErr = err
-		}
-	})
-	if err != nil {
-		return series, err
+// lastPoints runs a table of one-point probes and returns each probe's
+// bandwidth by label.
+func lastPoints(table []probe) (map[string]float64, error) {
+	fig := &Figure{Name: "ablation"}
+	if err := runTable(fig, table, nil); err != nil {
+		return nil, err
 	}
-	return series, bwErr
+	out := map[string]float64{}
+	for _, s := range fig.Series {
+		out[s.Label] = s.Last()
+	}
+	return out, nil
 }
 
 // AblationAsyncProgress quantifies SectionV.F's asynchronous-progress
-// requirement: the same contiguous put/get loop with the MPI library's
+// requirement: the same contiguous put loop with the MPI library's
 // async progress enabled (the standard's behaviour, which ARMCI-MPI
 // relies on) versus a library that only makes progress when the target
 // enters MPI, modeled as a mean service delay. Returns mean op latency
@@ -230,38 +194,13 @@ func AblationAsyncProgress(plat *platform.Platform, delayNs float64, iters int) 
 			mpiTun.NoProgressDelayNs = delayNs
 			tuned.MPI = mpiTun
 		}
-		var lat sim.Time
-		var runErr error
-		_, err := harness.Run(&tuned, 2*plat.CoresPerNode, harness.ImplARMCIMPI,
-			benchOptions(), func(rt armci.Runtime) {
-				addrs, err := rt.Malloc(4096)
-				if err != nil {
-					runErr = err
-					return
-				}
-				if rt.Rank() == plat.CoresPerNode {
-					local := rt.MallocLocal(4096)
-					start := rt.Proc().Now()
-					for i := 0; i < iters; i++ {
-						if err := rt.Put(local, addrs[0], 1024); err != nil {
-							runErr = err
-							return
-						}
-					}
-					lat = (rt.Proc().Now() - start) / sim.Time(iters)
-				}
-				rt.Barrier()
-				if err := rt.Free(addrs[rt.Rank()]); err != nil {
-					runErr = err
-				}
-			})
+		// A remote rank puts 1 KiB to rank 0.
+		elapsed, err := measure(probe{label: mode, plat: &tuned, impl: harness.ImplARMCIMPI, opt: benchOptions(),
+			origin: plat.CoresPerNode, op: OpPut, xs: []int{1024}, iters: iters})
 		if err != nil {
 			return nil, err
 		}
-		if runErr != nil {
-			return nil, runErr
-		}
-		out[mode] = lat.Micros()
+		out[mode] = (elapsed[0] / sim.Time(iters)).Micros()
 	}
 	return out, nil
 }

@@ -21,7 +21,7 @@ func TestFig3InfiniBandShapes(t *testing.T) {
 	plat := platform.Get(platform.InfiniBand)
 	cfg := Fig3Config{MinExp: 3, MaxExp: 22, Iters: 2}
 	get := func(impl harness.Impl, op ContigOp) Series {
-		s, err := ContigBandwidth(plat, impl, op, cfg)
+		s, err := fig3Probe(plat, impl, op, cfg).curve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,11 +52,11 @@ func TestFig3InfiniBandShapes(t *testing.T) {
 func TestFig3CrayXTShapes(t *testing.T) {
 	plat := platform.Get(platform.CrayXT5)
 	cfg := Fig3Config{MinExp: 3, MaxExp: 22, Iters: 2}
-	nat, err := ContigBandwidth(plat, harness.ImplNative, OpGet, cfg)
+	nat, err := fig3Probe(plat, harness.ImplNative, OpGet, cfg).curve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpi, err := ContigBandwidth(plat, harness.ImplARMCIMPI, OpGet, cfg)
+	mpi, err := fig3Probe(plat, harness.ImplARMCIMPI, OpGet, cfg).curve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFig3CrayXEShapes(t *testing.T) {
 	plat := platform.Get(platform.CrayXE6)
 	cfg := Fig3Config{MinExp: 3, MaxExp: 22, Iters: 2}
 	run := func(impl harness.Impl, op ContigOp) Series {
-		s, err := ContigBandwidth(plat, impl, op, cfg)
+		s, err := fig3Probe(plat, impl, op, cfg).curve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +102,11 @@ func TestFig3CrayXEShapes(t *testing.T) {
 func TestFig3BlueGeneShapes(t *testing.T) {
 	plat := platform.Get(platform.BlueGeneP)
 	cfg := Fig3Config{MinExp: 3, MaxExp: 22, Iters: 2}
-	nat, err := ContigBandwidth(plat, harness.ImplNative, OpPut, cfg)
+	nat, err := fig3Probe(plat, harness.ImplNative, OpPut, cfg).curve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpi, err := ContigBandwidth(plat, harness.ImplARMCIMPI, OpPut, cfg)
+	mpi, err := fig3Probe(plat, harness.ImplARMCIMPI, OpPut, cfg).curve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,9 @@ func TestFig3BlueGeneShapes(t *testing.T) {
 func TestFig4Shapes(t *testing.T) {
 	counts := []int{1, 4, 16, 64, 256, 1024}
 	variantBW := func(plat *platform.Platform, label string, op ContigOp, segBytes int) Series {
-		for _, v := range fig4Variants() {
-			if v.label == label {
-				s, err := StridedBandwidth(plat, v, op, segBytes, counts, 2)
+		for _, p := range fig4Probes(plat, op, segBytes, counts, 2, nil) {
+			if p.label == label {
+				s, err := p.curve()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/armcimpi"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -21,24 +20,24 @@ func runObserved(t *testing.T) (trace, stats, figJSON []byte) {
 
 	cfg := Fig3Config{MinExp: 3, MaxExp: 10, Iters: 2, Obs: rec}
 	for _, op := range []ContigOp{OpGet, OpPut, OpAcc} {
-		s, err := ContigBandwidth(plat, harness.ImplARMCIMPI, op, cfg)
+		s, err := fig3Probe(plat, harness.ImplARMCIMPI, op, cfg).curve()
 		if err != nil {
-			t.Fatalf("ContigBandwidth(%s): %v", op, err)
+			t.Fatalf("fig3Probe(%s): %v", op, err)
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	// A data-server run exercises the per-node server trace lane, and a
 	// strided run exercises the packed-bytes datatype path.
 	dsCfg := Fig3Config{MinExp: 4, MaxExp: 8, Iters: 1, Obs: rec}
-	s, err := ContigBandwidth(plat, harness.ImplDataServer, OpGet, dsCfg)
+	s, err := fig3Probe(plat, harness.ImplDataServer, OpGet, dsCfg).curve()
 	if err != nil {
-		t.Fatalf("ContigBandwidth(ds): %v", err)
+		t.Fatalf("fig3Probe(ds): %v", err)
 	}
 	fig.Series = append(fig.Series, s)
-	sv := stridedVariant{label: "Direct", impl: harness.ImplARMCIMPI, method: armcimpi.MethodDirect}
-	st, err := stridedBandwidthObs(plat, sv, OpPut, 16, []int{1, 2, 4}, 1, rec)
+	direct := fig4Probes(plat, OpPut, 16, []int{1, 2, 4}, 1, rec)[1]
+	st, err := direct.curve()
 	if err != nil {
-		t.Fatalf("stridedBandwidthObs: %v", err)
+		t.Fatalf("fig4Probes(Direct): %v", err)
 	}
 	fig.Series = append(fig.Series, st)
 	// The shm ablation covers the intra-node fast path (and its NoShm

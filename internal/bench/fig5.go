@@ -51,10 +51,10 @@ func fig5Curves() []fig5Curve {
 	}
 }
 
-// InteropBandwidth measures contiguous get bandwidth with the local
+// interopBandwidth measures contiguous get bandwidth with the local
 // buffer allocated by a chosen runtime's allocator, reproducing the
 // mismatched-registration effects of Figure 5.
-func InteropBandwidth(plat *platform.Platform, c fig5Curve, cfg Fig5Config) (Series, error) {
+func interopBandwidth(plat *platform.Platform, c fig5Curve, cfg Fig5Config) (Series, error) {
 	sizes := pow2s(cfg.MinExp, cfg.MaxExp)
 	maxSize := sizes[len(sizes)-1]
 	series := Series{Label: c.label}
@@ -127,7 +127,7 @@ func Fig5(cfg Fig5Config) (*Figure, error) {
 		YLabel: "bandwidth (GB/s)",
 	}
 	for _, c := range fig5Curves() {
-		s, err := InteropBandwidth(plat, c, cfg)
+		s, err := interopBandwidth(plat, c, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig5 %q: %w", c.label, err)
 		}

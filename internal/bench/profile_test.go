@@ -330,9 +330,9 @@ func TestProfileDoesNotPerturbFigures(t *testing.T) {
 		cfg := Fig3Config{MinExp: 3, MaxExp: 10, Iters: 2, Obs: rec}
 		fig := &Figure{Name: "prof-perturb", Title: "check", XLabel: "x", YLabel: "GB/s"}
 		for _, op := range []ContigOp{OpGet, OpPut, OpAcc} {
-			s, err := ContigBandwidth(harness.TestPlatform(), harness.ImplARMCIMPI, op, cfg)
+			s, err := fig3Probe(harness.TestPlatform(), harness.ImplARMCIMPI, op, cfg).curve()
 			if err != nil {
-				t.Fatalf("ContigBandwidth(%s): %v", op, err)
+				t.Fatalf("fig3Probe(%s): %v", op, err)
 			}
 			fig.Series = append(fig.Series, s)
 		}

@@ -26,7 +26,7 @@ import (
 // take the process down from a goroutine nobody can recover.
 //
 // What jobs may share is the caller's contract: see "Figure sweeps" in
-// DESIGN.md for the one Fig6, Fig4 and Fig3 rely on.
+// DESIGN.md for the one Fig6 and runTable rely on.
 func sweep(workers, n int, job func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64

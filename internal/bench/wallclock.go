@@ -38,7 +38,7 @@ func WallclockContigIssue(plat *platform.Platform, nops, bytes int) (time.Durati
 // the returned duration.
 func WallclockContigPayload(plat *platform.Platform, impl harness.Impl, op ContigOp, nops, bytes int) (time.Duration, error) {
 	return issueJob(plat, impl, nops, func(rt armci.Runtime, addrs []armci.Addr, local armci.Addr) error {
-		err := doContig(rt, op, local, addrs[1], bytes)
+		err := doOp(rt, op, local, addrs[1], nil, bytes)
 		rt.Fence(1)
 		return err
 	}, bytes)
