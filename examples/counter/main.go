@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/armci"
 	"repro/internal/armcimpi"
-	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -41,7 +40,7 @@ func main() {
 	}
 	opt := armcimpi.DefaultOptions()
 	opt.UseMPI3 = *mpi3
-	job, err := core.NewJob(plat, *np, impl, opt)
+	job, err := harness.NewJob(plat, *np, impl, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

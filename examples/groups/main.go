@@ -15,7 +15,6 @@ import (
 	"log"
 
 	"repro/internal/armcimpi"
-	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -36,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	job, err := core.NewJob(plat, *np, impl, armcimpi.DefaultOptions())
+	job, err := harness.NewJob(plat, *np, impl, armcimpi.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"repro/internal/armcimpi"
-	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -40,7 +39,7 @@ func main() {
 	if *n%*blk != 0 {
 		log.Fatalf("n (%d) must be a multiple of blk (%d)", *n, *blk)
 	}
-	job, err := core.NewJob(plat, *np, impl, armcimpi.DefaultOptions())
+	job, err := harness.NewJob(plat, *np, impl, armcimpi.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

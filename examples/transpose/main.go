@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"repro/internal/armcimpi"
-	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -40,17 +39,17 @@ func main() {
 	opt := armcimpi.DefaultOptions()
 	switch *method {
 	case "direct":
-		opt.StridedMethod = core.MethodDirect
+		opt.StridedMethod = armcimpi.MethodDirect
 	case "iov-direct":
-		opt.StridedMethod = core.MethodIOVDirect
+		opt.StridedMethod = armcimpi.MethodIOVDirect
 	case "batched":
-		opt.StridedMethod = core.MethodBatched
+		opt.StridedMethod = armcimpi.MethodBatched
 	case "conservative":
-		opt.StridedMethod = core.MethodConservative
+		opt.StridedMethod = armcimpi.MethodConservative
 	default:
 		log.Fatalf("unknown -method %q", *method)
 	}
-	job, err := core.NewJob(plat, *np, impl, opt)
+	job, err := harness.NewJob(plat, *np, impl, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

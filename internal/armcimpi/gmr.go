@@ -37,8 +37,8 @@ const (
 	// subarray datatypes (strided operations only).
 	MethodDirect
 	// MethodAuto scans the descriptor with the conflict tree
-	// (SectionVI.B) and picks the fast method when safe, falling back
-	// to conservative otherwise.
+	// (SectionVI.B) and picks the batched method when safe, falling
+	// back to conservative otherwise.
 	MethodAuto
 )
 
@@ -78,9 +78,6 @@ type Options struct {
 	// IOVMethod selects the strategy for PutV/GetV/AccV.
 	// MethodAuto is the default (SectionVI.B).
 	IOVMethod Method
-	// AutoFast is the method auto falls forward to when the conflict
-	// scan finds no overlap (default MethodBatched).
-	AutoFast Method
 	// BatchSize bounds operations per epoch in the batched method;
 	// 0 means unlimited (the paper's default B=0).
 	BatchSize int
@@ -111,7 +108,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's default configuration.
 func DefaultOptions() Options {
-	return Options{StridedMethod: MethodDirect, IOVMethod: MethodAuto, AutoFast: MethodBatched}
+	return Options{StridedMethod: MethodDirect, IOVMethod: MethodAuto}
 }
 
 // World is the shared state of the ARMCI-MPI job: the GMR translation

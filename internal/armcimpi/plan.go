@@ -84,19 +84,6 @@ type plan struct {
 	csegs []contigSeg
 }
 
-// nsegs reports how many MPI-level segments the plan will issue (for
-// the issue/aggregation counters).
-func (p *plan) nsegs() int {
-	switch p.kind {
-	case planBatched:
-		return len(p.segs)
-	case planPerSeg:
-		return len(p.csegs)
-	default:
-		return 1
-	}
-}
-
 // compileContig builds the plan for a contiguous transfer. The caller
 // has already validated the request (CheckContig and, for accumulate,
 // float64 alignment) and routed it.
@@ -180,7 +167,8 @@ func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, pro
 
 // compileAuto is SectionVI.B's conflict-tree scan: if all remote
 // segments fall in one GMR and the destination segments do not overlap,
-// the fast method is safe; otherwise fall back to conservative.
+// the fast method (batched) is safe; otherwise fall back to
+// conservative.
 func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (plan, error) {
 	r.W.AutoScans++
 	safe := true
@@ -197,14 +185,7 @@ func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (plan
 		r.W.AutoFalls++
 		return r.compileConservative(class, scale, segs), nil
 	}
-	fast := r.Opt.AutoFast
-	if fast != MethodBatched && fast != MethodIOVDirect {
-		fast = MethodBatched
-	}
-	if fast == MethodBatched {
-		return r.compileBatched(class, scale, segs)
-	}
-	return r.compileIOVDirect(class, scale, segs)
+	return r.compileBatched(class, scale, segs)
 }
 
 // compileConservative plans one contiguous operation per segment, each

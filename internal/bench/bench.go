@@ -157,17 +157,6 @@ func (s *Series) Last() float64 {
 	return s.Y[len(s.Y)-1]
 }
 
-// Max returns the largest y value.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, y := range s.Y {
-		if y > m {
-			m = y
-		}
-	}
-	return m
-}
-
 // bandwidth converts (bytes, duration) into GB/s.
 func bandwidth(bytes int64, d sim.Time) float64 {
 	if d <= 0 {

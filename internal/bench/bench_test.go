@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestFig4Shapes(t *testing.T) {
 		// "For large numbers of segments on InfiniBand, performance of
 		// the batched transfer method suffers severely" (MPICH2 queue
 		// defect).
-		peak := batched.Max()
+		peak := slices.Max(batched.Y)
 		if batched.Last() > 0.6*peak {
 			t.Errorf("IB batched at 1024 segs (%.3f) should collapse below peak (%.3f)", batched.Last(), peak)
 		}
@@ -309,7 +310,7 @@ func TestFigurePrintAndAccessors(t *testing.T) {
 	if !strings.Contains(out, "t — test") || !strings.Contains(out, "20") {
 		t.Errorf("figure print malformed:\n%s", out)
 	}
-	if fig.Get("a").Last() != 20 || fig.Get("a").Max() != 20 {
+	if fig.Get("a").Last() != 20 || slices.Max(fig.Get("a").Y) != 20 {
 		t.Error("series accessors wrong")
 	}
 	if fig.Get("missing") != nil {

@@ -15,6 +15,3 @@ func (t *Tree) Insert(lo, hi int64) bool {
 	t.x.Insert(lo, hi, struct{}{})
 	return true
 }
-
-func (t *Tree) Reset()    { t.x.Reset() }
-func (t *Tree) Size() int { return t.x.Len() }

@@ -16,8 +16,8 @@ func TestInsertDisjoint(t *testing.T) {
 			t.Fatalf("disjoint insert [%d,%d) rejected", r[0], r[1])
 		}
 	}
-	if tr.Size() != 4 {
-		t.Errorf("size = %d", tr.Size())
+	if tr.x.Len() != 4 {
+		t.Errorf("size = %d", tr.x.Len())
 	}
 }
 
@@ -37,8 +37,8 @@ func TestInsertOverlapRejected(t *testing.T) {
 			t.Errorf("overlapping insert [%d,%d) accepted", c[0], c[1])
 		}
 	}
-	if tr.Size() != 1 {
-		t.Errorf("failed inserts changed the tree: size = %d", tr.Size())
+	if tr.x.Len() != 1 {
+		t.Errorf("failed inserts changed the tree: size = %d", tr.x.Len())
 	}
 }
 
@@ -100,7 +100,7 @@ func TestPropertyMatchesNaiveChecker(t *testing.T) {
 				accepted = append(accepted, rg{lo, hi})
 			}
 		}
-		return tr.Size() == len(accepted)
+		return tr.x.Len() == len(accepted)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -141,12 +141,12 @@ func TestTryRecv(t *testing.T) {
 		if p.ID() == 0 {
 			m.Deliver(1, &Msg{From: 0, Tag: 9}, XferOpt{})
 		} else {
-			if _, ok := m.TryRecv(p, Match{From: Any, Tag: 9}); ok {
-				t.Error("TryRecv matched before delivery")
+			if _, ok := m.boxes[p.ID()].take(Match{From: Any, Tag: 9}); ok {
+				t.Error("take matched before delivery")
 			}
 			p.Elapse(100_000)
-			if _, ok := m.TryRecv(p, Match{From: Any, Tag: 9}); !ok {
-				t.Error("TryRecv missed a queued message")
+			if _, ok := m.boxes[p.ID()].take(Match{From: Any, Tag: 9}); !ok {
+				t.Error("take missed a queued message")
 			}
 		}
 	})
@@ -161,7 +161,7 @@ func TestBandwidthDominatesLargeTransfers(t *testing.T) {
 	err := eng.Run(4, func(p *sim.Proc) {
 		if p.ID() == 0 {
 			start := p.Now()
-			m.SendData(p, 2, 100<<20, XferOpt{})
+			m.SleepUntil(p, m.SendDataAsync(p.ID(), 2, 100<<20, XferOpt{}))
 			elapsed := (p.Now() - start).Seconds()
 			if elapsed < 0.09 || elapsed > 0.15 {
 				t.Errorf("100MB at 1GB/s took %.3fs, want ~0.105s", elapsed)
@@ -180,7 +180,7 @@ func TestNICOccupancySerializesTransfers(t *testing.T) {
 	var tEach, tBoth sim.Time
 	err := eng.Run(6, func(p *sim.Proc) {
 		if p.ID() == 0 {
-			m.SendData(p, 4, 10<<20, XferOpt{})
+			m.SleepUntil(p, m.SendDataAsync(p.ID(), 4, 10<<20, XferOpt{}))
 			tEach = p.Now()
 		}
 	})
@@ -191,7 +191,7 @@ func TestNICOccupancySerializesTransfers(t *testing.T) {
 	m2, _ := NewMachine(eng2, testParams(), 6)
 	err = eng2.Run(6, func(p *sim.Proc) {
 		if p.ID() == 0 || p.ID() == 2 {
-			m2.SendData(p, 4, 10<<20, XferOpt{})
+			m2.SleepUntil(p, m2.SendDataAsync(p.ID(), 4, 10<<20, XferOpt{}))
 			if p.Now() > tBoth {
 				tBoth = p.Now()
 			}
@@ -212,10 +212,10 @@ func TestIntraNodeFasterThanInterNode(t *testing.T) {
 			return
 		}
 		start := p.Now()
-		m.SendData(p, 1, 1<<20, XferOpt{}) // same node
+		m.SleepUntil(p, m.SendDataAsync(p.ID(), 1, 1<<20, XferOpt{})) // same node
 		local := p.Now() - start
 		start = p.Now()
-		m.SendData(p, 2, 1<<20, XferOpt{}) // other node
+		m.SleepUntil(p, m.SendDataAsync(p.ID(), 2, 1<<20, XferOpt{})) // other node
 		remote := p.Now() - start
 		if local >= remote {
 			t.Errorf("intra-node (%v) should beat inter-node (%v)", local, remote)

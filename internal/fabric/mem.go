@@ -21,14 +21,6 @@ func (a Addr) Nil() bool { return a.VA == 0 }
 // Add offsets the address by n bytes.
 func (a Addr) Add(n int) Addr { return Addr{Rank: a.Rank, VA: a.VA + int64(n)} }
 
-// Sub returns the byte distance a-b; both must be on the same rank.
-func (a Addr) Sub(b Addr) int {
-	if a.Rank != b.Rank {
-		panic("fabric: Addr.Sub across ranks")
-	}
-	return int(a.VA - b.VA)
-}
-
 func (a Addr) String() string { return fmt.Sprintf("<%d,0x%x>", a.Rank, a.VA) }
 
 // Domain identifies a registration domain — a runtime system that pins

@@ -236,27 +236,11 @@ func (m *Machine) OnRecv(rank int, k Match, fn func(*Msg)) {
 	box.callbacks = append(box.callbacks, callback{match: k, fn: fn})
 }
 
-// TryRecv returns a message k accepts if one is already queued, without
-// blocking. The second result reports whether a message was consumed.
-func (m *Machine) TryRecv(p *sim.Proc, k Match) (*Msg, bool) {
-	return m.boxes[p.ID()].take(k)
-}
-
-// Pending reports the number of undelivered messages queued at a rank.
-func (m *Machine) Pending(rank int) int { return len(m.boxes[rank].queue) }
-
-// SendData performs a blocking timed transfer of n bytes from the
-// calling rank to dst and parks the caller until the data has fully
-// arrived at dst (remote completion). It delivers no message; it only
-// charges time. Used for RDMA-style data movement where the control
-// protocol is handled separately.
-func (m *Machine) SendData(p *sim.Proc, dst, n int, opt XferOpt) {
-	_, arrive := m.xferCost(p.Now(), p.ID(), dst, n, opt)
-	m.SleepUntil(p, arrive)
-}
-
-// SendDataAsync is SendData without blocking: it charges the transfer
-// and returns its arrival time.
+// SendDataAsync charges a timed transfer of n bytes from rank from to
+// dst and returns its arrival time at dst (remote completion). It
+// delivers no message and does not block: RDMA-style data movement
+// whose control protocol is handled separately, or, with SleepUntil,
+// a blocking transfer.
 func (m *Machine) SendDataAsync(from, dst, n int, opt XferOpt) sim.Time {
 	_, arrive := m.xferCost(m.Eng.Now(), from, dst, n, opt)
 	return arrive

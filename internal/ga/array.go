@@ -11,7 +11,6 @@ import (
 // collectively and contain identical metadata on every rank.
 type Array struct {
 	env  *Env
-	id   int
 	name string
 	elem Elem
 	dist *Distribution
@@ -72,8 +71,7 @@ func (e *Env) createOn(g *armci.Group, name string, elem Elem, dims []int) (*Arr
 	if err != nil {
 		return nil, fmt.Errorf("ga: Create(%q): %w", name, err)
 	}
-	a := &Array{env: e, id: e.next, name: name, elem: elem, dist: dist, group: g, addrs: addrs}
-	e.next++
+	a := &Array{env: e, name: name, elem: elem, dist: dist, group: g, addrs: addrs}
 	// Regions are born zeroed in the simulation (GA arrays start
 	// zeroed); the sync establishes GA_Create's barrier semantics over
 	// the array's group.
@@ -132,15 +130,6 @@ func (a *Array) worldRankOfOwner(owner int) int {
 
 // Name returns the array's name.
 func (a *Array) Name() string { return a.name }
-
-// Dims returns the array extents.
-func (a *Array) Dims() []int { return append([]int(nil), a.dist.Dims...) }
-
-// Elem returns the element type.
-func (a *Array) Elem() Elem { return a.elem }
-
-// Handle returns the array id (GA handle).
-func (a *Array) Handle() int { return a.id }
 
 // Distribution returns the inclusive bounds of the block owned by the
 // given process (world rank); ok is false when it owns nothing
@@ -233,9 +222,6 @@ type LocalBlock struct {
 // memory until Release.
 func (b *LocalBlock) F64s() []float64 { return view[float64](b.mem) }
 
-// I64s is F64s for an integer array.
-func (b *LocalBlock) I64s() []int64 { return view[int64](b.mem) }
-
 // Dims returns the block extents.
 func (b *LocalBlock) Dims() []int { return append([]int(nil), b.dims...) }
 
@@ -248,14 +234,5 @@ func (b *LocalBlock) offset(idx []int) int {
 	return off * elemBytes
 }
 
-// F64 reads the float64 at block-relative indices.
-func (b *LocalBlock) F64(idx ...int) float64 { return f64get(b.mem[b.offset(idx):]) }
-
 // SetF64 writes the float64 at block-relative indices.
 func (b *LocalBlock) SetF64(v float64, idx ...int) { f64put(b.mem[b.offset(idx):], v) }
-
-// I64 reads the int64 at block-relative indices.
-func (b *LocalBlock) I64(idx ...int) int64 { return i64get(b.mem[b.offset(idx):]) }
-
-// SetI64 writes the int64 at block-relative indices.
-func (b *LocalBlock) SetI64(v int64, idx ...int) { i64put(b.mem[b.offset(idx):], v) }

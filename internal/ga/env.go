@@ -51,9 +51,8 @@ func (e Elem) String() string {
 // Env is one rank's Global Arrays environment: the ARMCI runtime and
 // the MPI rank used for GA's collective operations (GA_Brdcst, GA_Dgop).
 type Env struct {
-	Rt   armci.Runtime
-	Mpi  *mpi.Rank
-	next int // per-rank array id counter; identical across ranks
+	Rt  armci.Runtime
+	Mpi *mpi.Rank
 
 	// BlockingFanout forces per-owner fan-outs (Put/Get/Acc and
 	// Gather/Scatter/ScatterAcc) to issue one blocking ARMCI operation
@@ -130,27 +129,13 @@ func (e *Env) GopF64(op mpi.Op, vals []float64) []float64 {
 	return e.Mpi.CommWorld().AllreduceF64(op, vals)
 }
 
-// GopI64 is GA_Igop for 64-bit integers.
-func (e *Env) GopI64(op mpi.Op, vals []int64) []int64 {
-	return e.Mpi.CommWorld().AllreduceI64(op, vals)
-}
-
 // BrdcstF64 broadcasts doubles from root (GA_Brdcst).
 func (e *Env) BrdcstF64(root int, vals []float64) []float64 {
 	return e.Mpi.CommWorld().BcastF64(root, vals)
 }
 
-// f64get reads a float64 from region bytes.
-func f64get(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
 // f64put writes a float64 into region bytes.
 func f64put(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
-
-// i64get reads an int64 from region bytes.
-func i64get(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
-
-// i64put writes an int64 into region bytes.
-func i64put(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
 
 // checkRange validates a patch against array bounds (inclusive hi, GA
 // convention).

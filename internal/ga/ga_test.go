@@ -170,11 +170,11 @@ func TestPutSpansMultipleOwners(t *testing.T) {
 		// Every rank verifies its own block through direct access.
 		blk, err := a.Access()
 		if err == nil {
-			d := blk.Dims()
+			d, f := blk.Dims(), blk.F64s()
 			for i := 0; i < d[0]; i++ {
 				for j := 0; j < d[1]; j++ {
 					want := float64((blk.Lo[0]+i)*16 + blk.Lo[1] + j)
-					if got := blk.F64(i, j); got != want {
+					if got := f[i*d[1]+j]; got != want {
 						t.Fatalf("rank %d block (%d,%d) = %v, want %v", e.Me(), i, j, got, want)
 					}
 				}

@@ -19,6 +19,15 @@ func panicOf(f func()) (msg string) {
 	return ""
 }
 
+// f64get reads a float64 from region bytes.
+func f64get(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+// i64get reads an int64 from region bytes.
+func i64get(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
+
+// i64put writes an int64 into region bytes.
+func i64put(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
+
 // checkView holds the typed view to the f64get/f64put/i64get/i64put
 // codec — the reference for the region layout — on the window
 // [off, off+n) of an 8-aligned copy of data: reads through the view,

@@ -235,30 +235,3 @@ func (c *Comm) AllreduceI64(op Op, vals []int64) []int64 {
 	}
 	return acc
 }
-
-// ReduceF64 reduces to root only (implemented as allreduce cost-wise
-// is unfair; use a binomial gather-reduce).
-func (c *Comm) ReduceF64(root int, op Op, vals []float64) []float64 {
-	c.collSeq++
-	n := c.Size()
-	acc := append([]float64(nil), vals...)
-	if n == 1 {
-		return acc
-	}
-	vrank := (c.rank - root + n) % n
-	tag := c.collTag(0)
-	for bit := 1; bit < n; bit *= 2 {
-		if vrank&bit != 0 {
-			// Send my partial to the parent and exit.
-			c.Send(((vrank^bit)+root)%n, tag, f64sToBytes(acc))
-			return nil
-		}
-		peer := vrank | bit
-		if peer < n {
-			data, _ := c.Recv((peer+root)%n, tag)
-			reduceF64(op, acc, bytesToF64s(data))
-			c.r.W.M.PutBuf(data)
-		}
-	}
-	return acc
-}

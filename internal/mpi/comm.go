@@ -24,17 +24,11 @@ func (c *Comm) Size() int { return len(c.group) }
 // Rank returns the calling rank's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
-// Group returns a copy of the communicator's world-rank group.
-func (c *Comm) Group() []int { return append([]int(nil), c.group...) }
-
 // GroupShared returns the communicator's world-rank group without
 // copying. The slice is shared (for CommWorld, by every rank of the
 // job) and must be treated as read-only; use it where a per-rank copy
 // of an N-entry table would multiply to N² at scale.
 func (c *Comm) GroupShared() []int { return c.group }
-
-// ContextID returns the communicator's context id (diagnostics only).
-func (c *Comm) ContextID() int { return c.cid }
 
 // RankOfWorld translates a world rank to a rank in this communicator,
 // or -1 when the process is not a member.

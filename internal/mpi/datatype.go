@@ -65,25 +65,6 @@ type vectorType struct {
 	fl                      *Flat // lazily built flatten cache
 }
 
-// TypeVector returns a strided datatype: count blocks of blocklen
-// bytes whose starts are stride bytes apart. stride >= blocklen is
-// required so runs do not overlap.
-func TypeVector(count, blocklen, stride int) Datatype {
-	if count < 0 || blocklen < 0 {
-		panic("mpi: TypeVector with negative count/blocklen")
-	}
-	if count > 1 && stride < blocklen {
-		panic("mpi: TypeVector with overlapping blocks")
-	}
-	if count <= 1 || blocklen == 0 {
-		return contigType{n: count * blocklen}
-	}
-	if stride == blocklen {
-		return contigType{n: count * blocklen}
-	}
-	return &vectorType{count: count, blocklen: blocklen, stride: stride}
-}
-
 func (t *vectorType) Size() int    { return t.count * t.blocklen }
 func (t *vectorType) Extent() int  { return (t.count-1)*t.stride + t.blocklen }
 func (t *vectorType) Span() int    { return (t.count-1)*t.stride + t.blocklen }

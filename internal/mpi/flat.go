@@ -35,15 +35,6 @@ type Flat struct {
 	span int
 }
 
-// Size is the number of data bytes the flattened type describes.
-func (f *Flat) Size() int { return f.size }
-
-// Span is one past the highest byte touched.
-func (f *Flat) Span() int { return f.span }
-
-// NumSegs is the number of contiguous runs.
-func (f *Flat) NumSegs() int { return len(f.Segs) }
-
 // flattener is implemented by datatypes that memoize their Flat.
 type flattener interface {
 	flat() *Flat

@@ -112,24 +112,6 @@ func TestSendCopiesData(t *testing.T) {
 	})
 }
 
-func TestIsendIrecvWait(t *testing.T) {
-	runMPI(t, 2, func(r *Rank) {
-		c := r.CommWorld()
-		if c.Rank() == 0 {
-			req := c.Isend(1, 3, []byte("x"))
-			if !req.Test() {
-				t.Error("eager Isend should be complete")
-			}
-		} else {
-			req := c.Irecv(0, 3)
-			data, st := req.Wait()
-			if string(data) != "x" || st.Source != 0 {
-				t.Errorf("Irecv got %q from %d", data, st.Source)
-			}
-		}
-	})
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	var after [4]sim.Time
 	runMPI(t, 4, func(r *Rank) {
@@ -213,20 +195,6 @@ func TestAllreduceSumAndMax(t *testing.T) {
 			})
 		})
 	}
-}
-
-func TestReduceToRoot(t *testing.T) {
-	runMPI(t, 6, func(r *Rank) {
-		c := r.CommWorld()
-		out := c.ReduceF64(2, OpSum, []float64{1})
-		if c.Rank() == 2 {
-			if out == nil || out[0] != 6 {
-				t.Errorf("reduce at root = %v, want [6]", out)
-			}
-		} else if out != nil {
-			t.Error("non-root received reduce result")
-		}
-	})
 }
 
 func TestCommSplitAndIsolation(t *testing.T) {

@@ -143,13 +143,10 @@ func (c *Comm) snapshot(data []byte) []byte {
 }
 
 // match is the receive selector for (src, tag) on this communicator,
-// with wildcard support: eager bodies and, when includeRTS is set,
-// rendezvous announcements. src is a communicator rank or AnySource.
-func (c *Comm) match(src, tag int, includeRTS bool) fabric.Match {
-	k := fabric.Match{Kinds: 1 << kindP2P, Ctx: c.cid, From: fabric.Any, Tag: tag}
-	if includeRTS {
-		k.Kinds |= 1 << kindRendezvousRTS
-	}
+// with wildcard support: eager bodies and rendezvous announcements. src
+// is a communicator rank or AnySource.
+func (c *Comm) match(src, tag int) fabric.Match {
+	k := fabric.Match{Kinds: 1<<kindP2P | 1<<kindRendezvousRTS, Ctx: c.cid, From: fabric.Any, Tag: tag}
 	if src != AnySource {
 		if src < 0 || src >= c.Size() {
 			panic(fmt.Sprintf("mpi: Recv from bad rank %d of comm size %d", src, c.Size()))
@@ -168,7 +165,7 @@ func (c *Comm) match(src, tag int, includeRTS bool) fabric.Match {
 // for the body.
 func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	c.r.opOverhead()
-	m := c.r.W.M.Recv(c.r.P, c.match(src, tag, true))
+	m := c.r.W.M.Recv(c.r.P, c.match(src, tag))
 	switch pl := m.Payload.(type) {
 	case *eagerMsg:
 		return c.consume(pl)
@@ -190,18 +187,6 @@ func (c *Comm) completeRendezvous(rts *fabric.Msg, pl *rtsPayload) ([]byte, Stat
 	return dp.data, Status{Source: pl.src, Tag: data.Tag, Size: data.Size}
 }
 
-// TryRecv receives a matching *eager* message if one is already
-// queued. Rendezvous transfers require the blocking Recv (or a Wait on
-// an Irecv request), since completing one entails a handshake.
-func (c *Comm) TryRecv(src, tag int) ([]byte, Status, bool) {
-	m, ok := c.r.W.M.TryRecv(c.r.P, c.match(src, tag, false))
-	if !ok {
-		return nil, Status{}, false
-	}
-	data, st := c.consume(m.Payload.(*eagerMsg))
-	return data, st, true
-}
-
 // Sendrecv performs a combined send and receive, safe against cyclic
 // patterns: the send's completion is event-driven, so posting the
 // receive below lets a symmetric large-message exchange progress.
@@ -221,57 +206,6 @@ func (c *Comm) Sendrecv(to, sendTag int, data []byte, from, recvTag int) ([]byte
 		}
 	}
 	return out, status
-}
-
-// Request is a handle for a nonblocking receive; sends complete
-// immediately under the buffered-eager model.
-type Request struct {
-	c    *Comm
-	src  int
-	tag  int
-	done bool
-	data []byte
-	st   Status
-}
-
-// Irecv posts a nonblocking receive.
-func (c *Comm) Irecv(src, tag int) *Request {
-	return &Request{c: c, src: src, tag: tag}
-}
-
-// Isend starts a buffered send; the returned request is already
-// complete (local completion for an eager send).
-func (c *Comm) Isend(to, tag int, data []byte) *Request {
-	c.Send(to, tag, data)
-	return &Request{c: c, done: true}
-}
-
-// Test polls for completion without blocking.
-func (r *Request) Test() bool {
-	if r.done {
-		return true
-	}
-	if data, st, ok := r.c.TryRecv(r.src, r.tag); ok {
-		r.data, r.st, r.done = data, st, true
-	}
-	return r.done
-}
-
-// Wait blocks until the request completes and returns the received
-// payload (nil for send requests).
-func (r *Request) Wait() ([]byte, Status) {
-	if !r.done {
-		r.data, r.st = r.c.Recv(r.src, r.tag)
-		r.done = true
-	}
-	return r.data, r.st
-}
-
-// WaitAll completes a set of requests.
-func WaitAll(reqs ...*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
 }
 
 // rankOfWorld translates a world rank into this communicator's rank,

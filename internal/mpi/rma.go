@@ -332,10 +332,6 @@ func newWinState(id int, w *World, comm *Comm, shared bool) *winState {
 	return ws
 }
 
-// Shared reports whether the window was created with
-// Win_allocate_shared semantics.
-func (w *Win) Shared() bool { return w.state.shared }
-
 // SharedQuery returns the directly-addressable region of a same-node
 // target in a shared window (MPI_Win_shared_query). The second result
 // is false for cross-node targets, non-shared windows, or targets
@@ -391,9 +387,6 @@ func (w *Win) Free() error {
 
 // validTarget reports whether target is a rank of the window.
 func (w *Win) validTarget(target int) bool { return target >= 0 && target < len(w.state.group) }
-
-// Size returns the exposed byte count of the given window rank.
-func (w *Win) Size(rank int) int { return w.state.sizes[rank] }
 
 // LocalRegion returns the memory this rank exposes in the window.
 func (w *Win) LocalRegion() *fabric.Region { return w.state.regions[w.rank] }

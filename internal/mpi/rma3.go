@@ -276,9 +276,3 @@ func amoUpdate(kind opKind, op Op, old, operand, compare int64) (int64, bool) {
 func (w *Win) FetchAndOp(op Op, operand int64, target, tdisp int) (int64, error) {
 	return w.atomic("Fetch_and_op", rmaOp{kind: opFetchOp, op: op, operand: operand}, target, tdisp)
 }
-
-// CompareAndSwap atomically replaces the int64 at (target, tdisp) with
-// swapv if it equals compare, returning the previous value.
-func (w *Win) CompareAndSwap(compare, swapv int64, target, tdisp int) (int64, error) {
-	return w.atomic("Compare_and_swap", rmaOp{kind: opCAS, op: OpReplace, operand: swapv, compare: compare}, target, tdisp)
-}

@@ -47,20 +47,6 @@ func newAgg() agg {
 	return agg{cells: map[cellKey]sim.Time{}, chains: map[chainKey]chainVal{}}
 }
 
-// merge folds o into a (additive everywhere; job records concatenate).
-func (a *agg) merge(o *agg) {
-	a.jobs = append(a.jobs, o.jobs...)
-	for k, v := range o.cells {
-		a.cells[k] += v
-	}
-	for k, v := range o.chains {
-		c := a.chains[k]
-		c.count += v.count
-		c.ns += v.ns
-		a.chains[k] = c
-	}
-}
-
 // view is one job's complete log set: the per-rank logs, plus the hop
 // table for Ref resolution.
 type view struct {

@@ -170,22 +170,6 @@ func (m *Metrics) TimeOf(name string) []sim.Time {
 	return m.times[name]
 }
 
-// Gauge returns the per-rank values of a gauge (nil if unused).
-func (m *Metrics) Gauge(name string) []int64 {
-	if m == nil {
-		return nil
-	}
-	return m.gauges[name]
-}
-
-// HistOf returns the per-rank histograms of a name (nil if unused).
-func (m *Metrics) HistOf(name string) []*Hist {
-	if m == nil {
-		return nil
-	}
-	return m.hists[name]
-}
-
 // Total sums a counter across ranks.
 func Total(vals []int64) int64 { return sum(vals) }
 

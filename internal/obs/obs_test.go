@@ -87,13 +87,13 @@ func TestMetricsAccumulate(t *testing.T) {
 	if got := m.TimeOf(TLockWaitShared); got[1] != 2500 {
 		t.Errorf("time = %v", got)
 	}
-	if got := m.Gauge(GMutexQueue); got[0] != 2 {
+	if got := m.gauges[GMutexQueue]; got[0] != 2 {
 		t.Errorf("gauge = %v", got)
 	}
 	if got := m.Counter(CEpochs); got[0] != 2 || got[1] != 1 {
 		t.Errorf("a granted lock opens an epoch: epochs = %v", got)
 	}
-	h := m.HistOf(HLockWait)[0]
+	h := m.hists[HLockWait][0]
 	if h.Count != 2 || h.SumNs != 2047 {
 		t.Errorf("hist = %+v", h)
 	}

@@ -256,9 +256,3 @@ func (p *Platform) TableII() string {
 	return fmt.Sprintf("%-28s %6d  %-6s %-6s %-15s %s",
 		p.System, p.TableNodes, p.SocketsDesc, mem[p.Name], p.Interconnect, p.MPIVersion)
 }
-
-// EffBandwidth returns the large-transfer bandwidth (B/s) of the given
-// tuning on this platform.
-func (p *Platform) EffBandwidth(t *Tuning) float64 {
-	return p.Bandwidth * t.BandwidthFrac
-}

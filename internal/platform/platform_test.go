@@ -99,7 +99,7 @@ func TestPaperCalibrationInvariants(t *testing.T) {
 	if bgp.CopyRate > 2e9 {
 		t.Error("BG/P packing must be slow (SectionVII.A: slow cores impede data packing)")
 	}
-	if e := ib.EffBandwidth(&ib.Native); e <= ib.EffBandwidth(&ib.MPI) {
+	if ib.Native.BandwidthFrac <= ib.MPI.BandwidthFrac {
 		t.Error("IB native must out-bandwidth MPI")
 	}
 }

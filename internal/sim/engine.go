@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"iter"
 	"maps"
-	"math"
 	"slices"
 )
 
@@ -46,14 +45,10 @@ type Time int64
 
 // Common durations.
 const (
-	Nanosecond  Time = 1
 	Microsecond Time = 1000
 	Millisecond Time = 1000 * 1000
 	Second      Time = 1000 * 1000 * 1000
 )
-
-// MaxTime is the largest representable virtual time.
-const MaxTime Time = math.MaxInt64
 
 // Seconds converts a virtual duration to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
