@@ -162,14 +162,10 @@ func (r *Direct) mallocOn(comm *mpi.Comm, members []int, bytes int) ([]Addr, err
 		d, prepinned := r.w.t.AllocDomain()
 		va = r.w.M.Space(r.Rank()).Alloc(bytes, d, prepinned).VA
 	}
-	// Exchange base addresses (the all-to-all of SectionV.B); the
-	// group's first member enters the allocation into the directory.
-	addrs, sizes := decodeSlices(members, comm.AllgatherI64([]int64{va, int64(bytes)}))
-	if comm.Rank() == 0 {
-		r.w.dir.Register(members, append([]Addr(nil), addrs...), sizes, struct{}{})
-	}
+	a := r.w.dir.RegisterCollective(comm, members, va, bytes, func() struct{} { return struct{}{} })
 	comm.Barrier()
-	return addrs, nil
+	// One shared address vector per allocation, read-only to callers.
+	return a.Addrs, nil
 }
 
 // Free collectively releases an allocation (world).
@@ -184,34 +180,13 @@ func (r *Direct) FreeGroup(g *Group, addr Addr) error {
 }
 
 func (r *Direct) freeOn(comm *mpi.Comm, addr Addr) error {
-	// Leader election over (possibly NULL) addresses, as in SectionV.B:
-	// the highest rank holding a slice names the allocation.
-	mine := int64(-1)
-	if !addr.Nil() {
-		mine = int64(r.Rank())
-	}
-	gathered := comm.AllgatherI64([]int64{mine, addr.VA})
-	var key Addr
-	key.Rank = -1
-	for i := 0; i < len(gathered); i += 2 {
-		if int(gathered[i]) > key.Rank {
-			key = Addr{Rank: int(gathered[i]), VA: gathered[i+1]}
-		}
-	}
-	if key.Rank < 0 {
-		return r.errf("Free: all processes passed NULL")
-	}
-	a, _, _, ok := r.w.dir.Find(key)
-	if !ok {
-		return r.errf("Free(%v): unknown allocation", key)
-	}
-	gr := a.RankOf(r.Rank())
-	if gr < 0 {
-		return r.errf("Free(%v): rank %d is not a member of the allocation", key, r.Rank())
+	a, err := r.w.dir.Elect(comm, addr)
+	if err != nil {
+		return r.errf("%v", err)
 	}
 	// Release the local slice. The shared record stays until the final
 	// barrier: other members may still be looking it up.
-	if a.Sizes[gr] > 0 {
+	if gr := comm.Rank(); a.Sizes[gr] > 0 {
 		if err := r.w.M.Space(r.Rank()).Free(a.Addrs[gr].VA); err != nil {
 			return err
 		}
@@ -630,8 +605,7 @@ func (r *Direct) CreateMutexes(n int) (Mutexes, error) {
 		return nil, r.errf("CreateMutexes(%d)", n)
 	}
 	world := r.mr.CommWorld()
-	counts := world.AllgatherI64([]int64{int64(n)})
-	if r.Rank() == 0 {
+	if counts := world.GatherI64(0, []int64{int64(n)}); counts != nil {
 		h := &mutexHost{
 			counts: make([]int, len(counts)),
 			held:   map[[2]int]bool{},

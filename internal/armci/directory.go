@@ -1,6 +1,9 @@
 package armci
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mpi"
@@ -75,33 +78,54 @@ func (d *Directory[T]) Register(group []int, addrs []Addr, sizes []int, ext T) *
 // the shared entry back: every member of comm contributes the base VA
 // and size of its slice, comm's first member enters the allocation
 // (with the extension newExt builds), and its id is broadcast so all
-// members attach to one entry. The base addresses (the all-to-all of
-// SectionV.B) travel by gather-at-root, so the N-entry address table is
-// built once, read-only and shared, instead of on every rank; members
-// (for a world allocation, the job-wide shared group slice) is retained
-// from the first member, not copied.
+// members attach to one entry. The base addresses travel by
+// gather-at-root, so the N-entry address table is built once,
+// read-only and shared, instead of on every rank; members (for a world
+// allocation, the job-wide shared group slice) is retained from the
+// first member, not copied. A zero-size slice has the Nil address.
 func (d *Directory[T]) RegisterCollective(comm *mpi.Comm, members []int, va int64, bytes int, newExt func() T) *Allocation[T] {
 	vas := comm.GatherI64(0, []int64{va, int64(bytes)})
 	var id int
 	if comm.Rank() == 0 {
-		addrs, sizes := decodeSlices(members, vas)
+		addrs, sizes := make([]Addr, len(members)), make([]int, len(members))
+		for i, world := range members {
+			sizes[i] = int(vas[2*i+1])
+			if sizes[i] > 0 {
+				addrs[i] = Addr{Rank: world, VA: vas[2*i]}
+			}
+		}
 		id = d.Register(members, addrs, sizes, newExt()).ID
 	}
 	return d.ByID(int(comm.BcastI64(0, []int64{int64(id)})[0]))
 }
 
-// decodeSlices turns the gathered (base VA, size) pair of every member
-// of an allocation, in group-rank order, into the address and size
-// vectors a Directory records. A zero-size slice has the Nil address.
-func decodeSlices(members []int, vas []int64) (addrs []Addr, sizes []int) {
-	addrs, sizes = make([]Addr, len(members)), make([]int, len(members))
-	for i, world := range members {
-		sizes[i] = int(vas[2*i+1])
-		if sizes[i] > 0 {
-			addrs[i] = Addr{Rank: world, VA: vas[2*i]}
-		}
+// Elect is the leader election that opens a collective free
+// (SectionV.B): members of comm holding a zero-size slice pass the Nil
+// address, the highest world rank holding a slice wins an allreduce and
+// broadcasts its base VA, and every member resolves that one key. So a
+// free that names no allocation, or an allocation over another group
+// than comm's, fails with the same error on every member before any of
+// them tears anything down. On success the caller's slice is group
+// rank comm.Rank().
+func (d *Directory[T]) Elect(comm *mpi.Comm, addr Addr) (*Allocation[T], error) {
+	mine := int64(-1)
+	if !addr.Nil() {
+		mine = int64(comm.GroupShared()[comm.Rank()])
 	}
-	return addrs, sizes
+	leader := int(comm.AllreduceI64(mpi.OpMax, []int64{mine})[0])
+	if leader < 0 {
+		return nil, errors.New("Free: all processes passed NULL")
+	}
+	// Only the leader's VA is sent; the others' is overwritten.
+	key := Addr{Rank: leader, VA: comm.BcastI64(comm.RankOfWorld(leader), []int64{addr.VA})[0]}
+	a, _, _, ok := d.Find(key)
+	if !ok {
+		return nil, fmt.Errorf("Free(%v): no allocation at the leader's address", key)
+	}
+	if !slices.Equal(a.Group, comm.GroupShared()) {
+		return nil, fmt.Errorf("Free(%v): the allocation's group is not the communicator's", key)
+	}
+	return a, nil
 }
 
 // Unregister removes an allocation from the table.

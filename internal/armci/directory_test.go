@@ -3,6 +3,7 @@ package armci
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -259,7 +260,11 @@ func TestDirectoryFindAllocatesNothing(t *testing.T) {
 // random slices (a third of them empty), and checks that every member
 // attaches to the one entry, whose addresses and sizes are the serial
 // reference's: the member's base VA, or Nil for an empty slice. The
-// members slice is retained, not copied. Afterwards every pooled
+// members slice is retained, not copied. Each rank then opens a free
+// of each entry over the world, passing its own slice or Nil: Elect
+// must resolve the world entry on every rank (or fail on every rank
+// when every slice is empty), and fail alike on every rank for the odd
+// ranks' entry, whose group is not the world's. Afterwards every pooled
 // message body has come back to the pool.
 func TestRegisterCollectiveMatchesOracle(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 17, 64} {
@@ -287,7 +292,8 @@ func TestRegisterCollectiveMatchesOracle(t *testing.T) {
 			for r := 1; r < n; r += 2 {
 				odd = append(odd, r)
 			}
-			world, sub := make([]*Allocation[int], n), make([]*Allocation[int], n)
+			world, sub, elected := make([]*Allocation[int], n), make([]*Allocation[int], n), make([]*Allocation[int], n)
+			electErr, subErr := make([]error, n), make([]error, n)
 			var worldGroup []int
 			eng := sim.NewEngine()
 			m, err := fabric.NewMachine(eng, fabric.Params{
@@ -305,6 +311,18 @@ func TestRegisterCollectiveMatchesOracle(t *testing.T) {
 				if sc := c.Split(me%2-1, me); sc != nil {
 					sub[me] = d.RegisterCollective(sc, odd, vas[me]+1<<20, sizes[me], func() int { return 2 })
 				}
+				// Free elections over the world, each rank passing its
+				// own slice or Nil: one for the world entry, and one
+				// for the odd ranks' entry, over the wrong communicator.
+				var own, ownSub Addr
+				if sizes[me] > 0 {
+					own = Addr{Rank: me, VA: vas[me]}
+					if me%2 == 1 {
+						ownSub = own.Add(1 << 20)
+					}
+				}
+				elected[me], electErr[me] = d.Elect(c, own)
+				_, subErr[me] = d.Elect(c, ownSub)
 			}))
 			m.Retire()
 			if len(out) != 0 {
@@ -336,6 +354,18 @@ func TestRegisterCollectiveMatchesOracle(t *testing.T) {
 			}
 			check("world", world, worldGroup, 0)
 			check("odd ranks", sub, odd, 1<<20)
+			anySlice := slices.ContainsFunc(sizes, func(s int) bool { return s > 0 })
+			for r := range n {
+				if anySlice && (electErr[r] != nil || elected[r] != world[r]) {
+					t.Errorf("rank %d: Elect over the world gave %p, %v; want the world entry %p", r, elected[r], electErr[r], world[r])
+				}
+				if !anySlice && electErr[r] == nil {
+					t.Errorf("rank %d: Elect with every address Nil succeeded", r)
+				}
+				if subErr[r] == nil || subErr[r].Error() != subErr[0].Error() {
+					t.Errorf("rank %d: Elect of the odd ranks' entry over the world: %v, rank 0: %v; want one error on every rank", r, subErr[r], subErr[0])
+				}
+			}
 			if d.Len() != 1+min(len(odd), 1) {
 				t.Errorf("Len() = %d", d.Len())
 			}

@@ -368,29 +368,9 @@ func (r *Runtime) FreeGroup(g *armci.Group, addr armci.Addr) error {
 }
 
 func (r *Runtime) freeOn(comm *mpi.Comm, addr armci.Addr) error {
-	// Leader election: processes with a non-NULL address put forth
-	// their rank; the maximum wins and broadcasts its address.
-	mine := int64(-1)
-	if !addr.Nil() {
-		mine = int64(r.Rank())
-	}
-	red := comm.AllreduceI64(mpi.OpMax, []int64{mine})
-	leader := int(red[0])
-	if leader < 0 {
-		return fmt.Errorf("armcimpi: Free: all processes passed NULL")
-	}
-	var hdr []int64
-	leaderComm := comm.RankOfWorld(leader)
-	if r.Rank() == leader {
-		hdr = []int64{addr.VA}
-	} else {
-		hdr = make([]int64, 1)
-	}
-	hdr = comm.BcastI64(leaderComm, hdr)
-	key := armci.Addr{Rank: leader, VA: hdr[0]}
-	g, _, _, ok := r.W.dir.Find(key)
-	if !ok {
-		return fmt.Errorf("armcimpi: Free(%v): no GMR for leader address", key)
+	g, err := r.W.dir.Elect(comm, addr)
+	if err != nil {
+		return fmt.Errorf("armcimpi: %v", err)
 	}
 	// Destroy the RMW mutex and the window, then release local memory.
 	if mux := g.Ext.mutex[r.Rank()]; mux != nil {
@@ -406,7 +386,7 @@ func (r *Runtime) freeOn(comm *mpi.Comm, addr armci.Addr) error {
 	if err := win.Free(); err != nil {
 		return err
 	}
-	if gr := g.RankOf(r.Rank()); g.Sizes[gr] > 0 {
+	if gr := comm.Rank(); g.Sizes[gr] > 0 {
 		if err := r.W.Mpi.M.Space(r.Rank()).Free(g.Addrs[gr].VA); err != nil {
 			return err
 		}

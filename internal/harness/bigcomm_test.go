@@ -18,11 +18,13 @@ import (
 // collectives at the 4096 ranks the scale sweep starts from:
 // communicator Dup via the identity split, window creation, the shared
 // allocation address vector and scalar-broadcast mutex counts — then
-// data movement and a full free cycle on top of the shared metadata.
+// data movement and a full free cycle on top of the shared metadata,
+// on ARMCI-MPI, dartmpi and native (no windows there; the same
+// armci.Directory allocation protocol).
 func TestBigCommMetadataPaths(t *testing.T) {
 	const nranks = 4096
 	plat := platform.Get(platform.CrayXT5)
-	for _, impl := range []Impl{ImplARMCIMPI, ImplDartMPI} {
+	for _, impl := range []Impl{ImplARMCIMPI, ImplDartMPI, ImplNative} {
 		t.Run(string(impl), func(t *testing.T) {
 			opt := armcimpi.DefaultOptions()
 			opt.UseMPI3 = true
@@ -66,13 +68,14 @@ func TestBigCommMetadataPaths(t *testing.T) {
 
 // TestMallocMessagesNearLinear pins the metadata collectives' algorithm
 // by counting, not timing: one collective Malloc, Barrier and Free on
-// ARMCI-MPI. Gathers and broadcasts send n−1 messages each; the
-// dissemination barriers and the recursive-doubling leader election
-// send n·log2(n). So messages ÷ (n·log2 n) stays bounded, and 256 ranks
-// send at most 4 × 8/6 times what 64 do. The counts are exact and
-// deterministic: a regression to an allgather ring (n(n−1) messages per
-// exchange) fails here on any host. dartmpi allocates through the same
-// engine, so it must send exactly as many messages.
+// ARMCI-MPI, native and the data server, which share one allocation
+// protocol (armci.Directory). Gathers and broadcasts send n−1 messages
+// each; the dissemination barriers and the recursive-doubling leader
+// election send n·log2(n). So messages ÷ (n·log2 n) stays bounded, and
+// 256 ranks send at most 4 × 8/6 times what 64 do. The counts are exact
+// and deterministic: a regression to an allgather ring (n(n−1) messages
+// per exchange) fails here on any host. dartmpi allocates through the
+// ARMCI-MPI engine, so it must send exactly as many messages.
 func TestMallocMessagesNearLinear(t *testing.T) {
 	count := func(impl Impl, n int) int64 {
 		rec := obs.New(obs.Options{})
@@ -85,18 +88,22 @@ func TestMallocMessagesNearLinear(t *testing.T) {
 		must(t, err)
 		return obs.Total(rec.Metrics().Counter(obs.CFabMsgs))
 	}
-	msgs := map[int]int64{}
-	for _, n := range []int{16, 64, 256} {
-		msgs[n] = count(ImplARMCIMPI, n)
-		if per := float64(msgs[n]) / float64(n*bits.Len(uint(n-1))); per > 12 {
-			t.Errorf("%d ranks: %d fabric messages, %.1f per rank per log2(n)", n, msgs[n], per)
+	for _, impl := range []Impl{ImplARMCIMPI, ImplNative, ImplDataServer} {
+		msgs := map[int]int64{}
+		for _, n := range []int{16, 64, 256} {
+			msgs[n] = count(impl, n)
+			if per := float64(msgs[n]) / float64(n*bits.Len(uint(n-1))); per > 12 {
+				t.Errorf("%s, %d ranks: %d fabric messages, %.1f per rank per log2(n)", impl, n, msgs[n], per)
+			}
+			if impl == ImplARMCIMPI {
+				if dart := count(ImplDartMPI, n); dart != msgs[n] {
+					t.Errorf("%d ranks: dartmpi sends %d fabric messages, ARMCI-MPI %d", n, dart, msgs[n])
+				}
+			}
 		}
-		if dart := count(ImplDartMPI, n); dart != msgs[n] {
-			t.Errorf("%d ranks: dartmpi sends %d fabric messages, ARMCI-MPI %d", n, dart, msgs[n])
+		if msgs[256]*6 > msgs[64]*4*8 {
+			t.Errorf("%s fabric messages: %d at 256 ranks > 16/3 × %d at 64, more than n·log2(n) growth", impl, msgs[256], msgs[64])
 		}
-	}
-	if msgs[256]*6 > msgs[64]*4*8 {
-		t.Errorf("fabric messages: %d at 256 ranks > 16/3 × %d at 64, more than n·log2(n) growth", msgs[256], msgs[64])
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/armci"
@@ -519,6 +520,35 @@ func TestFreeWithZeroSizeSlices(t *testing.T) {
 		}
 		rt.Barrier()
 		must(t, rt.Free(addrs[rt.Rank()]))
+	})
+}
+
+// TestFreeCollectiveErrors pins the leader election that opens every
+// collective free (SectionV.B) on two bad calls: a free in which every
+// process passes NULL, and a group allocation freed over the world
+// communicator, its non-members passing NULL. Every process must get
+// the error before any of them tears down a slice or a window or waits
+// in the free's closing barrier, and the allocation then frees
+// correctly over its own group.
+func TestFreeCollectiveErrors(t *testing.T) {
+	forBoth(t, 4, func(t *testing.T, rt armci.Runtime) {
+		if err := rt.Free(armci.Addr{}); err == nil || !strings.Contains(err.Error(), "NULL") {
+			t.Errorf("all-NULL Free: error %v, want one naming NULL", err)
+		}
+		g, err := rt.GroupCreateCollective([]int{0, 1})
+		must(t, err)
+		var mine armci.Addr
+		if g != nil {
+			addrs, err := rt.MallocGroup(g, 64)
+			must(t, err)
+			mine = addrs[g.RankOf(rt.Rank())]
+		}
+		if err := rt.Free(mine); err == nil || !strings.Contains(err.Error(), "group") {
+			t.Errorf("Free of a group allocation over world: error %v, want one naming the group", err)
+		}
+		if g != nil {
+			must(t, rt.FreeGroup(g, mine))
+		}
 	})
 }
 
