@@ -15,11 +15,20 @@ import (
 // moves bytes itself instead of translating to MPI RMA: collective
 // allocation and leader-elected free over the Directory, local memory,
 // validation and resolution of every request shape to an Xfer, the
-// blocking and nonblocking surface, fence horizons, read-modify-write,
-// the mutex FIFO, direct local access, access modes, and groups. What
-// a byte or a control message costs, and which resource it occupies on
-// the way, is the Transport's business: internal/native and
-// internal/dataserver are two of them.
+// data movement of every transfer, the blocking and nonblocking
+// surface, fence horizons, read-modify-write, the mutex FIFO, direct
+// local access, access modes, and groups. What a byte or a control
+// message costs, and which resource it occupies on the way, is the
+// Transport's business: internal/native and internal/dataserver are
+// two of them.
+//
+// Every put, accumulate and get moves its bytes at issue, in program
+// order (Xfer.move). ARMCI's location-consistent model allows it: a
+// blocking put or accumulate may take effect anywhere between issue and
+// the Fence that completes it remotely, and a get may read its source
+// anywhere between issue and completion. Moving at issue is one of
+// those outcomes, and it is the one under which a rank always reads its
+// own writes.
 //
 // The rule of the seam: everything virtual time can see — the order
 // and arguments of Elapse, SendDataAsync and Eng.At calls, and the park
@@ -27,7 +36,8 @@ import (
 // one fixed order for every transport, or belongs to the transport.
 // Nothing here asks which transport it is serving.
 
-// Transport is the cost model and data path under the skeleton.
+// Transport is the cost model under the skeleton. It moves no bytes:
+// by the time it sees a transfer, the skeleton has moved them.
 type Transport interface {
 	// Labels returns the strings that identify the transport. The
 	// skeleton reads them once, when the world is built.
@@ -38,14 +48,14 @@ type Transport interface {
 	// AllocDomain is the registration domain ARMCI memory is allocated
 	// in, and whether it comes pre-pinned.
 	AllocDomain() (d fabric.Domain, prepinned bool)
-	// Put ships x from p's rank to x.Target — snapshot, occupancy of
-	// whatever serves the target, landing event — and returns the time
-	// the data is remotely complete. The origin buffer is reusable on
-	// return, so the snapshot is taken at issue.
+	// Put charges shipping x from p's rank to x.Target — the origin's
+	// time, occupancy of whatever serves the target — and returns the
+	// time the data is remotely complete, which Fence waits for.
 	Put(p *sim.Proc, x Xfer) sim.Time
-	// Get fetches x from x.Target into p's rank and calls h.Complete
-	// once the data has landed. A transport whose protocol cannot
-	// overlap a get waits for that (h.Wait) before returning.
+	// Get charges fetching x from x.Target into p's rank and calls
+	// h.Complete at the time the data would have landed. A transport
+	// whose protocol cannot overlap a get waits for that (h.Wait)
+	// before returning.
 	Get(p *sim.Proc, x Xfer, h *Pending)
 	// Serve is the target-side step of a request that carries no
 	// payload: it runs fn at target once the request, arriving at
@@ -349,15 +359,15 @@ func (r *Direct) iov(k kind, scale float64, iov []GIOV, proc int) (Xfer, error) 
 func (x Xfer) empty() bool { return x.Local == nil }
 
 // completed is the handle of an operation that was locally complete
-// when its call returned: every put and accumulate (the transports
-// snapshot the source at issue), and empty transfers.
+// when its call returned: every put and accumulate (its bytes moved at
+// issue), and empty transfers.
 type completed struct{}
 
 func (completed) Wait()      {}
 func (completed) Test() bool { return true }
 
 // Pending is the handle of a get in flight: done is set by the
-// transport's landing event.
+// transport's completion event (the bytes themselves moved at issue).
 type Pending struct {
 	r             *Direct
 	done, waiting bool
@@ -392,6 +402,7 @@ func (r *Direct) put(op profile.Op, x Xfer, err error) error {
 		return err
 	}
 	r.opCost()
+	x.move(r.w.M, x.Target == r.Rank())
 	if at := r.w.t.Put(r.p, x); r.w.lastRemote[r.Rank()][x.Target] < at {
 		r.w.lastRemote[r.Rank()][x.Target] = at
 	}
@@ -409,6 +420,7 @@ func (r *Direct) get(op profile.Op, x Xfer, err error) (Handle, error) {
 		return completed{}, nil
 	}
 	r.opCost()
+	x.move(r.w.M, x.Target == r.Rank())
 	h := &Pending{r: r}
 	r.w.t.Get(r.p, x, h)
 	return h, nil

@@ -12,10 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
-// recTransport is the substitute the Transport seam exists for: it
-// records everything the skeleton hands it and moves the bytes at once,
-// at no cost. Its remote-completion horizon is settable, for the fence
-// test.
+// recTransport is the substitute the Transport seam exists for: a pure
+// cost model, as the real transports are, that records everything the
+// skeleton hands it and charges nothing. Its remote-completion horizon
+// is settable, for the fence test.
 type recTransport struct {
 	m       *fabric.Machine
 	puts    []Xfer
@@ -32,15 +32,11 @@ func (t *recTransport) OpCost() sim.Time                   { t.opCosts++; return
 func (t *recTransport) AllocDomain() (fabric.Domain, bool) { return fabric.DomainNone, false }
 func (t *recTransport) Put(p *sim.Proc, x Xfer) sim.Time {
 	t.puts = append(t.puts, x)
-	x.Scatter(t.m, x.Gather(t.m))
 	return p.Now() + t.lag
 }
 func (t *recTransport) Get(p *sim.Proc, x Xfer, h *Pending) {
 	t.gets = append(t.gets, x)
-	t.m.Eng.At(p.Now()+100, func() { // land later, so blocking gets really wait
-		x.Copy()
-		h.Complete()
-	})
+	t.m.Eng.At(p.Now()+100, h.Complete) // complete later, so blocking gets really wait
 }
 func (t *recTransport) Serve(origin, target int, arrive sim.Time, amoBytes int, fn func()) {
 	t.serves = append(t.serves, amoBytes)

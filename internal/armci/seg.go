@@ -16,8 +16,9 @@ type Seg struct {
 // Xfer is one validated, fully resolved transfer as the direct-runtime
 // skeleton hands it to a Transport: every contiguous, strided and IOV
 // request of the ARMCI surface arrives in this one shape. It travels
-// by value — a landing event's closure captures it whole, so a
-// contiguous transfer owns no memory besides that closure.
+// by value, so a contiguous transfer owns no memory of its own. The
+// skeleton has moved its bytes before the transport sees it: what the
+// transport reads of it is the cost model's input.
 type Xfer struct {
 	Target int            // the remote process
 	Segs   []Seg          // the segments of a strided or IOV transfer; nil for a contiguous one
@@ -42,13 +43,34 @@ func (x Xfer) Segments() []Seg {
 	return x.Segs
 }
 
-// Gather snapshots every segment's source bytes, times Scale, into one
+// move performs the transfer's data movement, all of it, at once:
+// every segment from source to destination, stored, or summed in place
+// on float64s for an accumulate. The direct runtimes call it at issue.
+// A transfer whose target is the calling rank itself may have
+// overlapping sides, so self stages it through one pooled slab, the
+// source read in full before any destination byte is written; a scaled
+// accumulate is staged the same way, scaled into the slab and summed
+// from it.
+func (x Xfer) move(m *fabric.Machine, self bool) {
+	if self || x.Accumulate && x.Scale != 1 {
+		x.scatter(m, x.gather(m))
+		return
+	}
+	for _, sg := range x.Segments() {
+		dst, src := sg.Dreg.Bytes(sg.DstVA, sg.N), sg.Sreg.Bytes(sg.SrcVA, sg.N)
+		if x.Accumulate {
+			mpi.ReduceBytesF64(mpi.OpSum, dst, src)
+		} else {
+			copy(dst, src)
+		}
+	}
+}
+
+// gather snapshots every segment's source bytes, times Scale, into one
 // dense pooled slab of Total bytes — one buffer per operation, not one
-// per segment: a put's or accumulate's origin at issue, or the source
-// of a get from the calling rank itself, which may overlap its
-// destination. A scale of 1 is a plain copy; any other scale requires
+// per segment. A scale of 1 is a plain copy; any other scale requires
 // float64-aligned segments.
-func (x Xfer) Gather(m *fabric.Machine) []byte {
+func (x Xfer) gather(m *fabric.Machine) []byte {
 	slab := m.GetBuf(x.Total)
 	pos := 0
 	for _, sg := range x.Segments() {
@@ -58,10 +80,10 @@ func (x Xfer) Gather(m *fabric.Machine) []byte {
 	return slab
 }
 
-// Scatter lands a gathered slab in the segments' destinations — stored,
+// scatter lands a gathered slab in the segments' destinations — stored,
 // or summed in place on float64s for an accumulate — and returns the
 // slab to the machine's pool.
-func (x Xfer) Scatter(m *fabric.Machine, slab []byte) {
+func (x Xfer) scatter(m *fabric.Machine, slab []byte) {
 	pos := 0
 	for _, sg := range x.Segments() {
 		dst := sg.Dreg.Bytes(sg.DstVA, sg.N)
@@ -73,13 +95,4 @@ func (x Xfer) Scatter(m *fabric.Machine, slab []byte) {
 		pos += sg.N
 	}
 	m.PutBuf(slab)
-}
-
-// Copy moves every segment straight from source to destination with no
-// staging slab — a load/store path through memory both sides can
-// address, and a remote get's one copy, target to origin.
-func (x Xfer) Copy() {
-	for _, sg := range x.Segments() {
-		copy(sg.Dreg.Bytes(sg.DstVA, sg.N), sg.Sreg.Bytes(sg.SrcVA, sg.N))
-	}
 }

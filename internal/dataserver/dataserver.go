@@ -121,11 +121,9 @@ func (w *World) shm(p *sim.Proc, from, to int, class profile.MsgClass, bytes int
 // (server-side staging copy).
 func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 	m, me, target, total := w.M, p.ID(), x.Target, x.Total
-	slab := x.Gather(m)
 	if m.SameNode(me, target) && !x.Accumulate {
 		// Node-local shared memory: direct copy.
 		w.shm(p, me, target, profile.MsgPut, total)
-		x.Scatter(m, slab)
 		return p.Now()
 	}
 	arrive := m.SendDataAsync(me, target, total, fabric.XferOpt{Rate: w.rate()})
@@ -141,10 +139,7 @@ func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 	// The staging copy out of the receive buffer covers the payload.
 	start, done := w.serve(m.NodeOf(target), arrive, total, procNs)
 	w.served(me, target, class, total, arrive, start, done)
-	m.Eng.At(done, func() {
-		w.Obs.Landed(me, target, class, profile.RouteDS, total)
-		x.Scatter(m, slab)
-	})
+	m.Eng.At(done, func() { w.Obs.Landed(me, target, class, profile.RouteDS, total) })
 	return done
 }
 
@@ -154,7 +149,6 @@ func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	m, me, target, total := w.M, p.ID(), x.Target, x.Total
 	if m.SameNode(me, target) {
 		w.shm(p, target, me, profile.MsgGet, total)
-		x.Copy()
 		h.Complete()
 		return
 	}
@@ -165,9 +159,6 @@ func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	start, served := w.serve(m.NodeOf(target), req, total, float64(total)/w.rate()*1e9)
 	w.served(me, target, profile.MsgGet, total, req, start, served)
 	m.Eng.At(served, func() {
-		// The server reads the segments straight into the origin's
-		// buffer, which stays undefined until the reply completes the get.
-		x.Copy()
 		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: w.rate()})
 		w.Obs.Wire(me, target, me, profile.MsgGet, profile.RouteDS, total)
 		m.Eng.At(back, func() {

@@ -8,11 +8,13 @@ import (
 // Payload buffers and region backings. A payload buffer is the snapshot
 // an operation takes of its source bytes at issue, held until the bytes
 // land. Only operations whose caller gets the source back before then
-// take one: a request-based or direct-runtime put or accumulate, and a
-// copy on the shared-memory route; a transfer whose target is the
-// caller's own rank takes one too, as its two sides may overlap. An
-// epoch-completed RMA put lands from its origin, and a remote get
-// copies target to origin, with no payload buffer at all. Each has one
+// take one: a request-based put or accumulate, and a copy on the
+// shared-memory route; a transfer whose target is the caller's own rank
+// takes one too, as its two sides may overlap. An epoch-completed RMA
+// put lands from its origin, a remote get copies target to origin, and
+// a direct runtime (native, the data server) moves every transfer
+// straight from source to destination at issue, with no payload buffer
+// at all. Each has one
 // owner and one lifetime: the issuing site draws it with GetBuf, the
 // event that applies it hands it back with PutBuf. A region's backing
 // store (mem.go) is drawn the same way on first touch and handed back

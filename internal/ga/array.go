@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/armci"
+	"repro/internal/mpi"
 )
 
 // Array is one rank's handle to a global array. Handles are created
@@ -220,7 +221,7 @@ type LocalBlock struct {
 
 // F64s returns the block's elements in row-major order, aliasing its
 // memory until Release.
-func (b *LocalBlock) F64s() []float64 { return view[float64](b.mem) }
+func (b *LocalBlock) F64s() []float64 { return mpi.View[float64](b.mem) }
 
 // Dims returns the block extents.
 func (b *LocalBlock) Dims() []int { return append([]int(nil), b.dims...) }

@@ -75,7 +75,7 @@ func (a *Array) elements(op string, kind fanKind, alpha float64, subs [][]int, v
 	scratch := a.env.scratch(len(subs) * elemBytes)
 	var packed []float64 // the scratch buffer, viewed once a gather has landed
 	if kind != fanGet {
-		packed = view[float64](a.env.scratchBytes(len(subs) * elemBytes))
+		packed = mpi.View[float64](a.env.scratchBytes(len(subs) * elemBytes))
 	}
 	var handles []armci.Handle
 	pos := 0
@@ -102,7 +102,7 @@ func (a *Array) elements(op string, kind fanKind, alpha float64, subs [][]int, v
 	}
 	armci.WaitAll(handles...)
 	if kind == fanGet {
-		packed, pos = view[float64](a.env.scratchBytes(len(subs)*elemBytes)), 0
+		packed, pos = mpi.View[float64](a.env.scratchBytes(len(subs)*elemBytes)), 0
 		for _, bkt := range groups {
 			for _, k := range bkt.idxs {
 				vals[k] = packed[pos]

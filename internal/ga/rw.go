@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/armci"
+	"repro/internal/mpi"
 )
 
 // patchSlot is the storage of one in-flight patch descriptor: the
@@ -181,13 +182,13 @@ func transfer[T float64 | int64](a *Array, op string, kind fanKind, alpha float6
 	n := len(vals) * elemBytes
 	addr := a.env.scratch(n)
 	if kind != fanGet {
-		copy(view[T](a.env.scratchBytes(n)), vals)
+		copy(mpi.View[T](a.env.scratchBytes(n)), vals)
 	}
 	if err := a.fanout(kind, alpha, lo, hi, addr); err != nil {
 		return fmt.Errorf("ga: %s %q: %w", op, a.name, err)
 	}
 	if kind == fanGet {
-		copy(vals, view[T](a.env.scratchBytes(n)))
+		copy(vals, mpi.View[T](a.env.scratchBytes(n)))
 	}
 	return nil
 }
@@ -254,7 +255,7 @@ func fill[T float64 | int64](a *Array, v T) error {
 		if err != nil {
 			return err
 		}
-		elems := view[T](b.mem)
+		elems := mpi.View[T](b.mem)
 		for i := range elems {
 			elems[i] = v
 		}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 // panicOf runs f and returns the message it panicked with ("" if none).
@@ -28,8 +30,9 @@ func i64get(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
 // i64put writes an int64 into region bytes.
 func i64put(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
 
-// checkView holds the typed view to the f64get/f64put/i64get/i64put
-// codec — the reference for the region layout — on the window
+// checkView holds GA's typed view of region bytes (mpi.View) to the
+// f64get/f64put/i64get/i64put codec — the reference for the region
+// layout — on the window
 // [off, off+n) of an 8-aligned copy of data: reads through the view,
 // writes through the view, and the bulk copy in both directions agree
 // with the codec bit for bit; a partial element or a misaligned offset
@@ -46,7 +49,7 @@ func checkView(t *testing.T, data []byte, off, n int) {
 	copy(buf, data)
 	win := buf[off : off+n]
 	var f []float64
-	msg := panicOf(func() { f = view[float64](win) })
+	msg := panicOf(func() { f = mpi.View[float64](win) })
 	switch {
 	case n%8 != 0:
 		if !strings.Contains(msg, "partial") {
@@ -61,7 +64,7 @@ func checkView(t *testing.T, data []byte, off, n int) {
 	case msg != "":
 		t.Fatalf("view(off %d, n %d) panicked: %s", off, n, msg)
 	}
-	i := view[int64](win)
+	i := mpi.View[int64](win)
 	if len(f) != n/8 || len(i) != n/8 {
 		t.Fatalf("view of %d bytes has %d / %d elements", n, len(f), len(i))
 	}

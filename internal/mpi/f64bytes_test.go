@@ -9,12 +9,43 @@ import (
 )
 
 // refReduce is the accumulate path the in-place kernel replaced, kept
-// as the oracle: decode both sides, reduce the float64 slices, encode
-// the result back over dst's whole elements.
+// as the oracle: decode both sides, reduce the float64 slices element
+// by element, encode the result back over dst's whole elements.
 func refReduce(op Op, dst, src []byte) {
-	cur := bytesToF64s(dst)
-	reduceF64(op, cur, bytesToF64s(src)[:len(cur)])
+	cur, in := bytesToF64s(dst), bytesToF64s(src)
+	for i := range cur {
+		switch op {
+		case OpSum:
+			cur[i] += in[i]
+		case OpProd:
+			cur[i] *= in[i]
+		case OpMin:
+			if in[i] < cur[i] {
+				cur[i] = in[i]
+			}
+		case OpMax:
+			if in[i] > cur[i] {
+				cur[i] = in[i]
+			}
+		case OpReplace:
+			cur[i] = in[i]
+		}
+	}
 	copy(dst, f64sToBytes(cur))
+}
+
+// placed returns a copy of b that starts off bytes (0-7) past an 8-byte
+// boundary: the kernels view aligned operands and walk misaligned ones
+// byte by byte, and a test picks the branch with off.
+func placed(b []byte, off int) []byte {
+	buf := make([]byte, len(b)+16)
+	k := 0
+	for !aligned(buf[k:]) {
+		k++
+	}
+	out := buf[k+off%8 : k+off%8+len(b)]
+	copy(out, b)
+	return out
 }
 
 // refScale is the prescale path the kernel replaced: decode, multiply,
@@ -168,30 +199,40 @@ func TestApplyReductionFollowsDatatype(t *testing.T) {
 	}
 }
 
+// fuzzOperands copies the fuzz engine's inputs (which are read-only)
+// into a destination and a source at least as long, placed mis%8 and
+// mis/8%8 bytes past an 8-byte boundary, and plants edge patterns: each
+// byte of edges below len(edgeBits) puts that pattern in one element,
+// alternating destination and source, so signed zeros, infinities and
+// NaN payloads meet each other and ordinary values.
+func fuzzOperands(dst, src, edges []byte, mis uint8) ([]byte, []byte) {
+	if len(src) < len(dst) {
+		dst, src = src, dst
+	}
+	dst, src = placed(dst, int(mis)), placed(src, int(mis/8))
+	for i, e := range edges {
+		b, k := dst, i/2
+		if i%2 == 1 {
+			b = src
+		}
+		if int(e) < len(edgeBits) && 8*k+8 <= len(b) {
+			binary.LittleEndian.PutUint64(b[8*k:], edgeBits[e])
+		}
+	}
+	return dst, src
+}
+
 // FuzzReduceBytesF64 holds the in-place accumulate kernel to the
 // decode → reduce → encode path it replaced, bit for bit, over all five
 // float64 ops and any length: the ragged tail past the last whole
 // element stays as it was, and the source may be longer than the
-// destination (the longer input is the source). Each byte of edges
-// below len(edgeBits) plants that pattern in one element, alternating
-// destination and source, so signed zeros, infinities and NaN payloads
-// meet each other and ordinary values under every op.
+// destination (the longer input is the source). mis places either
+// operand off the 8-byte grid, so the float64-view branch and the byte
+// branch both run.
 func FuzzReduceBytesF64(f *testing.F) {
-	f.Fuzz(func(t *testing.T, opSel uint8, dst, src, edges []byte) {
+	f.Fuzz(func(t *testing.T, opSel uint8, dst, src, edges []byte, mis uint8) {
 		op := []Op{OpSum, OpProd, OpMin, OpMax, OpReplace}[opSel%5]
-		dst, src = bytes.Clone(dst), bytes.Clone(src) // the engine's inputs are read-only
-		if len(src) < len(dst) {
-			dst, src = src, dst
-		}
-		for i, e := range edges {
-			b, k := dst, i/2
-			if i%2 == 1 {
-				b = src
-			}
-			if int(e) < len(edgeBits) && 8*k+8 <= len(b) {
-				binary.LittleEndian.PutUint64(b[8*k:], edgeBits[e])
-			}
-		}
+		dst, src = fuzzOperands(dst, src, edges, mis)
 		want, srcBefore := bytes.Clone(dst), bytes.Clone(src)
 		refReduce(op, want, src)
 		ReduceBytesF64(op, dst, src)

@@ -78,8 +78,12 @@ func edgeBytes(rng *rand.Rand, n int) []byte {
 // TestF64KernelsMatchReslicedLoops holds ReduceBytesF64 (all five ops)
 // and ScaleBytesF64 to their previous loops over edge-value operands,
 // at every length from 0 to 80 bytes (most not a multiple of 8) and a
-// few long ones, with src sometimes longer than dst.
+// few long ones, with src sometimes longer than dst. The four
+// repetitions place the operands both aligned, either one off the
+// 8-byte grid, and both off it: the float64-view branch and the byte
+// branch.
 func TestF64KernelsMatchReslicedLoops(t *testing.T) {
+	offs := [4][2]int{{0, 0}, {0, 4}, {3, 0}, {1, 7}}
 	rng := rand.New(rand.NewSource(26))
 	lengths := []int{1000, 4096 + 3, 65536 - 1}
 	for n := 0; n <= 80; n++ {
@@ -88,9 +92,9 @@ func TestF64KernelsMatchReslicedLoops(t *testing.T) {
 	scales := []float64{1, -1, 0, math.Copysign(0, -1), 2.5, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e308}
 	for _, n := range lengths {
 		for rep := 0; rep < 4; rep++ {
-			src := edgeBytes(rng, n+rng.Intn(9))
+			src := placed(edgeBytes(rng, n+rng.Intn(9)), offs[rep][1])
 			for _, op := range []Op{OpSum, OpProd, OpMin, OpMax, OpReplace} {
-				dst := edgeBytes(rng, n)
+				dst := placed(edgeBytes(rng, n), offs[rep][0])
 				want := append([]byte(nil), dst...)
 				reslicedReduce(op, want, src)
 				ReduceBytesF64(op, dst, src)
@@ -99,7 +103,7 @@ func TestF64KernelsMatchReslicedLoops(t *testing.T) {
 				}
 			}
 			for _, scale := range scales {
-				dst := edgeBytes(rng, n)
+				dst := placed(edgeBytes(rng, n), offs[rep][0])
 				want := append([]byte(nil), dst...)
 				reslicedScale(want, src, scale)
 				ScaleBytesF64(dst, src, scale)

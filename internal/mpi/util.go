@@ -52,17 +52,20 @@ func BytesToF64s(b []byte) []float64 { return bytesToF64s(b) }
 
 // ReduceBytesF64 folds src into dst in place, elementwise over
 // little-endian float64s: dst[i] = dst[i] op src[i]. It is the one
-// accumulate kernel of every runtime (RMA accumulate here, native and
-// data-server Acc): no decode, no temporary, no re-encode. Only the
-// len(dst)/8 whole elements of dst are touched; src must be at least as
-// long as dst. (Element k is the [i-8:i:i] sub-slice of both, i = 8k+8:
-// its length is known, so the decode and encode carry no bounds checks,
-// and i <= len(dst) == len(src) leaves one slice check per element. The
-// index loop keeps both slice headers in registers, which reslicing
-// both slices every step did not: ~1.6x the throughput at 64 KiB,
-// BenchmarkReduceBytesF64.)
+// accumulate kernel of every runtime (RMA accumulate here, the direct
+// runtimes' Acc): no decode, no temporary, no re-encode. Only the len(dst)/8 whole elements of dst are touched;
+// src must be at least as long as dst. When both start on an 8-byte
+// boundary the op runs on their float64 views (View); otherwise, as an
+// accumulate at an odd byte address can, it walks the bytes.
 func ReduceBytesF64(op Op, dst, src []byte) {
 	src = src[:len(dst)]
+	if aligned(dst) && aligned(src) {
+		n := len(dst) &^ 7
+		reduceF64(op, View[float64](dst[:n]), View[float64](src[:n]))
+		return
+	}
+	// Element k is the [i-8:i:i] sub-slice of both, i = 8k+8: its length
+	// is known, so the decode and encode carry no bounds checks.
 	switch op {
 	case OpSum:
 		for i := 8; i <= len(dst); i += 8 {
@@ -96,12 +99,10 @@ func ReduceBytesF64(op Op, dst, src []byte) {
 }
 
 // ScaleBytesF64 writes scale*src[i] into dst[i] over little-endian
-// float64s — the snapshot pass of a scaled accumulate, so the scale
-// costs no pass of its own. A scale of 1 is a plain copy of every
-// byte (the snapshot of a direct runtime's put, or of a get from the
-// calling rank itself); any other scale writes the
-// len(dst)/8 whole elements. src must be at least as long as dst, and
-// the two must be the same slice or not overlap.
+// float64s — the prescale pass of an accumulate at a scale other than
+// 1. A scale of 1 is a plain copy of every byte; any other scale writes
+// the len(dst)/8 whole elements. src must be at least as long as dst,
+// and the two must be the same slice or not overlap.
 func ScaleBytesF64(dst, src []byte, scale float64) {
 	src = src[:len(dst)]
 	if scale == 1 {
@@ -117,26 +118,35 @@ func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.
 
 func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 
+// reduceF64 folds src into dst elementwise; src must be at least as
+// long as dst. The op is chosen once, outside the loop.
 func reduceF64(op Op, dst, src []float64) {
-	for i := range dst {
-		switch op {
-		case OpSum:
+	src = src[:len(dst)]
+	switch op {
+	case OpSum:
+		for i := range dst {
 			dst[i] += src[i]
-		case OpMin:
+		}
+	case OpProd:
+		for i := range dst {
+			dst[i] *= src[i]
+		}
+	case OpMin:
+		for i := range dst {
 			if src[i] < dst[i] {
 				dst[i] = src[i]
 			}
-		case OpMax:
+		}
+	case OpMax:
+		for i := range dst {
 			if src[i] > dst[i] {
 				dst[i] = src[i]
 			}
-		case OpProd:
-			dst[i] *= src[i]
-		case OpReplace:
-			dst[i] = src[i]
-		default:
-			panic("mpi: unsupported float64 reduction op " + op.String())
 		}
+	case OpReplace:
+		copy(dst, src)
+	default:
+		panic("mpi: unsupported float64 reduction op " + op.String())
 	}
 }
 

@@ -105,12 +105,11 @@ func segCost(p *sim.Proc, x armci.Xfer) {
 
 // Put is the tuned native put/accumulate pipeline: per-segment
 // descriptor cost, a single pipelined NIC occupancy for the full
-// payload, segment scatter at arrival — after the agent has applied the
-// reduction serially, for an accumulate.
+// payload and, for an accumulate, the target agent applying the
+// reduction serially after arrival.
 func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 	segCost(p, x)
 	m := w.M
-	slab := x.Gather(m) // snapshot at issue; the landing event returns it
 	done := m.SendDataAsync(p.ID(), x.Target, x.Total, fabric.XferOpt{Rate: w.rate(x.Local)})
 	if x.Accumulate {
 		accRate := m.Par.AccumRate
@@ -119,34 +118,18 @@ func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 		}
 		done = w.agent(x.Target, done, sim.FromSeconds(float64(x.Total)/accRate))
 	}
-	m.Eng.At(done, func() { x.Scatter(m, slab) })
 	return done
 }
 
 // Get is the native get pipeline: a request, then the payload straight
-// back from the target's memory. The target is read when the request
-// reaches it, into the local buffer at once — ARMCI leaves that buffer
-// undefined until the get completes — and the reply only completes the
-// handle. A get from the calling rank itself stages the bytes instead:
-// its source and destination may overlap.
+// back from the target's memory, whose arrival completes the handle.
 func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	segCost(p, x)
 	m, me, rate := w.M, p.ID(), w.rate(x.Local)
 	req := m.SendDataAsync(me, x.Target, 0, fabric.XferOpt{NoNIC: true})
 	m.Eng.At(req, func() {
-		var slab []byte
-		if x.Target == me {
-			slab = x.Gather(m)
-		} else {
-			x.Copy()
-		}
 		back := m.SendDataAsync(x.Target, me, x.Total, fabric.XferOpt{Rate: rate})
-		m.Eng.At(back, func() {
-			if slab != nil {
-				x.Scatter(m, slab)
-			}
-			h.Complete()
-		})
+		m.Eng.At(back, h.Complete)
 	})
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/ga"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
@@ -188,7 +189,7 @@ func (s *System) tile(i, n int) []float64 {
 		s.M.PutBuf(s.tiles[i])
 		s.tiles[i] = s.M.GetBuf(8 * n)
 	}
-	return ga.F64View(s.tiles[i][:8*n])
+	return mpi.View[float64](s.tiles[i][:8*n])
 }
 
 // Setup collectively creates and initializes the arrays.
