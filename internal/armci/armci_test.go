@@ -50,6 +50,32 @@ func TestStridedIterateAlgorithm1(t *testing.T) {
 	}
 }
 
+// Past the odometer's eight on-stack levels Iterate takes a heap one
+// and must enumerate the same way: ten levels of two, each stride
+// twice the last, visit the offsets 0, 8, 16, … in order.
+func TestStridedIterateDeepLevels(t *testing.T) {
+	const levels = 10
+	s := &Strided{Src: addr(0, 8), Dst: addr(1, 8), Count: []int{8}}
+	for l, stride := 0, 8; l < levels; l, stride = l+1, 2*stride {
+		s.SrcStride = append(s.SrcStride, stride)
+		s.DstStride = append(s.DstStride, stride)
+		s.Count = append(s.Count, 2)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	s.Iterate(func(so, do int) {
+		if so != 8*n || do != 8*n {
+			t.Fatalf("segment %d at offsets %d/%d, want %d", n, so, do, 8*n)
+		}
+		n++
+	})
+	if n != 1<<levels {
+		t.Errorf("iterated %d segments, want %d", n, 1<<levels)
+	}
+}
+
 func TestStridedZeroLevels(t *testing.T) {
 	s := &Strided{Src: addr(0, 8), Dst: addr(1, 8), Count: []int{128}}
 	if err := s.Validate(); err != nil {

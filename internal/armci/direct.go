@@ -110,6 +110,11 @@ type Direct struct {
 	mr  *mpi.Rank
 	p   *sim.Proc
 	dla map[int64]bool // open direct-local-access sections, by VA
+
+	// segs is the segment list of the strided or IOV transfer being
+	// issued, reused by the next one: the bytes move and the transport
+	// reads the list at issue, so nothing holds it past then.
+	segs []Seg
 }
 
 // NewDirect creates the per-rank runtime handle.
@@ -311,13 +316,14 @@ func (r *Direct) strided(k kind, scale float64, s *Strided) (Xfer, error) {
 	if err != nil {
 		return Xfer{}, err
 	}
-	segs := make([]Seg, 0, s.Segments())
+	segs := r.segs[:0]
 	s.Iterate(func(so, do int) {
 		segs = append(segs, Seg{
 			SrcVA: s.Src.VA + int64(so), DstVA: s.Dst.VA + int64(do),
 			Sreg: sreg, Dreg: dreg, N: s.SegBytes(),
 		})
 	})
+	r.segs = segs
 	x := newXfer(k, scale, target, s.TotalBytes(), segs[len(segs)-1])
 	x.Segs = segs
 	return x, nil
@@ -335,7 +341,7 @@ func (r *Direct) iov(k kind, scale float64, iov []GIOV, proc int) (Xfer, error) 
 	if nsegs == 0 {
 		return Xfer{}, nil
 	}
-	segs := make([]Seg, 0, nsegs)
+	segs := r.segs[:0]
 	total := 0
 	for gi := range iov {
 		g := &iov[gi]
@@ -348,6 +354,7 @@ func (r *Direct) iov(k kind, scale float64, iov []GIOV, proc int) (Xfer, error) 
 		}
 		total += g.TotalBytes()
 	}
+	r.segs = segs
 	x := newXfer(k, scale, proc, total, segs[nsegs-1])
 	x.Segs = segs
 	return x, nil

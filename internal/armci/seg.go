@@ -16,9 +16,11 @@ type Seg struct {
 // Xfer is one validated, fully resolved transfer as the direct-runtime
 // skeleton hands it to a Transport: every contiguous, strided and IOV
 // request of the ARMCI surface arrives in this one shape. It travels
-// by value, so a contiguous transfer owns no memory of its own. The
-// skeleton has moved its bytes before the transport sees it: what the
-// transport reads of it is the cost model's input.
+// by value, so a contiguous transfer owns no memory of its own, and a
+// strided or IOV one borrows the issuing rank's segment scratch, which
+// its next issue rewrites. The skeleton has moved its bytes before the
+// transport sees it: what the transport reads of it is the cost
+// model's input, and Segs only at issue, never from a later event.
 type Xfer struct {
 	Target int            // the remote process
 	Segs   []Seg          // the segments of a strided or IOV transfer; nil for a contiguous one

@@ -85,7 +85,11 @@ func (s *Strided) Iterate(fn func(srcOff, dstOff int)) {
 		fn(0, 0)
 		return
 	}
-	idx := make([]int, sl)
+	var small [8]int // the odometer, off the heap up to 8 levels
+	idx := small[:min(sl, len(small))]
+	if sl > len(small) {
+		idx = make([]int, sl)
+	}
 	for idx[sl-1] < s.Count[sl] {
 		srcDisp, dstDisp := 0, 0
 		for i := 0; i < sl; i++ {

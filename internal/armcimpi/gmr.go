@@ -127,6 +127,17 @@ type World struct {
 	// nothing.
 	leaderBusy []sim.Time
 
+	// dtMemo is a small ring of recently translated strided datatypes,
+	// shared by every rank of the job. Applications overwhelmingly
+	// reissue transfers with the same stride/count shape (different
+	// addresses), and reusing the Datatype also reuses its flatten
+	// cache across operations. Datatypes are immutable, so sharing one
+	// across plans and ranks is safe, and the job's ranks run one at a
+	// time. Eight slots hold the six shapes a CCSD(T) task draws (a
+	// per-rank ring that size would cost every rank of a Fig. 4 job).
+	dtMemo [8]dtEntry
+	dtNext int
+
 	// Counters.
 	Staged    int64 // global-buffer staging events (SectionV.E.1)
 	AutoScans int64 // conflict scans performed by MethodAuto
@@ -188,14 +199,6 @@ type Runtime struct {
 	// scan is destsDisjoint's scratch span list, reused across
 	// descriptor scans so each scan is allocation-free once it has grown.
 	scan []spans.Span[struct{}]
-
-	// dtMemo is a small ring of recently translated strided datatypes.
-	// Applications overwhelmingly reissue transfers with the same
-	// stride/count shape (different addresses), and reusing the Datatype
-	// also reuses its flatten cache across operations. Datatypes are
-	// immutable, so sharing one across plans is safe.
-	dtMemo [4]dtEntry
-	dtNext int
 }
 
 // dtEntry is one memoized stride/count -> Datatype translation.

@@ -66,23 +66,25 @@ func (r *Runtime) strided(class OpClass, scale float64, s *armci.Strided) error 
 	return nil
 }
 
-// stridedTypeCached is stridedType behind the runtime's small memo
-// ring: repeated transfers with the same stride/count shape get the
-// same Datatype back, so its flatten cache survives across operations.
+// stridedTypeCached is stridedType behind the job's small memo ring:
+// repeated transfers with the same stride/count shape, from any rank,
+// get the same Datatype back, so its flatten cache survives across
+// operations.
 func (r *Runtime) stridedTypeCached(stride, count []int) mpi.Datatype {
-	for i := range r.dtMemo {
-		e := &r.dtMemo[i]
+	w := r.W
+	for i := range w.dtMemo {
+		e := &w.dtMemo[i]
 		if e.t != nil && eqInts(e.stride, stride) && eqInts(e.count, count) {
 			return e.t
 		}
 	}
 	t := stridedType(stride, count)
-	r.dtMemo[r.dtNext] = dtEntry{
+	w.dtMemo[w.dtNext] = dtEntry{
 		stride: append([]int(nil), stride...),
 		count:  append([]int(nil), count...),
 		t:      t,
 	}
-	r.dtNext = (r.dtNext + 1) % len(r.dtMemo)
+	w.dtNext = (w.dtNext + 1) % len(w.dtMemo)
 	return t
 }
 

@@ -111,12 +111,17 @@ func NWChemPhase(plat *platform.Platform, impl harness.Impl, cores int, p nwchem
 // Every point is its own simulation job — engine, machine and runtimes
 // of its own, as every point of the paper's figure was its own NWChem
 // run — so the panel is enumerated, swept on every host core (sweep)
-// and assembled: dispatch is largest process count first, because the
-// 128-rank jobs cost several times the 8-rank ones and must not be
-// what the last worker starts on, while points are added in
-// enumeration order, so the figure is byte-for-byte what running the
-// jobs one after another in that order gives. Process counts above the
-// platform's cap are skipped; a panel left with no point is an error.
+// and assembled: dispatch is smallest process count first, while
+// points are added in enumeration order, so the figure is byte-for-byte
+// what running the jobs one after another in that order gives. The
+// order is for memory: each doubling of the process count halves every
+// GA block, so a job's backings come from splitting the blocks the
+// previous count's jobs retired (fabric's free list splits one class
+// down) instead of from fresh pages. It costs no balance: a 128-rank
+// job takes about three times an 8-rank one, and the two-worker
+// makespan is within 1 % of largest-first (DESIGN.md, "Dispatch order
+// vs. output order"). Process counts above the platform's cap are
+// skipped; a panel left with no point is an error.
 func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, error) {
 	fig := &Figure{
 		Name:   "fig6-" + plat.Name,
@@ -154,7 +159,7 @@ func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, e
 	for i := range points {
 		order[i] = &points[i]
 	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].cores > order[b].cores })
+	sort.SliceStable(order, func(a, b int) bool { return order[a].cores < order[b].cores })
 	p := cfg.ParamsFor(plat)
 	err := sweep(runtime.GOMAXPROCS(0), len(order), func(i int) error {
 		pt := order[i]

@@ -45,6 +45,17 @@ import (
 // served from the class that covers it, so a recycled buffer is never
 // too small; a buffer handed back is filed under the largest class its
 // capacity covers, so PutBuf accepts any slice, pooled or not.
+//
+// When the request's class is empty, one free buffer of the class
+// directly above is split into two capacity-capped halves: one is
+// served, the other filed. A run of jobs whose blocks halve from one
+// job to the next (Fig. 6's process counts, smallest first) then draws
+// each job's backings from the last job's instead of faulting in new
+// pages, and clearing a recycled buffer costs a fraction of a first
+// touch. The split stops at one class: reaching further up would let a
+// run of small requests carve up a large backing (a 32 MiB window) that
+// the next large request then has to make again. The halves are never
+// merged back.
 
 // bufPool is one free list, indexed by capacity class.
 type bufPool struct {
@@ -118,10 +129,21 @@ func (m *Machine) getBuf(n int) (b []byte, fresh bool) {
 		return nil, true
 	}
 	class := bits.Len(uint(n - 1))
-	if l := m.bufs.free[class]; len(l) > 0 {
+	free := &m.bufs.free
+	if l := free[class]; len(l) > 0 {
 		b = l[len(l)-1][:n]
 		l[len(l)-1] = nil
-		m.bufs.free[class] = l[:len(l)-1]
+		free[class] = l[:len(l)-1]
+	} else if class+1 < len(free) && len(free[class+1]) > 0 {
+		// Split one buffer of the class above: serve its first half,
+		// file the second. Capping both keeps them disjoint.
+		l := free[class+1]
+		half := 1 << class
+		whole := l[len(l)-1]
+		l[len(l)-1] = nil
+		free[class+1] = l[:len(l)-1]
+		b = whole[:n:half]
+		free[class] = append(free[class], whole[half:2*half:2*half])
 	} else {
 		b, fresh = make([]byte, n, 1<<class), true
 	}

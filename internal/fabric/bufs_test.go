@@ -15,6 +15,7 @@ func poolMachine(t *testing.T) *Machine {
 
 func TestBufPoolRecyclesByClass(t *testing.T) {
 	m := poolMachine(t)
+	m.bufs = &bufPool{} // which class is empty matters below
 	if b := m.GetBuf(0); b != nil {
 		t.Errorf("GetBuf(0) = %v, want nil", b)
 	}
@@ -37,8 +38,17 @@ func TestBufPoolRecyclesByClass(t *testing.T) {
 	if b := m.GetBuf(129); &b[0] == &a[0] || cap(b) != 256 {
 		t.Errorf("GetBuf(129) got cap %d, recycled=%v", cap(b), &b[0] == &a[0])
 	}
-	if b := m.GetBuf(64); &b[0] == &a[0] {
-		t.Error("GetBuf(64) was served from the 128-byte class")
+	// The split reaches one class up, no further: with the 32- and
+	// 64-byte classes empty, a 32-byte request is made fresh.
+	if b := m.GetBuf(32); &b[0] == &a[0] || &b[0] == &a[64] || cap(b) != 32 {
+		t.Errorf("GetBuf(32) got cap %d from the 128-byte buffer", cap(b))
+	}
+	// With its class empty, a 64-byte request takes the first half of
+	// the free 128-byte buffer, and the second half serves the next.
+	for _, half := range []*byte{&a[0], &a[64]} {
+		if b := m.GetBuf(64); &b[0] != half || len(b) != 64 || cap(b) != 64 {
+			t.Errorf("GetBuf(64) with its class empty: len %d cap %d, not a half of the 128-byte buffer", len(b), cap(b))
+		}
 	}
 }
 

@@ -118,6 +118,19 @@ func (r *Region) materialize() {
 	r.Data = b
 }
 
+// SwapBacking makes b the region's backing and returns the one it had,
+// nil if the region was never touched. It lends a buffer the region
+// does not own: the caller must hand the old backing back with a
+// second SwapBacking before the region is freed or the machine
+// retires, and may touch only the bytes b covers in between. Address,
+// length and registration state are the region's throughout, so
+// nothing a cost model reads changes.
+func (r *Region) SwapBacking(b []byte) []byte {
+	old := r.Data
+	r.Data = b
+	return old
+}
+
 // release hands the backing, if any, back to the machine's free list.
 func (r *Region) release() {
 	r.m.PutBuf(r.Data)

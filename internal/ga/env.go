@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/armci"
+	"repro/internal/fabric"
 	"repro/internal/mpi"
 )
 
@@ -66,6 +67,7 @@ type Env struct {
 	// on-demand registration discussion).
 	scratchAddr armci.Addr
 	scratchLen  int
+	scratchReg  *fabric.Region // the fabric region at scratchAddr
 
 	// slots and handles are the descriptor and handle storage of the
 	// fan-out in progress, reused by the next one: a slot is valid from
@@ -88,6 +90,7 @@ func (e *Env) scratch(n int) armci.Addr {
 		}
 		e.scratchLen = max(2*e.scratchLen, n, 4096)
 		e.scratchAddr = e.Rt.MallocLocal(e.scratchLen)
+		e.scratchReg = e.Mpi.W.M.Space(e.Me()).Find(e.scratchAddr.VA, e.scratchLen)
 	}
 	return e.scratchAddr
 }

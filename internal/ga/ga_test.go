@@ -12,25 +12,50 @@ import (
 	"repro/internal/sim"
 )
 
-// runGA executes body under all ARMCI implementations.
-func runGA(t *testing.T, n int, body func(t *testing.T, e *Env)) {
+// variants are the six runtime configurations the harness's runtime
+// tests run: every ARMCI implementation, and the two on MPI RMA with
+// MPI-3 on as well.
+var variants = []struct {
+	name string
+	impl harness.Impl
+	mpi3 bool
+}{
+	{"native", harness.ImplNative, false},
+	{"armci-mpi", harness.ImplARMCIMPI, false},
+	{"armci-mpi3", harness.ImplARMCIMPI, true},
+	{"armci-ds", harness.ImplDataServer, false},
+	{"dartmpi", harness.ImplDartMPI, false},
+	{"dartmpi-mpi3", harness.ImplDartMPI, true},
+}
+
+// forVariants runs body once per variant on a fresh n-rank job; body
+// starts the job.
+func forVariants(t *testing.T, n int, body func(t *testing.T, j *harness.Job)) {
 	t.Helper()
-	for _, impl := range []harness.Impl{harness.ImplNative, harness.ImplARMCIMPI, harness.ImplDataServer} {
-		impl := impl
-		t.Run(string(impl), func(t *testing.T) {
-			j, err := harness.NewJob(harness.TestPlatform(), n, impl, armcimpi.DefaultOptions())
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			opt := armcimpi.DefaultOptions()
+			opt.UseMPI3 = v.mpi3
+			j, err := harness.NewJob(harness.TestPlatform(), n, v.impl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = j.Eng.Run(n, func(p *sim.Proc) {
-				rt := j.Runtime(p)
-				body(t, NewEnv(rt, j.MpiWorld.Rank(p)))
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			body(t, j)
 		})
 	}
+}
+
+// runGA executes body under every runtime variant.
+func runGA(t *testing.T, n int, body func(t *testing.T, e *Env)) {
+	t.Helper()
+	forVariants(t, n, func(t *testing.T, j *harness.Job) {
+		err := j.Eng.Run(n, func(p *sim.Proc) {
+			body(t, NewEnv(j.Runtime(p), j.MpiWorld.Rank(p)))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func must(t *testing.T, err error) {

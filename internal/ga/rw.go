@@ -163,12 +163,18 @@ func (a *Array) fanout(kind fanKind, alpha float64, lo, hi []int, local armci.Ad
 	return err
 }
 
-// transfer is Put, Get and Acc for either element type: validate,
-// marshal vals through the scratch buffer, fan out. The marshalling is
-// one copy through the typed view and not simulated work — in the C
-// implementation the user buffer is used directly — but the scratch
-// address is what the runtime (and its registration cache) sees, so
-// gets land there and are copied out once.
+// transfer is Put, Get and Acc for either element type: validate, lend
+// vals to the scratch region, fan out. As in GA's C implementation,
+// the runtime moves the bytes straight between the caller's buffer and
+// the owners' blocks: gets land in vals, puts and accumulates read
+// from it, with no copy through a staging buffer. The runtime still
+// sees the scratch address — the stable, registered buffer its
+// registration cache expects (Figure 5) — with the region's length
+// and registration state, so virtual time is what a staged copy gives.
+// Lending ends when the fan-out's WaitAll has returned (local
+// completion: every put and accumulate has read its source, every get
+// has landed) or when the rank unwinds, so the region never hands the
+// caller's slice to the free list.
 func transfer[T float64 | int64](a *Array, op string, kind fanKind, alpha float64, lo, hi []int, vals []T) error {
 	if a.freed {
 		return fmt.Errorf("ga: operation on destroyed array %q", a.name)
@@ -179,16 +185,12 @@ func transfer[T float64 | int64](a *Array, op string, kind fanKind, alpha float6
 	if want := a.reqLen(lo, hi); len(vals) != want {
 		return fmt.Errorf("ga: buffer has %d elements, patch needs %d", len(vals), want)
 	}
-	n := len(vals) * elemBytes
-	addr := a.env.scratch(n)
-	if kind != fanGet {
-		copy(mpi.View[T](a.env.scratchBytes(n)), vals)
-	}
+	addr := a.env.scratch(len(vals) * elemBytes)
+	reg := a.env.scratchReg
+	own := reg.SwapBacking(mpi.Bytes(vals))
+	defer reg.SwapBacking(own)
 	if err := a.fanout(kind, alpha, lo, hi, addr); err != nil {
 		return fmt.Errorf("ga: %s %q: %w", op, a.name, err)
-	}
-	if kind == fanGet {
-		copy(vals, mpi.View[T](a.env.scratchBytes(n)))
 	}
 	return nil
 }
