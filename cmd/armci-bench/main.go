@@ -69,6 +69,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/obs/profile"
 	"repro/internal/platform"
 )
 
@@ -356,15 +357,17 @@ func run(w io.Writer, a args) error {
 		}
 	}
 	if a.stats {
-		rec.WriteStats(w)
+		if err := rec.Stats().WriteText(w); err != nil {
+			return err
+		}
 	}
 	if a.profile {
-		if err := report(w, a.jsonDir, "PROF_"+stem, rec.Prof()); err != nil {
+		if err := report(w, a.jsonDir, "PROF_"+stem, rec.Prof().Report()); err != nil {
 			return err
 		}
 	}
 	if a.critpath {
-		return report(w, a.jsonDir, "CRIT_"+stem, rec.Crit())
+		return report(w, a.jsonDir, "CRIT_"+stem, rec.Crit().Report())
 	}
 	return nil
 }
@@ -394,7 +397,9 @@ func (f *figure) run(w io.Writer, a args, rec *obs.Recorder) error {
 			return err
 		}
 		for _, fig := range panels {
-			fig.Print(w)
+			if err := fig.WriteText(w); err != nil {
+				return err
+			}
 			if a.jsonDir != "" {
 				if err := writeFile(filepath.Join(a.jsonDir, "BENCH_"+fig.Name+".json"), fig.WriteJSON); err != nil {
 					return err
@@ -405,16 +410,13 @@ func (f *figure) run(w io.Writer, a args, rec *obs.Recorder) error {
 	return nil
 }
 
-// report prints a profiler or critical-path analysis and, when a JSON
+// report prints a profile or critical-path document and, when a JSON
 // directory was requested, also writes it as dir/<stem>.json.
-func report(w io.Writer, dir, stem string, r interface {
-	WriteReport(io.Writer) error
-	WriteJSON(io.Writer) error
-}) error {
-	if err := r.WriteReport(w); err != nil || dir == "" {
+func report(w io.Writer, dir, stem string, doc interface{ WriteText(io.Writer) error }) error {
+	if err := doc.WriteText(w); err != nil || dir == "" {
 		return err
 	}
-	return writeFile(filepath.Join(dir, stem+".json"), r.WriteJSON)
+	return writeFile(filepath.Join(dir, stem+".json"), func(w io.Writer) error { return profile.WriteJSON(w, doc) })
 }
 
 // writeFile creates path and fills it with write.

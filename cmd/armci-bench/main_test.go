@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -212,19 +213,70 @@ func TestResultsRebuild(t *testing.T) {
 	}
 }
 
-// TestFig6QuickIBGolden: the golden is what the parent of the Fig. 6
-// sweep printed for the quick InfiniBand panel, one job after another.
-func TestFig6QuickIBGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/fig6-quick-ib.golden.txt")
+// checkRecording compares got with the recording at path. A recording
+// is what the commit before a change printed, so no flag rewrites it,
+// -update included: a change that moves it is wrong, not a re-baseline.
+func checkRecording(t *testing.T, path string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestFig6QuickIBGolden: the golden is what the parent of the Fig. 6
+// sweep printed for the quick InfiniBand panel, one job after another.
+func TestFig6QuickIBGolden(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, args{fig: "6", plat: "ib", quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from testdata/fig6-quick-ib.golden.txt:\n--- got ---\n%s--- want ---\n%s", out.Bytes(), want)
+	checkRecording(t, "testdata/fig6-quick-ib.golden.txt", out.Bytes())
+}
+
+// TestObsReportsGolden: the -stats, -profile and -critpath text of the
+// quick InfiniBand Fig. 3 panel is what the reports printed before
+// each became a rendering of its instrument's document.
+func TestObsReportsGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, args{fig: "fig3-ib", quick: true, stats: true, profile: true, critpath: true}); err != nil {
+		t.Fatal(err)
+	}
+	checkRecording(t, "testdata/fig3-ib-quick-obs.golden.txt", out.Bytes())
+}
+
+var errWrite = errors.New("write failed")
+
+// failingWriter fails every write but those that start with pass.
+type failingWriter struct{ pass string }
+
+func (f failingWriter) Write(p []byte) (int, error) {
+	if f.pass != "" && bytes.HasPrefix(p, []byte(f.pass)) {
+		return len(p), nil
+	}
+	return 0, errWrite
+}
+
+// TestWriteErrors: text that cannot be written fails the run, whether
+// it is the figure's columns or one instrument's report (the figure
+// written, the report not). The figure and -stats used to drop the
+// error and exit 0.
+func TestWriteErrors(t *testing.T) {
+	for _, c := range []struct {
+		a    args
+		pass string
+	}{
+		{args{fig: "fig3-ib", quick: true}, ""},
+		{args{fig: "fig3-ib", quick: true, stats: true}, "# fig3-ib"},
+		{args{fig: "fig3-ib", quick: true, profile: true}, "# fig3-ib"},
+		{args{fig: "fig3-ib", quick: true, critpath: true}, "# fig3-ib"},
+	} {
+		if err := run(failingWriter{c.pass}, c.a); !errors.Is(err, errWrite) {
+			t.Errorf("stats=%v profile=%v critpath=%v: err = %v, want the write error", c.a.stats, c.a.profile, c.a.critpath, err)
+		}
 	}
 }
 

@@ -11,29 +11,33 @@
 package bench
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
 // Series is one labelled curve: y(x) samples in ascending x.
 type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
+	Label string    `json:"label"`
+	X     []float64 `json:"x"`
+	Y     []float64 `json:"y"`
 }
 
-// Figure is a set of curves sharing an axis.
+// Figure is a set of curves sharing an axis, and its own JSON document:
+// field order is fixed by the struct, and every value is derived from
+// deterministic virtual-time measurements, so repeat runs produce
+// byte-identical output.
 type Figure struct {
-	Name   string // e.g. "fig3-bgp-get"
-	Title  string
-	XLabel string
-	YLabel string
-	Series []Series
+	Name   string   `json:"name"` // e.g. "fig3-bgp-get"
+	Title  string   `json:"title"`
+	XLabel string   `json:"xlabel"`
+	YLabel string   `json:"ylabel"`
+	Series []Series `json:"series"`
 }
 
 // Add appends a sample to the named series, creating it on first use.
@@ -58,11 +62,12 @@ func (f *Figure) Get(label string) *Series {
 	return nil
 }
 
-// Print writes the figure as aligned gnuplot-style columns: one x
+// WriteText writes the figure as aligned gnuplot-style columns: one x
 // column followed by one column per series.
-func (f *Figure) Print(w io.Writer) {
-	fmt.Fprintf(w, "# %s — %s\n", f.Name, f.Title)
-	fmt.Fprintf(w, "# x: %s, y: %s\n", f.XLabel, f.YLabel)
+func (f *Figure) WriteText(w io.Writer) error {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "# %s — %s\n", f.Name, f.Title)
+	fmt.Fprintf(&b, "# x: %s, y: %s\n", f.XLabel, f.YLabel)
 	// Collect the union of x values.
 	xs := map[float64]bool{}
 	for _, s := range f.Series {
@@ -76,67 +81,44 @@ func (f *Figure) Print(w io.Writer) {
 	}
 	sort.Float64s(xlist)
 	// Header.
-	fmt.Fprintf(w, "%-12s", "x")
+	fmt.Fprintf(&b, "%-12s", "x")
 	for _, s := range f.Series {
-		fmt.Fprintf(w, " %-16s", strings.ReplaceAll(s.Label, " ", "_"))
+		fmt.Fprintf(&b, " %-16s", strings.ReplaceAll(s.Label, " ", "_"))
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(&b)
 	for _, x := range xlist {
-		fmt.Fprintf(w, "%-12g", x)
+		fmt.Fprintf(&b, "%-12g", x)
 		for _, s := range f.Series {
 			v, ok := s.At(x)
 			if ok {
-				fmt.Fprintf(w, " %-16.6g", v)
+				fmt.Fprintf(&b, " %-16.6g", v)
 			} else {
-				fmt.Fprintf(w, " %-16s", "-")
+				fmt.Fprintf(&b, " %-16s", "-")
 			}
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(&b)
 	}
-	fmt.Fprintln(w)
-}
-
-// figureJSON is the machine-readable schema of a figure. Field order is
-// fixed by the struct, and every value is derived from deterministic
-// virtual-time measurements, so repeat runs produce byte-identical
-// output.
-type figureJSON struct {
-	Name   string       `json:"name"`
-	Title  string       `json:"title"`
-	XLabel string       `json:"xlabel"`
-	YLabel string       `json:"ylabel"`
-	Series []seriesJSON `json:"series"`
-}
-
-type seriesJSON struct {
-	Label string    `json:"label"`
-	X     []float64 `json:"x"`
-	Y     []float64 `json:"y"`
-}
-
-// WriteJSON writes the figure as deterministic machine-readable JSON.
-func (f *Figure) WriteJSON(w io.Writer) error {
-	out := figureJSON{Name: f.Name, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel}
-	for _, s := range f.Series {
-		js := seriesJSON{Label: s.Label, X: s.X, Y: s.Y}
-		if js.X == nil {
-			js.X = []float64{}
-		}
-		if js.Y == nil {
-			js.Y = []float64{}
-		}
-		out.Series = append(out.Series, js)
-	}
-	if out.Series == nil {
-		out.Series = []seriesJSON{}
-	}
-	b, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	fmt.Fprintln(&b)
+	_, err := w.Write(b.Bytes())
 	return err
+}
+
+// WriteJSON writes the figure as deterministic machine-readable JSON;
+// an empty list prints as [], not null.
+func (f *Figure) WriteJSON(w io.Writer) error {
+	out := *f
+	out.Series = make([]Series, len(f.Series))
+	for i, s := range f.Series {
+		out.Series[i] = Series{Label: s.Label, X: orEmpty(s.X), Y: orEmpty(s.Y)}
+	}
+	return profile.WriteJSON(w, &out)
+}
+
+func orEmpty(v []float64) []float64 {
+	if v == nil {
+		return []float64{}
+	}
+	return v
 }
 
 // At returns the y value at exactly x.

@@ -305,7 +305,9 @@ func TestFigurePrintAndAccessors(t *testing.T) {
 	fig.Add("a", 2, 20)
 	fig.Add("b", 1, 5)
 	var buf bytes.Buffer
-	fig.Print(&buf)
+	if err := fig.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	if !strings.Contains(out, "t — test") || !strings.Contains(out, "20") {
 		t.Errorf("figure print malformed:\n%s", out)

@@ -68,7 +68,7 @@ func TestCritPathInvariantMatrix(t *testing.T) {
 	got := map[string]string{}
 	for _, cfg := range profConfigs() {
 		rec, final := critRun(t, cfg.impl, cfg.opt)
-		jobs := rec.Crit().Jobs()
+		jobs := rec.Crit().Report().Jobs
 		if len(jobs) != 1 {
 			t.Fatalf("%s: expected 1 analyzed job, got %d", cfg.name, len(jobs))
 		}
@@ -111,8 +111,8 @@ func TestCritPathInvariantMatrix(t *testing.T) {
 func TestCritPathSchedulerModesAgree(t *testing.T) {
 	rec, _ := critRun(t, harness.ImplARMCIMPI, armcimpi.DefaultOptions())
 	var rb, jb bytes.Buffer
-	if err := rec.Crit().WriteReport(&rb); err != nil {
-		t.Fatalf("WriteReport: %v", err)
+	if err := rec.Crit().Report().WriteText(&rb); err != nil {
+		t.Fatalf("WriteText: %v", err)
 	}
 	if err := rec.Crit().WriteJSON(&jb); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -129,8 +129,8 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	build := func() (report, js []byte) {
 		rec, _ := critRun(t, harness.ImplARMCIMPI, armcimpi.DefaultOptions())
 		var rb, jb bytes.Buffer
-		if err := rec.Crit().WriteReport(&rb); err != nil {
-			t.Fatalf("WriteReport: %v", err)
+		if err := rec.Crit().Report().WriteText(&rb); err != nil {
+			t.Fatalf("WriteText: %v", err)
 		}
 		if err := rec.Crit().WriteJSON(&jb); err != nil {
 			t.Fatalf("WriteJSON: %v", err)

@@ -1,52 +1,11 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/profile"
 	"repro/internal/platform"
-)
-
-// The reports the instruments write, as far as the cross-checks read
-// them.
-type (
-	statsDoc struct {
-		Counters   map[string][]int64 `json:"counters"`
-		LinkBusyNs []int64            `json:"link_busy_ns"`
-	}
-	profDoc struct {
-		Ops []struct {
-			Phases []struct {
-				Phase string `json:"phase"`
-				Hist  struct {
-					SumNs int64 `json:"sum_ns"`
-				} `json:"hist"`
-			} `json:"phases"`
-		} `json:"ops"`
-		Matrix []struct {
-			Class     string `json:"class"`
-			Route     string `json:"route"`
-			SentBytes int64  `json:"sent_bytes"`
-			RecvBytes int64  `json:"recv_bytes"`
-		} `json:"matrix"`
-		Links []struct {
-			Node   int   `json:"node"`
-			BusyNs int64 `json:"busy_ns"`
-		} `json:"links"`
-	}
-	critDoc struct {
-		Jobs []struct {
-			Label      string `json:"label"`
-			MakespanNs int64  `json:"makespan_ns"`
-			PathNs     int64  `json:"path_ns"`
-		} `json:"jobs"`
-		Phases []struct {
-			Phase  string `json:"phase"`
-			FlatNs int64  `json:"flat_ns"`
-		} `json:"phases"`
-	}
 )
 
 // TestInstrumentsAgree cross-checks the four instruments on what they
@@ -98,29 +57,11 @@ func TestInstrumentsAgree(t *testing.T) {
 			if err := sw.run(rec); err != nil {
 				t.Fatal(err)
 			}
-			var stats statsDoc
-			var prof profDoc
-			var crit critDoc
-			for _, d := range []struct {
-				write func(*bytes.Buffer) error
-				into  any
-			}{
-				{func(b *bytes.Buffer) error { return rec.WriteStatsJSON(b) }, &stats},
-				{func(b *bytes.Buffer) error { return rec.Prof().WriteJSON(b) }, &prof},
-				{func(b *bytes.Buffer) error { return rec.Crit().WriteJSON(b) }, &crit},
-			} {
-				var b bytes.Buffer
-				if err := d.write(&b); err != nil {
-					t.Fatal(err)
-				}
-				if err := json.Unmarshal(b.Bytes(), d.into); err != nil {
-					t.Fatal(err)
-				}
-			}
+			stats, prof, crit := rec.Stats(), rec.Prof().Report(), rec.Crit().Report()
 			count := func(name string) int64 { return obs.Total(stats.Counters[name]) }
-			sent, recv := map[string]int64{}, map[string]int64{}
+			sent, recv := map[profile.Route]int64{}, map[profile.Route]int64{}
 			for _, c := range prof.Matrix {
-				if c.Class == "amo" {
+				if c.Class == profile.MsgAmo {
 					continue // eight bytes of control: no payload counter has them
 				}
 				sent[c.Route] += c.SentBytes
@@ -135,8 +76,8 @@ func TestInstrumentsAgree(t *testing.T) {
 			if wire == 0 {
 				t.Fatal("the sweep moved no bytes over the wire")
 			}
-			if routed := count(obs.CRouteRMABytes) + count(obs.CRouteStagedBytes); routed != wire || sent["rma"] != wire || recv["rma"] != wire {
-				t.Errorf("wire bytes: rma.bytes %d, route.{rma,staged} %d, matrix sent %d received %d", wire, routed, sent["rma"], recv["rma"])
+			if routed := count(obs.CRouteRMABytes) + count(obs.CRouteStagedBytes); routed != wire || sent[profile.RouteRMA] != wire || recv[profile.RouteRMA] != wire {
+				t.Errorf("wire bytes: rma.bytes %d, route.{rma,staged} %d, matrix sent %d received %d", wire, routed, sent[profile.RouteRMA], recv[profile.RouteRMA])
 			}
 			if staged, copied := count(obs.CRouteStagedBytes), count(obs.CDartStagedBytes); staged != copied {
 				t.Errorf("leader staging: %d bytes decided, %d bytes copied", staged, copied)
@@ -150,8 +91,8 @@ func TestInstrumentsAgree(t *testing.T) {
 			if node := count(obs.CRouteNodeBytes) + count(obs.CRouteSelfBytes); node != shm {
 				t.Errorf("shm bytes: rma.bytes.shm %d, route.{node,self} %d", shm, node)
 			}
-			if sw.ds && (sent["shm"] <= shm || sent["ds"] == 0) || !sw.ds && (sent["shm"] != shm || sent["ds"] != 0) {
-				t.Errorf("matrix: shm %d (rma.bytes.shm %d), ds %d", sent["shm"], shm, sent["ds"])
+			if sw.ds && (sent[profile.RouteShm] <= shm || sent[profile.RouteDS] == 0) || !sw.ds && (sent[profile.RouteShm] != shm || sent[profile.RouteDS] != 0) {
+				t.Errorf("matrix: shm %d (rma.bytes.shm %d), ds %d", sent[profile.RouteShm], shm, sent[profile.RouteDS])
 			}
 			for route := range sent {
 				if sent[route] != recv[route] {
@@ -163,16 +104,16 @@ func TestInstrumentsAgree(t *testing.T) {
 			// node by node; and no NIC is busier than the jobs are long.
 			var span int64
 			for _, j := range crit.Jobs {
-				span += j.MakespanNs
-				if j.PathNs != j.MakespanNs {
-					t.Errorf("job %s: critical path %d ns, makespan %d ns", j.Label, j.PathNs, j.MakespanNs)
+				span += int64(j.Makespan)
+				if j.PathNs != j.Makespan {
+					t.Errorf("job %s: critical path %d ns, makespan %d ns", j.Label, j.PathNs, j.Makespan)
 				}
 			}
 			if len(prof.Links) == 0 || len(crit.Jobs) == 0 {
 				t.Fatal("no link or job records")
 			}
 			for _, l := range prof.Links {
-				if l.Node >= len(stats.LinkBusyNs) || stats.LinkBusyNs[l.Node] != l.BusyNs {
+				if l.Node >= len(stats.LinkBusyNs) || int64(stats.LinkBusyNs[l.Node]) != l.BusyNs {
 					t.Errorf("node %d link busy: profiler %d ns, registry %v", l.Node, l.BusyNs, stats.LinkBusyNs)
 				}
 				if l.BusyNs > span {

@@ -100,7 +100,7 @@ func TestObservedBenchIsByteDeterministic(t *testing.T) {
 	if err := json.Unmarshal(st1, &stats); err != nil {
 		t.Fatalf("stats is not valid JSON: %v", err)
 	}
-	var fig figureJSON
+	var fig Figure
 	if err := json.Unmarshal(fig1, &fig); err != nil {
 		t.Fatalf("figure is not valid JSON: %v", err)
 	}

@@ -35,7 +35,7 @@ func TestProbeRoutes(t *testing.T) {
 			if _, err := measure(p); err != nil {
 				t.Fatal(err)
 			}
-			ops := func(c string) int64 { return obs.Total(p.rec.Metrics().Counter(c)) }
+			ops := func(c string) int64 { return obs.Total(p.rec.Stats().Counters[c]) }
 			node, rma, staged := ops(obs.CRouteNode), ops(obs.CRouteRMA), ops(obs.CRouteStaged)
 			cores := p.plat.CoresPerNode
 			if p.origin/cores == p.target/cores && !p.opt.NoShm {

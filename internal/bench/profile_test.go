@@ -272,15 +272,15 @@ func TestProfileCommMatrixConservation(t *testing.T) {
 			if cfg.impl != harness.ImplARMCIMPI {
 				return // the data server does not maintain rma.bytes.*
 			}
-			m := rec.Metrics()
+			m := rec.Stats()
 			var wantRMA, wantShm int64
-			for _, v := range m.Counter(obs.CBytesContig) {
+			for _, v := range m.Counters[obs.CBytesContig] {
 				wantRMA += v
 			}
-			for _, v := range m.Counter(obs.CBytesPacked) {
+			for _, v := range m.Counters[obs.CBytesPacked] {
 				wantRMA += v
 			}
-			for _, v := range m.Counter(obs.CBytesShm) {
+			for _, v := range m.Counters[obs.CBytesShm] {
 				wantShm += v
 			}
 			if rmaBytes != wantRMA {
@@ -300,8 +300,8 @@ func TestProfileReportDeterministic(t *testing.T) {
 	build := func() (report, js []byte) {
 		pr := profRun(t, harness.ImplARMCIMPI, armcimpi.DefaultOptions()).Prof()
 		var rb, jb bytes.Buffer
-		if err := pr.WriteReport(&rb); err != nil {
-			t.Fatalf("WriteReport: %v", err)
+		if err := pr.Report().WriteText(&rb); err != nil {
+			t.Fatalf("WriteText: %v", err)
 		}
 		if err := pr.WriteJSON(&jb); err != nil {
 			t.Fatalf("WriteJSON: %v", err)

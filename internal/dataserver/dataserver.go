@@ -139,7 +139,9 @@ func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 	// The staging copy out of the receive buffer covers the payload.
 	start, done := w.serve(m.NodeOf(target), arrive, total, procNs)
 	w.served(me, target, class, total, arrive, start, done)
-	m.Eng.At(done, func() { w.Obs.Landed(me, target, class, profile.RouteDS, total) })
+	if w.Obs != nil {
+		m.Eng.At(done, func() { w.Obs.Landed(me, target, class, profile.RouteDS, total) })
+	}
 	return done
 }
 

@@ -86,7 +86,7 @@ func TestMallocMessagesNearLinear(t *testing.T) {
 			must(t, rt.Free(addrs[rt.Rank()]))
 		})
 		must(t, err)
-		return obs.Total(rec.Metrics().Counter(obs.CFabMsgs))
+		return obs.Total(rec.Stats().Counters[obs.CFabMsgs])
 	}
 	for _, impl := range []Impl{ImplARMCIMPI, ImplNative, ImplDataServer} {
 		msgs := map[int]int64{}

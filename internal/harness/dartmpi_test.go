@@ -55,10 +55,10 @@ func runDart(t *testing.T, opt armcimpi.Options) *obs.Recorder {
 func TestDartNoShmForcesRMA(t *testing.T) {
 	opt := armcimpi.DefaultOptions()
 	rec := runDart(t, opt)
-	if shm := obs.Total(rec.Metrics().Counter(obs.CBytesShm)); shm == 0 {
+	if shm := obs.Total(rec.Stats().Counters[obs.CBytesShm]); shm == 0 {
 		t.Error("default dartmpi moved no bytes over the shm path")
 	}
-	ops := func(c string) int64 { return obs.Total(rec.Metrics().Counter(c)) }
+	ops := func(c string) int64 { return obs.Total(rec.Stats().Counters[c]) }
 	if ops(obs.CRouteNode) == 0 || ops(obs.CRouteSelf) == 0 || ops(obs.CRouteRMA)+ops(obs.CRouteStaged) == 0 {
 		t.Errorf("expected all tiers exercised: self=%d node=%d remote=%d",
 			ops(obs.CRouteSelf), ops(obs.CRouteNode), ops(obs.CRouteRMA)+ops(obs.CRouteStaged))
@@ -66,7 +66,7 @@ func TestDartNoShmForcesRMA(t *testing.T) {
 
 	opt.NoShm = true
 	rec = runDart(t, opt)
-	if shm := obs.Total(rec.Metrics().Counter(obs.CBytesShm)); shm != 0 {
+	if shm := obs.Total(rec.Stats().Counters[obs.CBytesShm]); shm != 0 {
 		t.Errorf("rma.bytes.shm = %d under NoShm dartmpi, want 0", shm)
 	}
 	if ops(obs.CRouteSelf) != 0 || ops(obs.CRouteNode) != 0 {
@@ -83,8 +83,8 @@ func TestDartNoShmForcesRMA(t *testing.T) {
 // follow a custom StageThreshold.
 func TestDartLeaderStaging(t *testing.T) {
 	staged := func(opt armcimpi.Options) (events, bytes int64) {
-		m := runDart(t, opt).Metrics()
-		return obs.Total(m.Counter(obs.CDartStaged)), obs.Total(m.Counter(obs.CDartStagedBytes))
+		m := runDart(t, opt).Stats()
+		return obs.Total(m.Counters[obs.CDartStaged]), obs.Total(m.Counters[obs.CDartStagedBytes])
 	}
 	opt := armcimpi.DefaultOptions()
 	n, b := staged(opt)

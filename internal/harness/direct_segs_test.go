@@ -68,6 +68,9 @@ func TestDirectSegmentScratch(t *testing.T) {
 				must(t, rt.Free(addrs[rt.Rank()]))
 			})
 			must(t, err)
+			if contig != 0 {
+				t.Errorf("warm contiguous put allocates %v objects, want 0", contig)
+			}
 			if strided > contig {
 				t.Errorf("warm strided put allocates %v objects, a contiguous put of the same bytes %v", strided, contig)
 			}

@@ -141,13 +141,13 @@ func TestRouteDecisionTable(t *testing.T) {
 // the staging events the executor modeled (one staging hop per
 // RouteStagedRMA decision).
 func TestRouteCountersSingleDecisionPoint(t *testing.T) {
-	m := runDart(t, armcimpi.DefaultOptions()).Metrics()
+	m := runDart(t, armcimpi.DefaultOptions()).Stats()
 	for _, c := range []string{obs.CRouteSelf, obs.CRouteNode, obs.CRouteRMA, obs.CRouteStaged} {
-		if obs.Total(m.Counter(c)) == 0 {
+		if obs.Total(m.Counters[c]) == 0 {
 			t.Errorf("dartmpi emitted no %s", c)
 		}
 	}
-	if staged, events := obs.Total(m.Counter(obs.CRouteStaged)), obs.Total(m.Counter(obs.CDartStaged)); staged != events {
+	if staged, events := obs.Total(m.Counters[obs.CRouteStaged]), obs.Total(m.Counters[obs.CDartStaged]); staged != events {
 		t.Errorf("route.staged.ops %d != dart.leader.staged %d", staged, events)
 	}
 
@@ -162,13 +162,13 @@ func TestRouteCountersSingleDecisionPoint(t *testing.T) {
 	if err := j2.Eng.Run(4, func(p *sim.Proc) { dartWorkload(t, j2.Runtime(p)) }); err != nil {
 		t.Fatal(err)
 	}
-	m2 := rec2.Metrics()
+	m2 := rec2.Stats()
 	for _, c := range []string{obs.CRouteSelf, obs.CRouteNode, obs.CRouteRMA} {
-		if obs.Total(m2.Counter(c)) == 0 {
+		if obs.Total(m2.Counters[c]) == 0 {
 			t.Errorf("armci-mpi emitted no %s", c)
 		}
 	}
-	if staged := obs.Total(m2.Counter(obs.CRouteStaged)); staged != 0 {
+	if staged := obs.Total(m2.Counters[obs.CRouteStaged]); staged != 0 {
 		t.Errorf("armci-mpi made %d staged-RMA decisions, want 0", staged)
 	}
 }

@@ -97,7 +97,7 @@ func TestLocalSideMustBeLocal(t *testing.T) {
 				}
 				rt.Barrier()
 				if me == 0 {
-					msgs := func() int64 { return obs.Total(rec.Metrics().Counter(obs.CFabMsgs)) }
+					msgs := func() int64 { return obs.Total(rec.Stats().Counters[obs.CFabMsgs]) }
 					t0, m0 := rt.Proc().Now(), msgs()
 					for _, nb := range []bool{false, true} {
 						for _, op := range allOps(rt, bufs[3], remote[2], nb) {

@@ -257,15 +257,15 @@ var matrixTimes = []string{obs.TLockWaitShared, obs.TLockWaitExcl, obs.TPack}
 // matrixObs renders what the recorder saw of one row.
 func matrixObs(t *testing.T, rec *obs.Recorder, phases *phaseLog) string {
 	var b strings.Builder
-	mt := rec.Metrics()
+	mt := rec.Stats()
 	b.WriteString("  metrics")
 	for _, name := range matrixMetrics {
-		if v := mt.Counter(name); obs.Total(v) != 0 {
+		if v := mt.Counters[name]; obs.Total(v) != 0 {
 			fmt.Fprintf(&b, " %s=%v", name, v)
 		}
 	}
 	for _, name := range matrixTimes {
-		if v := mt.TimeOf(name); obs.TotalTime(v) != 0 {
+		if v := mt.TimesNs[name]; obs.TotalTime(v) != 0 {
 			fmt.Fprintf(&b, " %s=%v", name, v)
 		}
 	}

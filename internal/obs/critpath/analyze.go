@@ -8,11 +8,11 @@ import (
 // Job is one analyzed job's invariant record: the walk's segment
 // durations (PathNs) must sum exactly to the makespan.
 type Job struct {
-	Label    string
-	Makespan sim.Time
-	PathNs   sim.Time
-	Segments int
-	Start    int // rank the walk started from (last to finish)
+	Label    string   `json:"label"`
+	Makespan sim.Time `json:"makespan_ns"`
+	PathNs   sim.Time `json:"path_ns"`
+	Segments int      `json:"segments"`
+	Start    int      `json:"start_rank"` // rank the walk started from (last to finish)
 }
 
 // cellKey is one attribution cell of the critical path:

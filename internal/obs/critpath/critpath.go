@@ -305,13 +305,3 @@ func (r *Rec) RawScope(rank int, op profile.Op, start, end sim.Time) {
 		l.scopes = append(l.scopes, act{start: start, end: end, op: uint8(op)})
 	}
 }
-
-// Jobs returns the per-job invariant records analyzed so far,
-// flushing the current job first.
-func (r *Rec) Jobs() []Job {
-	if r == nil {
-		return nil
-	}
-	r.Flush()
-	return r.agg.jobs
-}

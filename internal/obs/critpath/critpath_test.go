@@ -1,8 +1,6 @@
 package critpath
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/obs/profile"
@@ -47,28 +45,6 @@ func record(r *Rec) {
 	r.Finished(2, 400)
 }
 
-type report struct {
-	TotalNs int64 `json:"total_ns"`
-	Phases  []struct {
-		Phase  string `json:"phase"`
-		CritNs int64  `json:"crit_ns"`
-	} `json:"phases"`
-	Ops []struct {
-		Op     string `json:"op"`
-		CritNs int64  `json:"crit_ns"`
-	} `json:"ops"`
-	Ranks []struct {
-		Rank   int   `json:"rank"`
-		CritNs int64 `json:"crit_ns"`
-	} `json:"ranks"`
-	Chains []struct {
-		Why    string `json:"why"`
-		From   int    `json:"from"`
-		Count  int64  `json:"count"`
-		WaitNs int64  `json:"wait_ns"`
-	} `json:"chains"`
-}
-
 // TestWalkTilesTheMakespan: the backward walk from the last finisher
 // crosses the ambient wake (2 <- 0), a message hop (0 <- 2), the lock
 // grant (2 <- 1) and another message hop (1 <- 0), and the segments it
@@ -77,17 +53,9 @@ type report struct {
 func TestWalkTilesTheMakespan(t *testing.T) {
 	r := New(nil)
 	record(r)
-	jobs := r.Jobs()
-	if len(jobs) != 1 || jobs[0].Makespan != 400 || jobs[0].PathNs != 400 || jobs[0].Start != 2 {
+	rep := r.Report()
+	if jobs := rep.Jobs; len(jobs) != 1 || jobs[0].Makespan != 400 || jobs[0].PathNs != 400 || jobs[0].Start != 2 {
 		t.Fatalf("jobs = %+v, want one 400 ns job walked from rank 2 with path == makespan", jobs)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatal(err)
 	}
 	phases := map[string]int64{}
 	for _, p := range rep.Phases {
@@ -134,7 +102,7 @@ func TestSecondJobStartsClean(t *testing.T) {
 	r.Resumed(1, 30)
 	r.Finished(0, 12)
 	r.Finished(1, 50)
-	jobs := r.Jobs()
+	jobs := r.Report().Jobs
 	if len(jobs) != 2 || jobs[1].Makespan != 50 || jobs[1].PathNs != 50 || jobs[1].Label != "second" {
 		t.Fatalf("jobs = %+v, want the second job tiled on its own", jobs)
 	}

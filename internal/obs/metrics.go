@@ -154,22 +154,6 @@ func (m *Metrics) LinkBusy(node int, d sim.Time) {
 	m.links[node] += d
 }
 
-// Counter returns the per-rank values of a counter (nil if unused).
-func (m *Metrics) Counter(name string) []int64 {
-	if m == nil {
-		return nil
-	}
-	return m.counters[name]
-}
-
-// TimeOf returns the per-rank values of a time metric (nil if unused).
-func (m *Metrics) TimeOf(name string) []sim.Time {
-	if m == nil {
-		return nil
-	}
-	return m.times[name]
-}
-
 // Total sums a counter across ranks.
 func Total(vals []int64) int64 { return sum(vals) }
 

@@ -102,14 +102,6 @@ func New(opt Options) *Recorder {
 	return r
 }
 
-// Metrics returns the registry; nil on a nil recorder.
-func (r *Recorder) Metrics() *Metrics {
-	if r == nil {
-		return nil
-	}
-	return r.m
-}
-
 // Prof returns the phase-attribution profiler for its report writers
 // and read accessors; nil when profiling is off or the recorder is nil.
 func (r *Recorder) Prof() *profile.Profiler {

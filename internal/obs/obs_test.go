@@ -56,8 +56,11 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.BeginJob("x", &fakeClock{}, 4)
 	everyEvent(r)
-	if r.Metrics() != nil || r.Prof() != nil || r.Crit() != nil {
+	if r.Prof() != nil || r.Crit() != nil {
 		t.Fatal("nil recorder hands out instruments")
+	}
+	if s := r.Stats(); len(s.Counters)+len(s.TimesNs)+len(s.Gauges)+len(s.Histograms)+len(s.LinkBusyNs) != 0 {
+		t.Fatalf("nil recorder's stats are not empty: %+v", s)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -80,17 +83,17 @@ func TestMetricsAccumulate(t *testing.T) {
 	r.Waited(Wait{Kind: WaitMutex, Rank: 0, Peer: 1, N: 2})
 	r.Waited(Wait{Kind: WaitMutex, Rank: 0, Peer: 1, N: 1})
 
-	m := r.Metrics()
-	if got := m.Counter(COpsPut); got[0] != 2 || got[1] != 3 {
+	m := r.m
+	if got := m.counters[COpsPut]; got[0] != 2 || got[1] != 3 {
 		t.Errorf("counter = %v", got)
 	}
-	if got := m.TimeOf(TLockWaitShared); got[1] != 2500 {
+	if got := m.times[TLockWaitShared]; got[1] != 2500 {
 		t.Errorf("time = %v", got)
 	}
 	if got := m.gauges[GMutexQueue]; got[0] != 2 {
 		t.Errorf("gauge = %v", got)
 	}
-	if got := m.Counter(CEpochs); got[0] != 2 || got[1] != 1 {
+	if got := m.counters[CEpochs]; got[0] != 2 || got[1] != 1 {
 		t.Errorf("a granted lock opens an epoch: epochs = %v", got)
 	}
 	h := m.hists[HLockWait][0]
@@ -161,7 +164,7 @@ func TestParkAccounting(t *testing.T) {
 	r.RankResumed(0, 700)
 	r.RankParked(0, "elapse", 700) // pure time passage: ignored
 	r.RankResumed(0, 900)
-	got := r.Metrics().TimeOf("sched.park:mpi.WinLock")
+	got := r.m.times["sched.park:mpi.WinLock"]
 	if len(got) == 0 || got[0] != 600 {
 		t.Errorf("park time = %v", got)
 	}
@@ -224,7 +227,9 @@ func TestStatsTextReport(t *testing.T) {
 		r.Waited(Wait{Kind: WaitFlush, Rank: 1, Peer: 0})
 	}
 	var buf bytes.Buffer
-	r.WriteStats(&buf)
+	if err := r.Stats().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{"rank", CBytesContig[:3], "4096", "128", "lock.wait.shared", "epoch.flush"} {
 		if !strings.Contains(out, want) {

@@ -227,13 +227,14 @@ type scope struct {
 // site (origin issue) and the receive site (target-side apply), so the
 // two sides cross-check each other.
 type Cell struct {
-	Src, Dst  int
-	Class     MsgClass
-	Route     Route
-	SentMsgs  int64
-	SentBytes int64
-	RecvMsgs  int64
-	RecvBytes int64
+	Src       int      `json:"src"`
+	Dst       int      `json:"dst"`
+	Class     MsgClass `json:"class"`
+	Route     Route    `json:"route"`
+	SentMsgs  int64    `json:"sent_msgs"`
+	SentBytes int64    `json:"sent_bytes"`
+	RecvMsgs  int64    `json:"recv_msgs"`
+	RecvBytes int64    `json:"recv_bytes"`
 }
 
 // LinkStat is one node's NIC utilization record.
