@@ -56,6 +56,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -460,37 +461,40 @@ func writeResults(dir string) error {
 }
 
 // table2 prints the paper's Table II and the calibrated model
-// parameters behind each simulated machine.
+// parameters behind each simulated machine, rendered into one buffer and
+// written once.
 func table2(w io.Writer) error {
-	bench.Table2(w)
-	fmt.Fprintln(w, "# Calibrated model parameters")
+	var b bytes.Buffer
+	bench.Table2(&b)
+	fmt.Fprintln(&b, "# Calibrated model parameters")
 	for _, p := range platform.All() {
-		fmt.Fprintf(w, "%s (%s)\n", p.Name, p.System)
-		fmt.Fprintf(w, "  link: %.2f GB/s, latency %.1f us, per-msg overhead %.0f ns\n",
+		fmt.Fprintf(&b, "%s (%s)\n", p.Name, p.System)
+		fmt.Fprintf(&b, "  link: %.2f GB/s, latency %.1f us, per-msg overhead %.0f ns\n",
 			p.Bandwidth/1e9, p.LatencyNs/1e3, p.MsgOverhead)
-		fmt.Fprintf(w, "  cpu: copy %.2f GB/s, %.1f Gflop/s per core, %d cores/node\n",
+		fmt.Fprintf(&b, "  cpu: copy %.2f GB/s, %.1f Gflop/s per core, %d cores/node\n",
 			p.CopyRate/1e9, p.Flops/1e9, p.CoresPerNode)
 		if p.PinPageNs > 0 {
-			fmt.Fprintf(w, "  registration: %.0f us/page, bounce threshold %d B\n",
+			fmt.Fprintf(&b, "  registration: %.0f us/page, bounce threshold %d B\n",
 				p.PinPageNs/1e3, p.BounceThreshold)
 		}
-		fmt.Fprintf(w, "  native ARMCI: %.0f%% of link bw, %.0f ns/op",
+		fmt.Fprintf(&b, "  native ARMCI: %.0f%% of link bw, %.0f ns/op",
 			p.Native.BandwidthFrac*100, p.Native.OpOverheadNs)
 		if p.Native.ScalePenaltyNs > 0 {
-			fmt.Fprintf(w, ", %.1f us/op scale penalty per log2(P)", p.Native.ScalePenaltyNs/1e3)
+			fmt.Fprintf(&b, ", %.1f us/op scale penalty per log2(P)", p.Native.ScalePenaltyNs/1e3)
 		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  MPI RMA: %.0f%% of link bw, %.0f ns/op", p.MPI.BandwidthFrac*100, p.MPI.OpOverheadNs)
+		fmt.Fprintln(&b)
+		fmt.Fprintf(&b, "  MPI RMA: %.0f%% of link bw, %.0f ns/op", p.MPI.BandwidthFrac*100, p.MPI.OpOverheadNs)
 		if p.MPI.LargeFrac > 0 {
-			fmt.Fprintf(w, ", %.0f%% beyond %d B", p.MPI.LargeFrac*100, p.MPI.LargeAt)
+			fmt.Fprintf(&b, ", %.0f%% beyond %d B", p.MPI.LargeFrac*100, p.MPI.LargeAt)
 		}
 		if p.MPI.QueueSlowdownNs > 0 {
-			fmt.Fprintf(w, ", epoch-queue slowdown %.0f ns/op beyond %d ops",
+			fmt.Fprintf(&b, ", epoch-queue slowdown %.0f ns/op beyond %d ops",
 				p.MPI.QueueSlowdownNs, p.MPI.QueueThreshold)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(&b)
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 func ablations(w io.Writer) error {

@@ -261,9 +261,9 @@ func (f failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriteErrors: text that cannot be written fails the run, whether
-// it is the figure's columns or one instrument's report (the figure
-// written, the report not). The figure and -stats used to drop the
-// error and exit 0.
+// it is the figure's columns, one instrument's report (the figure
+// written, the report not) or Table II. The figure, -stats and table2
+// used to drop the error and exit 0.
 func TestWriteErrors(t *testing.T) {
 	for _, c := range []struct {
 		a    args
@@ -273,9 +273,10 @@ func TestWriteErrors(t *testing.T) {
 		{args{fig: "fig3-ib", quick: true, stats: true}, "# fig3-ib"},
 		{args{fig: "fig3-ib", quick: true, profile: true}, "# fig3-ib"},
 		{args{fig: "fig3-ib", quick: true, critpath: true}, "# fig3-ib"},
+		{args{fig: "table2"}, ""},
 	} {
 		if err := run(failingWriter{c.pass}, c.a); !errors.Is(err, errWrite) {
-			t.Errorf("stats=%v profile=%v critpath=%v: err = %v, want the write error", c.a.stats, c.a.profile, c.a.critpath, err)
+			t.Errorf("%s stats=%v profile=%v critpath=%v: err = %v, want the write error", c.a.fig, c.a.stats, c.a.profile, c.a.critpath, err)
 		}
 	}
 }

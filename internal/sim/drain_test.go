@@ -151,29 +151,57 @@ func TestGoexitInRankBody(t *testing.T) {
 }
 
 // TestHandlerPanicIsAnError: a panic or runtime.Goexit in an event
-// handler running under the dispatcher ends the run with an error
-// instead of killing the process from the dispatcher's worker
-// goroutine, and leaks nothing.
+// handler ends the run with the handler's error instead of killing the
+// process, blames no rank, and leaks nothing — whether the handler runs
+// under the dispatcher or inline, on the stack of a parked rank: two
+// ranks parked (the second one's park fires it), the same with the
+// inline paths off, one rank's Elapse and one rank's Park. Every rank
+// body's deferred cleanup runs, with the run draining.
 func TestHandlerPanicIsAnError(t *testing.T) {
-	for _, tc := range []struct {
-		handler func()
-		want    string
+	for _, job := range []struct {
+		name     string
+		n        int
+		noInline bool
+		wait     func(p *Proc)
 	}{
-		{func() { panic("bad handler") }, "sim: event handler panicked: bad handler"},
-		{runtime.Goexit, "sim: event handler exited via runtime.Goexit"},
+		{"parked", 2, false, func(p *Proc) { p.Park("waiting") }},
+		{"dispatcher", 2, true, func(p *Proc) { p.Park("waiting") }},
+		{"elapse", 1, false, func(p *Proc) { p.Elapse(10) }},
+		{"park", 1, false, func(p *Proc) { p.Park("waiting") }},
 	} {
-		checkNoLeak(t, 5, func(int) {
-			e := NewEngine()
-			err := e.Run(2, func(p *Proc) {
-				if p.ID() == 0 {
-					e.At(5, tc.handler)
-				}
-				p.Park("waiting")
+		for _, tc := range []struct {
+			name    string
+			handler func()
+			want    string
+		}{
+			{"panic", func() { panic("bad handler") }, "sim: event handler panicked: bad handler"},
+			{"goexit", runtime.Goexit, "sim: event handler exited via runtime.Goexit"},
+		} {
+			t.Run(job.name+"/"+tc.name, func(t *testing.T) {
+				checkNoLeak(t, 5, func(int) {
+					e := NewEngine()
+					e.noInline = job.noInline
+					unwound := 0
+					err := e.Run(job.n, func(p *Proc) {
+						defer func() {
+							if e.draining {
+								unwound++
+							}
+						}()
+						if p.ID() == 0 {
+							e.At(5, tc.handler)
+						}
+						job.wait(p)
+					})
+					if err == nil || err.Error() != tc.want {
+						t.Fatalf("err = %v, want %q", err, tc.want)
+					}
+					if unwound != job.n {
+						t.Fatalf("%d of %d rank bodies unwound while draining", unwound, job.n)
+					}
+				})
 			})
-			if err == nil || err.Error() != tc.want {
-				t.Fatalf("err = %v, want %q", err, tc.want)
-			}
-		})
+		}
 	}
 }
 

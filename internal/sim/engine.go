@@ -8,28 +8,29 @@
 // Higher layers (fabric, MPI, ARMCI) are built from three primitives:
 // Elapse (charge local virtual time), Park/Unpark (block a rank until a
 // condition is signalled), and At (schedule a handler at a future virtual
-// time). Handlers run under the dispatcher and must not block.
+// time). Handlers run in event context — the dispatcher's, or a parked
+// rank's inline loop — and must not block.
 //
 // Every rank of a job shares one event heap, one runnable FIFO and one
 // clock. The dispatcher is a plain loop on one worker goroutine: it
 // pops the runnable FIFO or the event heap and resumes the chosen rank.
 // A rank body is a runtime coroutine (iter.Pull), created lazily at
-// first dispatch; Park yields back to the dispatcher. Resume and yield
-// are coroutine switches on the same M and P — no channel, no wake of
-// an idle P — so a hand-off costs ~100 ns at any GOMAXPROCS, and a
-// job's live goroutine count is the number of simultaneously parked
-// ranks, not N. Proc records live in one slab.
+// first dispatch; a park that cannot finish inline yields back to the
+// dispatcher. Resume and yield are coroutine switches on the same M and
+// P — no channel, no wake of an idle P — so a hand-off costs ~100 ns at
+// any GOMAXPROCS, and a job's live goroutine count is the number of
+// simultaneously parked ranks, not N. Proc records live in one slab.
 //
 // The engine's own wall-clock cost is kept off the simulated results'
 // critical path by three mechanisms: events are value-typed in the heap
 // slice (the popped slots double as a free list, so scheduling allocates
 // nothing once the heap has grown), pure time-advance wakeups carry the
-// parked Proc instead of a closure, and Elapse takes an inline fast path
-// that advances the clock without switching to the dispatcher whenever
-// no earlier event or runnable rank could interleave. The fast path
-// consumes the same sequence number and counts the same Parks and
-// Events as the slow path, so engine counters and every downstream
-// virtual-time result are byte-identical whichever path runs.
+// parked Proc instead of a closure, and a parked rank runs the event
+// loop itself: while no other rank is runnable, Park and Elapse step
+// through the due events on the parking rank's coroutine and resume it
+// without a switch if it is the rank woken, as by a lock grant of its
+// own making. Counters, tie-breaks and every virtual-time result are the
+// dispatcher's, whichever loop fires an event.
 package sim
 
 import (
@@ -92,11 +93,11 @@ type event struct {
 }
 
 // Event is a scheduled occurrence that is its own record: Fire runs in
-// event context (under the dispatcher, never blocking), like an At
-// handler. A type that schedules the same kind of occurrence many times
-// — a message landing in a mailbox, an epoch's grant — implements it on
-// the record it already holds, so scheduling allocates nothing, where
-// each At closure is one more object.
+// event context (the dispatcher's or a parked rank's inline loop, never
+// blocking), like an At handler. A type that schedules the same kind of
+// occurrence many times — a message landing in a mailbox, an epoch's
+// grant — implements it on the record it already holds, so scheduling
+// allocates nothing, where each At closure is one more object.
 type Event interface{ Fire() }
 
 // funcEvent adapts an At handler. A func value is pointer-shaped, so
@@ -118,11 +119,11 @@ func (w *wakeup) Fire() {
 // pops, so steady-state scheduling performs no allocation.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(ev event) {
@@ -132,7 +133,7 @@ func (h *eventHeap) push(ev event) {
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !s[i].before(s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -153,10 +154,10 @@ func (h *eventHeap) pop() event {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && s.less(l, smallest) {
+		if l < n && s[l].before(s[smallest]) {
 			smallest = l
 		}
-		if r < n && s.less(r, smallest) {
+		if r < n && s[r].before(s[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
@@ -202,8 +203,8 @@ func (p *Proc) Now() Time { return p.e.now }
 // observability layers access to the virtual clock at the moments
 // ranks block and resume. Callbacks run under the cooperative
 // scheduler (never concurrently) and must not block or re-enter the
-// engine. Elapse's inline fast path still reports its virtual
-// park/resume pair, so observers see the same sequence either way.
+// engine. A park that finishes inline still reports its park/resume
+// pair, so observers see the same sequence either way.
 type Observer interface {
 	// RankParked fires when a rank blocks; why is the park reason.
 	RankParked(rank int, why string, at Time)
@@ -215,7 +216,7 @@ type Observer interface {
 // observer also implements it, RankFinished fires as each rank's body
 // returns normally (never during an abnormal drain), carrying the
 // rank's completion time — the job makespan is the maximum over ranks.
-// The callback runs under the dispatcher, like the other callbacks.
+// The callback runs under the cooperative scheduler, like the others.
 type FinishObserver interface {
 	RankFinished(rank int, at Time)
 }
@@ -248,9 +249,9 @@ type Engine struct {
 	// panic so its coroutine exits before Run returns.
 	draining bool
 
-	// noInlineElapse disables Elapse's inline fast path; the golden
+	// noInline makes every park yield to the dispatcher; the golden
 	// tests use it to prove both paths produce identical schedules.
-	noInlineElapse bool
+	noInline bool
 
 	// MaxTime, when nonzero, aborts Run with ErrTimeLimit once the
 	// virtual clock passes it — a watchdog against virtual livelock
@@ -267,8 +268,8 @@ func (e *ErrTimeLimit) Error() string {
 }
 
 // Stats aggregates engine-level counters, useful in tests and benchmarks.
-// Both Elapse paths maintain them identically: an inline time advance
-// still counts one park and one dispatched event.
+// The inline loop maintains them as the dispatcher does: an Elapse that
+// advances the clock inline still counts one park and one event.
 type Stats struct {
 	Events    int64 // events dispatched
 	Parks     int64 // times any rank parked
@@ -291,7 +292,7 @@ func (e *Engine) Observe(o Observer) { e.obs = o }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
 // It may be called from a rank body or from another handler. Handlers
-// run under the dispatcher and must not block.
+// run in event context and must not block.
 func (e *Engine) At(t Time, fn func()) { e.AtEvent(t, funcEvent(fn)) }
 
 // AtEvent is At for a caller-held record: ev.Fire runs at t.
@@ -328,100 +329,70 @@ func (e *Engine) popRunnable() *Proc {
 	return p
 }
 
-// fire runs one popped event; the caller has advanced the clock to it.
-func (e *Engine) fire(ev event) {
+// step advances the clock to ev, the next event in (at, seq) order, and
+// counts and fires it, or fails the run past MaxTime. It is the one
+// place an event is dispatched, by the dispatcher or by a parked rank's
+// inline loop; a held wake passes through it with nothing to fire.
+func (e *Engine) step(ev event) {
+	e.now = max(e.now, ev.at)
+	if e.MaxTime > 0 && e.now > e.MaxTime {
+		e.failure = &ErrTimeLimit{At: e.now}
+		return
+	}
 	e.stats.Events++
-	ev.ev.Fire()
+	if ev.ev != nil {
+		ev.ev.Fire()
+	}
 }
 
 // drainSignal is the panic value used to unwind a blocked rank body
 // when the run ends abnormally; runBody recognizes and swallows it.
 type drainSignal struct{}
 
-// Elapse charges d nanoseconds of virtual time to the calling rank:
-// the rank blocks and resumes once the clock has advanced by d.
-//
-// When no other rank is runnable, Elapse runs inline instead of
-// parking: it reserves the wake event's sequence number, dispatches any
-// events due before the wake exactly as the dispatcher would (same
-// order, same clock updates, same counters), and advances the clock
-// itself — eliminating the switch to the dispatcher and back. If a
-// dispatched event makes another rank runnable, that rank must run
-// before this one resumes, so Elapse falls back to a real park whose
-// wake event carries the reserved sequence number; every tie-break
-// then resolves exactly as the parked path would. Which flow of
-// control executes an event handler is invisible to the simulation, so
-// the two paths are indistinguishable in every virtual-time observable.
+// Elapse blocks the calling rank for d nanoseconds of virtual time. Its
+// wake is held off the heap with a sequence number reserved now, so it
+// ties as if scheduled now; it is pushed only if the rank yields.
 func (p *Proc) Elapse(d Time) {
 	if d <= 0 {
 		return
 	}
 	e := p.e
-	if e.draining {
-		panic(drainSignal{})
-	}
-	due := e.now + d
-	if e.noInlineElapse || e.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) {
-		e.schedule(due, (*wakeup)(p))
-		p.Park("elapse")
+	e.seq++
+	wake := event{at: e.now + d, seq: e.seq, ev: (*wakeup)(p)}
+	if !e.wakeNext(wake) {
+		p.park("elapse", wake)
 		return
 	}
-	// Reserve the wake event's sequence number before dispatching:
-	// events run below may schedule new events, and a tie at due must
-	// resolve in favor of this wake exactly as the parked path would.
-	e.seq++
-	wakeSeq := e.seq
+	// Nothing runs before the wake: park and wake here, at half the host
+	// cost of a call through park.
 	e.stats.Parks++
 	if e.obs != nil {
 		e.obs.RankParked(p.id, "elapse", e.now)
 	}
-	for {
-		if len(e.events) == 0 || e.events[0].at > due ||
-			(e.events[0].at == due && e.events[0].seq > wakeSeq) {
-			// The wake event would be dispatched next: count it and
-			// advance inline.
-			e.stats.Events++
-			e.now = due
-			if e.obs != nil {
-				e.obs.RankResumed(p.id, e.now)
-			}
-			return
-		}
-		// Dispatch the earlier event exactly as the dispatcher would.
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.fire(ev)
-		if e.rqLen > 0 {
-			e.events.push(event{at: due, seq: wakeSeq, ev: (*wakeup)(p)})
-			p.park("elapse", true)
-			return
-		}
+	e.step(event{at: wake.at})
+	if e.obs != nil {
+		e.obs.RankResumed(p.id, e.now)
 	}
 }
 
 // Park blocks the calling rank until another component calls Unpark on
 // it. The why string is reported if the simulation deadlocks.
-func (p *Proc) Park(why string) { p.park(why, false) }
+func (p *Proc) Park(why string) { p.park(why, event{}) }
 
-// park yields the rank's coroutine back to the dispatcher. preCounted
-// marks parks whose statistics and observer callback were already
-// recorded by Elapse's inline path.
-func (p *Proc) park(why string, preCounted bool) {
+// park blocks p until it is woken; wake, if set, is its held wake. The
+// rank yields to the dispatcher only if its inline loop cannot resume it.
+func (p *Proc) park(why string, wake event) {
 	e := p.e
 	if e.draining {
 		panic(drainSignal{})
 	}
 	p.state = stateParked
 	p.why = why
-	if !preCounted {
-		e.stats.Parks++
-		if e.obs != nil {
-			e.obs.RankParked(p.id, why, e.now)
-		}
+	e.stats.Parks++
+	if e.obs != nil {
+		e.obs.RankParked(p.id, why, e.now)
 	}
-	if !p.yield(struct{}{}) {
+	if !e.inline(p, wake) && !p.yield(struct{}{}) {
 		panic(drainSignal{}) // stopped by a drain
 	}
 	p.state = stateRunning
@@ -429,6 +400,71 @@ func (p *Proc) park(why string, preCounted bool) {
 	if e.obs != nil {
 		e.obs.RankResumed(p.id, e.now)
 	}
+}
+
+// inline is the dispatcher's loop run on the coroutine of p, just
+// parked: while no rank is runnable and the run has not failed, it steps
+// through the heap's events that precede p's held wake, then the wake.
+// It reports whether p runs next; if not, the wake is pushed and p must
+// yield, to another rank, a deadlock report or a drain. A handler that
+// panics or calls runtime.Goexit here is on p's stack: one deferred
+// check records its failure, and p unwinds as a drain unwinds it (a
+// Goexit then kills the dispatcher's worker, as a rank's Goexit does).
+func (e *Engine) inline(p *Proc, wake event) bool {
+	if e.headNext(wake) {
+		done := false
+		defer func() {
+			if !done {
+				r := recover()
+				if e.failure == nil {
+					e.failure = handlerError(r)
+				}
+				e.draining = true
+				if r != nil {
+					panic(drainSignal{})
+				}
+			}
+		}()
+		for e.headNext(wake) {
+			e.step(e.events.pop())
+		}
+		done = true
+	}
+	if wake.ev != nil {
+		if e.wakeNext(wake) {
+			e.step(event{at: wake.at})
+			return true
+		}
+		e.events.push(wake)
+	}
+	if e.rqLen > 0 && e.runq[e.rqHead] == p {
+		e.popRunnable()
+		return true
+	}
+	return false
+}
+
+// headNext and wakeNext report whether the heap's head, or else the held
+// wake, runs next inline: no rank is runnable, the run has not failed
+// (so is not draining), and nothing precedes it. A wake past MaxTime is
+// left to the dispatcher.
+func (e *Engine) headNext(wake event) bool {
+	return !e.noInline && e.rqLen == 0 && e.failure == nil && len(e.events) > 0 &&
+		(wake.ev == nil || e.events[0].before(wake))
+}
+
+func (e *Engine) wakeNext(wake event) bool {
+	return !e.noInline && e.rqLen == 0 && e.failure == nil &&
+		(len(e.events) == 0 || wake.before(e.events[0])) && (e.MaxTime == 0 || wake.at <= e.MaxTime)
+}
+
+// handlerError is the failure of an event handler that panicked with r,
+// or called runtime.Goexit if r is nil.
+func handlerError(r any) error {
+	if r != nil {
+		return fmt.Errorf("sim: event handler panicked: %v", r)
+	}
+	return errors.New("sim: event handler exited via runtime.Goexit")
 }
 
 // Unpark marks a parked rank runnable. It may be called from event
@@ -517,11 +553,8 @@ func (e *Engine) work(done chan struct{}) {
 			close(done)
 			return
 		}
-		if r := recover(); r != nil && e.failure == nil {
-			e.failure = fmt.Errorf("sim: event handler panicked: %v", r)
-		}
-		if e.failure == nil {
-			e.failure = errors.New("sim: event handler exited via runtime.Goexit")
+		if r := recover(); e.failure == nil {
+			e.failure = handlerError(r)
 		}
 		go e.work(done)
 	}()
@@ -550,15 +583,7 @@ func (e *Engine) loop() {
 		case len(e.events) == 0:
 			e.failure = e.deadlockError()
 		default:
-			ev := e.events.pop()
-			if ev.at > e.now {
-				e.now = ev.at
-			}
-			if e.MaxTime > 0 && e.now > e.MaxTime {
-				e.failure = &ErrTimeLimit{At: e.now}
-			} else {
-				e.fire(ev)
-			}
+			e.step(e.events.pop())
 		}
 	}
 }

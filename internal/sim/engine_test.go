@@ -272,12 +272,18 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestMaxTimeWatchdog: the time limit ends a livelocked rank, which
+// never resumes past it — also when its own Elapse crosses the limit
+// with nothing else to run.
 func TestMaxTimeWatchdog(t *testing.T) {
 	e := NewEngine()
 	e.MaxTime = 1000
 	err := e.Run(1, func(p *Proc) {
 		for { // virtual livelock: keeps sleeping forever
 			p.Elapse(100)
+			if p.Now() > e.MaxTime {
+				t.Errorf("rank resumed at %v, past MaxTime", p.Now())
+			}
 		}
 	})
 	if err == nil {
@@ -301,7 +307,7 @@ func TestMaxTimeNotTriggeredByNormalRun(t *testing.T) {
 // Elapse path) allocates nothing.
 func TestWarmParkResumeAllocatesNothing(t *testing.T) {
 	e := NewEngine()
-	e.noInlineElapse = true
+	e.noInline = true
 	var allocs float64
 	if err := e.Run(2, func(p *Proc) {
 		p.Elapse(1) // warm: coroutine started, heap and FIFO grown
@@ -317,6 +323,28 @@ func TestWarmParkResumeAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("warm park/resume cycle allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestWarmInlineParkAllocatesNothing pins the inline park: a rank that
+// schedules its own wake event and parks fires the event itself and
+// resumes without a switch, and allocates nothing doing so.
+func TestWarmInlineParkAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	var allocs float64
+	if err := e.Run(1, func(p *Proc) {
+		wake := func() { e.Unpark(p) }
+		selfWake := func() {
+			e.At(p.Now()+1, wake)
+			p.Park("self")
+		}
+		selfWake() // warm: heap grown
+		allocs = testing.AllocsPerRun(1000, selfWake)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("warm self-waking park allocates %v objects, want 0", allocs)
 	}
 }
 
@@ -351,11 +379,38 @@ func BenchmarkElapseSoloRank(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			e := NewEngine()
-			e.noInlineElapse = mode.noInline
+			e.noInline = mode.noInline
 			if err := e.Run(1, func(p *Proc) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					p.Elapse(1)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkParkSelfWake measures the inline park: one rank schedules
+// its own wake event and parks, the shape of an RMA epoch's lock grant
+// or unlock ack. Inline, the rank fires the event and resumes itself;
+// parked, every call switches to the dispatcher and back.
+func BenchmarkParkSelfWake(b *testing.B) {
+	for _, mode := range []struct {
+		name     string
+		noInline bool
+	}{{"inline", false}, {"parked", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			e.noInline = mode.noInline
+			if err := e.Run(1, func(p *Proc) {
+				wake := func() { e.Unpark(p) }
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.At(p.Now()+1, wake)
+					p.Park("self")
 				}
 			}); err != nil {
 				b.Fatal(err)

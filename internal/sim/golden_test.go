@@ -52,12 +52,12 @@ type workload struct {
 	body    func(e *Engine, m *tracer) func(*Proc)
 }
 
-// run executes w on the given Elapse path and renders everything
+// run executes w with the inline paths on or off and renders everything
 // observable about it in golden-file form: the error, the Stats, and
 // the tracer's stream.
 func (w workload) run(noInline bool) string {
 	e := NewEngine()
-	e.noInlineElapse = noInline
+	e.noInline = noInline
 	e.MaxTime = w.maxTime
 	tr := &tracer{}
 	e.Observe(tr)
@@ -206,6 +206,64 @@ var confinedWorkload = workload{name: "confined", n: 16, body: func(e *Engine, _
 	}
 }}
 
+// parkWorkload is a job of parks that the parked rank's own events
+// end, the shape of an RMA epoch: ranks 0 and 1 ping-pong lock and
+// unlock requests whose grant and ack handlers each schedule the next
+// hop, so every park is ended by a chain the rank started itself. Rank
+// 2's park first wakes rank 3, which must run before rank 2's own wake;
+// then three events tie at one instant (a mark, a wake of rank 3, rank
+// 2's own wake). Rank 3 outlives the others and parks on a wake past
+// MaxTime, so the run ends with the time limit hit while a parked rank
+// dispatches the job's last event.
+var parkWorkload = workload{name: "park", n: 4, maxTime: 400, body: func(e *Engine, m *tracer) func(*Proc) {
+	procs := make([]*Proc, 4)
+	rpc := func(p *Proc, why string, lat Time) {
+		e.At(p.Now()+lat, func() {
+			m.ev(fmt.Sprintf("%s req r%d", why, p.ID()))
+			e.At(e.Now()+lat, func() {
+				m.ev(fmt.Sprintf("%s reply r%d", why, p.ID()))
+				e.Unpark(p)
+			})
+		})
+		p.Park(why)
+	}
+	return func(p *Proc) {
+		procs[p.ID()] = p
+		switch p.ID() {
+		case 0, 1:
+			for i := 0; i < 4; i++ {
+				rpc(p, "lock", Time(3+p.ID()))
+				m.at(p, "locked")
+				p.Elapse(2)
+				rpc(p, "unlock", 3)
+			}
+			m.at(p, "pingpong-done")
+		case 2:
+			p.Elapse(1)
+			e.At(p.Now()+5, func() { m.ev("release r3"); e.Unpark(procs[3]) })
+			e.At(p.Now()+10, func() { e.Unpark(p) })
+			p.Park("self")
+			m.at(p, "self-woken")
+			t := p.Now() + 20
+			e.At(t, func() { m.ev("tie") })
+			e.At(t, func() { e.Unpark(procs[3]) })
+			e.At(t, func() { e.Unpark(p) })
+			p.Park("tie")
+			m.at(p, "tie-woken")
+		case 3:
+			defer m.unwind(p)
+			p.Park("released")
+			m.at(p, "released")
+			p.Park("tie")
+			m.at(p, "tie-released")
+			p.Elapse(100)
+			e.At(e.MaxTime+50, func() { e.Unpark(p) })
+			p.Park("late")
+			m.at(p, "late-woken")
+		}
+	}
+}}
+
 // The three abnormal ends. Each body marks its own unwinding, so the
 // drain order is part of the recording.
 var (
@@ -236,7 +294,7 @@ var (
 	}}
 )
 
-// checkGolden requires w's recording on the given Elapse path to match
+// checkGolden requires w's recording with the inline paths on or off to match
 // testdata/<name>.golden, or rewrites the file under -update.
 func (w workload) checkGolden(t *testing.T, noInline bool) {
 	t.Helper()
@@ -255,7 +313,7 @@ func (w workload) checkGolden(t *testing.T, noInline bool) {
 	}
 }
 
-func elapsePaths(t *testing.T, f func(t *testing.T, noInline bool)) {
+func inlinePaths(t *testing.T, f func(t *testing.T, noInline bool)) {
 	t.Run("inline", func(t *testing.T) { f(t, false) })
 	t.Run("noInline", func(t *testing.T) { f(t, true) })
 }
@@ -264,24 +322,33 @@ func elapsePaths(t *testing.T, f func(t *testing.T, noInline bool)) {
 // recorded reference schedules of the full scheduling workload and of
 // the message workload — same rank interleaving, same virtual
 // timestamps, same engine counters, and the same observer callback
-// sequence — with and without the inline-Elapse fast path.
+// sequence — with and without the inline paths.
 func TestContinuationEquivalence(t *testing.T) {
-	elapsePaths(t, func(t *testing.T, noInline bool) {
+	inlinePaths(t, func(t *testing.T, noInline bool) {
 		schedWorkload.checkGolden(t, noInline)
 		confinedWorkload.checkGolden(t, noInline)
 	})
 }
 
 // TestContinuationEquivalenceManyRanks: colliding elapse multiples
-// resolve in the recorded order on both Elapse paths.
+// resolve in the recorded order with the inline paths on and off.
 func TestContinuationEquivalenceManyRanks(t *testing.T) {
 	for _, noInline := range []bool{false, true} {
 		tiesWorkload.checkGolden(t, noInline)
 	}
 }
 
+// TestInlineParkSchedule: parks that the parked rank's own events end,
+// hand-overs to a rank woken first, ties at the wake instant and a time
+// limit hit mid-dispatch reproduce the schedule recorded while only the
+// dispatcher fired events for a parked rank, with and without the
+// inline paths.
+func TestInlineParkSchedule(t *testing.T) {
+	inlinePaths(t, func(t *testing.T, noInline bool) { parkWorkload.checkGolden(t, noInline) })
+}
+
 // TestInlineElapseEquivalence proves, without reference to any
-// recording, that the inline Elapse fast path produces a schedule
+// recording, that the inline paths produce a schedule
 // byte-identical to the plain park path.
 func TestInlineElapseEquivalence(t *testing.T) {
 	slow, fast := schedWorkload.run(true), schedWorkload.run(false)
