@@ -37,7 +37,12 @@ import (
 // Nothing here asks which transport it is serving.
 
 // Transport is the cost model under the skeleton. It moves no bytes:
-// by the time it sees a transfer, the skeleton has moved them.
+// by the time it sees a transfer, the skeleton has moved them. What it
+// schedules, it schedules as records (sim.Event), never as closures:
+// the skeleton hands it the record to fire at the end — a get's
+// Pending, a read-modify-write's or mutex request's stage at the
+// target — and the transport's own stages in between are pooled
+// records of its own, so a warm operation allocates nothing.
 type Transport interface {
 	// Labels returns the strings that identify the transport. The
 	// skeleton reads them once, when the world is built.
@@ -52,16 +57,16 @@ type Transport interface {
 	// time, occupancy of whatever serves the target — and returns the
 	// time the data is remotely complete, which Fence waits for.
 	Put(p *sim.Proc, x Xfer) sim.Time
-	// Get charges fetching x from x.Target into p's rank and calls
-	// h.Complete at the time the data would have landed. A transport
-	// whose protocol cannot overlap a get waits for that (h.Wait)
-	// before returning.
+	// Get charges fetching x from x.Target into p's rank and fires h
+	// at the time the data would have landed. A transport whose
+	// protocol cannot overlap a get waits for that (h.Wait) before
+	// returning.
 	Get(p *sim.Proc, x Xfer, h *Pending)
 	// Serve is the target-side step of a request that carries no
-	// payload: it runs fn at target once the request, arriving at
+	// payload: it fires ev at target once the request, arriving at
 	// arrive, has been serviced. amoBytes is the size of the word an
 	// atomic touches, or 0 for a pure control message (mutex traffic).
-	Serve(origin, target int, arrive sim.Time, amoBytes int, fn func())
+	Serve(origin, target int, arrive sim.Time, amoBytes int, ev sim.Event)
 }
 
 // Labels are a transport's virtual-time-visible strings: its runtime
@@ -85,6 +90,9 @@ type DirectWorld struct {
 	// Fence waits for.
 	lastRemote [][]sim.Time
 	mutexes    []*mutexHost
+	// unlocks are the Unlock requests in flight, which a rank does not
+	// wait for, so it may have several.
+	unlocks sim.FreeList[unlockReq]
 }
 
 // NewDirectWorld creates the shared state of a direct runtime on
@@ -115,6 +123,13 @@ type Direct struct {
 	// issued, reused by the next one: the bytes move and the transport
 	// reads the list at issue, so nothing holds it past then.
 	segs []Seg
+
+	// The records of the rank's blocking operations, one each: the rank
+	// waits for each to finish before it can issue the next, and none
+	// is handed to the caller.
+	sync Pending // a blocking get's handle
+	rmw  rmwReq
+	lock lockReq
 }
 
 // NewDirect creates the per-rank runtime handle.
@@ -373,15 +388,16 @@ type completed struct{}
 func (completed) Wait()      {}
 func (completed) Test() bool { return true }
 
-// Pending is the handle of a get in flight: done is set by the
-// transport's completion event (the bytes themselves moved at issue).
+// Pending is the handle of a get in flight, and the event the
+// transport fires when the data would have landed: done is set then
+// (the bytes themselves moved at issue).
 type Pending struct {
 	r             *Direct
 	done, waiting bool
 }
 
-// Complete marks the get landed and resumes the rank if it is waiting.
-func (h *Pending) Complete() {
+// Fire marks the get landed and resumes the rank if it is waiting.
+func (h *Pending) Fire() {
 	h.done = true
 	if h.waiting {
 		h.waiting = false
@@ -416,8 +432,9 @@ func (r *Direct) put(op profile.Op, x Xfer, err error) error {
 	return nil
 }
 
-// get issues a resolved get under op's profiler scope.
-func (r *Direct) get(op profile.Op, x Xfer, err error) (Handle, error) {
+// get issues a resolved get under op's profiler scope, tracked by h;
+// a nil h is a new handle, for a get the caller waits for later.
+func (r *Direct) get(op profile.Op, x Xfer, err error, h *Pending) (Handle, error) {
 	r.w.Obs.OpBegin(r.Rank(), op)
 	defer r.w.Obs.OpEnd(r.Rank())
 	if err != nil {
@@ -428,7 +445,10 @@ func (r *Direct) get(op profile.Op, x Xfer, err error) (Handle, error) {
 	}
 	r.opCost()
 	x.move(r.w.M, x.Target == r.Rank())
-	h := &Pending{r: r}
+	if h == nil {
+		h = new(Pending)
+	}
+	*h = Pending{r: r}
 	r.w.t.Get(r.p, x, h)
 	return h, nil
 }
@@ -467,7 +487,7 @@ func (r *Direct) Acc(op AccOp, scale float64, src, dst Addr, n int) error {
 // local buffer.
 func (r *Direct) NbGet(src, dst Addr, n int) (Handle, error) {
 	x, err := r.contig(kGet, 1, src, dst, n)
-	return r.get(profile.OpGet, x, err)
+	return r.get(profile.OpGet, x, err, nil)
 }
 
 // PutS performs a blocking strided put (Table I notation).
@@ -485,7 +505,7 @@ func (r *Direct) AccS(op AccOp, scale float64, s *Strided) error {
 // NbGetS is the nonblocking strided get.
 func (r *Direct) NbGetS(s *Strided) (Handle, error) {
 	x, err := r.strided(kGet, 1, s)
-	return r.get(profile.OpGetS, x, err)
+	return r.get(profile.OpGetS, x, err, nil)
 }
 
 // PutV performs a generalized I/O vector put to proc.
@@ -504,15 +524,23 @@ func (r *Direct) AccV(op AccOp, scale float64, iov []GIOV, proc int) error {
 // segment has landed.
 func (r *Direct) NbGetV(iov []GIOV, proc int) (Handle, error) {
 	x, err := r.iov(kGet, 1, iov, proc)
-	return r.get(profile.OpGetV, x, err)
+	return r.get(profile.OpGetV, x, err, nil)
 }
 
-// The other nine forms follow from those nine.
+// The other nine forms follow from those nine. A blocking get is its
+// nonblocking form on the rank's own handle, waited for at once.
 
-func (r *Direct) Get(src, dst Addr, n int) error { return wait(r.NbGet(src, dst, n)) }
-func (r *Direct) GetS(s *Strided) error          { return wait(r.NbGetS(s)) }
+func (r *Direct) Get(src, dst Addr, n int) error {
+	x, err := r.contig(kGet, 1, src, dst, n)
+	return wait(r.get(profile.OpGet, x, err, &r.sync))
+}
+func (r *Direct) GetS(s *Strided) error {
+	x, err := r.strided(kGet, 1, s)
+	return wait(r.get(profile.OpGetS, x, err, &r.sync))
+}
 func (r *Direct) GetV(iov []GIOV, proc int) error {
-	return wait(r.NbGetV(iov, proc))
+	x, err := r.iov(kGet, 1, iov, proc)
+	return wait(r.get(profile.OpGetV, x, err, &r.sync))
 }
 func (r *Direct) NbPut(src, dst Addr, n int) (Handle, error) { return issued(r.Put(src, dst, n)) }
 func (r *Direct) NbPutS(s *Strided) (Handle, error)          { return issued(r.PutS(s)) }
@@ -566,29 +594,45 @@ func (r *Direct) Rmw(op RmwOp, addr Addr, operand int64) (int64, error) {
 		return 0, err
 	}
 	r.opCost()
-	m, eng, p, me := r.w.M, r.w.M.Eng, r.p, r.Rank()
-	var old int64
-	done := false
-	arrive := m.SendDataAsync(me, addr.Rank, 0, fabric.XferOpt{NoNIC: true})
-	r.w.t.Serve(me, addr.Rank, arrive, 8, func() {
-		b := reg.Bytes(addr.VA, 8)
-		old = int64(binary.LittleEndian.Uint64(b))
-		switch op {
-		case FetchAndAdd:
-			binary.LittleEndian.PutUint64(b, uint64(old+operand))
-		case Swap:
-			binary.LittleEndian.PutUint64(b, uint64(operand))
-		}
-		back := m.SendDataAsync(addr.Rank, me, 0, fabric.XferOpt{NoNIC: true})
-		eng.At(back, func() {
-			done = true
-			eng.Unpark(p)
-		})
-	})
-	for !done {
-		p.Park(r.w.labels.Rmw)
+	q := &r.rmw
+	*q = rmwReq{r: r, op: op, reg: reg, addr: addr, operand: operand}
+	arrive := r.w.M.SendDataAsync(r.Rank(), addr.Rank, 0, fabric.XferOpt{NoNIC: true})
+	r.w.t.Serve(r.Rank(), addr.Rank, arrive, 8, q)
+	for !q.done {
+		r.p.Park(r.w.labels.Rmw)
 	}
-	return old, nil
+	return q.old, nil
+}
+
+// rmwReq is a rank's read-modify-write in flight, as the two events it
+// is scheduled as: served at the target, it applies the op and times
+// the reply; the reply resumes the rank, which reads old.
+type rmwReq struct {
+	r             *Direct
+	op            RmwOp
+	reg           *fabric.Region
+	addr          Addr
+	operand, old  int64
+	replied, done bool
+}
+
+func (q *rmwReq) Fire() {
+	m, me := q.r.w.M, q.r.Rank()
+	if q.replied {
+		q.done = true
+		m.Eng.Unpark(q.r.p)
+		return
+	}
+	b := q.reg.Bytes(q.addr.VA, 8)
+	q.old = int64(binary.LittleEndian.Uint64(b))
+	switch q.op {
+	case FetchAndAdd:
+		binary.LittleEndian.PutUint64(b, uint64(q.old+q.operand))
+	case Swap:
+		binary.LittleEndian.PutUint64(b, uint64(q.operand))
+	}
+	q.replied = true
+	m.Eng.AtEvent(m.SendDataAsync(q.addr.Rank, me, 0, fabric.XferOpt{NoNIC: true}), q)
 }
 
 // mutexHost is the target-side state of one mutex set: a FIFO per
@@ -597,18 +641,7 @@ type mutexHost struct {
 	counts []int // mutexes hosted per rank
 	// Keyed by {host rank, mutex index}.
 	held  map[[2]int]bool
-	queue map[[2]int][]*mutexWaiter
-}
-
-type mutexWaiter struct {
-	p   *sim.Proc
-	got bool
-	eng *sim.Engine
-}
-
-func (w *mutexWaiter) grant() {
-	w.got = true
-	w.eng.Unpark(w.p)
+	queue map[[2]int][]*lockReq
 }
 
 // mutexSet is the per-rank handle.
@@ -628,7 +661,7 @@ func (r *Direct) CreateMutexes(n int) (Mutexes, error) {
 		h := &mutexHost{
 			counts: make([]int, len(counts)),
 			held:   map[[2]int]bool{},
-			queue:  map[[2]int][]*mutexWaiter{},
+			queue:  map[[2]int][]*lockReq{},
 		}
 		for i, c := range counts {
 			h.counts[i] = int(c)
@@ -639,13 +672,13 @@ func (r *Direct) CreateMutexes(n int) (Mutexes, error) {
 	return &mutexSet{r: r, host: r.w.mutexes[len(r.w.mutexes)-1]}, nil
 }
 
-// request sends a mutex control message to proc and runs fn there once
-// the transport has serviced it.
-func (s *mutexSet) request(proc int, fn func()) {
+// request sends a mutex control message to proc and fires ev there
+// once the transport has serviced it.
+func (s *mutexSet) request(proc int, ev sim.Event) {
 	r := s.r
 	r.opCost()
 	arrive := r.w.M.SendDataAsync(r.Rank(), proc, 0, fabric.XferOpt{NoNIC: true})
-	r.w.t.Serve(r.Rank(), proc, arrive, 0, fn)
+	r.w.t.Serve(r.Rank(), proc, arrive, 0, ev)
 }
 
 // Lock acquires mutex mtx hosted on proc, blocking in a host-side FIFO.
@@ -654,45 +687,79 @@ func (s *mutexSet) Lock(mtx, proc int) {
 	if mtx < 0 || mtx >= s.host.counts[proc] {
 		panic(fmt.Sprintf("%s: Lock(%d,%d): host has %d mutexes", r.Name(), mtx, proc, s.host.counts[proc]))
 	}
-	m, eng, me := r.w.M, r.w.M.Eng, r.Rank()
-	key := [2]int{proc, mtx}
-	w := &mutexWaiter{p: r.p, eng: eng}
-	s.request(proc, func() {
-		if !s.host.held[key] {
-			s.host.held[key] = true
-			back := m.SendDataAsync(proc, me, 0, fabric.XferOpt{NoNIC: true})
-			eng.At(back, w.grant)
-		} else {
-			s.host.queue[key] = append(s.host.queue[key], w)
-		}
-	})
-	for !w.got {
+	q := &r.lock
+	*q = lockReq{s: s, key: [2]int{proc, mtx}}
+	s.request(proc, q)
+	for !q.got {
 		r.p.Park(r.w.labels.MutexLock)
+	}
+}
+
+// lockReq is a rank's Lock in flight, as the events it is scheduled
+// as: served at the host, it takes the mutex and times the grant, or
+// joins the mutex's FIFO until an Unlock forwards the grant; the grant
+// resumes the rank. A forwarded grant names the rank that released the
+// mutex, and when (for the critical path).
+type lockReq struct {
+	s       *mutexSet
+	key     [2]int // {host rank, mutex index}
+	granted bool   // the next firing is the grant arriving
+	got     bool
+
+	forwarded bool
+	by        int
+	relAt     sim.Time
+}
+
+func (q *lockReq) Fire() {
+	r := q.s.r
+	m := r.w.M
+	switch {
+	case q.granted:
+		if q.forwarded {
+			m.Obs.WakeGrant(r.Rank(), q.by, q.relAt)
+		}
+		q.got = true
+		m.Eng.Unpark(r.p)
+	case !q.s.host.held[q.key]:
+		q.s.host.held[q.key] = true
+		q.granted = true
+		m.Eng.AtEvent(m.SendDataAsync(q.key[0], r.Rank(), 0, fabric.XferOpt{NoNIC: true}), q)
+	default:
+		q.s.host.queue[q.key] = append(q.s.host.queue[q.key], q)
 	}
 }
 
 // Unlock releases mutex mtx on proc, forwarding to the next waiter.
 func (s *mutexSet) Unlock(mtx, proc int) {
-	m, eng, by := s.r.w.M, s.r.w.M.Eng, s.r.Rank()
-	key := [2]int{proc, mtx}
-	s.request(proc, func() {
-		q := s.host.queue[key]
-		if len(q) == 0 {
-			s.host.held[key] = false
-			return
-		}
-		next := q[0]
-		s.host.queue[key] = q[1:]
-		// Lock stays held; ownership forwards to the next waiter.
-		relAt := eng.Now()
-		back := m.SendDataAsync(proc, next.p.ID(), 0, fabric.XferOpt{NoNIC: true})
-		eng.At(back, func() {
-			// Critical path: the waiter's lock wait ends because this
-			// rank released the mutex at relAt.
-			m.Obs.WakeGrant(next.p.ID(), by, relAt)
-			next.grant()
-		})
-	})
+	q := s.r.w.unlocks.Get()
+	*q = unlockReq{s: s, key: [2]int{proc, mtx}}
+	s.request(proc, q)
+}
+
+// unlockReq is an Unlock served at the host: it frees the mutex, or
+// forwards it to the FIFO's next waiter, whose grant it times. Unlock
+// does not wait for it, so it is drawn from the world's free list and
+// filed again once served.
+type unlockReq struct {
+	s   *mutexSet
+	key [2]int
+}
+
+func (q *unlockReq) Fire() {
+	s, key := q.s, q.key
+	s.r.w.unlocks.Put(q)
+	que := s.host.queue[key]
+	if len(que) == 0 {
+		s.host.held[key] = false
+		return
+	}
+	next := que[0]
+	s.host.queue[key] = que[1:]
+	// Lock stays held; ownership forwards to the next waiter.
+	m := s.r.w.M
+	next.granted, next.forwarded, next.by, next.relAt = true, true, s.r.Rank(), m.Eng.Now()
+	m.Eng.AtEvent(m.SendDataAsync(key[0], next.s.r.Rank(), 0, fabric.XferOpt{NoNIC: true}), next)
 }
 
 // Destroy collectively frees the mutex set; rank 0 drops the host.

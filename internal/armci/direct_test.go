@@ -36,11 +36,11 @@ func (t *recTransport) Put(p *sim.Proc, x Xfer) sim.Time {
 }
 func (t *recTransport) Get(p *sim.Proc, x Xfer, h *Pending) {
 	t.gets = append(t.gets, x)
-	t.m.Eng.At(p.Now()+100, h.Complete) // complete later, so blocking gets really wait
+	t.m.Eng.AtEvent(p.Now()+100, h) // complete later, so blocking gets really wait
 }
-func (t *recTransport) Serve(origin, target int, arrive sim.Time, amoBytes int, fn func()) {
+func (t *recTransport) Serve(origin, target int, arrive sim.Time, amoBytes int, ev sim.Event) {
 	t.serves = append(t.serves, amoBytes)
-	t.m.Eng.At(arrive, fn)
+	t.m.Eng.AtEvent(arrive, ev)
 }
 
 // runRec runs body on n ranks (two per node) of a direct runtime over a
@@ -194,6 +194,20 @@ func TestDirectSurfaceDeliversDescribedTransfers(t *testing.T) {
 						h.Wait() // idempotent
 						if !h.(Tester).Test() {
 							t.Errorf("%s: handle incomplete after Wait", c.name)
+						}
+						// Each nonblocking get has a handle of its own, and
+						// a blocking get waits on the rank's own record:
+						// gets issued later leave h complete.
+						h2, err := rt.NbGet(remote.Add(600), local.Add(600), 8)
+						mustT(t, err)
+						if !h.(Tester).Test() {
+							t.Errorf("%s: handle incomplete while a later get is in flight", c.name)
+						}
+						h2.Wait()
+						mustT(t, rt.Get(remote.Add(600), local.Add(600), 8))
+						h.Wait()
+						if !h.(Tester).Test() {
+							t.Errorf("%s: handle incomplete after a later blocking Get", c.name)
 						}
 					}
 				case h != nil && h != Handle(completed{}):

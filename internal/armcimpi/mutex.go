@@ -24,6 +24,9 @@ type Mutexes struct {
 	counts  []int // mutexes hosted per comm rank; nil when uniform
 	uniform int   // count hosted by every rank, when counts is nil
 	scratch *fabric.Region
+	// others is the fetch buffer an epoch returns, reused by the next:
+	// Lock and Unlock are done with it before they open another.
+	others []byte
 }
 
 // countFor returns the number of mutexes hosted by comm rank host.
@@ -41,7 +44,7 @@ func newMutexes(r *Runtime, parent *mpi.Comm, n int) (*Mutexes, error) {
 		return nil, fmt.Errorf("armcimpi: CreateMutexes(%d)", n)
 	}
 	comm := parent.Dup()
-	m := &Mutexes{r: r, comm: comm, uniform: -1}
+	m := &Mutexes{r: r, comm: comm, uniform: -1, others: make([]byte, comm.Size())}
 	// Gather the counts at rank 0; in the overwhelmingly common case
 	// every rank hosts the same count (GMR mutex sets host exactly one
 	// each), so a scalar broadcast replaces the N-entry count vector
@@ -89,7 +92,8 @@ func (m *Mutexes) tag(host, mtx int) int { return host*4096 + mtx }
 
 // epoch performs the algorithm's single exclusive access epoch at the
 // host: write my byte and fetch all others. Returns the other entries
-// (indexed by comm rank, with my own slot zeroed).
+// (indexed by comm rank, with my own slot zeroed) in the set's fetch
+// buffer, valid until the next epoch.
 func (m *Mutexes) epoch(host, mtx int, myByte byte) ([]byte, error) {
 	me := m.comm.Rank()
 	n := m.comm.Size()
@@ -120,7 +124,7 @@ func (m *Mutexes) epoch(host, mtx int, myByte byte) ([]byte, error) {
 	if err := m.win.Unlock(host); err != nil {
 		return nil, err
 	}
-	others := make([]byte, n)
+	others := m.others
 	copy(others[:me], m.scratch.Backing()[1:1+me])
 	copy(others[me+1:], m.scratch.Backing()[1+me:n])
 	return others, nil

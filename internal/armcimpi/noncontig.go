@@ -153,6 +153,10 @@ func (r *Runtime) prescale(v *localView, baseVA int64, t mpi.Datatype, scale flo
 	m.Compute(r.R.P, float64(n/8))
 	src := v.reg.Bytes(v.reg.VA+(baseVA-v.base), t.Span())
 	out.Data = m.GetBuf(n) // every byte is written below
+	if t.Contig() {
+		mpi.ScaleBytesF64(out.Data, src, scale)
+		return out, nil
+	}
 	// Pack through the flatten cache, scaling in the same pass.
 	pos := 0
 	for _, s := range mpi.Flatten(t).Segs {

@@ -51,6 +51,10 @@ type World struct {
 	// Counters.
 	Requests   int64
 	ServerWait sim.Time // aggregate time requests spent queued at servers
+
+	// The records of gets and reported requests in flight.
+	gets   sim.FreeList[getReq]
+	landed sim.FreeList[landedReq]
 }
 
 // NewWorld creates data-server ARMCI state.
@@ -151,7 +155,7 @@ func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	m, me, target, total := w.M, p.ID(), x.Target, x.Total
 	if m.SameNode(me, target) {
 		w.shm(p, target, me, profile.MsgGet, total)
-		h.Complete()
+		h.Fire()
 		return
 	}
 	req := m.SendDataAsync(me, target, 0, fabric.XferOpt{NoNIC: true})
@@ -160,30 +164,63 @@ func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	// for the duration of the response injection too.
 	start, served := w.serve(m.NodeOf(target), req, total, float64(total)/w.rate()*1e9)
 	w.served(me, target, profile.MsgGet, total, req, start, served)
-	m.Eng.At(served, func() {
-		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: w.rate()})
-		w.Obs.Wire(me, target, me, profile.MsgGet, profile.RouteDS, total)
-		m.Eng.At(back, func() {
-			w.Obs.Landed(target, me, profile.MsgGet, profile.RouteDS, total)
-			h.Complete()
-		})
-	})
+	g := w.gets.Get()
+	*g = getReq{w: w, me: me, target: target, total: total, h: h}
+	m.Eng.AtEvent(served, g)
 	h.Wait()
+}
+
+// getReq is one remote get in flight, as the two events it is
+// scheduled as: the server done gathering, which sends the reply, and
+// the reply's arrival, which files the record and fires the handle.
+type getReq struct {
+	w                 *World
+	me, target, total int
+	h                 *armci.Pending
+	replied           bool
+}
+
+func (g *getReq) Fire() {
+	w, m := g.w, g.w.M
+	if !g.replied {
+		g.replied = true
+		back := m.SendDataAsync(g.target, g.me, g.total, fabric.XferOpt{Rate: w.rate()})
+		w.Obs.Wire(g.me, g.target, g.me, profile.MsgGet, profile.RouteDS, g.total)
+		m.Eng.AtEvent(back, g)
+		return
+	}
+	w.Obs.Landed(g.target, g.me, profile.MsgGet, profile.RouteDS, g.total)
+	h := g.h
+	w.gets.Put(g)
+	h.Fire()
 }
 
 // Serve queues a control or atomic request at the target's data server,
 // reserved when the request is issued; the server itself is the arbiter
 // (and so trivially serializes atomics).
-func (w *World) Serve(origin, target int, arrive sim.Time, amoBytes int, fn func()) {
+func (w *World) Serve(origin, target int, arrive sim.Time, amoBytes int, ev sim.Event) {
 	start, served := w.serve(w.M.NodeOf(target), arrive, amoBytes, 0)
 	if o := w.Obs; o != nil && amoBytes > 0 {
 		o.Booked(obs.Booking{Rank: origin, At: arrive, Start: start, Done: served})
 		o.Sent(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
-		request := fn
-		fn = func() {
-			o.Landed(origin, target, profile.MsgAmo, profile.RouteDS, amoBytes)
-			request()
-		}
+		l := w.landed.Get()
+		*l = landedReq{w: w, origin: origin, target: target, bytes: amoBytes, ev: ev}
+		ev = l
 	}
-	w.M.Eng.At(served, fn)
+	w.M.Eng.AtEvent(served, ev)
+}
+
+// landedReq is a served atomic as a recorder sees it: it reports the
+// landing, then fires the request.
+type landedReq struct {
+	w                     *World
+	origin, target, bytes int
+	ev                    sim.Event
+}
+
+func (l *landedReq) Fire() {
+	w, ev := l.w, l.ev
+	w.Obs.Landed(l.origin, l.target, profile.MsgAmo, profile.RouteDS, l.bytes)
+	w.landed.Put(l)
+	ev.Fire()
 }

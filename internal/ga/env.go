@@ -126,8 +126,8 @@ func (e *Env) Me() int { return e.Rt.Rank() }
 func (e *Env) Sync() { e.Rt.Barrier() }
 
 // GopF64 performs the GA_Dgop collective: elementwise reduction of a
-// double vector across all processes; the result replaces vals on
-// every process.
+// double vector across all processes. As in GA_Dgop, the result
+// replaces vals on every process; it is also returned.
 func (e *Env) GopF64(op mpi.Op, vals []float64) []float64 {
 	return e.Mpi.CommWorld().AllreduceF64(op, vals)
 }

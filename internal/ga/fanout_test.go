@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -143,32 +144,38 @@ func TestFanoutDescriptorsAllocateNothing(t *testing.T) {
 
 // Objects per warm GA operation on rank 0, end to end through the real
 // runtimes (16x16 doubles over 4 ranks; the 1-owner patch is 4x4 in
-// rank 3's block, the 4-owner patch 10x12 across all blocks). What is
-// left is the runtime's: plans, epochs, landing closures, handles. The
-// parent commit's counts, for the record (1-owner / 4-owner):
+// rank 3's block, the 4-owner patch 10x12 across all blocks), and per
+// warm ReadInc (NXTVAL). GA's own share is 0: descriptors and handles
+// live in Env slots, and lo and hi stay on the caller's stack. What is
+// left is the runtime's: a direct runtime's nonblocking-get handle, one
+// per owner; ARMCI-MPI's prescale temporary for an accumulate at a
+// scale other than 1, and its MPI-2 read-modify-write's scratch; MPI-3
+// request handles and lock-all bookkeeping. Before the transports ran
+// on records, the 1-owner/4-owner counts were
 //
-//	native           Put 32/117   Get 34/125   Acc 32/117
-//	armci-mpi MPI-2  Put 45/165   Get 46/167   Acc 51/179
-//	armci-mpi MPI-3  Put 43/138   Get 37/133   Acc 49/152
-//
-// that is, 29 objects in GA for the first owner and 26 for each
-// further one; GA's own share is now 0 (native's 3/5/3 per owner are
-// PutS/GetS/AccS as pinned by harness TestWarmDirectOpsAllocsPinned).
+//	native           Put  0/0    Get  3/12   Acc  0/0    ReadInc 5
+//	armci-ds         Put  0/0    Get  3/8    Acc  0/0    ReadInc 4
+//	armci-mpi MPI-2  Put  0/0    Get  0/0    Acc  4/4    ReadInc 3
+//	armci-mpi MPI-3  Put 11/23   Get  4/16   Acc 16/31   ReadInc 4
 func TestWarmTransferAllocsPinned(t *testing.T) {
 	mpi2 := armcimpi.DefaultOptions()
 	mpi2.UseMPI3 = false
 	mpi3 := armcimpi.DefaultOptions()
 	mpi3.UseMPI3 = true
-	type pins struct{ put, get, acc [2]float64 } // [1-owner, 4-owner]
+	type pins struct {
+		put, get, acc [2]float64 // [1-owner, 4-owner]
+		readInc       float64
+	}
 	for _, c := range []struct {
 		name string
 		impl harness.Impl
 		opt  armcimpi.Options
 		max  pins
 	}{
-		{"native", harness.ImplNative, mpi2, pins{put: [2]float64{3, 12}, get: [2]float64{5, 20}, acc: [2]float64{3, 12}}},
-		{"armci-mpi/mpi2", harness.ImplARMCIMPI, mpi2, pins{put: [2]float64{16, 60}, get: [2]float64{17, 62}, acc: [2]float64{22, 74}}},
-		{"armci-mpi/mpi3", harness.ImplARMCIMPI, mpi3, pins{put: [2]float64{14, 33}, get: [2]float64{8, 28}, acc: [2]float64{20, 47}}},
+		{"native", harness.ImplNative, mpi2, pins{put: [2]float64{0, 0}, get: [2]float64{1, 4}, acc: [2]float64{0, 0}}},
+		{"armci-ds", harness.ImplDataServer, mpi2, pins{put: [2]float64{0, 0}, get: [2]float64{1, 4}, acc: [2]float64{0, 0}}},
+		{"armci-mpi/mpi2", harness.ImplARMCIMPI, mpi2, pins{put: [2]float64{0, 0}, get: [2]float64{0, 0}, acc: [2]float64{1, 4}, readInc: 1}},
+		{"armci-mpi/mpi3", harness.ImplARMCIMPI, mpi3, pins{put: [2]float64{11, 23}, get: [2]float64{4, 16}, acc: [2]float64{16, 31}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			j, err := harness.NewJob(harness.TestPlatform(), 4, c.impl, c.opt)
@@ -177,7 +184,15 @@ func TestWarmTransferAllocsPinned(t *testing.T) {
 				e := NewEnv(j.Runtime(p), j.MpiWorld.Rank(p))
 				a, err := e.Create("pinned", F64, []int{16, 16})
 				must(t, err)
+				counter, err := e.Create("nxtval", I64, []int{4})
+				must(t, err)
 				if e.Me() == 0 {
+					if got := testing.AllocsPerRun(20, func() {
+						_, err := counter.ReadInc([]int{3}, 1)
+						must(t, err)
+					}); got > c.max.readInc {
+						t.Errorf("warm ReadInc allocates %v objects, pinned at %v", got, c.max.readInc)
+					}
 					for k, patch := range [][2][]int{{{9, 9}, {12, 12}}, {{3, 2}, {12, 13}}} {
 						lo, hi := patch[0], patch[1]
 						vals := make([]float64, a.reqLen(lo, hi))
@@ -204,7 +219,67 @@ func TestWarmTransferAllocsPinned(t *testing.T) {
 				}
 				e.Sync()
 				must(t, a.Destroy())
+				must(t, counter.Destroy())
 			}))
 		})
+	}
+}
+
+// BenchmarkWarmFanout is the GA layer's own host-cost row: host ns per
+// owner of a warm Get and Acc of a patch over 1 and 4 owners (the
+// patches TestWarmTransferAllocsPinned pins), on native and on
+// ARMCI-MPI. Run it with -benchmem for the objects per call.
+func BenchmarkWarmFanout(b *testing.B) {
+	patches := map[int][2][]int{1: {{9, 9}, {12, 12}}, 4: {{3, 2}, {12, 13}}}
+	for _, rt := range []struct {
+		name string
+		impl harness.Impl
+	}{{"native", harness.ImplNative}, {"armci-mpi", harness.ImplARMCIMPI}} {
+		for _, op := range []string{"Get", "Acc"} {
+			for _, owners := range []int{1, 4} {
+				b.Run(fmt.Sprintf("%s/%s/owners=%d", rt.name, op, owners), func(b *testing.B) {
+					b.ReportAllocs()
+					j, err := harness.NewJob(harness.TestPlatform(), 4, rt.impl, armcimpi.DefaultOptions())
+					if err != nil {
+						b.Fatal(err)
+					}
+					err = j.Eng.Run(4, func(p *sim.Proc) {
+						e := NewEnv(j.Runtime(p), j.MpiWorld.Rank(p))
+						a, err := e.Create("fanout", F64, []int{16, 16})
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if e.Me() == 0 {
+							lo, hi := patches[owners][0], patches[owners][1]
+							vals := make([]float64, a.reqLen(lo, hi))
+							call := func() error {
+								if op == "Get" {
+									return a.Get(lo, hi, vals)
+								}
+								return a.Acc(lo, hi, vals, 1)
+							}
+							err = call() // warm: records, slots and pools
+							b.ResetTimer()
+							for i := 0; i < b.N && err == nil; i++ {
+								err = call()
+							}
+							b.StopTimer()
+							if err != nil {
+								b.Error(err)
+							}
+						}
+						e.Sync()
+						if err := a.Destroy(); err != nil {
+							b.Error(err)
+						}
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*owners), "ns/owner")
+				})
+			}
+		}
 	}
 }

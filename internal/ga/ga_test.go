@@ -259,23 +259,35 @@ func Test3DArray(t *testing.T) {
 	})
 }
 
+// TestReadIncCounter draws the NXTVAL pattern on every runtime: four
+// ranks take five task ids each from one counter, and across the job
+// every id in 0..19 must be drawn exactly once — by whichever rank —
+// which is what the atomic paths (a direct runtime's Rmw record,
+// ARMCI-MPI's mutex epochs, MPI-3 fetch-and-op) must guarantee.
 func TestReadIncCounter(t *testing.T) {
-	runGA(t, 4, func(t *testing.T, e *Env) {
+	const ranks, draws = 4, 5
+	var drawn [ranks * draws]int // per task id, in the current job
+	runGA(t, ranks, func(t *testing.T, e *Env) {
 		c, err := e.Create("nxtval", I64, []int{1})
 		must(t, err)
 		must(t, c.FillI64(0))
-		// The NXTVAL pattern: every rank draws task ids.
-		seen := map[int64]bool{}
-		for i := 0; i < 5; i++ {
+		for i := 0; i < draws; i++ {
 			v, err := c.ReadInc([]int{0}, 1)
 			must(t, err)
-			if seen[v] {
-				t.Errorf("task id %d drawn twice by rank %d", v, e.Me())
+			if v < 0 || v >= int64(len(drawn)) {
+				t.Errorf("rank %d drew task id %d, out of range", e.Me(), v)
+				continue
 			}
-			seen[v] = true
-			if v < 0 || v >= 20 {
-				t.Errorf("task id %d out of range", v)
+			drawn[v]++
+		}
+		e.Sync()
+		if e.Me() == 0 {
+			for id, n := range drawn {
+				if n != 1 {
+					t.Errorf("task id %d drawn %d times across the job, want once", id, n)
+				}
 			}
+			drawn = [len(drawn)]int{} // the next variant is a new job
 		}
 		e.Sync()
 		must(t, c.Destroy())
@@ -371,9 +383,13 @@ func TestGroupArray(t *testing.T) {
 
 func TestCollectives(t *testing.T) {
 	runGA(t, 5, func(t *testing.T, e *Env) {
-		sum := e.GopF64(mpi.OpSum, []float64{float64(e.Me() + 1)})
-		if sum[0] != 15 {
-			t.Errorf("Dgop sum = %v", sum[0])
+		vals := []float64{float64(e.Me() + 1), -float64(e.Me())}
+		sum := e.GopF64(mpi.OpSum, vals)
+		if sum[0] != 15 || sum[1] != -10 {
+			t.Errorf("Dgop sum = %v", sum)
+		}
+		if vals[0] != 15 || vals[1] != -10 {
+			t.Errorf("rank %d: Dgop left vals = %v, want the result in place", e.Me(), vals)
 		}
 		var data []float64
 		if e.Me() == 2 {

@@ -163,8 +163,11 @@ func (a *Array) fanout(kind fanKind, alpha float64, lo, hi []int, local armci.Ad
 	return err
 }
 
-// transfer is Put, Get and Acc for either element type: validate, lend
-// vals to the scratch region, fan out. As in GA's C implementation,
+// transfer is Put, Get and Acc for either element type, on the bytes
+// of vals (mpi.Bytes): validate, lend them to the scratch region, fan
+// out. It is not generic so that its escape analysis is its own: lo and
+// hi stay on the caller's stack, which a shape instantiation called
+// from another package cannot promise. As in GA's C implementation,
 // the runtime moves the bytes straight between the caller's buffer and
 // the owners' blocks: gets land in vals, puts and accumulates read
 // from it, with no copy through a staging buffer. The runtime still
@@ -175,19 +178,19 @@ func (a *Array) fanout(kind fanKind, alpha float64, lo, hi []int, local armci.Ad
 // completion: every put and accumulate has read its source, every get
 // has landed) or when the rank unwinds, so the region never hands the
 // caller's slice to the free list.
-func transfer[T float64 | int64](a *Array, op string, kind fanKind, alpha float64, lo, hi []int, vals []T) error {
+func (a *Array) transfer(op string, kind fanKind, alpha float64, lo, hi []int, vals []byte) error {
 	if a.freed {
 		return fmt.Errorf("ga: operation on destroyed array %q", a.name)
 	}
 	if err := checkRange(a.dist.Dims, lo, hi); err != nil {
 		return err
 	}
-	if want := a.reqLen(lo, hi); len(vals) != want {
-		return fmt.Errorf("ga: buffer has %d elements, patch needs %d", len(vals), want)
+	if n, want := len(vals)/elemBytes, a.reqLen(lo, hi); n != want {
+		return fmt.Errorf("ga: buffer has %d elements, patch needs %d", n, want)
 	}
-	addr := a.env.scratch(len(vals) * elemBytes)
+	addr := a.env.scratch(len(vals))
 	reg := a.env.scratchReg
-	own := reg.SwapBacking(mpi.Bytes(vals))
+	own := reg.SwapBacking(vals)
 	defer reg.SwapBacking(own)
 	if err := a.fanout(kind, alpha, lo, hi, addr); err != nil {
 		return fmt.Errorf("ga: %s %q: %w", op, a.name, err)
@@ -199,14 +202,14 @@ func transfer[T float64 | int64](a *Array, op string, kind fanKind, alpha float6
 // the array (GA_Put / NGA_Put). One strided ARMCI put is issued per
 // owning process (Figure 2), all owners nonblocking.
 func (a *Array) Put(lo, hi []int, vals []float64) error {
-	return transfer(a, "Put", fanPut, 1, lo, hi, vals)
+	return a.transfer("Put", fanPut, 1, lo, hi, mpi.Bytes(vals))
 }
 
 // Get reads the inclusive range [lo, hi] into vals (row-major)
 // (GA_Get / NGA_Get). The per-owner gets overlap; the copy-out happens
 // after all of them complete locally.
 func (a *Array) Get(lo, hi []int, vals []float64) error {
-	return transfer(a, "Get", fanGet, 1, lo, hi, vals)
+	return a.transfer("Get", fanGet, 1, lo, hi, mpi.Bytes(vals))
 }
 
 // Acc atomically accumulates alpha*vals into the range [lo, hi]
@@ -215,7 +218,7 @@ func (a *Array) Acc(lo, hi []int, vals []float64, alpha float64) error {
 	if a.elem != F64 {
 		return fmt.Errorf("ga: Acc on non-double array %q", a.name)
 	}
-	return transfer(a, "Acc", fanAcc, alpha, lo, hi, vals)
+	return a.transfer("Acc", fanAcc, alpha, lo, hi, mpi.Bytes(vals))
 }
 
 // PutI64 writes int64 values over the inclusive range [lo, hi] of an
@@ -224,7 +227,7 @@ func (a *Array) PutI64(lo, hi []int, vals []int64) error {
 	if a.elem != I64 {
 		return fmt.Errorf("ga: PutI64 on non-integer array %q", a.name)
 	}
-	return transfer(a, "PutI64", fanPut, 1, lo, hi, vals)
+	return a.transfer("PutI64", fanPut, 1, lo, hi, mpi.Bytes(vals))
 }
 
 // GetI64 reads int64 values over the inclusive range [lo, hi].
@@ -232,7 +235,7 @@ func (a *Array) GetI64(lo, hi []int, vals []int64) error {
 	if a.elem != I64 {
 		return fmt.Errorf("ga: GetI64 on non-integer array %q", a.name)
 	}
-	return transfer(a, "GetI64", fanGet, 1, lo, hi, vals)
+	return a.transfer("GetI64", fanGet, 1, lo, hi, mpi.Bytes(vals))
 }
 
 // ReadInc atomically adds inc to the int64 element at idx and returns

@@ -142,12 +142,12 @@ func TestLocalSideMustBeLocal(t *testing.T) {
 }
 
 // TestWarmDirectOpsAllocsPinned pins host allocations per warm
-// operation through both direct transports at the counts measured when
-// the shared skeleton replaced their private front ends (never above
-// the parent's): a 64-byte contiguous transfer, or 64 segments of 64
-// bytes as a strided or IOV descriptor, to a rank on another node,
-// fenced. What is left is the landing closures, the get handle, and for
-// noncontiguous shapes the segment list and the descriptor walk.
+// operation through both direct transports: a 64-byte contiguous
+// transfer, or 64 segments of 64 bytes as a strided or IOV descriptor,
+// to a rank on another node, fenced, and a read-modify-write and a
+// mutex round trip there. Every stage a transport schedules is a
+// pooled record, and a blocking get waits on the rank's own handle, so
+// what is left is the one handle a nonblocking get hands its caller.
 func TestWarmDirectOpsAllocsPinned(t *testing.T) {
 	const target, span = 2, 64 * 128
 	for _, impl := range []Impl{ImplNative, ImplDataServer} {
@@ -155,6 +155,8 @@ func TestWarmDirectOpsAllocsPinned(t *testing.T) {
 			addrs, err := rt.Malloc(span)
 			must(t, err)
 			local := rt.MallocLocal(span)
+			mx, err := rt.CreateMutexes(1)
+			must(t, err)
 			if rt.Rank() == 0 {
 				put := &armci.Strided{Src: local, Dst: addrs[target], SrcStride: []int{128}, DstStride: []int{128}, Count: []int{64, 64}}
 				get := &armci.Strided{Src: addrs[target], Dst: local, SrcStride: []int{128}, DstStride: []int{128}, Count: []int{64, 64}}
@@ -169,18 +171,28 @@ func TestWarmDirectOpsAllocsPinned(t *testing.T) {
 					max  float64
 					f    func() error
 				}{
-					{"Put", 1, func() error { return rt.Put(local, addrs[target], 64) }},
-					{"Get", 3, func() error { return rt.Get(addrs[target], local, 64) }},
-					{"Acc", 1, func() error { return rt.Acc(armci.AccDbl, 2, local, addrs[target], 64) }},
-					{"NbPut", 1, func() error { return nb(rt.NbPut(local, addrs[target], 64)) }},
-					{"NbGet", 3, func() error { return nb(rt.NbGet(addrs[target], local, 64)) }},
-					{"PutS", 3, func() error { return rt.PutS(put) }},
-					{"GetS", 5, func() error { return rt.GetS(get) }},
-					{"AccS", 3, func() error { return rt.AccS(armci.AccDbl, 2, put) }},
-					{"NbAccS", 3, func() error { return nb(rt.NbAccS(armci.AccDbl, 2, put)) }},
-					{"PutV", 2, func() error { return rt.PutV(putV, target) }},
-					{"GetV", 5, func() error { return rt.GetV(getV, target) }},
-					{"AccV", 2, func() error { return rt.AccV(armci.AccDbl, 2, putV, target) }},
+					{"Put", 0, func() error { return rt.Put(local, addrs[target], 64) }},
+					{"Get", 0, func() error { return rt.Get(addrs[target], local, 64) }},
+					{"Acc", 0, func() error { return rt.Acc(armci.AccDbl, 2, local, addrs[target], 64) }},
+					{"NbPut", 0, func() error { return nb(rt.NbPut(local, addrs[target], 64)) }},
+					{"NbGet", 1, func() error { return nb(rt.NbGet(addrs[target], local, 64)) }},
+					{"PutS", 0, func() error { return rt.PutS(put) }},
+					{"GetS", 0, func() error { return rt.GetS(get) }},
+					{"NbGetS", 1, func() error { return nb(rt.NbGetS(get)) }},
+					{"AccS", 0, func() error { return rt.AccS(armci.AccDbl, 2, put) }},
+					{"NbAccS", 0, func() error { return nb(rt.NbAccS(armci.AccDbl, 2, put)) }},
+					{"PutV", 0, func() error { return rt.PutV(putV, target) }},
+					{"GetV", 0, func() error { return rt.GetV(getV, target) }},
+					{"AccV", 0, func() error { return rt.AccV(armci.AccDbl, 2, putV, target) }},
+					{"Rmw", 0, func() error {
+						_, err := rt.Rmw(armci.FetchAndAdd, addrs[target], 1)
+						return err
+					}},
+					{"Lock+Unlock", 0, func() error {
+						mx.Lock(0, target)
+						mx.Unlock(0, target)
+						return nil
+					}},
 				} {
 					// The other ranks are parked in the barrier below, so
 					// the measured window holds rank 0's allocations only.
@@ -194,6 +206,7 @@ func TestWarmDirectOpsAllocsPinned(t *testing.T) {
 				}
 			}
 			rt.Barrier()
+			must(t, mx.Destroy())
 			must(t, rt.FreeLocal(local))
 			must(t, rt.Free(addrs[rt.Rank()]))
 		})

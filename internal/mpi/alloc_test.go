@@ -1,13 +1,17 @@
 package mpi
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestWarmEpochAllocations pins what a warm epoch on the wire route
 // costs the allocator: nothing. The MPI-2 epoch record, its target-side
 // record, their range sets and the events of the Lock/Unlock handshake
 // are the window's and are reopened by every Lock; an operation in
-// flight is a record from the world's free list; lock-all keeps its
-// per-target records and the request handles they answer for.
+// flight is a record from the world's free list, an atomic included;
+// lock-all keeps its per-target records and the request handles they
+// answer for.
 func TestWarmEpochAllocations(t *testing.T) {
 	const runs = 50
 	ct := TypeContiguous(64)
@@ -36,6 +40,16 @@ func TestWarmEpochAllocations(t *testing.T) {
 			}
 			WaitAllRMA([]*RMAReq{put, get})
 			return win.Flush(1)
+		}},
+		// An atomic is one pooled record fired three times: at the
+		// target, at its agent, and as the reply.
+		{"lockall/fetch_and_op", true, func(win *Win, buf LocalBuf) error {
+			_, err := win.FetchAndOp(OpSum, 1, 1, 0)
+			return err
+		}},
+		{"lockall/compare_and_swap", true, func(win *Win, buf LocalBuf) error {
+			_, err := win.CompareAndSwap(0, 0, 1, 8)
+			return err
 		}},
 	}
 	for _, row := range rows {
@@ -102,5 +116,42 @@ func TestGatherReturnsEveryBody(t *testing.T) {
 	}
 	if n := len(ledger.out); n != 0 {
 		t.Errorf("%d gathered bodies never came back", n)
+	}
+}
+
+// TestWarmTypedCollectivesAllocateNothing pins the typed collectives
+// at no temporaries: a warm allreduce or broadcast sends the bytes of
+// the caller's slice, decodes into it, and hands every received body
+// back to the pool. Five ranks, so the allreduce folds a remainder rank
+// in and out as well. What a window sees is growth — a mailbox queue or
+// a free list reaching a depth the warm-up did not — never a per-round
+// object: the byte codecs this replaced made several per rank per call.
+func TestWarmTypedCollectivesAllocateNothing(t *testing.T) {
+	const rounds = 100
+	var before, after runtime.MemStats
+	runMPI(t, 5, func(r *Rank) {
+		c := r.CommWorld()
+		i64, f64 := make([]int64, 3), make([]float64, 3)
+		round := func() {
+			c.AllreduceI64(OpSum, i64)
+			c.AllreduceF64(OpMax, f64)
+			c.BcastI64(4, i64)
+			c.BcastF64(1, f64)
+		}
+		round() // warm: pools and mailboxes grown
+		c.Barrier()
+		if r.ID() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		c.Barrier()
+		if r.ID() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+	})
+	if n := after.Mallocs - before.Mallocs; n > rounds/10 {
+		t.Errorf("%d warm rounds of typed collectives on 5 ranks allocate %d objects, want none per round", rounds, n)
 	}
 }

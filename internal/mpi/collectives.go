@@ -61,22 +61,51 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	return data
 }
 
-// bcastI64 broadcasts int64s from root.
-func (c *Comm) bcastI64(root int, vals []int64) []int64 {
-	out := c.Bcast(root, i64sToBytes(vals))
-	vals = bytesToI64s(out)
+// The typed collectives move their vectors as the bytes of the
+// caller's slice (Bytes), not as encoded copies: every Send snapshots
+// its body into a pooled buffer before it returns, so nothing the
+// fabric holds aliases the caller's memory. What arrives is decoded
+// into the caller's slice and its pooled body handed back.
+
+// bcastInto broadcasts b, the bytes of a typed vector, from root; on
+// the other ranks what arrives replaces b's contents. When it is not
+// b's length, b is left alone and the pooled body is returned, for the
+// caller to decode and hand back; otherwise the result is nil. It is
+// not generic, so the caller's slice stays on the caller's stack.
+func (c *Comm) bcastInto(root int, b []byte) []byte {
+	if c.rank == root {
+		c.Bcast(root, b)
+		return nil
+	}
+	out := c.Bcast(root, nil)
+	if len(out) != len(b) {
+		return out
+	}
+	copy(b, out)
 	c.r.W.M.PutBuf(out)
+	return nil
+}
+
+// BcastI64 broadcasts a vector of int64 from root into vals. A non-root
+// caller passes a slice of root's length, whose contents are replaced;
+// given another length (nil when it is unknown), it gets a new slice
+// that carries the data. The result is returned on every rank.
+func (c *Comm) BcastI64(root int, vals []int64) []int64 {
+	if out := c.bcastInto(root, Bytes(vals)); out != nil {
+		vals = make([]int64, len(out)/8)
+		copy(Bytes(vals), out)
+		c.r.W.M.PutBuf(out)
+	}
 	return vals
 }
 
-// BcastI64 broadcasts a vector of int64 from root.
-func (c *Comm) BcastI64(root int, vals []int64) []int64 { return c.bcastI64(root, vals) }
-
-// BcastF64 broadcasts a vector of float64 from root.
+// BcastF64 broadcasts a vector of float64 from root, as BcastI64 does.
 func (c *Comm) BcastF64(root int, vals []float64) []float64 {
-	out := c.Bcast(root, f64sToBytes(vals))
-	vals = bytesToF64s(out)
-	c.r.W.M.PutBuf(out)
+	if out := c.bcastInto(root, Bytes(vals)); out != nil {
+		vals = make([]float64, len(out)/8)
+		copy(Bytes(vals), out)
+		c.r.W.M.PutBuf(out)
+	}
 	return vals
 }
 
@@ -106,7 +135,7 @@ func (c *Comm) Allgather(mine []byte) [][]byte {
 // order, on every rank. The library's own metadata exchanges use
 // GatherI64 plus a broadcast instead: the ring sends n(n−1) messages.
 func (c *Comm) AllgatherI64(mine []int64) []int64 {
-	return c.decodeI64s(c.Allgather(i64sToBytes(mine)), len(mine))
+	return c.decodeI64s(c.Allgather(Bytes(mine)), len(mine))
 }
 
 // decodeI64s concatenates per-rank message bodies of per int64s each,
@@ -143,7 +172,7 @@ func (c *Comm) Gather(root int, mine []byte) [][]byte {
 // GatherI64 gathers equal-length int64 vectors at root, concatenated in
 // rank order; non-root ranks receive nil.
 func (c *Comm) GatherI64(root int, mine []int64) []int64 {
-	parts := c.Gather(root, i64sToBytes(mine))
+	parts := c.Gather(root, Bytes(mine))
 	if parts == nil {
 		return nil
 	}
@@ -152,13 +181,36 @@ func (c *Comm) GatherI64(root int, mine []int64) []int64 {
 
 // AllreduceF64 reduces float64 vectors elementwise across all ranks
 // (recursive doubling for power-of-two sizes, with a fold-in step for
-// the remainder) and returns the result on every rank.
+// the remainder). The result replaces vals on every rank, and is
+// returned.
 func (c *Comm) AllreduceF64(op Op, vals []float64) []float64 {
+	c.allreduce(op, Bytes(vals), true)
+	return vals
+}
+
+// AllreduceI64 reduces int64 vectors elementwise across all ranks. The
+// result replaces vals on every rank, and is returned.
+func (c *Comm) AllreduceI64(op Op, vals []int64) []int64 {
+	c.allreduce(op, Bytes(vals), false)
+	return vals
+}
+
+// allreduce is the allreduce schedule over acc, the bytes of the
+// caller's vector of float64s (f64) or int64s, which it reduces in
+// place.
+func (c *Comm) allreduce(op Op, acc []byte, f64 bool) {
+	reduce := func(data []byte) {
+		if f64 {
+			ReduceBytesF64(op, acc, data)
+		} else {
+			reduceI64(op, View[int64](acc), View[int64](data[:len(acc)]))
+		}
+		c.r.W.M.PutBuf(data)
+	}
 	c.collSeq++
-	acc := append([]float64(nil), vals...)
 	n := c.Size()
 	if n == 1 {
-		return acc
+		return
 	}
 	pow2 := 1
 	for pow2*2 <= n {
@@ -168,70 +220,26 @@ func (c *Comm) AllreduceF64(op Op, vals []float64) []float64 {
 	tagR := c.collTag(254)
 	// Fold the remainder ranks into their partners.
 	if c.rank >= pow2 {
-		c.Send(c.rank-pow2, tagR, f64sToBytes(acc))
+		c.Send(c.rank-pow2, tagR, acc)
 	} else if c.rank < rem {
 		data, _ := c.Recv(c.rank+pow2, tagR)
-		reduceF64(op, acc, bytesToF64s(data))
-		c.r.W.M.PutBuf(data)
+		reduce(data)
 	}
 	if c.rank < pow2 {
 		for k, round := 1, 0; k < pow2; k, round = k*2, round+1 {
 			peer := c.rank ^ k
 			tag := c.collTag(round)
-			data, _ := c.Sendrecv(peer, tag, f64sToBytes(acc), peer, tag)
-			reduceF64(op, acc, bytesToF64s(data))
-			c.r.W.M.PutBuf(data)
+			data, _ := c.Sendrecv(peer, tag, acc, peer, tag)
+			reduce(data)
 		}
 	}
 	// Send results back to the remainder ranks.
 	tagB := c.collTag(255)
 	if c.rank < rem {
-		c.Send(c.rank+pow2, tagB, f64sToBytes(acc))
+		c.Send(c.rank+pow2, tagB, acc)
 	} else if c.rank >= pow2 {
 		data, _ := c.Recv(c.rank-pow2, tagB)
-		acc = bytesToF64s(data)
+		copy(acc, data)
 		c.r.W.M.PutBuf(data)
 	}
-	return acc
-}
-
-// AllreduceI64 reduces int64 vectors elementwise across all ranks.
-func (c *Comm) AllreduceI64(op Op, vals []int64) []int64 {
-	c.collSeq++
-	acc := append([]int64(nil), vals...)
-	n := c.Size()
-	if n == 1 {
-		return acc
-	}
-	pow2 := 1
-	for pow2*2 <= n {
-		pow2 *= 2
-	}
-	rem := n - pow2
-	tagR := c.collTag(254)
-	if c.rank >= pow2 {
-		c.Send(c.rank-pow2, tagR, i64sToBytes(acc))
-	} else if c.rank < rem {
-		data, _ := c.Recv(c.rank+pow2, tagR)
-		reduceI64(op, acc, bytesToI64s(data))
-		c.r.W.M.PutBuf(data)
-	}
-	if c.rank < pow2 {
-		for k, round := 1, 0; k < pow2; k, round = k*2, round+1 {
-			peer := c.rank ^ k
-			tag := c.collTag(round)
-			data, _ := c.Sendrecv(peer, tag, i64sToBytes(acc), peer, tag)
-			reduceI64(op, acc, bytesToI64s(data))
-			c.r.W.M.PutBuf(data)
-		}
-	}
-	tagB := c.collTag(255)
-	if c.rank < rem {
-		c.Send(c.rank+pow2, tagB, i64sToBytes(acc))
-	} else if c.rank >= pow2 {
-		data, _ := c.Recv(c.rank-pow2, tagB)
-		acc = bytesToI64s(data)
-		c.r.W.M.PutBuf(data)
-	}
-	return acc
 }

@@ -104,7 +104,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		}
 		hdr[0], hdr[1] = int64(base), identity
 	}
-	hdr = c.bcastI64(0, hdr)
+	hdr = c.BcastI64(0, hdr)
 	base, identity := int(hdr[0]), hdr[1] == 1
 	if identity {
 		return &Comm{r: c.r, cid: base, group: c.group, rank: c.rank}
@@ -113,12 +113,12 @@ func (c *Comm) Split(color, key int) *Comm {
 	tag := c.collTag(0)
 	if c.rank != 0 {
 		data, _ := c.Recv(0, tag)
-		v := bytesToI64s(data)
-		c.r.W.M.PutBuf(data)
-		if v[0] < 0 {
-			return nil
+		var sub *Comm
+		if v := View[int64](data); v[0] >= 0 {
+			sub = &Comm{r: c.r, cid: int(v[0]), group: i64sToInts(v[2:]), rank: int(v[1])}
 		}
-		return &Comm{r: c.r, cid: int(v[0]), group: i64sToInts(v[2:]), rank: int(v[1])}
+		c.r.W.M.PutBuf(data)
+		return sub
 	}
 	// Root: build each color's group ordered by (key, rank) and send
 	// every member its view.
@@ -138,25 +138,23 @@ func (c *Comm) Split(color, key int) *Comm {
 			return members[i].rank < members[j].rank
 		})
 		group := make([]int, len(members))
+		msg := make([]int64, 2+len(group)) // every member's view; Send copies it
 		for i, m := range members {
 			group[i] = c.group[m.rank]
+			msg[2+i] = int64(group[i])
 		}
 		for i, m := range members {
 			if m.rank == 0 {
 				mine = &Comm{r: c.r, cid: base + idx, group: group, rank: i}
 				continue
 			}
-			msg := make([]int64, 2+len(group))
 			msg[0], msg[1] = int64(base+idx), int64(i)
-			for j, g := range group {
-				msg[2+j] = int64(g)
-			}
-			c.Send(m.rank, tag, i64sToBytes(msg))
+			c.Send(m.rank, tag, Bytes(msg))
 		}
 	}
 	for _, p := range pairs {
 		if p.color < 0 && p.rank != 0 {
-			c.Send(p.rank, tag, i64sToBytes([]int64{-1}))
+			c.Send(p.rank, tag, Bytes([]int64{-1}))
 		}
 	}
 	return mine
@@ -190,12 +188,12 @@ func IntercommCreate(local *Comm, localLeader int, peer *Comm, remoteLeader, tag
 		var cid int
 		if myWorld < otherWorld {
 			cid = local.r.W.allocCids(1)
-			peer.Send(remoteLeader, tag, i64sToBytes([]int64{int64(cid)}))
+			peer.Send(remoteLeader, tag, Bytes([]int64{int64(cid)}))
 		} else {
 			data, _ := peer.Recv(remoteLeader, tag)
 			cid = int(bytesToI64s(data)[0])
 		}
-		peer.Send(remoteLeader, tag+1, i64sToBytes(intsToI64s(local.group)))
+		peer.Send(remoteLeader, tag+1, Bytes(intsToI64s(local.group)))
 		data, _ := peer.Recv(remoteLeader, tag+1)
 		remoteGroup = i64sToInts(bytesToI64s(data))
 		remoteCid = cid
@@ -207,7 +205,7 @@ func IntercommCreate(local *Comm, localLeader int, peer *Comm, remoteLeader, tag
 	} else {
 		hdr = make([]int64, 2)
 	}
-	hdr = local.bcastI64(localLeader, hdr)
+	hdr = local.BcastI64(localLeader, hdr)
 	remoteCid = int(hdr[0])
 	n := int(hdr[1])
 	var rg []int64
@@ -216,7 +214,7 @@ func IntercommCreate(local *Comm, localLeader int, peer *Comm, remoteLeader, tag
 	} else {
 		rg = make([]int64, n)
 	}
-	rg = local.bcastI64(localLeader, rg)
+	rg = local.BcastI64(localLeader, rg)
 	remoteGroup = i64sToInts(rg)
 	// The side whose leader has the smaller world rank is "low".
 	low := local.group[0] < remoteGroup[0] ||

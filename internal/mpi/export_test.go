@@ -1,6 +1,17 @@
 package mpi
 
+import "encoding/binary"
+
 // Accessors only this package's tests use.
+
+// i64sToBytes encodes int64s little-endian, the inverse of bytesToI64s.
+func i64sToBytes(xs []int64) []byte {
+	b := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+	}
+	return b
+}
 
 // Group returns a copy of the communicator's world-rank group.
 func (c *Comm) Group() []int { return append([]int(nil), c.group...) }

@@ -93,8 +93,9 @@ type World struct {
 
 	// Free lists of the per-message and per-operation records: eager
 	// messages a receive has consumed, wire operations that have landed.
-	eager freeList[eagerMsg]
-	xfers freeList[xfer]
+	eager sim.FreeList[eagerMsg]
+	xfers sim.FreeList[xfer]
+	amos  sim.FreeList[amo]
 
 	// EagerLimit is the largest message sent eagerly (buffered);
 	// larger sends use the RTS/CTS rendezvous protocol.
@@ -136,31 +137,6 @@ func NewWorld(m *fabric.Machine, tun *platform.Tuning) *World {
 		EagerLimit: DefaultEagerLimit,
 		Checked:    true,
 	}
-}
-
-// freeList is a job-scoped LIFO of records a layer hands out and takes
-// back. It is unsynchronized for the reason the World is (one flow of
-// control at a time), and deterministic because the event order is: the
-// same record serves the same operation in every run, and allocation
-// counts repeat exactly.
-type freeList[T any] struct{ free []*T }
-
-// get returns a record, zero only if newly allocated: the caller
-// overwrites it whole.
-func (l *freeList[T]) get() *T {
-	if n := len(l.free); n > 0 {
-		x := l.free[n-1]
-		l.free = l.free[:n-1]
-		return x
-	}
-	return new(T)
-}
-
-// put zeroes x, so it holds no reference while it waits, and files it.
-func (l *freeList[T]) put(x *T) {
-	var zero T
-	*x = zero
-	l.free = append(l.free, x)
 }
 
 // Rank is one rank's handle on the MPI world; all MPI calls go through

@@ -79,7 +79,7 @@ type eagerMsg struct {
 
 func (c *Comm) sendEager(to, tag int, data []byte) {
 	w := c.r.W
-	em := w.eager.get()
+	em := w.eager.Get()
 	*em = eagerMsg{
 		msg:  fabric.Msg{From: c.r.ID(), Kind: kindP2P, Ctx: c.cid, Tag: tag, Size: len(data)},
 		src:  c.rank,
@@ -92,7 +92,7 @@ func (c *Comm) sendEager(to, tag int, data []byte) {
 // consume reads a received eager message and recycles its record.
 func (c *Comm) consume(em *eagerMsg) ([]byte, Status) {
 	data, st := em.data, Status{Source: em.src, Tag: em.msg.Tag, Size: em.msg.Size}
-	c.r.W.eager.put(em)
+	c.r.W.eager.Put(em)
 	return data, st
 }
 

@@ -291,7 +291,7 @@ func winCreate(comm *Comm, region *fabric.Region, shared bool) (*Win, error) {
 		}
 		w.wins[id] = ws
 	}
-	id = int(comm.bcastI64(0, []int64{int64(id)})[0])
+	id = int(comm.BcastI64(0, []int64{int64(id)})[0])
 	ws := w.wins[id]
 	ws.regions[comm.rank] = region
 	if ws.shared && region != nil && region.Len > 0 {
@@ -848,44 +848,24 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 		buf, nbytes := d.buf, at.Type.Size()
 		rate := w.originXferRate(buf, nbytes)
 		reqArrive := r.control(targetWorld)
-		x := r.W.xfers.get()
+		x := r.W.xfers.Get()
 		*x = xfer{ws: ws, kind: opGet, op: OpReplace, at: at, buf: buf, src: targetWorld, dst: origin,
 			rate: rate, ep: ep, t0: t0}
 		m.Eng.AtEvent(reqArrive, (*getRequest)(x))
 		done = reqArrive + sim.FromSeconds(float64(nbytes)/rate) + sim.FromSeconds(m.Par.LatencyNs/1e9)
 
 	case kind.atomic():
-		// Written from event context, read after the park: declared here
-		// so only an atomic pays for it.
-		var reply struct {
-			old  int64
-			back bool
-		}
-		p, eng, operand, compare := r.P, m.Eng, d.operand, d.compare
 		o.Sent(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
 		arrive := r.control(targetWorld)
-		eng.At(arrive, func() {
-			start, fin := tl.serve(eng.Now(), amoProcessNs)
-			o.Booked(obs.Booking{Rank: origin, At: eng.Now(), Start: start, Done: fin})
-			eng.At(fin, func() {
-				o.Landed(origin, targetWorld, profile.MsgAmo, profile.RouteRMA, 8)
-				var err error
-				if reply.old, err = ws.rmw(kind, op, at, operand, compare); err != nil {
-					reply.back = true // nothing to send back: the window's error wakes the origin
-					eng.Unpark(p)
-					return
-				}
-				back := m.SendDataAsync(targetWorld, origin, 0, fabric.XferOpt{NoNIC: true})
-				eng.At(back, func() {
-					reply.back = true
-					eng.Unpark(p)
-				})
-			})
-		})
-		for !reply.back {
-			p.Park(kinds[kind].park)
+		a := r.W.amos.Get()
+		*a = amo{ws: ws, tl: tl, kind: kind, op: op, at: at, operand: d.operand, compare: d.compare,
+			p: r.P, origin: origin, target: targetWorld}
+		m.Eng.AtEvent(arrive, a)
+		for a.stage != amoReplied {
+			r.P.Park(kinds[kind].park)
 		}
-		old, done = reply.old, p.Now()
+		old, done = a.old, r.P.Now()
+		r.W.amos.Put(a)
 
 	default:
 		// A self target's origin may overlap the bytes it lands on: it
@@ -905,7 +885,7 @@ func (w *Win) costWire(d rmaOp, ep *epoch, t0 sim.Time) (old int64, agentAt, don
 			agentAt, landAt = tl.serve(arrive, sim.FromSeconds(float64(nbytes)/accRate))
 			o.Booked(obs.Booking{Rank: origin, At: arrive, Start: agentAt, Done: landAt})
 		}
-		x := r.W.xfers.get()
+		x := r.W.xfers.Get()
 		*x = xfer{ws: ws, kind: kind, op: op, at: at, buf: d.buf, data: data, src: origin, dst: targetWorld}
 		m.Eng.AtEvent(landAt, (*landing)(x))
 		done = landAt
@@ -961,7 +941,7 @@ func (q *getRequest) Fire() {
 		err = ws.land(opGet, x.op, x.buf, x.at, nil)
 	}
 	if err != nil {
-		ws.w.xfers.put(x)
+		ws.w.xfers.Put(x)
 		return
 	}
 	back := m.SendDataAsync(target, origin, nbytes, fabric.XferOpt{Rate: x.rate})
@@ -988,7 +968,64 @@ func (l *landing) Fire() {
 	if x.kind != opGet {
 		ws.land(x.kind, x.op, x.at, x.buf, x.data)
 	}
-	ws.w.xfers.put(x)
+	ws.w.xfers.Put(x)
+}
+
+// amo is one wire atomic in flight, as the three events it is scheduled
+// as: the request reaching the target, which books the target's agent;
+// the agent executing it, which reads and writes the window and times
+// the reply; and the reply reaching the origin, parked until then,
+// which reads the displaced value out of the record and files it. A
+// window error at the agent wakes the origin without a reply. Records
+// come from the world's free list, so a warm atomic allocates nothing.
+type amo struct {
+	ws               *winState
+	tl               *targetLock
+	kind             opKind
+	op               Op
+	at               LocalBuf
+	operand, compare int64
+	p                *sim.Proc // the origin, parked on the reply
+	origin, target   int       // world ranks
+	stage            amoStage
+	old              int64 // the value displaced, for the origin to read
+}
+
+// amoStage is the event an amo fires as next.
+type amoStage int
+
+const (
+	amoArrive amoStage = iota
+	amoExecute
+	amoReply
+	amoReplied // the origin may read old
+)
+
+func (a *amo) Fire() {
+	ws := a.ws
+	m, o := ws.w.M, ws.w.Obs
+	eng := m.Eng
+	switch a.stage {
+	case amoArrive:
+		start, fin := a.tl.serve(eng.Now(), amoProcessNs)
+		o.Booked(obs.Booking{Rank: a.origin, At: eng.Now(), Start: start, Done: fin})
+		a.stage = amoExecute
+		eng.AtEvent(fin, a)
+	case amoExecute:
+		o.Landed(a.origin, a.target, profile.MsgAmo, profile.RouteRMA, 8)
+		var err error
+		if a.old, err = ws.rmw(a.kind, a.op, a.at, a.operand, a.compare); err != nil {
+			a.stage = amoReplied // nothing to send back: the window's error wakes the origin
+			eng.Unpark(a.p)
+			return
+		}
+		back := m.SendDataAsync(a.target, a.origin, 0, fabric.XferOpt{NoNIC: true})
+		a.stage = amoReply
+		eng.AtEvent(back, a)
+	case amoReply:
+		a.stage = amoReplied
+		eng.Unpark(a.p)
+	}
 }
 
 // costShm is the cost step of the shared-segment route: the origin CPU

@@ -5,17 +5,9 @@ import (
 	"math"
 )
 
-// Byte-level codecs for the typed collectives. The simulation charges
-// time by byte count, so the encoding itself is just a convenience for
-// moving typed data through []byte messages.
-
-func i64sToBytes(xs []int64) []byte {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-	return b
-}
+// Byte-level codecs for typed data in []byte messages and buffers. The
+// typed collectives send the bytes of the caller's slice itself
+// (Bytes); these copy, for results that must outlive a pooled body.
 
 func bytesToI64s(b []byte) []int64 { return appendI64s(make([]int64, 0, len(b)/8), b) }
 

@@ -37,6 +37,10 @@ type World struct {
 	// Per-target serialization point for accumulates and atomics (the
 	// communication helper thread / NIC agent).
 	agentBusy []sim.Time
+
+	// The records of gets and atomics in flight.
+	gets   sim.FreeList[getReq]
+	agents sim.FreeList[agentStep]
 }
 
 // NewWorld creates native ARMCI state for machine m with tuning tun.
@@ -125,21 +129,59 @@ func (w *World) Put(p *sim.Proc, x armci.Xfer) sim.Time {
 // back from the target's memory, whose arrival completes the handle.
 func (w *World) Get(p *sim.Proc, x armci.Xfer, h *armci.Pending) {
 	segCost(p, x)
-	m, me, rate := w.M, p.ID(), w.rate(x.Local)
-	req := m.SendDataAsync(me, x.Target, 0, fabric.XferOpt{NoNIC: true})
-	m.Eng.At(req, func() {
-		back := m.SendDataAsync(x.Target, me, x.Total, fabric.XferOpt{Rate: rate})
-		m.Eng.At(back, h.Complete)
-	})
+	m, me := w.M, p.ID()
+	g := w.gets.Get()
+	*g = getReq{w: w, me: me, target: x.Target, total: x.Total, rate: w.rate(x.Local), h: h}
+	m.Eng.AtEvent(m.SendDataAsync(me, x.Target, 0, fabric.XferOpt{NoNIC: true}), g)
+}
+
+// getReq is one get in flight, as the two events it is scheduled as:
+// the request reaching the target, which sends the payload back, and
+// the payload's arrival, which files the record and fires the handle.
+type getReq struct {
+	w                 *World
+	me, target, total int
+	rate              float64
+	h                 *armci.Pending
+	replied           bool
+}
+
+func (g *getReq) Fire() {
+	m := g.w.M
+	if !g.replied {
+		g.replied = true
+		m.Eng.AtEvent(m.SendDataAsync(g.target, g.me, g.total, fabric.XferOpt{Rate: g.rate}), g)
+		return
+	}
+	h := g.h
+	g.w.gets.Put(g)
+	h.Fire()
 }
 
 // Serve evaluates a request inside its arrival event: a control message
 // at once, an atomic after the NIC agent has executed it.
-func (w *World) Serve(origin, target int, arrive sim.Time, amoBytes int, fn func()) {
+func (w *World) Serve(origin, target int, arrive sim.Time, amoBytes int, ev sim.Event) {
 	eng := w.M.Eng
 	if amoBytes == 0 {
-		eng.At(arrive, fn)
+		eng.AtEvent(arrive, ev)
 		return
 	}
-	eng.At(arrive, func() { eng.At(w.agent(target, eng.Now(), amoProcessNs), fn) })
+	a := w.agents.Get()
+	*a = agentStep{w: w, target: target, ev: ev}
+	eng.AtEvent(arrive, a)
+}
+
+// agentStep is an atomic reaching its target: it books the NIC agent,
+// and ev fires when the agent has executed the atomic.
+type agentStep struct {
+	w      *World
+	target int
+	ev     sim.Event
+}
+
+func (a *agentStep) Fire() {
+	w, target, ev := a.w, a.target, a.ev
+	w.agents.Put(a)
+	eng := w.M.Eng
+	eng.AtEvent(w.agent(target, eng.Now(), amoProcessNs), ev)
 }

@@ -1,6 +1,10 @@
 package nwchem
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mpi"
+)
 
 // CCSD runs the iterative CCSD proxy: in each iteration the residual
 // R[ij,ab] = sum_cd T2[ij,cd] * V[cd,ab] is evaluated as a dynamically
@@ -112,15 +116,14 @@ func (s *System) energy() (float64, error) {
 	local := 0.0
 	blk, err := s.R.Access()
 	if err == nil {
-		d := blk.Dims()
-		t2 := make([]float64, d[0]*d[1])
-		// Direct access to R plus a get of the matching T2 patch.
+		// Direct access to R plus a get of the matching T2 patch, into
+		// task tiles drawn from the machine's free list.
 		if err := blk.Release(); err != nil {
 			return 0, err
 		}
-		lo := blk.Lo
-		hi := blk.Hi
-		rvals := make([]float64, d[0]*d[1])
+		lo, hi := blk.Lo, blk.Hi
+		n := (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+		t2, rvals := s.tile(0, n), s.tile(1, n)
 		if err := s.R.Get(lo, hi, rvals); err != nil {
 			return 0, err
 		}
@@ -130,7 +133,8 @@ func (s *System) energy() (float64, error) {
 		for i := range rvals {
 			local += t2[i] * rvals[i]
 		}
+		s.releaseTiles()
 	}
-	sum := s.Env.GopF64(0, []float64{local})
+	sum := s.Env.GopF64(mpi.OpSum, []float64{local})
 	return sum[0], nil
 }

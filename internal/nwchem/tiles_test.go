@@ -3,6 +3,7 @@ package nwchem
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/armcimpi"
@@ -190,6 +191,61 @@ func TestSetupAllocatesNothingPerElement(t *testing.T) {
 	t.Logf("job objects: nv=12 %v, nv=24 %v", small, quick)
 	if quick > small+64 {
 		t.Errorf("Setup + Teardown allocates %v objects at nv=24 but %v at nv=12: something allocates per element", quick, small)
+	}
+}
+
+// A warm CCSD job, energy included, allocates per task and per rank,
+// never per element: on a task grid of the same shape (Blk grows with
+// nv², so both sizes run 4x4 tasks) nv=24 moves 4x the elements of
+// nv=12 and allocates the same objects and bytes (to within the odd
+// object the Go runtime makes on its own). The energy's two
+// local-block buffers come from the free list, as the task tiles do;
+// when they were made per call, nv=24 allocated 108 KB more per job.
+func TestCCSDAllocatesNothingPerElement(t *testing.T) {
+	for _, impl := range []harness.Impl{harness.ImplNative, harness.ImplARMCIMPI} {
+		warm := func(nv int) (objects, bytes uint64) {
+			p := Params{NO: 4, NV: nv, Blk: nv * nv / 4, Iter: 1, Chunk: 4, FlopMult: 40}
+			j, err := harness.NewJob(harness.TestPlatform(), 4, impl, armcimpi.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			if err := j.Eng.Run(4, func(pr *sim.Proc) {
+				env := ga.NewEnv(j.Runtime(pr), j.MpiWorld.Rank(pr))
+				sys, err := Setup(env, j.M, p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for pass := 0; pass < 2; pass++ { // the first pass warms the free lists
+					env.Sync()
+					if env.Me() == 0 {
+						runtime.ReadMemStats(&before)
+					}
+					env.Sync()
+					if _, err := sys.CCSD(); err != nil {
+						t.Error(err)
+					}
+					env.Sync()
+					if env.Me() == 0 {
+						runtime.ReadMemStats(&after)
+					}
+				}
+				if err := sys.Teardown(); err != nil {
+					t.Error(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+		}
+		small, smallB := warm(12)
+		large, largeB := warm(24)
+		t.Logf("%s: warm CCSD job allocates nv=12 %d objects %d B, nv=24 %d objects %d B", impl, small, smallB, large, largeB)
+		if large > small+8 || largeB > smallB+1024 {
+			t.Errorf("%s: warm CCSD allocates %d objects (%d B) at nv=24 but %d (%d B) at nv=12: something allocates per element",
+				impl, large, largeB, small, smallB)
+		}
 	}
 }
 

@@ -114,6 +114,32 @@ func (w *wakeup) Fire() {
 	p.e.Unpark(p)
 }
 
+// FreeList is a job-scoped LIFO of the records a layer schedules as
+// events and takes back once they have fired. It is unsynchronized for
+// the reason the Engine is (one flow of control at a time), and
+// deterministic because the event order is: the same record serves the
+// same operation in every run, and allocation counts repeat exactly.
+// The zero value is an empty list.
+type FreeList[T any] struct{ free []*T }
+
+// Get returns a record, zero only if newly allocated: the caller
+// overwrites it whole.
+func (l *FreeList[T]) Get() *T {
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free = l.free[:n-1]
+		return x
+	}
+	return new(T)
+}
+
+// Put zeroes x, so it holds no reference while it waits, and files it.
+func (l *FreeList[T]) Put(x *T) {
+	var zero T
+	*x = zero
+	l.free = append(l.free, x)
+}
+
 // eventHeap is a value-typed binary min-heap ordered by (at, seq).
 // Events live inline in the slice: pushes reuse the capacity freed by
 // pops, so steady-state scheduling performs no allocation.
