@@ -16,6 +16,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/armcimpi"
 	"repro/internal/bench"
 	"repro/internal/harness"
 	"repro/internal/platform"
@@ -101,11 +102,11 @@ func fig6Bench(b *testing.B, name string) {
 	cfg := bench.QuickFig6()
 	params := cfg.ParamsFor(plat)
 	for i := 0; i < b.N; i++ {
-		nat, err := bench.NWChemPhase(plat, harness.ImplNative, 16, params, false)
+		nat, err := bench.NWChemPhase(plat, harness.ImplNative, 16, armcimpi.DefaultOptions(), nil, params, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mpi, err := bench.NWChemPhase(plat, harness.ImplARMCIMPI, 16, params, false)
+		mpi, err := bench.NWChemPhase(plat, harness.ImplARMCIMPI, 16, armcimpi.DefaultOptions(), nil, params, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,11 +127,11 @@ func BenchmarkFig6CrayXE6(b *testing.B)    { fig6Bench(b, platform.CrayXE6) }
 func BenchmarkFig6Triples(b *testing.B) {
 	cfg := bench.QuickFig6()
 	for i := 0; i < b.N; i++ {
-		ib, err := bench.NWChemPhase(platform.Get(platform.InfiniBand), harness.ImplARMCIMPI, 8, cfg.Params, true)
+		ib, err := bench.NWChemPhase(platform.Get(platform.InfiniBand), harness.ImplARMCIMPI, 8, armcimpi.DefaultOptions(), nil, cfg.Params, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		xe, err := bench.NWChemPhase(platform.Get(platform.CrayXE6), harness.ImplARMCIMPI, 8, cfg.Params, true)
+		xe, err := bench.NWChemPhase(platform.Get(platform.CrayXE6), harness.ImplARMCIMPI, 8, armcimpi.DefaultOptions(), nil, cfg.Params, true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -497,18 +497,21 @@ func table2(w io.Writer) error {
 	return err
 }
 
+// ablations prints the -fig ablations rows, rendered into one buffer
+// and written once.
 func ablations(w io.Writer) error {
 	ib := platform.Get(platform.InfiniBand)
+	var buf bytes.Buffer
 	// rows prints one block of "name value" rows in keys order.
 	rows := func(title string, width, prec int, m map[string]float64, err error, keys ...string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, title)
+		fmt.Fprintln(&buf, title)
 		for _, k := range keys {
-			fmt.Fprintf(w, "%-*s %10.*f\n", width, k, prec, m[k])
+			fmt.Fprintf(&buf, "%-*s %10.*f\n", width, k, prec, m[k])
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(&buf)
 		return nil
 	}
 	m, err := bench.AblationRmw(ib, 16)
@@ -522,21 +525,21 @@ func ablations(w io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintln(w, "# Ablation: strided method bandwidth (GB/s, 256 x 1KiB segments per platform)")
+	fmt.Fprintln(&buf, "# Ablation: strided method bandwidth (GB/s, 256 x 1KiB segments per platform)")
 	for _, p := range platform.All() {
 		sm, err := bench.AblationStridedMethods(p, 1024, 256, 3)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-6s", p.Name)
+		fmt.Fprintf(&buf, "%-6s", p.Name)
 		for _, k := range []string{"Native", "Direct", "IOV-Direct", "IOV-Batched", "IOV-Consrv"} {
-			fmt.Fprintf(w, "  %s=%.3f", k, sm[k])
+			fmt.Fprintf(&buf, "  %s=%.3f", k, sm[k])
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(&buf)
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(&buf)
 
-	fmt.Fprintln(w, "# Ablation: batched-method epoch size B (GB/s, 64 x 256B segments, InfiniBand)")
+	fmt.Fprintln(&buf, "# Ablation: batched-method epoch size B (GB/s, 64 x 256B segments, InfiniBand)")
 	bs, err := bench.AblationBatchSize(ib, 256, 64, []int{1, 4, 16, 64, 0}, 3)
 	if err != nil {
 		return err
@@ -546,9 +549,9 @@ func ablations(w io.Writer) error {
 		if b == 0 {
 			label = "unlimited"
 		}
-		fmt.Fprintf(w, "B=%-10s %8.3f\n", label, bs[b])
+		fmt.Fprintf(&buf, "B=%-10s %8.3f\n", label, bs[b])
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintln(&buf)
 
 	m, err = bench.AblationAsyncProgress(ib, 20000, 16)
 	if err := rows("# Ablation: SectionV.F asynchronous progress (put latency us, 20us service delay when disabled)", 20, 2, m, err,
@@ -565,10 +568,11 @@ func ablations(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "# Ablation: SectionIX two-sided data-server ARMCI vs one-sided stacks")
-	fmt.Fprintln(w, "# (4 concurrent 1MiB getters: aggregate GB/s; CCSD proxy at 16 procs: virtual ms)")
+	fmt.Fprintln(&buf, "# Ablation: SectionIX two-sided data-server ARMCI vs one-sided stacks")
+	fmt.Fprintln(&buf, "# (4 concurrent 1MiB getters: aggregate GB/s; CCSD proxy at 16 procs: virtual ms)")
 	for _, k := range []string{"native", "armci-mpi", "armci-ds"} {
-		fmt.Fprintf(w, "%-12s bw=%-8.3f ccsd=%.3f\n", k, ds[k], ds["ccsd-"+k])
+		fmt.Fprintf(&buf, "%-12s bw=%-8.3f ccsd=%.3f\n", k, ds[k], ds["ccsd-"+k])
 	}
-	return nil
+	_, err = w.Write(buf.Bytes())
+	return err
 }

@@ -262,8 +262,8 @@ func (f failingWriter) Write(p []byte) (int, error) {
 
 // TestWriteErrors: text that cannot be written fails the run, whether
 // it is the figure's columns, one instrument's report (the figure
-// written, the report not) or Table II. The figure, -stats and table2
-// used to drop the error and exit 0.
+// written, the report not), Table II or the ablation rows. The figure,
+// -stats, table2 and ablations used to drop the error and exit 0.
 func TestWriteErrors(t *testing.T) {
 	for _, c := range []struct {
 		a    args
@@ -274,6 +274,7 @@ func TestWriteErrors(t *testing.T) {
 		{args{fig: "fig3-ib", quick: true, profile: true}, "# fig3-ib"},
 		{args{fig: "fig3-ib", quick: true, critpath: true}, "# fig3-ib"},
 		{args{fig: "table2"}, ""},
+		{args{fig: "ablations"}, ""},
 	} {
 		if err := run(failingWriter{c.pass}, c.a); !errors.Is(err, errWrite) {
 			t.Errorf("%s stats=%v profile=%v critpath=%v: err = %v, want the write error", c.a.fig, c.a.stats, c.a.profile, c.a.critpath, err)

@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/armcimpi"
 	"repro/internal/ga"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -32,85 +34,62 @@ func QuickNbFanout() NbFanoutConfig {
 
 func (c NbFanoutConfig) maxOwners() int { return c.Owners[len(c.Owners)-1] }
 
-// nbFanoutVariant measures GA Put and Get latency versus spanned owner
-// count for one fan-out discipline. MPI-3 is required (under MPI-2 the
-// nonblocking surface degenerates to blocking calls) and the shm fast
-// path is disabled so every owner pays the RMA completion round trip —
-// the cost the aggregated FlushAll amortizes.
-func nbFanoutVariant(plat *platform.Platform, blocking bool, cfg NbFanoutConfig) (Series, Series, error) {
-	label := "nonblocking"
-	if blocking {
-		label = "blocking"
-	}
-	put := Series{Label: "put (" + label + ")"}
-	get := Series{Label: "get (" + label + ")"}
-	opt := benchOptions()
-	opt.UseMPI3 = true
-	opt.NoShm = true
-	nranks := cfg.maxOwners() + 1
-	var runErr error
-	j, err := harness.NewJob(plat, nranks, harness.ImplARMCIMPI, opt)
-	if err != nil {
-		return put, get, err
-	}
-	err = j.Eng.Run(nranks, func(pr *sim.Proc) {
-		env := newGAEnv(j, pr)
+// fanout measures GA Put (to remote completion) and Get latency, in
+// microseconds per operation, on nranks ranks: rank 0 issues a 1-D
+// patch spanning k owners, for each k of owners (ascending), with
+// blkElems float64 elements per owner, timed over iters operations
+// after one warm-up. The patch starts at owner 1's block, so every
+// spanned owner is remote to the issuing rank. Only rank 0 holds a
+// buffer, so per-rank memory stays flat in nranks. blocking selects
+// the GA fan-out discipline: per-owner operations issued blocking, or
+// nonblocking with one aggregated wait.
+func fanout(plat *platform.Platform, impl harness.Impl, nranks int, opt armcimpi.Options, rec *obs.Recorder, blocking bool, owners []int, blkElems, iters int) (put, get Series, err error) {
+	_, err = harness.RunObs(plat, nranks, impl, opt, rec, func(j *harness.Job, pr *sim.Proc) error {
+		env := ga.NewEnv(j.Runtime(pr), j.MpiWorld.Rank(pr))
 		env.BlockingFanout = blocking
-		a, err := env.Create("nbfanout", ga.F64, []int{nranks * cfg.BlkElems})
+		a, err := env.Create("fanout", ga.F64, []int{nranks * blkElems})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		rt := env.Rt
-		vals := make([]float64, cfg.maxOwners()*cfg.BlkElems)
-		for _, k := range cfg.Owners {
-			// The patch starts at owner 1's block, so every spanned owner
-			// is remote to the issuing rank 0.
-			lo := []int{cfg.BlkElems}
-			hi := []int{cfg.BlkElems*(1+k) - 1}
-			n := k * cfg.BlkElems
+		var vals []float64
+		if env.Me() == 0 {
+			vals = make([]float64, owners[len(owners)-1]*blkElems)
+		}
+		for _, k := range owners {
 			env.Sync()
 			if env.Me() == 0 {
-				if err := a.Put(lo, hi, vals[:n]); err != nil {
-					runErr = err
-					return
+				lo, hi, v := []int{blkElems}, []int{blkElems*(1+k) - 1}, vals[:k*blkElems]
+				if err := a.Put(lo, hi, v); err != nil {
+					return err
 				}
 				rt.AllFence()
 				start := rt.Proc().Now()
-				for i := 0; i < cfg.Iters; i++ {
-					if err := a.Put(lo, hi, vals[:n]); err != nil {
-						runErr = err
-						return
+				for i := 0; i < iters; i++ {
+					if err := a.Put(lo, hi, v); err != nil {
+						return err
 					}
 					rt.AllFence()
 				}
 				put.X = append(put.X, float64(k))
-				put.Y = append(put.Y, perOpMicros(rt.Proc().Now()-start, cfg.Iters))
-				if err := a.Get(lo, hi, vals[:n]); err != nil {
-					runErr = err
-					return
+				put.Y = append(put.Y, perOpMicros(rt.Proc().Now()-start, iters))
+				if err := a.Get(lo, hi, v); err != nil {
+					return err
 				}
 				start = rt.Proc().Now()
-				for i := 0; i < cfg.Iters; i++ {
-					if err := a.Get(lo, hi, vals[:n]); err != nil {
-						runErr = err
-						return
+				for i := 0; i < iters; i++ {
+					if err := a.Get(lo, hi, v); err != nil {
+						return err
 					}
 				}
 				get.X = append(get.X, float64(k))
-				get.Y = append(get.Y, perOpMicros(rt.Proc().Now()-start, cfg.Iters))
+				get.Y = append(get.Y, perOpMicros(rt.Proc().Now()-start, iters))
 			}
 			env.Sync()
 		}
-		if err := a.Destroy(); err != nil {
-			runErr = err
-		}
+		return a.Destroy()
 	})
-	j.M.Retire()
-	if err != nil {
-		return put, get, err
-	}
-	return put, get, runErr
+	return put, get, err
 }
 
 // perOpMicros converts an iterated elapsed time to microseconds per
@@ -133,11 +112,23 @@ func AblationNbFanout(plat *platform.Platform, cfg NbFanoutConfig) (*Figure, err
 		XLabel: "owning processes spanned",
 		YLabel: "latency per operation (microseconds)",
 	}
+	// MPI-3 is required (under MPI-2 the nonblocking surface
+	// degenerates to blocking calls) and the shm fast path is disabled
+	// so every owner pays the RMA completion round trip — the cost the
+	// aggregated FlushAll amortizes.
+	opt := benchOptions()
+	opt.UseMPI3 = true
+	opt.NoShm = true
 	for _, blocking := range []bool{true, false} {
-		put, get, err := nbFanoutVariant(plat, blocking, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: ablation-nbfanout %s/%s: %w", plat.Name, put.Label, err)
+		label := "nonblocking"
+		if blocking {
+			label = "blocking"
 		}
+		put, get, err := fanout(plat, harness.ImplARMCIMPI, cfg.maxOwners()+1, opt, nil, blocking, cfg.Owners, cfg.BlkElems, cfg.Iters)
+		if err != nil {
+			return nil, fmt.Errorf("bench: ablation-nbfanout %s/%s: %w", plat.Name, label, err)
+		}
+		put.Label, get.Label = "put ("+label+")", "get ("+label+")"
 		fig.Series = append(fig.Series, put, get)
 	}
 	return fig, nil

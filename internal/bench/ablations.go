@@ -41,33 +41,26 @@ func AblationRmw(plat *platform.Platform, iters int) (map[string]float64, error)
 		opt := benchOptions()
 		opt.UseMPI3 = v.mpi3
 		var lat sim.Time
-		var runErr error
-		_, err := harness.Run(plat, 2*plat.CoresPerNode, v.impl, opt, func(rt armci.Runtime) {
+		_, err := harness.RunObs(plat, 2*plat.CoresPerNode, v.impl, opt, nil, func(j *harness.Job, p *sim.Proc) error {
+			rt := j.Runtime(p)
 			addrs, err := rt.Malloc(8)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if rt.Rank() == plat.CoresPerNode { // remote rank hammers rank 0
 				start := rt.Proc().Now()
 				for i := 0; i < iters; i++ {
 					if _, err := rt.Rmw(armci.FetchAndAdd, addrs[0], 1); err != nil {
-						runErr = err
-						return
+						return err
 					}
 				}
 				lat = (rt.Proc().Now() - start) / sim.Time(iters)
 			}
 			rt.Barrier()
-			if err := rt.Free(addrs[rt.Rank()]); err != nil {
-				runErr = err
-			}
+			return rt.Free(addrs[rt.Rank()])
 		})
 		if err != nil {
 			return nil, err
-		}
-		if runErr != nil {
-			return nil, runErr
 		}
 		out[v.name] = lat.Micros()
 	}
@@ -82,25 +75,16 @@ func AblationRmw(plat *platform.Platform, iters int) (map[string]float64, error)
 func AblationAccessModes(plat *platform.Platform, readers, iters, size int) (map[string]float64, error) {
 	out := map[string]float64{}
 	for _, mode := range []armci.AccessMode{armci.ModeConflicting, armci.ModeReadOnly} {
-		mode := mode
 		var phase sim.Time
-		var runErr error
-		nranks := readers + 1
-		j, err := harness.NewJob(plat, nranks, harness.ImplARMCIMPI, benchOptions())
-		if err != nil {
-			return nil, err
-		}
-		err = j.Eng.Run(nranks, func(p *sim.Proc) {
+		_, err := harness.RunObs(plat, readers+1, harness.ImplARMCIMPI, benchOptions(), nil, func(j *harness.Job, p *sim.Proc) error {
 			rt := j.Runtime(p)
 			addrs, err := rt.Malloc(size)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if mode != armci.ModeConflicting {
 				if err := rt.SetAccessMode(mode, addrs[0]); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			rt.Barrier()
@@ -109,8 +93,7 @@ func AblationAccessModes(plat *platform.Platform, readers, iters, size int) (map
 				local := rt.MallocLocal(size)
 				for i := 0; i < iters; i++ {
 					if err := rt.Get(addrs[0], local, size); err != nil {
-						runErr = err
-						return
+						return err
 					}
 				}
 			}
@@ -118,16 +101,10 @@ func AblationAccessModes(plat *platform.Platform, readers, iters, size int) (map
 			if rt.Rank() == 0 {
 				phase = rt.Proc().Now() - start
 			}
-			if err := rt.Free(addrs[rt.Rank()]); err != nil {
-				runErr = err
-			}
+			return rt.Free(addrs[rt.Rank()])
 		})
-		j.M.Retire()
 		if err != nil {
 			return nil, err
-		}
-		if runErr != nil {
-			return nil, runErr
 		}
 		out[mode.String()] = phase.Micros()
 	}
@@ -208,45 +185,16 @@ func AblationAsyncProgress(plat *platform.Platform, delayNs float64, iters int) 
 // AblationMPI3Backend compares the paper's MPI-2 design against the
 // SectionVIII.B MPI-3 backend (lock-all/flush epochless mode, request
 // operations, native atomics) on the CCSD proxy — the forward-looking
-// experiment the paper's gap analysis motivates. Returns virtual phase
-// milliseconds.
+// experiment the paper's gap analysis motivates. Returns the virtual
+// phase time in milliseconds, the maximum over ranks as in Figure 6.
 func AblationMPI3Backend(plat *platform.Platform, cores int) (map[string]float64, error) {
 	out := map[string]float64{}
-	p := nwchemParams()
 	for _, mode := range []string{"mpi2-epochs", "mpi3-lockall"} {
 		opt := benchOptions()
 		opt.UseMPI3 = mode == "mpi3-lockall"
-		j, err := harness.NewJob(plat, cores, harness.ImplARMCIMPI, opt)
+		phase, err := NWChemPhase(plat, harness.ImplARMCIMPI, cores, opt, nil, nwchemParams(), false)
 		if err != nil {
 			return nil, err
-		}
-		var phase sim.Time
-		var runErr error
-		err = j.Eng.Run(cores, func(pr *sim.Proc) {
-			env := newGAEnv(j, pr)
-			sys, err := nwchemSetup(env, j, p)
-			if err != nil {
-				runErr = err
-				return
-			}
-			res, err := sys.CCSD()
-			if err != nil {
-				runErr = err
-				return
-			}
-			if env.Me() == 0 {
-				phase = res.Elapsed
-			}
-			if err := sys.Teardown(); err != nil {
-				runErr = err
-			}
-		})
-		j.M.Retire()
-		if err != nil {
-			return nil, err
-		}
-		if runErr != nil {
-			return nil, runErr
 		}
 		out[mode] = phase.Seconds() * 1e3
 	}
@@ -268,12 +216,11 @@ func AblationDataServer(plat *platform.Platform, origins, iters, size int) (map[
 		}
 		var total sim.Time
 		var moved int64
-		var runErr error
-		_, err := harness.Run(plat, nranks, impl, benchOptions(), func(rt armci.Runtime) {
+		_, err := harness.RunObs(plat, nranks, impl, benchOptions(), nil, func(j *harness.Job, p *sim.Proc) error {
+			rt := j.Runtime(p)
 			addrs, err := rt.Malloc(size)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			// One origin per remote node gets from rank 0 concurrently.
 			isOrigin := rt.Rank() != 0 && rt.Rank()%plat.CoresPerNode == 0
@@ -281,8 +228,7 @@ func AblationDataServer(plat *platform.Platform, origins, iters, size int) (map[
 			if isOrigin {
 				// Warm up (registration caches) before timing.
 				if err := rt.Get(addrs[0], local, size); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			rt.Barrier()
@@ -290,8 +236,7 @@ func AblationDataServer(plat *platform.Platform, origins, iters, size int) (map[
 			if isOrigin {
 				for i := 0; i < iters; i++ {
 					if err := rt.Get(addrs[0], local, size); err != nil {
-						runErr = err
-						return
+						return err
 					}
 				}
 				moved += int64(size) * int64(iters)
@@ -300,22 +245,16 @@ func AblationDataServer(plat *platform.Platform, origins, iters, size int) (map[
 			if rt.Rank() == 0 {
 				total = rt.Proc().Now() - start
 			}
-			if err := rt.Free(addrs[rt.Rank()]); err != nil {
-				runErr = err
-			}
+			return rt.Free(addrs[rt.Rank()])
 		})
 		if err != nil {
 			return nil, err
 		}
-		if runErr != nil {
-			return nil, runErr
-		}
 		out[string(impl)] = bandwidth(moved, total)
 	}
 	// CCSD phase times.
-	p := nwchemParams()
 	for _, impl := range []harness.Impl{harness.ImplNative, harness.ImplARMCIMPI, harness.ImplDataServer} {
-		tm, err := NWChemPhase(plat, impl, 16, p, false)
+		tm, err := NWChemPhase(plat, impl, 16, benchOptions(), nil, nwchemParams(), false)
 		if err != nil {
 			return nil, err
 		}

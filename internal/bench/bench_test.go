@@ -239,7 +239,7 @@ func TestFig5Shapes(t *testing.T) {
 func TestFig6Shapes(t *testing.T) {
 	cfg := QuickFig6()
 	phase := func(plat *platform.Platform, impl harness.Impl, cores int) float64 {
-		tm, err := NWChemPhase(plat, impl, cores, cfg.Params, false)
+		tm, err := NWChemPhase(plat, impl, cores, benchOptions(), nil, cfg.Params, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestFig6Shapes(t *testing.T) {
 		plat := platform.Get(platform.InfiniBand)
 		p := nwchem.Params{NO: 6, NV: 32, Blk: 48, Iter: 1, Chunk: 4, FlopMult: 40}
 		big := func(cores int) float64 {
-			tm, err := NWChemPhase(plat, harness.ImplARMCIMPI, cores, p, false)
+			tm, err := NWChemPhase(plat, harness.ImplARMCIMPI, cores, benchOptions(), nil, p, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,11 +41,11 @@ func critWorkload(t *testing.T, rt armci.Runtime) {
 func critRun(t *testing.T, impl harness.Impl, opt armcimpi.Options) (*obs.Recorder, sim.Time) {
 	t.Helper()
 	rec := obs.New(obs.Options{CritPath: true})
-	j, err := harness.NewJobObs(harness.TestPlatform(), 4, impl, opt, rec)
+	j, err := harness.RunObs(harness.TestPlatform(), 4, impl, opt, rec, func(j *harness.Job, p *sim.Proc) error {
+		critWorkload(t, j.Runtime(p))
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Eng.Run(4, func(p *sim.Proc) { critWorkload(t, j.Runtime(p)) }); err != nil {
 		t.Fatal(err)
 	}
 	return rec, j.Eng.Stats().FinalTime

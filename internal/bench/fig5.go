@@ -60,21 +60,15 @@ func interopBandwidth(plat *platform.Platform, c fig5Curve, cfg Fig5Config) (Ser
 	series := Series{Label: c.label}
 	nranks := 2 * plat.CoresPerNode
 	target := plat.CoresPerNode
-	var bwErr error
-	j, err := harness.NewJobObs(plat, nranks, c.impl, benchOptions(), cfg.Obs)
-	if err != nil {
-		return series, err
-	}
 	myDomain := fabric.DomainARMCI
 	if c.impl == harness.ImplARMCIMPI {
 		myDomain = fabric.DomainMPI
 	}
-	err = j.Eng.Run(nranks, func(p *sim.Proc) {
+	_, err := harness.RunObs(plat, nranks, c.impl, benchOptions(), cfg.Obs, func(j *harness.Job, p *sim.Proc) error {
 		rt := j.Runtime(p)
 		addrs, err := rt.Malloc(maxSize)
 		if err != nil {
-			bwErr = err
-			return
+			return err
 		}
 		if rt.Rank() == 0 {
 			// Allocate the local buffer from the requested allocator,
@@ -85,8 +79,7 @@ func interopBandwidth(plat *platform.Platform, c fig5Curve, cfg Fig5Config) (Ser
 				if !c.evict {
 					// Touch once so on-demand registration is cached.
 					if err := rt.Get(addrs[target], local, size); err != nil {
-						bwErr = err
-						return
+						return err
 					}
 				}
 				start := rt.Proc().Now()
@@ -95,8 +88,7 @@ func interopBandwidth(plat *platform.Platform, c fig5Curve, cfg Fig5Config) (Ser
 						j.M.Unpin(reg, myDomain)
 					}
 					if err := rt.Get(addrs[target], local, size); err != nil {
-						bwErr = err
-						return
+						return err
 					}
 				}
 				elapsed := rt.Proc().Now() - start
@@ -105,15 +97,9 @@ func interopBandwidth(plat *platform.Platform, c fig5Curve, cfg Fig5Config) (Ser
 			}
 		}
 		rt.Barrier()
-		if err := rt.Free(addrs[rt.Rank()]); err != nil {
-			bwErr = err
-		}
+		return rt.Free(addrs[rt.Rank()])
 	})
-	j.M.Retire()
-	if err != nil {
-		return series, err
-	}
-	return series, bwErr
+	return series, err
 }
 
 // Fig5 regenerates Figure 5 on the InfiniBand platform: contiguous get

@@ -5,10 +5,12 @@ import (
 	"runtime"
 	"sort"
 
+	"repro/internal/armcimpi"
 	"repro/internal/ga"
 	"repro/internal/harness"
 	"repro/internal/mpi"
 	"repro/internal/nwchem"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -61,22 +63,17 @@ func QuickFig6() Fig6Config {
 	}
 }
 
-// NWChemPhase runs the CCSD or (T) phase of the proxy at one scale and
-// returns the phase's virtual time (max over ranks).
-func NWChemPhase(plat *platform.Platform, impl harness.Impl, cores int, p nwchem.Params, triples bool) (sim.Time, error) {
-	j, err := harness.NewJob(plat, cores, impl, benchOptions())
-	if err != nil {
-		return 0, err
-	}
+// NWChemPhase runs the CCSD or (T) phase of the proxy at one scale
+// under impl with opt (rec may be nil) and returns the phase's virtual
+// time, the maximum over ranks. Every figure and ablation that times
+// the proxy (Fig. 6, §VIII.B, §IX and the scale sweep) runs it here.
+func NWChemPhase(plat *platform.Platform, impl harness.Impl, cores int, opt armcimpi.Options, rec *obs.Recorder, p nwchem.Params, triples bool) (sim.Time, error) {
 	var phase sim.Time
-	var runErr error
-	err = j.Eng.Run(cores, func(pr *sim.Proc) {
-		rt := j.Runtime(pr)
-		env := ga.NewEnv(rt, j.MpiWorld.Rank(pr))
+	_, err := harness.RunObs(plat, cores, impl, opt, rec, func(j *harness.Job, pr *sim.Proc) error {
+		env := ga.NewEnv(j.Runtime(pr), j.MpiWorld.Rank(pr))
 		sys, err := nwchem.Setup(env, j.M, p)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		var res nwchem.Result
 		if triples {
@@ -85,23 +82,15 @@ func NWChemPhase(plat *platform.Platform, impl harness.Impl, cores int, p nwchem
 			res, err = sys.CCSD()
 		}
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
-		// Phase time = max over ranks of the measured elapsed time.
 		mx := env.GopF64(mpi.OpMax, []float64{res.Elapsed.Seconds()})
-		if rt.Rank() == 0 {
+		if env.Me() == 0 {
 			phase = sim.FromSeconds(mx[0])
 		}
-		if err := sys.Teardown(); err != nil {
-			runErr = err
-		}
+		return sys.Teardown()
 	})
-	j.M.Retire()
-	if err != nil {
-		return 0, err
-	}
-	return phase, runErr
+	return phase, err
 }
 
 // Fig6 regenerates one platform's panel of Figure 6: CCSD (and
@@ -163,7 +152,7 @@ func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, e
 	p := cfg.ParamsFor(plat)
 	err := sweep(runtime.GOMAXPROCS(0), len(order), func(i int) error {
 		pt := order[i]
-		t, err := NWChemPhase(plat, pt.impl, pt.cores, p, pt.triples)
+		t, err := NWChemPhase(plat, pt.impl, pt.cores, benchOptions(), nil, p, pt.triples)
 		if err != nil {
 			phase := "ccsd"
 			if pt.triples {
@@ -183,17 +172,7 @@ func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, e
 	return fig, nil
 }
 
-// nwchemParams is the proxy problem used by the MPI-3 backend ablation.
+// nwchemParams is the proxy problem of the §VIII.B and §IX ablations.
 func nwchemParams() nwchem.Params {
 	return nwchem.Params{NO: 4, NV: 24, Blk: 36, Iter: 1, Chunk: 4, FlopMult: 40}
-}
-
-// newGAEnv builds the per-rank GA environment for a job.
-func newGAEnv(j *harness.Job, pr *sim.Proc) *ga.Env {
-	return ga.NewEnv(j.Runtime(pr), j.MpiWorld.Rank(pr))
-}
-
-// nwchemSetup creates the proxy system on a job's machine.
-func nwchemSetup(env *ga.Env, j *harness.Job, p nwchem.Params) (*nwchem.System, error) {
-	return nwchem.Setup(env, j.M, p)
 }

@@ -50,12 +50,11 @@ func measure(p probe) ([]sim.Time, error) {
 		winBytes, localBytes = (2*maxX+1)*p.seg, maxX*p.seg
 	}
 	elapsed := make([]sim.Time, len(p.xs))
-	var opErr error
-	_, err := harness.RunObs(p.plat, 2*p.plat.CoresPerNode, p.impl, p.opt, p.rec, func(rt armci.Runtime) {
+	_, err := harness.RunObs(p.plat, 2*p.plat.CoresPerNode, p.impl, p.opt, p.rec, func(j *harness.Job, pr *sim.Proc) error {
+		rt := j.Runtime(pr)
 		addrs, err := rt.Malloc(winBytes)
 		if err != nil {
-			opErr = err
-			return
+			return err
 		}
 		local := rt.MallocLocal(localBytes)
 		if rt.Rank() == p.origin {
@@ -66,15 +65,13 @@ func measure(p probe) ([]sim.Time, error) {
 					s = stridedPatch(p.op, local, remote, p.seg, x)
 				}
 				if err := doOp(rt, p.op, local, remote, s, x); err != nil {
-					opErr = err
-					return
+					return err
 				}
 				rt.Fence(p.target)
 				start := rt.Proc().Now()
 				for k := 0; k < p.iters; k++ {
 					if err := doOp(rt, p.op, local, remote, s, x); err != nil {
-						opErr = err
-						return
+						return err
 					}
 				}
 				rt.Fence(p.target)
@@ -82,14 +79,12 @@ func measure(p probe) ([]sim.Time, error) {
 			}
 		}
 		rt.Barrier()
-		if err := rt.Free(addrs[rt.Rank()]); err != nil {
-			opErr = err
-		}
+		return rt.Free(addrs[rt.Rank()])
 	})
 	if err != nil {
 		return nil, err
 	}
-	return elapsed, opErr
+	return elapsed, nil
 }
 
 // stridedPatch is the 2-D descriptor of nseg segments of seg bytes:

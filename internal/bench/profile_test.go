@@ -81,11 +81,10 @@ func profWorkload(t *testing.T, rt armci.Runtime) {
 func profRun(t *testing.T, impl harness.Impl, opt armcimpi.Options) *obs.Recorder {
 	t.Helper()
 	rec := obs.New(obs.Options{Profile: true})
-	j, err := harness.NewJobObs(harness.TestPlatform(), 4, impl, opt, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Eng.Run(4, func(p *sim.Proc) { profWorkload(t, j.Runtime(p)) }); err != nil {
+	if _, err := harness.RunObs(harness.TestPlatform(), 4, impl, opt, rec, func(j *harness.Job, p *sim.Proc) error {
+		profWorkload(t, j.Runtime(p))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return rec
@@ -211,12 +210,8 @@ func TestProfileLeaderPhasesAttributed(t *testing.T) {
 // the operation's latency, no more, no less.
 func TestProfileTotalMatchesMeasuredLatency(t *testing.T) {
 	rec := obs.New(obs.Options{Profile: true})
-	j, err := harness.NewJobObs(harness.TestPlatform(), 4, harness.ImplARMCIMPI, armcimpi.DefaultOptions(), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var elapsed sim.Time
-	if err := j.Eng.Run(4, func(p *sim.Proc) {
+	if _, err := harness.RunObs(harness.TestPlatform(), 4, harness.ImplARMCIMPI, armcimpi.DefaultOptions(), rec, func(j *harness.Job, p *sim.Proc) error {
 		rt := j.Runtime(p)
 		addrs, err := rt.Malloc(4096)
 		must(t, err)
@@ -227,7 +222,7 @@ func TestProfileTotalMatchesMeasuredLatency(t *testing.T) {
 			elapsed = rt.Proc().Now() - t0
 		}
 		rt.Barrier()
-		must(t, rt.Free(addrs[rt.Rank()]))
+		return rt.Free(addrs[rt.Rank()])
 	}); err != nil {
 		t.Fatal(err)
 	}

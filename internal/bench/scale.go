@@ -3,13 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/ga"
 	"repro/internal/harness"
-	"repro/internal/mpi"
 	"repro/internal/nwchem"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/sim"
 )
 
 // ScaleConfig tunes the large-rank scaling sweep: the CCSD(T)-proxy
@@ -64,111 +61,6 @@ func QuickScale() ScaleConfig {
 	}
 }
 
-// scaleCCSD runs the CCSD phase of the proxy at one scale and returns
-// the phase time (max over ranks).
-func scaleCCSD(plat *platform.Platform, impl harness.Impl, nranks int, cfg ScaleConfig) (sim.Time, error) {
-	opt := benchOptions()
-	opt.UseMPI3 = true
-	j, err := harness.NewJobObs(plat, nranks, impl, opt, cfg.Obs)
-	if err != nil {
-		return 0, err
-	}
-	var phase sim.Time
-	var runErr error
-	err = j.Eng.Run(nranks, func(pr *sim.Proc) {
-		env := newGAEnv(j, pr)
-		sys, err := nwchem.Setup(env, j.M, cfg.Params)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res, err := sys.CCSD()
-		if err != nil {
-			runErr = err
-			return
-		}
-		mx := env.GopF64(mpi.OpMax, []float64{res.Elapsed.Seconds()})
-		if env.Me() == 0 {
-			phase = sim.FromSeconds(mx[0])
-		}
-		if err := sys.Teardown(); err != nil {
-			runErr = err
-		}
-	})
-	j.M.Retire()
-	if err != nil {
-		return 0, err
-	}
-	return phase, runErr
-}
-
-// scaleFanout measures the aggregated nonblocking GA fan-out (put to
-// remote completion, and get) at one scale, returning per-operation
-// latencies in microseconds. Only rank 0 issues operations — buffers
-// exist on that rank alone, so per-rank memory stays flat in nranks.
-func scaleFanout(plat *platform.Platform, impl harness.Impl, nranks int, cfg ScaleConfig) (putUs, getUs float64, err error) {
-	opt := benchOptions()
-	opt.UseMPI3 = true
-	j, err := harness.NewJobObs(plat, nranks, impl, opt, cfg.Obs)
-	if err != nil {
-		return 0, 0, err
-	}
-	k := cfg.FanoutOwners
-	var runErr error
-	err = j.Eng.Run(nranks, func(pr *sim.Proc) {
-		env := newGAEnv(j, pr)
-		a, err := env.Create("scale-fanout", ga.F64, []int{nranks * cfg.FanoutBlkElems})
-		if err != nil {
-			runErr = err
-			return
-		}
-		rt := env.Rt
-		env.Sync()
-		if env.Me() == 0 {
-			vals := make([]float64, k*cfg.FanoutBlkElems)
-			// The patch starts at owner 1's block: every spanned owner is
-			// a different process from the issuing rank.
-			lo := []int{cfg.FanoutBlkElems}
-			hi := []int{cfg.FanoutBlkElems*(1+k) - 1}
-			if err := a.Put(lo, hi, vals); err != nil {
-				runErr = err
-				return
-			}
-			rt.AllFence()
-			start := rt.Proc().Now()
-			for i := 0; i < cfg.FanoutIters; i++ {
-				if err := a.Put(lo, hi, vals); err != nil {
-					runErr = err
-					return
-				}
-				rt.AllFence()
-			}
-			putUs = perOpMicros(rt.Proc().Now()-start, cfg.FanoutIters)
-			if err := a.Get(lo, hi, vals); err != nil {
-				runErr = err
-				return
-			}
-			start = rt.Proc().Now()
-			for i := 0; i < cfg.FanoutIters; i++ {
-				if err := a.Get(lo, hi, vals); err != nil {
-					runErr = err
-					return
-				}
-			}
-			getUs = perOpMicros(rt.Proc().Now()-start, cfg.FanoutIters)
-		}
-		env.Sync()
-		if err := a.Destroy(); err != nil {
-			runErr = err
-		}
-	})
-	j.M.Retire()
-	if err != nil {
-		return 0, 0, err
-	}
-	return putUs, getUs, runErr
-}
-
 // Scale regenerates the large-rank scaling figure on the Cray XT5
 // model: CCSD proxy phase time and aggregated fan-out latency versus
 // process count, for ARMCI-MPI and the locality-aware dartmpi runtime.
@@ -182,6 +74,8 @@ func Scale(cfg ScaleConfig) (*Figure, error) {
 		XLabel: "number of processes",
 		YLabel: "CCSD phase (virtual seconds) / fan-out latency (us per op)",
 	}
+	opt := benchOptions()
+	opt.UseMPI3 = true
 	for _, impl := range []harness.Impl{harness.ImplARMCIMPI, harness.ImplDartMPI} {
 		name := "ARMCI-MPI"
 		if impl == harness.ImplDartMPI {
@@ -191,17 +85,17 @@ func Scale(cfg ScaleConfig) (*Figure, error) {
 			if n > plat.MaxRanks() {
 				continue
 			}
-			t, err := scaleCCSD(plat, impl, n, cfg)
+			t, err := NWChemPhase(plat, impl, n, opt, cfg.Obs, cfg.Params, false)
 			if err != nil {
 				return nil, fmt.Errorf("bench: scale %s ccsd @%d: %w", impl, n, err)
 			}
 			fig.Add(name+" CCSD", float64(n), t.Seconds())
-			put, get, err := scaleFanout(plat, impl, n, cfg)
+			put, get, err := fanout(plat, impl, n, opt, cfg.Obs, false, []int{cfg.FanoutOwners}, cfg.FanoutBlkElems, cfg.FanoutIters)
 			if err != nil {
 				return nil, fmt.Errorf("bench: scale %s fanout @%d: %w", impl, n, err)
 			}
-			fig.Add(name+" fanout put", float64(n), put)
-			fig.Add(name+" fanout get", float64(n), get)
+			fig.Add(name+" fanout put", float64(n), put.Last())
+			fig.Add(name+" fanout get", float64(n), get.Last())
 		}
 	}
 	return fig, nil

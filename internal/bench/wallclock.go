@@ -82,10 +82,11 @@ func issueJob(plat *platform.Platform, impl harness.Impl, nops int, op func(rt a
 	var dur time.Duration
 	opt := armcimpi.DefaultOptions()
 	opt.NoShm = true
-	_, err := harness.Run(plat, 2, impl, opt, func(rt armci.Runtime) {
+	_, err := harness.RunObs(plat, 2, impl, opt, nil, func(j *harness.Job, p *sim.Proc) error {
+		rt := j.Runtime(p)
 		addrs, err := rt.Malloc(span)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		local := rt.MallocLocal(span)
 		rt.Barrier()
@@ -93,18 +94,16 @@ func issueJob(plat *platform.Platform, impl harness.Impl, nops int, op func(rt a
 			t0 := time.Now()
 			for i := 0; i < nops; i++ {
 				if err := op(rt, addrs, local); err != nil {
-					panic(err)
+					return err
 				}
 			}
 			dur = time.Since(t0)
 		}
 		rt.Barrier()
 		if err := rt.FreeLocal(local); err != nil {
-			panic(err)
+			return err
 		}
-		if err := rt.Free(addrs[rt.Rank()]); err != nil {
-			panic(err)
-		}
+		return rt.Free(addrs[rt.Rank()])
 	})
 	return dur, err
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/armci"
 	"repro/internal/armcimpi"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -79,11 +78,14 @@ func TestBigCommMetadataPaths(t *testing.T) {
 func TestMallocMessagesNearLinear(t *testing.T) {
 	count := func(impl Impl, n int) int64 {
 		rec := obs.New(obs.Options{})
-		_, err := RunObs(platform.Get(platform.CrayXT5), n, impl, armcimpi.DefaultOptions(), rec, func(rt armci.Runtime) {
+		_, err := RunObs(platform.Get(platform.CrayXT5), n, impl, armcimpi.DefaultOptions(), rec, func(j *Job, p *sim.Proc) error {
+			rt := j.Runtime(p)
 			addrs, err := rt.Malloc(64)
-			must(t, err)
+			if err != nil {
+				return err
+			}
 			rt.Barrier()
-			must(t, rt.Free(addrs[rt.Rank()]))
+			return rt.Free(addrs[rt.Rank()])
 		})
 		must(t, err)
 		return obs.Total(rec.Stats().Counters[obs.CFabMsgs])

@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/armci"
@@ -137,21 +138,30 @@ func (j *Job) Runtime(p *sim.Proc) armci.Runtime {
 // implementation and returns the finished job for inspection (counters,
 // tables, final virtual time).
 func Run(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, body func(rt armci.Runtime)) (*Job, error) {
-	return RunObs(plat, nranks, impl, opt, nil, body)
+	return RunObs(plat, nranks, impl, opt, nil, func(j *Job, p *sim.Proc) error { body(j.Runtime(p)); return nil })
 }
 
-// RunObs is Run with an observability recorder attached (may be nil).
-// The job's machine is retired when the run ends, failed or not
-// (fabric.Machine.Retire): the returned job's counters and tables stay
-// readable, its memory does not.
-func RunObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, rec *obs.Recorder, body func(rt armci.Runtime)) (*Job, error) {
+// RunObs builds a job with an observability recorder attached (may be
+// nil), runs body on each of its nranks ranks and retires its machine
+// when the run ends, failed or not (fabric.Machine.Retire): the
+// returned job's counters and tables stay readable, its memory does
+// not. The error is the first body error in virtual-time order (ranks
+// run one at a time, so the first to return one), joined with the
+// engine's own: a rank that fails before a collective leaves the others
+// parked, and the deadlock that follows comes second.
+func RunObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, rec *obs.Recorder, body func(j *Job, p *sim.Proc) error) (*Job, error) {
 	j, err := NewJobObs(plat, nranks, impl, opt, rec)
 	if err != nil {
 		return nil, err
 	}
-	err = j.Eng.Run(nranks, func(p *sim.Proc) { body(j.Runtime(p)) })
+	var first error
+	err = j.Eng.Run(nranks, func(p *sim.Proc) {
+		if err := body(j, p); err != nil && first == nil {
+			first = err
+		}
+	})
 	j.M.Retire()
-	if err != nil {
+	if err := errors.Join(first, err); err != nil {
 		return nil, err
 	}
 	return j, nil

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -627,6 +628,41 @@ func TestErrorsSurface(t *testing.T) {
 		rt.Barrier()
 		must(t, rt.Free(addrs[rt.Rank()]))
 	})
+}
+
+// TestRunObsReportsBodyError: a rank body that fails before a barrier
+// the others enter leaves them parked, so the engine reports a
+// deadlock; RunObs must hand back the body's error first, with the
+// deadlock joined after it, and a job whose bodies all succeed must
+// come back with no error.
+func TestRunObsReportsBodyError(t *testing.T) {
+	sentinel := errors.New("rank 1 gives up")
+	_, err := RunObs(TestPlatform(), 4, ImplARMCIMPI, armcimpi.DefaultOptions(), nil, func(j *Job, p *sim.Proc) error {
+		rt := j.Runtime(p)
+		if rt.Rank() == 1 {
+			return sentinel
+		}
+		rt.Barrier()
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Errorf("err = %v, want the body's error", err)
+	}
+	var dl *sim.Deadlock
+	if !errors.As(err, &dl) {
+		t.Errorf("err = %v, want the engine's deadlock after the body's error", err)
+	}
+	if err != nil && !strings.HasPrefix(err.Error(), sentinel.Error()) {
+		t.Errorf("err = %q, want the body's error first", err)
+	}
+
+	j, err := RunObs(TestPlatform(), 4, ImplARMCIMPI, armcimpi.DefaultOptions(), nil, func(j *Job, p *sim.Proc) error {
+		j.Runtime(p).Barrier()
+		return nil
+	})
+	if err != nil || j == nil {
+		t.Errorf("clean run: job %v, err %v; want the job and no error", j, err)
+	}
 }
 
 func TestManyRanksSmoke(t *testing.T) {
