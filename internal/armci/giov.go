@@ -41,14 +41,25 @@ func ValidateIOV(iov []GIOV, proc int, remoteIsSrc bool) error {
 			remote, local = g.Src, g.Dst
 		}
 		for j := range remote {
-			if remote[j].Rank != proc {
-				return fmt.Errorf("armci: iov[%d] segment %d targets rank %d, want %d",
-					i, j, remote[j].Rank, proc)
-			}
-			if remote[j].Nil() || local[j].Nil() {
-				return fmt.Errorf("armci: iov[%d] segment %d has NULL address", i, j)
+			if err := CheckSegment(i, j, remote[j], local[j], proc); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// CheckSegment is ValidateIOV's check of segment j of iov[i]: the
+// remote address is on proc, and neither address is NULL. A runtime
+// that expands a strided descriptor straight into segments, with no
+// I/O vector, runs it on each as segment j of iov[0].
+func CheckSegment(i, j int, remote, local Addr, proc int) error {
+	if remote.Rank != proc {
+		return fmt.Errorf("armci: iov[%d] segment %d targets rank %d, want %d",
+			i, j, remote.Rank, proc)
+	}
+	if remote.Nil() || local.Nil() {
+		return fmt.Errorf("armci: iov[%d] segment %d has NULL address", i, j)
 	}
 	return nil
 }

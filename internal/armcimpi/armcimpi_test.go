@@ -265,7 +265,7 @@ func TestAutoVerdictOnUnsortedAndEmptySegments(t *testing.T) {
 						iov.Dst = append(iov.Dst, addrs[1].Add(off))
 					}
 					if tc.zero {
-						segs := orient([]armci.GIOV{iov}, ClassPut)
+						segs := orient(nil, []armci.GIOV{iov}, ClassPut)
 						segs[1].n = 0
 						if p, err := rt.compileAuto(ClassPut, 1, segs); err != nil || p.kind != planPerSeg {
 							t.Errorf("compiled kind %v, %v; want the per-segment plan", p.kind, err)

@@ -130,7 +130,9 @@ func (st *execState) abort() {
 // operation is locally (and, epoch discipline permitting, remotely)
 // complete on return. Leader-staged plans model the hierarchical hop
 // first — the staging copy happens before the wire transfer is issued.
+// Everything the plan borrowed goes back to the runtime on return.
 func (r *Runtime) execute(p *plan) error {
+	defer r.reclaim(p)
 	if p.dec.Route == RouteStagedRMA {
 		r.execStage(p.stageBytes)
 	}
@@ -246,7 +248,7 @@ func (r *Runtime) execBatched(p *plan) (err error) {
 				st.addTemp(scaled)
 				buf = mpi.LocalBuf{Region: scaled, Off: 0, Type: t}
 			}
-			if err = st.issue(p.class, buf, sg.disp, t); err != nil {
+			if err = st.issue(p.class, buf, int(sg.remote.VA-p.base), t); err != nil {
 				return err
 			}
 		}
@@ -265,7 +267,7 @@ func (r *Runtime) execBatched(p *plan) (err error) {
 // re-counts nor re-stages.
 func (r *Runtime) execPerSeg(p *plan) error {
 	defer func() { r.pinned = false }()
-	for _, sg := range p.csegs {
+	for _, sg := range p.segs {
 		r.pinned = true
 		var err error
 		switch p.class {
@@ -338,8 +340,12 @@ func (h *nbHandle) settle() {
 // returns a handle tracking completion of the whole set. Under MPI-3
 // local buffers are never staged and lock-all replaces per-op epochs,
 // so every plan kind flattens to a stream of R-operations. Leader-staged
-// plans model the staging hop before any request issues.
+// plans model the staging hop before any request issues. The plan
+// gives its segment list back once issued, and keeps its datatype pair:
+// a put's landing reads the target type after its request completes.
 func (r *Runtime) execNb3(p *plan) (armci.Handle, error) {
+	p.pair = nil
+	defer r.reclaim(p)
 	if p.dec.Route == RouteStagedRMA {
 		r.execStage(p.stageBytes)
 	}
@@ -361,7 +367,7 @@ func (r *Runtime) issueNb3(p *plan, h *nbHandle) error {
 	case planBatched:
 		for _, sg := range p.segs {
 			t := r.contig(sg.n)
-			if err := r.issueOneNb3(h, p, sg.local, sg.n, t, sg.disp, t); err != nil {
+			if err := r.issueOneNb3(h, p, sg.local, sg.n, t, int(sg.remote.VA-p.base), t); err != nil {
 				return err
 			}
 		}
@@ -369,7 +375,7 @@ func (r *Runtime) issueNb3(p *plan, h *nbHandle) error {
 	case planPerSeg:
 		// Each segment of a conservative descriptor inherits its
 		// already counted decision, as a wire operation.
-		for _, sg := range p.csegs {
+		for _, sg := range p.segs {
 			rt := routed{dec: RouteDecision{Route: RouteRMA, Method: p.dec.Method}, bytes: sg.n}
 			sub, err := r.compileContig(p.class, p.scale, sg.local, sg.remote, sg.n, rt)
 			if err != nil {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/spans"
 )
 
 // Method selects a noncontiguous transfer strategy (SectionVI).
@@ -196,9 +195,10 @@ type Runtime struct {
 	pendingOrder []*mpi.Win
 	pendingDead  int // tombstoned slots in pendingOrder
 
-	// scan is destsDisjoint's scratch span list, reused across
-	// descriptor scans so each scan is allocation-free once it has grown.
-	scan []spans.Span[struct{}]
+	// sc is the storage non-direct strided and IOV compiles reuse
+	// (plan.go), allocated by the runtime's first one: most ranks of a
+	// job never make one.
+	sc *iovScratch
 }
 
 // dtEntry is one memoized stride/count -> Datatype translation.

@@ -216,12 +216,8 @@ type iovSeg struct {
 	n             int
 }
 
-func orient(iov []armci.GIOV, class OpClass) []iovSeg {
-	n := 0
-	for gi := range iov {
-		n += len(iov[gi].Src)
-	}
-	segs := make([]iovSeg, 0, n)
+// orient appends every segment of iov, oriented for class, to segs.
+func orient(segs []iovSeg, iov []armci.GIOV, class OpClass) []iovSeg {
 	for gi := range iov {
 		g := &iov[gi]
 		for i := range g.Src {
@@ -232,6 +228,24 @@ func orient(iov []armci.GIOV, class OpClass) []iovSeg {
 			segs = append(segs, s)
 		}
 	}
+	return segs
+}
+
+// stridedSegs appends s's segments to segs, oriented for class and in
+// Algorithm 1's order: what orient makes of s.ToGIOV(), with no I/O
+// vector built on the way.
+func stridedSegs(segs []iovSeg, class OpClass, s *armci.Strided) []iovSeg {
+	local, remote, n := s.Src, s.Dst, s.SegBytes()
+	if class == ClassGet {
+		local, remote = s.Dst, s.Src
+	}
+	s.Iterate(func(so, do int) {
+		lo, ro := so, do
+		if class == ClassGet {
+			lo, ro = do, so
+		}
+		segs = append(segs, iovSeg{local: local.Add(lo), remote: remote.Add(ro), n: n})
+	})
 	return segs
 }
 

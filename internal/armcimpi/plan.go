@@ -35,22 +35,6 @@ const (
 	planPerSeg
 )
 
-// planSeg is one contiguous piece of a batched plan, its displacement
-// already resolved against the target's window slice.
-type planSeg struct {
-	local armci.Addr
-	disp  int
-	n     int
-}
-
-// contigSeg is one unresolved segment of a conservative plan; the
-// remote side keeps the full global address because conservative
-// segments may fall in different GMRs.
-type contigSeg struct {
-	local, remote armci.Addr
-	n             int
-}
-
 // plan is the compiled descriptor of one ARMCI operation.
 type plan struct {
 	class OpClass
@@ -76,12 +60,80 @@ type plan struct {
 	rtype mpi.Datatype
 	disp  int
 
-	// planBatched.
-	segs  []planSeg
+	// The descriptor's segments, oriented (planBatched and planPerSeg
+	// run them; an IOV-direct plan only carries them back). A batched
+	// segment's displacement is its remote address less base, the
+	// target's first byte of the GMR; conservative segments keep their
+	// full remote address, since they may fall in different GMRs.
+	segs  []iovSeg
+	base  int64
 	batch int
 
-	// planPerSeg.
-	csegs []contigSeg
+	// pair is the IOV-direct plan's datatype pair, which ltype and rtype
+	// live in; nil for every other plan.
+	pair *typePair
+}
+
+// iovScratch is the storage a runtime's non-direct strided and IOV
+// compiles reuse. A compile borrows its segment list and IOV-direct's
+// datatype pair, and reclaim gives them back once nothing reads them.
+// A blocking execute completes before it returns, so its plan gives
+// back both there. A nonblocking plan gives back its segment list once
+// execNb3 has issued it (its requests carry contiguous types and
+// regions, not the list), but never its datatype pair: an MPI-3 put
+// lands after its request completes and reads the target type then. A
+// compile that finds the scratch lent out (a nested execution) or kept
+// by a request in flight grows its own, and one that fails drops what
+// it borrowed. scan is destsDisjoint's span list, so each scan is
+// allocation-free once it has grown.
+type iovScratch struct {
+	segs []iovSeg
+	pair *typePair
+	scan []spans.Span[struct{}]
+}
+
+// scratch returns the runtime's iovScratch, allocating it on first use.
+func (r *Runtime) scratch() *iovScratch {
+	if r.sc == nil {
+		r.sc = new(iovScratch)
+	}
+	return r.sc
+}
+
+// typePair is IOV-direct's two indexed datatypes and the offset and
+// length lists they are built from, all rebuilt in place.
+type typePair struct {
+	lOffs, rOffs, lens []int
+	local, remote      mpi.IndexedBuilder
+}
+
+// takeSegs lends the runtime's segment list, emptied, to a compile.
+func (r *Runtime) takeSegs() []iovSeg {
+	sc := r.scratch()
+	segs := sc.segs[:0]
+	sc.segs = nil
+	return segs
+}
+
+// takePair lends the runtime's datatype pair to a compile.
+func (r *Runtime) takePair() *typePair {
+	sc := r.scratch()
+	tp := sc.pair
+	sc.pair = nil
+	if tp == nil {
+		tp = new(typePair)
+	}
+	return tp
+}
+
+// reclaim gives back what p borrowed.
+func (r *Runtime) reclaim(p *plan) {
+	if p.segs != nil {
+		r.scratch().segs = p.segs[:0]
+	}
+	if p.pair != nil {
+		r.scratch().pair = p.pair
+	}
 }
 
 // compileContig builds the plan for a contiguous transfer. The caller
@@ -100,17 +152,24 @@ func (r *Runtime) compileContig(class OpClass, scale float64, local, remote armc
 	}, nil
 }
 
-// compileStrided builds the plan for a strided transfer using the
-// routed method: the direct subarray translation (SectionVI.C) or the
-// IOV engine over the descriptor's segment expansion.
+// compileStrided builds the plan for a validated strided transfer
+// using the routed method: the direct subarray translation
+// (SectionVI.C) or the IOV engine over the descriptor's segments,
+// expanded straight into the runtime's segment list and checked as
+// ValidateIOV checks the one-entry I/O vector s.ToGIOV().
 func (r *Runtime) compileStrided(class OpClass, scale float64, s *armci.Strided, rt routed) (plan, error) {
 	if rt.dec.Method != MethodDirect {
-		g := s.ToGIOV()
 		proc := s.Dst.Rank
 		if class == ClassGet {
 			proc = s.Src.Rank
 		}
-		return r.compileIOV(class, scale, []armci.GIOV{g}, proc, rt)
+		segs := stridedSegs(r.takeSegs(), class, s)
+		for j, sg := range segs {
+			if err := armci.CheckSegment(0, j, sg.remote, sg.local, proc); err != nil {
+				return plan{}, err
+			}
+		}
+		return r.compileSegs(class, scale, segs, rt)
 	}
 	localAddr, remoteAddr := s.Src, s.Dst
 	localStride, remoteStride := s.SrcStride, s.DstStride
@@ -140,9 +199,14 @@ func (r *Runtime) compileIOV(class OpClass, scale float64, iov []armci.GIOV, pro
 	if err := armci.ValidateIOV(iov, proc, class == ClassGet); err != nil {
 		return plan{}, err
 	}
-	segs := orient(iov, class)
+	return r.compileSegs(class, scale, orient(r.takeSegs(), iov, class), rt)
+}
+
+// compileSegs builds the plan for an oriented segment list with the
+// routed method.
+func (r *Runtime) compileSegs(class OpClass, scale float64, segs []iovSeg, rt routed) (plan, error) {
 	if len(segs) == 0 {
-		return plan{class: class, scale: scale, kind: planPerSeg, dec: rt.dec}, nil
+		return plan{class: class, scale: scale, kind: planPerSeg, dec: rt.dec, segs: segs}, nil
 	}
 	p, err := func() (plan, error) {
 		switch rt.dec.Method {
@@ -191,11 +255,7 @@ func (r *Runtime) compileAuto(class OpClass, scale float64, segs []iovSeg) (plan
 // compileConservative plans one contiguous operation per segment, each
 // in its own epoch; segments may overlap and span GMRs.
 func (r *Runtime) compileConservative(class OpClass, scale float64, segs []iovSeg) plan {
-	csegs := make([]contigSeg, len(segs))
-	for i, sg := range segs {
-		csegs[i] = contigSeg{local: sg.local, remote: sg.remote, n: sg.n}
-	}
-	return plan{class: class, scale: scale, kind: planPerSeg, csegs: csegs}
+	return plan{class: class, scale: scale, kind: planPerSeg, segs: segs}
 }
 
 // compileBatched plans up to BatchSize contiguous operations per
@@ -219,14 +279,9 @@ func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (p
 	if err != nil {
 		return plan{}, err
 	}
-	base := g.Addrs[gr]
-	ps := make([]planSeg, len(segs))
-	for i, sg := range segs {
-		ps[i] = planSeg{local: sg.local, disp: int(sg.remote.VA - base.VA), n: sg.n}
-	}
 	return plan{
 		class: class, scale: scale, kind: planBatched,
-		g: g, gr: gr, segs: ps, batch: r.Opt.BatchSize,
+		g: g, gr: gr, segs: segs, base: g.Addrs[gr].VA, batch: r.Opt.BatchSize,
 	}, nil
 }
 
@@ -237,20 +292,22 @@ func (r *Runtime) compileBatched(class OpClass, scale float64, segs []iovSeg) (p
 // read-read and harmless. The spans go through the runtime's scratch
 // slice, so a warm scan allocates nothing.
 func (r *Runtime) destsDisjoint(class OpClass, segs []iovSeg) bool {
-	r.scan = r.scan[:0]
+	sc := r.scratch()
+	sc.scan = sc.scan[:0]
 	for _, sg := range segs {
 		dst := sg.remote.VA
 		if class == ClassGet {
 			dst = sg.local.VA
 		}
-		r.scan = append(r.scan, spans.Span[struct{}]{Lo: dst, Hi: dst + int64(sg.n)})
+		sc.scan = append(sc.scan, spans.Span[struct{}]{Lo: dst, Hi: dst + int64(sg.n)})
 	}
-	return spans.Disjoint(r.scan)
+	return spans.Disjoint(sc.scan)
 }
 
 // compileIOVDirect plans one MPI indexed datatype per side and a
 // single operation, letting MPI choose pack/unpack or batching
-// (SectionVI.A's direct method).
+// (SectionVI.A's direct method). The pair is rebuilt in the borrowed
+// typePair, and not at all when the lists are the last plan's.
 func (r *Runtime) compileIOVDirect(class OpClass, scale float64, segs []iovSeg) (plan, error) {
 	g, gr, _, err := r.remoteGMR(segs[0].remote)
 	if err != nil {
@@ -265,25 +322,22 @@ func (r *Runtime) compileIOVDirect(class OpClass, scale float64, segs []iovSeg) 
 		}
 	}
 	localSpan := 0
-	lOffs := make([]int, len(segs))
-	lLens := make([]int, len(segs))
-	rOffs := make([]int, len(segs))
-	rLens := make([]int, len(segs))
-	for i, sg := range segs {
-		lOffs[i] = int(sg.local.VA - localBase)
-		lLens[i] = sg.n
-		if lOffs[i]+sg.n > localSpan {
-			localSpan = lOffs[i] + sg.n
-		}
-		rOffs[i] = int(sg.remote.VA - base.VA)
-		rLens[i] = sg.n
+	tp := r.takePair()
+	tp.lOffs, tp.rOffs, tp.lens = tp.lOffs[:0], tp.rOffs[:0], tp.lens[:0]
+	for _, sg := range segs {
+		off := int(sg.local.VA - localBase)
+		localSpan = max(localSpan, off+sg.n)
+		tp.lOffs = append(tp.lOffs, off)
+		tp.rOffs = append(tp.rOffs, int(sg.remote.VA-base.VA))
+		tp.lens = append(tp.lens, sg.n)
 	}
 	return plan{
 		class: class, scale: scale, kind: planSingle, g: g, gr: gr,
 		local: armci.Addr{Rank: r.Rank(), VA: localBase}, span: localSpan,
-		ltype: mpi.TypeIndexed(lOffs, lLens),
-		rtype: mpi.TypeIndexed(rOffs, rLens),
+		ltype: tp.local.Build(tp.lOffs, tp.lens),
+		rtype: tp.remote.Build(tp.rOffs, tp.lens),
 		disp:  0,
+		segs:  segs, pair: tp,
 	}, nil
 }
 

@@ -59,10 +59,13 @@ func measure(p probe) ([]sim.Time, error) {
 		local := rt.MallocLocal(localBytes)
 		if rt.Rank() == p.origin {
 			remote := addrs[p.target]
+			var s *armci.Strided
+			if p.seg > 0 {
+				s = stridedPatch(p.op, local, remote, p.seg)
+			}
 			for i, x := range p.xs {
-				var s *armci.Strided
-				if p.seg > 0 {
-					s = stridedPatch(p.op, local, remote, p.seg, x)
+				if s != nil {
+					s.Count[1] = x
 				}
 				if err := doOp(rt, p.op, local, remote, s, x); err != nil {
 					return err
@@ -87,15 +90,16 @@ func measure(p probe) ([]sim.Time, error) {
 	return elapsed, nil
 }
 
-// stridedPatch is the 2-D descriptor of nseg segments of seg bytes:
-// dense at the origin, at stride 2*seg at the target.
-func stridedPatch(op ContigOp, local, remote armci.Addr, seg, nseg int) *armci.Strided {
+// stridedPatch is the 2-D descriptor of segments of seg bytes: dense
+// at the origin, at stride 2*seg at the target. One probe point sets
+// its segment count, Count[1], and reuses it for the next.
+func stridedPatch(op ContigOp, local, remote armci.Addr, seg int) *armci.Strided {
 	s := &armci.Strided{
 		Src:       local,
 		Dst:       remote,
 		SrcStride: []int{seg},
 		DstStride: []int{2 * seg},
-		Count:     []int{seg, nseg},
+		Count:     []int{seg, 1},
 	}
 	if op == OpGet {
 		s.Src, s.Dst = remote, local

@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Datatype describes a (possibly noncontiguous) byte layout relative to
 // a base address, in the spirit of MPI derived datatypes. All datatypes
@@ -91,7 +94,7 @@ type indexedType struct {
 	offs, lens []int
 	size, ext  int
 	nsegs      int
-	fl         *Flat // lazily built flatten cache
+	fl         *Flat // lazily built flatten cache; empty until built
 }
 
 // TypeIndexed returns a datatype with explicit byte displacements and
@@ -100,10 +103,26 @@ type indexedType struct {
 // declares communication with overlapping target runs erroneous, and
 // the RMA layer detects it when checking is enabled).
 func TypeIndexed(offs, lens []int) Datatype {
+	t := new(indexedType)
+	if t.set(offs, lens) {
+		return contigType{n: t.size}
+	}
+	return t
+}
+
+// set makes t the indexed type of the runs, copying the lists into t's
+// own storage and emptying its flatten cache (whose segment list the
+// rebuild refills). It reports whether the runs are one dense block
+// from offset 0, or nothing at all: TypeIndexed's contiguous type of
+// t.size bytes.
+func (t *indexedType) set(offs, lens []int) (dense bool) {
 	if len(offs) != len(lens) {
 		panic("mpi: TypeIndexed length mismatch")
 	}
-	t := &indexedType{offs: append([]int(nil), offs...), lens: append([]int(nil), lens...)}
+	*t = indexedType{offs: append(t.offs[:0], offs...), lens: append(t.lens[:0], lens...), fl: t.fl}
+	if t.fl != nil {
+		t.fl.Segs = t.fl.Segs[:0]
+	}
 	lo, hi := 0, 0
 	first := true
 	for i, n := range t.lens {
@@ -125,7 +144,7 @@ func TypeIndexed(offs, lens []int) Datatype {
 		first = false
 	}
 	if first {
-		return contigType{n: 0}
+		return true
 	}
 	if lo < 0 {
 		panic("mpi: TypeIndexed with negative displacement")
@@ -133,10 +152,39 @@ func TypeIndexed(offs, lens []int) Datatype {
 	// Extent is measured from the base address (offset 0), so a type
 	// whose first run starts at a positive displacement still spans it.
 	t.ext = hi
-	if t.size == t.ext && lo == 0 && contiguousRuns(t.offs, t.lens) {
-		return contigType{n: t.size}
+	return t.size == t.ext && lo == 0 && contiguousRuns(t.offs, t.lens)
+}
+
+// IndexedBuilder builds indexed datatypes in storage it keeps: a
+// caller that describes a new list of runs per operation (ARMCI-MPI's
+// IOV-direct method) reuses one builder per side rather than freeing
+// one type and creating the next, as MPI_Type_free and
+// MPI_Type_indexed would. The zero value is ready to use.
+type IndexedBuilder struct {
+	t     indexedType
+	last  Datatype // what the last Build returned, nil before the first
+	dense Datatype // the last contiguous collapse, boxed once per size
+}
+
+// Build returns the datatype TypeIndexed(offs, lens) would, built in
+// b's storage: the lists are copied into b's own and the flatten cache
+// is refilled in b's segment list, so once b has grown a Build
+// allocates nothing. Lists equal to the last Build's return the last
+// type untouched, flatten cache included. A rebuild changes the type
+// every earlier Build returned, so the caller must not Build while an
+// operation that reads an earlier result is still in flight.
+func (b *IndexedBuilder) Build(offs, lens []int) Datatype {
+	if b.last != nil && slices.Equal(b.t.offs, offs) && slices.Equal(b.t.lens, lens) {
+		return b.last
 	}
-	return t
+	b.last = &b.t
+	if b.t.set(offs, lens) {
+		if b.dense == nil || b.dense.Size() != b.t.size {
+			b.dense = contigType{n: b.t.size}
+		}
+		b.last = b.dense
+	}
+	return b.last
 }
 
 func contiguousRuns(offs, lens []int) bool {
@@ -170,7 +218,16 @@ func (t *indexedType) Segments(fn func(o, n int)) {
 }
 func (t *indexedType) flat() *Flat {
 	if t.fl == nil {
-		t.fl = buildFlat(t)
+		t.fl = new(Flat)
+	}
+	if len(t.fl.Segs) == 0 { // an indexed type has at least one run
+		segs := slices.Grow(t.fl.Segs, t.nsegs)
+		for i, n := range t.lens {
+			if n > 0 {
+				segs = append(segs, Segment{Off: t.offs[i], N: n})
+			}
+		}
+		*t.fl = Flat{Segs: segs, size: t.size, span: t.ext}
 	}
 	return t.fl
 }

@@ -122,6 +122,55 @@ func TestIndexedCollapsesToContig(t *testing.T) {
 	}
 }
 
+// TestIndexedBuilder holds a builder rebuilt in place to TypeIndexed:
+// over a random walk of run lists (dense, empty, zero-length, repeated)
+// every Build describes what TypeIndexed builds, a repeated list returns
+// the last type with its flatten cache, and a warm rebuild allocates
+// nothing.
+func TestIndexedBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var b IndexedBuilder
+	var offs, lens []int
+	for i := 0; i < 300; i++ {
+		if i%5 != 4 { // every fifth step repeats the last lists
+			offs, lens = offs[:0], lens[:0]
+			n, off := rng.Intn(6), 0
+			dense := rng.Intn(3) == 0
+			for k := 0; k < n; k++ {
+				if !dense {
+					off += rng.Intn(9)
+				}
+				l := rng.Intn(7)
+				if dense && l == 0 {
+					l = 1
+				}
+				offs, lens = append(offs, off), append(lens, l)
+				off += l
+			}
+		}
+		prev := b.last
+		got, want := b.Build(offs, lens), TypeIndexed(offs, lens)
+		if i%5 == 4 && got != prev {
+			t.Fatalf("step %d: an unchanged list was rebuilt", i)
+		}
+		if got.Size() != want.Size() || got.Span() != want.Span() || got.Extent() != want.Extent() ||
+			got.Contig() != want.Contig() || got.NumSegs() != want.NumSegs() {
+			t.Fatalf("step %d: built %v, want %v", i, got, want)
+		}
+		checkFlatMatches(t, got)
+		checkInvariants(t, got)
+	}
+	a, c := []int{0, 40, 100}, []int{8, 16, 8}
+	d := []int{0, 48, 96}
+	b.Build(a, c)
+	if allocs := testing.AllocsPerRun(20, func() {
+		Flatten(b.Build(a, c))
+		Flatten(b.Build(d, c))
+	}); allocs != 0 {
+		t.Errorf("a warm rebuild allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestSubarray2D(t *testing.T) {
 	// 4x6 array of 8-byte elements; select rows 1-2, cols 2-4.
 	dt := TypeSubarray([]int{4, 6}, []int{2, 3}, []int{1, 2}, 8)
