@@ -147,14 +147,14 @@ func BenchmarkFig6Triples(b *testing.B) {
 func BenchmarkAblationRmw(b *testing.B) {
 	plat := platform.Get(platform.InfiniBand)
 	for i := 0; i < b.N; i++ {
-		out, err := bench.AblationRmw(plat, 8)
+		fig, err := bench.AblationRmw(plat, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(out["native-atomic"], "native-us")
-			b.ReportMetric(out["mpi3-fetchop"], "mpi3-us")
-			b.ReportMetric(out["mpi2-mutex"], "mpi2-us")
+			b.ReportMetric(fig.Get("native-atomic").Last(), "native-us")
+			b.ReportMetric(fig.Get("mpi3-fetchop").Last(), "mpi3-us")
+			b.ReportMetric(fig.Get("mpi2-mutex").Last(), "mpi2-us")
 		}
 	}
 }
@@ -164,13 +164,13 @@ func BenchmarkAblationRmw(b *testing.B) {
 func BenchmarkAblationAccessModes(b *testing.B) {
 	plat := platform.Get(platform.InfiniBand)
 	for i := 0; i < b.N; i++ {
-		out, err := bench.AblationAccessModes(plat, 4, 4, 1<<16)
+		fig, err := bench.AblationAccessModes(plat, 4, 4, 1<<16)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(out["conflicting"], "exclusive-us")
-			b.ReportMetric(out["read-only"], "shared-us")
+			b.ReportMetric(fig.Get("conflicting").Last(), "exclusive-us")
+			b.ReportMetric(fig.Get("read-only").Last(), "shared-us")
 		}
 	}
 }
@@ -180,14 +180,14 @@ func BenchmarkAblationAccessModes(b *testing.B) {
 func BenchmarkAblationStridedMethods(b *testing.B) {
 	plat := platform.Get(platform.InfiniBand)
 	for i := 0; i < b.N; i++ {
-		out, err := bench.AblationStridedMethods(plat, 1024, 128, 2)
+		fig, err := bench.AblationStridedMethods(plat, 1024, 128, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(out["Direct"], "direct-GB/s")
-			b.ReportMetric(out["IOV-Batched"], "batched-GB/s")
-			b.ReportMetric(out["IOV-Consrv"], "consrv-GB/s")
+			b.ReportMetric(fig.Get("Direct").Last(), "direct-GB/s")
+			b.ReportMetric(fig.Get("IOV-Batched").Last(), "batched-GB/s")
+			b.ReportMetric(fig.Get("IOV-Consrv").Last(), "consrv-GB/s")
 		}
 	}
 }
@@ -197,14 +197,14 @@ func BenchmarkAblationStridedMethods(b *testing.B) {
 func BenchmarkAblationBatchSize(b *testing.B) {
 	plat := platform.Get(platform.InfiniBand)
 	for i := 0; i < b.N; i++ {
-		out, err := bench.AblationBatchSize(plat, 256, 64, []int{1, 16, 0}, 2)
+		fig, err := bench.AblationBatchSize(plat, 256, 64, []int{1, 16, 0}, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(out[1], "B1-GB/s")
-			b.ReportMetric(out[16], "B16-GB/s")
-			b.ReportMetric(out[0], "Bunlimited-GB/s")
+			b.ReportMetric(fig.Get("B=1").Last(), "B1-GB/s")
+			b.ReportMetric(fig.Get("B=16").Last(), "B16-GB/s")
+			b.ReportMetric(fig.Get("B=unlimited").Last(), "Bunlimited-GB/s")
 		}
 	}
 }
@@ -214,13 +214,13 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 func BenchmarkAblationAsyncProgress(b *testing.B) {
 	plat := platform.Get(platform.InfiniBand)
 	for i := 0; i < b.N; i++ {
-		out, err := bench.AblationAsyncProgress(plat, 20000, 8)
+		fig, err := bench.AblationAsyncProgress(plat, 20000, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(out["async-progress"], "async-us")
-			b.ReportMetric(out["no-async-progress"], "noasync-us")
+			b.ReportMetric(fig.Get("async-progress").Last(), "async-us")
+			b.ReportMetric(fig.Get("no-async-progress").Last(), "noasync-us")
 		}
 	}
 }
@@ -230,13 +230,13 @@ func BenchmarkAblationAsyncProgress(b *testing.B) {
 func BenchmarkAblationMPI3(b *testing.B) {
 	plat := platform.Get(platform.InfiniBand)
 	for i := 0; i < b.N; i++ {
-		out, err := bench.AblationMPI3Backend(plat, 8)
+		fig, err := bench.AblationMPI3Backend(plat, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(out["mpi2-epochs"], "mpi2-vms")
-			b.ReportMetric(out["mpi3-lockall"], "mpi3-vms")
+			b.ReportMetric(fig.Get("mpi2-epochs").Last(), "mpi2-vms")
+			b.ReportMetric(fig.Get("mpi3-lockall").Last(), "mpi3-vms")
 		}
 	}
 }
@@ -247,14 +247,14 @@ func BenchmarkAblationMPI3(b *testing.B) {
 func BenchmarkAblationDataServer(b *testing.B) {
 	plat := platform.Get(platform.InfiniBand)
 	for i := 0; i < b.N; i++ {
-		out, err := bench.AblationDataServer(plat, 4, 3, 1<<20)
+		bw, _, err := bench.AblationDataServer(plat, 4, 3, 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(out["native"], "native-GB/s")
-			b.ReportMetric(out["armci-mpi"], "mpi-GB/s")
-			b.ReportMetric(out["armci-ds"], "ds-GB/s")
+			b.ReportMetric(bw.Get("native").Last(), "native-GB/s")
+			b.ReportMetric(bw.Get("armci-mpi").Last(), "mpi-GB/s")
+			b.ReportMetric(bw.Get("armci-ds").Last(), "ds-GB/s")
 		}
 	}
 }

@@ -49,7 +49,7 @@
 //	               decomposes into, beside the profiler shares
 //	-json dir      also write each figure as dir/BENCH_<name>.json, and
 //	               -profile/-critpath as dir/PROF_<fig>.json/CRIT_<fig>.json
-//	               (not with table2 or ablations, which have no JSON form)
+//	               (not with table2, which has no JSON form)
 //
 // All output is in deterministic virtual time: repeat runs of the same
 // configuration produce byte-identical stats, trace, and JSON files.
@@ -189,7 +189,10 @@ var figures = []figure{
 			cfg.Obs = rec
 			return one(bench.AblationLocality(p, cfg))
 		}},
-	{name: "ablations", inAll: true, text: ablations},
+	{name: "ablations", inAll: true,
+		gen: func(*platform.Platform, args, *obs.Recorder) ([]*bench.Figure, error) {
+			return bench.Ablations()
+		}},
 	{name: "scale", records: true,
 		gen: func(_ *platform.Platform, a args, rec *obs.Recorder) ([]*bench.Figure, error) {
 			cfg := pick(a.quick, bench.DefaultScale, bench.QuickScale)
@@ -494,85 +497,5 @@ func table2(w io.Writer) error {
 		fmt.Fprintln(&b)
 	}
 	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// ablations prints the -fig ablations rows, rendered into one buffer
-// and written once.
-func ablations(w io.Writer) error {
-	ib := platform.Get(platform.InfiniBand)
-	var buf bytes.Buffer
-	// rows prints one block of "name value" rows in keys order.
-	rows := func(title string, width, prec int, m map[string]float64, err error, keys ...string) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(&buf, title)
-		for _, k := range keys {
-			fmt.Fprintf(&buf, "%-*s %10.*f\n", width, k, prec, m[k])
-		}
-		fmt.Fprintln(&buf)
-		return nil
-	}
-	m, err := bench.AblationRmw(ib, 16)
-	if err := rows("# Ablation: read-modify-write latency (us/op), InfiniBand", 16, 2, m, err,
-		"native-atomic", "mpi3-fetchop", "mpi2-mutex"); err != nil {
-		return err
-	}
-	m, err = bench.AblationAccessModes(ib, 4, 8, 1<<16)
-	if err := rows("# Ablation: SectionVIII.A access modes (total us, 4 readers x 8 gets of 64KiB)", 16, 2, m, err,
-		"conflicting", "read-only"); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(&buf, "# Ablation: strided method bandwidth (GB/s, 256 x 1KiB segments per platform)")
-	for _, p := range platform.All() {
-		sm, err := bench.AblationStridedMethods(p, 1024, 256, 3)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(&buf, "%-6s", p.Name)
-		for _, k := range []string{"Native", "Direct", "IOV-Direct", "IOV-Batched", "IOV-Consrv"} {
-			fmt.Fprintf(&buf, "  %s=%.3f", k, sm[k])
-		}
-		fmt.Fprintln(&buf)
-	}
-	fmt.Fprintln(&buf)
-
-	fmt.Fprintln(&buf, "# Ablation: batched-method epoch size B (GB/s, 64 x 256B segments, InfiniBand)")
-	bs, err := bench.AblationBatchSize(ib, 256, 64, []int{1, 4, 16, 64, 0}, 3)
-	if err != nil {
-		return err
-	}
-	for _, b := range []int{1, 4, 16, 64, 0} {
-		label := fmt.Sprint(b)
-		if b == 0 {
-			label = "unlimited"
-		}
-		fmt.Fprintf(&buf, "B=%-10s %8.3f\n", label, bs[b])
-	}
-	fmt.Fprintln(&buf)
-
-	m, err = bench.AblationAsyncProgress(ib, 20000, 16)
-	if err := rows("# Ablation: SectionV.F asynchronous progress (put latency us, 20us service delay when disabled)", 20, 2, m, err,
-		"async-progress", "no-async-progress"); err != nil {
-		return err
-	}
-	m, err = bench.AblationMPI3Backend(ib, 8)
-	if err := rows("# Ablation: SectionVIII.B MPI-3 backend vs the paper's MPI-2 design (CCSD proxy, 8 procs, virtual ms)", 16, 3, m, err,
-		"mpi2-epochs", "mpi3-lockall"); err != nil {
-		return err
-	}
-
-	ds, err := bench.AblationDataServer(ib, 4, 3, 1<<20)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(&buf, "# Ablation: SectionIX two-sided data-server ARMCI vs one-sided stacks")
-	fmt.Fprintln(&buf, "# (4 concurrent 1MiB getters: aggregate GB/s; CCSD proxy at 16 procs: virtual ms)")
-	for _, k := range []string{"native", "armci-mpi", "armci-ds"} {
-		fmt.Fprintf(&buf, "%-12s bw=%-8.3f ccsd=%.3f\n", k, ds[k], ds["ccsd-"+k])
-	}
-	_, err = w.Write(buf.Bytes())
 	return err
 }

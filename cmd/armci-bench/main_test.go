@@ -60,10 +60,10 @@ func TestObsFlagsNeedARecordingFigure(t *testing.T) {
 // and takes no flag it would ignore.
 func TestJSONNeedsAJSONFigure(t *testing.T) {
 	dir := t.TempDir()
-	for _, fig := range []string{"table2", "ablations"} {
+	for _, fig := range []string{"table2"} {
 		err := run(io.Discard, args{fig: fig, jsonDir: dir})
 		if err == nil || !strings.Contains(err.Error(), "-fig "+fig+" writes no JSON") ||
-			!strings.Contains(err.Error(), "3, 4, 5, 6, ablation-shm, ablation-nbfanout, ablation-locality, scale") {
+			!strings.Contains(err.Error(), "3, 4, 5, 6, ablation-shm, ablation-nbfanout, ablation-locality, ablations, scale") {
 			t.Errorf("-fig %s -json: err = %v, want one naming the figures that write JSON", fig, err)
 		}
 	}
@@ -83,6 +83,35 @@ func TestJSONNeedsAJSONFigure(t *testing.T) {
 		if _, err := checkArgs(&args{fig: fig, jsonDir: dir}); err != nil {
 			t.Errorf("-fig %s -json: %v", fig, err)
 		}
+	}
+}
+
+// TestAblationsJSON: -fig ablations -json writes one BENCH_<name>.json
+// per panel it prints, each the JSON rendering of that panel.
+func TestAblationsJSON(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run(&out, args{fig: "ablations", jsonDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	var want, files []string
+	for _, name := range []string{"rmw", "access-modes", "strided-bgp", "strided-ib", "strided-xt5", "strided-xe6",
+		"batch", "async-progress", "mpi3", "dataserver-bw", "dataserver-ccsd"} {
+		want = append(want, "BENCH_ablation-"+name+".json")
+		if !strings.Contains(out.String(), "# ablation-"+name+" — ") {
+			t.Errorf("the text has no ablation-%s panel", name)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		files = append(files, e.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(files, want) {
+		t.Errorf("-fig ablations -json wrote %v, want %v", files, want)
 	}
 }
 

@@ -41,11 +41,15 @@ const (
 )
 
 func (op RmwOp) String() string {
-	if op == Swap {
-		return "swap"
+	if !op.Valid() {
+		return fmt.Sprintf("RmwOp(%d)", int(op))
 	}
-	return "fetch-and-add"
+	return [...]string{FetchAndAdd: "fetch-and-add", Swap: "swap"}[op]
 }
+
+// Valid reports whether op is one of the operations above; every
+// runtime's Rmw rejects any other op before its first lock or message.
+func (op RmwOp) Valid() bool { return op == FetchAndAdd || op == Swap }
 
 // AccessMode is the paper's SectionVIII.A extension: application-level
 // hints about how an allocation will be accessed during a program

@@ -589,6 +589,9 @@ func (r *Direct) Rmw(op RmwOp, addr Addr, operand int64) (int64, error) {
 	if addr.Nil() {
 		return 0, r.errf("Rmw on NULL address")
 	}
+	if !op.Valid() {
+		return 0, r.errf("unknown RMW op %v", op)
+	}
 	reg, err := r.region(addr, 8)
 	if err != nil {
 		return 0, err

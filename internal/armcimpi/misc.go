@@ -88,6 +88,9 @@ func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, er
 	if addr.Nil() {
 		return 0, fmt.Errorf("armcimpi: Rmw on NULL address")
 	}
+	if !op.Valid() {
+		return 0, fmt.Errorf("armcimpi: unknown RMW op %v", op)
+	}
 	g, gr, disp, err := r.remote(addr, 8)
 	if err != nil {
 		return 0, err
@@ -99,15 +102,11 @@ func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, er
 		if err := r.ensureLockAll(win); err != nil {
 			return 0, err
 		}
-		var old int64
-		switch op {
-		case armci.FetchAndAdd:
-			old, err = win.FetchAndOp(mpi.OpSum, operand, gr, disp)
-		case armci.Swap:
-			old, err = win.FetchAndOp(mpi.OpReplace, operand, gr, disp)
-		default:
-			err = fmt.Errorf("armcimpi: unknown RMW op %v", op)
+		mop := mpi.OpSum
+		if op == armci.Swap {
+			mop = mpi.OpReplace
 		}
+		old, err := win.FetchAndOp(mop, operand, gr, disp)
 		if err != nil {
 			return 0, err
 		}
@@ -128,14 +127,9 @@ func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, er
 		return 0, err
 	}
 	old := int64(binary.LittleEndian.Uint64(scratch.Backing()))
-	var nv int64
-	switch op {
-	case armci.FetchAndAdd:
-		nv = old + operand
-	case armci.Swap:
+	nv := old + operand
+	if op == armci.Swap {
 		nv = operand
-	default:
-		return 0, fmt.Errorf("armcimpi: unknown RMW op %v", op)
 	}
 	binary.LittleEndian.PutUint64(scratch.Backing(), uint64(nv))
 	if err := win.Lock(mpi.LockExclusive, gr); err != nil {

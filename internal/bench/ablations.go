@@ -22,20 +22,63 @@ func Table2(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// Ablations returns every panel of -fig ablations, in the order
+// results/ablations.txt prints them and at the parameters that file
+// and EXPERIMENTS.md quote: the strided-method panel on each platform,
+// the others on InfiniBand.
+func Ablations() ([]*Figure, error) {
+	ib := platform.Get(platform.InfiniBand)
+	var figs []*Figure
+	add := func(f *Figure, err error) error {
+		figs = append(figs, f)
+		return err
+	}
+	if err := add(AblationRmw(ib, 16)); err != nil {
+		return nil, err
+	}
+	if err := add(AblationAccessModes(ib, 4, 8, 1<<16)); err != nil {
+		return nil, err
+	}
+	for _, p := range platform.All() {
+		if err := add(AblationStridedMethods(p, 1024, 256, 3)); err != nil {
+			return nil, err
+		}
+	}
+	if err := add(AblationBatchSize(ib, 256, 64, []int{1, 4, 16, 64, 0}, 3)); err != nil {
+		return nil, err
+	}
+	if err := add(AblationAsyncProgress(ib, 20000, 16)); err != nil {
+		return nil, err
+	}
+	if err := add(AblationMPI3Backend(ib, 8)); err != nil {
+		return nil, err
+	}
+	bw, ccsd, err := AblationDataServer(ib, 4, 3, 1<<20)
+	if err != nil {
+		return nil, err
+	}
+	return append(figs, bw, ccsd), nil
+}
+
 // AblationRmw compares read-modify-write latency under the MPI-2
 // mutex emulation (SectionV.D) against native NIC atomics and the
-// MPI-3 fetch-and-op extension (SectionVIII.B). Returns mean latency
-// in microseconds per variant.
-func AblationRmw(plat *platform.Platform, iters int) (map[string]float64, error) {
-	out := map[string]float64{}
+// MPI-3 fetch-and-op extension (SectionVIII.B): one remote rank's mean
+// fetch-and-add latency per variant, at x = 8 bytes per op.
+func AblationRmw(plat *platform.Platform, iters int) (*Figure, error) {
+	fig := &Figure{
+		Name:   "ablation-rmw",
+		Title:  fmt.Sprintf("SectionV.D read-modify-write latency, %s", plat.System),
+		XLabel: "bytes per op",
+		YLabel: "latency (us/op)",
+	}
 	variants := []struct {
 		name string
 		impl harness.Impl
 		mpi3 bool
 	}{
 		{"native-atomic", harness.ImplNative, false},
-		{"mpi2-mutex", harness.ImplARMCIMPI, false},
 		{"mpi3-fetchop", harness.ImplARMCIMPI, true},
+		{"mpi2-mutex", harness.ImplARMCIMPI, false},
 	}
 	for _, v := range variants {
 		opt := benchOptions()
@@ -62,18 +105,23 @@ func AblationRmw(plat *platform.Platform, iters int) (map[string]float64, error)
 		if err != nil {
 			return nil, err
 		}
-		out[v.name] = lat.Micros()
+		fig.Add(v.name, 8, lat.Micros())
 	}
-	return out, nil
+	return fig, nil
 }
 
 // AblationAccessModes measures the SectionVIII.A access-mode
-// extension: n processes repeatedly get from one target under the
-// default conflicting mode (exclusive epochs, serialized) versus the
-// read-only hint (shared epochs, concurrent). Returns total phase time
-// in microseconds per mode.
-func AblationAccessModes(plat *platform.Platform, readers, iters, size int) (map[string]float64, error) {
-	out := map[string]float64{}
+// extension: readers processes each get iters times size bytes from
+// one target under the default conflicting mode (exclusive epochs,
+// serialized) versus the read-only hint (shared epochs, concurrent).
+// Each mode's series holds the phase time at x = size.
+func AblationAccessModes(plat *platform.Platform, readers, iters, size int) (*Figure, error) {
+	fig := &Figure{
+		Name:   "ablation-access-modes",
+		Title:  fmt.Sprintf("SectionVIII.A access modes, %d readers x %d gets, %s", readers, iters, plat.System),
+		XLabel: "bytes per get",
+		YLabel: "phase time (us)",
+	}
 	for _, mode := range []armci.AccessMode{armci.ModeConflicting, armci.ModeReadOnly} {
 		var phase sim.Time
 		_, err := harness.RunObs(plat, readers+1, harness.ImplARMCIMPI, benchOptions(), nil, func(j *harness.Job, p *sim.Proc) error {
@@ -106,89 +154,97 @@ func AblationAccessModes(plat *platform.Platform, readers, iters, size int) (map
 		if err != nil {
 			return nil, err
 		}
-		out[mode.String()] = phase.Micros()
+		fig.Add(mode.String(), float64(size), phase.Micros())
 	}
-	return out, nil
+	return fig, nil
 }
 
-// AblationStridedMethods reports strided put bandwidth (GB/s) per
-// ARMCI-MPI method at a fixed shape, the per-method summary behind
-// Figure 4's method choice (SectionVII.D picked batched on BG/P and
-// direct elsewhere).
-func AblationStridedMethods(plat *platform.Platform, segBytes, nsegs, iters int) (map[string]float64, error) {
-	return lastPoints(fig4Probes(plat, OpPut, segBytes, []int{nsegs}, iters, nil))
+// AblationStridedMethods reports strided put bandwidth per ARMCI-MPI
+// method, and native's, at one shape: nsegs segments of segBytes, the
+// per-method summary behind Figure 4's method choice (SectionVII.D
+// picked batched on BG/P and direct elsewhere).
+func AblationStridedMethods(plat *platform.Platform, segBytes, nsegs, iters int) (*Figure, error) {
+	fig := &Figure{
+		Name:   "ablation-strided-" + plat.Name,
+		Title:  fmt.Sprintf("SectionVII.D strided put bandwidth per method, %s, %d-byte segments", plat.System, segBytes),
+		XLabel: "number of contiguous segments",
+		YLabel: "bandwidth (GB/s)",
+	}
+	if err := runTable(fig, fig4Probes(plat, OpPut, segBytes, []int{nsegs}, iters, nil), nil); err != nil {
+		return nil, err
+	}
+	return fig, nil
 }
 
 // AblationBatchSize sweeps the batched method's B parameter
 // (SectionVI.A: "issues up to B operations per epoch ... default 0,
-// or unlimited"), showing the epoch-amortization tradeoff.
-func AblationBatchSize(plat *platform.Platform, segBytes, nsegs int, batches []int, iters int) (map[int]float64, error) {
+// or unlimited"), one series per B: the epoch-amortization tradeoff.
+func AblationBatchSize(plat *platform.Platform, segBytes, nsegs int, batches []int, iters int) (*Figure, error) {
+	fig := &Figure{
+		Name:   "ablation-batch",
+		Title:  fmt.Sprintf("SectionVI.A batched-method epoch size B, %s, %d-byte segments", plat.System, segBytes),
+		XLabel: "number of contiguous segments",
+		YLabel: "bandwidth (GB/s)",
+	}
 	base := probe{plat: plat, target: plat.CoresPerNode, op: OpPut, xs: []int{nsegs}, seg: segBytes, iters: iters}
 	opt := benchOptions()
 	opt.StridedMethod = armcimpi.MethodBatched
 	table := make([]probe, len(batches))
 	for i, b := range batches {
+		label := fmt.Sprintf("B=%d", b)
+		if b == 0 {
+			label = "B=unlimited"
+		}
 		opt.BatchSize = b
-		table[i] = base.as(fmt.Sprintf("B=%d", b), harness.ImplARMCIMPI, opt)
+		table[i] = base.as(label, harness.ImplARMCIMPI, opt)
 	}
-	bw, err := lastPoints(table)
-	if err != nil {
-		return nil, err
-	}
-	out := map[int]float64{}
-	for i, b := range batches {
-		out[b] = bw[table[i].label]
-	}
-	return out, nil
-}
-
-// lastPoints runs a table of one-point probes and returns each probe's
-// bandwidth by label.
-func lastPoints(table []probe) (map[string]float64, error) {
-	fig := &Figure{Name: "ablation"}
 	if err := runTable(fig, table, nil); err != nil {
 		return nil, err
 	}
-	out := map[string]float64{}
-	for _, s := range fig.Series {
-		out[s.Label] = s.Last()
-	}
-	return out, nil
+	return fig, nil
 }
 
 // AblationAsyncProgress quantifies SectionV.F's asynchronous-progress
 // requirement: the same contiguous put loop with the MPI library's
 // async progress enabled (the standard's behaviour, which ARMCI-MPI
 // relies on) versus a library that only makes progress when the target
-// enters MPI, modeled as a mean service delay. Returns mean op latency
-// in microseconds.
-func AblationAsyncProgress(plat *platform.Platform, delayNs float64, iters int) (map[string]float64, error) {
-	out := map[string]float64{}
+// enters MPI, modeled as a mean service delay of delayNs. Each series
+// holds the mean latency of a remote rank's 1 KiB puts.
+func AblationAsyncProgress(plat *platform.Platform, delayNs float64, iters int) (*Figure, error) {
+	fig := &Figure{
+		Name:   "ablation-async-progress",
+		Title:  fmt.Sprintf("SectionV.F asynchronous progress, %g us service delay when disabled, %s", delayNs/1e3, plat.System),
+		XLabel: "bytes per put",
+		YLabel: "latency (us/op)",
+	}
+	const size = 1024
 	for _, mode := range []string{"async-progress", "no-async-progress"} {
 		tuned := *plat // copy; adjust the MPI tuning
 		if mode == "no-async-progress" {
-			mpiTun := tuned.MPI
-			mpiTun.NoProgressDelayNs = delayNs
-			tuned.MPI = mpiTun
+			tuned.MPI.NoProgressDelayNs = delayNs
 		}
-		// A remote rank puts 1 KiB to rank 0.
 		elapsed, err := measure(probe{label: mode, plat: &tuned, impl: harness.ImplARMCIMPI, opt: benchOptions(),
-			origin: plat.CoresPerNode, op: OpPut, xs: []int{1024}, iters: iters})
+			origin: plat.CoresPerNode, op: OpPut, xs: []int{size}, iters: iters})
 		if err != nil {
 			return nil, err
 		}
-		out[mode] = (elapsed[0] / sim.Time(iters)).Micros()
+		fig.Add(mode, size, (elapsed[0] / sim.Time(iters)).Micros())
 	}
-	return out, nil
+	return fig, nil
 }
 
 // AblationMPI3Backend compares the paper's MPI-2 design against the
 // SectionVIII.B MPI-3 backend (lock-all/flush epochless mode, request
 // operations, native atomics) on the CCSD proxy — the forward-looking
-// experiment the paper's gap analysis motivates. Returns the virtual
-// phase time in milliseconds, the maximum over ranks as in Figure 6.
-func AblationMPI3Backend(plat *platform.Platform, cores int) (map[string]float64, error) {
-	out := map[string]float64{}
+// experiment the paper's gap analysis motivates. Each series holds the
+// virtual phase time, the maximum over ranks as in Figure 6.
+func AblationMPI3Backend(plat *platform.Platform, cores int) (*Figure, error) {
+	fig := &Figure{
+		Name:   "ablation-mpi3",
+		Title:  fmt.Sprintf("SectionVIII.B MPI-3 backend vs the paper's MPI-2 design, CCSD proxy, %s", plat.System),
+		XLabel: "processes",
+		YLabel: "phase time (virtual ms)",
+	}
 	for _, mode := range []string{"mpi2-epochs", "mpi3-lockall"} {
 		opt := benchOptions()
 		opt.UseMPI3 = mode == "mpi3-lockall"
@@ -196,24 +252,33 @@ func AblationMPI3Backend(plat *platform.Platform, cores int) (map[string]float64
 		if err != nil {
 			return nil, err
 		}
-		out[mode] = phase.Seconds() * 1e3
+		fig.Add(mode, float64(cores), phase.Seconds()*1e3)
 	}
-	return out, nil
+	return fig, nil
 }
 
 // AblationDataServer reproduces the paper's Related Work comparison
 // (SectionIX): ARMCI over a per-node two-sided data server versus
-// ARMCI-MPI's one-sided RMA versus native. Reports (a) contiguous get
-// bandwidth with several concurrent origins hammering one node — the
-// data-server bottleneck — and (b) the CCSD proxy phase time including
-// the consumed core. Values: GB/s and virtual ms respectively.
-func AblationDataServer(plat *platform.Platform, origins, iters, size int) (map[string]float64, error) {
-	out := map[string]float64{}
+// ARMCI-MPI's one-sided RMA versus native, one series per runtime:
+// (bw) contiguous get bandwidth with several concurrent origins
+// hammering one node — the data-server bottleneck — and (ccsd) the
+// CCSD proxy phase time including the consumed core.
+func AblationDataServer(plat *platform.Platform, origins, iters, size int) (bw, ccsd *Figure, err error) {
+	bw = &Figure{
+		Name:   "ablation-dataserver-bw",
+		Title:  fmt.Sprintf("SectionIX data server vs one-sided stacks, %d-byte gets from one node, %s", size, plat.System),
+		XLabel: "concurrent getters",
+		YLabel: "aggregate bandwidth (GB/s)",
+	}
+	const cores = 16
+	ccsd = &Figure{
+		Name:   "ablation-dataserver-ccsd",
+		Title:  fmt.Sprintf("SectionIX data server vs one-sided stacks, CCSD proxy, %s", plat.System),
+		XLabel: "processes",
+		YLabel: "phase time (virtual ms)",
+	}
+	nranks := min(origins*plat.CoresPerNode+1, plat.MaxRanks())
 	for _, impl := range []harness.Impl{harness.ImplNative, harness.ImplARMCIMPI, harness.ImplDataServer} {
-		nranks := origins*plat.CoresPerNode + 1
-		if nranks > plat.MaxRanks() {
-			nranks = plat.MaxRanks()
-		}
 		var total sim.Time
 		var moved int64
 		_, err := harness.RunObs(plat, nranks, impl, benchOptions(), nil, func(j *harness.Job, p *sim.Proc) error {
@@ -248,17 +313,14 @@ func AblationDataServer(plat *platform.Platform, origins, iters, size int) (map[
 			return rt.Free(addrs[rt.Rank()])
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out[string(impl)] = bandwidth(moved, total)
-	}
-	// CCSD phase times.
-	for _, impl := range []harness.Impl{harness.ImplNative, harness.ImplARMCIMPI, harness.ImplDataServer} {
-		tm, err := NWChemPhase(plat, impl, 16, benchOptions(), nil, nwchemParams(), false)
+		bw.Add(string(impl), float64(origins), bandwidth(moved, total))
+		tm, err := NWChemPhase(plat, impl, cores, benchOptions(), nil, nwchemParams(), false)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out["ccsd-"+string(impl)] = tm.Seconds() * 1e3
+		ccsd.Add(string(impl), cores, tm.Seconds()*1e3)
 	}
-	return out, nil
+	return bw, ccsd, nil
 }

@@ -325,47 +325,74 @@ func TestFigurePrintAndAccessors(t *testing.T) {
 
 func TestAblationRmwOrdering(t *testing.T) {
 	plat := harness.TestPlatform()
-	out, err := AblationRmw(plat, 6)
+	fig, err := AblationRmw(plat, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	native, mpi3, mpi2 := fig.Get("native-atomic").Last(), fig.Get("mpi3-fetchop").Last(), fig.Get("mpi2-mutex").Last()
 	// native atomic < mpi3 fetch-op < mpi2 mutex emulation.
-	if !(out["native-atomic"] < out["mpi3-fetchop"] && out["mpi3-fetchop"] < out["mpi2-mutex"]) {
-		t.Errorf("rmw latency ordering wrong: %v", out)
+	if !(native < mpi3 && mpi3 < mpi2) {
+		t.Errorf("rmw latency ordering wrong: native %v, mpi3 %v, mpi2 %v us", native, mpi3, mpi2)
 	}
 }
 
 func TestAblationAccessModes(t *testing.T) {
 	plat := harness.TestPlatform()
-	out, err := AblationAccessModes(plat, 4, 4, 1<<16)
+	fig, err := AblationAccessModes(plat, 4, 4, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["read-only"] >= out["conflicting"] {
-		t.Errorf("read-only mode (%v us) should beat conflicting (%v us)", out["read-only"], out["conflicting"])
+	if ro, excl := fig.Get("read-only").Last(), fig.Get("conflicting").Last(); ro >= excl {
+		t.Errorf("read-only mode (%v us) should beat conflicting (%v us)", ro, excl)
+	}
+}
+
+// TestAblationStridedMethods: the per-platform method choice of
+// SectionVII.D in the ablation-strided-<plat> panels -fig ablations
+// prints, as EXPERIMENTS.md quotes them: batched beats direct on BG/P,
+// direct beats batched on IB.
+func TestAblationStridedMethods(t *testing.T) {
+	figs, err := Ablations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		plat          string
+		winner, loser string
+	}{
+		{platform.BlueGeneP, "IOV-Batched", "Direct"},
+		{platform.InfiniBand, "Direct", "IOV-Batched"},
+	} {
+		i := slices.IndexFunc(figs, func(f *Figure) bool { return f.Name == "ablation-strided-"+c.plat })
+		if i < 0 {
+			t.Fatalf("no ablation-strided-%s panel", c.plat)
+		}
+		if w, l := figs[i].Get(c.winner).Last(), figs[i].Get(c.loser).Last(); w <= l {
+			t.Errorf("%s: %s (%.3f GB/s) should beat %s (%.3f GB/s)", c.plat, c.winner, w, c.loser, l)
+		}
 	}
 }
 
 func TestAblationBatchSize(t *testing.T) {
 	plat := platform.Get(platform.InfiniBand)
-	out, err := AblationBatchSize(plat, 256, 64, []int{1, 8, 0}, 2)
+	fig, err := AblationBatchSize(plat, 256, 64, []int{1, 8, 0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// B=1 degenerates toward conservative; unlimited amortizes best on
 	// a healthy path of this length.
-	if out[1] >= out[0] {
-		t.Errorf("B=1 (%.3f) should be slower than unlimited (%.3f)", out[1], out[0])
+	if b1, unlimited := fig.Get("B=1").Last(), fig.Get("B=unlimited").Last(); b1 >= unlimited {
+		t.Errorf("B=1 (%.3f) should be slower than unlimited (%.3f)", b1, unlimited)
 	}
 }
 
 func TestAblationAsyncProgress(t *testing.T) {
 	plat := platform.Get(platform.InfiniBand)
-	out, err := AblationAsyncProgress(plat, 20000, 6)
+	fig, err := AblationAsyncProgress(plat, 20000, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, without := out["async-progress"], out["no-async-progress"]
+	with, without := fig.Get("async-progress").Last(), fig.Get("no-async-progress").Last()
 	if without <= with {
 		t.Errorf("disabling async progress (%v us) should cost more than enabling it (%v us)", without, with)
 	}
@@ -377,33 +404,34 @@ func TestAblationAsyncProgress(t *testing.T) {
 }
 
 func TestAblationMPI3Backend(t *testing.T) {
-	out, err := AblationMPI3Backend(platform.Get(platform.InfiniBand), 8)
+	fig, err := AblationMPI3Backend(platform.Get(platform.InfiniBand), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["mpi3-lockall"] >= out["mpi2-epochs"] {
-		t.Errorf("MPI-3 backend (%v ms) should beat MPI-2 epochs (%v ms)", out["mpi3-lockall"], out["mpi2-epochs"])
+	if mpi3, mpi2 := fig.Get("mpi3-lockall").Last(), fig.Get("mpi2-epochs").Last(); mpi3 >= mpi2 {
+		t.Errorf("MPI-3 backend (%v ms) should beat MPI-2 epochs (%v ms)", mpi3, mpi2)
 	}
 }
 
 func TestAblationDataServer(t *testing.T) {
 	plat := platform.Get(platform.InfiniBand)
-	out, err := AblationDataServer(plat, 4, 3, 1<<20)
+	bw, ccsd, err := AblationDataServer(plat, 4, 3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	native, mpi, ds := bw.Get("native").Last(), bw.Get("armci-mpi").Last(), bw.Get("armci-ds").Last()
 	// SectionIX: under concurrent large transfers the per-node server
 	// serializes (staging copy + response injection on its CPU), while
 	// the one-sided stacks hand the work to the RDMA hardware.
-	if out["armci-ds"] >= out["native"] {
-		t.Errorf("data server (%v GB/s) should trail native (%v GB/s) under contention", out["armci-ds"], out["native"])
+	if ds >= native {
+		t.Errorf("data server (%v GB/s) should trail native (%v GB/s) under contention", ds, native)
 	}
-	if out["armci-ds"] >= out["armci-mpi"] {
-		t.Errorf("data server (%v GB/s) should trail armci-mpi (%v GB/s) under contention", out["armci-ds"], out["armci-mpi"])
+	if ds >= mpi {
+		t.Errorf("data server (%v GB/s) should trail armci-mpi (%v GB/s) under contention", ds, mpi)
 	}
 	// And the consumed core + serialization cost CCSD time against
 	// both one-sided stacks.
-	if out["ccsd-armci-ds"] <= out["ccsd-native"] {
-		t.Errorf("data-server CCSD (%v ms) should exceed native (%v ms)", out["ccsd-armci-ds"], out["ccsd-native"])
+	if dsT, nativeT := ccsd.Get("armci-ds").Last(), ccsd.Get("native").Last(); dsT <= nativeT {
+		t.Errorf("data-server CCSD (%v ms) should exceed native (%v ms)", dsT, nativeT)
 	}
 }

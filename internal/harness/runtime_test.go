@@ -368,6 +368,42 @@ func TestRmwSwap(t *testing.T) {
 	})
 }
 
+// TestRmwUnknownOp: an op that is neither FetchAndAdd nor Swap is an
+// error naming it as unknown on every runtime, and it leaves the target
+// word and every lock as they were, so another rank's FetchAndAdd on
+// the same word is served next.
+func TestRmwUnknownOp(t *testing.T) {
+	forBoth(t, 4, func(t *testing.T, rt armci.Runtime) {
+		addrs, err := rt.Malloc(8)
+		must(t, err)
+		if rt.Rank() == 1 {
+			_, err := rt.Rmw(armci.RmwOp(7), addrs[0], 5)
+			if err == nil || !strings.Contains(err.Error(), "unknown RMW op RmwOp(7)") {
+				t.Errorf("Rmw(RmwOp(7)): err = %v, want one naming the op as unknown", err)
+			}
+		}
+		rt.Barrier()
+		if rt.Rank() == 2 {
+			old, err := rt.Rmw(armci.FetchAndAdd, addrs[0], 3)
+			must(t, err)
+			if old != 0 {
+				t.Errorf("the rejected op changed the word to %d", old)
+			}
+		}
+		rt.Barrier()
+		if rt.Rank() == 0 {
+			mem, err := rt.AccessBegin(addrs[0], 8)
+			must(t, err)
+			if got := int64(binary.LittleEndian.Uint64(mem)); got != 3 {
+				t.Errorf("word = %d after one FetchAndAdd of 3", got)
+			}
+			must(t, rt.AccessEnd(addrs[0]))
+		}
+		rt.Barrier()
+		must(t, rt.Free(addrs[rt.Rank()]))
+	})
+}
+
 func TestMutexMutualExclusion(t *testing.T) {
 	// Classic critical-section test: unprotected read-modify-write on a
 	// shared location, serialized only by the mutex.
