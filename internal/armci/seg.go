@@ -59,10 +59,13 @@ func (x Xfer) move(m *fabric.Machine, self bool) {
 		return
 	}
 	for _, sg := range x.Segments() {
-		dst, src := sg.Dreg.Bytes(sg.DstVA, sg.N), sg.Sreg.Bytes(sg.SrcVA, sg.N)
-		if x.Accumulate {
+		dst, src := sg.Dreg.Bytes(sg.DstVA, sg.N), sg.Sreg.ReadBytes(sg.SrcVA, sg.N)
+		switch {
+		case x.Accumulate:
 			mpi.ReduceBytesF64(mpi.OpSum, dst, src)
-		} else {
+		case src == nil:
+			clear(dst) // a source nobody wrote reads as zero
+		default:
 			copy(dst, src)
 		}
 	}
@@ -76,7 +79,7 @@ func (x Xfer) gather(m *fabric.Machine) []byte {
 	slab := m.GetBuf(x.Total)
 	pos := 0
 	for _, sg := range x.Segments() {
-		mpi.ScaleBytesF64(slab[pos:pos+sg.N], sg.Sreg.Bytes(sg.SrcVA, sg.N), x.Scale)
+		mpi.ScaleBytesF64(slab[pos:pos+sg.N], sg.Sreg.ReadBytes(sg.SrcVA, sg.N), x.Scale)
 		pos += sg.N
 	}
 	return slab

@@ -199,6 +199,9 @@ type Runtime struct {
 	// (plan.go), allocated by the runtime's first one: most ranks of a
 	// job never make one.
 	sc *iovScratch
+	// rmwBuf is the MPI-2 Rmw's origin word (rmwScratch), allocated by
+	// the runtime's first one.
+	rmwBuf *fabric.Region
 }
 
 // dtEntry is one memoized stride/count -> Datatype translation.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/armci"
+	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/obs/profile"
 )
@@ -112,37 +113,48 @@ func (r *Runtime) Rmw(op armci.RmwOp, addr armci.Addr, operand int64) (int64, er
 		}
 		return old, nil
 	}
-	// MPI-2 path: mutex + read epoch + write epoch.
+	// MPI-2 path: mutex + read epoch + write epoch. The mutex is
+	// released on every return, so a failed epoch leaves the GMR usable.
 	mux := g.Ext.mutex[r.Rank()]
 	mux.Lock(0, addr.Rank)
-	scratch := r.R.AllocMem(8)
-	defer r.W.Mpi.M.Space(r.Rank()).Free(scratch.VA)
+	defer mux.Unlock(0, addr.Rank)
+	word := mpi.LocalBuf{Region: r.rmwScratch(), Type: mpi.TypeContiguous(8)}
 	if err := win.Lock(mpi.LockExclusive, gr); err != nil {
 		return 0, err
 	}
-	if err := win.Get(mpi.LocalBuf{Region: scratch, Off: 0, Type: mpi.TypeContiguous(8)}, gr, disp, mpi.TypeContiguous(8)); err != nil {
+	if err := win.Get(word, gr, disp, word.Type); err != nil {
 		return 0, err
 	}
 	if err := win.Unlock(gr); err != nil {
 		return 0, err
 	}
-	old := int64(binary.LittleEndian.Uint64(scratch.Backing()))
+	b := word.Region.Backing()
+	old := int64(binary.LittleEndian.Uint64(b))
 	nv := old + operand
 	if op == armci.Swap {
 		nv = operand
 	}
-	binary.LittleEndian.PutUint64(scratch.Backing(), uint64(nv))
+	binary.LittleEndian.PutUint64(b, uint64(nv))
 	if err := win.Lock(mpi.LockExclusive, gr); err != nil {
 		return 0, err
 	}
-	if err := win.Put(mpi.LocalBuf{Region: scratch, Off: 0, Type: mpi.TypeContiguous(8)}, gr, disp, mpi.TypeContiguous(8)); err != nil {
+	if err := win.Put(word, gr, disp, word.Type); err != nil {
 		return 0, err
 	}
 	if err := win.Unlock(gr); err != nil {
 		return 0, err
 	}
-	mux.Unlock(0, addr.Rank)
 	return old, nil
+}
+
+// rmwScratch is the MPI-2 Rmw's 8-byte origin buffer, allocated by the
+// runtime's first one and reused by every later one: the word is
+// written by the read epoch's get before anything reads it.
+func (r *Runtime) rmwScratch() *fabric.Region {
+	if r.rmwBuf == nil {
+		r.rmwBuf = r.R.AllocMem(8)
+	}
+	return r.rmwBuf
 }
 
 // GroupCreateCollective creates an ARMCI processor group; all world

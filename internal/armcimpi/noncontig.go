@@ -151,7 +151,8 @@ func (r *Runtime) prescale(v *localView, baseVA int64, t mpi.Datatype, scale flo
 	m := r.W.Mpi.M
 	m.CopyLocal(r.R.P, n)
 	m.Compute(r.R.P, float64(n/8))
-	src := v.reg.Bytes(v.reg.VA+(baseVA-v.base), t.Span())
+	// src is nil (zeros) if the origin was never written.
+	src := v.reg.ReadBytes(v.reg.VA+(baseVA-v.base), t.Span())
 	out.Data = m.GetBuf(n) // every byte is written below
 	if t.Contig() {
 		mpi.ScaleBytesF64(out.Data, src, scale)
@@ -160,7 +161,11 @@ func (r *Runtime) prescale(v *localView, baseVA int64, t mpi.Datatype, scale flo
 	// Pack through the flatten cache, scaling in the same pass.
 	pos := 0
 	for _, s := range mpi.Flatten(t).Segs {
-		mpi.ScaleBytesF64(out.Data[pos:pos+s.N], src[s.Off:s.Off+s.N], scale)
+		var piece []byte
+		if src != nil {
+			piece = src[s.Off : s.Off+s.N]
+		}
+		mpi.ScaleBytesF64(out.Data[pos:pos+s.N], piece, scale)
 		pos += s.N
 	}
 	return out, nil

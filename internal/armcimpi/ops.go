@@ -102,7 +102,9 @@ func (r *Runtime) acquireLocal(addr armci.Addr, span int) (localView, error) {
 		}
 	}
 	m.CopyLocal(r.R.P, span)
-	copy(tmp.Backing(), reg.Bytes(addr.VA, span))
+	if src := reg.ReadBytes(addr.VA, span); src != nil {
+		copy(tmp.Backing(), src) // a span nobody wrote stages as tmp's zeros
+	}
 	if !owned {
 		if err := win.Unlock(gr); err != nil {
 			return localView{}, err

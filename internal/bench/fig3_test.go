@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/platform"
 )
@@ -36,6 +37,22 @@ func TestFig3GoldenAcrossGOMAXPROCS(t *testing.T) {
 	atProcs(t, func(t *testing.T, _ int) {
 		checkRecording(t, "testdata/fig3_quick.golden.json", fig3Quick(t, nil))
 	})
+}
+
+// TestZeroPageAfterSweeps: a Fig. 3 or Fig. 4 probe reads a source it
+// never wrote, so the accumulates of every concurrent job read mpi's
+// one shared zero page, and none may write it. After a quick sweep of
+// each, a store from a nil source still lands nothing but zeros.
+func TestZeroPageAfterSweeps(t *testing.T) {
+	fig3Quick(t, nil)
+	fig4Quick(t, nil)
+	b := bytes.Repeat([]byte{0xa5}, 3<<12) // past any page the kernels step by
+	mpi.ReduceBytesF64(mpi.OpReplace, b, nil)
+	for i, c := range b {
+		if c != 0 {
+			t.Fatalf("byte %d of a store from the zero page is %#x", i, c)
+		}
+	}
 }
 
 // TestFig3ObsGolden pins what a recorder attached to Fig. 3 collects:

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/armcimpi"
+	"repro/internal/fabric"
 	"repro/internal/ga"
 	"repro/internal/harness"
 	"repro/internal/mpi"
@@ -68,8 +69,14 @@ func QuickFig6() Fig6Config {
 // time, the maximum over ranks. Every figure and ablation that times
 // the proxy (Fig. 6, §VIII.B, §IX and the scale sweep) runs it here.
 func NWChemPhase(plat *platform.Platform, impl harness.Impl, cores int, opt armcimpi.Options, rec *obs.Recorder, p nwchem.Params, triples bool) (sim.Time, error) {
+	return nwchemPhase(nil, plat, impl, cores, opt, rec, p, triples)
+}
+
+// nwchemPhase is NWChemPhase with the job's machine made on fl (nil:
+// the stash).
+func nwchemPhase(fl *fabric.FreeList, plat *platform.Platform, impl harness.Impl, cores int, opt armcimpi.Options, rec *obs.Recorder, p nwchem.Params, triples bool) (sim.Time, error) {
 	var phase sim.Time
-	_, err := harness.RunObs(plat, cores, impl, opt, rec, func(j *harness.Job, pr *sim.Proc) error {
+	_, err := harness.RunOn(fl, plat, cores, impl, opt, rec, func(j *harness.Job, pr *sim.Proc) error {
 		env := ga.NewEnv(j.Runtime(pr), j.MpiWorld.Rank(pr))
 		sys, err := nwchem.Setup(env, j.M, p)
 		if err != nil {
@@ -150,9 +157,9 @@ func Fig6(plat *platform.Platform, cfg Fig6Config, withTriples bool) (*Figure, e
 	}
 	sort.SliceStable(order, func(a, b int) bool { return order[a].cores < order[b].cores })
 	p := cfg.ParamsFor(plat)
-	err := sweep(runtime.GOMAXPROCS(0), len(order), func(i int) error {
+	err := chainSweep(runtime.GOMAXPROCS(0), len(order), func(i int, fl *fabric.FreeList) error {
 		pt := order[i]
-		t, err := NWChemPhase(plat, pt.impl, pt.cores, benchOptions(), nil, p, pt.triples)
+		t, err := nwchemPhase(fl, plat, pt.impl, pt.cores, benchOptions(), nil, p, pt.triples)
 		if err != nil {
 			phase := "ccsd"
 			if pt.triples {

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/fabric"
 )
 
 // atProcs runs body as a subtest at each worker-thread count the CI
@@ -157,4 +161,79 @@ func TestSweepReturnsTheJobsError(t *testing.T) {
 	if err := sweep(runtime.GOMAXPROCS(0), 3, func(i int) error { return sentinel }); err != sentinel {
 		t.Errorf("err = %v, want the job's own error value", err)
 	}
+}
+
+// chainSweep's assignment is fixed: worker w runs jobs w, w+W, … in
+// that order on one free list of its own, W = min(workers, n), whatever
+// the jobs' durations.
+func TestSweepChainsAreFixed(t *testing.T) {
+	atProcs(t, func(t *testing.T, procs int) {
+		for _, n := range []int{0, 1, procs - 1, procs, 57} {
+			var mu sync.Mutex
+			ran := map[*fabric.FreeList][]int{}
+			err := chainSweep(procs, n, func(i int, fl *fabric.FreeList) error {
+				time.Sleep(time.Duration((i*7919)%5) * 100 * time.Microsecond)
+				mu.Lock()
+				ran[fl] = append(ran[fl], i)
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			w := min(procs, n)
+			if len(ran) != w {
+				t.Fatalf("n=%d: jobs ran on %d free lists, want %d", n, len(ran), w)
+			}
+			for _, chain := range ran {
+				var want []int
+				for i := chain[0]; i < n; i += w {
+					want = append(want, i)
+				}
+				if chain[0] >= w || !slices.Equal(chain, want) {
+					t.Fatalf("n=%d: a free list ran jobs %v, want %v", n, chain, want)
+				}
+			}
+		}
+	})
+}
+
+// A failure stops each chain at the first job past the failed index:
+// every job below it still runs, so the lowest-index error is the one
+// a sequential loop would have stopped at.
+func TestSweepChainRunsEveryJobBelowAFailure(t *testing.T) {
+	atProcs(t, func(t *testing.T, procs int) {
+		const n = 40
+		six := make(chan struct{})
+		var ran [n]atomic.Int32
+		err := chainSweep(procs, n, func(i int, _ *fabric.FreeList) error {
+			ran[i].Add(1)
+			switch i {
+			case 5:
+				if procs > 1 {
+					<-six
+				}
+				return errors.New("job 5 failed")
+			case 6:
+				defer close(six)
+				return errors.New("job 6 failed")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "job 5 failed" {
+			t.Fatalf("err = %v, want job 5's", err)
+		}
+		for i := range 5 {
+			if ran[i].Load() != 1 {
+				t.Errorf("job %d ran %d times, want once", i, ran[i].Load())
+			}
+		}
+		// The chains of jobs 5 and 6 are held until both have failed;
+		// with one worker, job 6 is the next job of job 5's chain.
+		for _, i := range []int{5 + procs, 6 + procs} {
+			if ran[i].Load() != 0 {
+				t.Errorf("job %d ran after jobs 5 and 6 failed on its chain", i)
+			}
+		}
+	})
 }

@@ -17,7 +17,7 @@ import (
 // at all. Each has one
 // owner and one lifetime: the issuing site draws it with GetBuf, the
 // event that applies it hands it back with PutBuf. A region's backing
-// store (mem.go) is drawn the same way on first touch and handed back
+// store (mem.go) is drawn the same way on first write and handed back
 // when the region is freed, and so are an application's scratch
 // buffers: nwchem's task tiles are drawn for one task claim and handed
 // back before the rank asks for the next.
@@ -37,9 +37,14 @@ import (
 // What stays deterministic: virtual time and every artifact, always —
 // no cost-model call looks at the pool. With one job at a time, which
 // buffers hit and which miss repeats exactly from run to run, which a
-// sync.Pool (drained by GC at arbitrary points) would not give. In a
-// sweep, which retired list a job adopts depends on which job finished
-// first, so host allocation counts can differ by a few misses.
+// sync.Pool (drained by GC at arbitrary points) would not give. When
+// jobs run concurrently, which retired list a job adopts from the
+// stash depends on which job finished first, so host allocation counts
+// can differ by whole backings from run to run. A FreeList fixes the
+// order instead: a chain of jobs that run one after another hands one
+// list down, each job's machine adopting it from the last one's
+// retirement, so what a job finds depends only on the jobs before it
+// on the chain.
 //
 // Buffers are filed by power-of-two capacity class. A request is
 // served from the class that covers it, so a recycled buffer is never
@@ -83,12 +88,42 @@ func adoptPool() *bufPool {
 	return p
 }
 
+// A FreeList is a free list handed down a chain of jobs that run one
+// at a time: FreeList.NewMachine gives it to the new machine, and that
+// machine's Retire gives it back for the next. A FreeList serves one
+// live machine at a time. The zero of *FreeList, nil, is the stash:
+// (*FreeList)(nil).NewMachine is NewMachine.
+type FreeList struct {
+	bufs *bufPool // nil while a machine holds it, or once closed
+}
+
+// NewFreeList takes a retired list from the stash, or makes an empty
+// one.
+func NewFreeList() *FreeList { return &FreeList{bufs: adoptPool()} }
+
+// Close hands the list to the stash. Call it once the last machine
+// made on l has retired; closing twice is a no-op.
+func (l *FreeList) Close() {
+	if l.bufs == nil {
+		return
+	}
+	stashPool(l.bufs)
+	l.bufs = nil
+}
+
+// stashPool hands a free list to the stash.
+func stashPool(p *bufPool) {
+	stash.Lock()
+	stash.pools = append(stash.pools, p)
+	stash.Unlock()
+}
+
 // Retire ends the machine's job: every live region's backing goes back
-// to the machine's free list, and the list goes to the stash for the
-// next machine. Call it once Eng.Run has returned — every rank has
-// exited and no event can fire — and touch none of the job's memory
-// afterwards; counters and tables stay readable. Retiring twice is a
-// no-op.
+// to the machine's free list, and the list goes back to the FreeList
+// the machine was made on, or to the stash for the next machine. Call
+// it once Eng.Run has returned — every rank has exited and no event
+// can fire — and touch none of the job's memory afterwards; counters
+// and tables stay readable. Retiring twice is a no-op.
 func (m *Machine) Retire() {
 	if m.bufs == nil {
 		return
@@ -100,9 +135,11 @@ func (m *Machine) Retire() {
 	}
 	p := m.bufs
 	m.bufs = nil
-	stash.Lock()
-	stash.pools = append(stash.pools, p)
-	stash.Unlock()
+	if m.fl != nil {
+		m.fl.bufs = p
+		return
+	}
+	stashPool(p)
 }
 
 // BufHook, when non-nil, observes every buffer GetBuf hands out

@@ -216,6 +216,56 @@ func TestStashOwnsEachPoolOnce(t *testing.T) {
 	}
 }
 
+// A FreeList goes from one machine to the next and nowhere else: the
+// second machine made on it gets the first one's list with every
+// backing the first held at retirement, a machine asked for while the
+// list is held fails, concurrent retirements of stash machines cannot
+// reach it, and Close hands it to the stash once.
+func TestFreeListHandsDownOneList(t *testing.T) {
+	fl := NewFreeList()
+	m1, err := fl.NewMachine(sim.NewEngine(), testParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.NewMachine(sim.NewEngine(), testParams(), 2); err == nil {
+		t.Fatal("a second live machine got the list")
+	}
+	b := m1.Space(0).Alloc(4096, DomainNone, false).Backing()
+	list := m1.bufs
+	other := poolMachine(t) // a stash machine, retired in between
+	m1.Retire()
+	other.Retire()
+	m2, err := fl.NewMachine(sim.NewEngine(), testParams(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.bufs != list {
+		t.Fatal("the next machine on the list did not get the retired one's list")
+	}
+	if c := m2.Space(1).Alloc(4096, DomainNone, false).Backing(); &c[0] != &b[0] {
+		t.Error("the retired machine's backing did not serve the next machine")
+	}
+	m2.Retire()
+
+	stash.Lock()
+	before := len(stash.pools)
+	stash.Unlock()
+	fl.Close()
+	fl.Close()
+	stash.Lock()
+	after, top := len(stash.pools), stash.pools[len(stash.pools)-1]
+	stash.Unlock()
+	if after != before+1 || top != list {
+		t.Errorf("Close twice: stash %d -> %d lists, top is the list: %v", before, after, top == list)
+	}
+	if _, err := fl.NewMachine(sim.NewEngine(), testParams(), 2); err == nil {
+		t.Error("a closed list made a machine")
+	}
+	if NewFreeList().bufs != list {
+		t.Error("the next list taken from the stash is not the one just closed")
+	}
+}
+
 func TestBufHookSeesBothDirectionsAtFullCapacity(t *testing.T) {
 	m := poolMachine(t)
 	var gets, puts int

@@ -11,6 +11,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/obs"
@@ -90,7 +91,8 @@ type Machine struct {
 	nics   []nic
 	boxes  []*mailbox
 	spaces []*AddrSpace
-	bufs   *bufPool // payload and backing free list (bufs.go); nil once retired
+	bufs   *bufPool  // payload and backing free list (bufs.go); nil once retired
+	fl     *FreeList // where Retire hands bufs; nil: the stash
 
 	// Counters, exposed for tests and benchmarks.
 	MsgsSent    int64
@@ -105,8 +107,16 @@ type Machine struct {
 }
 
 // NewMachine creates fabric state for nranks ranks on engine eng.
-// nranks must not exceed par.MaxRanks().
+// nranks must not exceed par.MaxRanks(). Its free list comes from the
+// stash (bufs.go).
 func NewMachine(eng *sim.Engine, par Params, nranks int) (*Machine, error) {
+	return (*FreeList)(nil).NewMachine(eng, par, nranks)
+}
+
+// NewMachine is the package's NewMachine with l's free list: the
+// machine holds it until Retire hands it back. l must not be held by
+// another live machine. A nil l draws from the stash.
+func (l *FreeList) NewMachine(eng *sim.Engine, par Params, nranks int) (*Machine, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}
@@ -114,7 +124,15 @@ func NewMachine(eng *sim.Engine, par Params, nranks int) (*Machine, error) {
 		return nil, fmt.Errorf("fabric: %s: nranks %d out of range 1..%d",
 			par.Name, nranks, par.MaxRanks())
 	}
-	m := &Machine{Eng: eng, Par: par, NRanks: nranks, bufs: adoptPool()}
+	m := &Machine{Eng: eng, Par: par, NRanks: nranks, fl: l}
+	if l == nil {
+		m.bufs = adoptPool()
+	} else {
+		if l.bufs == nil {
+			return nil, errors.New("fabric: free list held by a live machine, or closed")
+		}
+		m.bufs, l.bufs = l.bufs, nil
+	}
 	nodes := (nranks + par.CoresPerNode - 1) / par.CoresPerNode
 	m.nics = make([]nic, nodes)
 	m.boxes = make([]*mailbox, nranks)

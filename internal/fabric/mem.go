@@ -47,11 +47,12 @@ func (d Domain) String() string {
 
 // Region is an allocated range of a rank's address space with backing
 // storage. Data is addressed relative to VA and is materialized lazily
-// on first access: a region that is allocated but never touched (mutex
-// byte vectors, scratch buffers of idle ranks) costs no host memory,
-// which is what lets 16k-rank jobs fit. Access the storage through
-// Bytes or Backing, never the Data field directly — it is nil until
-// the first touch.
+// on first write: a region that is allocated but never written (mutex
+// byte vectors, scratch buffers of idle ranks, a bandwidth probe's
+// source) costs no host memory, which is what lets 16k-rank jobs fit.
+// Write the storage through Bytes or Backing and read it through
+// ReadBytes, never the Data field directly — it is nil until the first
+// write, and a region without one reads as zero.
 //
 // The job draws the backing from its machine's free list (bufs.go) and
 // clears a recycled one, so a region reads as zero however its bytes
@@ -83,20 +84,43 @@ func (r *Region) Contains(va int64, n int) bool {
 	return va >= r.VA && va+int64(n) <= r.VA+int64(r.Len)
 }
 
-// Bytes returns the backing slice for [va, va+n), materializing the
-// region's storage on first touch.
+// Bytes returns the backing slice for [va, va+n) to be written,
+// materializing the region's storage on first touch.
 func (r *Region) Bytes(va int64, n int) []byte {
 	if !r.Contains(va, n) {
-		panic(fmt.Sprintf("fabric: access [0x%x,+%d) outside region [0x%x,+%d) on rank %d",
-			va, n, r.VA, r.Len, r.Rank))
+		r.outside(va, n)
 	}
 	off := va - r.VA
 	return r.Backing()[off : off+int64(n)]
 }
 
-// Backing returns the region's full backing slice, materializing it on
-// first touch. Freshly materialized storage is zeroed, exactly as an
-// eager allocation would be.
+// ReadBytes returns the backing slice for [va, va+n) to be read, or
+// nil if the region was never written: it then reads as zero, and a
+// read does not give it a backing. Every kernel that reads a region
+// takes that nil as n zero bytes (mpi.ReduceBytesF64, ScaleBytesF64,
+// the two-layout walk). The slice is the caller's only until the
+// region's next write materializes it: take it per access, never keep
+// it.
+func (r *Region) ReadBytes(va int64, n int) []byte {
+	if !r.Contains(va, n) {
+		r.outside(va, n)
+	}
+	if r.Data == nil {
+		return nil
+	}
+	off := va - r.VA
+	return r.Data[off : off+int64(n)]
+}
+
+// outside panics for an access to [va, va+n) that leaves the region.
+func (r *Region) outside(va int64, n int) {
+	panic(fmt.Sprintf("fabric: access [0x%x,+%d) outside region [0x%x,+%d) on rank %d",
+		va, n, r.VA, r.Len, r.Rank))
+}
+
+// Backing returns the region's full backing slice to be written,
+// materializing it on first touch. Freshly materialized storage is
+// zeroed, exactly as an eager allocation would be.
 func (r *Region) Backing() []byte {
 	if r.Data == nil && r.Len > 0 {
 		r.materialize()
@@ -119,7 +143,7 @@ func (r *Region) materialize() {
 }
 
 // SwapBacking makes b the region's backing and returns the one it had,
-// nil if the region was never touched. It lends a buffer the region
+// nil if the region was never written. It lends a buffer the region
 // does not own: the caller must hand the old backing back with a
 // second SwapBacking before the region is freed or the machine
 // retires, and may touch only the bytes b covers in between. Address,

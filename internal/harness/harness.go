@@ -80,6 +80,11 @@ func NewJob(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options
 // (fabric, MPI and through it ARMCI-MPI, the data server). rec may be
 // nil: observability off.
 func NewJobObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, rec *obs.Recorder) (*Job, error) {
+	return newJob(nil, plat, nranks, impl, opt, rec)
+}
+
+// newJob is NewJobObs with the machine made on fl (nil: the stash).
+func newJob(fl *fabric.FreeList, plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, rec *obs.Recorder) (*Job, error) {
 	par := plat.Params
 	if impl == ImplDataServer && par.CoresPerNode > 1 {
 		// The data server consumes a core per node (SectionIX): the
@@ -87,7 +92,7 @@ func NewJobObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Opti
 		par.Flops *= float64(par.CoresPerNode-1) / float64(par.CoresPerNode)
 	}
 	eng := sim.NewEngine()
-	m, err := fabric.NewMachine(eng, par, nranks)
+	m, err := fl.NewMachine(eng, par, nranks)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +155,14 @@ func Run(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, b
 // engine's own: a rank that fails before a collective leaves the others
 // parked, and the deadlock that follows comes second.
 func RunObs(plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, rec *obs.Recorder, body func(j *Job, p *sim.Proc) error) (*Job, error) {
-	j, err := NewJobObs(plat, nranks, impl, opt, rec)
+	return RunOn(nil, plat, nranks, impl, opt, rec, body)
+}
+
+// RunOn is RunObs with the job's machine made on fl and handing it
+// back when it retires (fabric.FreeList); a nil fl is the stash, as in
+// RunObs.
+func RunOn(fl *fabric.FreeList, plat *platform.Platform, nranks int, impl Impl, opt armcimpi.Options, rec *obs.Recorder, body func(j *Job, p *sim.Proc) error) (*Job, error) {
+	j, err := newJob(fl, plat, nranks, impl, opt, rec)
 	if err != nil {
 		return nil, err
 	}

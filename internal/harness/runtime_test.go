@@ -21,20 +21,7 @@ import (
 // must end quiescent (assertNoLeaks).
 func forBoth(t *testing.T, nranks int, body func(t *testing.T, rt armci.Runtime)) {
 	t.Helper()
-	variants := []struct {
-		name string
-		impl Impl
-		opt  armcimpi.Options
-	}{
-		{"native", ImplNative, armcimpi.DefaultOptions()},
-		{"armci-mpi", ImplARMCIMPI, armcimpi.DefaultOptions()},
-		{"armci-mpi3", ImplARMCIMPI, mpi3Options()},
-		{"armci-ds", ImplDataServer, armcimpi.DefaultOptions()},
-		{"dartmpi", ImplDartMPI, armcimpi.DefaultOptions()},
-		{"dartmpi-mpi3", ImplDartMPI, mpi3Options()},
-	}
 	for _, v := range variants {
-		v := v
 		t.Run(v.name, func(t *testing.T) {
 			j, err := Run(TestPlatform(), nranks, v.impl, v.opt,
 				func(rt armci.Runtime) { body(t, rt) })
@@ -44,6 +31,20 @@ func forBoth(t *testing.T, nranks int, body func(t *testing.T, rt armci.Runtime)
 			assertNoLeaks(t, j)
 		})
 	}
+}
+
+// variants are the six ARMCI stacks forBoth runs a body under.
+var variants = []struct {
+	name string
+	impl Impl
+	opt  armcimpi.Options
+}{
+	{"native", ImplNative, armcimpi.DefaultOptions()},
+	{"armci-mpi", ImplARMCIMPI, armcimpi.DefaultOptions()},
+	{"armci-mpi3", ImplARMCIMPI, mpi3Options()},
+	{"armci-ds", ImplDataServer, armcimpi.DefaultOptions()},
+	{"dartmpi", ImplDartMPI, armcimpi.DefaultOptions()},
+	{"dartmpi-mpi3", ImplDartMPI, mpi3Options()},
 }
 
 // assertNoLeaks checks a finished job's translation tables and mutex
@@ -398,6 +399,48 @@ func TestRmwUnknownOp(t *testing.T) {
 				t.Errorf("word = %d after one FetchAndAdd of 3", got)
 			}
 			must(t, rt.AccessEnd(addrs[0]))
+		}
+		rt.Barrier()
+		must(t, rt.Free(addrs[rt.Rank()]))
+	})
+}
+
+// An MPI-2 Rmw that fails after taking the GMR's mutex releases it:
+// rank 0 holds its own window slice open for direct access, so on the
+// MPI-2 runtimes its Rmw cannot lock the window and fails, and rank 2's
+// Rmw on the same GMR must then be served, not deadlock behind the
+// mutex the failed call took. Where rank 0's Rmw succeeds (native, the
+// data server, the MPI-3 backend) rank 2 finds its 1 there.
+func TestRmwErrorReleasesMutex(t *testing.T) {
+	var added int64 // what rank 0's Rmw added to the word
+	forBoth(t, 4, func(t *testing.T, rt armci.Runtime) {
+		addrs, err := rt.Malloc(8)
+		must(t, err)
+		if rt.Rank() == 0 {
+			_, err := rt.AccessBegin(addrs[0], 8)
+			must(t, err)
+			added = 0
+			if _, err := rt.Rmw(armci.FetchAndAdd, addrs[1], 1); err == nil {
+				added = 1
+			}
+			must(t, rt.AccessEnd(addrs[0]))
+		}
+		rt.Barrier()
+		if rt.Rank() == 2 {
+			old, err := rt.Rmw(armci.FetchAndAdd, addrs[1], 3)
+			must(t, err)
+			if old != added {
+				t.Errorf("rank 2's Rmw read %d, want %d", old, added)
+			}
+		}
+		rt.Barrier()
+		if rt.Rank() == 1 {
+			mem, err := rt.AccessBegin(addrs[1], 8)
+			must(t, err)
+			if got := int64(binary.LittleEndian.Uint64(mem)); got != added+3 {
+				t.Errorf("word = %d, want %d", got, added+3)
+			}
+			must(t, rt.AccessEnd(addrs[1]))
 		}
 		rt.Barrier()
 		must(t, rt.Free(addrs[rt.Rank()]))

@@ -228,11 +228,14 @@ func fuzzOperands(dst, src, edges []byte, mis uint8) ([]byte, []byte) {
 // element stays as it was, and the source may be longer than the
 // destination (the longer input is the source). mis places either
 // operand off the 8-byte grid, so the float64-view branch and the byte
-// branch both run.
+// branch both run. A second leg passes a nil source, which the kernels
+// read as zeros (a region nobody wrote): ReduceBytesF64 and
+// ScaleBytesF64 must leave exactly what an explicit zero source does.
 func FuzzReduceBytesF64(f *testing.F) {
 	f.Fuzz(func(t *testing.T, opSel uint8, dst, src, edges []byte, mis uint8) {
 		op := []Op{OpSum, OpProd, OpMin, OpMax, OpReplace}[opSel%5]
 		dst, src = fuzzOperands(dst, src, edges, mis)
+		fromNil := bytes.Clone(dst)
 		want, srcBefore := bytes.Clone(dst), bytes.Clone(src)
 		refReduce(op, want, src)
 		ReduceBytesF64(op, dst, src)
@@ -243,5 +246,48 @@ func FuzzReduceBytesF64(f *testing.F) {
 		if !bytes.Equal(src, srcBefore) {
 			t.Fatalf("%v n=%d: kernel modified its source", op, len(dst))
 		}
+		checkNilSource(t, op, placed(fromNil, int(mis)), zeroScales[int(opSel/5)%len(zeroScales)])
 	})
+}
+
+// zeroScales are the scales a nil source is scaled by: one (a plain
+// store), both zeros, negatives, a NaN and an infinity, whose products
+// with zero are -0 and NaN.
+var zeroScales = []float64{1, 0, math.Copysign(0, -1), -1, -2.5, math.NaN(), math.Inf(1), 0.5}
+
+// checkNilSource requires ReduceBytesF64 under op and ScaleBytesF64 by
+// scale from a nil source to leave dst bit for bit as from an explicit
+// zero source of its length. dst is left as it was.
+func checkNilSource(t *testing.T, op Op, dst []byte, scale float64) {
+	t.Helper()
+	zeros := make([]byte, len(dst))
+	got, want := bytes.Clone(dst), bytes.Clone(dst)
+	ReduceBytesF64(op, got, nil)
+	ReduceBytesF64(op, want, zeros)
+	if at := firstDiff(got, want); at >= 0 {
+		t.Fatalf("%v n=%d aligned=%v: nil source differs from zeros at byte %d", op, len(dst), aligned(dst), at)
+	}
+	copy(got, dst)
+	copy(want, dst)
+	ScaleBytesF64(got, nil, scale)
+	ScaleBytesF64(want, zeros, scale)
+	if at := firstDiff(got, want); at >= 0 {
+		t.Fatalf("scale=%v n=%d aligned=%v: nil source differs from zeros at byte %d", scale, len(dst), aligned(dst), at)
+	}
+}
+
+// A nil source runs the kernels a zero page at a time, so its answer
+// must not depend on where a destination crosses a page: lengths on,
+// just off and well past the page size, ragged tails, destinations on
+// and off the 8-byte grid.
+func TestNilSourceAcrossPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	page := len(zeroPage)
+	for _, n := range []int{0, 1, 7, 8, 9, page - 8, page - 1, page, page + 1, page + 8, page + 15, 2*page + 3, 3*page + 64} {
+		for off := range 8 {
+			for k, op := range []Op{OpSum, OpProd, OpMin, OpMax, OpReplace} {
+				checkNilSource(t, op, placed(randF64Bytes(rng, n), off), zeroScales[(n+off+k)%len(zeroScales)])
+			}
+		}
+	}
 }

@@ -67,7 +67,8 @@ func fuzzLayout(b []byte, n, elem int) Datatype {
 // destination. Every layout pair moves the same bytes, for a put
 // (OpReplace, any element width) and two float64 reductions, and
 // leaves the destination's gaps alone; PackInto and Unpack, callers of
-// the walk, agree with the oracle's two halves.
+// the walk, agree with the oracle's two halves. A nil source lands
+// exactly what a source of zeros does.
 func FuzzLayoutCopy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, opSel, count, width uint8, srcLayout, dstLayout []byte, seed int64) {
 		op := []Op{OpReplace, OpSum, OpMax}[opSel%3]
@@ -99,12 +100,23 @@ func FuzzLayoutCopy(f *testing.F) {
 		if at := firstDiff(got, want); at >= 0 {
 			t.Fatalf("%v %v -> %v: byte %d differs from pack-then-fold", op, st, dt, at)
 		}
+		// A nil source is zeros (a region nobody wrote): the walk lands
+		// what an explicit zero source does.
+		fromNil, fromZeros := append([]byte(nil), dst...), append([]byte(nil), dst...)
+		foldRuns(op, fromNil, runs(dt, &dr), nil, runs(st, &sr))
+		foldRuns(op, fromZeros, runs(dt, &dr), make([]byte, len(src)), runs(st, &sr))
+		if at := firstDiff(fromNil, fromZeros); at >= 0 {
+			t.Fatalf("%v %v -> %v: byte %d from a nil source differs from zeros", op, st, dt, at)
+		}
 		if op != OpReplace {
 			return
 		}
 		dense := make([]byte, st.Size())
 		if PackInto(dense, st, src) != len(dense) || firstDiff(dense, packed) >= 0 {
 			t.Fatalf("PackInto(%v) differs from the closure enumeration", st)
+		}
+		if PackInto(dense, st, nil) != len(dense) || firstDiff(dense, make([]byte, len(dense))) >= 0 {
+			t.Fatalf("PackInto(%v) from a nil source left a nonzero byte", st)
 		}
 		if Unpack(dt, dst, packed) != len(packed) || firstDiff(dst, want) >= 0 {
 			t.Fatalf("Unpack(%v) differs from the run-by-run store", dt)

@@ -35,7 +35,8 @@ func runs(t Datatype, one *[1]Segment) []Segment {
 // (ReduceBytesF64), which needs every piece a whole number of elements
 // at an element offset in the destination layout. The layouts describe
 // the same number of bytes; src and dst must not overlap (the RMA layer
-// stages a self target's transfer, whose two sides may).
+// stages a self target's transfer, whose two sides may). A nil src is
+// zeros — a region nobody wrote — and walks the same pieces.
 func foldRuns(op Op, dst []byte, druns []Segment, src []byte, sruns []Segment) {
 	// When one side is a single run — a dense buffer, a contiguous type —
 	// the other side's runs are its pieces, at a running position in it.
@@ -43,14 +44,14 @@ func foldRuns(op Op, dst []byte, druns []Segment, src []byte, sruns []Segment) {
 	case len(sruns) == 1:
 		b := sruns[0].Off
 		for _, d := range druns {
-			foldPiece(op, dst[d.Off:d.Off+d.N], src[b:b+d.N], d.Off)
+			foldPiece(op, dst[d.Off:d.Off+d.N], piece(src, b, d.N), d.Off)
 			b += d.N
 		}
 		return
 	case len(druns) == 1:
 		a := druns[0].Off
 		for _, s := range sruns {
-			foldPiece(op, dst[a:a+s.N], src[s.Off:s.Off+s.N], a)
+			foldPiece(op, dst[a:a+s.N], piece(src, s.Off, s.N), a)
 			a += s.N
 		}
 		return
@@ -62,7 +63,7 @@ func foldRuns(op Op, dst []byte, druns []Segment, src []byte, sruns []Segment) {
 		d, s := druns[di], sruns[si]
 		n := min(d.N-dk, s.N-sk)
 		a, b := d.Off+dk, s.Off+sk
-		foldPiece(op, dst[a:a+n], src[b:b+n], a)
+		foldPiece(op, dst[a:a+n], piece(src, b, n), a)
 		if dk += n; dk == d.N {
 			di, dk = di+1, 0
 		}
@@ -72,14 +73,25 @@ func foldRuns(op Op, dst []byte, druns []Segment, src []byte, sruns []Segment) {
 	}
 }
 
+// piece is the n bytes of src from b, or nil (zeros) when src is.
+func piece(src []byte, b, n int) []byte {
+	if src == nil {
+		return nil
+	}
+	return src[b : b+n]
+}
+
 // foldPiece folds the piece src onto the piece dst, which starts at
-// byte a of its layout's buffer, under op. It is small enough to
-// inline, so a store costs the walk no call.
+// byte a of its layout's buffer, under op; a nil src is zeros. It is
+// small enough to inline, so a store costs the walk no call.
 func foldPiece(op Op, dst, src []byte, a int) {
-	if op == OpReplace {
-		copy(dst, src)
-	} else {
+	switch {
+	case op != OpReplace:
 		reducePiece(op, dst, src, a)
+	case src == nil:
+		clear(dst)
+	default:
+		copy(dst, src)
 	}
 }
 

@@ -245,9 +245,16 @@ type LocalBuf struct {
 }
 
 // bytes is the memory the layout touches, from its first byte to one
-// past its last; it panics if that runs outside the region.
+// past its last, to be written; it panics if that runs outside the
+// region.
 func (b LocalBuf) bytes() []byte {
 	return b.Region.Bytes(b.Region.VA+int64(b.Off), b.Type.Span())
+}
+
+// readBytes is the same memory to be read: nil (zeros) if the region
+// was never written, which a read leaves so (fabric.Region.ReadBytes).
+func (b LocalBuf) readBytes() []byte {
+	return b.Region.ReadBytes(b.Region.VA+int64(b.Off), b.Type.Span())
 }
 
 // WinCreate collectively creates a window over comm; each rank exposes
@@ -800,7 +807,7 @@ func (w *Win) prologue(d rmaOp) (*epoch, error) {
 // bytes are read where they are when they land.
 func (w *Win) pack(buf LocalBuf, snap bool) []byte {
 	r := w.comm.r
-	src := buf.bytes()
+	src := buf.readBytes()
 	if !buf.Type.Contig() {
 		t0 := r.P.Now()
 		r.W.M.CopyLocal(r.P, buf.Type.Size()) // pack cost
@@ -1042,7 +1049,7 @@ func (w *Win) costShm(d rmaOp) (int64, error) {
 	var data []byte
 	switch d.kind {
 	case opPut, opAcc:
-		data = w.snapshot(d.buf.bytes(), d.buf.Type)
+		data = w.snapshot(d.buf.readBytes(), d.buf.Type)
 	case opGet:
 		data = m.GetBuf(d.at.Type.Size())
 		if err := ws.land(d.kind, OpNoOp, d.at, LocalBuf{}, data); err != nil {
@@ -1078,20 +1085,22 @@ func (w *Win) costShm(d rmaOp) (int64, error) {
 // (a zero LocalBuf) lands data, a dense snapshot, instead — also when
 // data is nil, as a zero-byte snapshot is; under OpNoOp data is
 // instead the dense buffer at's bytes are gathered into (a staged
-// get's read of its target). The payload goes back to the pool
+// get's read of its target). The side only read — from, or at under
+// OpNoOp — keeps no backing if it was never written: it reads as
+// zero. The payload goes back to the pool
 // here, exactly once, whether or not the step failed; only a successful
 // gather keeps it, as the copy it is about to be stored from.
 func (ws *winState) land(kind opKind, op Op, at, from LocalBuf, data []byte) error {
 	err := ws.apply(kind.String(), func() {
 		var ar, fr [1]Segment
-		mem, memRuns := at.bytes(), runs(at.Type, &ar)
+		memRuns := runs(at.Type, &ar)
 		switch {
 		case op == OpNoOp:
-			foldRuns(OpReplace, data, dense(len(data), &fr), mem, memRuns)
+			foldRuns(OpReplace, data, dense(len(data), &fr), at.readBytes(), memRuns)
 		case data != nil || from.Region == nil:
-			foldRuns(op, mem, memRuns, data, dense(len(data), &fr))
+			foldRuns(op, at.bytes(), memRuns, data, dense(len(data), &fr))
 		default:
-			foldRuns(op, mem, memRuns, from.bytes(), runs(from.Type, &fr))
+			foldRuns(op, at.bytes(), memRuns, from.readBytes(), runs(from.Type, &fr))
 		}
 	})
 	if op != OpNoOp || err != nil {

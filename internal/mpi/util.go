@@ -42,14 +42,38 @@ func F64sToBytes(xs []float64) []byte { return f64sToBytes(xs) }
 // BytesToF64s decodes float64s little-endian.
 func BytesToF64s(b []byte) []float64 { return bytesToF64s(b) }
 
+// zeroPage is the source of every kernel given a nil one: a region
+// nobody wrote reads as zero (fabric.Region.ReadBytes), and the kernels
+// run on it a page at a time. It is shared by every job in the process
+// and never written; its float64 backing keeps it on the 8-byte grid,
+// so ReduceBytesF64 keeps its view path.
+var zeroPage = Bytes(new([512]float64)[:])
+
+// fromZeros runs kernel over dst a page at a time, with the zero page
+// as the source of each piece. Pieces are whole pages, so each one
+// starts where an element does and only the last may have a ragged
+// tail, as dst has.
+func fromZeros(dst []byte, kernel func(dst, src []byte)) {
+	for len(dst) > len(zeroPage) {
+		kernel(dst[:len(zeroPage)], zeroPage)
+		dst = dst[len(zeroPage):]
+	}
+	kernel(dst, zeroPage)
+}
+
 // ReduceBytesF64 folds src into dst in place, elementwise over
 // little-endian float64s: dst[i] = dst[i] op src[i]. It is the one
 // accumulate kernel of every runtime (RMA accumulate here, the direct
 // runtimes' Acc): no decode, no temporary, no re-encode. Only the len(dst)/8 whole elements of dst are touched;
-// src must be at least as long as dst. When both start on an 8-byte
-// boundary the op runs on their float64 views (View); otherwise, as an
-// accumulate at an odd byte address can, it walks the bytes.
+// src must be at least as long as dst, or nil for zeros. When both
+// start on an 8-byte boundary the op runs on their float64 views
+// (View); otherwise, as an accumulate at an odd byte address can, it
+// walks the bytes.
 func ReduceBytesF64(op Op, dst, src []byte) {
+	if src == nil && len(dst) > 0 {
+		fromZeros(dst, func(d, s []byte) { ReduceBytesF64(op, d, s) })
+		return
+	}
 	src = src[:len(dst)]
 	if aligned(dst) && aligned(src) {
 		n := len(dst) &^ 7
@@ -94,8 +118,12 @@ func ReduceBytesF64(op Op, dst, src []byte) {
 // float64s — the prescale pass of an accumulate at a scale other than
 // 1. A scale of 1 is a plain copy of every byte; any other scale writes
 // the len(dst)/8 whole elements. src must be at least as long as dst,
-// and the two must be the same slice or not overlap.
+// or nil for zeros, and the two must be the same slice or not overlap.
 func ScaleBytesF64(dst, src []byte, scale float64) {
+	if src == nil && len(dst) > 0 {
+		fromZeros(dst, func(d, s []byte) { ScaleBytesF64(d, s, scale) })
+		return
+	}
 	src = src[:len(dst)]
 	if scale == 1 {
 		copy(dst, src)
