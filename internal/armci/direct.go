@@ -130,7 +130,17 @@ type Direct struct {
 	sync Pending // a blocking get's handle
 	rmw  rmwReq
 	lock lockReq
+
+	// pending is the rest of a chunk that nonblocking gets' handles are
+	// carved from, pendingChunk at a time. A handle is never reused, so
+	// Wait and Test stay valid on every handle ever returned; a chunk is
+	// collected once its handles are dropped.
+	pending []Pending
 }
+
+// pendingChunk is how many nonblocking-get handles one allocation
+// makes.
+const pendingChunk = 16
 
 // NewDirect creates the per-rank runtime handle.
 func NewDirect(w *DirectWorld, r *mpi.Rank) *Direct {
@@ -446,7 +456,10 @@ func (r *Direct) get(op profile.Op, x Xfer, err error, h *Pending) (Handle, erro
 	r.opCost()
 	x.move(r.w.M, x.Target == r.Rank())
 	if h == nil {
-		h = new(Pending)
+		if len(r.pending) == 0 {
+			r.pending = make([]Pending, pendingChunk)
+		}
+		h, r.pending = &r.pending[0], r.pending[1:]
 	}
 	*h = Pending{r: r}
 	r.w.t.Get(r.p, x, h)

@@ -64,6 +64,11 @@ func chainSweep(workers, n int, job func(i int, fl *fabric.FreeList) error) erro
 		func(i, w int) error { return job(i, lists[w]) })
 }
 
+// failHook, when non-nil, is called with a failed job's index once
+// work has recorded the failure, so no worker draws an index above it
+// from then on. Tests set it to hold jobs until the cut-off is in place.
+var failHook func(i int)
+
 // work runs min(workers, n) workers; worker w's k-th job is index
 // pick(w, k), which must rise with k, and it stops at the first index
 // at or past n or past the lowest index that has failed.
@@ -88,6 +93,9 @@ func work(workers, n int, pick func(w, k int) int, job func(i, w int) error) err
 					if failed.CompareAndSwap(f, int64(i)) {
 						break
 					}
+				}
+				if failHook != nil {
+					failHook(i)
 				}
 			}
 		}()

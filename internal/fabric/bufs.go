@@ -46,25 +46,58 @@ import (
 // retirement, so what a job finds depends only on the jobs before it
 // on the chain.
 //
-// Buffers are filed by power-of-two capacity class. A request is
-// served from the class that covers it, so a recycled buffer is never
-// too small; a buffer handed back is filed under the largest class its
-// capacity covers, so PutBuf accepts any slice, pooled or not.
+// Buffers are filed by capacity class, eight classes per octave: class
+// c holds (8 + c%8) << (c/8) bytes (8, 9, …, 15, 16, 18, …, 30, 32,
+// 36, …). A request is served from the smallest class that covers it,
+// so a recycled buffer is never too small, and a buffer made fresh is
+// made at that class's size, at most 12.5 % over the request (a
+// power-of-two class wastes up to half: a 5.3 MB Fig. 6 block took
+// 8 MiB). A buffer handed back is filed under the largest class its
+// capacity covers, so PutBuf accepts any slice, pooled or not; one
+// under 8 bytes covers no class and is left to the garbage collector.
+// A request of a multiple of 8 bytes is served from a class whose size
+// is a multiple of 8 too, so its buffer, made at that size or split
+// from one twice it, starts 8-aligned (mpi.View).
 //
-// When the request's class is empty, one free buffer of the class
-// directly above is split into two capacity-capped halves: one is
-// served, the other filed. A run of jobs whose blocks halve from one
-// job to the next (Fig. 6's process counts, smallest first) then draws
-// each job's backings from the last job's instead of faulting in new
-// pages, and clearing a recycled buffer costs a fraction of a first
-// touch. The split stops at one class: reaching further up would let a
-// run of small requests carve up a large backing (a 32 MiB window) that
-// the next large request then has to make again. The halves are never
-// merged back.
+// When the request's class is empty, one free buffer of the class an
+// octave above — exactly twice the size — is split into two
+// capacity-capped halves: one is served, the other filed. A run of jobs
+// whose blocks halve from one job to the next (Fig. 6's process counts,
+// smallest first) then draws each job's backings from the last job's
+// instead of faulting in new pages, and clearing a recycled buffer
+// costs a fraction of a first touch. The split stops at one octave:
+// reaching further up would let a run of small requests carve up a
+// large backing (a 32 MiB window) that the next large request then has
+// to make again. Neighbouring classes are not searched and the halves
+// are never merged back.
+
+// classesPerOctave is how many capacity classes split each power of
+// two.
+const classesPerOctave = 8
 
 // bufPool is one free list, indexed by capacity class.
 type bufPool struct {
-	free [bits.UintSize][][]byte
+	free [classesPerOctave * bits.UintSize][][]byte
+}
+
+// classSize is the capacity of class c.
+func classSize(c int) int {
+	return (classesPerOctave + c%classesPerOctave) << (c / classesPerOctave)
+}
+
+// classFor returns the smallest class whose size is at least n > 0:
+// the one above the largest class below n.
+func classFor(n int) int { return classOf(n-1) + 1 }
+
+// classOf returns the largest class whose size is at most k, or -1 if
+// k is below the smallest class. Shifted down to [8, 16), k reads as
+// 8 plus the class's place in its octave.
+func classOf(k int) int {
+	if k < classesPerOctave {
+		return -1
+	}
+	shift := bits.Len(uint(k)) - bits.Len(classesPerOctave)
+	return shift*classesPerOctave + int(uint(k)>>shift) - classesPerOctave
 }
 
 // stash holds the free lists of retired machines.
@@ -165,24 +198,24 @@ func (m *Machine) getBuf(n int) (b []byte, fresh bool) {
 	if n <= 0 {
 		return nil, true
 	}
-	class := bits.Len(uint(n - 1))
+	class := classFor(n)
 	free := &m.bufs.free
 	if l := free[class]; len(l) > 0 {
 		b = l[len(l)-1][:n]
 		l[len(l)-1] = nil
 		free[class] = l[:len(l)-1]
-	} else if class+1 < len(free) && len(free[class+1]) > 0 {
-		// Split one buffer of the class above: serve its first half,
-		// file the second. Capping both keeps them disjoint.
-		l := free[class+1]
-		half := 1 << class
+	} else if up := class + classesPerOctave; up < len(free) && len(free[up]) > 0 {
+		// Split one buffer of the class an octave up: serve its first
+		// half, file the second. Capping both keeps them disjoint.
+		l := free[up]
+		half := classSize(class)
 		whole := l[len(l)-1]
 		l[len(l)-1] = nil
-		free[class+1] = l[:len(l)-1]
+		free[up] = l[:len(l)-1]
 		b = whole[:n:half]
 		free[class] = append(free[class], whole[half:2*half:2*half])
 	} else {
-		b, fresh = make([]byte, n, 1<<class), true
+		b, fresh = make([]byte, n, classSize(class)), true
 	}
 	if BufHook != nil {
 		BufHook(b[:cap(b)], false)
@@ -201,6 +234,7 @@ func (m *Machine) PutBuf(b []byte) {
 	if BufHook != nil {
 		BufHook(b, true)
 	}
-	class := bits.Len(uint(len(b))) - 1
-	m.bufs.free[class] = append(m.bufs.free[class], b)
+	if class := classOf(len(b)); class >= 0 {
+		m.bufs.free[class] = append(m.bufs.free[class], b)
+	}
 }

@@ -2,7 +2,7 @@ package fabric
 
 import (
 	"bytes"
-	"math/bits"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -13,7 +13,9 @@ import (
 // filled, to its full capacity, with its own id and must still hold it
 // after every step, so no two live buffers share a byte (a split that
 // did not cap its halves, or a buffer filed twice, shows here); every
-// GetBuf(n) has length n and a power-of-two capacity of at least n.
+// GetBuf(n) has length n and capacity exactly the smallest class size
+// (8 + c%8) << (c/8) of at least n, and starts 8-aligned when n is a
+// multiple of 8.
 //
 // Each step is an op byte and a two-byte size. Op%3 is 0: GetBuf of
 // 1 + size%4096 bytes (a PutBuf of the oldest live buffer once 32 are
@@ -59,8 +61,11 @@ func FuzzBufPool(f *testing.F) {
 			case op == 0:
 				n := 1 + size%4096
 				b := m.GetBuf(n)
-				if len(b) != n || cap(b) < n || bits.OnesCount(uint(cap(b))) != 1 {
-					t.Fatalf("step %d: GetBuf(%d) returned len %d cap %d", step, n, len(b), cap(b))
+				if len(b) != n || cap(b) != smallestClass(n) {
+					t.Fatalf("step %d: GetBuf(%d) returned len %d cap %d, want cap %d", step, n, len(b), cap(b), smallestClass(n))
+				}
+				if n%8 == 0 && reflect.ValueOf(b).Pointer()%8 != 0 {
+					t.Fatalf("step %d: GetBuf(%d) is not 8-aligned", step, n)
 				}
 				l := live{b: b[:cap(b)], want: make([]byte, cap(b)), id: next}
 				next++
@@ -79,4 +84,14 @@ func FuzzBufPool(f *testing.F) {
 		}
 		m.Retire()
 	})
+}
+
+// smallestClass is the size of the smallest capacity class that holds
+// n bytes, by walking the classes in order.
+func smallestClass(n int) int {
+	for c := 0; ; c++ {
+		if size := (8 + c%8) << (c / 8); size >= n {
+			return size
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,49 +23,100 @@ func TestBufPoolRecyclesByClass(t *testing.T) {
 	}
 	m.PutBuf(nil) // a zero-length payload has nothing to give back
 
+	// 100 bytes fall in the class of 104 = 13 << 3: the octave from 64
+	// to 128 steps by 8.
 	a := m.GetBuf(100)
-	if len(a) != 100 || cap(a) != 128 {
-		t.Fatalf("GetBuf(100): len %d cap %d, want 100/128", len(a), cap(a))
+	if len(a) != 100 || cap(a) != 104 {
+		t.Fatalf("GetBuf(100): len %d cap %d, want 100/104", len(a), cap(a))
 	}
 	m.PutBuf(a)
 	// Any request the class covers is served by the same buffer.
-	for _, n := range []int{65, 100, 128} {
+	for _, n := range []int{97, 100, 104} {
 		b := m.GetBuf(n)
 		if len(b) != n || &b[0] != &a[0] {
-			t.Errorf("GetBuf(%d) after PutBuf did not recycle the 128-byte buffer", n)
+			t.Errorf("GetBuf(%d) after PutBuf did not recycle the 104-byte buffer", n)
 		}
 		m.PutBuf(b)
 	}
-	// A request the class does not cover is not.
-	if b := m.GetBuf(129); &b[0] == &a[0] || cap(b) != 256 {
-		t.Errorf("GetBuf(129) got cap %d, recycled=%v", cap(b), &b[0] == &a[0])
+	// A request the class does not cover is not, and neither is one of
+	// the class below: neighbouring classes are not searched.
+	if b := m.GetBuf(105); &b[0] == &a[0] || cap(b) != 112 {
+		t.Errorf("GetBuf(105) got cap %d, recycled=%v", cap(b), &b[0] == &a[0])
 	}
-	// The split reaches one class up, no further: with the 32- and
-	// 64-byte classes empty, a 32-byte request is made fresh.
-	if b := m.GetBuf(32); &b[0] == &a[0] || &b[0] == &a[64] || cap(b) != 32 {
-		t.Errorf("GetBuf(32) got cap %d from the 128-byte buffer", cap(b))
+	if b := m.GetBuf(96); &b[0] == &a[0] || cap(b) != 96 {
+		t.Errorf("GetBuf(96) got cap %d, recycled=%v", cap(b), &b[0] == &a[0])
 	}
-	// With its class empty, a 64-byte request takes the first half of
-	// the free 128-byte buffer, and the second half serves the next.
-	for _, half := range []*byte{&a[0], &a[64]} {
-		if b := m.GetBuf(64); &b[0] != half || len(b) != 64 || cap(b) != 64 {
-			t.Errorf("GetBuf(64) with its class empty: len %d cap %d, not a half of the 128-byte buffer", len(b), cap(b))
+	// The split reaches one octave up, no further: with the 26- and
+	// 52-byte classes empty, a 26-byte request is made fresh.
+	if b := m.GetBuf(26); &b[0] == &a[0] || &b[0] == &a[52] || cap(b) != 26 {
+		t.Errorf("GetBuf(26) got cap %d from the 104-byte buffer", cap(b))
+	}
+	// With its class empty, a 52-byte request takes the first half of
+	// the free 104-byte buffer, and the second half serves the next.
+	for _, half := range []*byte{&a[0], &a[52]} {
+		if b := m.GetBuf(52); &b[0] != half || len(b) != 52 || cap(b) != 52 {
+			t.Errorf("GetBuf(52) with its class empty: len %d cap %d, not a half of the 104-byte buffer", len(b), cap(b))
 		}
 	}
 }
 
 // A buffer that never came from the pool is filed under the largest
-// class its capacity covers, so it can only serve requests it can hold.
+// class its capacity covers, so it can only serve requests it can hold;
+// one too small for any class is not filed at all.
 func TestBufPoolAcceptsForeignBuffers(t *testing.T) {
 	m := poolMachine(t)
-	foreign := make([]byte, 24) // covers the 16-byte class, not the 32-byte one
+	m.bufs = &bufPool{}
+	foreign := make([]byte, 25) // covers the 24-byte class, not the 26-byte one
 	m.PutBuf(foreign[:3])       // filed at full capacity whatever the length
-	if b := m.GetBuf(32); &b[0] == &foreign[0] {
-		t.Fatal("24-byte buffer served a 32-byte request")
+	if b := m.GetBuf(26); &b[0] == &foreign[0] {
+		t.Fatal("25-byte buffer served a 26-byte request")
 	}
-	b := m.GetBuf(16)
-	if &b[0] != &foreign[0] || len(b) != 16 {
-		t.Fatalf("24-byte buffer not recycled for a 16-byte request (len %d)", len(b))
+	b := m.GetBuf(24)
+	if &b[0] != &foreign[0] || len(b) != 24 {
+		t.Fatalf("25-byte buffer not recycled for a 24-byte request (len %d)", len(b))
+	}
+	tiny := make([]byte, 7)
+	m.PutBuf(tiny)
+	if b := m.GetBuf(7); &b[0] == &tiny[0] || cap(b) != 8 {
+		t.Fatalf("GetBuf(7) got cap %d, the 7-byte foreign buffer: %v", cap(b), &b[0] == &tiny[0])
+	}
+}
+
+// Fig. 6's integral array is (nv²)² doubles, nv = 48, split over a 2-D
+// process grid, so from 8 ranks to 128 each count's blocks are the
+// halves of the last count's. One list serving those blocks smallest
+// count first, as a Fig. 6 chain does, makes backings for the first job
+// only, each at most an eighth over its block: every later block is
+// split out of one of the 8-rank job's.
+func TestHalvingBlocksReuseBackings(t *testing.T) {
+	const vBytes = 2304 * 2304 * 8
+	params := testParams()
+	params.Nodes = 64
+	fl := &FreeList{bufs: &bufPool{}}
+	type span struct{ lo, hi uintptr }
+	var made []span
+	for _, procs := range []int{8, 16, 32, 64, 128} {
+		m, err := fl.NewMachine(sim.NewEngine(), params, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := vBytes / procs
+		for r := range procs {
+			b := m.Space(r).Alloc(n, DomainNone, false).Backing()
+			lo := reflect.ValueOf(b).Pointer()
+			hi := lo + uintptr(cap(b))
+			if procs == 8 {
+				if cap(b) > n+n/8 {
+					t.Errorf("%d-byte block backed by %d bytes, over an eighth more", n, cap(b))
+				}
+				made = append(made, span{lo, hi})
+				continue
+			}
+			if !slices.ContainsFunc(made, func(s span) bool { return s.lo <= lo && hi <= s.hi }) {
+				t.Errorf("%d-rank job: rank %d's %d-byte block was made, not split from an 8-rank block", procs, r, n)
+			}
+		}
+		m.Retire()
 	}
 }
 
@@ -283,9 +336,9 @@ func TestBufHookSeesBothDirectionsAtFullCapacity(t *testing.T) {
 		}
 	}
 	defer func() { BufHook = nil }()
-	b := m.GetBuf(10)
+	b := m.GetBuf(97)
 	m.PutBuf(b)
-	c := m.GetBuf(16)
+	c := m.GetBuf(104) // the same class: the bytes past b's length too
 	if gets != 2 || puts != 1 {
 		t.Errorf("hook calls: %d gets, %d puts", gets, puts)
 	}

@@ -1,7 +1,6 @@
 package ga
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -74,12 +73,20 @@ func primeFactors(n int) []int {
 // otherwise).
 var (
 	distMu    sync.Mutex
-	distCache = map[string]*Distribution{}
+	distCache = map[distKey]*Distribution{}
 )
+
+// distKey is distCache's key: the shape by value, so a lookup builds
+// nothing.
+type distKey struct {
+	dims       [maxDims]int
+	nd, nprocs int
+}
 
 // newDistribution builds (or returns the cached) block decomposition.
 func newDistribution(dims []int, nprocs int) *Distribution {
-	key := fmt.Sprint(dims, nprocs)
+	key := distKey{nd: len(dims), nprocs: nprocs}
+	copy(key.dims[:], dims)
 	distMu.Lock()
 	defer distMu.Unlock()
 	if d, ok := distCache[key]; ok {
