@@ -111,8 +111,17 @@ func obsProgram(t *testing.T, rt armci.Runtime, world *mpi.Comm, target int) {
 	must(t, rt.Free(addrs[rt.Rank()]))
 }
 
+// conservative routes every strided and IOV call of opt through the
+// per-segment method, whose segments each run as a contiguous
+// operation in an epoch of their own.
+func conservative(opt armcimpi.Options) armcimpi.Options {
+	opt.StridedMethod = armcimpi.MethodConservative
+	opt.IOVMethod = armcimpi.MethodConservative
+	return opt
+}
+
 // TestObsStreams pins everything all four instruments record, on all
-// four runtimes, against testdata/obs_streams.golden: per row the
+// four runtimes and on ARMCI-MPI's conservative method, against testdata/obs_streams.golden: per row the
 // stats JSON, the PROF JSON, the CRIT JSON and the trace, in full, as
 // the public writers emit them. The golden was recorded BEFORE the
 // per-instrument hook calls in fabric/mpi/armci/armcimpi/dataserver
@@ -134,6 +143,9 @@ func TestObsStreams(t *testing.T) {
 		{"armci-ds", ImplDataServer, armcimpi.DefaultOptions()},
 		{"dartmpi", ImplDartMPI, armcimpi.DefaultOptions()},
 		{"dartmpi-mpi3", ImplDartMPI, mpi3Options()},
+		{"armci-mpi-consrv", ImplARMCIMPI, conservative(armcimpi.DefaultOptions())},
+		{"armci-mpi3-consrv", ImplARMCIMPI, conservative(mpi3Options())},
+		{"dartmpi-consrv", ImplDartMPI, conservative(armcimpi.DefaultOptions())},
 	} {
 		for _, tg := range []struct {
 			name string
