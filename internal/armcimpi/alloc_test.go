@@ -9,8 +9,9 @@ import (
 // TestWarmStridedAllocations pins what a warm strided or I/O-vector
 // operation costs the allocator under each method, put, get and
 // accumulate alike, on the wire route: the epoch control block, the
-// contiguous plans, the executor's view slices and the pinned
-// per-segment decision are values or runtime scratch, and the MPI
+// contiguous plans, the executor's view slices and each conservative
+// segment's call (with its already decided wire route) are values or
+// runtime scratch, and the MPI
 // layer below allocates nothing per epoch or per operation. The
 // descriptor each method compiles is runtime scratch too: direct's
 // datatypes are memoized, the others expand the descriptor into the

@@ -260,29 +260,25 @@ func (r *Runtime) execBatched(p *plan) (err error) {
 	return st.finish()
 }
 
-// execPerSeg re-enters the engine once per segment through the public
-// contiguous operations, giving each segment its own epoch (and its
-// own per-segment span check). Each re-entry is pinned to the wire:
-// the descriptor was already decided and counted, so re-entry neither
-// re-counts nor re-stages.
+// execPerSeg runs each segment through the front door as its own
+// contiguous call, on the wire route its descriptor was decided and
+// counted with: each segment gets its own epoch, span check and span.
 func (r *Runtime) execPerSeg(p *plan) error {
-	defer func() { r.pinned = false }()
 	for _, sg := range p.segs {
-		r.pinned = true
-		var err error
-		switch p.class {
-		case ClassPut:
-			err = r.Put(sg.local, sg.remote, sg.n)
-		case ClassGet:
-			err = r.Get(sg.remote, sg.local, sg.n)
-		case ClassAcc:
-			err = r.Acc(armci.AccDbl, p.scale, sg.local, sg.remote, sg.n)
-		}
-		if err != nil {
+		if err := r.block(p.segment(sg)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// segment is the contiguous call that runs sg of a conservative plan.
+func (p *plan) segment(sg iovSeg) xfer {
+	x := xfer{class: p.class, scale: p.scale, src: sg.local, dst: sg.remote, n: sg.n, seg: true}
+	if p.class == ClassGet {
+		x.src, x.dst = sg.remote, sg.local
+	}
+	return x
 }
 
 // nbHandle tracks a set of MPI-3 request-based operations plus the
@@ -373,11 +369,9 @@ func (r *Runtime) issueNb3(p *plan, h *nbHandle) error {
 		}
 		return nil
 	case planPerSeg:
-		// Each segment of a conservative descriptor inherits its
-		// already counted decision, as a wire operation.
 		for _, sg := range p.segs {
-			rt := routed{dec: RouteDecision{Route: RouteRMA, Method: p.dec.Method}, bytes: sg.n}
-			sub, err := r.compileContig(p.class, p.scale, sg.local, sg.remote, sg.n, rt)
+			x := p.segment(sg)
+			sub, err := r.prepare(&x)
 			if err != nil {
 				return err
 			}

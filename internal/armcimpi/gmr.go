@@ -41,29 +41,24 @@ const (
 	MethodAuto
 )
 
+var methodNames = [...]string{
+	MethodConservative: "conservative", MethodBatched: "batched",
+	MethodIOVDirect: "iov-direct", MethodDirect: "direct", MethodAuto: "auto",
+}
+
 func (m Method) String() string {
-	switch m {
-	case MethodConservative:
-		return "conservative"
-	case MethodBatched:
-		return "batched"
-	case MethodIOVDirect:
-		return "iov-direct"
-	case MethodDirect:
-		return "direct"
-	case MethodAuto:
-		return "auto"
-	default:
+	if m < 0 || int(m) >= len(methodNames) {
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
+	return methodNames[m]
 }
 
 // ParseMethod parses the String form of a Method ("conservative",
 // "batched", "iov-direct", "direct", "auto").
 func ParseMethod(s string) (Method, error) {
-	for _, m := range []Method{MethodConservative, MethodBatched, MethodIOVDirect, MethodDirect, MethodAuto} {
-		if s == m.String() {
-			return m, nil
+	for m, name := range methodNames {
+		if s == name {
+			return Method(m), nil
 		}
 	}
 	return 0, fmt.Errorf("armcimpi: unknown method %q (want conservative, batched, iov-direct, direct, or auto)", s)
@@ -173,12 +168,8 @@ type Runtime struct {
 	dla map[int64]dlaSection // open direct-local-access sections by base VA
 
 	// policy is the routing layer's decision maker (route.go); New
-	// installs the engine default, SetRoutePolicy replaces it. pinned,
-	// when set, is consumed by the next decide call: a per-segment
-	// re-entry of an already routed conservative plan goes to the wire
-	// without re-deciding (and re-staging or re-counting).
+	// installs the engine default, SetRoutePolicy replaces it.
 	policy RoutePolicy
-	pinned bool
 
 	// held and temps are the executor's scratch slices (exec.go), lent
 	// to one blocking execution at a time; lastContig is contig's memo.

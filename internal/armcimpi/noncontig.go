@@ -2,68 +2,23 @@ package armcimpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/armci"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
-	"repro/internal/obs/profile"
 )
 
-// Profiler op classification per surface shape, indexed by OpClass.
-var (
-	profStridedOp   = [3]profile.Op{ClassGet: profile.OpGetS, ClassPut: profile.OpPutS, ClassAcc: profile.OpAccS}
-	profIOVOp       = [3]profile.Op{ClassGet: profile.OpGetV, ClassPut: profile.OpPutV, ClassAcc: profile.OpAccV}
-	profNbStridedOp = [3]profile.Op{ClassGet: profile.OpNbGetS, ClassPut: profile.OpNbPutS, ClassAcc: profile.OpNbAccS}
-	profNbIOVOp     = [3]profile.Op{ClassGet: profile.OpNbGetV, ClassPut: profile.OpNbPutV, ClassAcc: profile.OpNbAccV}
-)
-
-// stridedMethod resolves the configured strided strategy.
-func (r *Runtime) stridedMethod() Method {
-	switch r.Opt.StridedMethod {
-	case MethodDirect, MethodIOVDirect, MethodBatched, MethodConservative:
-		return r.Opt.StridedMethod
-	case MethodAuto:
-		return MethodDirect // strided descriptors cannot self-overlap
-	default:
-		return MethodDirect
-	}
+// PutS, GetS and AccS (dst += scale*src) are the strided transfers,
+// through the configured method.
+func (r *Runtime) PutS(s *armci.Strided) error {
+	return r.block(xfer{class: ClassPut, shape: ShapeStrided, s: s})
 }
-
-// PutS performs a strided put using the configured method.
-func (r *Runtime) PutS(s *armci.Strided) error { return r.strided(ClassPut, 1, s) }
-
-// GetS performs a strided get using the configured method.
-func (r *Runtime) GetS(s *armci.Strided) error { return r.strided(ClassGet, 1, s) }
-
-// AccS performs a strided accumulate (dst += scale*src).
+func (r *Runtime) GetS(s *armci.Strided) error {
+	return r.block(xfer{class: ClassGet, shape: ShapeStrided, s: s})
+}
 func (r *Runtime) AccS(op armci.AccOp, scale float64, s *armci.Strided) error {
-	if s.SegBytes()%8 != 0 {
-		return fmt.Errorf("armcimpi: AccS segment size %d not float64-aligned", s.SegBytes())
-	}
-	return r.strided(ClassAcc, scale, s)
-}
-
-func (r *Runtime) strided(class OpClass, scale float64, s *armci.Strided) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	t0 := r.R.P.Now()
-	r.obs().OpBegin(r.Rank(), profStridedOp[class])
-	defer r.obs().OpEnd(r.Rank())
-	target := s.Dst.Rank
-	if class == ClassGet {
-		target = s.Src.Rank
-	}
-	rt := r.decide(RouteRequest{Class: class, Shape: ShapeStrided, Target: target, Bytes: s.TotalBytes()})
-	p, err := r.compileStrided(class, scale, s, rt)
-	if err != nil {
-		return err
-	}
-	if err := r.execute(&p); err != nil {
-		return err
-	}
-	r.obs().OpDone(r.Rank(), profStridedOp[class], t0, r.R.P.Now(), target, s.SegBytes(), rt.dec.Method)
-	return nil
+	return r.block(xfer{class: ClassAcc, shape: ShapeStrided, scale: scale, s: s})
 }
 
 // stridedTypeCached is stridedType behind the job's small memo ring:
@@ -74,7 +29,7 @@ func (r *Runtime) stridedTypeCached(stride, count []int) mpi.Datatype {
 	w := r.W
 	for i := range w.dtMemo {
 		e := &w.dtMemo[i]
-		if e.t != nil && eqInts(e.stride, stride) && eqInts(e.count, count) {
+		if e.t != nil && slices.Equal(e.stride, stride) && slices.Equal(e.count, count) {
 			return e.t
 		}
 	}
@@ -88,23 +43,12 @@ func (r *Runtime) stridedTypeCached(stride, count []int) mpi.Datatype {
 	return t
 }
 
-func eqInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // stridedType builds the MPI datatype for one side of a strided
 // transfer: the SectionVI.C subarray translation when strides nest
 // evenly, an indexed type otherwise.
 func stridedType(stride, count []int) mpi.Datatype {
-	if sizes, subsizes, starts, ok := subarrayFor(stride, count); ok {
+	s := armci.Strided{SrcStride: stride, DstStride: stride, Count: count}
+	if sizes, subsizes, starts, ok := s.SrcSubarray(); ok {
 		return mpi.TypeSubarray(sizes, subsizes, starts, 1)
 	}
 	// Fallback: enumerate segments (Algorithm 1) into an indexed type.
@@ -134,11 +78,6 @@ func stridedType(stride, count []int) mpi.Datatype {
 		}
 	}
 	return mpi.TypeIndexed(offs, lens)
-}
-
-func subarrayFor(stride, count []int) (sizes, subsizes, starts []int, ok bool) {
-	s := armci.Strided{SrcStride: stride, DstStride: stride, Count: count}
-	return s.SrcSubarray()
 }
 
 // prescale produces a dense temporary holding scale*src for an
@@ -179,38 +118,22 @@ func (r *Runtime) freeTemp(t *fabric.Region) error {
 	return r.W.Mpi.M.Space(r.Rank()).Free(t.VA)
 }
 
-// PutV performs a generalized I/O vector put to proc.
+// PutV, GetV and AccV are the generalized I/O vector transfers to (or
+// from) proc, through the configured method.
 func (r *Runtime) PutV(iov []armci.GIOV, proc int) error {
-	return r.iov(ClassPut, 1, iov, proc)
+	return r.block(xfer{class: ClassPut, shape: ShapeIOV, iov: iov, proc: proc})
 }
-
-// GetV performs a generalized I/O vector get from proc.
 func (r *Runtime) GetV(iov []armci.GIOV, proc int) error {
-	return r.iov(ClassGet, 1, iov, proc)
+	return r.block(xfer{class: ClassGet, shape: ShapeIOV, iov: iov, proc: proc})
 }
-
-// AccV performs a generalized I/O vector accumulate to proc.
 func (r *Runtime) AccV(op armci.AccOp, scale float64, iov []armci.GIOV, proc int) error {
-	if err := checkAccIOV(iov); err != nil {
-		return err
-	}
-	return r.iov(ClassAcc, scale, iov, proc)
+	return r.block(xfer{class: ClassAcc, shape: ShapeIOV, scale: scale, iov: iov, proc: proc})
 }
 
-// iovBytes is the total payload of a generalized I/O vector.
-func iovBytes(iov []armci.GIOV) int {
-	n := 0
-	for i := range iov {
-		n += len(iov[i].Src) * iov[i].Bytes
-	}
-	return n
-}
-
-func checkAccIOV(iov []armci.GIOV) error {
-	for i := range iov {
-		if iov[i].Bytes%8 != 0 {
-			return fmt.Errorf("armcimpi: AccV segment size %d not float64-aligned", iov[i].Bytes)
-		}
+// checkAccSeg rejects an accumulate segment that is not whole float64s.
+func checkAccSeg(n int) error {
+	if n%8 != 0 {
+		return fmt.Errorf("armcimpi: accumulate segment size %d not float64-aligned", n)
 	}
 	return nil
 }
@@ -252,17 +175,4 @@ func stridedSegs(segs []iovSeg, class OpClass, s *armci.Strided) []iovSeg {
 		segs = append(segs, iovSeg{local: local.Add(lo), remote: remote.Add(ro), n: n})
 	})
 	return segs
-}
-
-// iov compiles and executes an IOV operation with the routed method
-// (SectionVI.A).
-func (r *Runtime) iov(class OpClass, scale float64, iov []armci.GIOV, proc int) error {
-	r.obs().OpBegin(r.Rank(), profIOVOp[class])
-	defer r.obs().OpEnd(r.Rank())
-	rt := r.decide(RouteRequest{Class: class, Shape: ShapeIOV, Target: proc, Bytes: iovBytes(iov)})
-	p, err := r.compileIOV(class, scale, iov, proc, rt)
-	if err != nil {
-		return err
-	}
-	return r.execute(&p)
 }

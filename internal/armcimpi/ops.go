@@ -160,72 +160,181 @@ func (r *Runtime) remote(addr armci.Addr, n int) (*GMR, int, int, error) {
 	return g, gr, disp, nil
 }
 
+// xfer is one transfer call as the front door sees it: its class and
+// surface shape, the shape's descriptor (src, dst and n in the call's
+// own order, s, or iov to proc), and whether it is nonblocking. seg
+// marks a conservative plan's segment, a wire operation whose route
+// was decided and counted with its descriptor.
+type xfer struct {
+	class    OpClass
+	shape    Shape
+	nb, seg  bool
+	scale    float64
+	src, dst armci.Addr
+	n        int
+	s        *armci.Strided
+	iov      []armci.GIOV
+	proc     int
+}
+
+// profOps names every call for the profiler, by [nonblocking][shape][class].
+var profOps = [2][3][3]profile.Op{{
+	ShapeContig:  {ClassGet: profile.OpGet, ClassPut: profile.OpPut, ClassAcc: profile.OpAcc},
+	ShapeStrided: {ClassGet: profile.OpGetS, ClassPut: profile.OpPutS, ClassAcc: profile.OpAccS},
+	ShapeIOV:     {ClassGet: profile.OpGetV, ClassPut: profile.OpPutV, ClassAcc: profile.OpAccV},
+}, {
+	ShapeContig:  {ClassGet: profile.OpNbGet, ClassPut: profile.OpNbPut, ClassAcc: profile.OpNbAcc},
+	ShapeStrided: {ClassGet: profile.OpNbGetS, ClassPut: profile.OpNbPutS, ClassAcc: profile.OpNbAccS},
+	ShapeIOV:     {ClassGet: profile.OpNbGetV, ClassPut: profile.OpNbPutV, ClassAcc: profile.OpNbAccV},
+}}
+
+// block is the front door's blocking form: the handle of a call that
+// completes on return carries nothing.
+func (r *Runtime) block(x xfer) error {
+	_, err := r.transfer(x)
+	return err
+}
+
+// transfer is the one path of every put, get and accumulate: open the
+// call's profiler scope, then validate, route and compile it (prepare)
+// and run the plan. Each operation completes in its own epoch
+// (SectionV.F), so under MPI-2 a nonblocking call is its blocking form,
+// done on return: its scope is the nonblocking op, its span the
+// blocking one, and a failure comes back with a failedHandle. Under
+// MPI-3 a nonblocking plan issues as request-based operations
+// (SectionVIII.B) and records no span.
+func (r *Runtime) transfer(x xfer) (armci.Handle, error) {
+	t0 := r.R.P.Now()
+	nb3 := x.nb && r.Opt.UseMPI3
+	ops := &profOps[0]
+	if x.nb {
+		ops = &profOps[1]
+	}
+	r.obs().OpBegin(r.Rank(), ops[x.shape][x.class])
+	defer r.obs().OpEnd(r.Rank())
+	p, err := r.prepare(&x)
+	switch {
+	case err != nil:
+	case nb3:
+		return r.execNb3(&p)
+	default:
+		err = r.execute(&p)
+	}
+	if err != nil {
+		if x.nb && !nb3 {
+			return failedHandle{err: err}, err
+		}
+		return nil, err
+	}
+	if x.shape != ShapeIOV {
+		var method fmt.Stringer
+		n := x.n
+		if x.shape == ShapeStrided {
+			method, n = p.dec.Method, x.s.SegBytes()
+		}
+		r.obs().OpDone(r.Rank(), profOps[0][x.shape][x.class], t0, r.R.P.Now(), x.target(), n, method)
+	}
+	return completedHandle{}, nil
+}
+
+// prepare validates x, routes it (a segment keeps its wire route) and
+// compiles it by shape.
+func (r *Runtime) prepare(x *xfer) (plan, error) {
+	if err := x.validate(); err != nil {
+		return plan{}, err
+	}
+	req := RouteRequest{Class: x.class, Shape: x.shape, Target: x.target(), Bytes: x.bytes()}
+	rt := routed{dec: RouteDecision{Route: RouteRMA, Method: MethodDirect}, bytes: req.Bytes}
+	if !x.seg {
+		rt = r.decide(req)
+	}
+	switch x.shape {
+	case ShapeContig:
+		local, remote := x.src, x.dst
+		if x.class == ClassGet {
+			local, remote = remote, local
+		}
+		return r.compileContig(x.class, x.scale, local, remote, x.n, rt)
+	case ShapeStrided:
+		return r.compileStrided(x.class, x.scale, x.s, rt)
+	default:
+		return r.compileIOV(x.class, x.scale, x.iov, x.proc, rt)
+	}
+}
+
+// validate checks what the compilers assume: a well-formed contiguous
+// or strided request, and float64-sized accumulate segments. An I/O
+// vector's segments are checked as compileIOV expands them.
+func (x *xfer) validate() error {
+	switch {
+	case x.shape == ShapeContig:
+		if err := armci.CheckContig(x.src, x.dst, x.n); err != nil || x.class != ClassAcc {
+			return err
+		}
+		return checkAccSeg(x.n)
+	case x.shape == ShapeStrided:
+		if err := x.s.Validate(); err != nil || x.class != ClassAcc {
+			return err
+		}
+		return checkAccSeg(x.s.SegBytes())
+	case x.class == ClassAcc:
+		for i := range x.iov {
+			if err := checkAccSeg(x.iov[i].Bytes); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// target is the remote world rank of x.
+func (x *xfer) target() int {
+	src, dst := x.src, x.dst
+	switch x.shape {
+	case ShapeStrided:
+		src, dst = x.s.Src, x.s.Dst
+	case ShapeIOV:
+		return x.proc
+	}
+	if x.class == ClassGet {
+		return src.Rank
+	}
+	return dst.Rank
+}
+
+// bytes is x's total payload.
+func (x *xfer) bytes() int {
+	switch x.shape {
+	case ShapeContig:
+		return x.n
+	case ShapeStrided:
+		return x.s.TotalBytes()
+	}
+	n := 0
+	for i := range x.iov {
+		n += len(x.iov[i].Src) * x.iov[i].Bytes
+	}
+	return n
+}
+
 // Put copies n bytes from the local src to the global dst. Because
 // each operation completes within its own epoch, the call is both
 // locally and remotely complete on return (SectionV.F).
 func (r *Runtime) Put(src, dst armci.Addr, n int) error {
-	t0 := r.R.P.Now()
-	r.obs().OpBegin(r.Rank(), profile.OpPut)
-	defer r.obs().OpEnd(r.Rank())
-	if err := armci.CheckContig(src, dst, n); err != nil {
-		return err
-	}
-	rt := r.decide(RouteRequest{Class: ClassPut, Shape: ShapeContig, Target: dst.Rank, Bytes: n})
-	p, err := r.compileContig(ClassPut, 1, src, dst, n, rt)
-	if err != nil {
-		return err
-	}
-	if err := r.execute(&p); err != nil {
-		return err
-	}
-	r.obs().OpDone(r.Rank(), profile.OpPut, t0, r.R.P.Now(), dst.Rank, n, nil)
-	return nil
+	return r.block(xfer{class: ClassPut, src: src, dst: dst, n: n})
 }
 
 // Get copies n bytes from the global src to the local dst; the data is
 // available on return.
 func (r *Runtime) Get(src, dst armci.Addr, n int) error {
-	t0 := r.R.P.Now()
-	r.obs().OpBegin(r.Rank(), profile.OpGet)
-	defer r.obs().OpEnd(r.Rank())
-	if err := armci.CheckContig(src, dst, n); err != nil {
-		return err
-	}
-	rt := r.decide(RouteRequest{Class: ClassGet, Shape: ShapeContig, Target: src.Rank, Bytes: n})
-	p, err := r.compileContig(ClassGet, 1, dst, src, n, rt)
-	if err != nil {
-		return err
-	}
-	if err := r.execute(&p); err != nil {
-		return err
-	}
-	r.obs().OpDone(r.Rank(), profile.OpGet, t0, r.R.P.Now(), src.Rank, n, nil)
-	return nil
+	return r.block(xfer{class: ClassGet, src: src, dst: dst, n: n})
 }
 
 // Acc applies dst += scale*src elementwise on float64. ARMCI-MPI
 // pre-scales into a temporary buffer (MPI accumulate has no scale
 // argument) and issues MPI_Accumulate with MPI_SUM.
 func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int) error {
-	t0 := r.R.P.Now()
-	r.obs().OpBegin(r.Rank(), profile.OpAcc)
-	defer r.obs().OpEnd(r.Rank())
-	if err := armci.CheckContig(src, dst, n); err != nil {
-		return err
-	}
-	if n%8 != 0 {
-		return fmt.Errorf("armcimpi: Acc size %d not a multiple of 8 (float64)", n)
-	}
-	rt := r.decide(RouteRequest{Class: ClassAcc, Shape: ShapeContig, Target: dst.Rank, Bytes: n})
-	p, err := r.compileContig(ClassAcc, scale, src, dst, n, rt)
-	if err != nil {
-		return err
-	}
-	if err := r.execute(&p); err != nil {
-		return err
-	}
-	r.obs().OpDone(r.Rank(), profile.OpAcc, t0, r.R.P.Now(), dst.Rank, n, nil)
-	return nil
+	return r.block(xfer{class: ClassAcc, scale: scale, src: src, dst: dst, n: n})
 }
 
 // Fence ensures remote completion of prior operations to proc. Under

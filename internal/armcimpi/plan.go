@@ -10,8 +10,11 @@ import (
 
 // The transfer-plan engine. Every ARMCI data-movement operation —
 // contiguous, strided, and generalized I/O vector; put, get, and
-// accumulate; blocking and nonblocking — compiles to one plan
-// descriptor and is carried out by the single executor in exec.go.
+// accumulate; blocking and nonblocking — enters one front door
+// (transfer, ops.go), compiles here to one plan descriptor, and is
+// carried out by the single executor in exec.go. A conservative plan's
+// segments go through the same front door as contiguous calls that
+// keep the wire route their descriptor was decided with.
 // The compilers in this file own method selection (SectionVI), GMR
 // resolution, and SectionVI.B's conflict-tree safety scan
 // (destsDisjoint); the executor owns staging, deadlock avoidance,
@@ -29,9 +32,9 @@ const (
 	// planBatched issues up to batch contiguous operations per epoch
 	// against one GMR (SectionVI.B).
 	planBatched
-	// planPerSeg re-enters the engine once per contiguous segment,
-	// each in its own epoch; segments may overlap and span GMRs (the
-	// conservative method).
+	// planPerSeg runs each contiguous segment as its own call through
+	// the front door, each in its own epoch; segments may overlap and
+	// span GMRs (the conservative method).
 	planPerSeg
 )
 

@@ -28,19 +28,13 @@ const (
 	RouteStagedRMA
 )
 
+var routeNames = [...]string{RouteRMA: "rma", RouteSelf: "self", RouteNode: "node", RouteStagedRMA: "staged-rma"}
+
 func (r Route) String() string {
-	switch r {
-	case RouteRMA:
-		return "rma"
-	case RouteSelf:
-		return "self"
-	case RouteNode:
-		return "node"
-	case RouteStagedRMA:
-		return "staged-rma"
-	default:
+	if r < 0 || int(r) >= len(routeNames) {
 		return "route?"
 	}
+	return routeNames[r]
 }
 
 // Shape is the surface form of the operation being routed.
@@ -52,15 +46,13 @@ const (
 	ShapeIOV
 )
 
+var shapeNames = [...]string{ShapeContig: "contig", ShapeStrided: "strided", ShapeIOV: "iov"}
+
 func (s Shape) String() string {
-	switch s {
-	case ShapeContig:
-		return "contig"
-	case ShapeStrided:
-		return "strided"
-	default:
-		return "iov"
+	if s < 0 || int(s) >= len(shapeNames) {
+		return "shape?"
 	}
+	return shapeNames[s]
 }
 
 // RouteRequest describes one operation to the policy.
@@ -112,15 +104,19 @@ func (r *Runtime) DefaultRoute(req RouteRequest) RouteDecision {
 
 // methodFor resolves the configured noncontiguous method for a shape
 // (contiguous transfers have no method choice and report direct).
+// Strided descriptors cannot self-overlap, so auto, like any value
+// that names no strided method, is direct.
 func (r *Runtime) methodFor(shape Shape) Method {
 	switch shape {
 	case ShapeStrided:
-		return r.stridedMethod()
+		switch m := r.Opt.StridedMethod; m {
+		case MethodIOVDirect, MethodBatched, MethodConservative:
+			return m
+		}
 	case ShapeIOV:
 		return r.Opt.IOVMethod
-	default:
-		return MethodDirect
 	}
+	return MethodDirect
 }
 
 // SetRoutePolicy installs the runtime's routing policy (dartmpi plugs
@@ -149,15 +145,10 @@ type routed struct {
 
 // decide is the engine's single routing call site: every operation's
 // compile consults the policy exactly once here and reports the
-// decision to the recorder. Per-segment re-entries of a conservative
-// plan are wire operations that were already decided — and counted —
-// with their descriptor (execPerSeg sets pinned), so they neither
-// re-count nor re-stage.
+// decision to the recorder. A conservative plan's segments are wire
+// operations already decided and counted with their descriptor, so
+// prepare does not call it for them.
 func (r *Runtime) decide(req RouteRequest) routed {
-	if r.pinned {
-		r.pinned = false
-		return routed{dec: RouteDecision{Route: RouteRMA, Method: MethodDirect}, bytes: req.Bytes}
-	}
 	d := r.policy.Decide(req)
 	r.obs().Routed(r.Rank(), tiers[d.Route], req.Bytes)
 	return routed{dec: d, bytes: req.Bytes}
